@@ -14,14 +14,18 @@ determinant
     | pn_1 ... pn_n 1 |  = 0
 
 along its first row: weight i is the signed cofactor of the variable
-column i, the bias is the signed cofactor of the constant column. Each
-minor is evaluated numerically by Gaussian elimination with partial
-pivoting, so no symbolic algebra is involved.
+column i, the bias is the signed cofactor of the constant column. The n+1
+minors are evaluated numerically, all at once, by Gaussian elimination
+over one (n+1, n, n) stack with partial pivoting chosen per minor, so no
+symbolic algebra is involved. Every element sees the same floating-point
+operations in the same order as eliminating each minor on its own, so the
+cofactors are bit-identical to the one-minor-at-a-time loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,24 +100,45 @@ class Hyperplane:
             )
 
 
+def _determinants(stack: np.ndarray) -> np.ndarray:
+    """Determinants of a (k, n, n) stack by Gaussian elimination.
+
+    Each slice is eliminated with its own partial pivoting, and every
+    element update is the multiply-then-subtract of the one-matrix loop,
+    so each result is bit-identical to eliminating that slice alone. A
+    slice whose pivot is exactly 0.0 has determinant exactly 0.0; the
+    inf/nan its later columns produce stay inside that slice.
+    """
+    a = np.array(stack, dtype=float, order="C")
+    k, n = a.shape[:2]
+    det = np.ones(k)
+    singular = np.zeros(k, dtype=bool)
+    slices = np.arange(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for col in range(n):
+            pivot = col + np.abs(a[:, col:, col]).argmax(axis=1)
+            swap = pivot != col
+            if swap.any():
+                # Slices that keep their row write it back onto itself.
+                pivot_rows = a[slices, pivot, col:]
+                a[slices, pivot, col:] = a[:, col, col:]
+                a[:, col, col:] = pivot_rows
+                det[swap] = -det[swap]
+            p = a[:, col, col]
+            singular |= p == 0.0
+            det *= p
+            a[:, col + 1:, col:] -= (a[:, col + 1:, col] / p[:, None])[..., None] \
+                * a[:, col, None, col:]
+    det[singular] = 0.0
+    return det
+
+
 def determinant(matrix: np.ndarray) -> float:
     """Determinant by Gaussian elimination with partial pivoting."""
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got {a.shape}")
-    det = 1.0
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0.0:
-            return 0.0
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            det = -det
-        det *= a[col, col]
-        for row in range(col + 1, n):
-            a[row, col:] -= (a[row, col] / a[col, col]) * a[col, col:]
-    return det
+    return float(_determinants(a[None])[0])
 
 
 def line_from_points(e, f) -> Hyperplane:
@@ -134,25 +159,41 @@ def line_from_points(e, f) -> Hyperplane:
     return Hyperplane(np.array([y1 - y2, x2 - x1]), x1 * y2 - x2 * y1)
 
 
+@lru_cache(maxsize=64)
+def _minor_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns kept by each of the n+1 minors, and the cofactor signs."""
+    keep = np.array([[c for c in range(n + 1) if c != j] for j in range(n + 1)])
+    signs = np.array([(-1.0) ** j for j in range(n + 1)])
+    keep.setflags(write=False)
+    signs.setflags(write=False)
+    return keep, signs
+
+
 def hyperplane_from_points(points) -> Hyperplane:
     """Hyperplane through n points in n dimensions (bordered determinant).
+
+    All n+1 minors of the bordered matrix are eliminated together as one
+    stack, with per-minor partial pivoting and the operation order of a
+    one-minor-at-a-time loop, so the coefficients are bit-identical to it.
 
     Raises DegeneratePointsError when the points are affinely dependent,
     i.e. lie on a common (n-2)-flat, which drives every cofactor to zero.
     """
-    pts = np.asarray([as_vector(p) for p in points], dtype=float)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError(f"expected a sequence of 1-D points, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point has non-finite coordinates")
     n = pts.shape[0]
     if pts.shape != (n, n):
         raise DimensionMismatchError(
             f"need exactly n points of dimension n, got {pts.shape[0]} points "
             f"of dimension {pts.shape[1]}"
         )
-    # Rows 2..n+1 of the bordered matrix: [point, 1].
+    keep, signs = _minor_layout(n)
+    # Rows 2..n+1 of the bordered matrix: [point, 1]; minor j drops column j.
     bordered = np.hstack([pts, np.ones((n, 1))])
-    coeffs = np.empty(n + 1)
-    for col in range(n + 1):
-        minor = np.delete(bordered, col, axis=1)
-        coeffs[col] = (-1.0) ** col * determinant(minor)
+    coeffs = signs * _determinants(bordered[:, keep].transpose(1, 0, 2))
     weights, bias = coeffs[:n], coeffs[n]
     scale = coordinate_scale(pts)
     # Cofactors scale like coordinate^(n-1); normalize the test accordingly.

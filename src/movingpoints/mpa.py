@@ -23,13 +23,14 @@ each other closer together.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .datasets import Dataset
 from .geometry import (
     EPS_DEGENERATE,
+    EPS_ON_PLANE,
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
@@ -42,6 +43,7 @@ from .geometry import (
 )
 from .rng import SplitMix64
 
+MODEL_VERSION = 1
 MAX_RESAMPLES = 8  # extra draws of g when it lands on the mover
 _GUARD_TOL = 1e-12
 _MAX_GUARD_PASSES = 64
@@ -453,7 +455,7 @@ def predict_many(model: MpaModel, X) -> np.ndarray:
         float(np.max(np.abs(h.weights))) * np.max(np.abs(X), axis=1),
         np.full(X.shape[0], abs(h.bias)),
     ])
-    on_plane = np.abs(raw) <= 1e-12 * scale
+    on_plane = np.abs(raw) <= EPS_ON_PLANE * scale
     sign = np.where(raw > 0, 1, -1)
     plus_class = 1 if model.pseudo_sign[1] == 1 else 0
     out = np.where(sign == model.pseudo_sign[1], 1, 0)
@@ -481,7 +483,7 @@ def model_document(model: MpaModel) -> str:
     """Serialize to a JSON text that round-trips every float bit-exactly."""
     doc = {
         "format": "moving-points-model",
-        "version": 1,
+        "version": MODEL_VERSION,
         "dim": model.dim,
         "moving_points": [list(map(float, row)) for row in model.moving_points],
         "pseudo_sign": {str(k): v for k, v in sorted(model.pseudo_sign.items())},
@@ -493,12 +495,23 @@ def model_document(model: MpaModel) -> str:
 
 
 def parse_model_document(text: str) -> MpaModel:
+    """Rebuild a model; ValueError on a wrong format, version, dim or config key."""
     doc = json.loads(text)
     if doc.get("format") != "moving-points-model":
         raise ValueError("not a moving-points model document")
+    if doc.get("version") != MODEL_VERSION:
+        raise ValueError(f"unsupported model version {doc.get('version')!r}, "
+                         f"expected {MODEL_VERSION}")
+    unknown = sorted(set(doc["config"]) - {f.name for f in fields(MpaConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    pts = np.array(doc["moving_points"], dtype=float)
+    dim = doc.get("dim")
+    if pts.shape != (dim, dim):
+        raise ValueError(f"dim {dim!r} does not match moving points of shape {pts.shape}")
     cfg = MpaConfig(**doc["config"])
     return MpaModel(
-        np.array(doc["moving_points"], dtype=float),
+        pts,
         {int(k): int(v) for k, v in doc["pseudo_sign"].items()},
         float(doc["alpha"]),
         cfg,

@@ -1,5 +1,7 @@
 """Benchmark bookkeeping: record handling, isolation, deterministic reports."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,13 @@ class TestSyntheticSuite:
         got = [r for r in suite.records if r.dataset_id == "seed01-std1.1"]
         assert sorted(got, key=lambda r: r.classifier) == \
             sorted(lone, key=lambda r: r.classifier)
+
+    def test_dim8_cell_golden(self):
+        # An overlapping 8-D cell: about 150 planes through 8 moving points
+        # are built, so this pins the n >= 3 training path bit for bit.
+        text = report_text(BenchReport(records=run_synthetic_cell(0, 90, dim=8)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            "ef529968bf4ed167fc37f1c0cea64f8652ec07a838837c0931e0887359035a6d"
 
     def test_suite_metadata(self):
         suite = run_synthetic_suite(n_seeds=1, n_stds=1, master_seed=0,

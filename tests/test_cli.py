@@ -114,6 +114,23 @@ class TestPredict:
         assert main(argv) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 151
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param({"dim": 5}, id="dim"),
+        pytest.param({"version": 99}, id="version"),
+        pytest.param({"config": {"eta": 0.5, "momentum": 0.9}}, id="config-key"),
+    ])
+    def test_bad_model_schema_is_exit_2(self, iris_path, model_path, tmp_path,
+                                        capsys, edit):
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc.update(edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        for command, out in (("predict", "p.csv"), ("plot", "p.svg")):
+            argv = ([command, "--input", str(iris_path), "--model", str(bad),
+                     "--output", str(tmp_path / out)] + IRIS_ARGS)
+            assert main(argv) == 2
+            assert f"mpa {command}: loading model:" in capsys.readouterr().err
+
     def test_missing_model_is_exit_2(self, iris_path, tmp_path):
         argv = ["predict", "--input", str(iris_path),
                 "--model", str(tmp_path / "absent.json"),

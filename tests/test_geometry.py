@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from movingpoints.geometry import (
+    EPS_DEGENERATE,
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
     ZeroVectorError,
     angle_between,
+    as_vector,
     coordinate_scale,
     determinant,
     hyperplane_from_points,
@@ -122,6 +127,92 @@ class TestHyperplaneFromPoints:
                     assert abs(ca[i] * cb[j] - ca[j] * cb[i]) <= 1e-9 * (
                         1.0 + np.abs(ca).max() * np.abs(cb).max()
                     )
+
+
+def oracle_determinant(matrix) -> float:
+    """One matrix at a time, row by row: the reference elimination."""
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    det = 1.0
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[pivot, col] == 0.0:
+            return 0.0
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            det = -det
+        det *= a[col, col]
+        for row in range(col + 1, n):
+            a[row, col:] -= (a[row, col] / a[col, col]) * a[col, col:]
+    return det
+
+
+def oracle_plane(points) -> Hyperplane:
+    """The bordered-determinant plane with one elimination per minor."""
+    pts = np.asarray([as_vector(p) for p in points], dtype=float)
+    n = pts.shape[0]
+    if pts.shape != (n, n):
+        raise DimensionMismatchError(f"got shape {pts.shape}")
+    bordered = np.hstack([pts, np.ones((n, 1))])
+    coeffs = np.empty(n + 1)
+    for col in range(n + 1):
+        minor = np.delete(bordered, col, axis=1)
+        coeffs[col] = (-1.0) ** col * oracle_determinant(minor)
+    weights, bias = coeffs[:n], coeffs[n]
+    if float(np.linalg.norm(weights)) <= EPS_DEGENERATE * coordinate_scale(pts) ** (n - 1):
+        raise DegeneratePointsError("affinely dependent")
+    return Hyperplane(weights, bias)
+
+
+@st.composite
+def point_sets(draw, dims=st.integers(2, 8)):
+    """n points in n dimensions, shaped to hit the kernel's edge cases.
+
+    Small-integer coordinates give exactly zero pivots and exactly
+    singular minors; a constant column and a duplicated point make
+    minors singular by construction.
+    """
+    n = draw(dims)
+    shape = draw(st.sampled_from(["plain", "constant_column", "small_int", "duplicate"]))
+    if shape == "small_int":
+        return draw(hnp.arrays(np.float64, (n, n), elements=st.integers(-2, 2)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    pts = scale * draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    if shape == "constant_column":
+        pts[:, draw(st.integers(0, n - 1))] = scale * draw(st.floats(-1.0, 1.0))
+    elif shape == "duplicate":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        pts[j] = pts[i]
+    return pts
+
+
+def plane_outcome(build, pts):
+    """The exact bits of the plane, or the type of the exception raised."""
+    try:
+        h = build(pts)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+    return h.weights.tobytes(), np.float64(h.bias).tobytes()
+
+
+class TestStackedKernelBitIdentity:
+    """The stacked elimination reproduces the per-minor loop bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets())
+    def test_matches_per_minor_oracle(self, pts):
+        assert plane_outcome(hyperplane_from_points, pts) == plane_outcome(oracle_plane, pts)
+
+    @settings(max_examples=12, deadline=None)
+    @given(point_sets(dims=st.just(16)))
+    def test_matches_per_minor_oracle_n16(self, pts):
+        assert plane_outcome(hyperplane_from_points, pts) == plane_outcome(oracle_plane, pts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_determinant_matches_oracle(self, pts):
+        got = np.float64(determinant(pts)).tobytes()
+        assert got == np.float64(oracle_determinant(pts)).tobytes()
 
 
 class TestSignedDisplacement:
