@@ -24,6 +24,7 @@ cofactors are bit-identical to the one-minor-at-a-time loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +69,7 @@ def coordinate_scale(*arrays) -> float:
     for a in arrays:
         a = np.asarray(a, dtype=float)
         if a.size:
-            m = max(m, float(np.max(np.abs(a))))
+            m = max(m, float(np.abs(a).max()))
     return m
 
 
@@ -83,11 +84,7 @@ class Hyperplane:
         w = as_vector(self.weights)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
-        if not np.isfinite(self.bias):
-            raise ValueError("bias is not finite")
-        scale = max(float(np.max(np.abs(w))), abs(self.bias), 1.0)
-        if float(np.linalg.norm(w)) <= EPS_DEGENERATE * scale:
-            raise DegeneratePointsError("hyperplane normal is (near-)zero")
+        _normal_norm(w, self.bias)
 
     @property
     def dim(self) -> int:
@@ -141,22 +138,46 @@ def determinant(matrix: np.ndarray) -> float:
     return float(_determinants(a[None])[0])
 
 
-def line_from_points(e, f) -> Hyperplane:
-    """Line through two distinct 2-D points, closed form.
+def _normal_norm(weights: np.ndarray, bias: float) -> float:
+    """||weights|| of a plane whose coefficients pass the Hyperplane checks.
+
+    Raises ValueError on non-finite coefficients and DegeneratePointsError
+    when the normal is (near-)zero relative to the coefficients.
+    """
+    if not np.isfinite(weights).all():
+        raise ValueError("point has non-finite coordinates")
+    if not math.isfinite(bias):
+        raise ValueError("bias is not finite")
+    norm = float(np.linalg.norm(weights))
+    if norm <= EPS_DEGENERATE * max(float(np.abs(weights).max()), abs(bias), 1.0):
+        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    return norm
+
+
+def _line_coeffs(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(weights, bias, ||weights||) of the line through two finite 2-D points.
 
     Coefficients are (y1 - y2, x2 - x1) with constant x1*y2 - x2*y1, read
-    directly off the two-point line equation.
+    directly off the two-point line equation. Raises DegeneratePointsError
+    when the points coincide, then the checks of :func:`_normal_norm`.
     """
+    if float(np.linalg.norm(e - f)) <= EPS_DEGENERATE * coordinate_scale(e, f):
+        raise DegeneratePointsError("the two points coincide")
+    x1, y1 = e.tolist()
+    x2, y2 = f.tolist()
+    weights = np.array([y1 - y2, x2 - x1])
+    bias = x1 * y2 - x2 * y1
+    return weights, bias, _normal_norm(weights, bias)
+
+
+def line_from_points(e, f) -> Hyperplane:
+    """Line through two distinct 2-D points, closed form (see _line_coeffs)."""
     e = as_vector(e)
     f = as_vector(f)
     if e.size != 2 or f.size != 2:
         raise DimensionMismatchError("line_from_points requires 2-D points")
-    scale = coordinate_scale(e, f)
-    if float(np.linalg.norm(e - f)) <= EPS_DEGENERATE * scale:
-        raise DegeneratePointsError("the two points coincide")
-    x1, y1 = e
-    x2, y2 = f
-    return Hyperplane(np.array([y1 - y2, x2 - x1]), x1 * y2 - x2 * y1)
+    weights, bias, _ = _line_coeffs(e, f)
+    return Hyperplane(weights, bias)
 
 
 @lru_cache(maxsize=64)

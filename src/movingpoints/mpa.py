@@ -34,6 +34,7 @@ from .geometry import (
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
+    _line_coeffs,
     as_vector,
     coordinate_scale,
     hyperplane_from_points,
@@ -238,15 +239,27 @@ def movement_vector(model: MpaModel, q, g, lam: float, cfg: MpaConfig | None = N
         raise DimensionMismatchError(
             f"expected dimension {model.dim}, got q:{q.size} g:{g.size}"
         )
-    dists = np.linalg.norm(model.moving_points - q, axis=1)
-    mover = int(np.argmin(dists))  # argmin takes the lowest index on ties
+    mover = _nearest(model.moving_points, q)
     c = model.moving_points[mover]
+    return mover, _displacement(c, g, coordinate_scale(c, g), abs(cfg.eta * lam))
+
+
+def _nearest(P: np.ndarray, q: np.ndarray) -> int:
+    """Row of P nearest to q; argmin takes the lowest index on ties."""
+    return int(np.linalg.norm(P - q, axis=1).argmin())
+
+
+def _displacement(c: np.ndarray, g: np.ndarray, scale: float, step: float) -> np.ndarray:
+    """Vector of length step from c toward g.
+
+    scale is coordinate_scale(c, g); ZeroDisplacementError when g sits on c
+    relative to it.
+    """
     v = g - c
     nv = float(np.linalg.norm(v))
-    if nv <= EPS_DEGENERATE * coordinate_scale(c, g):
+    if nv <= EPS_DEGENERATE * scale:
         raise ZeroDisplacementError("sampled target coincides with the mover")
-    t = (v / nv) * abs(cfg.eta * lam)
-    return mover, t
+    return (v / nv) * step
 
 
 def overfit_guard(model: MpaModel, mover_index: int, t, cfg: MpaConfig | None = None):
@@ -263,13 +276,18 @@ def overfit_guard(model: MpaModel, mover_index: int, t, cfg: MpaConfig | None = 
     alpha = model.alpha
     if cfg is not None and cfg.alpha is not None:
         alpha = cfg.alpha
-    E = model.moving_points[mover_index]
-    others = np.delete(model.moving_points, mover_index, axis=0)
-    gaps = np.linalg.norm(others - E, axis=1)
+    return _guard(model.moving_points, mover_index, t, alpha)
+
+
+def _guard(P: np.ndarray, mover: int, t, alpha: float):
+    """overfit_guard on raw points: P's rows, the mover's index, its step t."""
+    diffs = P - P[mover]
+    gaps = np.linalg.norm(diffs, axis=1)
     near = gaps <= alpha
-    if not np.any(near):
+    near[mover] = False
+    if not near.any():
         return t
-    rhats = (others[near] - E) / gaps[near, None]
+    rhats = diffs[near] / gaps[near, None]
 
     t = np.asarray(t, dtype=float)
     out = t
@@ -320,12 +338,21 @@ def near_clusters(data: Dataset, percentile: float) -> dict:
     return out
 
 
+# Why a misclassified example moved no point; the keys of TrainingLog.skips.
+RESAMPLE_EXHAUSTED = "resample_exhausted"  # every draw of g landed on the mover
+GUARD_ZEROED = "guard_zeroed"  # the guarded step came out zero
+DEGENERATE_REVERT = "degenerate_revert"  # the step made the points degenerate; undone
+SKIP_REASONS = (RESAMPLE_EXHAUSTED, GUARD_ZEROED, DEGENERATE_REVERT)
+
+
 @dataclass
 class TrainingLog:
     """Per-epoch misclassification counts plus moving-point snapshots.
 
     trajectory[0] holds the initial positions; trajectory[k] the positions
-    after epoch k. moves counts accepted point displacements.
+    after epoch k. moves counts accepted point displacements; skips counts
+    the misclassified examples that moved no point, by reason, so
+    moves + sum(skips.values()) == sum(misclassified).
     """
 
     misclassified: list[int] = field(default_factory=list)
@@ -333,6 +360,7 @@ class TrainingLog:
     epochs_run: int = 0
     stopped_early: bool = False
     moves: int = 0
+    skips: dict[str, int] = field(default_factory=lambda: dict.fromkeys(SKIP_REASONS, 0))
 
 
 def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> TrainingLog:
@@ -346,10 +374,15 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     points affinely degenerate, which is undone). With early_stop set,
     training halts after the first epoch with zero misclassifications.
 
-    Between moves the boundary is frozen, so lambdas for a whole stretch of
-    examples are evaluated in one vectorized pass and the loop jumps
-    directly to the next misclassified example; the result is identical to
-    evaluating one example at a time.
+    Inputs are validated once, here; the loop then works on raw arrays:
+    the points (model.moving_points, updated in place), the boundary
+    coefficients (w, b) and ||w||, with the same floating-point operations
+    as the public movement_vector, overfit_guard and plane constructors.
+    model.hyperplane is set from (w, b) on every exit, so it always
+    matches the points. Between moves the boundary is frozen, so lambdas
+    for a whole stretch of examples are evaluated in one vectorized pass
+    and the loop jumps directly to the next misclassified example; the
+    result is identical to evaluating one example at a time.
     """
     cfg = cfg or model.config
     if data.n != model.dim:
@@ -357,75 +390,104 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
             f"data has dimension {data.n}, model has {model.dim}"
         )
     data.require_binary()
+    X = data.features
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features contain non-finite values")
 
     clusters = near_clusters(data, cfg.near_cluster_percentile)
     rng = SplitMix64(cfg.seed)
-    X = data.features
     y = data.labels
     m = data.m
+    alpha = model.alpha if cfg.alpha is None else cfg.alpha
+    row_scale = np.abs(X).max(axis=1)  # coordinate_scale(c, g) = max(that of c, this)
 
+    P = model.moving_points
+    w, b = model.hyperplane.weights, model.hyperplane.bias
+    norm_w = float(np.linalg.norm(w))
     log = TrainingLog()
-    snapshots = [model.moving_points.copy()]
+    snapshots = [P.copy()]
     pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0]).astype(float)
 
-    for _epoch in range(cfg.epochs):
-        order = np.array(rng.permutation(m), dtype=int)
-        miss = 0
-        i = 0
-        while i < m:
-            w = model.hyperplane.weights
-            b = model.hyperplane.bias
-            norm_w = float(np.linalg.norm(w))
-            rows = order[i:]
-            lam = (X[rows] @ w + b) / norm_w * pseudo[rows]
-            bad = np.nonzero(lam < 0.0)[0]
-            if bad.size == 0:
-                break
-            k = int(bad[0])
-            j = rows[k]
-            miss += 1
-            moved = _step(model, rng, clusters, X, X[j], int(y[j]), float(lam[k]), cfg)
-            if moved:
-                log.moves += 1
-            i += k + 1
+    try:
+        for _epoch in range(cfg.epochs):
+            order = np.array(rng.permutation(m), dtype=int)
+            miss = 0
+            i = 0
+            while i < m:
+                rows = order[i:]
+                lam = (X[rows] @ w + b) / norm_w * pseudo[rows]
+                bad = np.nonzero(lam < 0.0)[0]
+                if bad.size == 0:
+                    break
+                k = int(bad[0])
+                j = rows[k]
+                miss += 1
+                out = _move(P, X[j], float(lam[k]), clusters[1 - int(y[j])].members,
+                            X, row_scale, rng, cfg.eta, alpha)
+                if isinstance(out, str):
+                    log.skips[out] += 1
+                else:
+                    w, b, norm_w = out
+                    log.moves += 1
+                i += k + 1
 
-        log.misclassified.append(miss)
-        snapshots.append(model.moving_points.copy())
-        log.epochs_run += 1
-        if cfg.early_stop and miss == 0:
-            log.stopped_early = True
-            break
+            log.misclassified.append(miss)
+            snapshots.append(P.copy())
+            log.epochs_run += 1
+            if cfg.early_stop and miss == 0:
+                log.stopped_early = True
+                break
+    finally:
+        model.hyperplane = Hyperplane(w, b)
 
     log.trajectory = np.array(snapshots)
     return log
 
 
-def _step(model: MpaModel, rng: SplitMix64, clusters: dict, X: np.ndarray,
-          q: np.ndarray, label: int, lam: float, cfg: MpaConfig) -> bool:
-    """One guarded move toward a sampled opposite-class point; True if applied."""
-    members = clusters[1 - label].members
-    mover = -1
-    t = None
+def _move(P: np.ndarray, q: np.ndarray, lam: float, members: np.ndarray,
+          X: np.ndarray, row_scale: np.ndarray, rng: SplitMix64,
+          eta: float, alpha: float):
+    """One guarded move of the point of P nearest q toward a drawn member.
+
+    P is updated in place. Returns the new boundary (w, b, ||w||), or the
+    skip reason, with P unchanged, when no point moved.
+    """
+    mover = _nearest(P, q)
+    c = P[mover]
+    c_scale = coordinate_scale(c)
+    step = abs(eta * lam)
     for _attempt in range(1 + MAX_RESAMPLES):
-        g = X[members[rng.randint(members.size)]]
+        target = members[rng.randint(members.size)]
         try:
-            mover, t = movement_vector(model, q, g, lam, cfg)
+            t = _displacement(c, X[target], max(c_scale, float(row_scale[target])), step)
             break
         except ZeroDisplacementError:
-            t = None
-    if t is None:
-        return False
-    t = overfit_guard(model, mover, t, cfg)
-    if not np.any(t):
-        return False
-    old = model.moving_points[mover].copy()
-    model.moving_points[mover] = old + t
+            pass
+    else:
+        return RESAMPLE_EXHAUSTED
+    t = _guard(P, mover, t, alpha)
+    if not t.any():
+        return GUARD_ZEROED
+    old = c.copy()
+    P[mover] = old + t
     try:
-        model.refresh()
+        return _plane_coeffs(P)
     except DegeneratePointsError:
-        model.moving_points[mover] = old
-        return False
-    return True
+        P[mover] = old
+        return DEGENERATE_REVERT
+    except BaseException:
+        P[mover] = old
+        raise
+
+
+def _plane_coeffs(P: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(w, b, ||w||) of the boundary through the rows of P, as _plane_of checks it."""
+    if P.shape[0] == 2:
+        if not np.isfinite(P).all():
+            raise ValueError("point has non-finite coordinates")
+        return _line_coeffs(P[0], P[1])
+    h = hyperplane_from_points(P)
+    return h.weights, h.bias, float(np.linalg.norm(h.weights))
 
 
 def predict(model: MpaModel, x) -> int:

@@ -19,6 +19,10 @@ Streaming discipline, fixed for all consumers:
 * bounded integer in [0, n): rejection sampling on raw words, accepting
   w < 2^64 - (2^64 mod n), returning w mod n. Unbiased.
 * shuffle: Fisher-Yates from the last index down, j = randint(i + 1).
+  The n-1 words are computed as one block (word k of a stream depends
+  only on the state and k, see _word_block); each is accepted by
+  randint's test, and from the first rejected word on the draws fall
+  back to scalar randint, so results are identical to the scalar stream.
 """
 
 from __future__ import annotations
@@ -70,9 +74,27 @@ class SplitMix64:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
+        for i, j in zip(range(len(items) - 1, 0, -1), self._swap_targets(len(items))):
             items[i], items[j] = items[j], items[i]
+
+    def _swap_targets(self, n: int) -> list[int]:
+        """randint(i + 1) for i = n-1 down to 1, from one block of words.
+
+        Word k of the block is the (k+1)-th next_u64(), and it is accepted
+        by randint's test, w <= 2^64 - 1 - (2^64 mod (i+1)). From the first
+        rejected word on, the draws are scalar randint calls, so results
+        and the state left behind equal n-1 randint calls.
+        """
+        if n < 2:
+            return []
+        words = _word_block(self._state, 0, n - 1)
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        accepted = words <= np.uint64(_MASK) - (-bounds) % bounds
+        taken = n - 1 if accepted.all() else int(accepted.argmin())
+        targets = (words[:taken] % bounds[:taken]).tolist()
+        self._state = (self._state + taken * _GAMMA) & _MASK
+        targets.extend(self.randint(i + 1) for i in range(n - 1 - taken, 0, -1))
+        return targets
 
     def permutation(self, n: int) -> list[int]:
         idx = list(range(n))

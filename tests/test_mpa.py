@@ -1,16 +1,22 @@
-"""Training-loop checks: hand-worked steps, guard properties, and a plain
-sequential reimplementation of the epoch loop to pin the vectorized one."""
+"""Training-loop checks: hand-worked steps, guard properties, a plain
+sequential reimplementation of the epoch loop to pin the vectorized one,
+and a frozen copy of the object-level per-move code to pin the raw-array
+loop bit for bit."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from movingpoints import mpa
 from movingpoints.datasets import Dataset, NonBinaryLabelsError, make_blobs
 from movingpoints.geometry import (
+    EPS_DEGENERATE,
     DegeneratePointsError,
     Hyperplane,
+    hyperplane_from_points,
     region_sign,
     signed_displacement,
 )
@@ -311,6 +317,261 @@ class TestFit:
                 out["moves"] += 1
             out["misclassified"].append(miss)
         return out
+
+
+# Frozen copy of the per-move code that fit used before it ran on raw
+# arrays: movement_vector, overfit_guard, line_from_points with the
+# Hyperplane checks, and MpaModel.refresh. It must not be rewritten to
+# share code with the library; n >= 3 planes come from
+# hyperplane_from_points, which test_geometry pins to its own oracle.
+
+def frozen_coordinate_scale(*arrays):
+    m = 1.0
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        if a.size:
+            m = max(m, float(np.max(np.abs(a))))
+    return m
+
+
+def frozen_hyperplane(weights, bias):
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)):
+        raise ValueError("bad weights")
+    bias = float(bias)
+    if not np.isfinite(bias):
+        raise ValueError("bias is not finite")
+    scale = max(float(np.max(np.abs(w))), abs(bias), 1.0)
+    if float(np.linalg.norm(w)) <= EPS_DEGENERATE * scale:
+        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    return w, bias
+
+
+def frozen_line_from_points(e, f):
+    e = np.asarray(e, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(f))):
+        raise ValueError("point has non-finite coordinates")
+    if float(np.linalg.norm(e - f)) <= EPS_DEGENERATE * frozen_coordinate_scale(e, f):
+        raise DegeneratePointsError("the two points coincide")
+    x1, y1 = e
+    x2, y2 = f
+    return frozen_hyperplane(np.array([y1 - y2, x2 - x1]), x1 * y2 - x2 * y1)
+
+
+def frozen_refresh(points):
+    if points.shape[0] == 2:
+        return frozen_line_from_points(points[0], points[1])
+    h = hyperplane_from_points(points)
+    return frozen_hyperplane(h.weights, h.bias)
+
+
+def frozen_movement_vector(points, q, g, lam, eta):
+    dists = np.linalg.norm(points - q, axis=1)
+    mover = int(np.argmin(dists))
+    c = points[mover]
+    v = g - c
+    nv = float(np.linalg.norm(v))
+    if nv <= EPS_DEGENERATE * frozen_coordinate_scale(c, g):
+        raise ZeroDisplacementError("sampled target coincides with the mover")
+    return mover, (v / nv) * abs(eta * lam)
+
+
+def frozen_overfit_guard(points, mover, t, alpha, stats):
+    E = points[mover]
+    others = np.delete(points, mover, axis=0)
+    gaps = np.linalg.norm(others - E, axis=1)
+    near = gaps <= alpha
+    if not np.any(near):
+        return t
+    rhats = (others[near] - E) / gaps[near, None]
+    out = t
+    for _ in range(64):
+        dots = rhats @ out
+        if not np.any(dots > 1e-12):
+            return out
+        if out is t:
+            out = t.copy()
+            stats["projected"] += 1
+        for i in np.nonzero(dots > 1e-12)[0]:
+            d = float(rhats[i] @ out)
+            if d > 1e-12:
+                out = out - rhats[i] * d
+    return np.zeros_like(t)
+
+
+def frozen_fit(model, ds, cfg):
+    """The object-level loop on copies of the model's state."""
+    points = model.moving_points.copy()
+    w, b = model.hyperplane.weights, model.hyperplane.bias
+    alpha = model.alpha if cfg.alpha is None else cfg.alpha
+    clusters = near_clusters(ds, cfg.near_cluster_percentile)
+    rng = SplitMix64(cfg.seed)
+    X, y, m = ds.features, ds.labels, ds.m
+    pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0]).astype(float)
+    out = {"misclassified": [], "moves": 0, "projected": 0, "reverted": 0}
+    snapshots = [points.copy()]
+    for _ in range(cfg.epochs):
+        order = np.array(rng.permutation(m), dtype=int)
+        miss = 0
+        i = 0
+        while i < m:
+            norm_w = float(np.linalg.norm(w))
+            rows = order[i:]
+            lam = (X[rows] @ w + b) / norm_w * pseudo[rows]
+            bad = np.nonzero(lam < 0.0)[0]
+            if bad.size == 0:
+                break
+            k = int(bad[0])
+            j = rows[k]
+            miss += 1
+            i += k + 1
+            members = clusters[1 - int(y[j])].members
+            pair = None
+            for _attempt in range(1 + mpa.MAX_RESAMPLES):
+                g = X[members[rng.randint(members.size)]]
+                try:
+                    pair = frozen_movement_vector(points, X[j], g, float(lam[k]), cfg.eta)
+                    break
+                except ZeroDisplacementError:
+                    pair = None
+            if pair is None:
+                continue
+            mover, t = pair
+            t = frozen_overfit_guard(points, mover, t, alpha, out)
+            if not np.any(t):
+                continue
+            old = points[mover].copy()
+            points[mover] = old + t
+            try:
+                w, b = frozen_refresh(points)
+            except DegeneratePointsError:
+                points[mover] = old
+                out["reverted"] += 1
+                continue
+            out["moves"] += 1
+        out["misclassified"].append(miss)
+        snapshots.append(points.copy())
+        if cfg.early_stop and miss == 0:
+            break
+    out["trajectory"] = np.array(snapshots)
+    out["plane"] = (w, b)
+    return out
+
+
+def assert_fit_matches_frozen(dim, eta, seed, blob_seed, std, scale, alpha_factor,
+                              epochs=12, early_stop=False):
+    ds = make_blobs(seed=blob_seed, std=std, n_per_class=25, dim=dim,
+                    center_halfwidth=4.0)
+    ds = Dataset(ds.features * scale, ds.labels)
+    alpha = None if alpha_factor is None else alpha_factor * scale
+    cfg = MpaConfig(eta=eta, epochs=epochs, alpha=alpha, seed=seed,
+                    early_stop=early_stop)
+    try:
+        model = initialize(ds.class_points(0), ds.class_points(1), cfg)
+    except ValueError:
+        return None  # no usable initial boundary; nothing to train
+    ref = frozen_fit(model, ds, cfg)
+    log = fit(model, ds, cfg)
+    assert log.trajectory.tobytes() == ref["trajectory"].tobytes()
+    assert log.misclassified == ref["misclassified"]
+    assert log.moves == ref["moves"]
+    assert log.skips[mpa.DEGENERATE_REVERT] == ref["reverted"]
+    assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
+    w, b = ref["plane"]
+    assert model.hyperplane.weights.tobytes() == w.tobytes()
+    assert np.float64(model.hyperplane.bias).tobytes() == np.float64(b).tobytes()
+    return ref
+
+
+class TestFitMatchesFrozenLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(2, 5),
+        eta=st.sampled_from([1e-4, 1e-2, 0.3, 2.0, 6.0]),
+        seed=st.integers(0, 2**64 - 1),
+        blob_seed=st.integers(0, 10_000),
+        std=st.floats(1.0, 4.0),
+        scale=st.sampled_from([1e-4, 1.0, 1e4]),
+        alpha_factor=st.sampled_from([None, 0.0, 0.5, 2.0, 8.0]),
+        early_stop=st.booleans(),
+    )
+    @example(dim=3, eta=0.3, seed=1, blob_seed=7, std=2.5, scale=1.0,
+             alpha_factor=8.0, early_stop=False)
+    def test_bit_identical(self, dim, eta, seed, blob_seed, std, scale,
+                           alpha_factor, early_stop):
+        assert_fit_matches_frozen(dim, eta, seed, blob_seed, std, scale,
+                                  alpha_factor, early_stop=early_stop)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_guard_projects_and_matches(self, dim):
+        ref = assert_fit_matches_frozen(dim, 0.3, 1, 7, 2.5, 1.0, 8.0)
+        assert ref["projected"] > 0 and ref["moves"] > 0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_degenerate_reverts_match(self, dim):
+        ref = assert_fit_matches_frozen(dim, 6.0, 3, 11, 3.0, 1.0, None)
+        assert ref["reverted"] > 0 and ref["moves"] > 0
+
+
+def hand_model(alpha, eta):
+    """Boundary x = 0 through (0, 1) and (0, 0); displacement = x."""
+    cfg = MpaConfig(eta=eta, epochs=3, alpha=alpha, near_cluster_percentile=100.0,
+                    early_stop=False)
+    pts = np.array([[0.0, 1.0], [0.0, 0.0]])
+    return MpaModel(pts, {0: -1, 1: 1}, alpha=alpha, config=cfg), cfg
+
+
+class TestSkipReasons:
+    # One class-0 example at (0.5, -0.2) sits on the class-1 side, so it is
+    # misclassified every epoch; its nearest moving point is (0, 0). The
+    # lone class-1 point on the boundary is the only draw for g.
+    @pytest.mark.parametrize("reason, g, alpha, eta", [
+        (mpa.RESAMPLE_EXHAUSTED, (0.0, 0.0), 0.0, 0.1),  # g is the mover
+        (mpa.GUARD_ZEROED, (0.0, 5.0), 2.0, 0.1),  # head-on toward (0, 1)
+        (mpa.DEGENERATE_REVERT, (0.0, 1.0), 0.0, 2.0),  # lands on (0, 1)
+    ], ids=mpa.SKIP_REASONS)
+    def test_each_reason_counted(self, reason, g, alpha, eta):
+        model, cfg = hand_model(alpha, eta)
+        ds = Dataset(np.array([[0.5, -0.2], g]), np.array([0, 1]))
+        before = model.moving_points.copy()
+        log = fit(model, ds, cfg)
+        assert log.misclassified == [1, 1, 1]
+        assert log.moves == 0
+        assert log.skips == {r: 3 if r == reason else 0 for r in mpa.SKIP_REASONS}
+        np.testing.assert_array_equal(model.moving_points, before)
+
+
+class TestHyperplaneMatchesPointsOnExit:
+    def test_after_failure_in_plane_kernel(self, monkeypatch):
+        ds = make_blobs(seed=4, std=1.9, dim=3, center_halfwidth=4.0)
+        cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
+        model = initialize(ds.class_points(0), ds.class_points(1), cfg)
+        calls = []
+
+        def failing(points):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("kernel failure")
+            return hyperplane_from_points(points)
+
+        monkeypatch.setattr(mpa, "hyperplane_from_points", failing)
+        with pytest.raises(RuntimeError):
+            fit(model, ds, cfg)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        want = hyperplane_from_points(model.moving_points)
+        assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
+        assert model.hyperplane.bias == want.bias
+
+    def test_non_finite_step_is_undone(self):
+        model, cfg = hand_model(0.0, float("inf"))
+        ds = Dataset(np.array([[0.5, -0.2], [0.0, 5.0]]), np.array([0, 1]))
+        before = model.moving_points.copy()
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            fit(model, ds, cfg)
+        np.testing.assert_array_equal(model.moving_points, before)
+        np.testing.assert_array_equal(model.hyperplane.weights, [1.0, 0.0])
 
 
 class TestPredict:

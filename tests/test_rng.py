@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingpoints.rng import BlockSplitMix64, SplitMix64, derive_seed
 
 MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 
 def reference_words(seed: int, count: int) -> list[int]:
@@ -91,6 +94,49 @@ def test_permutation_is_fisher_yates():
         items[i], items[j] = items[j], items[i]
     assert got == items
     assert sorted(got) == list(range(10))
+
+
+def scalar_fisher_yates(rng: SplitMix64, n: int) -> list[int]:
+    items = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, MASK), n=st.integers(0, 300))
+def test_permutation_matches_scalar_loop(seed, n):
+    r = SplitMix64(seed)
+    ref = SplitMix64(seed)
+    assert r.permutation(n) == scalar_fisher_yates(ref, n)
+    assert r.next_u64() == ref.next_u64()
+
+
+def unmix(z: int) -> int:
+    """Inverse of the SplitMix64 output mix."""
+    def unxorshift(x, s):
+        y = x
+        for _ in range(64 // s + 1):
+            y = x ^ (y >> s)
+        return y
+
+    z = unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK
+    z = unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK
+    return unxorshift(z, 30)
+
+
+def test_permutation_falls_back_on_rejected_word():
+    # Word 4 of this stream is 2^64 - 1. In permutation(10) it is drawn for
+    # i = 5, whose bound 6 does not divide 2^64, so randint rejects it.
+    seed = (unmix(MASK) - 5 * GAMMA) & MASK
+    assert reference_words(seed, 5)[4] == MASK
+    r = SplitMix64(seed)
+    ref = SplitMix64(seed)
+    assert r.permutation(10) == scalar_fisher_yates(ref, 10)
+    assert r.next_u64() == ref.next_u64()
 
 
 def test_shuffle_matches_permutation():
