@@ -4,123 +4,30 @@ The boundary is the hyperplane through n movable points in n-D feature
 space; training displaces those points toward the regions their classes
 belong in. The package bundles the classifier, small reference baselines
 (perceptron, KNN, linear SVM), dataset utilities, two benchmark
-protocols, and a CLI (``mpa``).
+protocols, and a CLI (``mpa``). The names below are the documented API;
+everything else is reached through its module (``movingpoints.geometry``,
+``movingpoints.baselines``, ...).
 """
 
-from .baselines import (
-    EmptyModelError,
-    KnnModel,
-    LinearSvmModel,
-    PerceptronModel,
-    knn_fit,
-    knn_predict,
-    knn_predict_many,
-    linear_svm_fit,
-    linear_svm_predict,
-    linear_svm_predict_many,
-    perceptron_fit,
-    perceptron_predict,
-    perceptron_predict_many,
-)
-from .bench import (
-    BenchReport,
-    RunRecord,
-    accuracy,
-    render_table,
-    report_text,
-    run_dataset_protocol,
-    run_synthetic_cell,
-    run_synthetic_suite,
-    write_report,
-)
-from .datasets import (
-    Dataset,
-    DegenerateSplitError,
-    EmptyDatasetError,
-    InvalidKError,
-    InvalidParamsError,
-    MissingColumnError,
-    NonBinaryLabelsError,
-    NoRowsRemainingError,
-    PcaParams,
-    SingleClassError,
-    StandardizerParams,
-    load_csv,
-    make_blobs,
-    pca_apply,
-    pca_fit,
-    standardize_apply,
-    standardize_fit,
-    train_test_split,
-)
-from .geometry import (
-    DegeneratePointsError,
-    DimensionMismatchError,
-    Hyperplane,
-    ZeroVectorError,
-    angle_between,
-    determinant,
-    hyperplane_from_points,
-    line_from_points,
-    region_sign,
-    signed_displacement,
-)
+from .bench import report_text, run_dataset_protocol, run_synthetic_suite
+from .datasets import Dataset, load_csv, make_blobs
 from .mpa import (
-    IdenticalMeansError,
-    MeanOnBoundaryError,
     MpaConfig,
     MpaModel,
-    SameSideMeansError,
     TrainingLog,
-    ZeroDisplacementError,
-    assign_pseudo,
-    fit,
-    initialize,
-    lambda_value,
     load_model,
-    model_document,
-    movement_vector,
-    near_clusters,
-    overfit_guard,
-    parse_model_document,
-    predict,
     predict_many,
     save_model,
     train,
     training_accuracy,
 )
-from .rng import BlockSplitMix64, SplitMix64, derive_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # geometry
-    "Hyperplane", "line_from_points", "hyperplane_from_points", "determinant",
-    "signed_displacement", "region_sign", "angle_between",
-    "DimensionMismatchError", "DegeneratePointsError", "ZeroVectorError",
-    # datasets
-    "Dataset", "load_csv", "make_blobs", "standardize_fit", "standardize_apply",
-    "pca_fit", "pca_apply", "train_test_split", "StandardizerParams", "PcaParams",
-    "NonBinaryLabelsError", "MissingColumnError", "NoRowsRemainingError",
-    "SingleClassError", "InvalidParamsError", "EmptyDatasetError",
-    "InvalidKError", "DegenerateSplitError",
-    # core
-    "MpaConfig", "MpaModel", "TrainingLog", "initialize", "assign_pseudo",
-    "lambda_value", "movement_vector", "overfit_guard", "near_clusters",
-    "fit", "predict", "predict_many", "train", "training_accuracy",
-    "model_document", "parse_model_document", "save_model", "load_model",
-    "IdenticalMeansError", "MeanOnBoundaryError", "SameSideMeansError",
-    "ZeroDisplacementError",
-    # baselines
-    "PerceptronModel", "KnnModel", "LinearSvmModel", "perceptron_fit",
-    "perceptron_predict", "perceptron_predict_many", "knn_fit", "knn_predict",
-    "knn_predict_many", "linear_svm_fit", "linear_svm_predict",
-    "linear_svm_predict_many", "EmptyModelError",
-    # bench
-    "BenchReport", "RunRecord", "accuracy", "run_synthetic_suite",
-    "run_synthetic_cell", "run_dataset_protocol", "report_text",
-    "write_report", "render_table",
-    # rng
-    "SplitMix64", "BlockSplitMix64", "derive_seed",
+    "Dataset", "load_csv", "make_blobs",
+    "MpaConfig", "MpaModel", "TrainingLog", "train", "predict_many",
+    "training_accuracy", "save_model", "load_model",
+    "run_synthetic_suite", "run_dataset_protocol", "report_text",
 ]

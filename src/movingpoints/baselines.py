@@ -57,15 +57,6 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
     return PerceptronModel(weights=w, bias=b, eta=eta, epochs=epochs, seed=seed)
 
 
-def perceptron_predict_many(model: PerceptronModel, X) -> np.ndarray:
-    raw = np.asarray(X, dtype=float) @ model.weights + model.bias
-    return (raw > 0).astype(int)
-
-
-def perceptron_predict(model: PerceptronModel, x) -> int:
-    return int(perceptron_predict_many(model, np.asarray(x, dtype=float)[None, :])[0])
-
-
 @dataclass
 class KnnModel:
     points: np.ndarray
@@ -139,10 +130,7 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
                           epochs=epochs, seed=seed)
 
 
-def linear_svm_predict_many(model: LinearSvmModel, X) -> np.ndarray:
+def linear_predict_many(model: PerceptronModel | LinearSvmModel, X) -> np.ndarray:
+    """Class 1 where weights . x + bias > 0, else class 0, per row of X."""
     raw = np.asarray(X, dtype=float) @ model.weights + model.bias
     return (raw > 0).astype(int)
-
-
-def linear_svm_predict(model: LinearSvmModel, x) -> int:
-    return int(linear_svm_predict_many(model, np.asarray(x, dtype=float)[None, :])[0])

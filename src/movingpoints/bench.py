@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -118,19 +119,55 @@ class BenchReport:
         return sum(1 for r in self.records if r.error is not None)
 
 
-def _safe_run(records, dataset_id, classifier, fn):
-    try:
-        tr, te = fn()
-        records.append(RunRecord(dataset_id, classifier, tr, te))
-    except Exception as exc:  # recorded, never silently dropped
-        records.append(RunRecord(dataset_id, classifier, None, None,
-                                 error=f"{type(exc).__name__}: {exc}"))
-
-
 def _fail_all(records, dataset_id, classifiers, exc):
     msg = f"{type(exc).__name__}: {exc}"
     for name in classifiers:
         records.append(RunRecord(dataset_id, name, None, None, error=msg))
+
+
+# name -> (seed slot, fit). fit(train, seed, params) trains on a Dataset and
+# returns the predict_many of the fitted model; params holds mpa_cfg, svm_reg
+# and svm_epochs. Slot 0 is the split's; a classifier without a slot draws no
+# randomness. The lambdas look up mpa.* and baselines.* when they run, so a
+# rebound module attribute (a tracer's wrapper, say) is honored.
+CLASSIFIERS = {
+    "knn": (None, lambda train, seed, params: partial(
+        baselines.knn_predict_many, baselines.knn_fit(train, k=3))),
+    "mpa": (1, lambda train, seed, params: partial(
+        mpa.predict_many, mpa.train(train, replace(params["mpa_cfg"], seed=seed))[0])),
+    "perceptron": (2, lambda train, seed, params: partial(
+        baselines.linear_predict_many,
+        baselines.perceptron_fit(train, eta=1.0, epochs=50, seed=seed))),
+    "svm": (3, lambda train, seed, params: partial(
+        baselines.linear_predict_many,
+        baselines.linear_svm_fit(train, reg=params["svm_reg"],
+                                 epochs=params["svm_epochs"], seed=seed))),
+}
+
+
+def _run_classifiers(records, run_id, names, train, test, base_seed, params):
+    """Fit each named classifier on train and score it on train and test."""
+    for name in names:
+        slot, fit = CLASSIFIERS[name]
+        seed = None if slot is None else derive_seed(base_seed, slot)
+        try:
+            predict = fit(train, seed, params)
+            records.append(RunRecord(run_id, name,
+                                     accuracy(predict(train.features), train.labels),
+                                     accuracy(predict(test.features), test.labels)))
+        except Exception as exc:  # recorded, never silently dropped
+            _fail_all(records, run_id, (name,), exc)
+
+
+def _mpa_metadata(cfg: mpa.MpaConfig) -> dict:
+    """Report metadata shared by both protocols: the MPA training knobs."""
+    return {
+        "eta": repr(cfg.eta),
+        "alpha": "auto" if cfg.alpha is None else repr(cfg.alpha),
+        "epochs": str(cfg.epochs),
+        "near_cluster_percentile": repr(cfg.near_cluster_percentile),
+        "init_spread": repr(cfg.init_spread),
+    }
 
 
 def run_synthetic_cell(seed: int, std_index: int, master_seed: int = 0,
@@ -146,7 +183,6 @@ def run_synthetic_cell(seed: int, std_index: int, master_seed: int = 0,
     mpa_cfg = mpa_cfg or mpa.MpaConfig()
     std = 1.0 + 0.1 * std_index
     cell_id = f"seed{seed:02d}-std{std:.1f}"
-    classifiers = ("knn", "mpa", "perceptron", "svm")
     records: list[RunRecord] = []
 
     try:
@@ -154,36 +190,11 @@ def run_synthetic_cell(seed: int, std_index: int, master_seed: int = 0,
         cell = derive_seed(master_seed, seed, std_index)
         train_ds, test_ds = train_test_split(ds, test_fraction, derive_seed(cell, 0))
     except Exception as exc:
-        _fail_all(records, cell_id, classifiers, exc)
+        _fail_all(records, cell_id, CLASSIFIERS, exc)
         return records
 
-    def run_mpa():
-        cfg = replace(mpa_cfg, seed=derive_seed(cell, 1))
-        model, _ = mpa.train(train_ds, cfg)
-        return (accuracy(mpa.predict_many(model, train_ds.features), train_ds.labels),
-                accuracy(mpa.predict_many(model, test_ds.features), test_ds.labels))
-
-    def run_perceptron():
-        model = baselines.perceptron_fit(train_ds, eta=1.0, epochs=50,
-                                         seed=derive_seed(cell, 2))
-        return (accuracy(baselines.perceptron_predict_many(model, train_ds.features), train_ds.labels),
-                accuracy(baselines.perceptron_predict_many(model, test_ds.features), test_ds.labels))
-
-    def run_knn():
-        model = baselines.knn_fit(train_ds, k=3)
-        return (accuracy(baselines.knn_predict_many(model, train_ds.features), train_ds.labels),
-                accuracy(baselines.knn_predict_many(model, test_ds.features), test_ds.labels))
-
-    def run_svm():
-        model = baselines.linear_svm_fit(train_ds, reg=0.01, epochs=30,
-                                         seed=derive_seed(cell, 3))
-        return (accuracy(baselines.linear_svm_predict_many(model, train_ds.features), train_ds.labels),
-                accuracy(baselines.linear_svm_predict_many(model, test_ds.features), test_ds.labels))
-
-    _safe_run(records, cell_id, "knn", run_knn)
-    _safe_run(records, cell_id, "mpa", run_mpa)
-    _safe_run(records, cell_id, "perceptron", run_perceptron)
-    _safe_run(records, cell_id, "svm", run_svm)
+    _run_classifiers(records, cell_id, CLASSIFIERS, train_ds, test_ds, cell,
+                     {"mpa_cfg": mpa_cfg, "svm_reg": 0.01, "svm_epochs": 30})
     return records
 
 
@@ -205,11 +216,7 @@ def run_synthetic_suite(n_seeds: int = 50, n_stds: int = 10, master_seed: int = 
         "n_per_class": str(n_per_class),
         "dim": str(dim),
         "test_fraction": repr(test_fraction),
-        "eta": repr(mpa_cfg.eta),
-        "alpha": "auto" if mpa_cfg.alpha is None else repr(mpa_cfg.alpha),
-        "epochs": str(mpa_cfg.epochs),
-        "near_cluster_percentile": repr(mpa_cfg.near_cluster_percentile),
-        "init_spread": repr(mpa_cfg.init_spread),
+        **_mpa_metadata(mpa_cfg),
     })
     for seed in range(n_seeds):
         for j in range(n_stds):
@@ -238,14 +245,11 @@ def run_dataset_protocol(ds: Dataset, repetitions: int = 5,
         "repetitions": str(repetitions),
         "test_fraction": repr(test_fraction),
         "pca_k": str(pca_k),
-        "eta": repr(mpa_cfg.eta),
-        "alpha": "auto" if mpa_cfg.alpha is None else repr(mpa_cfg.alpha),
-        "epochs": str(mpa_cfg.epochs),
-        "near_cluster_percentile": repr(mpa_cfg.near_cluster_percentile),
-        "init_spread": repr(mpa_cfg.init_spread),
+        **_mpa_metadata(mpa_cfg),
         "svm_reg": repr(svm_reg),
         "svm_epochs": str(svm_epochs),
     })
+    params = {"mpa_cfg": mpa_cfg, "svm_reg": svm_reg, "svm_epochs": svm_epochs}
     for r in range(repetitions):
         rep_id = f"rep{r:03d}"
         rep = derive_seed(master_seed, r)
@@ -262,22 +266,8 @@ def run_dataset_protocol(ds: Dataset, repetitions: int = 5,
         except DegenerateSplitError as exc:
             _fail_all(report.records, rep_id, ("mpa", "svm"), exc)
             continue
-
-        def run_mpa():
-            cfg = replace(mpa_cfg, seed=derive_seed(rep, 1))
-            model, _ = mpa.train(train_p, cfg)
-            return (accuracy(mpa.predict_many(model, train_p.features), train_p.labels),
-                    accuracy(mpa.predict_many(model, test_p.features), test_p.labels))
-
-        def run_svm():
-            model = baselines.linear_svm_fit(train_p, reg=svm_reg,
-                                             epochs=svm_epochs,
-                                             seed=derive_seed(rep, 3))
-            return (accuracy(baselines.linear_svm_predict_many(model, train_p.features), train_p.labels),
-                    accuracy(baselines.linear_svm_predict_many(model, test_p.features), test_p.labels))
-
-        _safe_run(report.records, rep_id, "mpa", run_mpa)
-        _safe_run(report.records, rep_id, "svm", run_svm)
+        _run_classifiers(report.records, rep_id, ("mpa", "svm"), train_p, test_p,
+                         rep, params)
     return report
 
 

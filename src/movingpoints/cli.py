@@ -6,20 +6,21 @@ messages name the failing stage. All output files are byte-identical
 across runs with the same flags and inputs.
 
 An optional ``--config FILE`` supplies key=value defaults (one per line,
-``#`` comments); explicit flags always win over the file.
+``#`` comments); explicit flags always win over the file. A config file or
+value that cannot be read, parsed or trained with exits 2 at "checking
+inputs".
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import baselines, bench, mpa
+from . import bench, mpa
 from .datasets import (
     Dataset,
     DegenerateSplitError,
@@ -30,7 +31,7 @@ from .datasets import (
     NonBinaryLabelsError,
     NoRowsRemainingError,
     SingleClassError,
-    _parse_cell,
+    _read_csv,
     load_csv,
 )
 from .geometry import DegeneratePointsError, DimensionMismatchError
@@ -76,6 +77,14 @@ def _fail(code: int, command: str, stage: str, exc) -> int:
     return code
 
 
+class _Stop(Exception):
+    """Ends a command from a helper; the message is already on stderr."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
 def _read_config_file(path) -> dict:
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -100,22 +109,34 @@ def _parse_bool(text: str) -> bool:
 
 
 class _Options:
-    """Flags merged over config-file values merged over hard defaults."""
+    """Flags merged over config-file values merged over hard defaults.
 
-    def __init__(self, args):
+    The --config file is read, and for the commands that train the
+    MpaConfig is built, here, once: a bad file or value stops the command
+    with exit 2 at "checking inputs".
+    """
+
+    def __init__(self, args, command: str):
         self.args = args
-        self.filecfg = {}
-        cfg_path = getattr(args, "config", None)
-        if cfg_path:
-            self.filecfg = _read_config_file(cfg_path)
+        self.command = command
+        try:
+            self.filecfg = _read_config_file(args.config) if args.config else {}
+            # only the commands that train define the training flags
+            self.mpa = _mpa_config(self) if hasattr(args, "eta") else None
+        except (OSError, ValueError) as exc:
+            raise _Stop(_fail(2, command, "checking inputs", exc)) from None
 
     def get(self, name, default, cast):
         flag = getattr(self.args, name, None)
         if flag is not None:
             return flag
-        if name in self.filecfg:
+        if name not in self.filecfg:
+            return default
+        try:
             return cast(self.filecfg[name])
-        return default
+        except ValueError as exc:
+            raise _Stop(_fail(2, self.command, "checking inputs",
+                              f"config {name}: {exc}")) from None
 
 
 def _mpa_config(opt: _Options) -> MpaConfig:
@@ -144,50 +165,44 @@ def _feature_list(opt: _Options):
     return cols
 
 
-def _require_file(path, command: str) -> int | None:
-    if path is None:
-        return None
-    if not os.path.isfile(path):
-        print(f"mpa {command}: checking inputs: no such file: {path}",
-              file=sys.stderr)
-        return 2
-    return None
+def _require_files(command: str, *paths) -> None:
+    for path in paths:
+        if not os.path.isfile(path):
+            raise _Stop(_fail(2, command, "checking inputs", f"no such file: {path}"))
 
 
-def _load_labeled(opt: _Options, command: str):
-    path = opt.args.input
-    return load_csv(
-        path,
-        label_column=opt.get("label_col", None, str),
-        positive_label=opt.get("positive_label", None, str),
-        feature_columns=_feature_list(opt),
-        negative_label=opt.get("negative_label", None, str),
-    )
+def _load_labeled(opt: _Options, columns=None) -> Dataset:
+    """The labeled --input CSV as a Dataset; prints how many rows were dropped.
+
+    columns are the feature columns when neither --features nor the config
+    names any (None: every column but the label). A missing file, missing
+    label flags or data that does not load stop the command with exit 2.
+    """
+    _require_files(opt.command, opt.args.input)
+    label_col = opt.get("label_col", None, str)
+    positive = opt.get("positive_label", None, str)
+    if label_col is None or positive is None:
+        raise _Stop(_fail(2, opt.command, "checking inputs",
+                          "--label-col and --positive-label are required"))
+    try:
+        ds = load_csv(opt.args.input, label_column=label_col, positive_label=positive,
+                      feature_columns=_feature_list(opt) or columns,
+                      negative_label=opt.get("negative_label", None, str))
+    except _DATA_ERRORS as exc:
+        raise _Stop(_fail(2, opt.command, "loading data", exc)) from None
+    if ds.dropped_rows:
+        print(f"dropped rows with missing values: {ds.dropped_rows}")
+    return ds
 
 
 # ---------------------------------------------------------------- fit
 
 def cmd_fit(args) -> int:
-    opt = _Options(args)
-    bad = _require_file(args.input, "fit")
-    if bad:
-        return bad
-    if opt.get("label_col", None, str) is None or opt.get("positive_label", None, str) is None:
-        return _fail(2, "fit", "checking inputs",
-                     "--label-col and --positive-label are required")
+    opt = _Options(args, "fit")
+    ds = _load_labeled(opt)
     try:
-        ds = _load_labeled(opt, "fit")
-    except _DATA_ERRORS as exc:
-        return _fail(2, "fit", "loading data", exc)
-    if ds.dropped_rows:
-        print(f"dropped rows with missing values: {ds.dropped_rows}")
-
-    try:
-        cfg = _mpa_config(opt)
-        model, log = mpa.train(ds, cfg)
-    except _TRAIN_ERRORS as exc:
-        return _fail(3, "fit", "training", exc)
-    except ValueError as exc:
+        model, log = mpa.train(ds, opt.mpa)
+    except ValueError as exc:  # every _TRAIN_ERRORS member is a ValueError
         return _fail(3, "fit", "training", exc)
 
     acc = mpa.training_accuracy(model, ds)
@@ -216,40 +231,9 @@ def _write_training_log(log, path) -> None:
 
 # ---------------------------------------------------------------- predict
 
-def _load_matrix(path, columns):
-    """Feature matrix from a CSV without requiring a label column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise NoRowsRemainingError(f"{path}: file is empty") from None
-        rows = list(reader)
-    for c in columns:
-        if c not in header:
-            raise MissingColumnError(f"feature column {c!r} not in header {header}")
-    idx = [header.index(c) for c in columns]
-    out, dropped = [], 0
-    for row in rows:
-        if len(row) != len(header):
-            dropped += 1
-            continue
-        vals = [_parse_cell(row[i]) for i in idx]
-        if any(v is None for v in vals):
-            dropped += 1
-            continue
-        out.append(vals)
-    if not out:
-        raise NoRowsRemainingError(f"{path}: no usable rows remain")
-    return np.array(out, dtype=float), dropped
-
-
 def cmd_predict(args) -> int:
-    opt = _Options(args)
-    for p in (args.model, args.input):
-        bad = _require_file(p, "predict")
-        if bad:
-            return bad
+    opt = _Options(args, "predict")
+    _require_files("predict", args.model, args.input)
     try:
         model = mpa.load_model(args.model)
     except (_DATA_ERRORS + (ValueError, KeyError)) as exc:
@@ -264,23 +248,18 @@ def cmd_predict(args) -> int:
                      f"model expects {model.dim} features, got {len(columns)}")
     # with label flags the scored rows and the written rows are the same
     # filtered set; without them every input row gets a prediction
-    label_col = opt.get("label_col", None, str)
-    positive = opt.get("positive_label", None, str)
     labels = None
-    if label_col is not None and positive is not None:
-        try:
-            opt.args.features = ",".join(columns)
-            ds = _load_labeled(opt, "predict")
-        except _DATA_ERRORS as exc:
-            return _fail(2, "predict", "loading data", exc)
-        X, dropped, labels = ds.features, ds.dropped_rows, ds.labels
+    if opt.get("label_col", None, str) is not None and \
+            opt.get("positive_label", None, str) is not None:
+        ds = _load_labeled(opt, columns)
+        X, labels = ds.features, ds.labels
     else:
         try:
-            X, dropped = _load_matrix(args.input, columns)
+            X, _, _, dropped = _read_csv(args.input, columns)
         except _DATA_ERRORS as exc:
             return _fail(2, "predict", "loading data", exc)
-    if dropped:
-        print(f"dropped rows with missing values: {dropped}")
+        if dropped:
+            print(f"dropped rows with missing values: {dropped}")
 
     try:
         preds = mpa.predict_many(model, X)
@@ -304,14 +283,13 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------- bench
 
 def cmd_bench_synthetic(args) -> int:
-    opt = _Options(args)
+    opt = _Options(args, "bench synthetic")
     try:
-        cfg = _mpa_config(opt)
         report = bench.run_synthetic_suite(
             n_seeds=opt.get("seeds", 50, int),
             n_stds=opt.get("stds", 10, int),
             master_seed=opt.get("seed", 0, int),
-            mpa_cfg=cfg,
+            mpa_cfg=opt.mpa,
             n_per_class=opt.get("n_per_class", 50, int),
             dim=opt.get("dim", 2, int),
             test_fraction=opt.get("test_fraction", 0.2, float),
@@ -328,25 +306,13 @@ def cmd_bench_synthetic(args) -> int:
 
 
 def cmd_bench_dataset(args) -> int:
-    opt = _Options(args)
-    bad = _require_file(args.input, "bench dataset")
-    if bad:
-        return bad
-    if opt.get("label_col", None, str) is None or opt.get("positive_label", None, str) is None:
-        return _fail(2, "bench dataset", "checking inputs",
-                     "--label-col and --positive-label are required")
+    opt = _Options(args, "bench dataset")
+    ds = _load_labeled(opt)
     try:
-        ds = _load_labeled(opt, "bench dataset")
-    except _DATA_ERRORS as exc:
-        return _fail(2, "bench dataset", "loading data", exc)
-    if ds.dropped_rows:
-        print(f"dropped rows with missing values: {ds.dropped_rows}")
-    try:
-        cfg = _mpa_config(opt)
         report = bench.run_dataset_protocol(
             ds,
             repetitions=opt.get("reps", 5, int),
-            mpa_cfg=cfg,
+            mpa_cfg=opt.mpa,
             master_seed=opt.get("seed", 0, int),
             test_fraction=opt.get("test_fraction", 0.2, float),
             pca_k=opt.get("pca_k", 3, int),
@@ -507,11 +473,8 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
 
 
 def cmd_plot(args) -> int:
-    opt = _Options(args)
-    for p in (args.model, args.input):
-        bad = _require_file(p, "plot")
-        if bad:
-            return bad
+    opt = _Options(args, "plot")
+    _require_files("plot", args.model, args.input)
     try:
         model = mpa.load_model(args.model)
     except (_DATA_ERRORS + (ValueError, KeyError)) as exc:
@@ -519,16 +482,7 @@ def cmd_plot(args) -> int:
     if model.dim != 2:
         return _fail(2, "plot", "checking inputs",
                      RefuseNon2DError(f"model dimension is {model.dim}; plots are 2-D only"))
-    if opt.get("label_col", None, str) is None or opt.get("positive_label", None, str) is None:
-        return _fail(2, "plot", "checking inputs",
-                     "--label-col and --positive-label are required")
-    try:
-        explicit = _feature_list(opt)
-        if explicit is None and model.feature_names is not None:
-            opt.args.features = ",".join(model.feature_names)
-        ds = _load_labeled(opt, "plot")
-    except _DATA_ERRORS as exc:
-        return _fail(2, "plot", "loading data", exc)
+    ds = _load_labeled(opt, model.feature_names)
     if ds.n != 2:
         return _fail(2, "plot", "checking inputs",
                      RefuseNon2DError(f"data has {ds.n} features; plots are 2-D only"))
@@ -659,6 +613,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _Stop as stop:
+        return stop.code
     except _DATA_ERRORS as exc:
         return _fail(2, args.command, "unhandled data error", exc)
     except Exception as exc:  # anything else is a runtime failure

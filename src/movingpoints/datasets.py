@@ -123,15 +123,15 @@ def _parse_cell(text: str):
     return v
 
 
-def load_csv(path, label_column: str, positive_label: str,
-             feature_columns=None, negative_label: str | None = None) -> Dataset:
-    """Load a labeled CSV into a binary Dataset.
+def _read_csv(path, feature_columns=None, label_column: str | None = None,
+              keep_labels=None):
+    """Parse a CSV into (features, labels, feature column names, dropped rows).
 
-    Label equality is tested against the raw cell text (whitespace
-    stripped). With negative_label given, rows carrying any other label are
-    filtered out first; otherwise every non-positive row becomes class 0.
-    Rows with missing/unparseable feature values are dropped and counted in
-    the result's dropped_rows.
+    feature_columns=None selects every column except the label column.
+    labels holds the stripped label cells, or None without a label column;
+    with keep_labels given, rows whose label is not in it are filtered out
+    before their features are parsed. Rows of the wrong length or with a
+    missing/unparseable feature value are dropped and counted.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -141,7 +141,7 @@ def load_csv(path, label_column: str, positive_label: str,
             raise NoRowsRemainingError(f"{path}: file is empty") from None
         rows = list(reader)
 
-    if label_column not in header:
+    if label_column is not None and label_column not in header:
         raise MissingColumnError(
             f"label column {label_column!r} not in header {header}"
         )
@@ -153,35 +153,52 @@ def load_csv(path, label_column: str, positive_label: str,
     if not feature_columns:
         raise MissingColumnError("no feature columns selected")
 
-    label_idx = header.index(label_column)
+    label_idx = None if label_column is None else header.index(label_column)
     feat_idx = [header.index(c) for c in feature_columns]
-
     feats = []
-    labels = []
+    labels = None if label_idx is None else []
     dropped = 0
     for row in rows:
         if len(row) != len(header):
             dropped += 1
             continue
-        raw_label = row[label_idx].strip()
-        if negative_label is not None and raw_label not in (positive_label, negative_label):
-            continue  # filtered, not a data defect
+        if labels is not None:
+            raw_label = row[label_idx].strip()
+            if keep_labels is not None and raw_label not in keep_labels:
+                continue  # filtered, not a data defect
         values = [_parse_cell(row[i]) for i in feat_idx]
         if any(v is None for v in values):
             dropped += 1
             continue
         feats.append(values)
-        labels.append(1 if raw_label == positive_label else 0)
+        if labels is not None:
+            labels.append(raw_label)
 
     if not feats:
         raise NoRowsRemainingError(f"{path}: no usable rows remain")
+    return np.array(feats, dtype=float), labels, list(feature_columns), dropped
+
+
+def load_csv(path, label_column: str, positive_label: str,
+             feature_columns=None, negative_label: str | None = None) -> Dataset:
+    """Load a labeled CSV into a binary Dataset.
+
+    Label equality is tested against the raw cell text (whitespace
+    stripped). With negative_label given, rows carrying any other label are
+    filtered out first; otherwise every non-positive row becomes class 0.
+    Rows with missing/unparseable feature values are dropped and counted in
+    the result's dropped_rows.
+    """
+    keep = None if negative_label is None else (positive_label, negative_label)
+    X, raw_labels, names, dropped = _read_csv(path, feature_columns, label_column, keep)
+    labels = [1 if s == positive_label else 0 for s in raw_labels]
     if len(set(labels)) < 2:
         raise SingleClassError(
             f"{path}: only one class present after filtering "
             f"(positive {positive_label!r})"
         )
-    return Dataset(np.array(feats, dtype=float), np.array(labels, dtype=int),
-                   feature_names=list(feature_columns), dropped_rows=dropped)
+    return Dataset(X, np.array(labels, dtype=int), feature_names=names,
+                   dropped_rows=dropped)
 
 
 def make_blobs(seed: int, std: float, n_per_class: int = 50, dim: int = 2,

@@ -236,23 +236,27 @@ def signed_displacement(h: Hyperplane, x) -> float:
     return float((h.weights @ x + h.bias) / np.linalg.norm(h.weights))
 
 
-def region_sign(h: Hyperplane, x) -> int:
-    """-1, 0, or +1: which of the three regions x falls in.
+def sides(h: Hyperplane, X: np.ndarray) -> np.ndarray:
+    """-1, 0 or +1 per row of the (m, n) array X: which region it falls in.
 
     0 is returned only when |weights . x + bias| is within the on-plane
-    tolerance, scaled to the magnitudes involved.
+    tolerance EPS_ON_PLANE * max(1, max|weights| * max|x|, |bias|), scaled
+    to the magnitudes involved.
     """
+    raw = X @ h.weights + h.bias
+    scale = np.maximum.reduce([
+        np.ones(X.shape[0]),
+        float(np.max(np.abs(h.weights))) * np.max(np.abs(X), axis=1),
+        np.full(X.shape[0], abs(h.bias)),
+    ])
+    return np.where(np.abs(raw) <= EPS_ON_PLANE * scale, 0, np.where(raw > 0, 1, -1))
+
+
+def region_sign(h: Hyperplane, x) -> int:
+    """-1, 0, or +1: which of the three regions the point x falls in (see sides)."""
     x = as_vector(x)
     h._check_dim(x)
-    raw = float(h.weights @ x + h.bias)
-    scale = max(
-        1.0,
-        float(np.max(np.abs(h.weights))) * (float(np.max(np.abs(x))) if x.size else 0.0),
-        abs(h.bias),
-    )
-    if abs(raw) <= EPS_ON_PLANE * scale:
-        return 0
-    return 1 if raw > 0 else -1
+    return int(sides(h, x[None, :])[0])
 
 
 def angle_between(u, v) -> float:

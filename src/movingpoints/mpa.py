@@ -23,6 +23,7 @@ each other closer together.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -30,7 +31,6 @@ import numpy as np
 from .datasets import Dataset
 from .geometry import (
     EPS_DEGENERATE,
-    EPS_ON_PLANE,
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
@@ -40,6 +40,7 @@ from .geometry import (
     hyperplane_from_points,
     line_from_points,
     region_sign,
+    sides,
     signed_displacement,
 )
 from .rng import SplitMix64
@@ -83,8 +84,8 @@ class MpaConfig:
     early_stop: bool = True
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if int(self.epochs) != self.epochs or self.epochs < 1:
             raise ValueError(f"epochs must be a positive integer, got {self.epochs}")
         self.epochs = int(self.epochs)
@@ -381,8 +382,10 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     model.hyperplane is set from (w, b) on every exit, so it always
     matches the points. Between moves the boundary is frozen, so lambdas
     for a whole stretch of examples are evaluated in one vectorized pass
-    and the loop jumps directly to the next misclassified example; the
-    result is identical to evaluating one example at a time.
+    and the loop jumps directly to the next misclassified example. The
+    decisions are those of evaluating one example at a time, but a lambda
+    can differ from lambda_value's in the last bit: BLAS rounds a
+    matrix-vector product and a dot product differently.
     """
     cfg = cfg or model.config
     if data.n != model.dim:
@@ -491,38 +494,22 @@ def _plane_coeffs(P: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 def predict(model: MpaModel, x) -> int:
-    """Class whose pseudo sign matches the point's side of the boundary.
-
-    A point sitting on the boundary goes to the class with pseudo sign +1.
-    """
-    s = region_sign(model.hyperplane, x)
-    if s == 0:
-        return 1 if model.pseudo_sign[1] == 1 else 0
-    return 1 if model.pseudo_sign[1] == s else 0
+    """predict_many for the single point x."""
+    return int(predict_many(model, as_vector(x)[None, :])[0])
 
 
 def predict_many(model: MpaModel, X) -> np.ndarray:
-    """Vectorized predict over the rows of X."""
+    """Per row of X, the class whose pseudo sign matches its side of the boundary.
+
+    A point sitting on the boundary goes to the class with pseudo sign +1.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"expected shape (m, {model.dim}), got {X.shape}"
         )
-    if X.shape[0] == 0:
-        return np.empty(0, dtype=int)
-    h = model.hyperplane
-    raw = X @ h.weights + h.bias
-    scale = np.maximum.reduce([
-        np.ones(X.shape[0]),
-        float(np.max(np.abs(h.weights))) * np.max(np.abs(X), axis=1),
-        np.full(X.shape[0], abs(h.bias)),
-    ])
-    on_plane = np.abs(raw) <= EPS_ON_PLANE * scale
-    sign = np.where(raw > 0, 1, -1)
-    plus_class = 1 if model.pseudo_sign[1] == 1 else 0
-    out = np.where(sign == model.pseudo_sign[1], 1, 0)
-    out[on_plane] = plus_class
-    return out.astype(int)
+    side = sides(model.hyperplane, X)
+    return (np.where(side == 0, 1, side) == model.pseudo_sign[1]).astype(int)
 
 
 def train(data: Dataset, cfg: MpaConfig | None = None):

@@ -101,9 +101,6 @@ class SplitMix64:
         self.shuffle(idx)
         return idx
 
-    def choice(self, items):
-        return items[self.randint(len(items))]
-
 
 def _word_block(seed: int, start: int, count: int) -> np.ndarray:
     """Output words number start..start+count-1 of the stream for `seed`.

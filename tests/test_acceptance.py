@@ -6,6 +6,7 @@ and their checks skip (with the expected path and columns named) when the
 files are absent.
 """
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -35,6 +36,16 @@ PIMA_COLUMNS = ("Pregnancies, Glucose, BloodPressure, SkinThickness, Insulin, "
 PENGUIN_COLUMNS = ("species plus the four numeric columns bill_length_mm, "
                    "bill_depth_mm, flipper_length_mm, body_mass_g")
 
+# sha256 of the C1 model document and of the C2 and C3-iris report texts,
+# byte for byte the files the matching CLI commands write (ROADMAP goldens).
+GOLDEN_C1_MODEL = "b0008f890c6d8fd175c1056da493c73547e859027981ef34c5ff73cf03cd40dd"
+GOLDEN_C2_REPORT = "b3bad4861458a960888e803e52f53804766ed8fb1df8b712f6ac4a0f2eb6475e"
+GOLDEN_C3_IRIS_REPORT = "9947684ad4673621f1bb978a524f7b141cd8335f3a20c5a821dd0222ecc85853"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 @pytest.mark.acceptance("C1", "iris pair trains to exactly 1.0 within 200 epochs")
 def test_c1_iris_separability(iris_easy):
@@ -44,6 +55,7 @@ def test_c1_iris_separability(iris_easy):
     assert training_accuracy(model, iris_easy) == 1.0
     assert log.epochs_run <= 200
     assert elapsed < 5.0
+    assert sha256(mpa.model_document(model)) == GOLDEN_C1_MODEL
 
 
 @pytest.mark.acceptance("C2", "synthetic suite mean inside window with expected ordering")
@@ -57,6 +69,7 @@ def test_c2_synthetic_suite():
     assert aggs["mpa"].gap < aggs["knn"].gap
     assert aggs["mpa"].mean_test > aggs["perceptron"].mean_test
     assert elapsed < 600.0
+    assert sha256(bench.report_text(report)) == GOLDEN_C2_REPORT
 
 
 @pytest.mark.acceptance("C3-pima", "pima protocol means near reported values")
@@ -101,6 +114,7 @@ def test_c3_iris_pair_protocol(iris_hard):
                                   mpa_cfg=MpaConfig(eta=5e-4))
     aggs = {a.classifier: a for a in report.aggregates()}
     assert abs(aggs["mpa"].mean_test - 0.905) <= 0.05
+    assert sha256(bench.report_text(report)) == GOLDEN_C3_IRIS_REPORT
 
 
 @pytest.mark.acceptance("C4", "hyperplanes pass through their defining points")

@@ -7,18 +7,20 @@ from movingpoints.baselines import (
     knn_fit,
     knn_predict,
     knn_predict_many,
+    linear_predict_many,
     linear_svm_fit,
-    linear_svm_predict,
-    linear_svm_predict_many,
     perceptron_fit,
-    perceptron_predict,
-    perceptron_predict_many,
 )
 from movingpoints.datasets import Dataset, make_blobs
 
 
 def toy(features, labels):
     return Dataset(np.asarray(features, dtype=float), np.asarray(labels))
+
+
+def scalar_linear_predict(model, x) -> int:
+    """The linear rule for one point, written out: class 1 iff w . x + b > 0."""
+    return int(float(np.dot(model.weights, x)) + model.bias > 0)
 
 
 class TestPerceptron:
@@ -42,7 +44,7 @@ class TestPerceptron:
 
     def test_separable_blobs_reach_perfect(self, two_blobs):
         model = perceptron_fit(two_blobs)
-        preds = perceptron_predict_many(model, two_blobs.features)
+        preds = linear_predict_many(model, two_blobs.features)
         assert np.mean(preds == two_blobs.labels) == 1.0
 
     def test_deterministic(self):
@@ -54,8 +56,8 @@ class TestPerceptron:
     def test_scalar_matches_vector(self, two_blobs):
         model = perceptron_fit(two_blobs)
         X = two_blobs.features[:10]
-        want = perceptron_predict_many(model, X)
-        got = [perceptron_predict(model, row) for row in X]
+        want = linear_predict_many(model, X)
+        got = [scalar_linear_predict(model, row) for row in X]
         np.testing.assert_array_equal(got, want)
 
 
@@ -93,7 +95,7 @@ class TestKnn:
 class TestLinearSvm:
     def test_separable_blobs_high_accuracy(self, two_blobs):
         model = linear_svm_fit(two_blobs)
-        preds = linear_svm_predict_many(model, two_blobs.features)
+        preds = linear_predict_many(model, two_blobs.features)
         assert np.mean(preds == two_blobs.labels) == 1.0
 
     def test_deterministic(self):
@@ -111,13 +113,13 @@ class TestLinearSvm:
     def test_scalar_matches_vector(self, two_blobs):
         model = linear_svm_fit(two_blobs)
         X = two_blobs.features[:10]
-        want = linear_svm_predict_many(model, X)
-        got = [linear_svm_predict(model, row) for row in X]
+        want = linear_predict_many(model, X)
+        got = [scalar_linear_predict(model, row) for row in X]
         np.testing.assert_array_equal(got, want)
 
     def test_margin_beats_overlap_noise(self):
         # overlapping blobs: hinge loss still lands near the best separator
         ds = make_blobs(seed=20, std=1.9)
         model = linear_svm_fit(ds)
-        preds = linear_svm_predict_many(model, ds.features)
+        preds = linear_predict_many(model, ds.features)
         assert np.mean(preds == ds.labels) > 0.8

@@ -1,6 +1,9 @@
 """Benchmark bookkeeping: record handling, isolation, deterministic reports."""
 
 import hashlib
+import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,9 @@ from movingpoints.bench import (
     run_synthetic_suite,
     write_report,
 )
+from movingpoints.rng import SplitMix64
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 class TestAccuracy:
@@ -180,3 +186,17 @@ class TestDatasetProtocol:
         assert bench.DATASET_ETA_DEFAULTS["pima"] == pytest.approx(3e-5)
         assert bench.DATASET_ETA_DEFAULTS["penguins"] == pytest.approx(5e-5)
         assert bench.DATASET_ETA_DEFAULTS["iris"] == pytest.approx(8e-5)
+
+
+def test_benchmark_call_surface_resolves():
+    # perfbench/run.py --trace 1 wraps every LAYERS function by name; a
+    # missing one stops the traced benchmark, so tier-1 checks the names
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert callable(SplitMix64.permutation)  # traced as rng.permutation
+    for module, func in tracing.LAYERS:
+        if (module, func) == ("rng", "permutation"):
+            continue
+        target = getattr(importlib.import_module(f"movingpoints.{module}"), func, None)
+        assert callable(target), f"movingpoints.{module}.{func} is gone"

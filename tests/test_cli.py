@@ -210,3 +210,69 @@ class TestPlot:
                    "--negative-label", "Iris-versicolor"])
         assert rc == 2
         assert "2" in capsys.readouterr().err
+
+
+class TestBadConfigIsExit2:
+    """A bad config value stops every command at "checking inputs" with exit 2."""
+
+    @staticmethod
+    def argv(command, iris_path, tmp_path):
+        out = str(tmp_path / "out")
+        if command == "fit":
+            return ["fit", "--input", str(iris_path), "--output", out] + IRIS_ARGS
+        if command == "bench synthetic":
+            return ["bench", "synthetic", "--seeds", "1", "--stds", "1",
+                    "--n-per-class", "20", "--output", out]
+        if command == "bench dataset":
+            return ["bench", "dataset", "--input", str(iris_path),
+                    "--label-col", "Species", "--positive-label", "Iris-virginica",
+                    "--negative-label", "Iris-versicolor", "--reps", "1",
+                    "--output", out]
+        # predict and plot read --config before they look for the model
+        return [command, "--input", str(iris_path), "--output", out,
+                "--model", str(tmp_path / "absent.json")] + IRIS_ARGS
+
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param("fit", ["--eta", "0"], "eta must be", id="fit-eta-0"),
+        pytest.param("fit", ["--eta", "nan"], "eta must be", id="fit-eta-nan"),
+        pytest.param("fit", ["--eta", "-1"], "eta must be", id="fit-eta-negative"),
+        pytest.param("fit", ["--eta", "inf"], "eta must be", id="fit-eta-inf"),
+        pytest.param("bench synthetic", ["--epochs", "0"], "epochs must be",
+                     id="synthetic-epochs-0"),
+        pytest.param("bench synthetic", ["--eta", "inf"], "eta must be",
+                     id="synthetic-eta-inf"),
+        pytest.param("bench dataset", ["--eta", "nan"], "eta must be",
+                     id="dataset-eta-nan"),
+        pytest.param("fit", ["--config", "{bad}"], "expected key=value",
+                     id="fit-config-line"),
+        pytest.param("bench synthetic", ["--config", "{bad}"], "expected key=value",
+                     id="synthetic-config-line"),
+        pytest.param("bench dataset", ["--config", "{bad}"], "expected key=value",
+                     id="dataset-config-line"),
+        pytest.param("predict", ["--config", "{bad}"], "expected key=value",
+                     id="predict-config-line"),
+        pytest.param("plot", ["--config", "{bad}"], "expected key=value",
+                     id="plot-config-line"),
+        pytest.param("fit", ["--config", "{bad_value}"], "eta must be",
+                     id="fit-config-eta-0"),
+        pytest.param("fit", ["--config", "{missing}"], "No such file",
+                     id="fit-config-missing"),
+        pytest.param("bench synthetic", ["--config", "{bad_cast}"], "config dim:",
+                     id="synthetic-config-dim-not-int"),
+    ])
+    def test_exit_2_at_checking_inputs(self, iris_path, tmp_path, capsys,
+                                       command, flags, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("eta=0.5\nepochs 200\n", encoding="utf-8")
+        bad_value = tmp_path / "bad_value.cfg"
+        bad_value.write_text("eta=0\n", encoding="utf-8")
+        bad_cast = tmp_path / "bad_cast.cfg"
+        bad_cast.write_text("dim=two\n", encoding="utf-8")
+        paths = {"bad": bad, "bad_value": bad_value, "bad_cast": bad_cast,
+                 "missing": tmp_path / "none.cfg"}
+        flags = [f.format(**paths) for f in flags]
+        assert main(self.argv(command, iris_path, tmp_path) + flags) == 2
+        err = capsys.readouterr().err
+        assert f"mpa {command}: checking inputs:" in err
+        assert message in err
+        assert not (tmp_path / "out").exists()

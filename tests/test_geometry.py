@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from movingpoints.geometry import (
     EPS_DEGENERATE,
+    EPS_ON_PLANE,
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
@@ -19,6 +20,7 @@ from movingpoints.geometry import (
     hyperplane_from_points,
     line_from_points,
     region_sign,
+    sides,
     signed_displacement,
 )
 from movingpoints.rng import BlockSplitMix64
@@ -259,6 +261,12 @@ class TestRegionSign:
         h = Hyperplane(np.array([1.0, 0.0]), -2.0)
         assert region_sign(h, (5, -1)) == 1
 
+    def test_tolerance_scales_with_bias(self):
+        # |bias| exceeds max|weights| * max|x| here, so it sets the scale
+        h = Hyperplane(np.array([1.0, 1.0]), -1e6)
+        assert region_sign(h, (5e5 + 7e-7, 5e5)) == 0
+        assert region_sign(h, (5e5 + 2e-6, 5e5)) == 1
+
     def test_partitions_samples(self):
         stream = BlockSplitMix64(55)
         w = stream.normals(4)
@@ -273,6 +281,39 @@ class TestRegionSign:
             d = signed_displacement(h, x)
             if s != 0:
                 assert np.sign(d) == s
+
+
+def scalar_region_sign(h: Hyperplane, x) -> int:
+    """The side rule for one point, as region_sign computed it on its own."""
+    x = as_vector(x)
+    raw = float(h.weights @ x + h.bias)
+    scale = max(1.0, float(np.max(np.abs(h.weights))) * float(np.max(np.abs(x))),
+                abs(h.bias))
+    if abs(raw) <= EPS_ON_PLANE * scale:
+        return 0
+    return 1 if raw > 0 else -1
+
+
+class TestSideRuleMatchesScalar:
+    """The vectorized side rule gives every point the scalar rule's region."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets(), st.data())
+    def test_region_sign_and_sides(self, pts, data):
+        n = pts.shape[0]
+        scale = float(np.abs(pts).max()) or 1.0
+        try:
+            h = hyperplane_from_points(pts)  # its defining points lie on it
+        except DegeneratePointsError:
+            # tiny coordinates have no representable plane through them;
+            # a unit-scale plane still exercises the floored tolerance
+            h = Hyperplane(data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.5, 2.0))),
+                           data.draw(st.floats(-1.0, 1.0)))
+        off = scale * data.draw(hnp.arrays(np.float64, (8, n), elements=st.floats(-1.0, 1.0)))
+        X = np.vstack([pts, off])
+        want = [scalar_region_sign(h, x) for x in X]
+        assert [region_sign(h, x) for x in X] == want
+        assert sides(h, X).tolist() == want
 
 
 class TestAngleBetween:

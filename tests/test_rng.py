@@ -148,13 +148,6 @@ def test_shuffle_matches_permutation():
     assert items == ["abcdefgh"[i] for i in perm]
 
 
-def test_choice_draws_uniform_index():
-    r1 = SplitMix64(8)
-    r2 = SplitMix64(8)
-    items = ["u", "v", "w"]
-    assert r1.choice(items) == items[r2.randint(3)]
-
-
 def test_block_uniforms_match_scalar():
     block = BlockSplitMix64(21)
     a = block.uniforms(977)
