@@ -2,26 +2,27 @@
 
 Run with ``python -m pytest benchmarks/bench_layers.py``. The file name
 does not match ``test_*.py``, so a plain ``pytest`` run never collects it.
-Each training case rebuilds the training split of one `bench synthetic`
-cell exactly as ``bench.run_synthetic_cell`` does and times ``mpa.train``
-on it; each case also checks that moves plus skips add up to the
-misclassified visits and that the points stay finite.
+Each case rebuilds the split of one `bench synthetic` cell exactly as
+``bench.run_synthetic_cell`` does. The training cases time ``mpa.train``
+on it and check that moves plus skips add up to the misclassified visits
+and that the points stay finite; the baseline cases time one classifier
+with the cell's parameters and seed slot.
 """
 
 import numpy as np
 import pytest
 
-from movingpoints import mpa
+from movingpoints import baselines, mpa
 from movingpoints.datasets import make_blobs, train_test_split
 from movingpoints.rng import SplitMix64, derive_seed
 
 
-def cell_training_set(seed: int, std_index: int, dim: int):
-    """Training split and MPA config of one synthetic cell at master seed 0."""
+def cell_split(seed: int, std_index: int, dim: int):
+    """(train, test, cell seed) of one synthetic cell at master seed 0."""
     ds = make_blobs(seed=seed, std=1.0 + 0.1 * std_index, n_per_class=50, dim=dim)
     cell = derive_seed(0, seed, std_index)
-    train_ds, _ = train_test_split(ds, 0.2, derive_seed(cell, 0))
-    return train_ds, mpa.MpaConfig(seed=derive_seed(cell, 1))
+    train_ds, test_ds = train_test_split(ds, 0.2, derive_seed(cell, 0))
+    return train_ds, test_ds, cell
 
 
 def test_permutation_80(benchmark):
@@ -35,8 +36,34 @@ def test_permutation_80(benchmark):
 @pytest.mark.parametrize("seed, std_index, dim", [(0, 9, 2), (2, 9, 2), (0, 90, 8)],
                          ids=["grid-0-9-dim2", "grid-2-9-dim2", "overlap-0-90-dim8"])
 def test_train_cell(benchmark, seed, std_index, dim):
-    train_ds, cfg = cell_training_set(seed, std_index, dim)
+    train_ds, _, cell = cell_split(seed, std_index, dim)
+    cfg = mpa.MpaConfig(seed=derive_seed(cell, 1))
     model, log = benchmark(mpa.train, train_ds, cfg)
     benchmark.extra_info["moves"] = log.moves
     assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
     assert np.all(np.isfinite(model.moving_points))
+
+
+# The baselines on grid cell (2, 9), with the parameters of bench.CLASSIFIERS:
+# 2,400 SVM steps (30 epochs of 80), the perceptron's shuffled sweeps, and
+# KNN (k = 3) over the 80 training rows plus the 20 test rows.
+def test_linear_svm_fit_grid_2_9(benchmark):
+    train_ds, _, cell = cell_split(2, 9, 2)
+    model = benchmark(baselines.linear_svm_fit, train_ds, reg=0.01, epochs=30,
+                      seed=derive_seed(cell, 3))
+    assert np.all(np.isfinite(model.weights))
+
+
+def test_perceptron_fit_grid_2_9(benchmark):
+    train_ds, _, cell = cell_split(2, 9, 2)
+    model = benchmark(baselines.perceptron_fit, train_ds, eta=1.0, epochs=50,
+                      seed=derive_seed(cell, 2))
+    assert np.all(np.isfinite(model.weights))
+
+
+def test_knn_predict_many_grid_2_9(benchmark):
+    train_ds, test_ds, _ = cell_split(2, 9, 2)
+    model = baselines.knn_fit(train_ds, k=3)
+    X = np.vstack([train_ds.features, test_ds.features])
+    preds = benchmark(baselines.knn_predict_many, model, X)
+    assert preds.shape == (100,) and set(preds.tolist()) <= {0, 1}

@@ -39,18 +39,18 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
     which further epochs could not change anything.
     """
     data.require_binary()
-    X = data.features
-    y = np.where(data.labels == 1, 1.0, -1.0)
-    m, n = X.shape
-    w = np.zeros(n)
+    rows = list(data.features)
+    y = np.where(data.labels == 1, 1.0, -1.0).tolist()
+    w = np.zeros(data.n)
     b = 0.0
     rng = SplitMix64(seed)
     for _ in range(epochs):
         updates = 0
-        for i in rng.permutation(m):
-            if y[i] * (float(w @ X[i]) + b) <= 0.0:
-                w = w + eta * y[i] * X[i]
-                b += eta * y[i]
+        for i in rng.permutation(data.m):
+            x, yi = rows[i], y[i]
+            if yi * (w.dot(x) + b) <= 0.0:
+                w += (eta * yi) * x
+                b += eta * yi
                 updates += 1
         if updates == 0:
             break
@@ -73,23 +73,36 @@ def knn_fit(data: Dataset, k: int = 3) -> KnnModel:
 
 
 def knn_predict(model: KnnModel, x) -> int:
-    """Majority label of the k nearest points; ties go to the single nearest."""
-    if model.points.shape[0] == 0:
-        raise EmptyModelError("no training points")
-    x = np.asarray(x, dtype=float)
-    dist = np.linalg.norm(model.points - x, axis=1)
-    order = np.argsort(dist, kind="stable")[: model.k]
-    votes = model.labels[order]
-    ones = int(np.sum(votes == 1))
-    zeros = votes.size - ones
-    if ones == zeros:
-        return int(model.labels[order[0]])
-    return 1 if ones > zeros else 0
+    """knn_predict_many for the single point x."""
+    return int(knn_predict_many(model, np.asarray(x, dtype=float)[None, :])[0])
+
+
+# Rows of X per block: keeps the (rows, points, n) difference stack near
+# 512 KB, where a row-at-a-time loop needed only (points, n).
+_KNN_BLOCK_ELEMENTS = 1 << 16
 
 
 def knn_predict_many(model: KnnModel, X) -> np.ndarray:
+    """Per row of X, the majority label of its k nearest points.
+
+    Distances are Euclidean, computed as np.linalg.norm(points - x, axis=1)
+    would; a stable sort breaks distance ties by point index, and a tied
+    vote goes to the single nearest point.
+    """
+    P = model.points
+    if P.shape[0] == 0:
+        raise EmptyModelError("no training points")
     X = np.asarray(X, dtype=float)
-    return np.array([knn_predict(model, row) for row in X], dtype=int)
+    out = np.empty(X.shape[0], dtype=int)
+    block = max(1, _KNN_BLOCK_ELEMENTS // P.size)
+    for start in range(0, X.shape[0], block):
+        D = P[None, :, :] - X[start:start + block, None, :]
+        dist = np.sqrt(np.add.reduce(D * D, axis=2))
+        votes = model.labels[np.argsort(dist, axis=1, kind="stable")[:, :model.k]]
+        ones = np.count_nonzero(votes == 1, axis=1)
+        zeros = votes.shape[1] - ones
+        out[start:start + block] = np.where(ones == zeros, votes[:, 0], ones > zeros)
+    return out
 
 
 @dataclass
@@ -113,19 +126,20 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
     if not reg > 0:
         raise ValueError(f"reg must be positive, got {reg}")
     X = np.hstack([data.features, np.ones((data.m, 1))])
-    y = np.where(data.labels == 1, 1.0, -1.0)
-    m, n1 = X.shape
-    w = np.zeros(n1)
+    rows = list(X)
+    y = np.where(data.labels == 1, 1.0, -1.0).tolist()
+    w = np.zeros(X.shape[1])
     rng = SplitMix64(seed)
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(m):
+        for i in rng.permutation(data.m):
             t += 1
             step = 1.0 / (reg * t)
-            margin = y[i] * float(w @ X[i])
-            w = (1.0 - step * reg) * w
+            x, yi = rows[i], y[i]
+            margin = yi * w.dot(x)
+            w *= 1.0 - step * reg
             if margin < 1.0:
-                w = w + step * y[i] * X[i]
+                w += (step * yi) * x
     return LinearSvmModel(weights=w[:-1].copy(), bias=float(w[-1]), reg=reg,
                           epochs=epochs, seed=seed)
 

@@ -28,6 +28,8 @@ from . import baselines, mpa
 from .datasets import (
     Dataset,
     DegenerateSplitError,
+    InvalidParamsError,
+    _check_test_fraction,
     make_blobs,
     pca_apply,
     pca_fit,
@@ -205,8 +207,11 @@ def run_synthetic_suite(n_seeds: int = 50, n_stds: int = 10, master_seed: int = 
     """Dataset seeds 0..n_seeds-1 crossed with scatter widths 1.0, 1.1, ...
 
     One untuned parameter set is shared by every cell. Cells are
-    independent; the report is assembled in sorted cell order.
+    independent; the report is assembled in sorted cell order. A
+    test_fraction outside (0, 1) raises InvalidParamsError before any cell
+    runs.
     """
+    _check_test_fraction(test_fraction)
     mpa_cfg = mpa_cfg or mpa.MpaConfig()
     report = BenchReport(metadata={
         "protocol": "synthetic-suite",
@@ -236,8 +241,13 @@ def run_dataset_protocol(ds: Dataset, repetitions: int = 5,
     Standardization and PCA statistics come from each repetition's training
     side only; the test side is transformed with them. Seed slots per
     repetition r (rep = derive_seed(master_seed, r)): split 0, moving
-    points 1, SVM 3.
+    points 1, SVM 3. A test_fraction outside (0, 1) or a pca_k below 1
+    raises InvalidParamsError before any repetition runs; a pca_k above the
+    feature count keeps every component.
     """
+    _check_test_fraction(test_fraction)
+    if pca_k < 1:
+        raise InvalidParamsError(f"pca_k must be at least 1, got {pca_k}")
     mpa_cfg = mpa_cfg or mpa.MpaConfig()
     report = BenchReport(metadata={
         "protocol": "dataset",

@@ -294,6 +294,8 @@ def cmd_bench_synthetic(args) -> int:
             dim=opt.get("dim", 2, int),
             test_fraction=opt.get("test_fraction", 0.2, float),
         )
+    except InvalidParamsError as exc:  # the suite checks its parameters first
+        return _fail(2, "bench synthetic", "checking inputs", exc)
     except (_DATA_ERRORS + _TRAIN_ERRORS) as exc:
         return _fail(3, "bench synthetic", "running suite", exc)
     try:
@@ -319,6 +321,8 @@ def cmd_bench_dataset(args) -> int:
             svm_reg=opt.get("svm_reg", 0.01, float),
             svm_epochs=opt.get("svm_epochs", 30, int),
         )
+    except InvalidParamsError as exc:  # the protocol checks its parameters first
+        return _fail(2, "bench dataset", "checking inputs", exc)
     except (_DATA_ERRORS + _TRAIN_ERRORS) as exc:
         return _fail(3, "bench dataset", "running protocol", exc)
     try:

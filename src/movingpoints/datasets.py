@@ -342,6 +342,11 @@ def pca_apply(params: PcaParams, ds: Dataset) -> Dataset:
                    dropped_rows=ds.dropped_rows)
 
 
+def _check_test_fraction(test_fraction: float) -> None:
+    if not (0.0 < test_fraction < 1.0):
+        raise InvalidParamsError(f"test_fraction must be in (0, 1), got {test_fraction}")
+
+
 def _ceil_count(m: int, fraction: float) -> int:
     p = m * fraction
     r = round(p)
@@ -359,8 +364,7 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int):
     The training side must keep both classes (the test side may be
     single-class when it is very small); violations raise DegenerateSplit.
     """
-    if not (0.0 < test_fraction < 1.0):
-        raise InvalidParamsError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    _check_test_fraction(test_fraction)
     m = ds.m
     n_test = _ceil_count(m, test_fraction)
     n_train = m - n_test

@@ -138,33 +138,48 @@ def determinant(matrix: np.ndarray) -> float:
     return float(_determinants(a[None])[0])
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D float64 array, with its bits and less overhead.
+
+    For a vector, numpy takes sqrt(v.dot(v)) of v raveled in memory order;
+    so does this, and math.sqrt rounds like numpy's sqrt.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _normal_norm(weights: np.ndarray, bias: float) -> float:
     """||weights|| of a plane whose coefficients pass the Hyperplane checks.
 
     Raises ValueError on non-finite coefficients and DegeneratePointsError
     when the normal is (near-)zero relative to the coefficients.
     """
-    if not np.isfinite(weights).all():
+    wl = weights.tolist()
+    if not all(map(math.isfinite, wl)):
         raise ValueError("point has non-finite coordinates")
     if not math.isfinite(bias):
         raise ValueError("bias is not finite")
-    norm = float(np.linalg.norm(weights))
-    if norm <= EPS_DEGENERATE * max(float(np.abs(weights).max()), abs(bias), 1.0):
+    norm = _norm(weights)
+    if norm <= EPS_DEGENERATE * max(max(map(abs, wl)), abs(bias), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return norm
 
 
 def _line_coeffs(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(weights, bias, ||weights||) of the line through two finite 2-D points.
+    """(weights, bias, ||weights||) of the line through two 2-D points.
 
     Coefficients are (y1 - y2, x2 - x1) with constant x1*y2 - x2*y1, read
-    directly off the two-point line equation. Raises DegeneratePointsError
-    when the points coincide, then the checks of :func:`_normal_norm`.
+    directly off the two-point line equation. Raises ValueError when a
+    coordinate is not finite, DegeneratePointsError when the points
+    coincide, then the checks of :func:`_normal_norm`.
     """
-    if float(np.linalg.norm(e - f)) <= EPS_DEGENERATE * coordinate_scale(e, f):
-        raise DegeneratePointsError("the two points coincide")
     x1, y1 = e.tolist()
     x2, y2 = f.tolist()
+    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        raise ValueError("point has non-finite coordinates")
+    # coordinate_scale(e, f), on the Python floats.
+    if _norm(e - f) <= EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2)):
+        raise DegeneratePointsError("the two points coincide")
     weights = np.array([y1 - y2, x2 - x1])
     bias = x1 * y2 - x2 * y1
     return weights, bias, _normal_norm(weights, bias)
@@ -218,7 +233,7 @@ def hyperplane_from_points(points) -> Hyperplane:
     weights, bias = coeffs[:n], coeffs[n]
     scale = coordinate_scale(pts)
     # Cofactors scale like coordinate^(n-1); normalize the test accordingly.
-    if float(np.linalg.norm(weights)) <= EPS_DEGENERATE * scale ** (n - 1):
+    if _norm(weights) <= EPS_DEGENERATE * scale ** (n - 1):
         raise DegeneratePointsError(
             "points are affinely dependent and define no unique hyperplane"
         )

@@ -35,6 +35,7 @@ from .geometry import (
     DimensionMismatchError,
     Hyperplane,
     _line_coeffs,
+    _norm,
     as_vector,
     coordinate_scale,
     hyperplane_from_points,
@@ -245,9 +246,14 @@ def movement_vector(model: MpaModel, q, g, lam: float, cfg: MpaConfig | None = N
     return mover, _displacement(c, g, coordinate_scale(c, g), abs(cfg.eta * lam))
 
 
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(D, axis=1) with its bits: sqrt of the row sums of D*D."""
+    return np.sqrt(np.add.reduce(D * D, axis=1))
+
+
 def _nearest(P: np.ndarray, q: np.ndarray) -> int:
     """Row of P nearest to q; argmin takes the lowest index on ties."""
-    return int(np.linalg.norm(P - q, axis=1).argmin())
+    return int(_row_norms(P - q).argmin())
 
 
 def _displacement(c: np.ndarray, g: np.ndarray, scale: float, step: float) -> np.ndarray:
@@ -257,7 +263,7 @@ def _displacement(c: np.ndarray, g: np.ndarray, scale: float, step: float) -> np
     relative to it.
     """
     v = g - c
-    nv = float(np.linalg.norm(v))
+    nv = _norm(v)
     if nv <= EPS_DEGENERATE * scale:
         raise ZeroDisplacementError("sampled target coincides with the mover")
     return (v / nv) * step
@@ -283,10 +289,9 @@ def overfit_guard(model: MpaModel, mover_index: int, t, cfg: MpaConfig | None = 
 def _guard(P: np.ndarray, mover: int, t, alpha: float):
     """overfit_guard on raw points: P's rows, the mover's index, its step t."""
     diffs = P - P[mover]
-    gaps = np.linalg.norm(diffs, axis=1)
-    near = gaps <= alpha
-    near[mover] = False
-    if not near.any():
+    gaps = _row_norms(diffs)
+    near = [i for i, gap in enumerate(gaps.tolist()) if gap <= alpha and i != mover]
+    if not near:
         return t
     rhats = diffs[near] / gaps[near, None]
 
@@ -402,30 +407,35 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     y = data.labels
     m = data.m
     alpha = model.alpha if cfg.alpha is None else cfg.alpha
-    row_scale = np.abs(X).max(axis=1)  # coordinate_scale(c, g) = max(that of c, this)
+    # Per label, the members of the opposite class's near cluster.
+    opposite = [clusters[1].members.tolist(), clusters[0].members.tolist()]
+    labels = y.tolist()
+    row_scale = np.abs(X).max(axis=1).tolist()  # coordinate_scale(c, g) = max(that of c, this)
 
     P = model.moving_points
     w, b = model.hyperplane.weights, model.hyperplane.bias
-    norm_w = float(np.linalg.norm(w))
+    norm_w = _norm(w)
     log = TrainingLog()
     snapshots = [P.copy()]
     pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0]).astype(float)
 
     try:
         for _epoch in range(cfg.epochs):
-            order = np.array(rng.permutation(m), dtype=int)
+            order = rng.permutation(m)
+            # Rows in visiting order: Xo[i:] holds the values and shape of
+            # X[order[i:]], so the product below has the same bits.
+            Xo = X[order]
+            po = pseudo[order]
             miss = 0
             i = 0
             while i < m:
-                rows = order[i:]
-                lam = (X[rows] @ w + b) / norm_w * pseudo[rows]
-                bad = np.nonzero(lam < 0.0)[0]
-                if bad.size == 0:
+                lam = (Xo[i:] @ w + b) / norm_w * po[i:]
+                wrong = lam < 0.0
+                k = int(wrong.argmax())  # the first misclassified example, if any
+                if not wrong[k]:
                     break
-                k = int(bad[0])
-                j = rows[k]
                 miss += 1
-                out = _move(P, X[j], float(lam[k]), clusters[1 - int(y[j])].members,
+                out = _move(P, Xo[i + k], float(lam[k]), opposite[labels[order[i + k]]],
                             X, row_scale, rng, cfg.eta, alpha)
                 if isinstance(out, str):
                     log.skips[out] += 1
@@ -447,22 +457,23 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     return log
 
 
-def _move(P: np.ndarray, q: np.ndarray, lam: float, members: np.ndarray,
-          X: np.ndarray, row_scale: np.ndarray, rng: SplitMix64,
+def _move(P: np.ndarray, q: np.ndarray, lam: float, members: list[int],
+          X: np.ndarray, row_scale: list[float], rng: SplitMix64,
           eta: float, alpha: float):
     """One guarded move of the point of P nearest q toward a drawn member.
 
-    P is updated in place. Returns the new boundary (w, b, ||w||), or the
-    skip reason, with P unchanged, when no point moved.
+    members are row indices into X, row_scale[r] is max|X[r]|. P is
+    updated in place. Returns the new boundary (w, b, ||w||), or the skip
+    reason, with P unchanged, when no point moved.
     """
     mover = _nearest(P, q)
     c = P[mover]
-    c_scale = coordinate_scale(c)
+    c_scale = max(1.0, *map(abs, c.tolist()))  # coordinate_scale(c)
     step = abs(eta * lam)
     for _attempt in range(1 + MAX_RESAMPLES):
-        target = members[rng.randint(members.size)]
+        target = members[rng.randint(len(members))]
         try:
-            t = _displacement(c, X[target], max(c_scale, float(row_scale[target])), step)
+            t = _displacement(c, X[target], max(c_scale, row_scale[target]), step)
             break
         except ZeroDisplacementError:
             pass
@@ -472,7 +483,7 @@ def _move(P: np.ndarray, q: np.ndarray, lam: float, members: np.ndarray,
     if not t.any():
         return GUARD_ZEROED
     old = c.copy()
-    P[mover] = old + t
+    c += t  # c is P's row, so this moves the point
     try:
         return _plane_coeffs(P)
     except DegeneratePointsError:
@@ -486,11 +497,9 @@ def _move(P: np.ndarray, q: np.ndarray, lam: float, members: np.ndarray,
 def _plane_coeffs(P: np.ndarray) -> tuple[np.ndarray, float, float]:
     """(w, b, ||w||) of the boundary through the rows of P, as _plane_of checks it."""
     if P.shape[0] == 2:
-        if not np.isfinite(P).all():
-            raise ValueError("point has non-finite coordinates")
         return _line_coeffs(P[0], P[1])
     h = hyperplane_from_points(P)
-    return h.weights, h.bias, float(np.linalg.norm(h.weights))
+    return h.weights, h.bias, _norm(h.weights)
 
 
 def predict(model: MpaModel, x) -> int:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from movingpoints.baselines import (
     knn_fit,
@@ -12,6 +14,7 @@ from movingpoints.baselines import (
     perceptron_fit,
 )
 from movingpoints.datasets import Dataset, make_blobs
+from movingpoints.rng import SplitMix64
 
 
 def toy(features, labels):
@@ -123,3 +126,140 @@ class TestLinearSvm:
         model = linear_svm_fit(ds)
         preds = linear_predict_many(model, ds.features)
         assert np.mean(preds == ds.labels) > 0.8
+
+
+# Frozen copies of the per-step baseline loops as they stood before the
+# in-place rewrite: every weight, bias and prediction must keep its bits.
+# They must not be rewritten to share code with the library.
+
+def frozen_perceptron_fit(data, eta, epochs, seed):
+    X = data.features
+    y = np.where(data.labels == 1, 1.0, -1.0)
+    m, n = X.shape
+    w = np.zeros(n)
+    b = 0.0
+    rng = SplitMix64(seed)
+    for _ in range(epochs):
+        updates = 0
+        for i in rng.permutation(m):
+            if y[i] * (float(w @ X[i]) + b) <= 0.0:
+                w = w + eta * y[i] * X[i]
+                b += eta * y[i]
+                updates += 1
+        if updates == 0:
+            break
+    return w, b
+
+
+def frozen_linear_svm_fit(data, reg, epochs, seed):
+    X = np.hstack([data.features, np.ones((data.m, 1))])
+    y = np.where(data.labels == 1, 1.0, -1.0)
+    m, n1 = X.shape
+    w = np.zeros(n1)
+    rng = SplitMix64(seed)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(m):
+            t += 1
+            step = 1.0 / (reg * t)
+            margin = y[i] * float(w @ X[i])
+            w = (1.0 - step * reg) * w
+            if margin < 1.0:
+                w = w + step * y[i] * X[i]
+    return w[:-1].copy(), float(w[-1])
+
+
+def frozen_knn_predict(points, labels, k, x):
+    dist = np.linalg.norm(points - x, axis=1)
+    order = np.argsort(dist, kind="stable")[:k]
+    votes = labels[order]
+    ones = int(np.sum(votes == 1))
+    zeros = votes.size - ones
+    if ones == zeros:
+        return int(labels[order[0]])
+    return 1 if ones > zeros else 0
+
+
+def draw_points(rng, kind, m, n, scale):
+    """m rows: plain floats, small integers (exact ties), copies of 3 points,
+    or permutations of one vector's coordinates.
+
+    Permuted rows are equally far from the origin in exact arithmetic, so
+    which one is nearest is decided by the rounding of the sum of squares.
+    """
+    if kind == "float":
+        X = rng.normal(size=(m, n))
+    elif kind == "int":
+        X = rng.integers(-2, 3, size=(m, n)).astype(float)
+    elif kind == "dup":
+        X = rng.normal(size=(3, n))[rng.integers(0, 3, size=m)]
+    else:
+        base = rng.normal(size=n)
+        X = np.array([rng.permutation(base) for _ in range(m)])
+    return X * scale
+
+
+@st.composite
+def labeled_sets(draw, max_n, scales):
+    """A Dataset with both classes, possibly column-major (strided rows)."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = draw_points(rng, draw(st.sampled_from(["float", "int", "dup", "perm"])), m, n,
+                    draw(st.sampled_from(scales)))
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    y = rng.integers(0, 2, size=m)
+    y[:2] = (0, 1)
+    return Dataset(X, y)
+
+
+def same_bits(w, b, want_w, want_b):
+    return (w.tobytes() == want_w.tobytes()
+            and np.float64(b).tobytes() == np.float64(want_b).tobytes())
+
+
+class TestBaselinesMatchFrozenLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(6, [1e-6, 1.0, 1e6]),
+           eta=st.sampled_from([0.1, 1.0, 3.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_perceptron(self, data, eta, epochs, seed):
+        model = perceptron_fit(data, eta=eta, epochs=epochs, seed=seed)
+        want = frozen_perceptron_fit(data, eta, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(6, [1e-6, 1.0, 1e6]),
+           reg=st.sampled_from([1e-3, 0.01, 1.0, 10.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_linear_svm(self, data, reg, epochs, seed):
+        model = linear_svm_fit(data, reg=reg, epochs=epochs, seed=seed)
+        want = frozen_linear_svm_fit(data, reg, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
+    # n up to 16: a row sum of 8 or more squares takes numpy's pairwise path.
+    # Scales 1e-170 and 1e155 make squared distances underflow to 0 and
+    # overflow to inf, so whole rows of distances tie.
+    @settings(max_examples=150, deadline=None)
+    @given(data=labeled_sets(16, [1e-170, 1e-6, 1.0, 1e6, 1e155]),
+           k_pick=st.integers(0, 2**16), queries=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(data=Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                          np.array([0, 1, 1, 0])),
+             k_pick=1, queries=3, seed=0)
+    def test_knn(self, data, k_pick, queries, seed):
+        k = 1 + k_pick % data.m
+        model = knn_fit(data, k=k)
+        rng = np.random.default_rng(seed)
+        scale = float(np.abs(data.features).max()) or 1.0
+        # the training rows themselves (zero distances), the origin, new points
+        X = np.vstack([data.features, np.zeros((1, data.n)),
+                       rng.normal(size=(queries, data.n)) * scale])
+        with np.errstate(over="ignore"):
+            want = [frozen_knn_predict(model.points, model.labels, k, x) for x in X]
+            got = knn_predict_many(model, X)
+            one_by_one = [knn_predict(model, x) for x in X]
+        assert got.dtype == int
+        assert got.tolist() == want
+        assert one_by_one == want

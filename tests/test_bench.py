@@ -23,6 +23,7 @@ from movingpoints.bench import (
     run_synthetic_suite,
     write_report,
 )
+from movingpoints.datasets import InvalidParamsError
 from movingpoints.rng import SplitMix64
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -157,6 +158,11 @@ class TestSyntheticSuite:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
             "ef529968bf4ed167fc37f1c0cea64f8652ec07a838837c0931e0887359035a6d"
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 2.0, -0.5])
+    def test_bad_test_fraction_rejected_before_any_cell(self, fraction):
+        with pytest.raises(InvalidParamsError, match="test_fraction"):
+            run_synthetic_suite(n_seeds=1, n_stds=1, test_fraction=fraction)
+
     def test_suite_metadata(self):
         suite = run_synthetic_suite(n_seeds=1, n_stds=1, master_seed=0,
                                     n_per_class=20)
@@ -181,6 +187,15 @@ class TestDatasetProtocol:
                                    mpa_cfg=mpa.MpaConfig(eta=5e-4), pca_k=3)
         assert rep.metadata["pca_k"] == "3"
         assert not any(r.error for r in rep.records)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"test_fraction": 2.0}, "test_fraction"),
+        ({"pca_k": 0}, "pca_k"),
+    ], ids=["test-fraction-2", "pca-k-0"])
+    def test_bad_parameter_rejected_before_any_repetition(self, iris_hard,
+                                                          kwargs, message):
+        with pytest.raises(InvalidParamsError, match=message):
+            run_dataset_protocol(iris_hard, repetitions=1, **kwargs)
 
     def test_eta_defaults_exported(self):
         assert bench.DATASET_ETA_DEFAULTS["pima"] == pytest.approx(3e-5)

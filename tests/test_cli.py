@@ -259,6 +259,12 @@ class TestBadConfigIsExit2:
                      id="fit-config-missing"),
         pytest.param("bench synthetic", ["--config", "{bad_cast}"], "config dim:",
                      id="synthetic-config-dim-not-int"),
+        pytest.param("bench synthetic", ["--test-fraction", "2"],
+                     "test_fraction must be in (0, 1)", id="synthetic-test-fraction-2"),
+        pytest.param("bench dataset", ["--test-fraction", "2"],
+                     "test_fraction must be in (0, 1)", id="dataset-test-fraction-2"),
+        pytest.param("bench dataset", ["--pca-k", "0"], "pca_k must be at least 1",
+                     id="dataset-pca-k-0"),
     ])
     def test_exit_2_at_checking_inputs(self, iris_path, tmp_path, capsys,
                                        command, flags, message):

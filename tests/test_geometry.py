@@ -13,6 +13,7 @@ from movingpoints.geometry import (
     DimensionMismatchError,
     Hyperplane,
     ZeroVectorError,
+    _line_coeffs,
     angle_between,
     as_vector,
     coordinate_scale,
@@ -57,6 +58,14 @@ class TestLineFromPoints:
     def test_coincident_points_degenerate(self):
         with pytest.raises(DegeneratePointsError):
             line_from_points((2, 2), (2, 2))
+
+    @pytest.mark.parametrize("e", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 1.0)])
+    def test_non_finite_point_is_not_degenerate(self, e):
+        # A point moved to infinity fails as non-finite; it is not a
+        # coincidence to revert (inf <= EPS_DEGENERATE * inf would say so).
+        with pytest.raises(ValueError) as info:
+            _line_coeffs(np.array(e), np.array([0.0, 1.0]))
+        assert type(info.value) is ValueError
 
 
 class TestDeterminant:

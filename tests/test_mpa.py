@@ -134,6 +134,17 @@ class TestMovementVector:
         mover, _ = movement_vector(model, (5.0, 0.0), (9.0, 0.5), -1.0)
         assert mover == 0
 
+    def test_tie_after_rounding_prefers_lowest_index(self):
+        # Row 0's squared distance to q is one ulp larger than row 1's, but
+        # the distances round to the same value, so row 0 is the mover.
+        pts = np.array([[1.6067566809382403, 0.7977858300985793],
+                        [1.1459420306212666, 1.380197857157211]])
+        sq = (pts * pts).sum(axis=1)
+        assert sq[0] > sq[1] and np.sqrt(sq[0]) == np.sqrt(sq[1])
+        model = MpaModel(pts, {0: -1, 1: 1}, alpha=0.0, config=MpaConfig(eta=0.1))
+        mover, _ = movement_vector(model, (0.0, 0.0), (9.0, 0.5), -1.0)
+        assert mover == 0
+
     def test_g_equal_mover_rejected(self):
         model = vertical_model()
         # nearest moving point to q=(2, 0) is (0, 0), index 1
