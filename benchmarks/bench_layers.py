@@ -2,19 +2,24 @@
 
 Run with ``python -m pytest benchmarks/bench_layers.py``. The file name
 does not match ``test_*.py``, so a plain ``pytest`` run never collects it.
-Each case rebuilds the split of one `bench synthetic` cell exactly as
+Most cases rebuild the split of one `bench synthetic` cell exactly as
 ``bench.run_synthetic_cell`` does. The training cases time ``mpa.train``
 on it and check that moves plus skips add up to the misclassified visits
 and that the points stay finite; the baseline cases time one classifier
-with the cell's parameters and seed slot.
+with the cell's parameters and seed slot. The plane cases time
+``hyperplane_from_points`` on Gaussian points and one rank-one update of
+the plane that ``mpa.fit`` carries between fresh builds.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from movingpoints import baselines, mpa
 from movingpoints.datasets import make_blobs, train_test_split
-from movingpoints.rng import SplitMix64, derive_seed
+from movingpoints.geometry import hyperplane_from_points
+from movingpoints.rng import BlockSplitMix64, SplitMix64, derive_seed
 
 
 def cell_split(seed: int, std_index: int, dim: int):
@@ -23,6 +28,11 @@ def cell_split(seed: int, std_index: int, dim: int):
     cell = derive_seed(0, seed, std_index)
     train_ds, test_ds = train_test_split(ds, 0.2, derive_seed(cell, 0))
     return train_ds, test_ds, cell
+
+
+def cell_config(cell: int) -> mpa.MpaConfig:
+    """The MPA config of a cell: the defaults with the cell's seed slot."""
+    return mpa.MpaConfig(seed=derive_seed(cell, 1))
 
 
 def test_permutation_80(benchmark):
@@ -37,8 +47,7 @@ def test_permutation_80(benchmark):
                          ids=["grid-0-9-dim2", "grid-2-9-dim2", "overlap-0-90-dim8"])
 def test_train_cell(benchmark, seed, std_index, dim):
     train_ds, _, cell = cell_split(seed, std_index, dim)
-    cfg = mpa.MpaConfig(seed=derive_seed(cell, 1))
-    model, log = benchmark(mpa.train, train_ds, cfg)
+    model, log = benchmark(mpa.train, train_ds, cell_config(cell))
     benchmark.extra_info["moves"] = log.moves
     assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
     assert np.all(np.isfinite(model.moving_points))
@@ -66,4 +75,49 @@ def test_knn_predict_many_grid_2_9(benchmark):
     model = baselines.knn_fit(train_ds, k=3)
     X = np.vstack([train_ds.features, test_ds.features])
     preds = benchmark(baselines.knn_predict_many, model, X)
+    assert preds.shape == (100,) and set(preds.tolist()) <= {0, 1}
+
+
+@pytest.mark.parametrize("n", [3, 8, 16, 32])
+def test_hyperplane_from_points(benchmark, n):
+    points = BlockSplitMix64(n).normals(n * n).reshape(n, n)
+    h = benchmark(hyperplane_from_points, points)
+    assert np.all(np.isfinite(h.weights))
+
+
+def test_tracked_update_n8(benchmark):
+    # One accepted rank-one update at n = 8: each round moves one point a
+    # small step and resets the update count, so no round is a fresh build.
+    stream = BlockSplitMix64(8)
+    P = stream.normals(64).reshape(8, 8)
+    boundary = mpa._Boundary(P)
+    steps = 0.01 * stream.normals(8 * 64).reshape(64, 8)
+    rounds = iter(range(10**9))
+
+    def setup():
+        k = next(rounds)
+        i = k % 8
+        old = P[i].copy()
+        P[i] += steps[k % 64]
+        boundary.updates = 0
+        return (i, old), {}
+
+    benchmark.pedantic(boundary.moved, setup=setup, rounds=2000)
+    assert boundary.updates == 1
+
+
+def test_epoch_overlap_0_90_dim8(benchmark):
+    # One epoch of overlap cell (0, 90) from its initial points.
+    train_ds, _, cell = cell_split(0, 90, 8)
+    cfg = replace(cell_config(cell), epochs=1)
+    model, log = benchmark(mpa.train, train_ds, cfg)
+    benchmark.extra_info["moves"] = log.moves
+    assert log.epochs_run == 1 and log.moves > 0
+
+
+def test_predict_many_overlap_0_90_dim8(benchmark):
+    train_ds, test_ds, cell = cell_split(0, 90, 8)
+    model, _ = mpa.train(train_ds, cell_config(cell))
+    X = np.vstack([train_ds.features, test_ds.features])
+    preds = benchmark(mpa.predict_many, model, X)
     assert preds.shape == (100,) and set(preds.tolist()) <= {0, 1}

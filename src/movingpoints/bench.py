@@ -161,6 +161,13 @@ def _run_classifiers(records, run_id, names, train, test, base_seed, params):
             _fail_all(records, run_id, (name,), exc)
 
 
+def _check_at_least(**limits) -> None:
+    """InvalidParamsError unless each name=(value, lowest allowed) holds."""
+    for name, (value, low) in limits.items():
+        if value < low:
+            raise InvalidParamsError(f"{name} must be at least {low}, got {value}")
+
+
 def _mpa_metadata(cfg: mpa.MpaConfig) -> dict:
     """Report metadata shared by both protocols: the MPA training knobs."""
     return {
@@ -207,11 +214,14 @@ def run_synthetic_suite(n_seeds: int = 50, n_stds: int = 10, master_seed: int = 
     """Dataset seeds 0..n_seeds-1 crossed with scatter widths 1.0, 1.1, ...
 
     One untuned parameter set is shared by every cell. Cells are
-    independent; the report is assembled in sorted cell order. A
-    test_fraction outside (0, 1) raises InvalidParamsError before any cell
-    runs.
+    independent; the report is assembled in sorted cell order. Parameters
+    no cell can use (a test_fraction outside (0, 1), no seeds or stds, no
+    points per class, dim below 2) raise InvalidParamsError before any
+    cell runs.
     """
     _check_test_fraction(test_fraction)
+    _check_at_least(n_seeds=(n_seeds, 1), n_stds=(n_stds, 1),
+                    n_per_class=(n_per_class, 1), dim=(dim, 2))
     mpa_cfg = mpa_cfg or mpa.MpaConfig()
     report = BenchReport(metadata={
         "protocol": "synthetic-suite",
@@ -241,13 +251,12 @@ def run_dataset_protocol(ds: Dataset, repetitions: int = 5,
     Standardization and PCA statistics come from each repetition's training
     side only; the test side is transformed with them. Seed slots per
     repetition r (rep = derive_seed(master_seed, r)): split 0, moving
-    points 1, SVM 3. A test_fraction outside (0, 1) or a pca_k below 1
-    raises InvalidParamsError before any repetition runs; a pca_k above the
-    feature count keeps every component.
+    points 1, SVM 3. A test_fraction outside (0, 1), no repetitions or a
+    pca_k below 1 raise InvalidParamsError before any repetition runs; a
+    pca_k above the feature count keeps every component.
     """
     _check_test_fraction(test_fraction)
-    if pca_k < 1:
-        raise InvalidParamsError(f"pca_k must be at least 1, got {pca_k}")
+    _check_at_least(repetitions=(repetitions, 1), pca_k=(pca_k, 1))
     mpa_cfg = mpa_cfg or mpa.MpaConfig()
     report = BenchReport(metadata={
         "protocol": "dataset",

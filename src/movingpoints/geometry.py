@@ -20,6 +20,12 @@ over one (n+1, n, n) stack with partial pivoting chosen per minor, so no
 symbolic algebra is involved. Every element sees the same floating-point
 operations in the same order as eliminating each minor on its own, so the
 cofactors are bit-identical to the one-minor-at-a-time loop.
+
+Training (mpa.fit) runs this construction only at fresh builds when
+n >= 3: between them it carries the same first-row cofactors by rank-one
+updates of the inverse of the bordered matrix (see mpa._Boundary), so a
+plane met during training can differ from this one in the last bits.
+Every plane of n >= 3 points that a model stores comes from here.
 """
 
 from __future__ import annotations

@@ -383,14 +383,20 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     Inputs are validated once, here; the loop then works on raw arrays:
     the points (model.moving_points, updated in place), the boundary
     coefficients (w, b) and ||w||, with the same floating-point operations
-    as the public movement_vector, overfit_guard and plane constructors.
-    model.hyperplane is set from (w, b) on every exit, so it always
-    matches the points. Between moves the boundary is frozen, so lambdas
-    for a whole stretch of examples are evaluated in one vectorized pass
-    and the loop jumps directly to the next misclassified example. The
-    decisions are those of evaluating one example at a time, but a lambda
-    can differ from lambda_value's in the last bit: BLAS rounds a
-    matrix-vector product and a dot product differently.
+    as the public movement_vector and overfit_guard. For n = 2 the line is
+    re-read in closed form after every move. For n >= 3 the plane is
+    carried from move to move by a rank-one update (see _Boundary), so its
+    coefficients can differ from hyperplane_from_points' in the last bits;
+    every accept-or-revert decision near a degeneracy threshold still
+    comes from a fresh build. model.hyperplane is set from a fresh
+    _plane_of(points) on every exit, so it always matches the points, bit
+    for bit, as a reloaded model does. Between moves the boundary is
+    frozen, so lambdas for a whole stretch of examples are evaluated in
+    one vectorized pass and the loop jumps directly to the next
+    misclassified example. The decisions are those of evaluating one
+    example at a time, but a lambda can differ from lambda_value's in the
+    last bit: BLAS rounds a matrix-vector product and a dot product
+    differently, and lambda_value reads model.hyperplane.
     """
     cfg = cfg or model.config
     if data.n != model.dim:
@@ -413,8 +419,8 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     row_scale = np.abs(X).max(axis=1).tolist()  # coordinate_scale(c, g) = max(that of c, this)
 
     P = model.moving_points
-    w, b = model.hyperplane.weights, model.hyperplane.bias
-    norm_w = _norm(w)
+    boundary = _Boundary(P)
+    w, b, norm_w = boundary.plane
     log = TrainingLog()
     snapshots = [P.copy()]
     pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0]).astype(float)
@@ -435,8 +441,8 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
                 if not wrong[k]:
                     break
                 miss += 1
-                out = _move(P, Xo[i + k], float(lam[k]), opposite[labels[order[i + k]]],
-                            X, row_scale, rng, cfg.eta, alpha)
+                out = _move(boundary, Xo[i + k], float(lam[k]),
+                            opposite[labels[order[i + k]]], X, row_scale, rng, cfg.eta, alpha)
                 if isinstance(out, str):
                     log.skips[out] += 1
                 else:
@@ -451,21 +457,23 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
                 log.stopped_early = True
                 break
     finally:
-        model.hyperplane = Hyperplane(w, b)
+        model.hyperplane = _plane_of(P)
 
     log.trajectory = np.array(snapshots)
     return log
 
 
-def _move(P: np.ndarray, q: np.ndarray, lam: float, members: list[int],
+def _move(boundary: _Boundary, q: np.ndarray, lam: float, members: list[int],
           X: np.ndarray, row_scale: list[float], rng: SplitMix64,
           eta: float, alpha: float):
-    """One guarded move of the point of P nearest q toward a drawn member.
+    """One guarded move of the point of boundary.P nearest q toward a drawn member.
 
-    members are row indices into X, row_scale[r] is max|X[r]|. P is
-    updated in place. Returns the new boundary (w, b, ||w||), or the skip
-    reason, with P unchanged, when no point moved.
+    members are row indices into X, row_scale[r] is max|X[r]|. The points
+    are updated in place. Returns the new boundary (w, b, ||w||), or the
+    skip reason, with the points and the boundary unchanged, when no point
+    moved.
     """
+    P = boundary.P
     mover = _nearest(P, q)
     c = P[mover]
     c_scale = max(1.0, *map(abs, c.tolist()))  # coordinate_scale(c)
@@ -485,7 +493,7 @@ def _move(P: np.ndarray, q: np.ndarray, lam: float, members: list[int],
     old = c.copy()
     c += t  # c is P's row, so this moves the point
     try:
-        return _plane_coeffs(P)
+        return boundary.moved(mover, old)
     except DegeneratePointsError:
         P[mover] = old
         return DEGENERATE_REVERT
@@ -494,12 +502,100 @@ def _move(P: np.ndarray, q: np.ndarray, lam: float, members: list[int],
         raise
 
 
-def _plane_coeffs(P: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(w, b, ||w||) of the boundary through the rows of P, as _plane_of checks it."""
-    if P.shape[0] == 2:
-        return _line_coeffs(P[0], P[1])
-    h = hyperplane_from_points(P)
-    return h.weights, h.bias, _norm(h.weights)
+# When _Boundary trades its rank-one update for a fresh build; see there.
+_REBUILD_EVERY = 64
+_MIN_DENOMINATOR = 1e-3
+_NEAR_DEGENERATE = 1e3
+_MAX_RESIDUAL = 1e-12
+
+
+class _Boundary:
+    """The plane through the rows of P while fit moves them, as (w, b, ||w||).
+
+    For n = 2 the line is re-read in closed form after every move. For
+    n >= 3 it keeps the inverse Minv of the bordered (n+1)x(n+1) matrix M
+    whose row 0 is the unit coefficient vector of the last fresh plane and
+    whose rows 1..n are [p_i, 1]. The plane's coefficients c = (w, b) are
+    the cofactors of M's first row, det(M) * Minv[:, 0], whatever that row
+    holds. Moving point i by d adds [d, 0] to row i+1 of M, so with
+    u = d @ Minv[:n] and col = Minv[:, i+1], Sherman-Morrison gives, in
+    O(n^2) instead of the O(n^4) of the cofactor stack,
+
+        denom = 1 + u[i+1]                    (det(M') = det(M) * denom)
+        Minv' = Minv - outer(col, u / denom)
+        c'    = denom * c - (d . w) * col     (= det(M') * Minv'[:, 0])
+
+    The update is kept only when c' passes hyperplane_from_points' checks
+    (finite coefficients, ||w|| > EPS_DEGENERATE * coordinate_scale(P)^(n-1),
+    and _normal_norm's ||w|| > EPS_DEGENERATE * max(|w|, |b|, 1)) with
+    _NEAR_DEGENERATE to spare, and when the plane still passes through
+    the points: max_j |p_j . w + b| <= _MAX_RESIDUAL * (max|P| ||w|| + |b|),
+    which bounds the rounding that updates pile up. Otherwise, and every
+    _REBUILD_EVERY updates, and when |denom| < _MIN_DENOMINATOR, a fresh
+    build through hyperplane_from_points decides: it raises what that
+    raises, and the state is replaced only when no check fails.
+    """
+
+    def __init__(self, P: np.ndarray):
+        self.P = P
+        self.Minv = None  # stays None for n = 2
+        self.plane = self._fresh()  # moved returns the later ones
+
+    def _fresh(self) -> tuple[np.ndarray, float, float]:
+        P = self.P
+        n = P.shape[0]
+        if n == 2:
+            return _line_coeffs(P[0], P[1])
+        h = hyperplane_from_points(P)
+        coeffs = np.append(h.weights, h.bias)
+        M = np.empty((n + 1, n + 1))
+        M[0] = coeffs / _norm(coeffs)
+        M[1:, :n] = P
+        M[1:, n] = 1.0
+        self.Minv = np.linalg.inv(M)
+        self.coeffs = coeffs
+        self.updates = 0
+        return h.weights, h.bias, _norm(h.weights)
+
+    def moved(self, i: int, old: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """(w, b, ||w||) after row i of P moved from old to its current value."""
+        if self.Minv is None:  # n = 2
+            return _line_coeffs(self.P[0], self.P[1])
+        if self.updates < _REBUILD_EVERY:
+            P = self.P
+            n = P.shape[0]
+            update = _rank_one(self.Minv, self.coeffs, i + 1, P[i] - old)
+            if update is not None:
+                Minv, coeffs = update
+                w = coeffs[:n]
+                b = float(coeffs[n])
+                norm_w = _norm(w)
+                scale = max(1.0, float(np.abs(P).max()))  # coordinate_scale(P)
+                limit = _NEAR_DEGENERATE * EPS_DEGENERATE * max(
+                    scale ** (n - 1), abs(b), *map(abs, w.tolist()))
+                if (norm_w > limit and math.isfinite(b)  # False on inf or nan
+                        and max(map(abs, (P.dot(w) + b).tolist()))
+                        <= _MAX_RESIDUAL * (scale * norm_w + abs(b))):
+                    self.Minv = Minv
+                    self.coeffs = coeffs
+                    self.updates += 1
+                    return w, b, norm_w
+        return self._fresh()
+
+
+def _rank_one(Minv: np.ndarray, coeffs: np.ndarray, row: int, d: np.ndarray):
+    """(Minv', coeffs') after row `row` of the bordered matrix gains [d, 0].
+
+    The Sherman-Morrison step of _Boundary; None when the denominator is
+    below _MIN_DENOMINATOR in magnitude, or not a number.
+    """
+    n = d.size
+    col = Minv[:, row]
+    u = d.dot(Minv[:n])
+    denom = 1.0 + float(u[row])
+    if not abs(denom) >= _MIN_DENOMINATOR:
+        return None
+    return Minv - col[:, None] * (u / denom), denom * coeffs - float(d.dot(coeffs[:n])) * col
 
 
 def predict(model: MpaModel, x) -> int:

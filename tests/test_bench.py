@@ -163,6 +163,19 @@ class TestSyntheticSuite:
         with pytest.raises(InvalidParamsError, match="test_fraction"):
             run_synthetic_suite(n_seeds=1, n_stds=1, test_fraction=fraction)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_seeds": 0}, "n_seeds"),
+        ({"n_stds": 0}, "n_stds"),
+        ({"n_per_class": 0}, "n_per_class"),
+        ({"dim": 1}, "dim"),
+    ], ids=["seeds-0", "stds-0", "n-per-class-0", "dim-1"])
+    def test_unusable_grid_rejected_before_any_cell(self, kwargs, message, monkeypatch):
+        cells = []
+        monkeypatch.setattr(bench, "run_synthetic_cell", lambda *a, **k: cells.append(1))
+        with pytest.raises(InvalidParamsError, match=message):
+            run_synthetic_suite(**{"n_seeds": 1, "n_stds": 1, **kwargs})
+        assert cells == []
+
     def test_suite_metadata(self):
         suite = run_synthetic_suite(n_seeds=1, n_stds=1, master_seed=0,
                                     n_per_class=20)
@@ -191,11 +204,12 @@ class TestDatasetProtocol:
     @pytest.mark.parametrize("kwargs, message", [
         ({"test_fraction": 2.0}, "test_fraction"),
         ({"pca_k": 0}, "pca_k"),
-    ], ids=["test-fraction-2", "pca-k-0"])
+        ({"repetitions": 0}, "repetitions"),
+    ], ids=["test-fraction-2", "pca-k-0", "reps-0"])
     def test_bad_parameter_rejected_before_any_repetition(self, iris_hard,
                                                           kwargs, message):
         with pytest.raises(InvalidParamsError, match=message):
-            run_dataset_protocol(iris_hard, repetitions=1, **kwargs)
+            run_dataset_protocol(iris_hard, **{"repetitions": 1, **kwargs})
 
     def test_eta_defaults_exported(self):
         assert bench.DATASET_ETA_DEFAULTS["pima"] == pytest.approx(3e-5)

@@ -265,6 +265,16 @@ class TestBadConfigIsExit2:
                      "test_fraction must be in (0, 1)", id="dataset-test-fraction-2"),
         pytest.param("bench dataset", ["--pca-k", "0"], "pca_k must be at least 1",
                      id="dataset-pca-k-0"),
+        pytest.param("bench synthetic", ["--seeds", "0"], "n_seeds must be at least 1",
+                     id="synthetic-seeds-0"),
+        pytest.param("bench synthetic", ["--stds", "0"], "n_stds must be at least 1",
+                     id="synthetic-stds-0"),
+        pytest.param("bench synthetic", ["--n-per-class", "0"],
+                     "n_per_class must be at least 1", id="synthetic-n-per-class-0"),
+        pytest.param("bench synthetic", ["--dim", "1"], "dim must be at least 2",
+                     id="synthetic-dim-1"),
+        pytest.param("bench dataset", ["--reps", "0"], "repetitions must be at least 1",
+                     id="dataset-reps-0"),
     ])
     def test_exit_2_at_checking_inputs(self, iris_path, tmp_path, capsys,
                                        command, flags, message):
