@@ -9,7 +9,8 @@ BENCH_<pr>.json at the repository root. Each case records its median,
 its interquartile range (IQR) and its number of rounds: perfbench runs for
 the end-to-end metrics, timing rounds for the layer cases. The record also
 holds the Python and numpy versions, the OpenBLAS core in use, nproc,
-the git sha and whether tracked files differ from it.
+the git sha and whether the measured code (src/, benchmarks/, perfbench/)
+differs from it.
 
 The newest earlier BENCH_*.json is the baseline: every case whose median
 is more than 10% slower than there is listed under "slower" in the file
@@ -114,7 +115,8 @@ def environment() -> dict:
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "openblas_core": openblas_core(), "nproc": os.cpu_count(),
             "git_sha": git("rev-parse", "HEAD") or None,
-            "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+            "code_differs_from_sha": bool(git("status", "--porcelain", "--", "src",
+                                              "benchmarks", "perfbench"))}
 
 
 def previous(pr: int) -> Path | None:
