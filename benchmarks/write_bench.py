@@ -1,6 +1,6 @@
 """Write BENCH_<pr>.json: the end-to-end benchmark and the layer timings in one record.
 
-    python3 benchmarks/write_bench.py --pr 6 [--runs 3] [--seconds 25]
+    python3 benchmarks/write_bench.py --pr N [--runs 3] [--seconds 25]
 
 Runs ``perfbench/run.py --trace 0`` --runs times on each workload of
 BENCHMARK.json (workload seeds 1, 2, ...) and
