@@ -19,7 +19,7 @@ import pytest
 from movingpoints import baselines, mpa
 from movingpoints.datasets import make_blobs, train_test_split
 from movingpoints.geometry import hyperplane_from_points
-from movingpoints.rng import BlockSplitMix64, SplitMix64, derive_seed
+from movingpoints.rng import SplitMix64, derive_seed
 
 
 def cell_split(seed: int, std_index: int, dim: int):
@@ -37,6 +37,14 @@ def cell_config(cell: int) -> mpa.MpaConfig:
 
 def test_permutation_80(benchmark):
     perm = benchmark(lambda: SplitMix64(12345).permutation(80))
+    assert sorted(perm) == list(range(80))
+
+
+# A warm stream, whose words mostly come from the buffer already mixed:
+# what each epoch of mpa.fit, the SVM and the perceptron pays.
+def test_permutation_80_warm(benchmark):
+    stream = SplitMix64(12345)
+    perm = benchmark(stream.permutation, 80)
     assert sorted(perm) == list(range(80))
 
 
@@ -80,7 +88,7 @@ def test_knn_predict_many_grid_2_9(benchmark):
 
 @pytest.mark.parametrize("n", [3, 8, 16, 32])
 def test_hyperplane_from_points(benchmark, n):
-    points = BlockSplitMix64(n).normals(n * n).reshape(n, n)
+    points = SplitMix64(n).normals(n * n).reshape(n, n)
     h = benchmark(hyperplane_from_points, points)
     assert np.all(np.isfinite(h.weights))
 
@@ -88,7 +96,7 @@ def test_hyperplane_from_points(benchmark, n):
 def test_tracked_update_n8(benchmark):
     # One accepted rank-one update at n = 8: each round moves one point a
     # small step and resets the update count, so no round is a fresh build.
-    stream = BlockSplitMix64(8)
+    stream = SplitMix64(8)
     P = stream.normals(64).reshape(8, 8)
     boundary = mpa._Boundary(P)
     steps = 0.01 * stream.normals(8 * 64).reshape(64, 8)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import EPS_DEGENERATE
-from .rng import BlockSplitMix64, SplitMix64
+from .rng import SplitMix64
 
 
 class NonBinaryLabelsError(ValueError):
@@ -222,7 +222,7 @@ def make_blobs(seed: int, std: float, n_per_class: int = 50, dim: int = 2,
             f"got std={std}, n_per_class={n_per_class}, dim={dim}, "
             f"center_halfwidth={center_halfwidth}"
         )
-    stream = BlockSplitMix64(seed)
+    stream = SplitMix64(seed)
     centers = (-center_halfwidth
                + 2.0 * center_halfwidth * stream.uniforms(2 * dim).reshape(2, dim))
     blocks = []

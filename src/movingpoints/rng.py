@@ -6,8 +6,12 @@ reproducible from a single 64-bit seed, independent of the host platform
 and of numpy's generator internals.
 
 SplitMix64 (Steele, Lea & Flood's mix, as used by Java's SplittableRandom):
-each step advances the state by the 64-bit golden-gamma constant
-0x9E3779B97F4A7C15 and scrambles it with two xor-shift-multiply rounds.
+word k of the stream for `seed` is mix(seed + (k+1) * 0x9E3779B97F4A7C15),
+two xor-shift-multiply rounds on the seed advanced k+1 times by the
+golden gamma. A word depends only on the seed and k, so a stream keeps the
+seed and a position and serves every draw from a buffer of pre-mixed
+words, refilled (at least _BLOCK words at a time) only when a draw runs
+past its end. The buffer sets the cost of a draw, never its value.
 
 Streaming discipline, fixed for all consumers:
 
@@ -19,48 +23,91 @@ Streaming discipline, fixed for all consumers:
 * bounded integer in [0, n): rejection sampling on raw words, accepting
   w < 2^64 - (2^64 mod n), returning w mod n. Unbiased.
 * shuffle: Fisher-Yates from the last index down, j = randint(i + 1).
-  The n-1 words are computed as one block (word k of a stream depends
-  only on the state and k, see _word_block); each is accepted by
-  randint's test, and from the first rejected word on the draws fall
-  back to scalar randint, so results are identical to the scalar stream.
+  The n-1 words are one slice of the buffer, each accepted by randint's
+  test; from the first rejected word on, the draws are scalar randint.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 _TWO53 = float(1 << 53)
+_BLOCK = 1024  # words mixed per refill; faster than 256 on overlap-8d
+_GAMMA_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_U_MIX1, _U_MIX2, _U11, _U27, _U30, _U31 = (
+    np.uint64(c) for c in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31))
 
 
-def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
+def _word_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Words start..start+count-1 of the stream for `seed` (uint64 wraps)."""
+    steps = (_GAMMA_STEPS[:count] if count <= _BLOCK
+             else np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
+    z = steps + np.uint64((seed + start * _GAMMA) & _MASK)
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
+
+
+@lru_cache(maxsize=64)
+def _swap_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds i+1 for i = n-1 down to 1, and randint's largest accepted word."""
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    limits = np.uint64(_MASK) - (-bounds) % bounds
+    for shared in (bounds, limits):
+        shared.setflags(write=False)
+    return bounds, limits
 
 
 class SplitMix64:
-    """Scalar SplitMix64 stream seeded with an unsigned 64-bit integer."""
+    """SplitMix64 stream seeded with an unsigned 64-bit integer."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._seed = seed & _MASK
+        self._base = 0  # stream index of _buf[0]
+        self._pos = 0  # buffer index of the next word
+        self._buf = _GAMMA_STEPS[:0]
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next `count` words, as a view of the buffer."""
+        if self._pos + count > self._buf.size:
+            self._base += self._pos
+            self._buf = _word_block(self._seed, self._base, max(count, _BLOCK))
+            self._pos = 0
+        self._pos += count
+        return self._buf[self._pos - count:self._pos]
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return _mix(self._state)
+        pos = self._pos
+        if pos == self._buf.size:
+            return self._take(1).item()
+        self._pos = pos + 1
+        return self._buf.item(pos)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """`count` uniform doubles in [0, 1), one word each."""
+        return (self._take(count) >> _U11).astype(np.float64) / _TWO53
+
+    def normals(self, count: int) -> np.ndarray:
+        """`count` standard normals, two words each (see module doc)."""
+        words = self._take(2 * count)
+        u = ((words[0::2] >> _U11).astype(np.float64) + 1.0) / _TWO53  # (0, 1]
+        v = (words[1::2] >> _U11).astype(np.float64) / _TWO53
+        return np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v)
 
     def random(self) -> float:
         """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) / _TWO53
+        return float(self.uniforms(1)[0])
 
     def normal(self) -> float:
         """One standard normal draw (consumes two words, see module doc)."""
-        u = (self.next_u64() >> 11) + 1  # (0, 2^53], avoids log(0)
-        v = self.next_u64() >> 11
-        return float(np.sqrt(-2.0 * np.log(u / _TWO53)) * np.cos(2.0 * np.pi * (v / _TWO53)))
+        return float(self.normals(1)[0])
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased."""
@@ -78,21 +125,15 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def _swap_targets(self, n: int) -> list[int]:
-        """randint(i + 1) for i = n-1 down to 1, from one block of words.
-
-        Word k of the block is the (k+1)-th next_u64(), and it is accepted
-        by randint's test, w <= 2^64 - 1 - (2^64 mod (i+1)). From the first
-        rejected word on, the draws are scalar randint calls, so results
-        and the state left behind equal n-1 randint calls.
-        """
+        """randint(i + 1) for i = n-1 down to 1: the same values from the same words."""
         if n < 2:
             return []
-        words = _word_block(self._state, 0, n - 1)
-        bounds = np.arange(n, 1, -1, dtype=np.uint64)
-        accepted = words <= np.uint64(_MASK) - (-bounds) % bounds
+        words = self._take(n - 1)
+        bounds, limits = _swap_tables(n)
+        accepted = words <= limits
         taken = n - 1 if accepted.all() else int(accepted.argmin())
+        self._pos -= n - 1 - taken  # give back the rejected word and the rest
         targets = (words[:taken] % bounds[:taken]).tolist()
-        self._state = (self._state + taken * _GAMMA) & _MASK
         targets.extend(self.randint(i + 1) for i in range(n - 1 - taken, 0, -1))
         return targets
 
@@ -102,56 +143,15 @@ class SplitMix64:
         return idx
 
 
-def _word_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Output words number start..start+count-1 of the stream for `seed`.
-
-    Word k is mix(seed + (k+1) * gamma); identical to calling next_u64()
-    k+1 times on a fresh SplitMix64(seed).
-    """
-    with np.errstate(over="ignore"):
-        states = (
-            np.uint64(seed & _MASK)
-            + np.uint64(_GAMMA) * np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        )
-        z = states
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
-
-
-class BlockSplitMix64:
-    """Vectorized view of the same stream, for bulk draws.
-
-    Produces bit-identical sequences to the scalar class; used where a
-    whole matrix of draws is needed at once (blob generation).
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed & _MASK
-        self._pos = 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        words = _word_block(self._seed, self._pos, count)
-        self._pos += count
-        return (words >> np.uint64(11)).astype(np.float64) / _TWO53
-
-    def normals(self, count: int) -> np.ndarray:
-        words = _word_block(self._seed, self._pos, 2 * count)
-        self._pos += 2 * count
-        u = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
-        v = (words[1::2] >> np.uint64(11)).astype(np.float64) / _TWO53
-        return np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v)
-
-
 def derive_seed(master: int, *parts: int) -> int:
     """Fold integer parts into a master seed, one mix round per part.
 
-    derive_seed(m, a, b) = mix(mix(m ^ mix(a + gamma)) ^ mix(b + 2*gamma)),
-    i.e. each part is scrambled at its position in the argument list and
-    xor-folded into the running state, which is re-mixed. Documented so a
-    reported cell seed can be reproduced by hand.
+    derive_seed(m, a, b) = mix(mix(m ^ mix(a + gamma)) ^ mix(b + 2*gamma))
+    (documented so a cell seed can be reproduced by hand): each part is
+    scrambled at its position and xor-folded into the running state, which
+    is re-mixed. mix(x + k*gamma) is word k-1 of the stream for x.
     """
     state = master & _MASK
-    for i, part in enumerate(parts, start=1):
-        state = _mix(state ^ _mix((part + i * _GAMMA) & _MASK))
+    for i, part in enumerate(parts):
+        state = _word_block(state ^ _word_block(part, i, 1).item(), -1, 1).item()
     return state

@@ -80,9 +80,9 @@ def iris_hard(iris_path):
 @pytest.fixture()
 def two_blobs():
     """Well separated pair: class means (-5, 0) and (5, 0), std 1."""
-    from movingpoints.rng import BlockSplitMix64
+    from movingpoints.rng import SplitMix64
 
-    stream = BlockSplitMix64(7)
+    stream = SplitMix64(7)
     z = stream.normals(200).reshape(100, 2)
     X = np.vstack([z[:50] + [-5.0, 0.0], z[50:] + [5.0, 0.0]])
     y = np.repeat([0, 1], 50)

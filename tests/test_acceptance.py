@@ -27,7 +27,7 @@ from movingpoints.geometry import (
     signed_displacement,
 )
 from movingpoints.mpa import MpaConfig, MpaModel, overfit_guard, train, training_accuracy
-from movingpoints.rng import BlockSplitMix64
+from movingpoints.rng import SplitMix64
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -119,7 +119,7 @@ def test_c3_iris_pair_protocol(iris_hard):
 
 @pytest.mark.acceptance("C4", "hyperplanes pass through their defining points")
 def test_c4_hyperplane_correctness():
-    stream = BlockSplitMix64(400)
+    stream = SplitMix64(400)
     built = 0
     per_dim = 200
     for n in (2, 3, 4, 5, 6):
@@ -149,7 +149,7 @@ def test_c4_hyperplane_correctness():
 
 @pytest.mark.acceptance("C5", "region signs partition sampled space")
 def test_c5_trichotomy():
-    stream = BlockSplitMix64(500)
+    stream = SplitMix64(500)
     for _ in range(100):
         dim = 2 + int(stream.uniforms(1)[0] * 4)
         h = Hyperplane(stream.normals(dim), float(stream.normals(1)[0]))
@@ -165,7 +165,7 @@ def test_c5_trichotomy():
 
 @pytest.mark.acceptance("C6", "guard removes approach components, passes receding moves untouched")
 def test_c6_overfit_guard():
-    stream = BlockSplitMix64(600)
+    stream = SplitMix64(600)
     activations = 0
     while activations < 1000:
         pts = stream.normals(9).reshape(3, 3)
@@ -263,7 +263,7 @@ def test_c8_determinism(iris_path, tmp_path):
 
 @pytest.mark.acceptance("C9", "displacement matches the projection oracle")
 def test_c9_oracle_equivalence():
-    stream = BlockSplitMix64(900)
+    stream = SplitMix64(900)
     checked = 0
     while checked < 10000:
         dim = 2 + int(stream.uniforms(1)[0] * 5)

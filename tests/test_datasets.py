@@ -22,7 +22,7 @@ from movingpoints.datasets import (
     standardize_fit,
     train_test_split,
 )
-from movingpoints.rng import BlockSplitMix64
+from movingpoints.rng import SplitMix64
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -151,7 +151,7 @@ class TestMakeBlobs:
     def test_centers_match_stream_discipline(self):
         # first 2*dim uniforms are the two centers, in row order
         hw = 20.0
-        stream = BlockSplitMix64(9)
+        stream = SplitMix64(9)
         centers = -hw + 2 * hw * stream.uniforms(4).reshape(2, 2)
         big = make_blobs(seed=9, std=1.0, n_per_class=10000)
         for label in (0, 1):
@@ -184,7 +184,7 @@ class TestStandardize:
         assert np.all(out.features[:, 0] == 0.0)
 
     def test_matches_numpy_population_moments(self):
-        stream = BlockSplitMix64(2)
+        stream = SplitMix64(2)
         X = stream.normals(120).reshape(40, 3) * [1.0, 7.0, 0.2] + [3.0, -1.0, 9.0]
         ds = Dataset(X, np.tile([0, 1], 20))
         params = standardize_fit(ds)
@@ -224,7 +224,7 @@ class TestPca:
         np.testing.assert_allclose(back, X, atol=1e-8)
 
     def test_full_k_preserves_total_variance(self):
-        stream = BlockSplitMix64(13)
+        stream = SplitMix64(13)
         X = stream.normals(200).reshape(50, 4) * [1.0, 2.0, 0.5, 3.0]
         ds = Dataset(X, np.tile([0, 1], 25))
         proj = pca_apply(pca_fit(ds, 4), ds)
@@ -233,7 +233,7 @@ class TestPca:
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_top3_projection_variance_equals_eigenvalues(self):
-        stream = BlockSplitMix64(14)
+        stream = SplitMix64(14)
         X = stream.normals(300).reshape(60, 5) * [1.0, 4.0, 2.0, 0.3, 1.5]
         ds = Dataset(X, np.tile([0, 1], 30))
         params = pca_fit(ds, 3)
@@ -242,7 +242,7 @@ class TestPca:
         assert got == pytest.approx(np.sum(params.eigenvalues[:3]), abs=1e-8)
 
     def test_eigenvalues_match_numpy(self):
-        stream = BlockSplitMix64(15)
+        stream = SplitMix64(15)
         X = stream.normals(250).reshape(50, 5) * [1.0, 4.0, 2.0, 0.3, 1.5]
         ds = Dataset(X, np.tile([0, 1], 25))
         params = pca_fit(ds, 5)
@@ -251,7 +251,7 @@ class TestPca:
                                    atol=1e-8)
 
     def test_components_orthonormal(self):
-        stream = BlockSplitMix64(16)
+        stream = SplitMix64(16)
         X = stream.normals(240).reshape(40, 6)
         ds = Dataset(X, np.tile([0, 1], 20))
         params = pca_fit(ds, 4)
@@ -259,7 +259,7 @@ class TestPca:
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
 
     def test_subspace_matches_numpy(self):
-        stream = BlockSplitMix64(17)
+        stream = SplitMix64(17)
         X = stream.normals(200).reshape(40, 5) * [5.0, 3.0, 1.0, 0.5, 0.1]
         ds = Dataset(X, np.tile([0, 1], 20))
         params = pca_fit(ds, 2)
@@ -271,7 +271,7 @@ class TestPca:
         np.testing.assert_allclose(p_got, p_ref, atol=1e-8)
 
     def test_sign_convention(self):
-        stream = BlockSplitMix64(18)
+        stream = SplitMix64(18)
         X = stream.normals(120).reshape(30, 4)
         ds = Dataset(X, np.tile([0, 1], 15))
         params = pca_fit(ds, 4)
@@ -279,7 +279,7 @@ class TestPca:
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_feature_names_renamed(self):
-        stream = BlockSplitMix64(19)
+        stream = SplitMix64(19)
         ds = Dataset(stream.normals(30).reshape(10, 3),
                      np.tile([0, 1], 5), feature_names=["a", "b", "c"])
         proj = pca_apply(pca_fit(ds, 2), ds)

@@ -24,7 +24,7 @@ from movingpoints.geometry import (
     sides,
     signed_displacement,
 )
-from movingpoints.rng import BlockSplitMix64
+from movingpoints.rng import SplitMix64
 
 
 def projection_distance(h: Hyperplane, x) -> float:
@@ -79,7 +79,7 @@ class TestDeterminant:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_against_numpy(self, n):
-        stream = BlockSplitMix64(100 + n)
+        stream = SplitMix64(100 + n)
         for _ in range(40):
             a = stream.normals(n * n).reshape(n, n)
             want = np.linalg.det(a)
@@ -113,7 +113,7 @@ class TestHyperplaneFromPoints:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_defining_points_lie_on_plane(self, n):
-        stream = BlockSplitMix64(500 + n)
+        stream = SplitMix64(500 + n)
         for _ in range(60):
             pts = 10.0 * stream.normals(n * n).reshape(n, n)
             try:
@@ -125,7 +125,7 @@ class TestHyperplaneFromPoints:
                 assert abs(signed_displacement(h, p)) <= 1e-9 * scale
 
     def test_scalar_agreement_random_2d(self):
-        stream = BlockSplitMix64(77)
+        stream = SplitMix64(77)
         for _ in range(200):
             e, f = stream.normals(4).reshape(2, 2)
             ha = hyperplane_from_points([e, f])
@@ -241,7 +241,7 @@ class TestSignedDisplacement:
         assert abs(signed_displacement(h, (1, 5))) <= 1e-12
 
     def test_matches_projection_oracle(self):
-        stream = BlockSplitMix64(31)
+        stream = SplitMix64(31)
         for _ in range(300):
             w = stream.normals(3)
             b = float(stream.normals(1)[0])
@@ -277,7 +277,7 @@ class TestRegionSign:
         assert region_sign(h, (5e5 + 2e-6, 5e5)) == 1
 
     def test_partitions_samples(self):
-        stream = BlockSplitMix64(55)
+        stream = SplitMix64(55)
         w = stream.normals(4)
         h = Hyperplane(w, 0.3)
         signs = [region_sign(h, stream.normals(4)) for _ in range(1000)]

@@ -40,7 +40,7 @@ from movingpoints.mpa import (
     train,
     training_accuracy,
 )
-from movingpoints.rng import BlockSplitMix64, SplitMix64
+from movingpoints.rng import SplitMix64
 
 
 def vertical_model(x0=0.0, pseudo=None, alpha=0.5):
@@ -194,7 +194,7 @@ class TestOverfitGuard:
             assert float(t @ r) <= 1e-12
 
     def test_random_activations_orthogonal(self):
-        stream = BlockSplitMix64(71)
+        stream = SplitMix64(71)
         for _ in range(200):
             pts = stream.normals(9).reshape(3, 3)
             try:
@@ -604,7 +604,7 @@ def walk_boundary(n, scale, seed, steps):
     1e-12 * (max|P| ||w|| + |b|). Returns the largest
     ||tracked - fresh|| / ||fresh|| over the accepted moves.
     """
-    stream = BlockSplitMix64(seed)
+    stream = SplitMix64(seed)
     P = scale * (stream.normals(n * n).reshape(n, n) + 3.0 * stream.normals(n))
     try:
         boundary = mpa._Boundary(P)
@@ -678,7 +678,7 @@ class TestBoundaryTracksFreshPlane:
         assert worst <= self.BOUND
 
     def test_rebuild_every_64_updates(self, monkeypatch):
-        stream = BlockSplitMix64(5)
+        stream = SplitMix64(5)
         P = stream.normals(16).reshape(4, 4)
         boundary = mpa._Boundary(P)
         builds = []
@@ -777,7 +777,7 @@ class TestPredict:
         assert predict(flipped, (2, 0)) == 0
 
     def test_predict_many_agrees_with_scalar(self):
-        stream = BlockSplitMix64(90)
+        stream = SplitMix64(90)
         m = vertical_model(0.5)
         X = stream.normals(60).reshape(30, 2) * 3.0
         got = predict_many(m, X)

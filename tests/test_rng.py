@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingpoints.rng import BlockSplitMix64, SplitMix64, derive_seed
+from movingpoints.rng import _BLOCK, SplitMix64, derive_seed
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -149,7 +149,7 @@ def test_shuffle_matches_permutation():
 
 
 def test_block_uniforms_match_scalar():
-    block = BlockSplitMix64(21)
+    block = SplitMix64(21)
     a = block.uniforms(977)
     b = block.uniforms(23)
     r = SplitMix64(21)
@@ -158,12 +158,112 @@ def test_block_uniforms_match_scalar():
 
 
 def test_block_normals_match_scalar():
-    block = BlockSplitMix64(34)
+    block = SplitMix64(34)
     a = block.normals(501)
     b = block.normals(499)
     r = SplitMix64(34)
     scalar = np.array([r.normal() for _ in range(1000)])
     assert np.array_equal(np.concatenate([a, b]), scalar)
+
+
+class UnbufferedSplitMix64:
+    """Frozen oracle: the scalar stream as it was before the word buffer.
+
+    One state word, advanced by gamma per draw; bulk uniforms and normals
+    apply the former vectorized formulas to the scalar words.
+    """
+
+    def __init__(self, seed):
+        self.state = seed & MASK
+
+    def next_u64(self):
+        self.state = (self.state + GAMMA) & MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        return z ^ (z >> 31)
+
+    def random(self):
+        return (self.next_u64() >> 11) / float(1 << 53)
+
+    def normal(self):
+        u = (self.next_u64() >> 11) + 1
+        v = self.next_u64() >> 11
+        two53 = float(1 << 53)
+        return float(np.sqrt(-2.0 * np.log(u / two53)) * np.cos(2.0 * np.pi * (v / two53)))
+
+    def randint(self, n):
+        if n <= 0:
+            raise ValueError("randint bound must be positive")
+        bound = MASK + 1 - ((MASK + 1) % n)
+        while True:
+            w = self.next_u64()
+            if w < bound:
+                return w % n
+
+    def permutation(self, n):
+        return scalar_fisher_yates(self, n)
+
+    def _words(self, count):
+        return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
+
+    def uniforms(self, count):
+        return (self._words(count) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+    def normals(self, count):
+        words = self._words(2 * count)
+        u = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
+        v = (words[1::2] >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        return np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v)
+
+
+def same_draw(a, b):
+    if isinstance(a, np.ndarray):
+        return a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+# Calls that draw up to a little more than one buffer at once, so that a
+# few of them in a row straddle one or more refills; randint bounds reach
+# 2^64 - 1, where rejections are common.
+DRAWS = st.one_of(
+    st.tuples(st.sampled_from(["next_u64", "random", "normal"])),
+    st.tuples(st.just("randint"), st.one_of(st.integers(1, 100), st.integers(1, MASK))),
+    st.tuples(st.just("permutation"), st.integers(0, _BLOCK + 40)),
+    st.tuples(st.just("uniforms"), st.integers(0, _BLOCK + 40)),
+    st.tuples(st.just("normals"), st.integers(0, _BLOCK // 2 + 20)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, MASK), draws=st.lists(DRAWS, max_size=12))
+def test_buffer_matches_unbuffered_oracle(seed, draws):
+    r = SplitMix64(seed)
+    ref = UnbufferedSplitMix64(seed)
+    for name, *args in draws:
+        assert same_draw(getattr(r, name)(*args), getattr(ref, name)(*args)), (name, args)
+    assert r.next_u64() == ref.next_u64()
+
+
+@settings(max_examples=120, deadline=None)
+@given(at=st.sampled_from([_BLOCK - 1, _BLOCK]), lead=st.integers(_BLOCK - 14, _BLOCK),
+       bulk_lead=st.booleans(), n=st.integers(2, 14), tail=st.integers(2, 9))
+def test_rejected_word_at_block_boundary(at, lead, bulk_lead, n, tail):
+    # Word `at` of this stream is 2^64 - 1: the last word of the first
+    # buffer, or the first of the second. It is rejected by every bound
+    # that does not divide 2^64; permutation(n) after `lead` words and
+    # randint(tail) may draw it on either side of a refill.
+    seed = (unmix(MASK) - (at + 1) * GAMMA) & MASK
+    assert reference_words(seed, at + 1)[at] == MASK
+    r = SplitMix64(seed)
+    ref = UnbufferedSplitMix64(seed)
+    if bulk_lead:
+        assert same_draw(r.uniforms(lead), ref.uniforms(lead))
+    else:
+        assert [r.next_u64() for _ in range(lead)] == [ref.next_u64() for _ in range(lead)]
+    assert r.permutation(n) == ref.permutation(n)
+    assert r.randint(tail) == ref.randint(tail)
+    assert r.next_u64() == ref.next_u64()
 
 
 def test_derive_seed_deterministic_and_distinct():
