@@ -292,3 +292,93 @@ class TestBadConfigIsExit2:
         assert f"mpa {command}: checking inputs:" in err
         assert message in err
         assert not (tmp_path / "out").exists()
+
+
+class TestEveryErrorEndsAtItsStage:
+    """Each error path: its exit code and the `mpa <command>: <stage>:` line."""
+
+    @pytest.fixture()
+    def paths(self, iris_path, tmp_path):
+        model = tmp_path / "m.json"
+        assert fit_iris(iris_path, model) == 0
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["feature_names"] = None
+        nonames = tmp_path / "nonames.json"
+        nonames.write_text(json.dumps(doc), encoding="utf-8")
+        same = tmp_path / "same.csv"  # both classes have the mean (0.5, 0.5)
+        same.write_text("a,b,y\n0,0,p\n1,1,p\n0,0,n\n1,1,n\n", encoding="utf-8")
+        (tmp_path / "dir").mkdir()
+        return {"iris": iris_path, "model": model, "nonames": nonames, "same": same,
+                "dir": tmp_path / "dir", "out": tmp_path / "out",
+                "missing": tmp_path / "absent.csv"}
+
+    VIRGINICA = ["--label-col", "Species", "--positive-label", "Iris-virginica",
+                 "--negative-label", "Iris-versicolor"]
+    FIT = ["fit", "--input", "{iris}"] + FIT_ARGS
+    PREDICT = ["predict", "--model", "{model}"]
+    SYNTHETIC = ["bench", "synthetic", "--seeds", "1", "--stds", "1",
+                 "--n-per-class", "20"]
+    DATASET = ["bench", "dataset", "--input", "{iris}", "--reps", "1",
+               "--eta", "0.0005"]
+    PLOT = ["plot", "--model", "{model}", "--input", "{iris}"]
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        pytest.param(FIT + ["--output", "{out}"], 2, "mpa fit: checking inputs:",
+                     id="fit-no-label-flags"),
+        pytest.param(FIT + ["--output", "{out}", "--label-col", "NoSuchColumn",
+                            "--positive-label", "x"], 2, "mpa fit: loading data:",
+                     id="fit-unknown-label-column"),
+        pytest.param(["fit", "--input", "{same}", "--output", "{out}", "--label-col", "y",
+                      "--positive-label", "p"], 3, "mpa fit: training:",
+                     id="fit-coincident-means"),
+        pytest.param(FIT + IRIS_ARGS + ["--output", "{dir}"], 2,
+                     "mpa fit: writing output:", id="fit-output-is-directory"),
+        pytest.param(FIT + IRIS_ARGS + ["--output", "{out}"], 3,
+                     "mpa fit: unexpected error:", id="fit-train-raises"),
+        pytest.param(FIT + IRIS_ARGS[:-1] + [",", "--output", "{out}"], 2,
+                     "mpa fit: loading data:", id="fit-features-comma"),
+        pytest.param(PREDICT + ["--input", "{missing}", "--output", "{out}"], 2,
+                     "mpa predict: checking inputs:", id="predict-missing-input"),
+        pytest.param(["predict", "--model", "{nonames}", "--input", "{iris}",
+                      "--output", "{out}"], 2, "mpa predict: checking inputs:",
+                     id="predict-model-without-feature-names"),
+        pytest.param(PREDICT + ["--input", "{iris}", "--output", "{out}",
+                                "--features", "SepalLengthCm"], 2,
+                     "mpa predict: checking inputs:", id="predict-wrong-feature-count"),
+        pytest.param(PREDICT + ["--input", "{iris}", "--output", "{out}",
+                                "--features", "SepalLengthCm,NoSuchColumn"], 2,
+                     "mpa predict: loading data:", id="predict-missing-feature-column"),
+        pytest.param(PREDICT + ["--input", "{iris}", "--output", "{dir}"], 2,
+                     "mpa predict: writing output:", id="predict-output-is-directory"),
+        pytest.param(PREDICT + ["--input", "{iris}", "--output", "{out}",
+                                "--features", ","], 2,
+                     "mpa predict: unhandled data error:", id="predict-features-comma"),
+        pytest.param(SYNTHETIC + ["--output", "{dir}"], 2,
+                     "mpa bench synthetic: writing report:",
+                     id="synthetic-output-is-directory"),
+        pytest.param(DATASET + VIRGINICA + ["--output", "{dir}"], 2,
+                     "mpa bench dataset: writing report:",
+                     id="dataset-output-is-directory"),
+        pytest.param(DATASET + ["--output", "{out}"], 2,
+                     "mpa bench dataset: checking inputs:", id="dataset-no-label-flags"),
+        pytest.param(DATASET + VIRGINICA + ["--features", ",", "--output", "{out}"], 2,
+                     "mpa bench dataset: loading data:", id="dataset-features-comma"),
+        pytest.param(PLOT + IRIS_ARGS[:-1] + [
+            "SepalLengthCm,SepalWidthCm,PetalLengthCm", "--output", "{out}"], 2,
+            "mpa plot: checking inputs:", id="plot-three-features"),
+        pytest.param(PLOT + IRIS_ARGS + ["--output", "{dir}"], 2,
+                     "mpa plot: writing output:", id="plot-output-is-directory"),
+        pytest.param(PLOT + IRIS_ARGS[:-1] + [",", "--output", "{out}"], 2,
+                     "mpa plot: loading data:", id="plot-features-comma"),
+    ])
+    def test_exit_code_and_stage(self, paths, capsys, monkeypatch, request,
+                                 argv, code, prefix):
+        if request.node.callspec.id == "fit-train-raises":
+            def boom(*_args, **_kwargs):
+                raise RuntimeError("boom")
+            monkeypatch.setattr(mpa, "train", boom)
+        capsys.readouterr()  # drop the fixture's own output
+        assert main([a.format(**paths) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix), err
+        assert err.count("\n") == 1
