@@ -10,7 +10,8 @@ its interquartile range (IQR) and its number of rounds: perfbench runs for
 the end-to-end metrics, timing rounds for the layer cases. The record also
 holds the Python and numpy versions, the OpenBLAS core in use, nproc,
 the git sha and whether the measured code (src/, benchmarks/, perfbench/)
-differs from it.
+differs from it, and ``src_lines``, the line count of src/movingpoints/*.py
+(as ``wc -l`` counts it); that count is not a timed case.
 
 The newest earlier BENCH_*.json is the baseline: every case whose median
 is more than 10% slower than there is listed under "slower" in the file
@@ -119,6 +120,12 @@ def environment() -> dict:
                                               "benchmarks", "perfbench"))}
 
 
+def src_lines() -> int:
+    """Newlines in src/movingpoints/*.py, the total `wc -l` prints."""
+    files = (ROOT / "src" / "movingpoints").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in files)
+
+
 def previous(pr: int) -> Path | None:
     """The BENCH_<k>.json with the largest k below pr."""
     found = []
@@ -152,7 +159,7 @@ def main(argv=None) -> int:
 
     cases, checks = perfbench_cases(args.runs, args.seconds)
     cases.update(layer_cases())
-    record = {"pr": args.pr, "environment": environment(),
+    record = {"pr": args.pr, "environment": environment(), "src_lines": src_lines(),
               "perfbench_runs": {"runs": args.runs, "seconds": args.seconds,
                                  "checks": checks},
               "cases": cases}

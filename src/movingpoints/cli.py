@@ -1,9 +1,12 @@
 """Command line interface.
 
 Subcommands: fit, predict, bench synthetic, bench dataset, plot. Exit
-codes: 0 success, 2 input/data error, 3 runtime/training error; error
-messages name the failing stage. All output files are byte-identical
-across runs with the same flags and inputs.
+codes: 0 success, 2 input/data error, 3 runtime/training error. All output
+files are byte-identical across runs with the same flags and inputs.
+
+A failing command raises ``_Failure(code, stage, detail)``, mostly from a
+``with _stage(stage, errors):`` block; ``main`` alone catches it and prints
+``mpa <command>: <stage>: <detail>`` to stderr.
 
 An optional ``--config FILE`` supplies key=value defaults (one per line,
 ``#`` comments); explicit flags always win over the file. A config file or
@@ -14,6 +17,7 @@ inputs".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -72,17 +76,21 @@ _TRAIN_ERRORS = (
 )
 
 
-def _fail(code: int, command: str, stage: str, exc) -> int:
-    print(f"mpa {command}: {stage}: {exc}", file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """Ends a command with exit `code`; main prints `stage` and `detail`."""
+
+    def __init__(self, code: int, stage: str, detail):
+        super().__init__(code, stage, detail)
+        self.code, self.stage, self.detail = code, stage, detail
 
 
-class _Stop(Exception):
-    """Ends a command from a helper; the message is already on stderr."""
-
-    def __init__(self, code: int):
-        super().__init__(code)
-        self.code = code
+@contextlib.contextmanager
+def _stage(stage: str, errors, code: int = 2):
+    """Turns any of `errors` raised in the block into a _Failure at `stage`."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failure(code, stage, exc) from None
 
 
 def _read_config_file(path) -> dict:
@@ -116,15 +124,12 @@ class _Options:
     with exit 2 at "checking inputs".
     """
 
-    def __init__(self, args, command: str):
+    def __init__(self, args):
         self.args = args
-        self.command = command
-        try:
+        with _stage("checking inputs", (OSError, ValueError)):
             self.filecfg = _read_config_file(args.config) if args.config else {}
             # only the commands that train define the training flags
             self.mpa = _mpa_config(self) if hasattr(args, "eta") else None
-        except (OSError, ValueError) as exc:
-            raise _Stop(_fail(2, command, "checking inputs", exc)) from None
 
     def get(self, name, default, cast):
         flag = getattr(self.args, name, None)
@@ -135,8 +140,7 @@ class _Options:
         try:
             return cast(self.filecfg[name])
         except ValueError as exc:
-            raise _Stop(_fail(2, self.command, "checking inputs",
-                              f"config {name}: {exc}")) from None
+            raise _Failure(2, "checking inputs", f"config {name}: {exc}") from None
 
 
 def _mpa_config(opt: _Options) -> MpaConfig:
@@ -161,14 +165,14 @@ def _feature_list(opt: _Options):
         return None
     cols = [c.strip() for c in str(raw).split(",") if c.strip()]
     if not cols:
-        raise MissingColumnError("--features given but names no columns")
+        raise _Failure(2, "checking inputs", "--features given but names no columns")
     return cols
 
 
-def _require_files(command: str, *paths) -> None:
+def _require_files(*paths) -> None:
     for path in paths:
         if not os.path.isfile(path):
-            raise _Stop(_fail(2, command, "checking inputs", f"no such file: {path}"))
+            raise _Failure(2, "checking inputs", f"no such file: {path}")
 
 
 def _load_labeled(opt: _Options, columns=None) -> Dataset:
@@ -178,40 +182,46 @@ def _load_labeled(opt: _Options, columns=None) -> Dataset:
     names any (None: every column but the label). A missing file, missing
     label flags or data that does not load stop the command with exit 2.
     """
-    _require_files(opt.command, opt.args.input)
+    _require_files(opt.args.input)
     label_col = opt.get("label_col", None, str)
     positive = opt.get("positive_label", None, str)
     if label_col is None or positive is None:
-        raise _Stop(_fail(2, opt.command, "checking inputs",
-                          "--label-col and --positive-label are required"))
-    try:
+        raise _Failure(2, "checking inputs", "--label-col and --positive-label are required")
+    with _stage("loading data", _DATA_ERRORS):
         ds = load_csv(opt.args.input, label_column=label_col, positive_label=positive,
                       feature_columns=_feature_list(opt) or columns,
                       negative_label=opt.get("negative_label", None, str))
-    except _DATA_ERRORS as exc:
-        raise _Stop(_fail(2, opt.command, "loading data", exc)) from None
     if ds.dropped_rows:
         print(f"dropped rows with missing values: {ds.dropped_rows}")
     return ds
 
 
+def _load_model(args) -> mpa.MpaModel:
+    """The --model file, once it and the --input file exist."""
+    _require_files(args.model, args.input)
+    with _stage("loading model", _DATA_ERRORS + (ValueError, KeyError)):
+        return mpa.load_model(args.model)
+
+
+def _write_output(path, text: str) -> None:
+    with _stage("writing output", OSError), \
+            open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 # ---------------------------------------------------------------- fit
 
 def cmd_fit(args) -> int:
-    opt = _Options(args, "fit")
+    opt = _Options(args)
     ds = _load_labeled(opt)
-    try:
+    with _stage("training", ValueError, code=3):  # each _TRAIN_ERRORS is one
         model, log = mpa.train(ds, opt.mpa)
-    except ValueError as exc:  # every _TRAIN_ERRORS member is a ValueError
-        return _fail(3, "fit", "training", exc)
 
     acc = mpa.training_accuracy(model, ds)
-    try:
+    log_path = args.log_output or (args.output + ".log")
+    with _stage("writing output", OSError):
         mpa.save_model(model, args.output)
-        log_path = args.log_output or (args.output + ".log")
-        _write_training_log(log, log_path)
-    except OSError as exc:
-        return _fail(2, "fit", "writing output", exc)
+    _write_output(log_path, _training_log(log))
     print(f"train accuracy: {acc}")
     print(f"epochs run: {log.epochs_run}  moves: {log.moves}")
     print(f"model: {args.output}")
@@ -219,33 +229,24 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _write_training_log(log, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# epochs_run: {log.epochs_run}\n")
-        fh.write(f"# stopped_early: {str(log.stopped_early).lower()}\n")
-        fh.write(f"# moves: {log.moves}\n")
-        fh.write("epoch,misclassified\n")
-        for i, count in enumerate(log.misclassified, 1):
-            fh.write(f"{i},{count}\n")
+def _training_log(log) -> str:
+    rows = "".join(f"{i},{count}\n" for i, count in enumerate(log.misclassified, 1))
+    return (f"# epochs_run: {log.epochs_run}\n"
+            f"# stopped_early: {str(log.stopped_early).lower()}\n"
+            f"# moves: {log.moves}\nepoch,misclassified\n{rows}")
 
 
 # ---------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
-    opt = _Options(args, "predict")
-    _require_files("predict", args.model, args.input)
-    try:
-        model = mpa.load_model(args.model)
-    except (_DATA_ERRORS + (ValueError, KeyError)) as exc:
-        return _fail(2, "predict", "loading model", exc)
-
+    opt = _Options(args)
+    model = _load_model(args)
     columns = _feature_list(opt) or model.feature_names
     if columns is None:
-        return _fail(2, "predict", "checking inputs",
-                     "model stores no feature names; pass --features")
+        raise _Failure(2, "checking inputs", "model stores no feature names; pass --features")
     if len(columns) != model.dim:
-        return _fail(2, "predict", "checking inputs",
-                     f"model expects {model.dim} features, got {len(columns)}")
+        raise _Failure(2, "checking inputs",
+                       f"model expects {model.dim} features, got {len(columns)}")
     # with label flags the scored rows and the written rows are the same
     # filtered set; without them every input row gets a prediction
     labels = None
@@ -254,26 +255,13 @@ def cmd_predict(args) -> int:
         ds = _load_labeled(opt, columns)
         X, labels = ds.features, ds.labels
     else:
-        try:
+        with _stage("loading data", _DATA_ERRORS):
             X, _, _, dropped = _read_csv(args.input, columns)
-        except _DATA_ERRORS as exc:
-            return _fail(2, "predict", "loading data", exc)
         if dropped:
             print(f"dropped rows with missing values: {dropped}")
 
-    try:
-        preds = mpa.predict_many(model, X)
-    except DimensionMismatchError as exc:
-        return _fail(3, "predict", "predicting", exc)
-
-    try:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("prediction\n")
-            for p in preds:
-                fh.write(f"{int(p)}\n")
-    except OSError as exc:
-        return _fail(2, "predict", "writing output", exc)
-
+    preds = mpa.predict_many(model, X)
+    _write_output(args.output, "prediction\n" + "".join(f"{int(p)}\n" for p in preds))
     if labels is not None:
         print(f"accuracy: {bench.accuracy(preds, labels)}")
     print(f"predictions: {args.output}")
@@ -282,56 +270,48 @@ def cmd_predict(args) -> int:
 
 # ---------------------------------------------------------------- bench
 
-def cmd_bench_synthetic(args) -> int:
-    opt = _Options(args, "bench synthetic")
-    try:
-        report = bench.run_synthetic_suite(
-            n_seeds=opt.get("seeds", 50, int),
-            n_stds=opt.get("stds", 10, int),
-            master_seed=opt.get("seed", 0, int),
-            mpa_cfg=opt.mpa,
-            n_per_class=opt.get("n_per_class", 50, int),
-            dim=opt.get("dim", 2, int),
-            test_fraction=opt.get("test_fraction", 0.2, float),
-        )
-    except InvalidParamsError as exc:  # the suite checks its parameters first
-        return _fail(2, "bench synthetic", "checking inputs", exc)
-    except (_DATA_ERRORS + _TRAIN_ERRORS) as exc:
-        return _fail(3, "bench synthetic", "running suite", exc)
-    try:
-        bench.write_report(report, args.output)
-    except OSError as exc:
-        return _fail(2, "bench synthetic", "writing report", exc)
+def _run_bench(output, stage: str, run, *data, **params) -> int:
+    """run(*data, **params), then its report written to output and its table printed.
+
+    run checks its parameters before any run (exit 2 at "checking inputs");
+    a data or training error during the runs exits 3 at stage.
+    """
+    with _stage(stage, _DATA_ERRORS + _TRAIN_ERRORS, code=3), \
+            _stage("checking inputs", InvalidParamsError):
+        report = run(*data, **params)
+    with _stage("writing report", OSError):
+        bench.write_report(report, output)
     sys.stdout.write(bench.render_table(report))
-    print(f"report: {args.output}")
+    print(f"report: {output}")
     return 0
+
+
+def cmd_bench_synthetic(args) -> int:
+    opt = _Options(args)
+    return _run_bench(
+        args.output, "running suite", bench.run_synthetic_suite,
+        n_seeds=opt.get("seeds", 50, int),
+        n_stds=opt.get("stds", 10, int),
+        master_seed=opt.get("seed", 0, int),
+        mpa_cfg=opt.mpa,
+        n_per_class=opt.get("n_per_class", 50, int),
+        dim=opt.get("dim", 2, int),
+        test_fraction=opt.get("test_fraction", 0.2, float),
+    )
 
 
 def cmd_bench_dataset(args) -> int:
-    opt = _Options(args, "bench dataset")
-    ds = _load_labeled(opt)
-    try:
-        report = bench.run_dataset_protocol(
-            ds,
-            repetitions=opt.get("reps", 5, int),
-            mpa_cfg=opt.mpa,
-            master_seed=opt.get("seed", 0, int),
-            test_fraction=opt.get("test_fraction", 0.2, float),
-            pca_k=opt.get("pca_k", 3, int),
-            svm_reg=opt.get("svm_reg", 0.01, float),
-            svm_epochs=opt.get("svm_epochs", 30, int),
-        )
-    except InvalidParamsError as exc:  # the protocol checks its parameters first
-        return _fail(2, "bench dataset", "checking inputs", exc)
-    except (_DATA_ERRORS + _TRAIN_ERRORS) as exc:
-        return _fail(3, "bench dataset", "running protocol", exc)
-    try:
-        bench.write_report(report, args.output)
-    except OSError as exc:
-        return _fail(2, "bench dataset", "writing report", exc)
-    sys.stdout.write(bench.render_table(report))
-    print(f"report: {args.output}")
-    return 0
+    opt = _Options(args)
+    return _run_bench(
+        args.output, "running protocol", bench.run_dataset_protocol, _load_labeled(opt),
+        repetitions=opt.get("reps", 5, int),
+        mpa_cfg=opt.mpa,
+        master_seed=opt.get("seed", 0, int),
+        test_fraction=opt.get("test_fraction", 0.2, float),
+        pca_k=opt.get("pca_k", 3, int),
+        svm_reg=opt.get("svm_reg", 0.01, float),
+        svm_epochs=opt.get("svm_epochs", 30, int),
+    )
 
 
 # ---------------------------------------------------------------- plot
@@ -477,31 +457,18 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
 
 
 def cmd_plot(args) -> int:
-    opt = _Options(args, "plot")
-    _require_files("plot", args.model, args.input)
-    try:
-        model = mpa.load_model(args.model)
-    except (_DATA_ERRORS + (ValueError, KeyError)) as exc:
-        return _fail(2, "plot", "loading model", exc)
+    opt = _Options(args)
+    model = _load_model(args)
     if model.dim != 2:
-        return _fail(2, "plot", "checking inputs",
-                     RefuseNon2DError(f"model dimension is {model.dim}; plots are 2-D only"))
+        raise _Failure(2, "checking inputs",
+                       f"model dimension is {model.dim}; plots are 2-D only")
     ds = _load_labeled(opt, model.feature_names)
     if ds.n != 2:
-        return _fail(2, "plot", "checking inputs",
-                     RefuseNon2DError(f"data has {ds.n} features; plots are 2-D only"))
-    try:
-        svg = render_scatter_svg(ds.features, ds.labels, model.hyperplane,
-                                 model.moving_points,
-                                 feature_names=ds.feature_names,
-                                 width=opt.get("width", 640, int),
-                                 height=opt.get("height", 480, int))
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-    except RefuseNon2DError as exc:
-        return _fail(2, "plot", "rendering", exc)
-    except OSError as exc:
-        return _fail(2, "plot", "writing output", exc)
+        raise _Failure(2, "checking inputs", f"data has {ds.n} features; plots are 2-D only")
+    _write_output(args.output, render_scatter_svg(
+        ds.features, ds.labels, model.hyperplane, model.moving_points,
+        feature_names=ds.feature_names, width=opt.get("width", 640, int),
+        height=opt.get("height", 480, int)))
     print(f"plot: {args.output}")
     return 0
 
@@ -615,14 +582,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "protocol", None))))
     try:
         return args.func(args)
-    except _Stop as stop:
-        return stop.code
+    except _Failure as failure:
+        code, stage, detail = failure.code, failure.stage, failure.detail
     except _DATA_ERRORS as exc:
-        return _fail(2, args.command, "unhandled data error", exc)
+        code, stage, detail = 2, "unhandled data error", exc
     except Exception as exc:  # anything else is a runtime failure
-        return _fail(3, args.command, "unexpected error", exc)
+        code, stage, detail = 3, "unexpected error", exc
+    print(f"mpa {command}: {stage}: {detail}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -262,12 +262,22 @@ def sides(h: Hyperplane, X: np.ndarray) -> np.ndarray:
 
     0 is returned only when |weights . x + bias| is within the on-plane
     tolerance EPS_ON_PLANE * max(1, max|weights| * max|x|, |bias|), scaled
-    to the magnitudes involved.
+    to the magnitudes involved. weights . x + bias is summed column by
+    column in a fixed order, not by BLAS, so a row's side does not depend
+    on the other rows of X.
     """
-    raw = X @ h.weights + h.bias
+    w = h.weights
+    if X.shape[1] != w.size:
+        raise DimensionMismatchError(
+            f"rows have dimension {X.shape[1]}, hyperplane has {w.size}"
+        )
+    raw = X[:, 0] * w[0]
+    for j in range(1, w.size):
+        raw += X[:, j] * w[j]
+    raw += h.bias
     scale = np.maximum.reduce([
         np.ones(X.shape[0]),
-        float(np.max(np.abs(h.weights))) * np.max(np.abs(X), axis=1),
+        float(np.max(np.abs(w))) * np.max(np.abs(X), axis=1),
         np.full(X.shape[0], abs(h.bias)),
     ])
     return np.where(np.abs(raw) <= EPS_ON_PLANE * scale, 0, np.where(raw > 0, 1, -1))

@@ -336,7 +336,7 @@ class TestEveryErrorEndsAtItsStage:
         pytest.param(FIT + IRIS_ARGS + ["--output", "{out}"], 3,
                      "mpa fit: unexpected error:", id="fit-train-raises"),
         pytest.param(FIT + IRIS_ARGS[:-1] + [",", "--output", "{out}"], 2,
-                     "mpa fit: loading data:", id="fit-features-comma"),
+                     "mpa fit: checking inputs:", id="fit-features-comma"),
         pytest.param(PREDICT + ["--input", "{missing}", "--output", "{out}"], 2,
                      "mpa predict: checking inputs:", id="predict-missing-input"),
         pytest.param(["predict", "--model", "{nonames}", "--input", "{iris}",
@@ -352,7 +352,7 @@ class TestEveryErrorEndsAtItsStage:
                      "mpa predict: writing output:", id="predict-output-is-directory"),
         pytest.param(PREDICT + ["--input", "{iris}", "--output", "{out}",
                                 "--features", ","], 2,
-                     "mpa predict: unhandled data error:", id="predict-features-comma"),
+                     "mpa predict: checking inputs:", id="predict-features-comma"),
         pytest.param(SYNTHETIC + ["--output", "{dir}"], 2,
                      "mpa bench synthetic: writing report:",
                      id="synthetic-output-is-directory"),
@@ -362,14 +362,14 @@ class TestEveryErrorEndsAtItsStage:
         pytest.param(DATASET + ["--output", "{out}"], 2,
                      "mpa bench dataset: checking inputs:", id="dataset-no-label-flags"),
         pytest.param(DATASET + VIRGINICA + ["--features", ",", "--output", "{out}"], 2,
-                     "mpa bench dataset: loading data:", id="dataset-features-comma"),
+                     "mpa bench dataset: checking inputs:", id="dataset-features-comma"),
         pytest.param(PLOT + IRIS_ARGS[:-1] + [
             "SepalLengthCm,SepalWidthCm,PetalLengthCm", "--output", "{out}"], 2,
             "mpa plot: checking inputs:", id="plot-three-features"),
         pytest.param(PLOT + IRIS_ARGS + ["--output", "{dir}"], 2,
                      "mpa plot: writing output:", id="plot-output-is-directory"),
         pytest.param(PLOT + IRIS_ARGS[:-1] + [",", "--output", "{out}"], 2,
-                     "mpa plot: loading data:", id="plot-features-comma"),
+                     "mpa plot: checking inputs:", id="plot-features-comma"),
     ])
     def test_exit_code_and_stage(self, paths, capsys, monkeypatch, request,
                                  argv, code, prefix):

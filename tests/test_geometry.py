@@ -325,6 +325,21 @@ class TestSideRuleMatchesScalar:
         assert sides(h, X).tolist() == want
 
 
+class TestSides:
+    def test_row_side_does_not_depend_on_other_rows(self):
+        # w . x + b for the third row lands within a last bit of the on-plane
+        # tolerance; a BLAS product over the three rows once called it on the
+        # plane while region_sign on the row alone called it -1
+        h = line_from_points(np.array([0.0, 1.0]) * 1e-6, np.array([2.0, 2.0]) * 1e-6)
+        X = np.array([[0.0, 1.0], [2.0, 2.0], [1.0, 1.0]]) * 1e-6
+        assert sides(h, X).tolist() == [region_sign(h, x) for x in X]
+
+    def test_wrong_width_is_refused(self):
+        h = Hyperplane(np.array([1.0, 0.0]), 0.0)
+        with pytest.raises(DimensionMismatchError):
+            sides(h, np.zeros((4, 3)))
+
+
 class TestAngleBetween:
     def test_orthogonal(self):
         assert angle_between((1, 0), (0, 1)) == pytest.approx(np.pi / 2)
