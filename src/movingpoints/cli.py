@@ -316,6 +316,9 @@ def cmd_bench_dataset(args) -> int:
 
 # ---------------------------------------------------------------- plot
 
+_SVG_MARGINS = (56.0, 16.0, 16.0, 44.0)  # left, right, top, bottom, in pixels
+
+
 def _clip_line_to_box(weights, bias, x0, x1, y0, y1):
     """Intersection segment of w.(x,y)+b=0 with an axis-aligned box.
 
@@ -372,7 +375,7 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
     lo = lo - pad
     hi = hi + pad
 
-    ml, mr, mt, mb = 56.0, 16.0, 16.0, 44.0
+    ml, mr, mt, mb = _SVG_MARGINS
     inner_w = width - ml - mr
     inner_h = height - mt - mb
 
@@ -458,6 +461,13 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
 
 def cmd_plot(args) -> int:
     opt = _Options(args)
+    width = opt.get("width", 640, int)
+    height = opt.get("height", 480, int)
+    ml, mr, mt, mb = _SVG_MARGINS
+    for name, size, margins in (("width", width, ml + mr), ("height", height, mt + mb)):
+        if size <= margins:
+            raise _Failure(2, "checking inputs",
+                           f"{name} must be more than the {margins:g}-pixel margins, got {size}")
     model = _load_model(args)
     if model.dim != 2:
         raise _Failure(2, "checking inputs",
@@ -467,8 +477,7 @@ def cmd_plot(args) -> int:
         raise _Failure(2, "checking inputs", f"data has {ds.n} features; plots are 2-D only")
     _write_output(args.output, render_scatter_svg(
         ds.features, ds.labels, model.hyperplane, model.moving_points,
-        feature_names=ds.feature_names, width=opt.get("width", 640, int),
-        height=opt.get("height", 480, int)))
+        feature_names=ds.feature_names, width=width, height=height))
     print(f"plot: {args.output}")
     return 0
 

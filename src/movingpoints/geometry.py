@@ -26,6 +26,9 @@ n >= 3: between them it carries the same first-row cofactors by rank-one
 updates of the inverse of the bordered matrix (see mpa._Boundary), so a
 plane met during training can differ from this one in the last bits.
 Every plane of n >= 3 points that a model stores comes from here.
+The line through two 2-D points is read in closed form on Python floats
+(_line_coeffs), the one routine that line_from_points and mpa.fit's
+n = 2 loop share.
 """
 
 from __future__ import annotations
@@ -154,8 +157,21 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _dot(u, v) -> float:
+    """u . v of two equal-length sequences of Python floats, summed in order.
+
+    u[0]*v[0] + u[1]*v[1] + ...: no BLAS kernel and no fused multiply-add,
+    so the bits are the same on every CPU.
+    """
+    total = u[0] * v[0]
+    for i in range(1, len(u)):
+        total += u[i] * v[i]
+    return total
+
+
 def _normal_norm(weights: np.ndarray, bias: float) -> float:
-    """||weights|| of a plane whose coefficients pass the Hyperplane checks.
+    """||weights|| (a fixed-order sum, see _dot) of a plane whose
+    coefficients pass the Hyperplane checks.
 
     Raises ValueError on non-finite coefficients and DegeneratePointsError
     when the normal is (near-)zero relative to the coefficients.
@@ -165,30 +181,38 @@ def _normal_norm(weights: np.ndarray, bias: float) -> float:
         raise ValueError("point has non-finite coordinates")
     if not math.isfinite(bias):
         raise ValueError("bias is not finite")
-    norm = _norm(weights)
+    norm = math.sqrt(_dot(wl, wl))
     if norm <= EPS_DEGENERATE * max(max(map(abs, wl)), abs(bias), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return norm
 
 
-def _line_coeffs(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(weights, bias, ||weights||) of the line through two 2-D points.
+def _line_coeffs(x1: float, y1: float, x2: float, y2: float) -> tuple[float, float, float, float]:
+    """(w0, w1, bias, ||w||) of the line through (x1, y1) and (x2, y2), on Python floats.
 
     Coefficients are (y1 - y2, x2 - x1) with constant x1*y2 - x2*y1, read
-    directly off the two-point line equation. Raises ValueError when a
-    coordinate is not finite, DegeneratePointsError when the points
-    coincide, then the checks of :func:`_normal_norm`.
+    directly off the two-point line equation; ||w|| is
+    sqrt(w0*w0 + w1*w1), which is also the distance between the points.
+    Raises ValueError when a coordinate is not finite, DegeneratePointsError
+    when the points coincide, then the checks of :func:`_normal_norm`, in
+    that order.
     """
-    x1, y1 = e.tolist()
-    x2, y2 = f.tolist()
     if not all(map(math.isfinite, (x1, y1, x2, y2))):
         raise ValueError("point has non-finite coordinates")
-    # coordinate_scale(e, f), on the Python floats.
-    if _norm(e - f) <= EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2)):
+    w0 = y1 - y2
+    w1 = x2 - x1
+    norm = math.sqrt(w0 * w0 + w1 * w1)
+    # coordinate_scale of the two points, on the Python floats.
+    if norm <= EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2)):
         raise DegeneratePointsError("the two points coincide")
-    weights = np.array([y1 - y2, x2 - x1])
     bias = x1 * y2 - x2 * y1
-    return weights, bias, _normal_norm(weights, bias)
+    if not (math.isfinite(w0) and math.isfinite(w1)):
+        raise ValueError("point has non-finite coordinates")
+    if not math.isfinite(bias):
+        raise ValueError("bias is not finite")
+    if norm <= EPS_DEGENERATE * max(abs(w0), abs(w1), abs(bias), 1.0):
+        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    return w0, w1, bias, norm
 
 
 def line_from_points(e, f) -> Hyperplane:
@@ -197,8 +221,8 @@ def line_from_points(e, f) -> Hyperplane:
     f = as_vector(f)
     if e.size != 2 or f.size != 2:
         raise DimensionMismatchError("line_from_points requires 2-D points")
-    weights, bias, _ = _line_coeffs(e, f)
-    return Hyperplane(weights, bias)
+    w0, w1, bias, _ = _line_coeffs(*e.tolist(), *f.tolist())
+    return Hyperplane(np.array([w0, w1]), bias)
 
 
 @lru_cache(maxsize=64)

@@ -18,6 +18,11 @@ the opposite class's near-cluster (points within a percentile radius of the
 class mean, sampled to damp outlier influence). A proximity guard removes
 any movement component that would push two moving points within alpha of
 each other closer together.
+
+For n = 2, initialization and training run on Python floats with every sum
+written in a fixed order, so an n = 2 model takes no bits from the BLAS
+kernel that numpy picks for the CPU. For n >= 3 training works on arrays
+and carries the plane by rank-one updates (see fit and _Boundary).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .geometry import (
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
+    _dot,
     _line_coeffs,
     _norm,
     as_vector,
@@ -144,22 +150,26 @@ def _complement_basis(direction: np.ndarray) -> np.ndarray:
 
     Gram-Schmidt over the standard basis, skipping vectors that are nearly
     inside the span built so far; two projection passes keep the result
-    orthonormal to machine precision.
+    orthonormal to machine precision. Python floats throughout, every dot
+    product and norm a fixed-order sum (see _dot).
     """
-    n = direction.size
-    basis = [direction / np.linalg.norm(direction)]
+    d = direction.tolist()
+    n = len(d)
+    nd = math.sqrt(_dot(d, d))
+    basis = [[x / nd for x in d]]
     out = []
     for i in range(n):
         if len(out) == n - 1:
             break
-        v = np.zeros(n)
+        v = [0.0] * n
         v[i] = 1.0
         for _ in range(2):
             for b in basis:
-                v = v - (v @ b) * b
-        nv = float(np.linalg.norm(v))
+                vb = _dot(v, b)
+                v = [x - vb * y for x, y in zip(v, b)]
+        nv = math.sqrt(_dot(v, v))
         if nv > 1e-9:
-            v /= nv
+            v = [x / nv for x in v]
             basis.append(v)
             out.append(v)
     if len(out) != n - 1:
@@ -191,7 +201,8 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     mu0 = X0.mean(axis=0)
     mu1 = X1.mean(axis=0)
     d = mu1 - mu0
-    gap = float(np.linalg.norm(d))
+    dl = d.tolist()
+    gap = math.sqrt(_dot(dl, dl))
     if gap <= EPS_DEGENERATE * coordinate_scale(mu0, mu1):
         raise IdenticalMeansError("class means coincide")
 
@@ -233,6 +244,7 @@ def movement_vector(model: MpaModel, q, g, lam: float, cfg: MpaConfig | None = N
     With mover c, u = c - q and w = g - q give v = w - u = g - c; the step
     is t = (v/||v||) * |eta * lambda|, i.e. length |eta*lambda| straight
     toward the sampled opposite-class point g. Returns (mover_index, t).
+    For n = 2 this is the Python-float step of fit's loop.
     """
     cfg = cfg or model.config
     q = as_vector(q)
@@ -241,9 +253,17 @@ def movement_vector(model: MpaModel, q, g, lam: float, cfg: MpaConfig | None = N
         raise DimensionMismatchError(
             f"expected dimension {model.dim}, got q:{q.size} g:{g.size}"
         )
+    step = abs(cfg.eta * lam)
+    if model.dim == 2:
+        pts = model.moving_points.tolist()
+        mover = _nearest_line(pts, *q.tolist())
+        c0, c1 = pts[mover]
+        g0, g1 = g.tolist()
+        scale = max(1.0, abs(c0), abs(c1), abs(g0), abs(g1))  # coordinate_scale(c, g)
+        return mover, np.array(_step_line(c0, c1, g0, g1, scale, step))
     mover = _nearest(model.moving_points, q)
     c = model.moving_points[mover]
-    return mover, _displacement(c, g, coordinate_scale(c, g), abs(cfg.eta * lam))
+    return mover, _displacement(c, g, coordinate_scale(c, g), step)
 
 
 def _row_norms(D: np.ndarray) -> np.ndarray:
@@ -278,12 +298,18 @@ def overfit_guard(model: MpaModel, mover_index: int, t, cfg: MpaConfig | None = 
     neighbor keeps a component above 1e-12 (projecting for one neighbor
     can re-open another), with a hard pass cap falling back to a zero
     move. Movements pointing away from every near neighbor pass through
-    untouched.
+    untouched: the input object itself is returned. For n = 2 this is the
+    Python-float guard of fit's loop.
     """
     alpha = model.alpha
     if cfg is not None and cfg.alpha is not None:
         alpha = cfg.alpha
-    return _guard(model.moving_points, mover_index, t, alpha)
+    P = model.moving_points
+    if P.shape[0] == 2:
+        step = tuple(np.asarray(t, dtype=float).tolist())
+        out = _guard_line(*P[mover_index].tolist(), *P[1 - mover_index].tolist(), step, alpha)
+        return t if out is step else np.array(out)
+    return _guard(P, mover_index, t, alpha)
 
 
 def _guard(P: np.ndarray, mover: int, t, alpha: float):
@@ -308,6 +334,51 @@ def _guard(P: np.ndarray, mover: int, t, alpha: float):
             if d > _GUARD_TOL:
                 out = out - rhats[i] * d
     return np.zeros_like(t)
+
+
+# n = 2 on Python floats: the steps of movement_vector and overfit_guard
+# that fit's loop takes, every sum in a fixed order.
+
+def _nearest_line(pts: list, q0: float, q1: float) -> int:
+    """_nearest for the two points pts = [[x, y], [x, y]] and q = (q0, q1)."""
+    (a0, a1), (b0, b1) = pts
+    a0 -= q0
+    a1 -= q1
+    b0 -= q0
+    b1 -= q1
+    return 0 if math.sqrt(a0 * a0 + a1 * a1) <= math.sqrt(b0 * b0 + b1 * b1) else 1
+
+
+def _step_line(c0: float, c1: float, g0: float, g1: float, scale: float,
+               step: float) -> tuple[float, float]:
+    """_displacement: the step of length step from (c0, c1) toward (g0, g1)."""
+    v0 = g0 - c0
+    v1 = g1 - c1
+    nv = math.sqrt(v0 * v0 + v1 * v1)
+    if nv <= EPS_DEGENERATE * scale:
+        raise ZeroDisplacementError("sampled target coincides with the mover")
+    return v0 / nv * step, v1 / nv * step
+
+
+def _guard_line(e0: float, e1: float, f0: float, f1: float, t: tuple,
+                alpha: float) -> tuple:
+    """_guard with the mover at (e0, e1), the other point at (f0, f1) and the
+    step t = (t0, t1); t itself comes back when nothing is projected out."""
+    r0 = f0 - e0
+    r1 = f1 - e1
+    gap = math.sqrt(r0 * r0 + r1 * r1)
+    if not 0.0 < gap <= alpha:  # a zero gap gives no direction, as in _guard
+        return t
+    r0 /= gap
+    r1 /= gap
+    out = t
+    for _ in range(_MAX_GUARD_PASSES):
+        t0, t1 = out
+        d = r0 * t0 + r1 * t1
+        if not d > _GUARD_TOL:
+            return out
+        out = (t0 - r0 * d, t1 - r1 * d)
+    return 0.0, 0.0
 
 
 @dataclass
@@ -380,23 +451,24 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     points affinely degenerate, which is undone). With early_stop set,
     training halts after the first epoch with zero misclassifications.
 
-    Inputs are validated once, here; the loop then works on raw arrays:
-    the points (model.moving_points, updated in place), the boundary
-    coefficients (w, b) and ||w||, with the same floating-point operations
-    as the public movement_vector and overfit_guard. For n = 2 the line is
-    re-read in closed form after every move. For n >= 3 the plane is
-    carried from move to move by a rank-one update (see _Boundary), so its
-    coefficients can differ from hyperplane_from_points' in the last bits;
-    every accept-or-revert decision near a degeneracy threshold still
-    comes from a fresh build. model.hyperplane is set from a fresh
-    _plane_of(points) on every exit, so it always matches the points, bit
-    for bit, as a reloaded model does. Between moves the boundary is
-    frozen, so lambdas for a whole stretch of examples are evaluated in
-    one vectorized pass and the loop jumps directly to the next
-    misclassified example. The decisions are those of evaluating one
-    example at a time, but a lambda can differ from lambda_value's in the
-    last bit: BLAS rounds a matrix-vector product and a dot product
-    differently, and lambda_value reads model.hyperplane.
+    Inputs are validated once, here; the loop then works on raw values.
+    For n = 2 (_line_epochs) they are Python floats: the two points, the
+    line's (w0, w1, b) and ||w||, with every sum written in a fixed order
+    (x0*w0 + x1*w1 + b, sqrt(d0*d0 + d1*d1)), so no value depends on a
+    BLAS kernel; the steps are those of the public movement_vector and
+    overfit_guard, the line that of line_from_points, and lambda is
+    evaluated one example at a time. For n >= 3 (_plane_epochs) they are
+    arrays: the points (model.moving_points, updated in place) and the
+    plane, carried from move to move by a rank-one update (see _Boundary),
+    so its coefficients can differ from hyperplane_from_points' in the
+    last bits; every accept-or-revert decision near a degeneracy threshold
+    still comes from a fresh build. Between moves the plane is frozen, so
+    lambdas for a whole stretch of examples are evaluated in one
+    matrix-vector product and the loop jumps directly to the next
+    misclassified example; BLAS rounds that product, so a lambda can
+    differ from lambda_value's in the last bit. Either way model.hyperplane
+    is set from a fresh _plane_of(points) on every exit, so it always
+    matches the points, bit for bit, as a reloaded model does.
     """
     cfg = cfg or model.config
     if data.n != model.dim:
@@ -411,45 +483,19 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     clusters = near_clusters(data, cfg.near_cluster_percentile)
     rng = SplitMix64(cfg.seed)
     y = data.labels
-    m = data.m
     alpha = model.alpha if cfg.alpha is None else cfg.alpha
-    # Per label, the members of the opposite class's near cluster.
+    # Per example, the members of the opposite class's near cluster.
     opposite = [clusters[1].members.tolist(), clusters[0].members.tolist()]
-    labels = y.tolist()
-    row_scale = np.abs(X).max(axis=1).tolist()  # coordinate_scale(c, g) = max(that of c, this)
-
-    P = model.moving_points
-    boundary = _Boundary(P)
-    w, b, norm_w = boundary.plane
-    log = TrainingLog()
-    snapshots = [P.copy()]
+    draws = [opposite[label] for label in y.tolist()]
     pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0]).astype(float)
 
+    P = model.moving_points
+    log = TrainingLog()
+    snapshots = [P.copy()]
+    epochs = _line_epochs if model.dim == 2 else _plane_epochs
     try:
-        for _epoch in range(cfg.epochs):
-            order = rng.permutation(m)
-            # Rows in visiting order: Xo[i:] holds the values and shape of
-            # X[order[i:]], so the product below has the same bits.
-            Xo = X[order]
-            po = pseudo[order]
-            miss = 0
-            i = 0
-            while i < m:
-                lam = (Xo[i:] @ w + b) / norm_w * po[i:]
-                wrong = lam < 0.0
-                k = int(wrong.argmax())  # the first misclassified example, if any
-                if not wrong[k]:
-                    break
-                miss += 1
-                out = _move(boundary, Xo[i + k], float(lam[k]),
-                            opposite[labels[order[i + k]]], X, row_scale, rng, cfg.eta, alpha)
-                if isinstance(out, str):
-                    log.skips[out] += 1
-                else:
-                    w, b, norm_w = out
-                    log.moves += 1
-                i += k + 1
-
+        # Each epoch leaves its points in P before it yields its count.
+        for miss in epochs(P, X, pseudo, draws, rng, cfg, alpha, log):
             log.misclassified.append(miss)
             snapshots.append(P.copy())
             log.epochs_run += 1
@@ -461,6 +507,104 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
 
     log.trajectory = np.array(snapshots)
     return log
+
+
+def _line_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
+                 rng: SplitMix64, cfg: MpaConfig, alpha: float, log: TrainingLog):
+    """fit's epochs for n = 2 on Python floats; yields each epoch's misclassified count.
+
+    draws[j] lists the rows that example j may draw. The points live in a
+    list while an epoch runs and are written back into P before each yield
+    and on every exit; moves and skips are counted into log.
+    """
+    rows = X.tolist()
+    row_scale = [max(abs(x0), abs(x1)) for x0, x1 in rows]  # max|X[r]|
+    signs = pseudo.tolist()
+    eta = cfg.eta
+    pts = P.tolist()
+    w0, w1, b, norm_w = _line_coeffs(*pts[0], *pts[1])
+    try:
+        for _epoch in range(cfg.epochs):
+            miss = 0
+            for j in rng.permutation(len(rows)):
+                x0, x1 = rows[j]
+                lam = (x0 * w0 + x1 * w1 + b) / norm_w * signs[j]
+                if not lam < 0.0:
+                    continue
+                miss += 1
+                mover = _nearest_line(pts, x0, x1)
+                c0, c1 = pts[mover]
+                f0, f1 = pts[1 - mover]
+                c_scale = max(1.0, abs(c0), abs(c1))
+                step = abs(eta * lam)
+                members = draws[j]
+                for _attempt in range(1 + MAX_RESAMPLES):
+                    target = members[rng.randint(len(members))]
+                    try:
+                        t = _step_line(c0, c1, *rows[target],
+                                       max(c_scale, row_scale[target]), step)
+                        break
+                    except ZeroDisplacementError:
+                        pass
+                else:
+                    log.skips[RESAMPLE_EXHAUSTED] += 1
+                    continue
+                t0, t1 = _guard_line(c0, c1, f0, f1, t, alpha)
+                if not (t0 or t1):
+                    log.skips[GUARD_ZEROED] += 1
+                    continue
+                e0 = c0 + t0
+                e1 = c1 + t1
+                try:
+                    if mover == 0:
+                        w0, w1, b, norm_w = _line_coeffs(e0, e1, f0, f1)
+                    else:
+                        w0, w1, b, norm_w = _line_coeffs(f0, f1, e0, e1)
+                except DegeneratePointsError:
+                    log.skips[DEGENERATE_REVERT] += 1
+                    continue
+                pts[mover] = [e0, e1]
+                log.moves += 1
+            P[:] = pts
+            yield miss
+    finally:
+        P[:] = pts
+
+
+def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
+                  rng: SplitMix64, cfg: MpaConfig, alpha: float, log: TrainingLog):
+    """fit's epochs for n >= 3 on arrays; yields each epoch's misclassified count.
+
+    P's rows move in place; the plane is carried by _Boundary.
+    """
+    m = X.shape[0]
+    row_scale = np.abs(X).max(axis=1).tolist()  # coordinate_scale(c, g) = max(that of c, this)
+    boundary = _Boundary(P)
+    w, b, norm_w = boundary.plane
+    for _epoch in range(cfg.epochs):
+        order = rng.permutation(m)
+        # Rows in visiting order: Xo[i:] holds the values and shape of
+        # X[order[i:]], so the product below has the same bits.
+        Xo = X[order]
+        po = pseudo[order]
+        miss = 0
+        i = 0
+        while i < m:
+            lam = (Xo[i:] @ w + b) / norm_w * po[i:]
+            wrong = lam < 0.0
+            k = int(wrong.argmax())  # the first misclassified example, if any
+            if not wrong[k]:
+                break
+            miss += 1
+            out = _move(boundary, Xo[i + k], float(lam[k]), draws[order[i + k]],
+                        X, row_scale, rng, cfg.eta, alpha)
+            if isinstance(out, str):
+                log.skips[out] += 1
+            else:
+                w, b, norm_w = out
+                log.moves += 1
+            i += k + 1
+        yield miss
 
 
 def _move(boundary: _Boundary, q: np.ndarray, lam: float, members: list[int],
@@ -510,10 +654,9 @@ _MAX_RESIDUAL = 1e-12
 
 
 class _Boundary:
-    """The plane through the rows of P while fit moves them, as (w, b, ||w||).
+    """The plane through the n >= 3 rows of P while fit moves them, as (w, b, ||w||).
 
-    For n = 2 the line is re-read in closed form after every move. For
-    n >= 3 it keeps the inverse Minv of the bordered (n+1)x(n+1) matrix M
+    It keeps the inverse Minv of the bordered (n+1)x(n+1) matrix M
     whose row 0 is the unit coefficient vector of the last fresh plane and
     whose rows 1..n are [p_i, 1]. The plane's coefficients c = (w, b) are
     the cofactors of M's first row, det(M) * Minv[:, 0], whatever that row
@@ -538,14 +681,11 @@ class _Boundary:
 
     def __init__(self, P: np.ndarray):
         self.P = P
-        self.Minv = None  # stays None for n = 2
         self.plane = self._fresh()  # moved returns the later ones
 
     def _fresh(self) -> tuple[np.ndarray, float, float]:
         P = self.P
         n = P.shape[0]
-        if n == 2:
-            return _line_coeffs(P[0], P[1])
         h = hyperplane_from_points(P)
         coeffs = np.append(h.weights, h.bias)
         M = np.empty((n + 1, n + 1))
@@ -559,8 +699,6 @@ class _Boundary:
 
     def moved(self, i: int, old: np.ndarray) -> tuple[np.ndarray, float, float]:
         """(w, b, ||w||) after row i of P moved from old to its current value."""
-        if self.Minv is None:  # n = 2
-            return _line_coeffs(self.P[0], self.P[1])
         if self.updates < _REBUILD_EVERY:
             P = self.P
             n = P.shape[0]

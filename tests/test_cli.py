@@ -308,9 +308,11 @@ class TestEveryErrorEndsAtItsStage:
         same = tmp_path / "same.csv"  # both classes have the mean (0.5, 0.5)
         same.write_text("a,b,y\n0,0,p\n1,1,p\n0,0,n\n1,1,n\n", encoding="utf-8")
         (tmp_path / "dir").mkdir()
+        short = tmp_path / "short.cfg"  # a height no taller than the plot margins
+        short.write_text("height = 60\n", encoding="utf-8")
         return {"iris": iris_path, "model": model, "nonames": nonames, "same": same,
                 "dir": tmp_path / "dir", "out": tmp_path / "out",
-                "missing": tmp_path / "absent.csv"}
+                "missing": tmp_path / "absent.csv", "short": short}
 
     VIRGINICA = ["--label-col", "Species", "--positive-label", "Iris-virginica",
                  "--negative-label", "Iris-versicolor"]
@@ -370,6 +372,14 @@ class TestEveryErrorEndsAtItsStage:
                      "mpa plot: writing output:", id="plot-output-is-directory"),
         pytest.param(PLOT + IRIS_ARGS[:-1] + [",", "--output", "{out}"], 2,
                      "mpa plot: checking inputs:", id="plot-features-comma"),
+        pytest.param(PLOT + IRIS_ARGS + ["--width", "-100", "--output", "{out}"], 2,
+                     "mpa plot: checking inputs:", id="plot-negative-width"),
+        pytest.param(PLOT + IRIS_ARGS + ["--width", "72", "--output", "{out}"], 2,
+                     "mpa plot: checking inputs:", id="plot-width-at-margins"),
+        pytest.param(PLOT + IRIS_ARGS + ["--height", "0", "--output", "{out}"], 2,
+                     "mpa plot: checking inputs:", id="plot-zero-height"),
+        pytest.param(PLOT + IRIS_ARGS + ["--config", "{short}", "--output", "{out}"], 2,
+                     "mpa plot: checking inputs:", id="plot-config-height-at-margins"),
     ])
     def test_exit_code_and_stage(self, paths, capsys, monkeypatch, request,
                                  argv, code, prefix):

@@ -64,7 +64,7 @@ class TestLineFromPoints:
         # A point moved to infinity fails as non-finite; it is not a
         # coincidence to revert (inf <= EPS_DEGENERATE * inf would say so).
         with pytest.raises(ValueError) as info:
-            _line_coeffs(np.array(e), np.array([0.0, 1.0]))
+            _line_coeffs(*e, 0.0, 1.0)
         assert type(info.value) is ValueError
 
 

@@ -1,0 +1,63 @@
+"""n = 2 training takes no bits from the BLAS kernel.
+
+Grid models trained in child processes that force another OpenBLAS core
+must hash the same as the ones trained here. The cells are the first 20
+grid cells, in (seed, std index) order, whose MPA models took other bits
+under the Haswell and Prescott cores while the n = 2 loop still used BLAS
+dot and matrix-vector products. `benchmarks/check_kernels.py` runs the
+full check over all 500 cells and every golden output.
+"""
+
+import functools
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from movingpoints import mpa
+from movingpoints.datasets import make_blobs, train_test_split
+from movingpoints.rng import derive_seed
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+from write_bench import openblas_core  # noqa: E402
+
+CELLS = [(0, 3), (0, 9), (1, 0), (1, 5), (1, 9), (3, 6), (3, 8), (4, 2), (5, 2), (6, 0),
+         (6, 3), (6, 4), (6, 5), (6, 8), (6, 9), (7, 7), (7, 9), (8, 7), (9, 1), (9, 5)]
+
+# Prints [openblas_core(), grid_model_digest()] of a fresh interpreter.
+CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+         "from test_kernels import grid_model_digest, openblas_core; "
+         "print(json.dumps([openblas_core(), grid_model_digest()]))")
+
+
+@functools.lru_cache(maxsize=1)
+def grid_model_digest() -> str:
+    """sha256 over the model documents MPA trains on CELLS, as the grid does."""
+    digest = hashlib.sha256()
+    for seed, std_index in CELLS:
+        ds = make_blobs(seed=seed, std=1.0 + 0.1 * std_index, n_per_class=50, dim=2)
+        cell = derive_seed(0, seed, std_index)
+        train, _ = train_test_split(ds, 0.2, derive_seed(cell, 0))
+        model, _ = mpa.train(train, mpa.MpaConfig(seed=derive_seed(cell, 1)))
+        digest.update(mpa.model_document(model).encode("utf-8"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_grid_models_do_not_depend_on_openblas_core(core):
+    if openblas_core() is None:
+        pytest.skip("the OpenBLAS core in use cannot be read here")
+    # The forced core is set in the child's environment only; the child
+    # imports the movingpoints that this process runs.
+    src = str(Path(mpa.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, check=True)
+    child_core, digest = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert digest == grid_model_digest(), f"OPENBLAS_CORETYPE={core} ran core {child_core}"

@@ -5,6 +5,7 @@ loop bit for bit, and random walks that hold the rank-one plane update
 to a fresh build."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -236,6 +237,14 @@ class TestNearClusters:
         assert np.all(two_blobs.labels[out[1].members] == 1)
 
 
+def fixed_order_lambda(model, x, label):
+    """lambda as fit computes it at n = 2: (x0*w0 + x1*w1 + b) / ||w|| * sign."""
+    w0, w1 = model.hyperplane.weights.tolist()
+    x0, x1 = (float(v) for v in x)
+    raw = x0 * w0 + x1 * w1 + model.hyperplane.bias
+    return raw / math.sqrt(w0 * w0 + w1 * w1) * model.pseudo_sign[label]
+
+
 class TestFit:
     def test_separated_blobs_reach_perfect_accuracy(self, two_blobs):
         model, log = train(two_blobs, MpaConfig(eta=0.5, epochs=200, seed=7))
@@ -296,8 +305,26 @@ class TestFit:
         np.testing.assert_allclose(model.moving_points, ref.moving_points,
                                    rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("eta, alpha", [(0.01, None), (0.3, 8.0), (6.0, None)],
+                             ids=["plain", "guard", "reverts"])
+    def test_public_step_and_guard_replay_fit_bitwise(self, eta, alpha):
+        # At n = 2 fit takes the steps of movement_vector and overfit_guard
+        # and the line of line_from_points. Fed fit's fixed-order lambda,
+        # the plain loop through those public functions lands on the same
+        # points bit for bit.
+        ds = make_blobs(seed=7, std=2.5, n_per_class=25, center_halfwidth=4.0)
+        cfg = MpaConfig(eta=eta, epochs=12, alpha=alpha, seed=1, early_stop=False)
+        model = initialize(ds.class_points(0), ds.class_points(1), cfg)
+        log = fit(model, ds, cfg)
+        ref = initialize(ds.class_points(0), ds.class_points(1), cfg)
+        ref_log = self.plain_fit(ref, ds, cfg, lam_of=fixed_order_lambda)
+        assert log.moves > 0
+        assert log.misclassified == ref_log["misclassified"]
+        assert log.moves == ref_log["moves"]
+        assert model.moving_points.tobytes() == ref.moving_points.tobytes()
+
     @staticmethod
-    def plain_fit(model, ds, cfg):
+    def plain_fit(model, ds, cfg, lam_of=lambda_value):
         """One example at a time, nothing vectorized, same draw discipline."""
         clusters = near_clusters(ds, cfg.near_cluster_percentile)
         rng = SplitMix64(cfg.seed)
@@ -306,7 +333,7 @@ class TestFit:
         for _ in range(cfg.epochs):
             miss = 0
             for j in rng.permutation(ds.m):
-                lam = lambda_value(model, X[j], int(y[j]))
+                lam = lam_of(model, X[j], int(y[j]))
                 if lam >= 0:
                     continue
                 miss += 1
@@ -340,11 +367,14 @@ class TestFit:
 # Frozen copy of the per-move code that fit used before it ran on raw
 # arrays: movement_vector, overfit_guard, line_from_points with the
 # Hyperplane checks, and MpaModel.refresh. It must not be rewritten to
-# share code with the library. For n >= 3 the plane is carried from move
-# to move by FrozenRankOne, a plain copy of the rank-one update, whose
-# fresh builds come from hyperplane_from_points (pinned to its own oracle
-# in test_geometry) and whose accuracy TestBoundaryTracksFreshPlane holds
-# to a fresh build.
+# share code with the library. For n = 2 every dot product and norm is
+# written out as plain scalar arithmetic in a fixed order (x0*w0 + x1*w1,
+# sqrt(d0*d0 + d1*d1)), which is what fit computes there on Python
+# floats, so no n = 2 value takes its bits from BLAS. For n >= 3 the plane
+# is carried from move to move by FrozenRankOne, a plain copy of the
+# rank-one update, whose fresh builds come from hyperplane_from_points
+# (pinned to its own oracle in test_geometry) and whose accuracy
+# TestBoundaryTracksFreshPlane holds to a fresh build.
 
 def frozen_coordinate_scale(*arrays):
     m = 1.0
@@ -363,20 +393,26 @@ def frozen_hyperplane(weights, bias):
     if not np.isfinite(bias):
         raise ValueError("bias is not finite")
     scale = max(float(np.max(np.abs(w))), abs(bias), 1.0)
-    if float(np.linalg.norm(w)) <= EPS_DEGENERATE * scale:
+    if w.size == 2:
+        w0, w1 = w.tolist()
+        norm = math.sqrt(w0 * w0 + w1 * w1)
+    else:
+        norm = float(np.linalg.norm(w))
+    if norm <= EPS_DEGENERATE * scale:
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return w, bias
 
 
 def frozen_line_from_points(e, f):
-    e = np.asarray(e, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(f))):
+    x1, y1 = (float(v) for v in e)
+    x2, y2 = (float(v) for v in f)
+    if not all(math.isfinite(v) for v in (x1, y1, x2, y2)):
         raise ValueError("point has non-finite coordinates")
-    if float(np.linalg.norm(e - f)) <= EPS_DEGENERATE * frozen_coordinate_scale(e, f):
+    dx = x1 - x2
+    dy = y1 - y2
+    if math.sqrt(dx * dx + dy * dy) <= EPS_DEGENERATE * max(1.0, abs(x1), abs(y1),
+                                                             abs(x2), abs(y2)):
         raise DegeneratePointsError("the two points coincide")
-    x1, y1 = e
-    x2, y2 = f
     return frozen_hyperplane(np.array([y1 - y2, x2 - x1]), x1 * y2 - x2 * y1)
 
 
@@ -445,6 +481,8 @@ class FrozenRankOne:
 
 
 def frozen_movement_vector(points, q, g, lam, eta):
+    if points.shape[0] == 2:
+        return frozen_movement_vector_2d(points, q, g, lam, eta)
     dists = np.linalg.norm(points - q, axis=1)
     mover = int(np.argmin(dists))
     c = points[mover]
@@ -455,7 +493,28 @@ def frozen_movement_vector(points, q, g, lam, eta):
     return mover, (v / nv) * abs(eta * lam)
 
 
+def frozen_movement_vector_2d(points, q, g, lam, eta):
+    q0, q1 = (float(v) for v in q)
+    g0, g1 = (float(v) for v in g)
+    dists = []
+    for p0, p1 in points.tolist():
+        d0 = p0 - q0
+        d1 = p1 - q1
+        dists.append(math.sqrt(d0 * d0 + d1 * d1))
+    mover = 0 if dists[0] <= dists[1] else 1
+    c0, c1 = points[mover].tolist()
+    v0 = g0 - c0
+    v1 = g1 - c1
+    nv = math.sqrt(v0 * v0 + v1 * v1)
+    if nv <= EPS_DEGENERATE * max(1.0, abs(c0), abs(c1), abs(g0), abs(g1)):
+        raise ZeroDisplacementError("sampled target coincides with the mover")
+    step = abs(eta * lam)
+    return mover, np.array([v0 / nv * step, v1 / nv * step])
+
+
 def frozen_overfit_guard(points, mover, t, alpha, stats):
+    if points.shape[0] == 2:
+        return frozen_overfit_guard_2d(points, mover, t, alpha, stats)
     E = points[mover]
     others = np.delete(points, mover, axis=0)
     gaps = np.linalg.norm(others - E, axis=1)
@@ -478,6 +537,30 @@ def frozen_overfit_guard(points, mover, t, alpha, stats):
     return np.zeros_like(t)
 
 
+def frozen_overfit_guard_2d(points, mover, t, alpha, stats):
+    e0, e1 = points[mover].tolist()
+    f0, f1 = points[1 - mover].tolist()
+    r0 = f0 - e0
+    r1 = f1 - e1
+    gap = math.sqrt(r0 * r0 + r1 * r1)
+    if not gap <= alpha:
+        return t
+    r0 = r0 / gap
+    r1 = r1 / gap
+    t0, t1 = t.tolist()
+    projected = False
+    for _ in range(64):
+        d = r0 * t0 + r1 * t1
+        if not d > 1e-12:
+            return np.array([t0, t1]) if projected else t
+        if not projected:
+            projected = True
+            stats["projected"] += 1
+        t0 = t0 - r0 * d
+        t1 = t1 - r1 * d
+    return np.zeros_like(t)
+
+
 def frozen_fit(model, ds, cfg):
     """The object-level loop on copies of the model's state."""
     points = model.moving_points.copy()
@@ -495,9 +578,14 @@ def frozen_fit(model, ds, cfg):
         miss = 0
         i = 0
         while i < m:
-            norm_w = float(np.linalg.norm(w))
             rows = order[i:]
-            lam = (X[rows] @ w + b) / norm_w * pseudo[rows]
+            if points.shape[0] == 2:  # x0*w0 + x1*w1 + b, element by element
+                w0, w1 = w.tolist()
+                norm_w = math.sqrt(w0 * w0 + w1 * w1)
+                lam = (X[rows, 0] * w0 + X[rows, 1] * w1 + b) / norm_w * pseudo[rows]
+            else:
+                norm_w = float(np.linalg.norm(w))
+                lam = (X[rows] @ w + b) / norm_w * pseudo[rows]
             bad = np.nonzero(lam < 0.0)[0]
             if bad.size == 0:
                 break
