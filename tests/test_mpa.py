@@ -299,9 +299,10 @@ class TestFit:
 
         assert log.misclassified == ref_log["misclassified"]
         assert log.moves == ref_log["moves"]
-        # fit reads lambda off a matrix-vector product, lambda_value off a
-        # dot product; BLAS rounds the two differently in the last bit, so
-        # the points agree to rounding (TestFitMatchesFrozenLoop pins bits)
+        # fit sums lambda in a fixed order, lambda_value reads it off BLAS
+        # dot products; the two can differ in the last bit, so the points
+        # agree to rounding (test_public_step_and_guard_replay_fit_bitwise
+        # and TestFitMatchesFrozenLoop pin bits)
         np.testing.assert_allclose(model.moving_points, ref.moving_points,
                                    rtol=1e-12, atol=0)
 
