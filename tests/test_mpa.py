@@ -20,6 +20,7 @@ from movingpoints.geometry import (
     DegeneratePointsError,
     Hyperplane,
     hyperplane_from_points,
+    line_from_points,
     region_sign,
     signed_displacement,
 )
@@ -836,6 +837,31 @@ class TestHyperplaneMatchesPointsOnExit:
                                       np.delete(moved, i, axis=0))
         np.testing.assert_array_equal(model.moving_points[i], moved[i] - d)
         want = hyperplane_from_points(model.moving_points)
+        assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
+        assert model.hyperplane.bias == want.bias
+
+    def test_after_failure_in_line_mid_epoch(self, monkeypatch):
+        # n = 2 moves points held outside the model; a failure mid-epoch
+        # must still leave the points of the last accepted move there.
+        ds = make_blobs(seed=4, std=1.9, center_halfwidth=4.0)
+        cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
+        model = initialize(ds.class_points(0), ds.class_points(1), cfg)
+        line = mpa._line_coeffs
+        seen = []
+
+        def failing(*coords):
+            seen.append(coords)
+            if len(seen) == 40:
+                raise RuntimeError("line failure")
+            return line(*coords)
+
+        monkeypatch.setattr(mpa, "_line_coeffs", failing)
+        with pytest.raises(RuntimeError):
+            fit(model, ds, cfg)
+        monkeypatch.undo()
+        x1, y1, x2, y2 = seen[-2]  # the last line built, with no revert here
+        assert model.moving_points.tolist() == [[x1, y1], [x2, y2]]
+        want = line_from_points(model.moving_points[0], model.moving_points[1])
         assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
         assert model.hyperplane.bias == want.bias
 
