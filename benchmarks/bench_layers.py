@@ -61,21 +61,39 @@ def test_train_cell(benchmark, seed, std_index, dim):
     assert np.all(np.isfinite(model.moving_points))
 
 
-# The baselines on grid cell (2, 9), with the parameters of bench.CLASSIFIERS:
-# 2,400 SVM steps (30 epochs of 80), the perceptron's shuffled sweeps, and
-# KNN (k = 3) over the 80 training rows plus the 20 test rows.
-def test_linear_svm_fit_grid_2_9(benchmark):
-    train_ds, _, cell = cell_split(2, 9, 2)
+# The baselines with the parameters of bench.CLASSIFIERS: the SVM's 30
+# epochs of 80 steps and the perceptron's shuffled sweeps. On grid cell
+# (2, 9) they run the n = 2 loops on Python floats; on overlap cell (0, 90)
+# the n >= 3 loops on arrays, whose w.dot(x) margins are BLAS calls. KNN
+# (k = 3) searches the grid cell's 80 training rows for its 100 rows.
+def svm_case(benchmark, seed, std_index, dim):
+    train_ds, _, cell = cell_split(seed, std_index, dim)
     model = benchmark(baselines.linear_svm_fit, train_ds, reg=0.01, epochs=30,
                       seed=derive_seed(cell, 3))
     assert np.all(np.isfinite(model.weights))
 
 
-def test_perceptron_fit_grid_2_9(benchmark):
-    train_ds, _, cell = cell_split(2, 9, 2)
+def perceptron_case(benchmark, seed, std_index, dim):
+    train_ds, _, cell = cell_split(seed, std_index, dim)
     model = benchmark(baselines.perceptron_fit, train_ds, eta=1.0, epochs=50,
                       seed=derive_seed(cell, 2))
     assert np.all(np.isfinite(model.weights))
+
+
+def test_linear_svm_fit_grid_2_9(benchmark):
+    svm_case(benchmark, 2, 9, 2)
+
+
+def test_linear_svm_fit_overlap_0_90_dim8(benchmark):
+    svm_case(benchmark, 0, 90, 8)
+
+
+def test_perceptron_fit_grid_2_9(benchmark):
+    perceptron_case(benchmark, 2, 9, 2)
+
+
+def test_perceptron_fit_overlap_0_90_dim8(benchmark):
+    perceptron_case(benchmark, 0, 90, 8)
 
 
 def test_knn_predict_many_grid_2_9(benchmark):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
+from .geometry import _affine
 from .rng import SplitMix64
 
 
@@ -36,14 +37,21 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
 
     Labels map to y in {-1, +1}; every example with y*(w.x + b) <= 0
     triggers w += eta*y*x, b += eta*y. Stops early on a clean sweep, after
-    which further epochs could not change anything.
+    which further epochs could not change anything. For n = 2 the loop
+    runs on Python floats with the margin x0*w0 + x1*w1 + b summed in that
+    order, so the model takes no bits from BLAS; for n >= 3 it takes
+    w.dot(x) on arrays.
     """
     data.require_binary()
-    rows = list(data.features)
     y = np.where(data.labels == 1, 1.0, -1.0).tolist()
+    rng = SplitMix64(seed)
+    if data.n == 2:
+        w0, w1, b = _perceptron_line(data.features.tolist(), y, eta, epochs, rng)
+        return PerceptronModel(weights=np.array([w0, w1]), bias=b, eta=eta, epochs=epochs,
+                               seed=seed)
+    rows = list(data.features)
     w = np.zeros(data.n)
     b = 0.0
-    rng = SplitMix64(seed)
     for _ in range(epochs):
         updates = 0
         for i in rng.permutation(data.m):
@@ -55,6 +63,26 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
         if updates == 0:
             break
     return PerceptronModel(weights=w, bias=b, eta=eta, epochs=epochs, seed=seed)
+
+
+def _perceptron_line(rows: list, y: list, eta: float, epochs: int,
+                     rng: SplitMix64) -> tuple[float, float, float]:
+    """perceptron_fit's sweeps for n = 2 on Python floats: (w0, w1, b)."""
+    w0 = w1 = b = 0.0
+    for _ in range(epochs):
+        updates = 0
+        for i in rng.permutation(len(rows)):
+            x0, x1 = rows[i]
+            yi = y[i]
+            if yi * (x0 * w0 + x1 * w1 + b) <= 0.0:
+                s = eta * yi
+                w0 += s * x0
+                w1 += s * x1
+                b += s
+                updates += 1
+        if updates == 0:
+            break
+    return w0, w1, b
 
 
 @dataclass
@@ -120,16 +148,23 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
 
     Pegasos-style schedule: at global step t the rate is 1/(reg*t); each
     epoch sweeps a fresh shuffle. The bias rides along as an appended
-    constant feature, so it is (lightly) regularized with the rest.
+    constant feature, so it is (lightly) regularized with the rest. For
+    n = 2 the loop runs on Python floats with the margin x0*w0 + x1*w1 + w2
+    summed in that order, so the model takes no bits from BLAS; for n >= 3
+    it takes w.dot(x) on arrays.
     """
     data.require_binary()
     if not reg > 0:
         raise ValueError(f"reg must be positive, got {reg}")
+    y = np.where(data.labels == 1, 1.0, -1.0).tolist()
+    rng = SplitMix64(seed)
+    if data.n == 2:
+        w0, w1, w2 = _svm_line(data.features.tolist(), y, reg, epochs, rng)
+        return LinearSvmModel(weights=np.array([w0, w1]), bias=w2, reg=reg,
+                              epochs=epochs, seed=seed)
     X = np.hstack([data.features, np.ones((data.m, 1))])
     rows = list(X)
-    y = np.where(data.labels == 1, 1.0, -1.0).tolist()
     w = np.zeros(X.shape[1])
-    rng = SplitMix64(seed)
     t = 0
     for _ in range(epochs):
         for i in rng.permutation(data.m):
@@ -144,7 +179,39 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
                           epochs=epochs, seed=seed)
 
 
+def _svm_line(rows: list, y: list, reg: float, epochs: int,
+              rng: SplitMix64) -> tuple[float, float, float]:
+    """linear_svm_fit's steps for n = 2 on Python floats: (w0, w1, w2), w2 the bias.
+
+    The shrink and then the add are applied per coordinate, as
+    w *= shrink; w += s*x does; the constant feature makes w2's terms
+    1.0*w2 = w2 and s*1.0 = s.
+    """
+    w0 = w1 = w2 = 0.0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(rows)):
+            t += 1
+            step = 1.0 / (reg * t)
+            x0, x1 = rows[i]
+            yi = y[i]
+            margin = yi * (x0 * w0 + x1 * w1 + w2)
+            shrink = 1.0 - step * reg
+            w0 *= shrink
+            w1 *= shrink
+            w2 *= shrink
+            if margin < 1.0:
+                s = step * yi
+                w0 += s * x0
+                w1 += s * x1
+                w2 += s
+    return w0, w1, w2
+
+
 def linear_predict_many(model: PerceptronModel | LinearSvmModel, X) -> np.ndarray:
-    """Class 1 where weights . x + bias > 0, else class 0, per row of X."""
-    raw = np.asarray(X, dtype=float) @ model.weights + model.bias
+    """Class 1 where weights . x + bias > 0, else class 0, per row of X.
+
+    weights . x + bias is geometry's fixed-order sum, as in geometry.sides.
+    """
+    raw = _affine(np.asarray(X, dtype=float), model.weights, model.bias)
     return (raw > 0).astype(int)

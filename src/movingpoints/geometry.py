@@ -281,24 +281,34 @@ def signed_displacement(h: Hyperplane, x) -> float:
     return float((h.weights @ x + h.bias) / np.linalg.norm(h.weights))
 
 
+def _affine(X: np.ndarray, w: np.ndarray, bias: float) -> np.ndarray:
+    """X @ w + bias per row of the (m, n) array X, summed column by column.
+
+    X[:, 0]*w[0] + X[:, 1]*w[1] + ... + bias, in that order and element-wise,
+    not by BLAS, so a row's value does not depend on the CPU kernel or on
+    the other rows of X.
+    """
+    if X.ndim != 2 or X.shape[1] != w.size:
+        raise DimensionMismatchError(
+            f"expected rows of dimension {w.size}, got shape {X.shape}"
+        )
+    raw = X[:, 0] * w[0]
+    for j in range(1, w.size):
+        raw += X[:, j] * w[j]
+    raw += bias
+    return raw
+
+
 def sides(h: Hyperplane, X: np.ndarray) -> np.ndarray:
     """-1, 0 or +1 per row of the (m, n) array X: which region it falls in.
 
     0 is returned only when |weights . x + bias| is within the on-plane
     tolerance EPS_ON_PLANE * max(1, max|weights| * max|x|, |bias|), scaled
-    to the magnitudes involved. weights . x + bias is summed column by
-    column in a fixed order, not by BLAS, so a row's side does not depend
-    on the other rows of X.
+    to the magnitudes involved. weights . x + bias is the fixed-order sum
+    of _affine, so a row's side does not depend on the other rows of X.
     """
     w = h.weights
-    if X.shape[1] != w.size:
-        raise DimensionMismatchError(
-            f"rows have dimension {X.shape[1]}, hyperplane has {w.size}"
-        )
-    raw = X[:, 0] * w[0]
-    for j in range(1, w.size):
-        raw += X[:, j] * w[j]
-    raw += h.bias
+    raw = _affine(X, w, h.bias)
     scale = np.maximum.reduce([
         np.ones(X.shape[0]),
         float(np.max(np.abs(w))) * np.max(np.abs(X), axis=1),

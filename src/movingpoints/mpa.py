@@ -186,8 +186,8 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     through M perpendicular to the mean difference, and each class mean
     lands on its own side, fixing the pseudo signs.
     """
-    X0 = np.asarray([as_vector(p) for p in class0_points], dtype=float)
-    X1 = np.asarray([as_vector(p) for p in class1_points], dtype=float)
+    X0 = _class_rows(class0_points)
+    X1 = _class_rows(class1_points)
     if X0.size == 0 or X1.size == 0:
         raise ValueError("both classes must be non-empty")
     if X0.shape[1] != X1.shape[1]:
@@ -217,9 +217,27 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     min_dist = float(np.min(dists[np.triu_indices(n, k=1)]))
     alpha = cfg.alpha if cfg.alpha is not None else 0.1 * min_dist
 
-    plane = _plane_of(pts)
-    pseudo = assign_pseudo(plane, mu0, mu1)
-    return MpaModel(pts, pseudo, alpha, cfg)
+    # The model builds the plane; the pseudo signs are then read off it.
+    model = MpaModel(pts, {0: -1, 1: 1}, alpha, cfg)
+    model.pseudo_sign = assign_pseudo(model.hyperplane, mu0, mu1)
+    return model
+
+
+def _class_rows(points) -> np.ndarray:
+    """One class's points as an (m, n) array, every row checked as as_vector
+    checks a point; a class with no points passes, for initialize to refuse.
+
+    The array is C-ordered, so its mean over axis 0 adds the rows one
+    after another, as it did over the rows copied one by one.
+    """
+    X = np.ascontiguousarray(points, dtype=float)
+    if len(X) == 0:
+        return X
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"expected a 1-D point, got shape {X.shape[1:]}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("point has non-finite coordinates")
+    return X
 
 
 def assign_pseudo(h: Hyperplane, mu0, mu1) -> dict:

@@ -14,6 +14,7 @@ from movingpoints.baselines import (
     perceptron_fit,
 )
 from movingpoints.datasets import Dataset, make_blobs
+from movingpoints.geometry import DimensionMismatchError
 from movingpoints.rng import SplitMix64
 
 
@@ -120,6 +121,12 @@ class TestLinearSvm:
         got = [scalar_linear_predict(model, row) for row in X]
         np.testing.assert_array_equal(got, want)
 
+    def test_predict_refuses_wrong_width(self, two_blobs):
+        model = linear_svm_fit(two_blobs)
+        for X in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2)):
+            with pytest.raises(DimensionMismatchError):
+                linear_predict_many(model, X)
+
     def test_margin_beats_overlap_noise(self):
         # overlapping blobs: hinge loss still lands near the best separator
         ds = make_blobs(seed=20, std=1.9)
@@ -130,19 +137,35 @@ class TestLinearSvm:
 
 # Frozen copies of the per-step baseline loops as they stood before the
 # in-place rewrite: every weight, bias and prediction must keep its bits.
-# They must not be rewritten to share code with the library.
+# They must not be rewritten to share code with the library. The n = 2
+# margins are plain sums in a fixed order, as the library's n = 2 loops
+# write them: numpy's dot on two elements is a BLAS call, and a kernel that
+# fuses the multiply and the add rounds tie-heavy inputs differently.
+
+def fixed_dot(w, x):
+    """w . x summed in order, w[0]*x[0] + w[1]*x[1] + ...; no BLAS."""
+    total = w[0] * x[0]
+    for j in range(1, len(w)):
+        total += w[j] * x[j]
+    return float(total)
+
+
+def blas_dot(w, x):
+    return float(w @ x)
+
 
 def frozen_perceptron_fit(data, eta, epochs, seed):
     X = data.features
     y = np.where(data.labels == 1, 1.0, -1.0)
     m, n = X.shape
+    dot = fixed_dot if n == 2 else blas_dot
     w = np.zeros(n)
     b = 0.0
     rng = SplitMix64(seed)
     for _ in range(epochs):
         updates = 0
         for i in rng.permutation(m):
-            if y[i] * (float(w @ X[i]) + b) <= 0.0:
+            if y[i] * (dot(w, X[i]) + b) <= 0.0:
                 w = w + eta * y[i] * X[i]
                 b += eta * y[i]
                 updates += 1
@@ -155,6 +178,7 @@ def frozen_linear_svm_fit(data, reg, epochs, seed):
     X = np.hstack([data.features, np.ones((data.m, 1))])
     y = np.where(data.labels == 1, 1.0, -1.0)
     m, n1 = X.shape
+    dot = fixed_dot if data.n == 2 else blas_dot  # n = 2: x[2]*w[2] is w[2]
     w = np.zeros(n1)
     rng = SplitMix64(seed)
     t = 0
@@ -162,7 +186,7 @@ def frozen_linear_svm_fit(data, reg, epochs, seed):
         for i in rng.permutation(m):
             t += 1
             step = 1.0 / (reg * t)
-            margin = y[i] * float(w @ X[i])
+            margin = y[i] * dot(w, X[i])
             w = (1.0 - step * reg) * w
             if margin < 1.0:
                 w = w + step * y[i] * X[i]
@@ -200,12 +224,12 @@ def draw_points(rng, kind, m, n, scale):
 
 
 @st.composite
-def labeled_sets(draw, max_n, scales):
+def labeled_sets(draw, max_n, scales, min_n=1, kinds=("float", "int", "dup", "perm")):
     """A Dataset with both classes, possibly column-major (strided rows)."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     m = draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = draw_points(rng, draw(st.sampled_from(["float", "int", "dup", "perm"])), m, n,
+    X = draw_points(rng, draw(st.sampled_from(kinds)), m, n,
                     draw(st.sampled_from(scales)))
     if draw(st.booleans()):
         X = np.asfortranarray(X)
@@ -234,6 +258,27 @@ class TestBaselinesMatchFrozenLoops:
            reg=st.sampled_from([1e-3, 0.01, 1.0, 10.0]),
            epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
     def test_linear_svm(self, data, reg, epochs, seed):
+        model = linear_svm_fit(data, reg=reg, epochs=epochs, seed=seed)
+        want = frozen_linear_svm_fit(data, reg, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
+    # n = 2 alone, with the tie-heavy draws: small integers and permuted
+    # coordinates make margins whose rounding a fused multiply-add changes.
+    # labeled_sets above draws n from 1..6, so it rarely reaches n = 2.
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(2, [1e-6, 1.0, 1e6], min_n=2, kinds=("int", "perm")),
+           eta=st.sampled_from([0.1, 1.0, 3.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_perceptron_2d(self, data, eta, epochs, seed):
+        model = perceptron_fit(data, eta=eta, epochs=epochs, seed=seed)
+        want = frozen_perceptron_fit(data, eta, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(2, [1e-6, 1.0, 1e6], min_n=2, kinds=("int", "perm")),
+           reg=st.sampled_from([1e-3, 0.01, 1.0, 10.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_linear_svm_2d(self, data, reg, epochs, seed):
         model = linear_svm_fit(data, reg=reg, epochs=epochs, seed=seed)
         want = frozen_linear_svm_fit(data, reg, epochs, seed)
         assert same_bits(model.weights, model.bias, *want)

@@ -1,24 +1,26 @@
 """n = 2 training takes no bits from the BLAS kernel.
 
-Grid models trained in child processes that force another OpenBLAS core
-must hash the same as the ones trained here. The cells are the first 20
-grid cells, in (seed, std index) order, whose MPA models took other bits
-under the Haswell and Prescott cores while the n = 2 loop still used BLAS
-dot and matrix-vector products. `benchmarks/check_kernels.py` runs the
-full check over all 500 cells and every golden output.
+Grid models (MPA, the perceptron and the linear SVM) trained in child
+processes that force another OpenBLAS core must hash the same as the ones
+trained here. The cells are the first 20 grid cells, in (seed, std index)
+order, whose MPA models took other bits under the Haswell and Prescott
+cores while the n = 2 loop still used BLAS dot and matrix-vector
+products. `benchmarks/check_kernels.py` runs the full check over all 500
+cells and every golden output.
 """
 
 import functools
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from movingpoints import mpa
+from movingpoints import baselines, mpa
 from movingpoints.datasets import make_blobs, train_test_split
 from movingpoints.rng import derive_seed
 
@@ -37,7 +39,9 @@ CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
 
 @functools.lru_cache(maxsize=1)
 def grid_model_digest() -> str:
-    """sha256 over the model documents MPA trains on CELLS, as the grid does."""
+    """sha256 over the models trained on CELLS as the grid trains them: per
+    cell the MPA model document, then the perceptron's and the linear SVM's
+    weights and bias (seed slots 2 and 3, the parameters of bench)."""
     digest = hashlib.sha256()
     for seed, std_index in CELLS:
         ds = make_blobs(seed=seed, std=1.0 + 0.1 * std_index, n_per_class=50, dim=2)
@@ -45,6 +49,12 @@ def grid_model_digest() -> str:
         train, _ = train_test_split(ds, 0.2, derive_seed(cell, 0))
         model, _ = mpa.train(train, mpa.MpaConfig(seed=derive_seed(cell, 1)))
         digest.update(mpa.model_document(model).encode("utf-8"))
+        for linear in (
+            baselines.perceptron_fit(train, eta=1.0, epochs=50, seed=derive_seed(cell, 2)),
+            baselines.linear_svm_fit(train, reg=0.01, epochs=30, seed=derive_seed(cell, 3)),
+        ):
+            digest.update(linear.weights.tobytes())
+            digest.update(struct.pack("<d", linear.bias))
     return digest.hexdigest()
 
 

@@ -78,6 +78,20 @@ class TestInitialize:
         with pytest.raises(IdenticalMeansError):
             initialize(pts, pts.copy(), MpaConfig())
 
+    @pytest.mark.parametrize("c0, message", [
+        ([[0.0, np.nan]], "point has non-finite coordinates"),
+        ([[[0.0, 1.0]]], r"expected a 1-D point, got shape \(1, 2\)"),
+        ([1.0, 2.0], r"expected a 1-D point, got shape \(\)"),
+        ([[]], r"expected a 1-D point, got shape \(0,\)"),
+        ([], "both classes must be non-empty"),
+        (np.zeros((0, 2)), "both classes must be non-empty"),
+    ], ids=["non-finite", "2-D point", "scalar point", "empty point", "no points",
+            "no rows"])
+    def test_bad_class_points_are_refused(self, c0, message):
+        c1 = np.array([[3.0, 0.0], [5.0, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            initialize(c0, c1, MpaConfig())
+
     def test_alpha_resolves_from_point_spacing(self):
         c0 = np.array([[-1.0, 0.0], [1.0, 0.0]])
         c1 = np.array([[3.0, 0.0], [5.0, 0.0]])
