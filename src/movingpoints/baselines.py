@@ -154,8 +154,8 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
     it takes w.dot(x) on arrays.
     """
     data.require_binary()
-    if not reg > 0:
-        raise ValueError(f"reg must be positive, got {reg}")
+    if not 0.0 < reg < np.inf:
+        raise ValueError(f"reg must be finite and positive, got {reg}")
     y = np.where(data.labels == 1, 1.0, -1.0).tolist()
     rng = SplitMix64(seed)
     if data.n == 2:

@@ -251,12 +251,16 @@ def run_dataset_protocol(ds: Dataset, repetitions: int = 5,
     Standardization and PCA statistics come from each repetition's training
     side only; the test side is transformed with them. Seed slots per
     repetition r (rep = derive_seed(master_seed, r)): split 0, moving
-    points 1, SVM 3. A test_fraction outside (0, 1), no repetitions or a
-    pca_k below 1 raise InvalidParamsError before any repetition runs; a
-    pca_k above the feature count keeps every component.
+    points 1, SVM 3. A test_fraction outside (0, 1), no repetitions, a
+    pca_k or svm_epochs below 1, or an svm_reg that is not finite and
+    positive raise InvalidParamsError before any repetition runs; a pca_k
+    above the feature count keeps every component.
     """
     _check_test_fraction(test_fraction)
-    _check_at_least(repetitions=(repetitions, 1), pca_k=(pca_k, 1))
+    _check_at_least(repetitions=(repetitions, 1), pca_k=(pca_k, 1),
+                    svm_epochs=(svm_epochs, 1))
+    if not 0.0 < svm_reg < np.inf:
+        raise InvalidParamsError(f"svm_reg must be finite and positive, got {svm_reg}")
     mpa_cfg = mpa_cfg or mpa.MpaConfig()
     report = BenchReport(metadata={
         "protocol": "dataset",

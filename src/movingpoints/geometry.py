@@ -1,4 +1,4 @@
-"""Vectors, hyperplanes, and the determinant construction.
+"""Vectors, hyperplanes, and the bordered-determinant construction.
 
 Points are plain 1-D float64 numpy arrays (validated by :func:`as_vector`).
 A hyperplane is stored as the coefficients of its implicit equation
@@ -14,12 +14,8 @@ determinant
     | pn_1 ... pn_n 1 |  = 0
 
 along its first row: weight i is the signed cofactor of the variable
-column i, the bias is the signed cofactor of the constant column. The n+1
-minors are evaluated numerically, all at once, by Gaussian elimination
-over one (n+1, n, n) stack with partial pivoting chosen per minor, so no
-symbolic algebra is involved. Every element sees the same floating-point
-operations in the same order as eliminating each minor on its own, so the
-cofactors are bit-identical to the one-minor-at-a-time loop.
+column i, the bias is the signed cofactor of the constant column. All
+n+1 come from one numerical Gaussian elimination (_cofactors).
 
 Training (mpa.fit) runs this construction only at fresh builds when
 n >= 3: between them it carries the same first-row cofactors by rank-one
@@ -35,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,47 +99,6 @@ class Hyperplane:
             raise DimensionMismatchError(
                 f"point has dimension {x.size}, hyperplane has {self.dim}"
             )
-
-
-def _determinants(stack: np.ndarray) -> np.ndarray:
-    """Determinants of a (k, n, n) stack by Gaussian elimination.
-
-    Each slice is eliminated with its own partial pivoting, and every
-    element update is the multiply-then-subtract of the one-matrix loop,
-    so each result is bit-identical to eliminating that slice alone. A
-    slice whose pivot is exactly 0.0 has determinant exactly 0.0; the
-    inf/nan its later columns produce stay inside that slice.
-    """
-    a = np.array(stack, dtype=float, order="C")
-    k, n = a.shape[:2]
-    det = np.ones(k)
-    singular = np.zeros(k, dtype=bool)
-    slices = np.arange(k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for col in range(n):
-            pivot = col + np.abs(a[:, col:, col]).argmax(axis=1)
-            swap = pivot != col
-            if swap.any():
-                # Slices that keep their row write it back onto itself.
-                pivot_rows = a[slices, pivot, col:]
-                a[slices, pivot, col:] = a[:, col, col:]
-                a[:, col, col:] = pivot_rows
-                det[swap] = -det[swap]
-            p = a[:, col, col]
-            singular |= p == 0.0
-            det *= p
-            a[:, col + 1:, col:] -= (a[:, col + 1:, col] / p[:, None])[..., None] \
-                * a[:, col, None, col:]
-    det[singular] = 0.0
-    return det
-
-
-def determinant(matrix: np.ndarray) -> float:
-    """Determinant by Gaussian elimination with partial pivoting."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    return float(_determinants(a[None])[0])
 
 
 def _norm(v: np.ndarray) -> float:
@@ -225,22 +179,42 @@ def line_from_points(e, f) -> Hyperplane:
     return Hyperplane(np.array([w0, w1]), bias)
 
 
-@lru_cache(maxsize=64)
-def _minor_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns kept by each of the n+1 minors, and the cofactor signs."""
-    keep = np.array([[c for c in range(n + 1) if c != j] for j in range(n + 1)])
-    signs = np.array([(-1.0) ** j for j in range(n + 1)])
-    keep.setflags(write=False)
-    signs.setflags(write=False)
-    return keep, signs
+def _cofactors(pts: np.ndarray) -> list[float]:
+    """First-row cofactors (w, b) of the bordered matrix of the n x n pts.
+
+    They are the left null vector c of B = [pts | 1]^T, (n+1) x n, scaled
+    so that c . x = det([x | B]). Gaussian elimination with partial
+    pivoting gives Pi B = L U; c is Pi^T of d * (last row of L^-1), where d
+    is the sign of Pi times (-1)^n times the product of the pivots, and
+    is read by back substitution with _dot. Element-wise numpy and _dot
+    only, so no bit comes from BLAS. A pivot of exactly 0.0 means B has
+    rank below n, and every cofactor is 0.0.
+    """
+    n = pts.shape[0]
+    a = np.ones((n + 1, n))
+    a[:n] = pts.T
+    order = list(range(n + 1))
+    det = (-1.0) ** n
+    for col in range(n):
+        row = col + int(np.abs(a[col:, col]).argmax())
+        if row != col:
+            a[[col, row]] = a[[row, col]]
+            order[col], order[row] = order[row], order[col]
+            det = -det
+        p = float(a[col, col])
+        if p == 0.0:
+            return [0.0] * (n + 1)
+        det *= p
+        a[col + 1:, col + 1:] -= (a[col + 1:, col] / p)[:, None] * a[col, col + 1:]
+    # a[k+1:, k] is column k of L times pivot k: divide once per entry of c.
+    c = [det]
+    for k in range(n - 1, -1, -1):
+        c.insert(0, -_dot(a[k + 1:, k].tolist(), c) / float(a[k, k]))
+    return [ck for _, ck in sorted(zip(order, c))]  # c[k] belongs to row order[k]
 
 
 def hyperplane_from_points(points) -> Hyperplane:
     """Hyperplane through n points in n dimensions (bordered determinant).
-
-    All n+1 minors of the bordered matrix are eliminated together as one
-    stack, with per-minor partial pivoting and the operation order of a
-    one-minor-at-a-time loop, so the coefficients are bit-identical to it.
 
     Raises DegeneratePointsError when the points are affinely dependent,
     i.e. lie on a common (n-2)-flat, which drives every cofactor to zero.
@@ -256,18 +230,13 @@ def hyperplane_from_points(points) -> Hyperplane:
             f"need exactly n points of dimension n, got {pts.shape[0]} points "
             f"of dimension {pts.shape[1]}"
         )
-    keep, signs = _minor_layout(n)
-    # Rows 2..n+1 of the bordered matrix: [point, 1]; minor j drops column j.
-    bordered = np.hstack([pts, np.ones((n, 1))])
-    coeffs = signs * _determinants(bordered[:, keep].transpose(1, 0, 2))
-    weights, bias = coeffs[:n], coeffs[n]
-    scale = coordinate_scale(pts)
+    *weights, bias = _cofactors(pts)
     # Cofactors scale like coordinate^(n-1); normalize the test accordingly.
-    if _norm(weights) <= EPS_DEGENERATE * scale ** (n - 1):
+    if math.sqrt(_dot(weights, weights)) <= EPS_DEGENERATE * coordinate_scale(pts) ** (n - 1):
         raise DegeneratePointsError(
             "points are affinely dependent and define no unique hyperplane"
         )
-    return Hyperplane(weights, bias)
+    return Hyperplane(np.array(weights), bias)
 
 
 def signed_displacement(h: Hyperplane, x) -> float:

@@ -680,7 +680,7 @@ class _Boundary:
     the cofactors of M's first row, det(M) * Minv[:, 0], whatever that row
     holds. Moving point i by d adds [d, 0] to row i+1 of M, so with
     u = d @ Minv[:n] and col = Minv[:, i+1], Sherman-Morrison gives, in
-    O(n^2) instead of the O(n^4) of the cofactor stack,
+    O(n^2) instead of the O(n^3) fresh build,
 
         denom = 1 + u[i+1]                    (det(M') = det(M) * denom)
         Minv' = Minv - outer(col, u / denom)

@@ -121,6 +121,11 @@ class TestLinearSvm:
         got = [scalar_linear_predict(model, row) for row in X]
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("reg", [0.0, -1.0, float("nan"), float("inf")])
+    def test_reg_must_be_finite_and_positive(self, two_blobs, reg):
+        with pytest.raises(ValueError, match="reg must be finite and positive"):
+            linear_svm_fit(two_blobs, reg=reg)
+
     def test_predict_refuses_wrong_width(self, two_blobs):
         model = linear_svm_fit(two_blobs)
         for X in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2)):

@@ -205,7 +205,9 @@ class TestDatasetProtocol:
         ({"test_fraction": 2.0}, "test_fraction"),
         ({"pca_k": 0}, "pca_k"),
         ({"repetitions": 0}, "repetitions"),
-    ], ids=["test-fraction-2", "pca-k-0", "reps-0"])
+        ({"svm_reg": float("inf")}, "svm_reg"),
+        ({"svm_epochs": 0}, "svm_epochs"),
+    ], ids=["test-fraction-2", "pca-k-0", "reps-0", "svm-reg-inf", "svm-epochs-0"])
     def test_bad_parameter_rejected_before_any_repetition(self, iris_hard,
                                                           kwargs, message):
         with pytest.raises(InvalidParamsError, match=message):

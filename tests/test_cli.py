@@ -365,6 +365,16 @@ class TestEveryErrorEndsAtItsStage:
                      "mpa bench dataset: checking inputs:", id="dataset-no-label-flags"),
         pytest.param(DATASET + VIRGINICA + ["--features", ",", "--output", "{out}"], 2,
                      "mpa bench dataset: checking inputs:", id="dataset-features-comma"),
+        pytest.param(DATASET + VIRGINICA + ["--svm-reg", "0", "--output", "{out}"], 2,
+                     "mpa bench dataset: checking inputs:", id="dataset-svm-reg-0"),
+        pytest.param(DATASET + VIRGINICA + ["--svm-reg", "nan", "--output", "{out}"], 2,
+                     "mpa bench dataset: checking inputs:", id="dataset-svm-reg-nan"),
+        pytest.param(DATASET + VIRGINICA + ["--svm-reg", "inf", "--output", "{out}"], 2,
+                     "mpa bench dataset: checking inputs:", id="dataset-svm-reg-inf"),
+        pytest.param(DATASET + VIRGINICA + ["--svm-epochs", "-3", "--output", "{out}"], 2,
+                     "mpa bench dataset: checking inputs:", id="dataset-svm-epochs--3"),
+        pytest.param(DATASET + VIRGINICA + ["--svm-epochs", "0", "--output", "{out}"], 2,
+                     "mpa bench dataset: checking inputs:", id="dataset-svm-epochs-0"),
         pytest.param(PLOT + IRIS_ARGS[:-1] + [
             "SepalLengthCm,SepalWidthCm,PetalLengthCm", "--output", "{out}"], 2,
             "mpa plot: checking inputs:", id="plot-three-features"),

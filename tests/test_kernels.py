@@ -1,12 +1,13 @@
-"""n = 2 training takes no bits from the BLAS kernel.
+"""n = 2 training and the fresh plane take no bits from the BLAS kernel.
 
 Grid models (MPA, the perceptron and the linear SVM) trained in child
 processes that force another OpenBLAS core must hash the same as the ones
-trained here. The cells are the first 20 grid cells, in (seed, std index)
-order, whose MPA models took other bits under the Haswell and Prescott
-cores while the n = 2 loop still used BLAS dot and matrix-vector
-products. `benchmarks/check_kernels.py` runs the full check over all 500
-cells and every golden output.
+trained here, and so must the planes hyperplane_from_points builds. The
+cells are the first 20 grid cells, in (seed, std index) order, whose MPA
+models took other bits under the Haswell and Prescott cores while the
+n = 2 loop still used BLAS dot and matrix-vector products.
+`benchmarks/check_kernels.py` runs the full check over all 500 cells and
+every golden output.
 """
 
 import functools
@@ -22,7 +23,8 @@ import pytest
 
 from movingpoints import baselines, mpa
 from movingpoints.datasets import make_blobs, train_test_split
-from movingpoints.rng import derive_seed
+from movingpoints.geometry import hyperplane_from_points
+from movingpoints.rng import SplitMix64, derive_seed
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
@@ -31,10 +33,10 @@ from write_bench import openblas_core  # noqa: E402
 CELLS = [(0, 3), (0, 9), (1, 0), (1, 5), (1, 9), (3, 6), (3, 8), (4, 2), (5, 2), (6, 0),
          (6, 3), (6, 4), (6, 5), (6, 8), (6, 9), (7, 7), (7, 9), (8, 7), (9, 1), (9, 5)]
 
-# Prints [openblas_core(), grid_model_digest()] of a fresh interpreter.
+# Prints [openblas_core(), grid_model_digest(), plane_digest()] of a fresh interpreter.
 CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-         "from test_kernels import grid_model_digest, openblas_core; "
-         "print(json.dumps([openblas_core(), grid_model_digest()]))")
+         "from test_kernels import grid_model_digest, openblas_core, plane_digest; "
+         "print(json.dumps([openblas_core(), grid_model_digest(), plane_digest()]))")
 
 
 @functools.lru_cache(maxsize=1)
@@ -58,6 +60,19 @@ def grid_model_digest() -> str:
     return digest.hexdigest()
 
 
+def plane_digest() -> str:
+    """sha256 over the coefficients of hyperplane_from_points on 20 Gaussian
+    point sets (SplitMix64(n).normals) at each n in 3, 4, 8 and 16."""
+    digest = hashlib.sha256()
+    for n in (3, 4, 8, 16):
+        stream = SplitMix64(n)
+        for _ in range(20):
+            h = hyperplane_from_points(stream.normals(n * n).reshape(n, n))
+            digest.update(h.weights.tobytes())
+            digest.update(struct.pack("<d", h.bias))
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_grid_models_do_not_depend_on_openblas_core(core):
     if openblas_core() is None:
@@ -69,5 +84,6 @@ def test_grid_models_do_not_depend_on_openblas_core(core):
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent)],
                           env=env, capture_output=True, text=True, check=True)
-    child_core, digest = json.loads(proc.stdout.strip().splitlines()[-1])
+    child_core, digest, planes = json.loads(proc.stdout.strip().splitlines()[-1])
     assert digest == grid_model_digest(), f"OPENBLAS_CORETYPE={core} ran core {child_core}"
+    assert planes == plane_digest(), f"OPENBLAS_CORETYPE={core} ran core {child_core}"
