@@ -6,18 +6,29 @@ Most cases rebuild the split of one `bench synthetic` cell exactly as
 ``bench.run_synthetic_cell`` does. The training cases time ``mpa.train``
 on it and check that moves plus skips add up to the misclassified visits
 and that the points stay finite; the baseline cases time one classifier
-with the cell's parameters and seed slot. The plane cases time
-``hyperplane_from_points`` on Gaussian points and one rank-one update of
-the plane that ``mpa.fit`` carries between fresh builds.
+with the cell's parameters and seed slot. One more training case times
+the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
+plane cases time ``hyperplane_from_points`` on Gaussian points and one
+rank-one update of the plane that ``mpa.fit`` carries between fresh
+builds (n >= 4).
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from movingpoints import baselines, mpa
-from movingpoints.datasets import make_blobs, train_test_split
+from movingpoints.datasets import (
+    load_csv,
+    make_blobs,
+    pca_apply,
+    pca_fit,
+    standardize_apply,
+    standardize_fit,
+    train_test_split,
+)
 from movingpoints.geometry import hyperplane_from_points
 from movingpoints.rng import SplitMix64, derive_seed
 
@@ -59,6 +70,24 @@ def test_train_cell(benchmark, seed, std_index, dim):
     benchmark.extra_info["moves"] = log.moves
     assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
     assert np.all(np.isfinite(model.moving_points))
+
+
+# Rep 0 of `mpa bench dataset` on Iris, virginica vs versicolor, --eta 0.0005,
+# as bench.run_dataset_protocol builds it: split, standardize, PCA to k = 3,
+# then the MPA fit with the rep's seed slot. It times the n = 3 loop.
+def test_train_iris_dataset_rep0(benchmark):
+    iris = load_csv(Path(__file__).resolve().parents[1] / "tests" / "data" / "iris.csv",
+                    label_column="Species", positive_label="Iris-virginica",
+                    negative_label="Iris-versicolor")
+    rep = derive_seed(0, 0)
+    train_raw, _ = train_test_split(iris, 0.2, derive_seed(rep, 0))
+    train_std = standardize_apply(standardize_fit(train_raw), train_raw)
+    train_ds = pca_apply(pca_fit(train_std, 3), train_std)
+    cfg = mpa.MpaConfig(eta=0.0005, seed=derive_seed(rep, 1))
+    model, log = benchmark(mpa.train, train_ds, cfg)
+    benchmark.extra_info["moves"] = log.moves
+    assert model.dim == 3 and log.moves > 0
+    assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
 
 
 # The baselines with the parameters of bench.CLASSIFIERS: the SVM's 30

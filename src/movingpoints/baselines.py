@@ -10,6 +10,7 @@ training heuristics (learning-rate schedules, solvers) differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -20,6 +21,11 @@ from .rng import SplitMix64
 
 class EmptyModelError(ValueError):
     """The model holds no training data."""
+
+
+def _check_epochs(epochs) -> None:
+    if not (isinstance(epochs, Integral) and epochs >= 1):
+        raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
 
 
 @dataclass
@@ -40,9 +46,13 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
     which further epochs could not change anything. For n = 2 the loop
     runs on Python floats with the margin x0*w0 + x1*w1 + b summed in that
     order, so the model takes no bits from BLAS; for n >= 3 it takes
-    w.dot(x) on arrays.
+    w.dot(x) on arrays. ValueError unless eta is finite and positive and
+    epochs is a positive integer.
     """
     data.require_binary()
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+    _check_epochs(epochs)
     y = np.where(data.labels == 1, 1.0, -1.0).tolist()
     rng = SplitMix64(seed)
     if data.n == 2:
@@ -151,11 +161,13 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
     constant feature, so it is (lightly) regularized with the rest. For
     n = 2 the loop runs on Python floats with the margin x0*w0 + x1*w1 + w2
     summed in that order, so the model takes no bits from BLAS; for n >= 3
-    it takes w.dot(x) on arrays.
+    it takes w.dot(x) on arrays. ValueError unless reg is finite and
+    positive and epochs is a positive integer.
     """
     data.require_binary()
     if not 0.0 < reg < np.inf:
         raise ValueError(f"reg must be finite and positive, got {reg}")
+    _check_epochs(epochs)
     y = np.where(data.labels == 1, 1.0, -1.0).tolist()
     rng = SplitMix64(seed)
     if data.n == 2:

@@ -18,13 +18,16 @@ column i, the bias is the signed cofactor of the constant column. All
 n+1 come from one numerical Gaussian elimination (_cofactors).
 
 Training (mpa.fit) runs this construction only at fresh builds when
-n >= 3: between them it carries the same first-row cofactors by rank-one
+n >= 4: between them it carries the same first-row cofactors by rank-one
 updates of the inverse of the bordered matrix (see mpa._Boundary), so a
 plane met during training can differ from this one in the last bits.
-Every plane of n >= 3 points that a model stores comes from here.
-The line through two 2-D points is read in closed form on Python floats
-(_line_coeffs), the one routine that line_from_points and mpa.fit's
-n = 2 loop share.
+Every plane of n >= 4 points that a model stores comes from here.
+For n = 2 and 3 the same cofactors have closed forms on Python floats:
+the line through two 2-D points (_line_coeffs, shared by line_from_points
+and mpa.fit's n = 2 loop) and the cross product of the plane through
+three 3-D points (_plane3_coeffs, which mpa uses for every n = 3 plane
+a model trains with or stores). The latter can differ from this
+construction in the last bits.
 """
 
 from __future__ import annotations
@@ -167,6 +170,49 @@ def _line_coeffs(x1: float, y1: float, x2: float, y2: float) -> tuple[float, flo
     if norm <= EPS_DEGENERATE * max(abs(w0), abs(w1), abs(bias), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return w0, w1, bias, norm
+
+
+def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
+    """(w0, w1, w2, bias, ||w||) of the plane through three 3-D points, on Python floats.
+
+    p1, p2 and p3 are sequences of three floats. The normal is the cross
+    product w = (p2 - p1) x (p3 - p1) and the bias is -(w . p1), the
+    first-row cofactors of the bordered determinant, so the orientation
+    is that of hyperplane_from_points; ||w|| is sqrt(w0*w0 + w1*w1 + w2*w2).
+    Raises what hyperplane_from_points raises, in its order, with its
+    threshold EPS_DEGENERATE * max(1, max|p|)^2, then the checks of
+    :func:`_normal_norm`.
+    """
+    a0, a1, a2 = p1
+    b0, b1, b2 = p2
+    c0, c1, c2 = p3
+    coords = (a0, a1, a2, b0, b1, b2, c0, c1, c2)
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("point has non-finite coordinates")
+    u0 = b0 - a0
+    u1 = b1 - a1
+    u2 = b2 - a2
+    v0 = c0 - a0
+    v1 = c1 - a1
+    v2 = c2 - a2
+    w0 = u1 * v2 - u2 * v1
+    w1 = u2 * v0 - u0 * v2
+    w2 = u0 * v1 - u1 * v0
+    norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    # coordinate_scale of the three points, on the Python floats.
+    scale = max(1.0, *map(abs, coords))
+    if norm <= EPS_DEGENERATE * scale ** 2:
+        raise DegeneratePointsError(
+            "points are affinely dependent and define no unique hyperplane"
+        )
+    bias = -(w0 * a0 + w1 * a1 + w2 * a2)
+    if not (math.isfinite(w0) and math.isfinite(w1) and math.isfinite(w2)):
+        raise ValueError("point has non-finite coordinates")
+    if not math.isfinite(bias):
+        raise ValueError("bias is not finite")
+    if norm <= EPS_DEGENERATE * max(abs(w0), abs(w1), abs(w2), abs(bias), 1.0):
+        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    return w0, w1, w2, bias, norm
 
 
 def line_from_points(e, f) -> Hyperplane:

@@ -19,10 +19,11 @@ class mean, sampled to damp outlier influence). A proximity guard removes
 any movement component that would push two moving points within alpha of
 each other closer together.
 
-For n = 2, initialization and training run on Python floats with every sum
-written in a fixed order, so an n = 2 model takes no bits from the BLAS
-kernel that numpy picks for the CPU. For n >= 3 training works on arrays
-and carries the plane by rank-one updates (see fit and _Boundary).
+For n = 2 and n = 3, initialization and training run on Python floats with
+every sum written in a fixed order and the plane read in closed form, so
+such a model takes no bits from the BLAS kernel that numpy picks for the
+CPU. For n >= 4 training works on arrays and carries the plane by rank-one
+updates (see fit and _Boundary).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .geometry import (
     _dot,
     _line_coeffs,
     _norm,
+    _plane3_coeffs,
     as_vector,
     coordinate_scale,
     hyperplane_from_points,
@@ -139,9 +141,14 @@ class MpaModel:
 
 
 def _plane_of(points: np.ndarray) -> Hyperplane:
-    # 2-D keeps the closed-form path; it is also the n=2 cross-check oracle.
-    if points.shape[0] == 2:
+    """The plane fit trains with: the closed forms of _line_coeffs (n = 2)
+    and _plane3_coeffs (n = 3), hyperplane_from_points for n >= 4."""
+    n = points.shape[0]
+    if n == 2:
         return line_from_points(points[0], points[1])
+    if n == 3:
+        w0, w1, w2, bias, _ = _plane3_coeffs(*points.tolist())
+        return Hyperplane(np.array([w0, w1, w2]), bias)
     return hyperplane_from_points(points)
 
 
@@ -262,7 +269,7 @@ def movement_vector(model: MpaModel, q, g, lam: float, cfg: MpaConfig | None = N
     With mover c, u = c - q and w = g - q give v = w - u = g - c; the step
     is t = (v/||v||) * |eta * lambda|, i.e. length |eta*lambda| straight
     toward the sampled opposite-class point g. Returns (mover_index, t).
-    For n = 2 this is the Python-float step of fit's loop.
+    For n = 2 and 3 this is the Python-float step of fit's loop.
     """
     cfg = cfg or model.config
     q = as_vector(q)
@@ -279,6 +286,13 @@ def movement_vector(model: MpaModel, q, g, lam: float, cfg: MpaConfig | None = N
         g0, g1 = g.tolist()
         scale = max(1.0, abs(c0), abs(c1), abs(g0), abs(g1))  # coordinate_scale(c, g)
         return mover, np.array(_step_line(c0, c1, g0, g1, scale, step))
+    if model.dim == 3:
+        pts = model.moving_points.tolist()
+        mover = _nearest_plane3(pts, *q.tolist())
+        c = pts[mover]
+        gl = g.tolist()
+        scale = max(1.0, *map(abs, c), *map(abs, gl))  # coordinate_scale(c, g)
+        return mover, np.array(_step_plane3(*c, *gl, scale, step))
     mover = _nearest(model.moving_points, q)
     c = model.moving_points[mover]
     return mover, _displacement(c, g, coordinate_scale(c, g), step)
@@ -316,18 +330,22 @@ def overfit_guard(model: MpaModel, mover_index: int, t, cfg: MpaConfig | None = 
     neighbor keeps a component above 1e-12 (projecting for one neighbor
     can re-open another), with a hard pass cap falling back to a zero
     move. Movements pointing away from every near neighbor pass through
-    untouched: the input object itself is returned. For n = 2 this is the
-    Python-float guard of fit's loop.
+    untouched: the input object itself is returned. For n = 2 and 3 this
+    is the Python-float guard of fit's loop.
     """
     alpha = model.alpha
     if cfg is not None and cfg.alpha is not None:
         alpha = cfg.alpha
     P = model.moving_points
-    if P.shape[0] == 2:
-        step = tuple(np.asarray(t, dtype=float).tolist())
+    n = P.shape[0]
+    if n > 3:
+        return _guard(P, mover_index, t, alpha)
+    step = tuple(np.asarray(t, dtype=float).tolist())
+    if n == 2:
         out = _guard_line(*P[mover_index].tolist(), *P[1 - mover_index].tolist(), step, alpha)
-        return t if out is step else np.array(out)
-    return _guard(P, mover_index, t, alpha)
+    else:
+        out = _guard_plane3(P.tolist(), mover_index, step, alpha)
+    return t if out is step else np.array(out)
 
 
 def _guard(P: np.ndarray, mover: int, t, alpha: float):
@@ -397,6 +415,61 @@ def _guard_line(e0: float, e1: float, f0: float, f1: float, t: tuple,
             return out
         out = (t0 - r0 * d, t1 - r1 * d)
     return 0.0, 0.0
+
+
+# n = 3 on Python floats, the same steps with three coordinates.
+
+def _nearest_plane3(pts: list, q0: float, q1: float, q2: float) -> int:
+    """_nearest for the three points pts = [[x, y, z], ...] and q = (q0, q1, q2)."""
+    dists = []
+    for p0, p1, p2 in pts:
+        d0 = p0 - q0
+        d1 = p1 - q1
+        d2 = p2 - q2
+        dists.append(math.sqrt(d0 * d0 + d1 * d1 + d2 * d2))
+    return dists.index(min(dists))  # the lowest index on ties, as argmin
+
+
+def _step_plane3(c0: float, c1: float, c2: float, g0: float, g1: float, g2: float,
+                 scale: float, step: float) -> tuple[float, float, float]:
+    """_displacement: the step of length step from (c0, c1, c2) toward (g0, g1, g2)."""
+    v0 = g0 - c0
+    v1 = g1 - c1
+    v2 = g2 - c2
+    nv = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    if nv <= EPS_DEGENERATE * scale:
+        raise ZeroDisplacementError("sampled target coincides with the mover")
+    return v0 / nv * step, v1 / nv * step, v2 / nv * step
+
+
+def _guard_plane3(pts: list, mover: int, t: tuple, alpha: float) -> tuple:
+    """_guard for the three points pts = [[x, y, z], ...], the mover's index and
+    the step t = (t0, t1, t2); t itself comes back when nothing is projected out."""
+    e0, e1, e2 = pts[mover]
+    rhats = []
+    for i, (f0, f1, f2) in enumerate(pts):
+        r0 = f0 - e0
+        r1 = f1 - e1
+        r2 = f2 - e2
+        gap = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+        if i != mover and 0.0 < gap <= alpha:  # a zero gap gives no direction
+            rhats.append((r0 / gap, r1 / gap, r2 / gap))
+    if not rhats:
+        return t
+    out = t
+    for _ in range(_MAX_GUARD_PASSES):
+        t0, t1, t2 = out
+        # As _guard: the neighbours closed in on at the start of the pass,
+        # each projected out in turn if it still is.
+        closing = [r for r in rhats if r[0] * t0 + r[1] * t1 + r[2] * t2 > _GUARD_TOL]
+        if not closing:
+            return out
+        for r0, r1, r2 in closing:
+            t0, t1, t2 = out
+            d = r0 * t0 + r1 * t1 + r2 * t2
+            if d > _GUARD_TOL:
+                out = (t0 - r0 * d, t1 - r1 * d, t2 - r2 * d)
+    return 0.0, 0.0, 0.0
 
 
 @dataclass
@@ -470,12 +543,14 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     training halts after the first epoch with zero misclassifications.
 
     Inputs are validated once, here; the loop then works on raw values.
-    For n = 2 (_line_epochs) they are Python floats: the two points, the
-    line's (w0, w1, b) and ||w||, with every sum written in a fixed order
-    (x0*w0 + x1*w1 + b, sqrt(d0*d0 + d1*d1)), so no value depends on a
-    BLAS kernel; the steps are those of the public movement_vector and
-    overfit_guard, the line that of line_from_points, and lambda is
-    evaluated one example at a time. For n >= 3 (_plane_epochs) they are
+    For n = 2 (_line_epochs) and n = 3 (_plane3_epochs) they are Python
+    floats: the points, the plane's w, b and ||w||, with every sum written
+    in a fixed order (x0*w0 + x1*w1 + x2*w2 + b,
+    sqrt(d0*d0 + d1*d1 + d2*d2)), so no value depends on a BLAS kernel;
+    the steps are those of the public movement_vector and overfit_guard,
+    the plane that of _plane_of (line_from_points, _plane3_coeffs), read
+    from the candidate points before a move is kept, and lambda is
+    evaluated one example at a time. For n >= 4 (_plane_epochs) they are
     arrays: the points (model.moving_points, updated in place) and the
     plane, carried from move to move by a rank-one update (see _Boundary),
     so its coefficients can differ from hyperplane_from_points' in the
@@ -510,7 +585,7 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     P = model.moving_points
     log = TrainingLog()
     snapshots = [P.copy()]
-    epochs = _line_epochs if model.dim == 2 else _plane_epochs
+    epochs = {2: _line_epochs, 3: _plane3_epochs}.get(model.dim, _plane_epochs)
     try:
         # Each epoch leaves its points in P before it yields its count.
         for miss in epochs(P, X, pseudo, draws, rng, cfg, alpha, log):
@@ -589,9 +664,67 @@ def _line_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
         P[:] = pts
 
 
+def _plane3_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
+                   rng: SplitMix64, cfg: MpaConfig, alpha: float, log: TrainingLog):
+    """fit's epochs for n = 3 on Python floats, as _line_epochs runs n = 2.
+
+    The plane is re-read from the candidate points by _plane3_coeffs before
+    a move is kept; the points are written back into P before each yield
+    and on every exit.
+    """
+    rows = X.tolist()
+    row_scale = [max(abs(x0), abs(x1), abs(x2)) for x0, x1, x2 in rows]  # max|X[r]|
+    signs = pseudo.tolist()
+    eta = cfg.eta
+    pts = P.tolist()
+    w0, w1, w2, b, norm_w = _plane3_coeffs(*pts)
+    try:
+        for _epoch in range(cfg.epochs):
+            miss = 0
+            for j in rng.permutation(len(rows)):
+                x0, x1, x2 = rows[j]
+                lam = (x0 * w0 + x1 * w1 + x2 * w2 + b) / norm_w * signs[j]
+                if not lam < 0.0:
+                    continue
+                miss += 1
+                mover = _nearest_plane3(pts, x0, x1, x2)
+                c0, c1, c2 = pts[mover]
+                c_scale = max(1.0, abs(c0), abs(c1), abs(c2))
+                step = abs(eta * lam)
+                members = draws[j]
+                for _attempt in range(1 + MAX_RESAMPLES):
+                    target = members[rng.randint(len(members))]
+                    try:
+                        t = _step_plane3(c0, c1, c2, *rows[target],
+                                         max(c_scale, row_scale[target]), step)
+                        break
+                    except ZeroDisplacementError:
+                        pass
+                else:
+                    log.skips[RESAMPLE_EXHAUSTED] += 1
+                    continue
+                t0, t1, t2 = _guard_plane3(pts, mover, t, alpha)
+                if not (t0 or t1 or t2):
+                    log.skips[GUARD_ZEROED] += 1
+                    continue
+                moved = pts[:]
+                moved[mover] = [c0 + t0, c1 + t1, c2 + t2]
+                try:
+                    w0, w1, w2, b, norm_w = _plane3_coeffs(*moved)
+                except DegeneratePointsError:
+                    log.skips[DEGENERATE_REVERT] += 1
+                    continue
+                pts = moved
+                log.moves += 1
+            P[:] = pts
+            yield miss
+    finally:
+        P[:] = pts
+
+
 def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
                   rng: SplitMix64, cfg: MpaConfig, alpha: float, log: TrainingLog):
-    """fit's epochs for n >= 3 on arrays; yields each epoch's misclassified count.
+    """fit's epochs for n >= 4 on arrays; yields each epoch's misclassified count.
 
     P's rows move in place; the plane is carried by _Boundary.
     """
@@ -672,7 +805,7 @@ _MAX_RESIDUAL = 1e-12
 
 
 class _Boundary:
-    """The plane through the n >= 3 rows of P while fit moves them, as (w, b, ||w||).
+    """The plane through the n >= 4 rows of P while fit moves them, as (w, b, ||w||).
 
     It keeps the inverse Minv of the bordered (n+1)x(n+1) matrix M
     whose row 0 is the unit coefficient vector of the last fresh plane and

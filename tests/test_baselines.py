@@ -64,6 +64,16 @@ class TestPerceptron:
         got = [scalar_linear_predict(model, row) for row in X]
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_eta_must_be_finite_and_positive(self, two_blobs, eta):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            perceptron_fit(two_blobs, eta=eta)
+
+    @pytest.mark.parametrize("epochs", [0, -2, 2.5, float("inf"), None])
+    def test_epochs_must_be_a_positive_integer(self, two_blobs, epochs):
+        with pytest.raises(ValueError, match="epochs must be a positive integer"):
+            perceptron_fit(two_blobs, epochs=epochs)
+
 
 class TestKnn:
     def test_single_neighbor(self):
@@ -125,6 +135,11 @@ class TestLinearSvm:
     def test_reg_must_be_finite_and_positive(self, two_blobs, reg):
         with pytest.raises(ValueError, match="reg must be finite and positive"):
             linear_svm_fit(two_blobs, reg=reg)
+
+    @pytest.mark.parametrize("epochs", [0, -2, 2.5, float("inf"), None])
+    def test_epochs_must_be_a_positive_integer(self, two_blobs, epochs):
+        with pytest.raises(ValueError, match="epochs must be a positive integer"):
+            linear_svm_fit(two_blobs, epochs=epochs)
 
     def test_predict_refuses_wrong_width(self, two_blobs):
         model = linear_svm_fit(two_blobs)

@@ -14,6 +14,7 @@ from movingpoints.geometry import (
     Hyperplane,
     ZeroVectorError,
     _line_coeffs,
+    _plane3_coeffs,
     angle_between,
     as_vector,
     coordinate_scale,
@@ -186,8 +187,14 @@ def plane_outcome(build, pts):
     return np.append(h.weights, h.bias)
 
 
-def assert_matches_oracle(pts):
-    got, want = plane_outcome(hyperplane_from_points, pts), plane_outcome(oracle_plane, pts)
+def closed_form_plane3(pts) -> Hyperplane:
+    w0, w1, w2, b, norm = _plane3_coeffs(*np.asarray(pts, dtype=float).tolist())
+    assert norm == np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    return Hyperplane(np.array([w0, w1, w2]), b)
+
+
+def assert_matches_oracle(pts, build=hyperplane_from_points):
+    got, want = plane_outcome(build, pts), plane_outcome(oracle_plane, pts)
     if isinstance(want, type):
         assert got is want
     else:
@@ -223,6 +230,39 @@ class TestEliminationMatchesPerMinorOracle:
     def test_one_point_plane_is_x_minus_p(self, p):
         h = hyperplane_from_points([[p]])
         assert h.weights.tolist() == [1.0] and h.bias == -p
+
+
+class TestPlane3ClosedForm:
+    """The cross-product plane of three 3-D points against the per-minor oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets(dims=st.just(3)))
+    def test_matches_per_minor_oracle(self, pts):
+        assert_matches_oracle(pts, build=closed_form_plane3)
+
+    def test_unit_simplex_orientation(self):
+        pts = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+        assert _plane3_coeffs(*pts) == (1.0, 1.0, 1.0, -1.0, np.sqrt(3.0))
+        h = hyperplane_from_points(pts)
+        assert np.append(h.weights, h.bias).tolist() == [1.0, 1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [0, 4, 8])
+    def test_non_finite_point_is_not_degenerate(self, bad, where):
+        coords = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        coords[where] = bad
+        with pytest.raises(ValueError) as info:
+            _plane3_coeffs(coords[:3], coords[3:6], coords[6:])
+        assert type(info.value) is ValueError
+
+    def test_overflowing_bias_is_not_finite(self):
+        # Finite points whose coefficients overflow: both constructions
+        # raise a plain ValueError, not DegeneratePointsError.
+        pts = [(1e120, 1e120, 1e120), (1e120, -1e120, 0.0), (0.0, 1e120, -1e120)]
+        for build in (closed_form_plane3, hyperplane_from_points):
+            with pytest.raises(ValueError) as info:
+                build(pts)
+            assert type(info.value) is ValueError
 
 
 class TestSignedDisplacement:

@@ -1,13 +1,16 @@
-"""n = 2 training and the fresh plane take no bits from the BLAS kernel.
+"""n <= 3 training and the fresh plane take no bits from the BLAS kernel.
 
 Grid models (MPA, the perceptron and the linear SVM) trained in child
 processes that force another OpenBLAS core must hash the same as the ones
-trained here, and so must the planes hyperplane_from_points builds. The
-cells are the first 20 grid cells, in (seed, std index) order, whose MPA
-models took other bits under the Haswell and Prescott cores while the
-n = 2 loop still used BLAS dot and matrix-vector products.
-`benchmarks/check_kernels.py` runs the full check over all 500 cells and
-every golden output.
+trained here, and so must n = 3 MPA models and the planes
+hyperplane_from_points builds. The grid cells are the first 20, in
+(seed, std index) order, whose MPA models took other bits under the
+Haswell and Prescott cores while the n = 2 loop still used BLAS dot and
+matrix-vector products. The n = 3 cells overlap (std 7.0 to 10.0), so
+training makes about 36,000 moves; their models took other bits under the
+Haswell core while the n = 3 loop still worked on arrays.
+`benchmarks/check_kernels.py` runs the full check over all 500 grid cells
+and every golden output.
 """
 
 import functools
@@ -33,10 +36,25 @@ from write_bench import openblas_core  # noqa: E402
 CELLS = [(0, 3), (0, 9), (1, 0), (1, 5), (1, 9), (3, 6), (3, 8), (4, 2), (5, 2), (6, 0),
          (6, 3), (6, 4), (6, 5), (6, 8), (6, 9), (7, 7), (7, 9), (8, 7), (9, 1), (9, 5)]
 
-# Prints [openblas_core(), grid_model_digest(), plane_digest()] of a fresh interpreter.
+# Dataset seeds 0-9 x std indices 60, 75 and 90 of the grid's blobs at dim 3.
+CELLS_3D = [(seed, std_index) for seed in range(10) for std_index in (60, 75, 90)]
+
+# Prints [openblas_core(), grid_model_digest(), plane_digest(), model3_digest()]
+# of a fresh interpreter.
 CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-         "from test_kernels import grid_model_digest, openblas_core, plane_digest; "
-         "print(json.dumps([openblas_core(), grid_model_digest(), plane_digest()]))")
+         "from test_kernels import grid_model_digest, model3_digest, openblas_core, "
+         "plane_digest; print(json.dumps([openblas_core(), grid_model_digest(), "
+         "plane_digest(), model3_digest()]))")
+
+
+def cell_model(seed: int, std_index: int, dim: int):
+    """(training split, cell seed, MPA model) of one cell, trained as
+    bench.run_synthetic_cell trains it: default config, the cell's seed slots."""
+    ds = make_blobs(seed=seed, std=1.0 + 0.1 * std_index, n_per_class=50, dim=dim)
+    cell = derive_seed(0, seed, std_index)
+    train, _ = train_test_split(ds, 0.2, derive_seed(cell, 0))
+    model, _ = mpa.train(train, mpa.MpaConfig(seed=derive_seed(cell, 1)))
+    return train, cell, model
 
 
 @functools.lru_cache(maxsize=1)
@@ -46,10 +64,7 @@ def grid_model_digest() -> str:
     weights and bias (seed slots 2 and 3, the parameters of bench)."""
     digest = hashlib.sha256()
     for seed, std_index in CELLS:
-        ds = make_blobs(seed=seed, std=1.0 + 0.1 * std_index, n_per_class=50, dim=2)
-        cell = derive_seed(0, seed, std_index)
-        train, _ = train_test_split(ds, 0.2, derive_seed(cell, 0))
-        model, _ = mpa.train(train, mpa.MpaConfig(seed=derive_seed(cell, 1)))
+        train, cell, model = cell_model(seed, std_index, 2)
         digest.update(mpa.model_document(model).encode("utf-8"))
         for linear in (
             baselines.perceptron_fit(train, eta=1.0, epochs=50, seed=derive_seed(cell, 2)),
@@ -57,6 +72,16 @@ def grid_model_digest() -> str:
         ):
             digest.update(linear.weights.tobytes())
             digest.update(struct.pack("<d", linear.bias))
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def model3_digest() -> str:
+    """sha256 over the MPA model documents of CELLS_3D."""
+    digest = hashlib.sha256()
+    for seed, std_index in CELLS_3D:
+        _, _, model = cell_model(seed, std_index, 3)
+        digest.update(mpa.model_document(model).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -84,6 +109,8 @@ def test_grid_models_do_not_depend_on_openblas_core(core):
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent)],
                           env=env, capture_output=True, text=True, check=True)
-    child_core, digest, planes = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert digest == grid_model_digest(), f"OPENBLAS_CORETYPE={core} ran core {child_core}"
-    assert planes == plane_digest(), f"OPENBLAS_CORETYPE={core} ran core {child_core}"
+    child_core, digest, planes, models3 = json.loads(proc.stdout.strip().splitlines()[-1])
+    ran = f"OPENBLAS_CORETYPE={core} ran core {child_core}"
+    assert digest == grid_model_digest(), ran
+    assert planes == plane_digest(), ran
+    assert models3 == model3_digest(), ran

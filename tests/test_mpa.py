@@ -226,6 +226,45 @@ class TestOverfitGuard:
                 assert float(t @ (r / nr)) <= 1e-12
 
 
+class TestGuardProperties:
+    # Random points at n 2..8 and scales 1e-6..1e6; alpha lies halfway
+    # between two gaps, so that the k nearest neighbours of the mover
+    # (0 to n - 1) are near and no gap sits on the edge. A component is
+    # summed with math.fsum on unit directions computed here, so it may
+    # differ from the guard's own by the rounding of an n-term dot product
+    # on each side.
+    # The guard reads only the points and alpha, so the model is built on
+    # the identity and then given the points: below scale 1 most n >= 3
+    # point sets fail hyperplane_from_points' degeneracy floor.
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 8), exponent=st.integers(-6, 6),
+           seed=st.integers(0, 2**64 - 1), k=st.integers(0, 7),
+           step_exponent=st.integers(-3, 1), recede=st.booleans())
+    def test_no_approach_left_and_identity_when_none(self, n, exponent, seed, k,
+                                                     step_exponent, recede):
+        scale = 10.0 ** exponent
+        stream = SplitMix64(seed)
+        pts = scale * stream.normals(n * n).reshape(n, n)
+        mover = int(stream.uniforms(1)[0] * n)
+        gaps = np.linalg.norm(np.delete(pts, mover, axis=0) - pts[mover], axis=1)
+        edges = np.concatenate([[0.0], np.sort(gaps), [2.0 * gaps.max()]])
+        k = min(k, n - 1)
+        alpha = 0.5 * (edges[k] + edges[k + 1])
+        model = MpaModel(np.eye(n), {0: -1, 1: 1}, alpha=alpha, config=MpaConfig())
+        model.moving_points = pts
+        t = scale * 10.0 ** step_exponent * stream.normals(n)
+        units = [(pts[i] - pts[mover]) / gap for i, gap in
+                 zip((i for i in range(n) if i != mover), gaps) if gap <= alpha]
+        if recede and units:  # away from the near neighbours' mean direction
+            t = -np.abs(t).max() * np.sum(units, axis=0)
+        out = overfit_guard(model, mover, t)
+        slack = 4 * n * np.finfo(float).eps * float(np.linalg.norm(out))
+        components = [math.fsum(u * out) for u in units]
+        assert all(c <= mpa._GUARD_TOL + slack for c in components)
+        if all(c < -slack for c in (math.fsum(u * t) for u in units)):
+            assert out is t  # nothing approached: the input object itself
+
+
 class TestNearClusters:
     def test_full_percentile_keeps_everyone(self, two_blobs):
         out = near_clusters(two_blobs, 100.0)
@@ -253,11 +292,16 @@ class TestNearClusters:
 
 
 def fixed_order_lambda(model, x, label):
-    """lambda as fit computes it at n = 2: (x0*w0 + x1*w1 + b) / ||w|| * sign."""
-    w0, w1 = model.hyperplane.weights.tolist()
-    x0, x1 = (float(v) for v in x)
-    raw = x0 * w0 + x1 * w1 + model.hyperplane.bias
-    return raw / math.sqrt(w0 * w0 + w1 * w1) * model.pseudo_sign[label]
+    """lambda as fit computes it at n = 2 and 3:
+    (x0*w0 + x1*w1 [+ x2*w2] + b) / ||w|| * sign, summed left to right."""
+    w = model.hyperplane.weights.tolist()
+    raw = float(x[0]) * w[0]
+    sq = w[0] * w[0]
+    for xi, wi in zip(x[1:], w[1:]):
+        raw += float(xi) * wi
+        sq += wi * wi
+    raw += model.hyperplane.bias
+    return raw / math.sqrt(sq) * model.pseudo_sign[label]
 
 
 class TestFit:
@@ -321,14 +365,16 @@ class TestFit:
         np.testing.assert_allclose(model.moving_points, ref.moving_points,
                                    rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("eta, alpha", [(0.01, None), (0.3, 8.0), (6.0, None)],
-                             ids=["plain", "guard", "reverts"])
-    def test_public_step_and_guard_replay_fit_bitwise(self, eta, alpha):
-        # At n = 2 fit takes the steps of movement_vector and overfit_guard
-        # and the line of line_from_points. Fed fit's fixed-order lambda,
-        # the plain loop through those public functions lands on the same
-        # points bit for bit.
-        ds = make_blobs(seed=7, std=2.5, n_per_class=25, center_halfwidth=4.0)
+    @pytest.mark.parametrize("eta, alpha, dim", [
+        (0.01, None, 2), (0.3, 8.0, 2), (6.0, None, 2),
+        (0.01, None, 3), (0.3, 8.0, 3), (6.0, None, 3),
+    ], ids=["plain", "guard", "reverts", "plain-3d", "guard-3d", "reverts-3d"])
+    def test_public_step_and_guard_replay_fit_bitwise(self, eta, alpha, dim):
+        # At n = 2 and 3 fit takes the steps of movement_vector and
+        # overfit_guard and the plane of MpaModel.refresh. Fed fit's
+        # fixed-order lambda, the plain loop through those public functions
+        # lands on the same points bit for bit.
+        ds = make_blobs(seed=7, std=2.5, n_per_class=25, dim=dim, center_halfwidth=4.0)
         cfg = MpaConfig(eta=eta, epochs=12, alpha=alpha, seed=1, early_stop=False)
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
         log = fit(model, ds, cfg)
@@ -383,12 +429,13 @@ class TestFit:
 # Frozen copy of the per-move code that fit used before it ran on raw
 # arrays: movement_vector, overfit_guard, line_from_points with the
 # Hyperplane checks, and MpaModel.refresh. It must not be rewritten to
-# share code with the library. For n = 2 every dot product and norm is
-# written out as plain scalar arithmetic in a fixed order (x0*w0 + x1*w1,
-# sqrt(d0*d0 + d1*d1)), which is what fit computes there on Python
-# floats, so no n = 2 value takes its bits from BLAS. For n >= 3 the plane
-# is carried from move to move by FrozenRankOne, a plain copy of the
-# rank-one update, whose fresh builds come from hyperplane_from_points
+# share code with the library. For n = 2 and n = 3 every dot product and
+# norm is written out as plain scalar arithmetic in a fixed order
+# (x0*w0 + x1*w1 + x2*w2, sqrt(d0*d0 + d1*d1 + d2*d2)), which is what fit
+# computes there on Python floats, so no n <= 3 value takes its bits from
+# BLAS; the n = 3 plane is the closed-form cross product. For n >= 4 the
+# plane is carried from move to move by FrozenRankOne, a plain copy of
+# the rank-one update, whose fresh builds come from hyperplane_from_points
 # (pinned to its own oracle in test_geometry) and whose accuracy
 # TestBoundaryTracksFreshPlane holds to a fresh build.
 
@@ -412,6 +459,9 @@ def frozen_hyperplane(weights, bias):
     if w.size == 2:
         w0, w1 = w.tolist()
         norm = math.sqrt(w0 * w0 + w1 * w1)
+    elif w.size == 3:
+        w0, w1, w2 = w.tolist()
+        norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     else:
         norm = float(np.linalg.norm(w))
     if norm <= EPS_DEGENERATE * scale:
@@ -432,15 +482,33 @@ def frozen_line_from_points(e, f):
     return frozen_hyperplane(np.array([y1 - y2, x2 - x1]), x1 * y2 - x2 * y1)
 
 
+def frozen_plane3(points):
+    """The plane through three 3-D points: normal (p2 - p1) x (p3 - p1), bias -(w . p1)."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = points.tolist()
+    if not all(math.isfinite(v) for v in (a0, a1, a2, b0, b1, b2, c0, c1, c2)):
+        raise ValueError("point has non-finite coordinates")
+    u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
+    v0, v1, v2 = c0 - a0, c1 - a1, c2 - a2
+    w0 = u1 * v2 - u2 * v1
+    w1 = u2 * v0 - u0 * v2
+    w2 = u0 * v1 - u1 * v0
+    scale = frozen_coordinate_scale(points)
+    if math.sqrt(w0 * w0 + w1 * w1 + w2 * w2) <= EPS_DEGENERATE * scale ** 2:
+        raise DegeneratePointsError("points are affinely dependent")
+    return frozen_hyperplane(np.array([w0, w1, w2]), -(w0 * a0 + w1 * a1 + w2 * a2))
+
+
 def frozen_refresh(points):
     if points.shape[0] == 2:
         return frozen_line_from_points(points[0], points[1])
+    if points.shape[0] == 3:
+        return frozen_plane3(points)
     h = hyperplane_from_points(points)
     return frozen_hyperplane(h.weights, h.bias)
 
 
 class FrozenLine:
-    """n = 2: the closed-form line, re-read after every move."""
+    """n = 2 and 3: the closed-form line or plane, re-read after every move."""
 
     def __init__(self, points):
         self.points = points
@@ -451,7 +519,7 @@ class FrozenLine:
 
 
 class FrozenRankOne:
-    """n >= 3: plain copy of the rank-one plane update of mpa.fit.
+    """n >= 4: plain copy of the rank-one plane update of mpa.fit.
 
     inv is the inverse of the bordered matrix [[unit coefficients of the
     last fresh plane], [points, 1]]. A move of point i by d updates it by
@@ -499,6 +567,8 @@ class FrozenRankOne:
 def frozen_movement_vector(points, q, g, lam, eta):
     if points.shape[0] == 2:
         return frozen_movement_vector_2d(points, q, g, lam, eta)
+    if points.shape[0] == 3:
+        return frozen_movement_vector_3d(points, q, g, lam, eta)
     dists = np.linalg.norm(points - q, axis=1)
     mover = int(np.argmin(dists))
     c = points[mover]
@@ -528,9 +598,36 @@ def frozen_movement_vector_2d(points, q, g, lam, eta):
     return mover, np.array([v0 / nv * step, v1 / nv * step])
 
 
+def frozen_movement_vector_3d(points, q, g, lam, eta):
+    q0, q1, q2 = (float(v) for v in q)
+    g0, g1, g2 = (float(v) for v in g)
+    dists = []
+    for p0, p1, p2 in points.tolist():
+        d0 = p0 - q0
+        d1 = p1 - q1
+        d2 = p2 - q2
+        dists.append(math.sqrt(d0 * d0 + d1 * d1 + d2 * d2))
+    mover = 0
+    for i in (1, 2):
+        if dists[i] < dists[mover]:
+            mover = i
+    c0, c1, c2 = points[mover].tolist()
+    v0 = g0 - c0
+    v1 = g1 - c1
+    v2 = g2 - c2
+    nv = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    if nv <= EPS_DEGENERATE * max(1.0, abs(c0), abs(c1), abs(c2),
+                                  abs(g0), abs(g1), abs(g2)):
+        raise ZeroDisplacementError("sampled target coincides with the mover")
+    step = abs(eta * lam)
+    return mover, np.array([v0 / nv * step, v1 / nv * step, v2 / nv * step])
+
+
 def frozen_overfit_guard(points, mover, t, alpha, stats):
     if points.shape[0] == 2:
         return frozen_overfit_guard_2d(points, mover, t, alpha, stats)
+    if points.shape[0] == 3:
+        return frozen_overfit_guard_3d(points, mover, t, alpha, stats)
     E = points[mover]
     others = np.delete(points, mover, axis=0)
     gaps = np.linalg.norm(others - E, axis=1)
@@ -577,10 +674,44 @@ def frozen_overfit_guard_2d(points, mover, t, alpha, stats):
     return np.zeros_like(t)
 
 
+def frozen_overfit_guard_3d(points, mover, t, alpha, stats):
+    e0, e1, e2 = points[mover].tolist()
+    rhats = []
+    for i, (f0, f1, f2) in enumerate(points.tolist()):
+        if i == mover:
+            continue
+        r0 = f0 - e0
+        r1 = f1 - e1
+        r2 = f2 - e2
+        gap = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+        if 0.0 < gap <= alpha:
+            rhats.append((r0 / gap, r1 / gap, r2 / gap))
+    if not rhats:
+        return t
+    t0, t1, t2 = t.tolist()
+    projected = False
+    for _ in range(64):
+        # the neighbours approached at the start of the pass, in order
+        dots = [r0 * t0 + r1 * t1 + r2 * t2 for r0, r1, r2 in rhats]
+        if not any(d > 1e-12 for d in dots):
+            return np.array([t0, t1, t2]) if projected else t
+        if not projected:
+            projected = True
+            stats["projected"] += 1
+        for (r0, r1, r2), first in zip(rhats, dots):
+            if first > 1e-12:
+                d = r0 * t0 + r1 * t1 + r2 * t2
+                if d > 1e-12:
+                    t0 = t0 - r0 * d
+                    t1 = t1 - r1 * d
+                    t2 = t2 - r2 * d
+    return np.zeros_like(t)
+
+
 def frozen_fit(model, ds, cfg):
     """The object-level loop on copies of the model's state."""
     points = model.moving_points.copy()
-    plane = (FrozenLine if points.shape[0] == 2 else FrozenRankOne)(points)
+    plane = (FrozenLine if points.shape[0] <= 3 else FrozenRankOne)(points)
     w, b = plane.plane
     alpha = model.alpha if cfg.alpha is None else cfg.alpha
     clusters = near_clusters(ds, cfg.near_cluster_percentile)
@@ -599,6 +730,11 @@ def frozen_fit(model, ds, cfg):
                 w0, w1 = w.tolist()
                 norm_w = math.sqrt(w0 * w0 + w1 * w1)
                 lam = (X[rows, 0] * w0 + X[rows, 1] * w1 + b) / norm_w * pseudo[rows]
+            elif points.shape[0] == 3:  # x0*w0 + x1*w1 + x2*w2 + b, likewise
+                w0, w1, w2 = w.tolist()
+                norm_w = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+                lam = (X[rows, 0] * w0 + X[rows, 1] * w1 + X[rows, 2] * w2 + b) \
+                    / norm_w * pseudo[rows]
             else:
                 norm_w = float(np.linalg.norm(w))
                 lam = (X[rows] @ w + b) / norm_w * pseudo[rows]
@@ -827,8 +963,8 @@ class TestSkipReasons:
 class TestHyperplaneMatchesPointsOnExit:
     def test_after_failure_in_plane_kernel(self, monkeypatch):
         # The failure is injected into the rank-one update, which carries
-        # the plane between fresh builds for n >= 3.
-        ds = make_blobs(seed=4, std=1.9, dim=3, center_halfwidth=4.0)
+        # the plane between fresh builds for n >= 4.
+        ds = make_blobs(seed=4, std=1.9, dim=4, center_halfwidth=4.0)
         cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
         rank_one = mpa._rank_one
@@ -878,6 +1014,37 @@ class TestHyperplaneMatchesPointsOnExit:
         want = line_from_points(model.moving_points[0], model.moving_points[1])
         assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
         assert model.hyperplane.bias == want.bias
+
+    def test_after_failure_in_plane3_mid_epoch(self, monkeypatch):
+        # n = 3 moves points held outside the model, as n = 2 does. The
+        # 20th plane is built in the second epoch (13 misclassified in the
+        # first), and no move of this run is reverted.
+        ds = make_blobs(seed=4, std=1.9, dim=3, center_halfwidth=4.0)
+        cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
+        model = initialize(ds.class_points(0), ds.class_points(1), cfg)
+        plane3 = mpa._plane3_coeffs
+        seen = []
+
+        def failing(*points):
+            seen.append(points)
+            if len(seen) == 20:
+                raise RuntimeError("plane failure")
+            return plane3(*points)
+
+        monkeypatch.setattr(mpa, "_plane3_coeffs", failing)
+        with pytest.raises(RuntimeError):
+            fit(model, ds, cfg)
+        monkeypatch.undo()
+        # Call 21 is fit's exit plane, built from the points of call 19,
+        # the last move kept.
+        assert len(seen) == 21
+        assert list(seen[20]) == list(seen[18]) == model.moving_points.tolist()
+        reloaded = mpa.parse_model_document(mpa.model_document(model))
+        assert model.hyperplane.weights.tobytes() == reloaded.hyperplane.weights.tobytes()
+        assert model.hyperplane.bias == reloaded.hyperplane.bias
+        np.testing.assert_allclose(model.hyperplane.weights,
+                                   hyperplane_from_points(model.moving_points).weights,
+                                   rtol=1e-12)
 
     def test_non_finite_step_is_undone(self):
         model, cfg = hand_model(0.0, 1.0)
