@@ -125,12 +125,14 @@ def knn_predict_many(model: KnnModel, X) -> np.ndarray:
 
     Distances are Euclidean, computed as np.linalg.norm(points - x, axis=1)
     would; a stable sort breaks distance ties by point index, and a tied
-    vote goes to the single nearest point.
+    vote goes to the single nearest point. X is read in C order: numpy sums
+    the squares of a Fortran-ordered block in another order, so a near tie
+    could fall the other way.
     """
     P = model.points
     if P.shape[0] == 0:
         raise EmptyModelError("no training points")
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     out = np.empty(X.shape[0], dtype=int)
     block = max(1, _KNN_BLOCK_ELEMENTS // P.size)
     for start in range(0, X.shape[0], block):

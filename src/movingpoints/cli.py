@@ -8,16 +8,19 @@ A failing command raises ``_Failure(code, stage, detail)``, mostly from a
 ``with _stage(stage, errors):`` block; ``main`` alone catches it and prints
 ``mpa <command>: <stage>: <detail>`` to stderr.
 
-An optional ``--config FILE`` supplies key=value defaults (one per line,
-``#`` comments); explicit flags always win over the file. A config file or
-value that cannot be read, parsed or trained with exits 2 at "checking
-inputs".
+Every default lives in the library (MpaConfig, the bench protocols,
+render_scatter_svg): a command passes on only the options that were set.
+An optional ``--config FILE`` of key=value lines sets the options of each
+command's settings group that the command line left unset (_read_config).
+A config file or value that cannot be read, parsed or trained with exits 2
+at "checking inputs".
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import sys
@@ -31,6 +34,7 @@ from .datasets import (
     EmptyDatasetError,
     InvalidKError,
     InvalidParamsError,
+    MalformedCsvError,
     MissingColumnError,
     NonBinaryLabelsError,
     NoRowsRemainingError,
@@ -55,6 +59,7 @@ _DATA_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
     MissingColumnError,
+    MalformedCsvError,
     NoRowsRemainingError,
     SingleClassError,
     NonBinaryLabelsError,
@@ -93,20 +98,6 @@ def _stage(stage: str, errors, code: int = 2):
         raise _Failure(code, stage, exc) from None
 
 
-def _read_config_file(path) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" not in s:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {s!r}")
-            key, _, value = s.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -116,54 +107,77 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-class _Options:
-    """Flags merged over config-file values merged over hard defaults.
+def _settings(parser) -> dict:
+    """{dest: action} of the options in the settings groups of parser and its subcommands."""
+    found = {}
+    for group in parser._action_groups:
+        for action in group._group_actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    found.update(_settings(sub))
+            elif group.title == _SETTINGS:
+                found[action.dest] = action
+    return found
 
-    The --config file is read, and for the commands that train the
-    MpaConfig is built, here, once: a bad file or value stops the command
-    with exit 2 at "checking inputs".
+
+def _read_config(args, settings: dict) -> None:
+    """Sets the options that the command line left unset from the --config file.
+
+    Lines are key=value (# comments), the key a settings option's name with
+    dashes or underscores; a key of another command is skipped, so one file
+    can serve several commands. An unreadable file, a line without "=", a
+    key that no command defines, or a value that the option's own type
+    rejects exits 2 at "checking inputs". A later line wins.
     """
-
-    def __init__(self, args):
-        self.args = args
-        with _stage("checking inputs", (OSError, ValueError)):
-            self.filecfg = _read_config_file(args.config) if args.config else {}
-            # only the commands that train define the training flags
-            self.mpa = _mpa_config(self) if hasattr(args, "eta") else None
-
-    def get(self, name, default, cast):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name not in self.filecfg:
-            return default
-        try:
-            return cast(self.filecfg[name])
-        except ValueError as exc:
-            raise _Failure(2, "checking inputs", f"config {name}: {exc}") from None
-
-
-def _mpa_config(opt: _Options) -> MpaConfig:
-    alpha = opt.get("alpha", None, float)
-    early = opt.get("early_stop", True, _parse_bool)
-    if getattr(opt.args, "no_early_stop", False):
-        early = False
-    return MpaConfig(
-        eta=opt.get("eta", 5e-5, float),
-        epochs=opt.get("epochs", 150, int),
-        alpha=alpha,
-        near_cluster_percentile=opt.get("near_cluster_pct", 50.0, float),
-        init_spread=opt.get("init_spread", 0.5, float),
-        seed=opt.get("seed", 0, int),
-        early_stop=early,
-    )
+    unset = {key for key in settings if getattr(args, key, False) is None}
+    with _stage("checking inputs", (OSError, ValueError)), \
+            open(args.config, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        where, (key, eq, value) = f"{args.config}:{lineno}", text.partition("=")
+        key = key.strip().replace("-", "_")
+        if not eq:
+            raise _Failure(2, "checking inputs", f"{where}: expected key=value, got {text!r}")
+        if key not in settings:
+            raise _Failure(2, "checking inputs", f"{where}: {key!r} is no command's setting")
+        if key in unset:
+            action = settings[key]
+            cast = _parse_bool if action.nargs == 0 else action.type or str
+            try:
+                setattr(args, key, cast(value.strip()))
+            except ValueError as exc:
+                raise _Failure(2, "checking inputs", f"{where}: config {key}: {exc}") from None
 
 
-def _feature_list(opt: _Options):
-    raw = opt.get("features", None, str)
-    if raw is None:
+def _given(args, *names, **params) -> dict:
+    """{parameter: value} of the options that were set; unset ones keep the library's defaults.
+
+    Each of names is a parameter and its option's dest; params maps a
+    parameter to the dest of an option of another name.
+    """
+    dests = {**{name: name for name in names}, **params}
+    return {param: getattr(args, dest) for param, dest in dests.items()
+            if getattr(args, dest) is not None}
+
+
+def _defaults(fn) -> dict:
+    """{parameter: default} of fn, a function or a dataclass."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+def _mpa_config(args) -> MpaConfig:
+    with _stage("checking inputs", ValueError):
+        return MpaConfig(**_given(args, "eta", "epochs", "alpha", "init_spread", "seed",
+                                  "early_stop", near_cluster_percentile="near_cluster_pct"))
+
+
+def _feature_list(args):
+    if args.features is None:
         return None
-    cols = [c.strip() for c in str(raw).split(",") if c.strip()]
+    cols = [c.strip() for c in args.features.split(",") if c.strip()]
     if not cols:
         raise _Failure(2, "checking inputs", "--features given but names no columns")
     return cols
@@ -175,22 +189,21 @@ def _require_files(*paths) -> None:
             raise _Failure(2, "checking inputs", f"no such file: {path}")
 
 
-def _load_labeled(opt: _Options, columns=None) -> Dataset:
+def _load_labeled(args, columns=None) -> Dataset:
     """The labeled --input CSV as a Dataset; prints how many rows were dropped.
 
     columns are the feature columns when neither --features nor the config
     names any (None: every column but the label). A missing file, missing
     label flags or data that does not load stop the command with exit 2.
     """
-    _require_files(opt.args.input)
-    label_col = opt.get("label_col", None, str)
-    positive = opt.get("positive_label", None, str)
-    if label_col is None or positive is None:
+    _require_files(args.input)
+    if args.label_col is None or args.positive_label is None:
         raise _Failure(2, "checking inputs", "--label-col and --positive-label are required")
     with _stage("loading data", _DATA_ERRORS):
-        ds = load_csv(opt.args.input, label_column=label_col, positive_label=positive,
-                      feature_columns=_feature_list(opt) or columns,
-                      negative_label=opt.get("negative_label", None, str))
+        ds = load_csv(args.input, label_column=args.label_col,
+                      positive_label=args.positive_label,
+                      feature_columns=_feature_list(args) or columns,
+                      negative_label=args.negative_label)
     if ds.dropped_rows:
         print(f"dropped rows with missing values: {ds.dropped_rows}")
     return ds
@@ -212,10 +225,10 @@ def _write_output(path, text: str) -> None:
 # ---------------------------------------------------------------- fit
 
 def cmd_fit(args) -> int:
-    opt = _Options(args)
-    ds = _load_labeled(opt)
+    cfg = _mpa_config(args)
+    ds = _load_labeled(args)
     with _stage("training", ValueError, code=3):  # each _TRAIN_ERRORS is one
-        model, log = mpa.train(ds, opt.mpa)
+        model, log = mpa.train(ds, cfg)
 
     acc = mpa.training_accuracy(model, ds)
     log_path = args.log_output or (args.output + ".log")
@@ -239,9 +252,8 @@ def _training_log(log) -> str:
 # ---------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
-    opt = _Options(args)
     model = _load_model(args)
-    columns = _feature_list(opt) or model.feature_names
+    columns = _feature_list(args) or model.feature_names
     if columns is None:
         raise _Failure(2, "checking inputs", "model stores no feature names; pass --features")
     if len(columns) != model.dim:
@@ -250,9 +262,8 @@ def cmd_predict(args) -> int:
     # with label flags the scored rows and the written rows are the same
     # filtered set; without them every input row gets a prediction
     labels = None
-    if opt.get("label_col", None, str) is not None and \
-            opt.get("positive_label", None, str) is not None:
-        ds = _load_labeled(opt, columns)
+    if args.label_col is not None and args.positive_label is not None:
+        ds = _load_labeled(args, columns)
         X, labels = ds.features, ds.labels
     else:
         with _stage("loading data", _DATA_ERRORS):
@@ -287,31 +298,18 @@ def _run_bench(output, stage: str, run, *data, **params) -> int:
 
 
 def cmd_bench_synthetic(args) -> int:
-    opt = _Options(args)
     return _run_bench(
-        args.output, "running suite", bench.run_synthetic_suite,
-        n_seeds=opt.get("seeds", 50, int),
-        n_stds=opt.get("stds", 10, int),
-        master_seed=opt.get("seed", 0, int),
-        mpa_cfg=opt.mpa,
-        n_per_class=opt.get("n_per_class", 50, int),
-        dim=opt.get("dim", 2, int),
-        test_fraction=opt.get("test_fraction", 0.2, float),
-    )
+        args.output, "running suite", bench.run_synthetic_suite, mpa_cfg=_mpa_config(args),
+        **_given(args, "n_per_class", "dim", "test_fraction",
+                 n_seeds="seeds", n_stds="stds", master_seed="seed"))
 
 
 def cmd_bench_dataset(args) -> int:
-    opt = _Options(args)
+    cfg = _mpa_config(args)
     return _run_bench(
-        args.output, "running protocol", bench.run_dataset_protocol, _load_labeled(opt),
-        repetitions=opt.get("reps", 5, int),
-        mpa_cfg=opt.mpa,
-        master_seed=opt.get("seed", 0, int),
-        test_fraction=opt.get("test_fraction", 0.2, float),
-        pca_k=opt.get("pca_k", 3, int),
-        svm_reg=opt.get("svm_reg", 0.01, float),
-        svm_epochs=opt.get("svm_epochs", 30, int),
-    )
+        args.output, "running protocol", bench.run_dataset_protocol, _load_labeled(args),
+        mpa_cfg=cfg, **_given(args, "test_fraction", "pca_k", "svm_reg", "svm_epochs",
+                              repetitions="reps", master_seed="seed"))
 
 
 # ---------------------------------------------------------------- plot
@@ -460,11 +458,10 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
 
 
 def cmd_plot(args) -> int:
-    opt = _Options(args)
-    width = opt.get("width", 640, int)
-    height = opt.get("height", 480, int)
+    sizes = _given(args, "width", "height")
     ml, mr, mt, mb = _SVG_MARGINS
-    for name, size, margins in (("width", width, ml + mr), ("height", height, mt + mb)):
+    for name, margins in (("width", ml + mr), ("height", mt + mb)):
+        size = sizes.get(name, _defaults(render_scatter_svg)[name])
         if size <= margins:
             raise _Failure(2, "checking inputs",
                            f"{name} must be more than the {margins:g}-pixel margins, got {size}")
@@ -472,47 +469,55 @@ def cmd_plot(args) -> int:
     if model.dim != 2:
         raise _Failure(2, "checking inputs",
                        f"model dimension is {model.dim}; plots are 2-D only")
-    ds = _load_labeled(opt, model.feature_names)
+    ds = _load_labeled(args, model.feature_names)
     if ds.n != 2:
         raise _Failure(2, "checking inputs", f"data has {ds.n} features; plots are 2-D only")
     _write_output(args.output, render_scatter_svg(
         ds.features, ds.labels, model.hyperplane, model.moving_points,
-        feature_names=ds.feature_names, width=width, height=height))
+        feature_names=ds.feature_names, **sizes))
     print(f"plot: {args.output}")
     return 0
 
 
 # ---------------------------------------------------------------- parser
 
-def _add_mpa_flags(p):
-    p.add_argument("--eta", type=float, default=None,
-                   help="learning rate (default 5e-05)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="moving-point proximity threshold "
-                        "(default: 0.1 x initial point spacing)")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="training epochs (default 150)")
-    p.add_argument("--near-cluster-pct", dest="near_cluster_pct", type=float,
-                   default=None,
-                   help="near-cluster percentile radius (default 50)")
-    p.add_argument("--init-spread", dest="init_spread", type=float, default=None,
-                   help="initial point spacing as a fraction of the "
-                        "inter-mean distance (default 0.5)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for every stochastic choice (default 0)")
-    p.add_argument("--no-early-stop", dest="no_early_stop", action="store_true",
-                   help="always run the full epoch budget")
+_SETTINGS = "settings (each also a --config key)"
 
 
-def _add_data_flags(p):
-    p.add_argument("--label-col", dest="label_col", default=None,
-                   help="name of the label column")
-    p.add_argument("--positive-label", dest="positive_label", default=None,
-                   help="label value mapped to class 1")
-    p.add_argument("--negative-label", dest="negative_label", default=None,
+def _add_settings(p):
+    """Adds --config to p; returns the group of the options its keys can set."""
+    p.add_argument("--config", help="key=value lines that set the settings below; "
+                                    "flags win over the file")
+    return p.add_argument_group(_SETTINGS)
+
+
+def _add_library_options(s, fn, *options) -> None:
+    """Adds each (flag, parameter, help) to s, typed and helped by fn's default of parameter."""
+    defaults = _defaults(fn)
+    for flag, param, text in options:
+        s.add_argument(flag, type=type(defaults[param]),
+                       help=f"{text} (default {defaults[param]})")
+
+
+def _add_mpa_flags(s):
+    _add_library_options(
+        s, MpaConfig, ("--eta", "eta", "learning rate"), ("--epochs", "epochs", "training epochs"),
+        ("--near-cluster-pct", "near_cluster_percentile", "near-cluster percentile radius"),
+        ("--init-spread", "init_spread",
+         "initial point spacing as a fraction of the inter-mean distance"),
+        ("--seed", "seed", "seed for every stochastic choice"))
+    s.add_argument("--alpha", type=float, help="moving-point proximity threshold "
+                                               "(default: 0.1 x initial point spacing)")
+    s.add_argument("--no-early-stop", dest="early_stop", action="store_false", default=None,
+                   help="always run the full epoch budget (config key: early_stop=false)")
+
+
+def _add_data_flags(s):
+    s.add_argument("--label-col", help="name of the label column")
+    s.add_argument("--positive-label", help="label value mapped to class 1")
+    s.add_argument("--negative-label",
                    help="keep only rows with this or the positive label")
-    p.add_argument("--features", default=None,
-                   help="comma-separated feature columns (default: all others)")
+    s.add_argument("--features", help="comma-separated feature columns (default: all others)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,74 +530,68 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="train a model on a labeled CSV")
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--output", required=True, help="model file to write")
-    p_fit.add_argument("--log-output", dest="log_output", default=None,
-                       help="training log path (default: model path + .log)")
-    p_fit.add_argument("--config", default=None, help="key=value defaults file")
-    _add_data_flags(p_fit)
-    _add_mpa_flags(p_fit)
+    p_fit.add_argument("--log-output", help="training log path (default: model path + .log)")
+    s_fit = _add_settings(p_fit)
+    _add_data_flags(s_fit)
+    _add_mpa_flags(s_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="apply a saved model to a CSV")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--input", required=True)
     p_pred.add_argument("--output", required=True, help="predictions CSV to write")
-    p_pred.add_argument("--config", default=None)
-    _add_data_flags(p_pred)
+    _add_data_flags(_add_settings(p_pred))
     p_pred.set_defaults(func=cmd_predict)
 
     p_bench = sub.add_parser("bench", help="run a benchmark protocol")
     bsub = p_bench.add_subparsers(dest="protocol", required=True)
 
     p_syn = bsub.add_parser("synthetic", help="seeded grid of generated blob datasets")
-    p_syn.add_argument("--seeds", type=int, default=None,
-                       help="number of dataset seeds, 0..N-1 (default 50)")
-    p_syn.add_argument("--stds", type=int, default=None,
-                       help="number of scatter widths 1.0, 1.1, ... (default 10)")
-    p_syn.add_argument("--n-per-class", dest="n_per_class", type=int, default=None,
-                       help="samples per class (default 50)")
-    p_syn.add_argument("--dim", type=int, default=None, help="dimensions (default 2)")
-    p_syn.add_argument("--test-fraction", dest="test_fraction", type=float,
-                       default=None, help="test split fraction (default 0.2)")
     p_syn.add_argument("--output", required=True, help="report file to write")
-    p_syn.add_argument("--config", default=None)
-    _add_mpa_flags(p_syn)
+    s_syn = _add_settings(p_syn)
+    _add_library_options(
+        s_syn, bench.run_synthetic_suite,
+        ("--seeds", "n_seeds", "number of dataset seeds, 0..N-1"),
+        ("--stds", "n_stds", "number of scatter widths 1.0, 1.1, ..."),
+        ("--n-per-class", "n_per_class", "samples per class"), ("--dim", "dim", "dimensions"),
+        ("--test-fraction", "test_fraction", "test split fraction"))
+    _add_mpa_flags(s_syn)
     p_syn.set_defaults(func=cmd_bench_synthetic)
 
     p_dsb = bsub.add_parser("dataset", help="split/standardize/PCA protocol on a CSV")
     p_dsb.add_argument("--input", required=True)
-    p_dsb.add_argument("--reps", type=int, default=None,
-                       help="seeded repetitions (default 5)")
-    p_dsb.add_argument("--pca-k", dest="pca_k", type=int, default=None,
-                       help="PCA components (default 3)")
-    p_dsb.add_argument("--test-fraction", dest="test_fraction", type=float,
-                       default=None, help="test split fraction (default 0.2)")
-    p_dsb.add_argument("--svm-reg", dest="svm_reg", type=float, default=None,
-                       help="SVM regularization strength (default 0.01)")
-    p_dsb.add_argument("--svm-epochs", dest="svm_epochs", type=int, default=None,
-                       help="SVM epochs (default 30)")
     p_dsb.add_argument("--output", required=True, help="report file to write")
-    p_dsb.add_argument("--config", default=None)
-    _add_data_flags(p_dsb)
-    _add_mpa_flags(p_dsb)
+    s_dsb = _add_settings(p_dsb)
+    _add_library_options(
+        s_dsb, bench.run_dataset_protocol, ("--reps", "repetitions", "seeded repetitions"),
+        ("--pca-k", "pca_k", "PCA components"),
+        ("--test-fraction", "test_fraction", "test split fraction"),
+        ("--svm-reg", "svm_reg", "SVM regularization strength"),
+        ("--svm-epochs", "svm_epochs", "SVM epochs"))
+    _add_data_flags(s_dsb)
+    _add_mpa_flags(s_dsb)
     p_dsb.set_defaults(func=cmd_bench_dataset)
 
     p_plot = sub.add_parser("plot", help="SVG scatter + decision boundary (2-D)")
     p_plot.add_argument("--model", required=True)
     p_plot.add_argument("--input", required=True)
     p_plot.add_argument("--output", required=True, help="SVG file to write")
-    p_plot.add_argument("--width", type=int, default=None)
-    p_plot.add_argument("--height", type=int, default=None)
-    p_plot.add_argument("--config", default=None)
-    _add_data_flags(p_plot)
+    s_plot = _add_settings(p_plot)
+    _add_library_options(s_plot, render_scatter_svg, ("--width", "width", "pixels"),
+                         ("--height", "height", "pixels"))
+    _add_data_flags(s_plot)
     p_plot.set_defaults(func=cmd_plot)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     command = " ".join(filter(None, (args.command, getattr(args, "protocol", None))))
     try:
+        if args.config is not None:
+            _read_config(args, _settings(parser))
         return args.func(args)
     except _Failure as failure:
         code, stage, detail = failure.code, failure.stage, failure.detail

@@ -38,6 +38,10 @@ class SingleClassError(ValueError):
     """Only one class is present after filtering."""
 
 
+class MalformedCsvError(ValueError):
+    """The csv module cannot parse the file, e.g. a field past its size limit."""
+
+
 class InvalidParamsError(ValueError):
     """Generator parameters out of range."""
 
@@ -137,9 +141,11 @@ def _read_csv(path, feature_columns=None, label_column: str | None = None,
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
+            rows = list(reader)
         except StopIteration:
             raise NoRowsRemainingError(f"{path}: file is empty") from None
-        rows = list(reader)
+        except csv.Error as exc:
+            raise MalformedCsvError(f"{path}: line {reader.line_num}: {exc}") from None
 
     if label_column is not None and label_column not in header:
         raise MissingColumnError(

@@ -33,6 +33,7 @@ construction in the last bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,20 @@ def coordinate_scale(*arrays) -> float:
         if a.size:
             m = max(m, float(np.abs(a).max()))
     return m
+
+
+def _degeneracy_threshold(scale: float, power: int) -> float:
+    """EPS_DEGENERATE * scale ** power, or the largest float where ** overflows.
+
+    A norm taken as the square root of a sum of squares is finite only below
+    the square root of the largest float, far below a threshold past 1e-9
+    times the largest float. So every finite norm is below the largest float
+    as it is below the true threshold, and a non-finite norm is not.
+    """
+    try:
+        return EPS_DEGENERATE * scale ** power
+    except OverflowError:
+        return sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -201,7 +216,7 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     # coordinate_scale of the three points, on the Python floats.
     scale = max(1.0, *map(abs, coords))
-    if norm <= EPS_DEGENERATE * scale ** 2:
+    if norm <= _degeneracy_threshold(scale, 2):
         raise DegeneratePointsError(
             "points are affinely dependent and define no unique hyperplane"
         )
@@ -278,7 +293,7 @@ def hyperplane_from_points(points) -> Hyperplane:
         )
     *weights, bias = _cofactors(pts)
     # Cofactors scale like coordinate^(n-1); normalize the test accordingly.
-    if math.sqrt(_dot(weights, weights)) <= EPS_DEGENERATE * coordinate_scale(pts) ** (n - 1):
+    if math.sqrt(_dot(weights, weights)) <= _degeneracy_threshold(coordinate_scale(pts), n - 1):
         raise DegeneratePointsError(
             "points are affinely dependent and define no unique hyperplane"
         )

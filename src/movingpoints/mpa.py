@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -93,6 +94,12 @@ class MpaConfig:
     early_stop: bool = True
 
     def __post_init__(self):
+        for name in ("eta", "epochs", "alpha", "near_cluster_percentile", "init_spread", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) or name == "alpha" and value is None):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.early_stop, (bool, np.bool_)):
+            raise ValueError(f"early_stop must be a boolean, got {self.early_stop!r}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if int(self.epochs) != self.epochs or self.epochs < 1:
@@ -860,8 +867,12 @@ class _Boundary:
                 b = float(coeffs[n])
                 norm_w = _norm(w)
                 scale = max(1.0, float(np.abs(P).max()))  # coordinate_scale(P)
+                try:
+                    terms = scale ** (n - 1)
+                except OverflowError:  # past the float range: a fresh build decides
+                    terms = math.inf
                 limit = _NEAR_DEGENERATE * EPS_DEGENERATE * max(
-                    scale ** (n - 1), abs(b), *map(abs, w.tolist()))
+                    terms, abs(b), *map(abs, w.tolist()))
                 if (norm_w > limit and math.isfinite(b)  # False on inf or nan
                         and max(map(abs, (P.dot(w) + b).tolist()))
                         <= _MAX_RESIDUAL * (scale * norm_w + abs(b))):
@@ -938,24 +949,38 @@ def model_document(model: MpaModel) -> str:
 
 
 def parse_model_document(text: str) -> MpaModel:
-    """Rebuild a model; ValueError on a wrong format, version, dim or config key."""
+    """Rebuild a model; ValueError on a wrong format, version, dim, config key,
+    or a field of the wrong JSON type."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != "moving-points-model":
         raise ValueError("not a moving-points model document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}, "
                          f"expected {MODEL_VERSION}")
+    for name, kinds, kind in (("config", dict, "an object"), ("pseudo_sign", dict, "an object"),
+                              ("alpha", numbers.Real, "a number"),
+                              ("feature_names", (list, type(None)), "a list or null")):
+        if not isinstance(doc.get(name), kinds):
+            raise ValueError(f"{name} must be {kind}, got {doc.get(name)!r}")
+    if not doc["alpha"] >= 0:
+        raise ValueError(f"alpha must be >= 0, got {doc['alpha']!r}")
     unknown = sorted(set(doc["config"]) - {f.name for f in fields(MpaConfig)})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    pts = np.array(doc["moving_points"], dtype=float)
+    try:
+        pts = np.array(doc["moving_points"], dtype=float)
+        pseudo_sign = {int(k): int(v) for k, v in doc["pseudo_sign"].items()}
+    except TypeError as exc:  # an object or a list where a number belongs
+        raise ValueError(f"moving_points and pseudo_sign must hold numbers: {exc}") from None
     dim = doc.get("dim")
     if pts.shape != (dim, dim):
         raise ValueError(f"dim {dim!r} does not match moving points of shape {pts.shape}")
     cfg = MpaConfig(**doc["config"])
     return MpaModel(
         pts,
-        {int(k): int(v) for k, v in doc["pseudo_sign"].items()},
+        pseudo_sign,
         float(doc["alpha"]),
         cfg,
         feature_names=doc.get("feature_names"),

@@ -263,6 +263,17 @@ def same_bits(w, b, want_w, want_b):
             and np.float64(b).tobytes() == np.float64(want_b).tobytes())
 
 
+# Row 1 is a permutation of row 0, so the origin is equally far from both
+# in exact arithmetic. Stacked with the origin in Fortran order, the queries
+# once summed their squares in another order than np.linalg.norm, which
+# turned the 1-ulp gap that norm sees into a tie.
+_ROW = np.array([0.28121066979764925, -2.4414673826398556, 1.1441658720372287,
+                 0.18905338179353307, 1.799707382720902, 0.7738065867276614,
+                 -0.32542283686782436, -0.5227484414807474, -0.41306354339189344,
+                 -0.5538228364240524])
+KNN_NEAR_TIE = np.asfortranarray([_ROW, _ROW[[7, 2, 5, 1, 4, 8, 9, 6, 3, 0]]])
+
+
 class TestBaselinesMatchFrozenLoops:
     @settings(max_examples=80, deadline=None)
     @given(data=labeled_sets(6, [1e-6, 1.0, 1e6]),
@@ -313,6 +324,7 @@ class TestBaselinesMatchFrozenLoops:
     @example(data=Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                           np.array([0, 1, 1, 0])),
              k_pick=1, queries=3, seed=0)
+    @example(data=Dataset(KNN_NEAR_TIE, np.array([0, 1])), k_pick=0, queries=1, seed=0)
     def test_knn(self, data, k_pick, queries, seed):
         k = 1 + k_pick % data.m
         model = knn_fit(data, k=k)

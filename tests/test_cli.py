@@ -1,12 +1,16 @@
 """End-to-end command checks: exit codes, files, and reproducibility."""
 
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
 from movingpoints import mpa
-from movingpoints.cli import main
+from movingpoints.bench import run_dataset_protocol, run_synthetic_suite
+from movingpoints.cli import main, render_scatter_svg
+from movingpoints.mpa import MpaConfig
 
 IRIS_ARGS = [
     "--label-col", "Species",
@@ -118,6 +122,15 @@ class TestPredict:
         pytest.param({"dim": 5}, id="dim"),
         pytest.param({"version": 99}, id="version"),
         pytest.param({"config": {"eta": 0.5, "momentum": 0.9}}, id="config-key"),
+        pytest.param({"alpha": None}, id="alpha-null"),
+        pytest.param({"config": []}, id="config-list"),
+        pytest.param({"pseudo_sign": [1]}, id="pseudo-sign-list"),
+        pytest.param({"feature_names": 5}, id="feature-names-number"),
+        pytest.param({"config": {"eta": "0.5"}}, id="config-eta-string"),
+        pytest.param({"config": {"early_stop": "no"}}, id="config-early-stop-string"),
+        pytest.param({"alpha": -1.0}, id="alpha-negative"),
+        pytest.param({"pseudo_sign": {"0": [1], "1": 1}}, id="pseudo-sign-value-list"),
+        pytest.param({"moving_points": {"a": 1}}, id="moving-points-object"),
     ])
     def test_bad_model_schema_is_exit_2(self, iris_path, model_path, tmp_path,
                                         capsys, edit):
@@ -130,6 +143,23 @@ class TestPredict:
                      "--output", str(tmp_path / out)] + IRIS_ARGS)
             assert main(argv) == 2
             assert f"mpa {command}: loading model:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param([1, 2], id="json-list"),
+        # coordinate_scale(P) ** (n - 1) overflows a float
+        pytest.param({"format": "moving-points-model", "version": 1, "dim": 3,
+                      "moving_points": (1e200 * np.eye(3)).tolist(),
+                      "pseudo_sign": {"0": -1, "1": 1}, "alpha": 0.1, "config": {},
+                      "feature_names": ["SepalLengthCm", "SepalWidthCm", "PetalLengthCm"]},
+                     id="points-1e200"),
+    ])
+    def test_unusable_model_document_is_exit_2(self, iris_path, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["predict", "--input", str(iris_path), "--model", str(bad),
+                "--output", str(tmp_path / "p.csv")]
+        assert main(argv) == 2
+        assert "mpa predict: loading model:" in capsys.readouterr().err
 
     def test_missing_model_is_exit_2(self, iris_path, tmp_path):
         argv = ["predict", "--input", str(iris_path),
@@ -310,9 +340,11 @@ class TestEveryErrorEndsAtItsStage:
         (tmp_path / "dir").mkdir()
         short = tmp_path / "short.cfg"  # a height no taller than the plot margins
         short.write_text("height = 60\n", encoding="utf-8")
+        wide = tmp_path / "wide.csv"  # a field past the csv module's 131,072 characters
+        wide.write_text("a,b,y\n1,2,p\n" + "9" * 131_073 + ",2,n\n", encoding="utf-8")
         return {"iris": iris_path, "model": model, "nonames": nonames, "same": same,
                 "dir": tmp_path / "dir", "out": tmp_path / "out",
-                "missing": tmp_path / "absent.csv", "short": short}
+                "missing": tmp_path / "absent.csv", "short": short, "wide": wide}
 
     VIRGINICA = ["--label-col", "Species", "--positive-label", "Iris-virginica",
                  "--negative-label", "Iris-versicolor"]
@@ -339,6 +371,9 @@ class TestEveryErrorEndsAtItsStage:
                      "mpa fit: unexpected error:", id="fit-train-raises"),
         pytest.param(FIT + IRIS_ARGS[:-1] + [",", "--output", "{out}"], 2,
                      "mpa fit: checking inputs:", id="fit-features-comma"),
+        pytest.param(["fit", "--input", "{wide}", "--output", "{out}", "--label-col", "y",
+                      "--positive-label", "p"], 2, "mpa fit: loading data:",
+                     id="fit-csv-field-too-large"),
         pytest.param(PREDICT + ["--input", "{missing}", "--output", "{out}"], 2,
                      "mpa predict: checking inputs:", id="predict-missing-input"),
         pytest.param(["predict", "--model", "{nonames}", "--input", "{iris}",
@@ -402,3 +437,95 @@ class TestEveryErrorEndsAtItsStage:
         err = capsys.readouterr().err
         assert err.startswith(prefix), err
         assert err.count("\n") == 1
+
+
+class TestConfigKeys:
+    """A config key is an option name; the command line wins over the file."""
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "bench synthetic",
+                                         "bench dataset", "plot"])
+    @pytest.mark.parametrize("line", ["etaa=0.5", "output=x.json", "config=other.cfg"])
+    def test_unknown_key_is_exit_2(self, iris_path, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        argv = TestBadConfigIsExit2.argv(command, iris_path, tmp_path)
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mpa {command}: checking inputs: {cfg}:2: ")
+        assert repr(line.partition("=")[0]) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_other_commands_keys_are_allowed(self, iris_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dim=2\nreps=1\nwidth=320\nnear-cluster-pct=50\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        argv = (["fit", "--input", str(iris_path), "--output", str(out)]
+                + IRIS_ARGS + FIT_ARGS + ["--config", str(cfg)])
+        assert main(argv) == 0
+
+    def fit(self, iris_path, out, extra=()):
+        assert fit_iris(iris_path, out, extra) == 0
+        return out.read_bytes(), (out.parent / (out.name + ".log")).read_bytes()
+
+    def test_early_stop_false_trains_as_the_flag_does(self, iris_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("early_stop = false\n", encoding="utf-8")
+        by_file = self.fit(iris_path, tmp_path / "a.json", ["--config", str(cfg)])
+        by_flag = self.fit(iris_path, tmp_path / "b.json", ["--no-early-stop"])
+        default = self.fit(iris_path, tmp_path / "c.json")
+        assert by_file == by_flag != default
+        assert b"# epochs_run: 200\n" in by_file[1]
+        assert b"# stopped_early: true\n" in default[1]
+
+    def test_flags_win_over_the_file(self, iris_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("early_stop=true\nepochs=3\nseed=9\n", encoding="utf-8")
+        by_flags = self.fit(iris_path, tmp_path / "a.json",
+                            ["--config", str(cfg), "--no-early-stop"])  # FIT_ARGS set the rest
+        plain = self.fit(iris_path, tmp_path / "b.json", ["--no-early-stop"])
+        assert by_flags == plain
+
+    def test_bad_boolean_is_exit_2(self, iris_path, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("early_stop=maybe\n", encoding="utf-8")
+        assert fit_iris(iris_path, tmp_path / "m.json", ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"mpa fit: checking inputs: {cfg}:1: config early_stop: not a boolean")
+
+
+class TestHelpShowsLibraryDefaults:
+    """Each "(default N)" that --help prints is the library's own default."""
+
+    FLAGS = {
+        "fit": {"--eta": (MpaConfig, "eta"), "--epochs": (MpaConfig, "epochs"),
+                "--near-cluster-pct": (MpaConfig, "near_cluster_percentile"),
+                "--init-spread": (MpaConfig, "init_spread"), "--seed": (MpaConfig, "seed")},
+        "bench synthetic": {
+            "--seeds": (run_synthetic_suite, "n_seeds"), "--stds": (run_synthetic_suite, "n_stds"),
+            "--n-per-class": (run_synthetic_suite, "n_per_class"),
+            "--dim": (run_synthetic_suite, "dim"),
+            "--test-fraction": (run_synthetic_suite, "test_fraction"),
+            "--eta": (MpaConfig, "eta"), "--epochs": (MpaConfig, "epochs")},
+        "bench dataset": {
+            "--reps": (run_dataset_protocol, "repetitions"),
+            "--pca-k": (run_dataset_protocol, "pca_k"),
+            "--test-fraction": (run_dataset_protocol, "test_fraction"),
+            "--svm-reg": (run_dataset_protocol, "svm_reg"),
+            "--svm-epochs": (run_dataset_protocol, "svm_epochs"),
+            "--seed": (MpaConfig, "seed")},
+        "plot": {"--width": (render_scatter_svg, "width"),
+                 "--height": (render_scatter_svg, "height")},
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_printed_defaults_match_the_library(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        printed = dict(re.findall(r"(?<!\[)(--[a-z-]+) [A-Z_]+ [^()]*\(default ([^):]+)\)", text))
+        assert set(printed) >= set(self.FLAGS[command])
+        for flag, (fn, param) in self.FLAGS[command].items():
+            want = inspect.signature(fn).parameters[param].default
+            assert printed[flag] == str(want), flag
+            assert float(printed[flag]) == want

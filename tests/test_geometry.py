@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -194,12 +194,30 @@ def closed_form_plane3(pts) -> Hyperplane:
 
 
 def assert_matches_oracle(pts, build=hyperplane_from_points):
+    """Same outcome type, and coefficients that agree to 1e-9 of max|c| plus
+    n * eps times the size of the products each is summed from: s^(n-1) for
+    a weight and s^n for the bias, s = max|p|. The second term is the
+    rounding of cancelling sums, and scales with the points as the
+    coefficients do."""
     got, want = plane_outcome(build, pts), plane_outcome(oracle_plane, pts)
     if isinstance(want, type):
         assert got is want
     else:
         assert not isinstance(got, type), got
-        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        n, s = len(pts), float(np.abs(pts).max())
+        terms = np.append(np.full(n, s ** (n - 1)), s ** n)
+        tol = 1e-9 * np.abs(want).max() + n * np.finfo(float).eps * terms
+        assert np.all(np.abs(got - want) <= tol), (got - want, tol)
+
+
+# n = 6 with max|c| = 0.088 from products of size 10^5 (weights) and 10^6
+# (bias): against exact cofactors the elimination is 1.14e-10 off in the
+# bias and the oracle 2.5e-11, so the two differ by 8.9e-11, just above
+# 1e-9 * max|c| alone.
+_A = 1.192092896e-06
+CANCELLING_SET = np.array([
+    [10, _A, _A, -10, _A, 7.3828125], [10, _A, _A, _A, _A, _A], [10, _A, 10, _A, _A, _A],
+    [10, _A, _A, 0, _A, _A], [10, _A, _A, _A, 10, _A], [10, 10, _A, _A, _A, _A]])
 
 
 class TestEliminationMatchesPerMinorOracle:
@@ -207,6 +225,7 @@ class TestEliminationMatchesPerMinorOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(point_sets())
+    @example(CANCELLING_SET)
     def test_matches_per_minor_oracle(self, pts):
         assert_matches_oracle(pts)
 
@@ -263,6 +282,25 @@ class TestPlane3ClosedForm:
             with pytest.raises(ValueError) as info:
                 build(pts)
             assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("pts, error", [
+        pytest.param(1e200 * np.eye(3), ValueError, id="n3-1e200-not-finite"),
+        pytest.param(1e50 * np.eye(8), ValueError, id="n8-1e50-not-finite"),
+        pytest.param([(1e200, 0, 0), (1e200, 1, 0), (1e200, 0, 1)], DegeneratePointsError,
+                     id="n3-1e200-finite"),
+        pytest.param([(1e155, 0, 0), (1e155, 1, 0), (1e155, 0, 1)], DegeneratePointsError,
+                     id="n3-1e155-finite"),
+    ])
+    def test_scale_power_past_float_range(self, pts, error):
+        # coordinate_scale(P) ** (n - 1) overflows, where ** raised
+        # OverflowError. Coefficients that overflow too are not finite; a
+        # finite normal is below the threshold, 1e391 at s = 1e200 and 1e301
+        # at s = 1e155.
+        pts = np.asarray(pts, dtype=float)
+        for build in [hyperplane_from_points] + [closed_form_plane3] * (len(pts) == 3):
+            with pytest.raises(ValueError) as info:
+                build(pts)
+            assert type(info.value) is error
 
 
 class TestSignedDisplacement:

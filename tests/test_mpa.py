@@ -931,6 +931,17 @@ class TestBoundaryTracksFreshPlane:
         assert builds == [64, 129]  # the 65th and the 130th move
         assert boundary.updates == 0
 
+    def test_scale_power_past_float_range_goes_to_a_fresh_build(self):
+        # coordinate_scale(P) ** (n - 1) = 1e315 after the move: the limit
+        # leaves the update to a fresh build, where ** raised OverflowError.
+        # The fresh build finds the normal far below EPS_DEGENERATE * 1e315.
+        P = np.eye(8)
+        boundary = mpa._Boundary(P)
+        old = P[0].copy()
+        P[0, 0] = 1e45
+        with pytest.raises(DegeneratePointsError):
+            boundary.moved(0, old)
+
 
 def hand_model(alpha, eta):
     """Boundary x = 0 through (0, 1) and (0, 0); displacement = x."""
@@ -1183,6 +1194,15 @@ class TestConfig:
             MpaConfig(seed=-1)
         with pytest.raises(ValueError):
             MpaConfig(alpha=-0.5)
+
+    @pytest.mark.parametrize("field", ["eta", "epochs", "alpha", "near_cluster_percentile",
+                                       "init_spread", "seed"])
+    @pytest.mark.parametrize("value", ["0.5", [1], None])
+    def test_rejects_a_value_that_is_not_a_number(self, field, value):
+        if field == "alpha" and value is None:
+            return  # the documented default
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            MpaConfig(**{field: value})
 
     def test_alpha_none_is_allowed(self):
         assert MpaConfig(alpha=None).alpha is None
