@@ -110,11 +110,6 @@ def knn_fit(data: Dataset, k: int = 3) -> KnnModel:
     return KnnModel(points=data.features.copy(), labels=data.labels.copy(), k=k)
 
 
-def knn_predict(model: KnnModel, x) -> int:
-    """knn_predict_many for the single point x."""
-    return int(knn_predict_many(model, np.asarray(x, dtype=float)[None, :])[0])
-
-
 # Rows of X per block: keeps the (rows, points, n) difference stack near
 # 512 KB, where a row-at-a-time loop needed only (points, n).
 _KNN_BLOCK_ELEMENTS = 1 << 16

@@ -50,10 +50,6 @@ class DegeneratePointsError(ValueError):
     """The points cannot define a unique hyperplane."""
 
 
-class ZeroVectorError(ValueError):
-    """A direction was required but the vector has (near-)zero norm."""
-
-
 def as_vector(coords) -> np.ndarray:
     """Validate and return a point as a 1-D float64 array.
 
@@ -145,8 +141,9 @@ def _normal_norm(weights: np.ndarray, bias: float) -> float:
     """||weights|| (a fixed-order sum, see _dot) of a plane whose
     coefficients pass the Hyperplane checks.
 
-    Raises ValueError on non-finite coefficients and DegeneratePointsError
-    when the normal is (near-)zero relative to the coefficients.
+    Raises ValueError on non-finite coefficients or a norm past the float
+    range, and DegeneratePointsError when the normal is (near-)zero
+    relative to the coefficients.
     """
     wl = weights.tolist()
     if not all(map(math.isfinite, wl)):
@@ -154,6 +151,8 @@ def _normal_norm(weights: np.ndarray, bias: float) -> float:
     if not math.isfinite(bias):
         raise ValueError("bias is not finite")
     norm = math.sqrt(_dot(wl, wl))
+    if not math.isfinite(norm):
+        raise ValueError("the norm of the hyperplane normal overflows")
     if norm <= EPS_DEGENERATE * max(max(map(abs, wl)), abs(bias), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return norm
@@ -182,6 +181,8 @@ def _line_coeffs(x1: float, y1: float, x2: float, y2: float) -> tuple[float, flo
         raise ValueError("point has non-finite coordinates")
     if not math.isfinite(bias):
         raise ValueError("bias is not finite")
+    if not math.isfinite(norm):
+        raise ValueError("the norm of the hyperplane normal overflows")
     if norm <= EPS_DEGENERATE * max(abs(w0), abs(w1), abs(bias), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return w0, w1, bias, norm
@@ -225,6 +226,8 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
         raise ValueError("point has non-finite coordinates")
     if not math.isfinite(bias):
         raise ValueError("bias is not finite")
+    if not math.isfinite(norm):
+        raise ValueError("the norm of the hyperplane normal overflows")
     if norm <= EPS_DEGENERATE * max(abs(w0), abs(w1), abs(w2), abs(bias), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return w0, w1, w2, bias, norm
@@ -352,17 +355,3 @@ def region_sign(h: Hyperplane, x) -> int:
     x = as_vector(x)
     h._check_dim(x)
     return int(sides(h, x[None, :])[0])
-
-
-def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two nonzero vectors."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.size != v.size:
-        raise DimensionMismatchError(f"dimensions differ: {u.size} vs {v.size}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu <= EPS_DEGENERATE or nv <= EPS_DEGENERATE:
-        raise ZeroVectorError("angle is undefined for a zero vector")
-    c = float(u @ v) / (nu * nv)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))

@@ -51,7 +51,6 @@ from .geometry import (
     line_from_points,
     region_sign,
     sides,
-    signed_displacement,
 )
 from .rng import SplitMix64
 
@@ -131,6 +130,13 @@ class MpaModel:
             )
         if set(pseudo_sign) != {0, 1} or set(pseudo_sign.values()) != {-1, 1}:
             raise ValueError(f"pseudo_sign must map {{0,1}} onto {{-1,+1}}, got {pseudo_sign}")
+        if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and alpha >= 0):
+            raise ValueError(f"alpha must be a number >= 0, got {alpha!r}")
+        if feature_names is not None and not (
+                isinstance(feature_names, list) and len(feature_names) == n
+                and all(isinstance(name, str) for name in feature_names)):
+            raise ValueError(f"feature_names must be null or a list of {n} strings, "
+                             f"got {feature_names!r}")
         self.moving_points = pts
         self.pseudo_sign = {0: int(pseudo_sign[0]), 1: int(pseudo_sign[1])}
         self.alpha = float(alpha)
@@ -265,41 +271,31 @@ def assign_pseudo(h: Hyperplane, mu0, mu1) -> dict:
     return {0: s0, 1: s1}
 
 
-def lambda_value(model: MpaModel, x, label: int) -> float:
-    """Signed displacement times the label's pseudo sign; negative = wrong."""
-    return signed_displacement(model.hyperplane, x) * model.pseudo_sign[label]
-
-
-def movement_vector(model: MpaModel, q, g, lam: float, cfg: MpaConfig | None = None):
+def movement_vector(model: MpaModel, q, g, lam: float):
     """Step for the moving point nearest to the misclassified example q.
 
     With mover c, u = c - q and w = g - q give v = w - u = g - c; the step
     is t = (v/||v||) * |eta * lambda|, i.e. length |eta*lambda| straight
-    toward the sampled opposite-class point g. Returns (mover_index, t).
-    For n = 2 and 3 this is the Python-float step of fit's loop.
+    toward the sampled opposite-class point g, with eta the model's own.
+    Returns (mover_index, t). For n = 2 and 3 this is the Python-float step
+    of fit's loop.
     """
-    cfg = cfg or model.config
     q = as_vector(q)
     g = as_vector(g)
     if q.size != model.dim or g.size != model.dim:
         raise DimensionMismatchError(
             f"expected dimension {model.dim}, got q:{q.size} g:{g.size}"
         )
-    step = abs(cfg.eta * lam)
-    if model.dim == 2:
+    step = abs(model.config.eta * lam)
+    if model.dim <= 3:
+        nearest, step_to = ((_nearest_line, _step_line) if model.dim == 2
+                            else (_nearest_plane3, _step_plane3))
         pts = model.moving_points.tolist()
-        mover = _nearest_line(pts, *q.tolist())
-        c0, c1 = pts[mover]
-        g0, g1 = g.tolist()
-        scale = max(1.0, abs(c0), abs(c1), abs(g0), abs(g1))  # coordinate_scale(c, g)
-        return mover, np.array(_step_line(c0, c1, g0, g1, scale, step))
-    if model.dim == 3:
-        pts = model.moving_points.tolist()
-        mover = _nearest_plane3(pts, *q.tolist())
+        mover = nearest(pts, *q.tolist())
         c = pts[mover]
         gl = g.tolist()
         scale = max(1.0, *map(abs, c), *map(abs, gl))  # coordinate_scale(c, g)
-        return mover, np.array(_step_plane3(*c, *gl, scale, step))
+        return mover, np.array(step_to(*c, *gl, scale, step))
     mover = _nearest(model.moving_points, q)
     c = model.moving_points[mover]
     return mover, _displacement(c, g, coordinate_scale(c, g), step)
@@ -328,21 +324,19 @@ def _displacement(c: np.ndarray, g: np.ndarray, scale: float, step: float) -> np
     return (v / nv) * step
 
 
-def overfit_guard(model: MpaModel, mover_index: int, t, cfg: MpaConfig | None = None):
+def overfit_guard(model: MpaModel, mover_index: int, t):
     """Strip movement components that close in on a nearby moving point.
 
-    For every other moving point F with ||E - F|| <= alpha, the approach
-    direction is r = (F - E)/||F - E||; a component t.r > 0 would shrink
-    the gap and is projected out. Projections repeat until no near
-    neighbor keeps a component above 1e-12 (projecting for one neighbor
-    can re-open another), with a hard pass cap falling back to a zero
-    move. Movements pointing away from every near neighbor pass through
+    For every other moving point F with ||E - F|| <= alpha, the model's
+    own, the approach direction is r = (F - E)/||F - E||; a component
+    t.r > 0 would shrink the gap and is projected out. Projections repeat
+    until no near neighbor keeps a component above 1e-12 (projecting for
+    one neighbor can re-open another), with a hard pass cap falling back
+    to a zero move. Movements pointing away from every near neighbor pass through
     untouched: the input object itself is returned. For n = 2 and 3 this
     is the Python-float guard of fit's loop.
     """
     alpha = model.alpha
-    if cfg is not None and cfg.alpha is not None:
-        alpha = cfg.alpha
     P = model.moving_points
     n = P.shape[0]
     if n > 3:
@@ -538,16 +532,21 @@ class TrainingLog:
     skips: dict[str, int] = field(default_factory=lambda: dict.fromkeys(SKIP_REASONS, 0))
 
 
-def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> TrainingLog:
+def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     """Run the training loop, mutating the model's moving points.
 
+    The settings are the model's own: eta, epochs, seed, the near-cluster
+    percentile and early_stop from model.config, alpha from model.alpha.
     Every epoch visits the examples in a seeded shuffled order. For each
     example with lambda < 0 the nearest moving point takes a guarded step
     toward a uniformly drawn member of the opposite class's near-cluster
     (redrawn up to 8 times if the draw lands on the mover; the example is
     skipped if all draws fail, and also if its step would make the moving
     points affinely degenerate, which is undone). With early_stop set,
-    training halts after the first epoch with zero misclassifications.
+    training halts after the first epoch with zero misclassifications
+    whose plane also predicts every training row right: an example on the
+    plane has lambda = 0, which is no misclassification, but predict_many
+    gives it to the class with pseudo sign +1.
 
     Inputs are validated once, here; the loop then works on raw values.
     For n = 2 (_line_epochs) and n = 3 (_plane3_epochs) they are Python
@@ -566,11 +565,12 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     lambdas for a whole stretch of examples are evaluated in one
     matrix-vector product and the loop jumps directly to the next
     misclassified example; BLAS rounds that product, so a lambda can
-    differ from lambda_value's in the last bit. Either way model.hyperplane
-    is set from a fresh _plane_of(points) on every exit, so it always
-    matches the points, bit for bit, as a reloaded model does.
+    differ from signed_displacement times the pseudo sign in the last bit.
+    Either way model.hyperplane is set from a fresh _plane_of(points) on
+    every exit, so it always matches the points, bit for bit, as a
+    reloaded model does.
     """
-    cfg = cfg or model.config
+    cfg = model.config
     if data.n != model.dim:
         raise DimensionMismatchError(
             f"data has dimension {data.n}, model has {model.dim}"
@@ -583,7 +583,6 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     clusters = near_clusters(data, cfg.near_cluster_percentile)
     rng = SplitMix64(cfg.seed)
     y = data.labels
-    alpha = model.alpha if cfg.alpha is None else cfg.alpha
     # Per example, the members of the opposite class's near cluster.
     opposite = [clusters[1].members.tolist(), clusters[0].members.tolist()]
     draws = [opposite[label] for label in y.tolist()]
@@ -595,13 +594,15 @@ def fit(model: MpaModel, data: Dataset, cfg: MpaConfig | None = None) -> Trainin
     epochs = {2: _line_epochs, 3: _plane3_epochs}.get(model.dim, _plane_epochs)
     try:
         # Each epoch leaves its points in P before it yields its count.
-        for miss in epochs(P, X, pseudo, draws, rng, cfg, alpha, log):
+        for miss in epochs(P, X, pseudo, draws, rng, cfg, model.alpha, log):
             log.misclassified.append(miss)
             snapshots.append(P.copy())
             log.epochs_run += 1
             if cfg.early_stop and miss == 0:
-                log.stopped_early = True
-                break
+                model.hyperplane = _plane_of(P)
+                if np.array_equal(predict_many(model, X), y):
+                    log.stopped_early = True
+                    break
     finally:
         model.hyperplane = _plane_of(P)
 
@@ -827,8 +828,8 @@ class _Boundary:
         c'    = denom * c - (d . w) * col     (= det(M') * Minv'[:, 0])
 
     The update is kept only when c' passes hyperplane_from_points' checks
-    (finite coefficients, ||w|| > EPS_DEGENERATE * coordinate_scale(P)^(n-1),
-    and _normal_norm's ||w|| > EPS_DEGENERATE * max(|w|, |b|, 1)) with
+    (finite coefficients and a finite ||w||, ||w|| > EPS_DEGENERATE *
+    coordinate_scale(P)^(n-1), and _normal_norm's ||w|| > EPS_DEGENERATE * max(|w|, |b|, 1)) with
     _NEAR_DEGENERATE to spare, and when the plane still passes through
     the points: max_j |p_j . w + b| <= _MAX_RESIDUAL * (max|P| ||w|| + |b|),
     which bounds the rounding that updates pile up. Otherwise, and every
@@ -873,7 +874,7 @@ class _Boundary:
                     terms = math.inf
                 limit = _NEAR_DEGENERATE * EPS_DEGENERATE * max(
                     terms, abs(b), *map(abs, w.tolist()))
-                if (norm_w > limit and math.isfinite(b)  # False on inf or nan
+                if (limit < norm_w < math.inf and math.isfinite(b)  # False on nan
                         and max(map(abs, (P.dot(w) + b).tolist()))
                         <= _MAX_RESIDUAL * (scale * norm_w + abs(b))):
                     self.Minv = Minv
@@ -924,7 +925,7 @@ def train(data: Dataset, cfg: MpaConfig | None = None):
     model = initialize(data.class_points(0), data.class_points(1), cfg)
     if data.feature_names is not None:
         model.feature_names = list(data.feature_names)
-    log = fit(model, data, cfg)
+    log = fit(model, data)
     return model, log
 
 
@@ -959,13 +960,9 @@ def parse_model_document(text: str) -> MpaModel:
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}, "
                          f"expected {MODEL_VERSION}")
-    for name, kinds, kind in (("config", dict, "an object"), ("pseudo_sign", dict, "an object"),
-                              ("alpha", numbers.Real, "a number"),
-                              ("feature_names", (list, type(None)), "a list or null")):
-        if not isinstance(doc.get(name), kinds):
-            raise ValueError(f"{name} must be {kind}, got {doc.get(name)!r}")
-    if not doc["alpha"] >= 0:
-        raise ValueError(f"alpha must be >= 0, got {doc['alpha']!r}")
+    for name in ("config", "pseudo_sign"):
+        if not isinstance(doc.get(name), dict):
+            raise ValueError(f"{name} must be an object, got {doc.get(name)!r}")
     unknown = sorted(set(doc["config"]) - {f.name for f in fields(MpaConfig)})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -978,13 +975,8 @@ def parse_model_document(text: str) -> MpaModel:
     if pts.shape != (dim, dim):
         raise ValueError(f"dim {dim!r} does not match moving points of shape {pts.shape}")
     cfg = MpaConfig(**doc["config"])
-    return MpaModel(
-        pts,
-        pseudo_sign,
-        float(doc["alpha"]),
-        cfg,
-        feature_names=doc.get("feature_names"),
-    )
+    return MpaModel(pts, pseudo_sign, doc.get("alpha"), cfg,
+                    feature_names=doc.get("feature_names"))
 
 
 def save_model(model: MpaModel, path) -> None:

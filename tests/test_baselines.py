@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from movingpoints.baselines import (
     knn_fit,
-    knn_predict,
     knn_predict_many,
     linear_predict_many,
     linear_svm_fit,
@@ -78,20 +77,20 @@ class TestPerceptron:
 class TestKnn:
     def test_single_neighbor(self):
         model = knn_fit(toy([[0.0, 0.0], [10.0, 10.0]], [0, 1]), k=1)
-        assert knn_predict(model, (5.9, 5.9)) == 1
-        assert knn_predict(model, (1.0, 1.0)) == 0
+        assert knn_predict_many(model, [(5.9, 5.9)])[0] == 1
+        assert knn_predict_many(model, [(1.0, 1.0)])[0] == 0
 
     def test_majority_of_three(self):
         model = knn_fit(
             toy([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [9.0, 9.0]], [0, 0, 1, 1]),
             k=3,
         )
-        assert knn_predict(model, (0.05, 0.0)) == 0
+        assert knn_predict_many(model, [(0.05, 0.0)])[0] == 0
 
     def test_even_k_tie_goes_to_nearest(self):
         model = knn_fit(toy([[0.0, 0.0], [1.0, 0.0]], [1, 0]), k=2)
-        assert knn_predict(model, (0.2, 0.0)) == 1
-        assert knn_predict(model, (0.8, 0.0)) == 0
+        assert knn_predict_many(model, [(0.2, 0.0)])[0] == 1
+        assert knn_predict_many(model, [(0.8, 0.0)])[0] == 0
 
     def test_k_bounds(self):
         ds = toy([[0.0, 0.0], [1.0, 1.0]], [0, 1])
@@ -336,7 +335,7 @@ class TestBaselinesMatchFrozenLoops:
         with np.errstate(over="ignore"):
             want = [frozen_knn_predict(model.points, model.labels, k, x) for x in X]
             got = knn_predict_many(model, X)
-            one_by_one = [knn_predict(model, x) for x in X]
+            one_by_one = [int(knn_predict_many(model, x[None, :])[0]) for x in X]
         assert got.dtype == int
         assert got.tolist() == want
         assert one_by_one == want

@@ -10,6 +10,7 @@ import pytest
 from movingpoints import mpa
 from movingpoints.bench import run_dataset_protocol, run_synthetic_suite
 from movingpoints.cli import main, render_scatter_svg
+from movingpoints.datasets import make_blobs
 from movingpoints.mpa import MpaConfig
 
 IRIS_ARGS = [
@@ -131,6 +132,9 @@ class TestPredict:
         pytest.param({"alpha": -1.0}, id="alpha-negative"),
         pytest.param({"pseudo_sign": {"0": [1], "1": 1}}, id="pseudo-sign-value-list"),
         pytest.param({"moving_points": {"a": 1}}, id="moving-points-object"),
+        pytest.param({"alpha": True}, id="alpha-boolean"),
+        pytest.param({"feature_names": [1, 2]}, id="feature-names-numbers"),
+        pytest.param({"feature_names": ["a"]}, id="feature-names-too-few"),
     ])
     def test_bad_model_schema_is_exit_2(self, iris_path, model_path, tmp_path,
                                         capsys, edit):
@@ -342,9 +346,16 @@ class TestEveryErrorEndsAtItsStage:
         short.write_text("height = 60\n", encoding="utf-8")
         wide = tmp_path / "wide.csv"  # a field past the csv module's 131,072 characters
         wide.write_text("a,b,y\n1,2,p\n" + "9" * 131_073 + ",2,n\n", encoding="utf-8")
+        huge = tmp_path / "huge.csv"  # 3-D blobs whose planes have a ||w|| past 1e308
+        blobs = make_blobs(seed=1, std=3.0, n_per_class=20, dim=3, center_halfwidth=4.0)
+        huge.write_text("a,b,c,y\n" + "".join(
+            ",".join(map(repr, row)) + f",{'np'[label]}\n"
+            for row, label in zip((blobs.features * 1e80).tolist(), blobs.labels.tolist())),
+            encoding="utf-8")
         return {"iris": iris_path, "model": model, "nonames": nonames, "same": same,
                 "dir": tmp_path / "dir", "out": tmp_path / "out",
-                "missing": tmp_path / "absent.csv", "short": short, "wide": wide}
+                "missing": tmp_path / "absent.csv", "short": short, "wide": wide,
+                "huge": huge}
 
     VIRGINICA = ["--label-col", "Species", "--positive-label", "Iris-virginica",
                  "--negative-label", "Iris-versicolor"]
@@ -365,6 +376,9 @@ class TestEveryErrorEndsAtItsStage:
         pytest.param(["fit", "--input", "{same}", "--output", "{out}", "--label-col", "y",
                       "--positive-label", "p"], 3, "mpa fit: training:",
                      id="fit-coincident-means"),
+        pytest.param(["fit", "--input", "{huge}", "--output", "{out}", "--label-col", "y",
+                      "--positive-label", "p"], 3, "mpa fit: training:",
+                     id="fit-normal-norm-overflows"),
         pytest.param(FIT + IRIS_ARGS + ["--output", "{dir}"], 2,
                      "mpa fit: writing output:", id="fit-output-is-directory"),
         pytest.param(FIT + IRIS_ARGS + ["--output", "{out}"], 3,

@@ -12,10 +12,8 @@ from movingpoints.geometry import (
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
-    ZeroVectorError,
     _line_coeffs,
     _plane3_coeffs,
-    angle_between,
     as_vector,
     coordinate_scale,
     hyperplane_from_points,
@@ -303,6 +301,31 @@ class TestPlane3ClosedForm:
             assert type(info.value) is error
 
 
+class TestNormPastFloatRange:
+    # Finite coefficients whose ||w|| overflows: every signed distance
+    # would read 0. Each builder refuses the plane with a plain ValueError,
+    # as it refuses coefficients that are not finite.
+    @pytest.mark.parametrize("build, args", [
+        pytest.param(_plane3_coeffs, [(0, 0, 0), (0, 1e155, 0), (0, 0, 1e147)], id="plane3"),
+        pytest.param(_line_coeffs, [0, 0, 1e155, 0], id="line"),
+        pytest.param(lambda *pts: hyperplane_from_points(pts), [(0, 0), (1e155, 0)],
+                     id="hyperplane_from_points"),
+        pytest.param(lambda *pts: line_from_points(*pts), [(0, 0), (1e155, 0)],
+                     id="line_from_points"),
+        pytest.param(lambda w: Hyperplane(np.array(w), 0.0), [[1e155, 1e155]], id="Hyperplane"),
+    ])
+    def test_refused_as_not_finite(self, build, args):
+        with pytest.raises(ValueError, match="the norm of the hyperplane normal overflows") \
+                as info:
+            build(*args)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("scale", [1e153, 1e100])
+    def test_finite_norm_keeps_its_bits(self, scale):
+        # ||w|| = 1e306 and 1e200: below the float range, built as before
+        assert _line_coeffs(0.0, 0.0, scale, 0.0) == (0.0, scale, 0.0, scale)
+
+
 class TestSignedDisplacement:
     def test_unit_offset_from_diagonal(self):
         h = Hyperplane(np.array([-1.0, 1.0]), 0.0)
@@ -415,21 +438,6 @@ class TestSides:
         h = Hyperplane(np.array([1.0, 0.0]), 0.0)
         with pytest.raises(DimensionMismatchError):
             sides(h, np.zeros((4, 3)))
-
-
-class TestAngleBetween:
-    def test_orthogonal(self):
-        assert angle_between((1, 0), (0, 1)) == pytest.approx(np.pi / 2)
-
-    def test_parallel(self):
-        assert angle_between((1, 0), (1, 0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_diagonal(self):
-        assert angle_between((1, 0), (1, 1)) == pytest.approx(np.pi / 4)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            angle_between((0, 0), (1, 0))
 
 
 class TestHyperplaneType:

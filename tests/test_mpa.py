@@ -33,7 +33,6 @@ from movingpoints.mpa import (
     assign_pseudo,
     fit,
     initialize,
-    lambda_value,
     movement_vector,
     near_clusters,
     overfit_guard,
@@ -45,10 +44,15 @@ from movingpoints.mpa import (
 from movingpoints.rng import SplitMix64
 
 
-def vertical_model(x0=0.0, pseudo=None, alpha=0.5):
+def lambda_value(model: MpaModel, x, label: int) -> float:
+    """Signed displacement times the label's pseudo sign; negative = wrong."""
+    return signed_displacement(model.hyperplane, x) * model.pseudo_sign[label]
+
+
+def vertical_model(x0=0.0, pseudo=None, alpha=0.5, config=None):
     """Model whose boundary is x = x0, oriented so displacement = x - x0."""
     pts = np.array([[x0, 1.0], [x0, 0.0]])
-    return MpaModel(pts, pseudo or {0: -1, 1: 1}, alpha=alpha, config=MpaConfig())
+    return MpaModel(pts, pseudo or {0: -1, 1: 1}, alpha=alpha, config=config or MpaConfig())
 
 
 class TestInitialize:
@@ -169,10 +173,9 @@ class TestMovementVector:
             movement_vector(model, (2, 0), model.moving_points[1], -1.0)
 
     def test_magnitude_scales_with_eta_times_lambda(self):
-        model = vertical_model()
         for eta, lam in [(0.1, -0.5), (0.01, -2.0), (1.0, -0.125)]:
-            _, t = movement_vector(model, (3, 4), (-2, 5), lam,
-                                   MpaConfig(eta=eta))
+            model = vertical_model(config=MpaConfig(eta=eta))
+            _, t = movement_vector(model, (3, 4), (-2, 5), lam)
             assert np.linalg.norm(t) == pytest.approx(abs(eta * lam))
 
 
@@ -264,6 +267,38 @@ class TestGuardProperties:
         if all(c < -slack for c in (math.fsum(u * t) for u in units)):
             assert out is t  # nothing approached: the input object itself
 
+    # The same points, with at least one neighbour near: after the guarded
+    # step each gap that was within alpha is no smaller, up to the rounding
+    # of the moved point and of the two distances, and up to _GUARD_TOL:
+    # the guard leaves a component of at most that much toward a neighbour,
+    # which closes the gap by as much. The example closes a gap of 3.2e-6
+    # by 1.6e-13, more than the rounding at that scale allows.
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 8), exponent=st.integers(-6, 6),
+           seed=st.integers(0, 2**64 - 1), k=st.integers(1, 7),
+           step_exponent=st.integers(-3, 1))
+    @example(n=5, exponent=-6, seed=3695, k=4, step_exponent=-3)
+    def test_guarded_step_never_closes_a_near_gap(self, n, exponent, seed, k,
+                                                  step_exponent):
+        scale = 10.0 ** exponent
+        stream = SplitMix64(seed)
+        pts = scale * stream.normals(n * n).reshape(n, n)
+        mover = int(stream.uniforms(1)[0] * n)
+        others = [i for i in range(n) if i != mover]
+        gaps = [math.dist(pts[i], pts[mover]) for i in others]
+        edges = [0.0] + sorted(gaps) + [2.0 * max(gaps)]
+        k = min(k, n - 1)
+        alpha = 0.5 * (edges[k] + edges[k + 1])
+        model = MpaModel(np.eye(n), {0: -1, 1: 1}, alpha=alpha, config=MpaConfig())
+        model.moving_points = pts
+        t = scale * 10.0 ** step_exponent * stream.normals(n)
+        moved = pts[mover] + overfit_guard(model, mover, t)
+        slack = 4 * np.finfo(float).eps * max(float(np.abs(pts).max()),
+                                              float(np.abs(moved).max()))
+        for i, gap in zip(others, gaps):
+            if gap <= alpha:
+                assert math.dist(pts[i], moved) >= gap - mpa._GUARD_TOL - slack
+
 
 class TestNearClusters:
     def test_full_percentile_keeps_everyone(self, two_blobs):
@@ -344,13 +379,25 @@ class TestFit:
         assert log.misclassified[-1] == 0
         assert log.epochs_run < 200
 
+    def test_clean_epoch_with_a_row_on_the_plane_does_not_stop(self):
+        # The initial boundary is the line x = y, through (1, 1) of class 0
+        # and (-1, -1) of class 1. Their lambda is 0, so no epoch counts a
+        # misclassification, but predict_many gives both rows to the class
+        # with pseudo sign +1, and one of them is wrong.
+        model, log = train(FOUR_ROWS, MpaConfig(eta=0.1))
+        assert log.misclassified == [0] * 150
+        assert log.moves == 0
+        assert not log.stopped_early
+        assert training_accuracy(model, FOUR_ROWS) == 0.75
+
+
     def test_matches_plain_sequential_loop(self):
         # overlapping blobs (close centers) so moves keep happening
         ds = make_blobs(seed=4, std=1.9, center_halfwidth=4.0)
         cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
 
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
-        log = fit(model, ds, cfg)
+        log = fit(model, ds)
         assert log.moves > 0
 
         ref = initialize(ds.class_points(0), ds.class_points(1), cfg)
@@ -377,7 +424,7 @@ class TestFit:
         ds = make_blobs(seed=7, std=2.5, n_per_class=25, dim=dim, center_halfwidth=4.0)
         cfg = MpaConfig(eta=eta, epochs=12, alpha=alpha, seed=1, early_stop=False)
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
-        log = fit(model, ds, cfg)
+        log = fit(model, ds)
         ref = initialize(ds.class_points(0), ds.class_points(1), cfg)
         ref_log = self.plain_fit(ref, ds, cfg, lam_of=fixed_order_lambda)
         assert log.moves > 0
@@ -404,14 +451,14 @@ class TestFit:
                 for _attempt in range(1 + mpa.MAX_RESAMPLES):
                     g = X[members[rng.randint(members.size)]]
                     try:
-                        pair = movement_vector(model, X[j], g, lam, cfg)
+                        pair = movement_vector(model, X[j], g, lam)
                         break
                     except ZeroDisplacementError:
                         pair = None
                 if pair is None:
                     continue
                 mover, t = pair
-                t = overfit_guard(model, mover, t, cfg)
+                t = overfit_guard(model, mover, t)
                 if not np.any(t):
                     continue
                 old = model.moving_points[mover].copy()
@@ -424,6 +471,40 @@ class TestFit:
                 out["moves"] += 1
             out["misclassified"].append(miss)
         return out
+
+
+FOUR_ROWS = Dataset(np.array([[-2.0, 0.0], [1.0, 1.0], [2.0, 0.0], [-1.0, -1.0]]),
+                    np.array([0, 0, 1, 1]))
+
+
+@st.composite
+def grid_problems(draw):
+    """Rows on a small integer grid in 2..8 dimensions, labelled by the side
+    of an integer hyperplane through the origin; a row on it gets a drawn
+    label. Rows often lie on the initial boundary, where lambda is 0."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(n + 2, 6 * n))
+    X = draw(hnp.arrays(np.float64, (m, n), elements=st.integers(-2, 2)))
+    v = draw(hnp.arrays(np.float64, n, elements=st.integers(-2, 2)))
+    raw = X @ v  # exact: small integers
+    ties = draw(hnp.arrays(np.int64, m, elements=st.integers(0, 1)))
+    return Dataset(X, np.where(raw > 0, 1, np.where(raw < 0, 0, ties)))
+
+
+class TestEarlyStopMeansAPerfectFit:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=grid_problems(), exponent=st.integers(-6, 6),
+           eta=st.sampled_from([0.01, 0.1, 0.5]))
+    @example(ds=FOUR_ROWS, exponent=0, eta=0.1)
+    def test_stopped_early_implies_training_accuracy_one(self, ds, exponent, eta):
+        ds = Dataset(10.0 ** exponent * ds.features, ds.labels)
+        try:
+            model, log = train(ds, MpaConfig(eta=eta, epochs=30))
+        except ValueError:  # one class only, coincident means, a degenerate start
+            assume(False)
+        if log.stopped_early:
+            assert log.misclassified[-1] == 0
+            assert training_accuracy(model, ds) == 1.0
 
 
 # Frozen copy of the per-move code that fit used before it ran on raw
@@ -772,7 +853,10 @@ def frozen_fit(model, ds, cfg):
         out["misclassified"].append(miss)
         snapshots.append(points.copy())
         if cfg.early_stop and miss == 0:
-            break
+            # A row on the plane has lambda = 0 but goes to the pseudo +1 class.
+            h = Hyperplane(*frozen_refresh(points))
+            if all((region_sign(h, x) or 1) == p for x, p in zip(X, pseudo)):
+                break
     out["trajectory"] = np.array(snapshots)
     out["plane"] = frozen_refresh(points)  # fit leaves a fresh plane in the model
     return out
@@ -791,7 +875,7 @@ def assert_fit_matches_frozen(dim, eta, seed, blob_seed, std, scale, alpha_facto
     except ValueError:
         return None  # no usable initial boundary; nothing to train
     ref = frozen_fit(model, ds, cfg)
-    log = fit(model, ds, cfg)
+    log = fit(model, ds)
     assert log.trajectory.tobytes() == ref["trajectory"].tobytes()
     assert log.misclassified == ref["misclassified"]
     assert log.moves == ref["moves"]
@@ -942,6 +1026,18 @@ class TestBoundaryTracksFreshPlane:
         with pytest.raises(DegeneratePointsError):
             boundary.moved(0, old)
 
+    def test_normal_past_float_range_goes_to_a_fresh_build(self):
+        # The plane x3 = 0 through points of scale 1e40, w = (0, 0, 0, 3e120).
+        # Moving the fourth point out to 1e100 makes the updated w3 3e180:
+        # finite, but ||w|| overflows, and every lambda would read 0. The
+        # update is left to a fresh build, which refuses the plane.
+        P = 1e40 * np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 0]])
+        boundary = mpa._Boundary(P)
+        old = P[3].copy()
+        P[3, 2] = 1e100
+        with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
+            boundary.moved(3, old)
+
 
 def hand_model(alpha, eta):
     """Boundary x = 0 through (0, 1) and (0, 0); displacement = x."""
@@ -964,7 +1060,7 @@ class TestSkipReasons:
         model, cfg = hand_model(alpha, eta)
         ds = Dataset(np.array([[0.5, -0.2], g]), np.array([0, 1]))
         before = model.moving_points.copy()
-        log = fit(model, ds, cfg)
+        log = fit(model, ds)
         assert log.misclassified == [1, 1, 1]
         assert log.moves == 0
         assert log.skips == {r: 3 if r == reason else 0 for r in mpa.SKIP_REASONS}
@@ -989,7 +1085,7 @@ class TestHyperplaneMatchesPointsOnExit:
 
         monkeypatch.setattr(mpa, "_rank_one", failing)
         with pytest.raises(RuntimeError):
-            fit(model, ds, cfg)
+            fit(model, ds)
         monkeypatch.undo()
         assert len(seen) == 3
         moved, i, d = seen[-1]
@@ -1018,7 +1114,7 @@ class TestHyperplaneMatchesPointsOnExit:
 
         monkeypatch.setattr(mpa, "_line_coeffs", failing)
         with pytest.raises(RuntimeError):
-            fit(model, ds, cfg)
+            fit(model, ds)
         monkeypatch.undo()
         x1, y1, x2, y2 = seen[-2]  # the last line built, with no revert here
         assert model.moving_points.tolist() == [[x1, y1], [x2, y2]]
@@ -1044,7 +1140,7 @@ class TestHyperplaneMatchesPointsOnExit:
 
         monkeypatch.setattr(mpa, "_plane3_coeffs", failing)
         with pytest.raises(RuntimeError):
-            fit(model, ds, cfg)
+            fit(model, ds)
         monkeypatch.undo()
         # Call 21 is fit's exit plane, built from the points of call 19,
         # the last move kept.
@@ -1063,7 +1159,7 @@ class TestHyperplaneMatchesPointsOnExit:
         ds = Dataset(np.array([[0.5, -0.2], [0.0, 5.0]]), np.array([0, 1]))
         before = model.moving_points.copy()
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            fit(model, ds, cfg)
+            fit(model, ds)
         np.testing.assert_array_equal(model.moving_points, before)
         np.testing.assert_array_equal(model.hyperplane.weights, [1.0, 0.0])
 
