@@ -92,9 +92,9 @@ def test_train_iris_dataset_rep0(benchmark):
 
 # The baselines with the parameters of bench.CLASSIFIERS: the SVM's 30
 # epochs of 80 steps and the perceptron's shuffled sweeps. On grid cell
-# (2, 9) they run the n = 2 loops on Python floats; on overlap cell (0, 90)
-# the n >= 3 loops on arrays, whose w.dot(x) margins are BLAS calls. KNN
-# (k = 3) searches the grid cell's 80 training rows for its 100 rows.
+# (2, 9) they run the unrolled n = 2 loops on Python floats; on overlap
+# cell (0, 90) the generic loops, also on Python floats. KNN (k = 3)
+# searches a cell's 80 training rows for its 100 rows.
 def svm_case(benchmark, seed, std_index, dim):
     train_ds, _, cell = cell_split(seed, std_index, dim)
     model = benchmark(baselines.linear_svm_fit, train_ds, reg=0.01, epochs=30,
@@ -125,12 +125,20 @@ def test_perceptron_fit_overlap_0_90_dim8(benchmark):
     perceptron_case(benchmark, 0, 90, 8)
 
 
-def test_knn_predict_many_grid_2_9(benchmark):
-    train_ds, test_ds, _ = cell_split(2, 9, 2)
+def knn_case(benchmark, seed, std_index, dim):
+    train_ds, test_ds, _ = cell_split(seed, std_index, dim)
     model = baselines.knn_fit(train_ds, k=3)
     X = np.vstack([train_ds.features, test_ds.features])
     preds = benchmark(baselines.knn_predict_many, model, X)
     assert preds.shape == (100,) and set(preds.tolist()) <= {0, 1}
+
+
+def test_knn_predict_many_grid_2_9(benchmark):
+    knn_case(benchmark, 2, 9, 2)
+
+
+def test_knn_predict_many_overlap_0_90_dim8(benchmark):
+    knn_case(benchmark, 0, 90, 8)
 
 
 @pytest.mark.parametrize("n", [3, 8, 16, 32])

@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from .datasets import Dataset
-from .geometry import _affine
+from .geometry import _affine, _dot
 from .rng import SplitMix64
 
 
@@ -43,11 +43,11 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
 
     Labels map to y in {-1, +1}; every example with y*(w.x + b) <= 0
     triggers w += eta*y*x, b += eta*y. Stops early on a clean sweep, after
-    which further epochs could not change anything. For n = 2 the loop
-    runs on Python floats with the margin x0*w0 + x1*w1 + b summed in that
-    order, so the model takes no bits from BLAS; for n >= 3 it takes
-    w.dot(x) on arrays. ValueError unless eta is finite and positive and
-    epochs is a positive integer.
+    which further epochs could not change anything. The loop runs on
+    Python floats with the margin x0*w0 + x1*w1 + ... + b summed in that
+    order, so the model takes no bits from BLAS; n = 2 has its own
+    unrolled copy of the loop. ValueError unless eta is finite and
+    positive and epochs is a positive integer.
     """
     data.require_binary()
     if not 0.0 < eta < np.inf:
@@ -59,20 +59,21 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
         w0, w1, b = _perceptron_line(data.features.tolist(), y, eta, epochs, rng)
         return PerceptronModel(weights=np.array([w0, w1]), bias=b, eta=eta, epochs=epochs,
                                seed=seed)
-    rows = list(data.features)
-    w = np.zeros(data.n)
+    rows = data.features.tolist()
+    w = [0.0] * data.n
     b = 0.0
     for _ in range(epochs):
         updates = 0
         for i in rng.permutation(data.m):
             x, yi = rows[i], y[i]
-            if yi * (w.dot(x) + b) <= 0.0:
-                w += (eta * yi) * x
-                b += eta * yi
+            if yi * (_dot(x, w) + b) <= 0.0:
+                s = eta * yi
+                w = [wk + s * xk for wk, xk in zip(w, x)]
+                b += s
                 updates += 1
         if updates == 0:
             break
-    return PerceptronModel(weights=w, bias=b, eta=eta, epochs=epochs, seed=seed)
+    return PerceptronModel(weights=np.array(w), bias=b, eta=eta, epochs=epochs, seed=seed)
 
 
 def _perceptron_line(rows: list, y: list, eta: float, epochs: int,
@@ -110,29 +111,37 @@ def knn_fit(data: Dataset, k: int = 3) -> KnnModel:
     return KnnModel(points=data.features.copy(), labels=data.labels.copy(), k=k)
 
 
-# Rows of X per block: keeps the (rows, points, n) difference stack near
-# 512 KB, where a row-at-a-time loop needed only (points, n).
+# Rows of X per block: keeps each (rows, points) array of squared
+# distances near 512 KB.
 _KNN_BLOCK_ELEMENTS = 1 << 16
 
 
 def knn_predict_many(model: KnnModel, X) -> np.ndarray:
     """Per row of X, the majority label of its k nearest points.
 
-    Distances are Euclidean, computed as np.linalg.norm(points - x, axis=1)
-    would; a stable sort breaks distance ties by point index, and a tied
-    vote goes to the single nearest point. X is read in C order: numpy sums
-    the squares of a Fortran-ordered block in another order, so a near tie
-    could fall the other way.
+    Distances are Euclidean, the square root of the squared coordinate
+    differences summed column by column, (p0-x0)^2 + (p1-x1)^2 + ..., in
+    that order and element-wise, as geometry._affine sums: neither numpy's
+    reduction order nor the memory layout of X can move a near tie. A
+    stable sort breaks distance ties by point index, and a tied vote goes
+    to the single nearest point.
     """
     P = model.points
     if P.shape[0] == 0:
         raise EmptyModelError("no training points")
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
     out = np.empty(X.shape[0], dtype=int)
-    block = max(1, _KNN_BLOCK_ELEMENTS // P.size)
+    block = max(1, _KNN_BLOCK_ELEMENTS // P.shape[0])
     for start in range(0, X.shape[0], block):
-        D = P[None, :, :] - X[start:start + block, None, :]
-        dist = np.sqrt(np.add.reduce(D * D, axis=2))
+        Xb = X[start:start + block]
+        sq = P[:, 0] - Xb[:, 0, None]
+        sq *= sq
+        D = np.empty_like(sq)
+        for j in range(1, P.shape[1]):
+            np.subtract(P[:, j], Xb[:, j, None], out=D)
+            D *= D
+            sq += D
+        dist = np.sqrt(sq)
         votes = model.labels[np.argsort(dist, axis=1, kind="stable")[:, :model.k]]
         ones = np.count_nonzero(votes == 1, axis=1)
         zeros = votes.shape[1] - ones
@@ -155,11 +164,13 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
 
     Pegasos-style schedule: at global step t the rate is 1/(reg*t); each
     epoch sweeps a fresh shuffle. The bias rides along as an appended
-    constant feature, so it is (lightly) regularized with the rest. For
-    n = 2 the loop runs on Python floats with the margin x0*w0 + x1*w1 + w2
-    summed in that order, so the model takes no bits from BLAS; for n >= 3
-    it takes w.dot(x) on arrays. ValueError unless reg is finite and
-    positive and epochs is a positive integer.
+    constant feature, so it is (lightly) regularized with the rest. The
+    loop runs on Python floats with the margin x0*w0 + x1*w1 + ... + wn
+    summed in that order, and each step rounds the shrink and then the add
+    per coordinate, as w *= shrink; w += s*x does, so the model takes no
+    bits from BLAS; n = 2 has its own unrolled copy of the loop.
+    ValueError unless reg is finite and positive and epochs is a positive
+    integer.
     """
     data.require_binary()
     if not 0.0 < reg < np.inf:
@@ -171,20 +182,22 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
         w0, w1, w2 = _svm_line(data.features.tolist(), y, reg, epochs, rng)
         return LinearSvmModel(weights=np.array([w0, w1]), bias=w2, reg=reg,
                               epochs=epochs, seed=seed)
-    X = np.hstack([data.features, np.ones((data.m, 1))])
-    rows = list(X)
-    w = np.zeros(X.shape[1])
+    rows = [x + [1.0] for x in data.features.tolist()]
+    w = [0.0] * (data.n + 1)
     t = 0
     for _ in range(epochs):
         for i in rng.permutation(data.m):
             t += 1
             step = 1.0 / (reg * t)
             x, yi = rows[i], y[i]
-            margin = yi * w.dot(x)
-            w *= 1.0 - step * reg
+            margin = yi * _dot(x, w)
+            shrink = 1.0 - step * reg
             if margin < 1.0:
-                w += (step * yi) * x
-    return LinearSvmModel(weights=w[:-1].copy(), bias=float(w[-1]), reg=reg,
+                s = step * yi
+                w = [wk * shrink + s * xk for wk, xk in zip(w, x)]
+            else:
+                w = [wk * shrink for wk in w]
+    return LinearSvmModel(weights=np.array(w[:-1]), bias=w[-1], reg=reg,
                           epochs=epochs, seed=seed)
 
 

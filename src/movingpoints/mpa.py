@@ -95,7 +95,8 @@ class MpaConfig:
     def __post_init__(self):
         for name in ("eta", "epochs", "alpha", "near_cluster_percentile", "init_spread", "seed"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) or name == "alpha" and value is None):
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) or name == "alpha" and value is None):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.early_stop, (bool, np.bool_)):
             raise ValueError(f"early_stop must be a boolean, got {self.early_stop!r}")
@@ -744,8 +745,9 @@ def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
         order = rng.permutation(m)
         # Rows in visiting order: Xo[i:] holds the values and shape of
         # X[order[i:]], so the product below has the same bits.
-        Xo = X[order]
-        po = pseudo[order]
+        idx = np.array(order)
+        Xo = X[idx]
+        po = pseudo[idx]
         miss = 0
         i = 0
         while i < m:
@@ -791,7 +793,7 @@ def _move(boundary: _Boundary, q: np.ndarray, lam: float, members: list[int],
     else:
         return RESAMPLE_EXHAUSTED
     t = _guard(P, mover, t, alpha)
-    if not t.any():
+    if not np.count_nonzero(t):
         return GUARD_ZEROED
     old = c.copy()
     c += t  # c is P's row, so this moves the point
@@ -867,7 +869,8 @@ class _Boundary:
                 w = coeffs[:n]
                 b = float(coeffs[n])
                 norm_w = _norm(w)
-                scale = max(1.0, float(np.abs(P).max()))  # coordinate_scale(P)
+                # coordinate_scale(P)
+                scale = max(1.0, float(np.maximum.reduce(np.abs(P), axis=None)))
                 try:
                     terms = scale ** (n - 1)
                 except OverflowError:  # past the float range: a fresh build decides

@@ -131,7 +131,8 @@ class SplitMix64:
         words = self._take(n - 1)
         bounds, limits = _swap_tables(n)
         accepted = words <= limits
-        taken = n - 1 if accepted.all() else int(accepted.argmin())
+        first = int(accepted.argmin())  # the first rejected word, or 0 if none
+        taken = first if not accepted[first] else n - 1
         self._pos -= n - 1 - taken  # give back the rejected word and the rest
         targets = (words[:taken] % bounds[:taken]).tolist()
         targets.extend(self.randint(i + 1) for i in range(n - 1 - taken, 0, -1))

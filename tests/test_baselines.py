@@ -156,10 +156,12 @@ class TestLinearSvm:
 
 # Frozen copies of the per-step baseline loops as they stood before the
 # in-place rewrite: every weight, bias and prediction must keep its bits.
-# They must not be rewritten to share code with the library. The n = 2
-# margins are plain sums in a fixed order, as the library's n = 2 loops
-# write them: numpy's dot on two elements is a BLAS call, and a kernel that
-# fuses the multiply and the add rounds tie-heavy inputs differently.
+# They must not be rewritten to share code with the library. The margins
+# are plain sums in a fixed order, as the library's loops write them:
+# numpy's dot is a BLAS call, and a kernel that fuses the multiply and the
+# add, or sums in another order, rounds tie-heavy inputs differently. The
+# KNN distances sum their squares column by column for the same reason:
+# numpy's reduction adds 8 or more terms pairwise.
 
 def fixed_dot(w, x):
     """w . x summed in order, w[0]*x[0] + w[1]*x[1] + ...; no BLAS."""
@@ -169,22 +171,17 @@ def fixed_dot(w, x):
     return float(total)
 
 
-def blas_dot(w, x):
-    return float(w @ x)
-
-
 def frozen_perceptron_fit(data, eta, epochs, seed):
     X = data.features
     y = np.where(data.labels == 1, 1.0, -1.0)
     m, n = X.shape
-    dot = fixed_dot if n == 2 else blas_dot
     w = np.zeros(n)
     b = 0.0
     rng = SplitMix64(seed)
     for _ in range(epochs):
         updates = 0
         for i in rng.permutation(m):
-            if y[i] * (dot(w, X[i]) + b) <= 0.0:
+            if y[i] * (fixed_dot(w, X[i]) + b) <= 0.0:
                 w = w + eta * y[i] * X[i]
                 b += eta * y[i]
                 updates += 1
@@ -197,7 +194,6 @@ def frozen_linear_svm_fit(data, reg, epochs, seed):
     X = np.hstack([data.features, np.ones((data.m, 1))])
     y = np.where(data.labels == 1, 1.0, -1.0)
     m, n1 = X.shape
-    dot = fixed_dot if data.n == 2 else blas_dot  # n = 2: x[2]*w[2] is w[2]
     w = np.zeros(n1)
     rng = SplitMix64(seed)
     t = 0
@@ -205,7 +201,7 @@ def frozen_linear_svm_fit(data, reg, epochs, seed):
         for i in rng.permutation(m):
             t += 1
             step = 1.0 / (reg * t)
-            margin = y[i] * dot(w, X[i])
+            margin = y[i] * fixed_dot(w, X[i])
             w = (1.0 - step * reg) * w
             if margin < 1.0:
                 w = w + step * y[i] * X[i]
@@ -213,7 +209,11 @@ def frozen_linear_svm_fit(data, reg, epochs, seed):
 
 
 def frozen_knn_predict(points, labels, k, x):
-    dist = np.linalg.norm(points - x, axis=1)
+    D = points - x
+    squares = D[:, 0] * D[:, 0]
+    for j in range(1, D.shape[1]):
+        squares = squares + D[:, j] * D[:, j]
+    dist = np.sqrt(squares)
     order = np.argsort(dist, kind="stable")[:k]
     votes = labels[order]
     ones = int(np.sum(votes == 1))
@@ -265,12 +265,24 @@ def same_bits(w, b, want_w, want_b):
 # Row 1 is a permutation of row 0, so the origin is equally far from both
 # in exact arithmetic. Stacked with the origin in Fortran order, the queries
 # once summed their squares in another order than np.linalg.norm, which
-# turned the 1-ulp gap that norm sees into a tie.
+# turned the 1-ulp gap that norm sees into a tie. With the squares summed
+# column by column it checks that the memory layout of X cannot matter.
 _ROW = np.array([0.28121066979764925, -2.4414673826398556, 1.1441658720372287,
                  0.18905338179353307, 1.799707382720902, 0.7738065867276614,
                  -0.32542283686782436, -0.5227484414807474, -0.41306354339189344,
                  -0.5538228364240524])
 KNN_NEAR_TIE = np.asfortranarray([_ROW, _ROW[[7, 2, 5, 1, 4, 8, 9, 6, 3, 0]]])
+
+# Small integers at scale 1e-6, in Fortran order, on which BLAS ddot over
+# the strided rows and the fixed-order sum round a perceptron margin
+# differently: the weights end 3e-7 apart (found by test_perceptron).
+DDOT_DIFFERS = Dataset(
+    np.asfortranarray(np.array([
+        [2, 1, 0, -1], [-1, -2, -2, -2], [-2, 2, 1, 2], [0, 1, 2, 1], [1, 0, 0, 2],
+        [-1, 2, 1, -2], [-1, 2, 0, -2], [1, 1, 2, -2], [-2, 2, -2, 0], [-2, -1, 0, 0],
+        [0, -2, -2, -2], [-2, 1, 0, 1], [-1, 1, 1, -1], [0, 2, 2, 2], [-1, 1, 2, 1],
+        [2, 1, 1, -1], [2, -2, 0, 1], [2, 0, -1, -1], [0, 0, 1, 2]], dtype=float) * 1e-6),
+    np.array([0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1]))
 
 
 class TestBaselinesMatchFrozenLoops:
@@ -278,6 +290,7 @@ class TestBaselinesMatchFrozenLoops:
     @given(data=labeled_sets(6, [1e-6, 1.0, 1e6]),
            eta=st.sampled_from([0.1, 1.0, 3.0]),
            epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    @example(data=DDOT_DIFFERS, eta=0.1, epochs=1, seed=0)
     def test_perceptron(self, data, eta, epochs, seed):
         model = perceptron_fit(data, eta=eta, epochs=epochs, seed=seed)
         want = frozen_perceptron_fit(data, eta, epochs, seed)
@@ -288,6 +301,27 @@ class TestBaselinesMatchFrozenLoops:
            reg=st.sampled_from([1e-3, 0.01, 1.0, 10.0]),
            epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
     def test_linear_svm(self, data, reg, epochs, seed):
+        model = linear_svm_fit(data, reg=reg, epochs=epochs, seed=seed)
+        want = frozen_linear_svm_fit(data, reg, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
+    # n >= 3 with the tie-heavy draws: small integers, repeated points and
+    # permuted coordinates make margins whose rounding depends on the order
+    # of the sum.
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(8, [1e-6, 1.0, 1e6], min_n=3, kinds=("int", "dup", "perm")),
+           eta=st.sampled_from([0.1, 1.0, 3.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_perceptron_ties(self, data, eta, epochs, seed):
+        model = perceptron_fit(data, eta=eta, epochs=epochs, seed=seed)
+        want = frozen_perceptron_fit(data, eta, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(8, [1e-6, 1.0, 1e6], min_n=3, kinds=("int", "dup", "perm")),
+           reg=st.sampled_from([1e-3, 0.01, 1.0, 10.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_linear_svm_ties(self, data, reg, epochs, seed):
         model = linear_svm_fit(data, reg=reg, epochs=epochs, seed=seed)
         want = frozen_linear_svm_fit(data, reg, epochs, seed)
         assert same_bits(model.weights, model.bias, *want)

@@ -135,6 +135,8 @@ class TestPredict:
         pytest.param({"alpha": True}, id="alpha-boolean"),
         pytest.param({"feature_names": [1, 2]}, id="feature-names-numbers"),
         pytest.param({"feature_names": ["a"]}, id="feature-names-too-few"),
+        pytest.param({"config": {"eta": True}}, id="config-eta-boolean"),
+        pytest.param({"config": {"epochs": True}}, id="config-epochs-boolean"),
     ])
     def test_bad_model_schema_is_exit_2(self, iris_path, model_path, tmp_path,
                                         capsys, edit):

@@ -1293,7 +1293,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", ["eta", "epochs", "alpha", "near_cluster_percentile",
                                        "init_spread", "seed"])
-    @pytest.mark.parametrize("value", ["0.5", [1], None])
+    @pytest.mark.parametrize("value", ["0.5", [1], None, True, False])
     def test_rejects_a_value_that_is_not_a_number(self, field, value):
         if field == "alpha" and value is None:
             return  # the documented default
