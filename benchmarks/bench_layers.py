@@ -10,7 +10,9 @@ with the cell's parameters and seed slot. One more training case times
 the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
 plane cases time ``hyperplane_from_points`` on Gaussian points and one
 rank-one update of the plane that ``mpa.fit`` carries between fresh
-builds (n >= 4).
+builds (n >= 4). The cell cases time one whole grid cell and the fixed
+cost around its training loops: ``derive_seed`` and MPA's
+``near_clusters`` and ``initialize`` on the cell's split.
 """
 
 from dataclasses import replace
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from movingpoints import baselines, mpa
+from movingpoints import baselines, bench, mpa
 from movingpoints.datasets import (
     load_csv,
     make_blobs,
@@ -70,6 +72,30 @@ def test_train_cell(benchmark, seed, std_index, dim):
     benchmark.extra_info["moves"] = log.moves
     assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
     assert np.all(np.isfinite(model.moving_points))
+
+
+# The fixed cost around a grid cell's training loops: the whole cell as the
+# grid-2d workload runs it, the cell seed, and MPA's set-up on its split.
+def test_run_synthetic_cell_grid_2_9(benchmark):
+    records = benchmark(bench.run_synthetic_cell, 2, 9)
+    assert len(records) == 4 and all(r.error is None for r in records)
+
+
+def test_derive_seed_cell(benchmark):
+    assert benchmark(derive_seed, 0, 2, 9) == derive_seed(0, 2, 9)
+
+
+def test_near_clusters_grid_2_9(benchmark):
+    train_ds, _, _ = cell_split(2, 9, 2)
+    clusters = benchmark(mpa.near_clusters, train_ds, mpa.MpaConfig().near_cluster_percentile)
+    assert all(clusters[label].members.size > 0 for label in (0, 1))
+
+
+def test_initialize_grid_2_9(benchmark):
+    train_ds, _, cell = cell_split(2, 9, 2)
+    model = benchmark(mpa.initialize, train_ds.class_points(0), train_ds.class_points(1),
+                      cell_config(cell))
+    assert model.dim == 2
 
 
 # Rep 0 of `mpa bench dataset` on Iris, virginica vs versicolor, --eta 0.0005,

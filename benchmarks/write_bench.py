@@ -13,9 +13,18 @@ the git sha and whether the measured code (src/, benchmarks/, perfbench/)
 differs from it, and ``src_lines``, the line count of src/movingpoints/*.py
 (as ``wc -l`` counts it); that count is not a timed case.
 
-The newest earlier BENCH_*.json is the baseline: every case whose median
-is more than 10% slower than there is listed under "slower" in the file
-and printed. The script only measures its own child processes.
+The host's speed drifts between sessions, so the layer cases, which are
+plain wall times, are compared through a reference task: a fixed loop of
+interpreter work and small numpy calls, timed in this process just before
+and just after the layer run. Its median is stored as ``reference_s``, and
+a layer case is compared as its median divided by that. The perfbench
+cases are compared as they are, since perfbench scales each operation by
+its own reference task. The newest earlier BENCH_*.json is the baseline:
+every case whose (scaled) median is more than 10% slower than there is
+listed under "slower" in the file and printed. A baseline without
+``reference_s`` cannot be compared; the script prints a note and writes
+no list. The script only measures its own child processes and the
+reference task.
 """
 
 from __future__ import annotations
@@ -30,10 +39,13 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SLOWER = 0.10  # flag a case whose median got worse than the baseline by this fraction
+REFERENCE_LOOP = 2400  # iterations of the reference task, about 4 ms on a 2-vCPU VM
+REFERENCE_ROUNDS = 15  # timings of the reference task before and after the layer run
 
 
 def summary(values: list[float]) -> dict:
@@ -69,8 +81,32 @@ def perfbench_cases(runs: int, seconds: float) -> tuple[dict, dict]:
     return cases, checks
 
 
-def layer_cases() -> dict:
-    """Per bench_layers.py case, the pytest-benchmark summary in seconds."""
+def reference_task() -> None:
+    """A fixed loop of interpreter work and small numpy calls."""
+    import numpy as np
+
+    v = np.arange(8.0)
+    acc = 0.0
+    for i in range(REFERENCE_LOOP):
+        acc += float(v @ v) + i % 7
+
+
+def reference_times() -> list[float]:
+    """REFERENCE_ROUNDS wall times of the reference task, in seconds, after
+    one untimed round (the first imports numpy)."""
+    reference_task()
+    times = []
+    for _ in range(REFERENCE_ROUNDS):
+        t0 = time.perf_counter()
+        reference_task()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def layer_cases() -> tuple[dict, float]:
+    """Per bench_layers.py case, the pytest-benchmark summary in seconds; and
+    the median time of the reference task around the layer run."""
+    before = reference_times()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "layers.json"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -80,10 +116,11 @@ def layer_cases() -> dict:
                         "--benchmark-columns=median,iqr,rounds", f"--benchmark-json={out}"],
                        check=True, cwd=ROOT, env=env)
         report = json.loads(out.read_text(encoding="utf-8"))
+    reference_s = statistics.median(before + reference_times())
     return {f"layers/{b['name']}": {"median": b["stats"]["median"], "iqr": b["stats"]["iqr"],
                                     "rounds": b["stats"]["rounds"], "unit": "s",
                                     "better": "lower"}
-            for b in report["benchmarks"]}
+            for b in report["benchmarks"]}, reference_s
 
 
 def openblas_core() -> str | None:
@@ -136,13 +173,20 @@ def previous(pr: int) -> Path | None:
     return max(found)[1] if found else None
 
 
-def slower_cases(cases: dict, baseline: dict) -> list[dict]:
+def slower_cases(cases: dict, reference_s: float, baseline: dict) -> list[dict] | None:
+    """The cases more than SLOWER worse than in the baseline record, the
+    layer cases in units of each record's reference_s; None if the
+    baseline has no reference_s."""
+    if "reference_s" not in baseline:
+        return None
     out = []
     for name, case in cases.items():
-        old = baseline.get(name)
+        old = baseline["cases"].get(name)
         if old is None or not old["median"]:
             continue
         ratio = case["median"] / old["median"]
+        if name.startswith("layers/"):
+            ratio *= baseline["reference_s"] / reference_s
         worse = ratio - 1.0 if case["better"] == "lower" else 1.0 / ratio - 1.0
         if worse > SLOWER:
             out.append({"case": name, "median": case["median"], "baseline": old["median"],
@@ -158,19 +202,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cases, checks = perfbench_cases(args.runs, args.seconds)
-    cases.update(layer_cases())
+    layers, reference_s = layer_cases()
+    cases.update(layers)
     record = {"pr": args.pr, "environment": environment(), "src_lines": src_lines(),
               "perfbench_runs": {"runs": args.runs, "seconds": args.seconds,
                                  "checks": checks},
-              "cases": cases}
+              "reference_s": reference_s, "cases": cases}
     base = previous(args.pr)
     record["baseline"] = base.name if base else None
     record["slower"] = []
     if base is not None:
-        record["slower"] = slower_cases(cases, json.loads(base.read_text())["cases"])
+        record["slower"] = slower_cases(cases, reference_s,
+                                        json.loads(base.read_text(encoding="utf-8")))
+        if record["slower"] is None:
+            print(f"{base.name} has no reference_s: its layer times cannot be scaled "
+                  "to this session, so no case is compared")
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for item in record["slower"]:
+    for item in record["slower"] or []:
         print(f"slower than {base.name}: {item['case']} by {100 * item['worse_by']:.0f}%")
     print(f"wrote {out.name}")
     return 0

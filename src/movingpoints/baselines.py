@@ -10,12 +10,13 @@ training heuristics (learning-rate schedules, solvers) differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
 
 from .datasets import Dataset
-from .geometry import _affine, _dot
+from .geometry import DimensionMismatchError, _affine, _dot
 from .rng import SplitMix64
 
 
@@ -122,14 +123,25 @@ def knn_predict_many(model: KnnModel, X) -> np.ndarray:
     Distances are Euclidean, the square root of the squared coordinate
     differences summed column by column, (p0-x0)^2 + (p1-x1)^2 + ..., in
     that order and element-wise, as geometry._affine sums: neither numpy's
-    reduction order nor the memory layout of X can move a near tie. A
-    stable sort breaks distance ties by point index, and a tied vote goes
-    to the single nearest point.
+    reduction order nor the memory layout of X can move a near tie. The k
+    nearest are those of a stable sort: every point nearer than the k-th
+    distance, then the points at that distance by index. A tied vote goes
+    to the single nearest point, the first by index among equals.
+    DimensionMismatchError unless X is (m, n) for the model's n;
+    ValueError if X holds a non-finite value.
     """
     P = model.points
     if P.shape[0] == 0:
         raise EmptyModelError("no training points")
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != P.shape[1]:
+        raise DimensionMismatchError(
+            f"expected rows of dimension {P.shape[1]}, got shape {X.shape}"
+        )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("query rows contain non-finite values")
+    k = model.k
+    is_one = model.labels == 1
     out = np.empty(X.shape[0], dtype=int)
     block = max(1, _KNN_BLOCK_ELEMENTS // P.shape[0])
     for start in range(0, X.shape[0], block):
@@ -142,10 +154,14 @@ def knn_predict_many(model: KnnModel, X) -> np.ndarray:
             D *= D
             sq += D
         dist = np.sqrt(sq)
-        votes = model.labels[np.argsort(dist, axis=1, kind="stable")[:, :model.k]]
-        ones = np.count_nonzero(votes == 1, axis=1)
-        zeros = votes.shape[1] - ones
-        out[start:start + block] = np.where(ones == zeros, votes[:, 0], ones > zeros)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+        chosen = dist < kth
+        at_kth = dist == kth
+        at_kth &= np.cumsum(at_kth, axis=1) <= k - np.count_nonzero(chosen, axis=1)[:, None]
+        chosen |= at_kth
+        ones = np.count_nonzero(chosen & is_one, axis=1)
+        nearest = model.labels[dist.argmin(axis=1)]
+        out[start:start + block] = np.where(2 * ones == k, nearest, 2 * ones > k)
     return out
 
 
@@ -184,19 +200,14 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
                               epochs=epochs, seed=seed)
     rows = [x + [1.0] for x in data.features.tolist()]
     w = [0.0] * (data.n + 1)
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(data.m):
-            t += 1
-            step = 1.0 / (reg * t)
-            x, yi = rows[i], y[i]
-            margin = yi * _dot(x, w)
-            shrink = 1.0 - step * reg
-            if margin < 1.0:
-                s = step * yi
-                w = [wk * shrink + s * xk for wk, xk in zip(w, x)]
-            else:
-                w = [wk * shrink for wk in w]
+    for i, step, shrink in _svm_steps(rng, data.m, reg, epochs):
+        x, yi = rows[i], y[i]
+        margin = yi * _dot(x, w)
+        if margin < 1.0:
+            s = step * yi
+            w = [wk * shrink + s * xk for wk, xk in zip(w, x)]
+        else:
+            w = [wk * shrink for wk in w]
     return LinearSvmModel(weights=np.array(w[:-1]), bias=w[-1], reg=reg,
                           epochs=epochs, seed=seed)
 
@@ -210,24 +221,39 @@ def _svm_line(rows: list, y: list, reg: float, epochs: int,
     1.0*w2 = w2 and s*1.0 = s.
     """
     w0 = w1 = w2 = 0.0
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(len(rows)):
-            t += 1
-            step = 1.0 / (reg * t)
-            x0, x1 = rows[i]
-            yi = y[i]
-            margin = yi * (x0 * w0 + x1 * w1 + w2)
-            shrink = 1.0 - step * reg
-            w0 *= shrink
-            w1 *= shrink
-            w2 *= shrink
-            if margin < 1.0:
-                s = step * yi
-                w0 += s * x0
-                w1 += s * x1
-                w2 += s
+    for i, step, shrink in _svm_steps(rng, len(rows), reg, epochs):
+        x0, x1 = rows[i]
+        yi = y[i]
+        margin = yi * (x0 * w0 + x1 * w1 + w2)
+        w0 *= shrink
+        w1 *= shrink
+        w2 *= shrink
+        if margin < 1.0:
+            s = step * yi
+            w0 += s * x0
+            w1 += s * x1
+            w2 += s
     return w0, w1, w2
+
+
+@lru_cache(maxsize=4)
+def _svm_schedule(reg: float, steps: int) -> tuple[tuple, tuple]:
+    """Pegasos' rates 1/(reg*t) and shrinks 1 - rate*reg for t = 1..steps.
+
+    A grid or dataset protocol fits every SVM with one reg, epoch count
+    and training size, so the schedule is built once; an entry holds two
+    floats per step.
+    """
+    rates = tuple(1.0 / (reg * t) for t in range(1, steps + 1))
+    return rates, tuple(1.0 - step * reg for step in rates)
+
+
+def _svm_steps(rng: SplitMix64, m: int, reg: float, epochs: int):
+    """(example, rate, shrink) per step: each epoch a fresh shuffle of the m
+    examples, zipped with its stretch of the schedule."""
+    rates, shrinks = _svm_schedule(float(reg), epochs * m)
+    for start in range(0, epochs * m, m):
+        yield from zip(rng.permutation(m), rates[start:start + m], shrinks[start:start + m])
 
 
 def linear_predict_many(model: PerceptronModel | LinearSvmModel, X) -> np.ndarray:

@@ -66,7 +66,7 @@ def accuracy(predictions, labels) -> float:
         raise LengthMismatchError(f"shapes differ: {p.shape} vs {t.shape}")
     if p.size == 0:
         raise EmptyError("no items to score")
-    return float(np.mean(p == t))
+    return int(np.count_nonzero(p == t)) / p.size
 
 
 @dataclass(frozen=True)
@@ -301,8 +301,8 @@ def report_text(report: BenchReport) -> str:
         buf.write(f"# {key}: {report.metadata[key]}\n")
     buf.write("dataset_id,classifier,train_accuracy,test_accuracy,error\n")
     for r in sorted(report.records, key=lambda r: (r.dataset_id, r.classifier)):
-        tr = "" if r.train_accuracy is None else repr(r.train_accuracy)
-        te = "" if r.test_accuracy is None else repr(r.test_accuracy)
+        tr = "" if r.train_accuracy is None else repr(float(r.train_accuracy))
+        te = "" if r.test_accuracy is None else repr(float(r.test_accuracy))
         err = "" if r.error is None else r.error.replace("\n", " ").replace(",", ";")
         buf.write(f"{r.dataset_id},{r.classifier},{tr},{te},{err}\n")
     return buf.getvalue()

@@ -342,11 +342,8 @@ def sides(h: Hyperplane, X: np.ndarray) -> np.ndarray:
     """
     w = h.weights
     raw = _affine(X, w, h.bias)
-    scale = np.maximum.reduce([
-        np.ones(X.shape[0]),
-        float(np.max(np.abs(w))) * np.max(np.abs(X), axis=1),
-        np.full(X.shape[0], abs(h.bias)),
-    ])
+    scale = np.abs(X).max(axis=1) * max(map(abs, w.tolist()))
+    np.maximum(scale, max(1.0, abs(h.bias)), out=scale)
     return np.where(np.abs(raw) <= EPS_ON_PLANE * scale, 0, np.where(raw > 0, 1, -1))
 
 

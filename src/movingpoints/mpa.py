@@ -49,7 +49,6 @@ from .geometry import (
     coordinate_scale,
     hyperplane_from_points,
     line_from_points,
-    region_sign,
     sides,
 )
 from .rng import SplitMix64
@@ -234,8 +233,10 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     pts[1:] = mid + s * _complement_basis(d)
 
     diffs = pts[:, None, :] - pts[None, :, :]
-    dists = np.linalg.norm(diffs, axis=2)
-    min_dist = float(np.min(dists[np.triu_indices(n, k=1)]))
+    dists = np.linalg.norm(diffs, axis=2).tolist()
+    pairs = [d for i, row in enumerate(dists) for d in row[i + 1:]]
+    # np.min's answer: NaN if any distance is NaN.
+    min_dist = math.nan if any(map(math.isnan, pairs)) else min(pairs)
     alpha = cfg.alpha if cfg.alpha is not None else 0.1 * min_dist
 
     # The model builds the plane; the pseudo signs are then read off it.
@@ -262,9 +263,16 @@ def _class_rows(points) -> np.ndarray:
 
 
 def assign_pseudo(h: Hyperplane, mu0, mu1) -> dict:
-    """Read each class's pseudo sign off its mean's side of the boundary."""
-    s0 = region_sign(h, mu0)
-    s1 = region_sign(h, mu1)
+    """Read each class's pseudo sign off its mean's side of the boundary.
+
+    Each mean is checked as region_sign checks a point; one sides call then
+    reads both (a row's side does not depend on the other rows).
+    """
+    means = []
+    for mu in (mu0, mu1):
+        means.append(as_vector(mu))
+        h._check_dim(means[-1])
+    s0, s1 = sides(h, np.array(means)).tolist()
     if s0 == 0 or s1 == 0:
         raise MeanOnBoundaryError("a class mean lies on the boundary")
     if s0 == s1:
@@ -500,12 +508,36 @@ def near_clusters(data: Dataset, percentile: float) -> dict:
         pts = data.features[idx]
         mean = pts.mean(axis=0)
         dist = np.linalg.norm(pts - mean, axis=1)
-        radius = float(np.percentile(dist, percentile))
+        radius = _percentile(sorted(dist.tolist()), percentile)
         keep = idx[dist <= radius]
         if keep.size == 0:
             keep = idx[[int(np.argmin(dist))]]
         out[label] = NearCluster(mean=mean, members=keep)
     return out
+
+
+def _percentile(values: list, percentile: float) -> float:
+    """The percentile of the sorted Python floats `values` by np.percentile's
+    default "linear" formula, with its bits.
+
+    The virtual index is (n-1)*q for q = percentile/100. Between the
+    neighbours a <= b it interpolates with t = index - floor(index): as
+    b - (b-a)*(1-t) if t >= 0.5, else a + (b-a)*t. An index at the last
+    value reads a = b = the last value with t = index + 1, as numpy does.
+    ValueError, numpy's, unless 0 <= percentile <= 100.
+    """
+    if not 0 <= percentile <= 100:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    last = len(values) - 1
+    index = last * (percentile / 100)
+    if index >= last:
+        a = b = values[last]
+        t = index + 1
+    else:
+        lo = math.floor(index)
+        a, b = values[lo], values[lo + 1]
+        t = index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 # Why a misclassified example moved no point; the keys of TrainingLog.skips.

@@ -29,6 +29,7 @@ Streaming discipline, fixed for all consumers:
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -38,8 +39,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _TWO53 = float(1 << 53)
 _BLOCK = 1024  # words mixed per refill; faster than 256 on overlap-8d
 _GAMMA_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _U_MIX1, _U_MIX2, _U11, _U27, _U30, _U31 = (
-    np.uint64(c) for c in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31))
+    np.uint64(c) for c in (_MIX1, _MIX2, 11, 27, 30, 31))
 
 
 def _word_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -144,15 +146,26 @@ class SplitMix64:
         return idx
 
 
+def _mix(z: int) -> int:
+    """SplitMix64's mix of one 64-bit word, on Python ints (as _word_block mixes)."""
+    z ^= z >> 30
+    z = (z * _MIX1) & _MASK
+    z ^= z >> 27
+    z = (z * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
 def derive_seed(master: int, *parts: int) -> int:
     """Fold integer parts into a master seed, one mix round per part.
 
     derive_seed(m, a, b) = mix(mix(m ^ mix(a + gamma)) ^ mix(b + 2*gamma))
     (documented so a cell seed can be reproduced by hand): each part is
     scrambled at its position and xor-folded into the running state, which
-    is re-mixed. mix(x + k*gamma) is word k-1 of the stream for x.
+    is re-mixed. mix(x + k*gamma) is word k-1 of the stream for x. The
+    master and the parts may be any integers, numpy's included (TypeError
+    for a float).
     """
-    state = master & _MASK
-    for i, part in enumerate(parts):
-        state = _word_block(state ^ _word_block(part, i, 1).item(), -1, 1).item()
+    state = operator.index(master) & _MASK
+    for i, part in enumerate(parts, 1):
+        state = _mix(state ^ _mix((operator.index(part) + i * _GAMMA) & _MASK))
     return state

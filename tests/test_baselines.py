@@ -104,6 +104,27 @@ class TestKnn:
         preds = knn_predict_many(model, two_blobs.features)
         assert np.mean(preds == two_blobs.labels) == 1.0
 
+    # A row of another width is refused, not scored on its first
+    # coordinates ([5, 5, 99] as (5, 5)).
+    @pytest.mark.parametrize("X", [[[5.0, 5.0, 99.0]], [[5.0]], [5.0, 5.0], [[[5.0, 5.0]]]],
+                             ids=["too-wide", "too-narrow", "1-D", "3-D"])
+    def test_wrong_shape_is_refused(self, X):
+        model = knn_fit(toy([[0.0, 0.0], [10.0, 10.0]], [0, 1]), k=1)
+        with pytest.raises(DimensionMismatchError):
+            knn_predict_many(model, X)
+
+    # A NaN row is refused: every comparison with NaN is false, so it
+    # would take class 0.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_refused(self, bad):
+        model = knn_fit(toy([[0.0, 0.0], [10.0, 10.0]], [0, 1]), k=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            knn_predict_many(model, [[1.0, 1.0], [bad, 9.0]])
+
+    def test_no_rows_give_no_predictions(self):
+        model = knn_fit(toy([[0.0, 0.0], [10.0, 10.0]], [0, 1]), k=1)
+        assert knn_predict_many(model, np.empty((0, 2))).shape == (0,)
+
 
 class TestLinearSvm:
     def test_separable_blobs_high_accuracy(self, two_blobs):
@@ -373,3 +394,20 @@ class TestBaselinesMatchFrozenLoops:
         assert got.dtype == int
         assert got.tolist() == want
         assert one_by_one == want
+
+    # Points and queries on a small integer grid: many points share a
+    # distance, so the k-th distance is tied in most rows and the vote
+    # depends on which of the tied points count (the first by index).
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(2, 40), k_pick=st.integers(0, 2**16),
+           half=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_knn_integer_grid(self, n, m, k_pick, half, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 2, size=m)
+        y[:2] = (0, 1)
+        data = Dataset(rng.integers(-2, 3, size=(m, n)).astype(float), y)
+        k = 1 + k_pick % m
+        model = knn_fit(data, k=k)
+        X = rng.integers(-3, 4, size=(12, n)) / (2.0 if half else 1.0)
+        want = [frozen_knn_predict(model.points, model.labels, k, x) for x in X]
+        assert knn_predict_many(model, X).tolist() == want

@@ -34,6 +34,15 @@ class TestAccuracy:
         assert accuracy([1, 0, 1, 1], [1, 0, 0, 1]) == 0.75
         assert accuracy([0], [0]) == 1.0
 
+    def test_is_a_python_float_with_the_bits_of_the_mean(self):
+        rng = np.random.default_rng(3)
+        for size in (1, 7, 80, 1000):
+            p = rng.integers(0, 2, size=size)
+            t = rng.integers(0, 2, size=size)
+            got = accuracy(p, t)
+            assert type(got) is float
+            assert got == float(np.mean(p == t))
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             accuracy([1, 0], [1])
@@ -112,6 +121,11 @@ class TestReportText:
 
     def test_byte_stable(self):
         assert report_text(self.build()) == report_text(self.build())
+
+    def test_numpy_scalar_accuracy_writes_as_float(self):
+        # repr(np.float64(0.5)) is "np.float64(0.5)" under numpy 2.
+        report = BenchReport(records=[RunRecord("d1", "mpa", np.float64(0.5), np.float64(1.0))])
+        assert report_text(report).splitlines()[-1] == "d1,mpa,0.5,1.0,"
 
 
 class TestRenderTable:

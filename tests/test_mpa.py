@@ -325,6 +325,30 @@ class TestNearClusters:
         assert np.all(two_blobs.labels[out[0].members] == 0)
         assert np.all(two_blobs.labels[out[1].members] == 1)
 
+    # The radius comes from mpa._percentile on sorted Python floats; it must
+    # give np.percentile's bits. Small integers make exact ties, and large
+    # magnitudes make b - a overflow to inf.
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(
+               st.integers(0, 3).map(float),
+               st.floats(0.0, 1e300, allow_nan=False),
+               st.floats(0.0, 10.0, allow_nan=False)), min_size=1, max_size=60),
+           percentile=st.one_of(st.floats(0.0, 100.0),
+                                st.sampled_from([50.0, 100.0, 1e-300, 100.0 / 3, 99.99999999999999]),
+                                st.integers(1, 100)))
+    @example(values=[1.0, math.inf, math.inf], percentile=80.0)
+    def test_percentile_matches_numpy(self, values, percentile):
+        with np.errstate(invalid="ignore"):
+            want = np.percentile(np.array(values), percentile)
+        got = mpa._percentile(sorted(values), percentile)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("percentile", [-5.0, 150.0, math.nan])
+    def test_percentile_out_of_range_is_refused_as_numpy_does(self, two_blobs, percentile):
+        with pytest.raises(ValueError, match="Percentiles must be in the range"):
+            near_clusters(two_blobs, percentile)
+
 
 def fixed_order_lambda(model, x, label):
     """lambda as fit computes it at n = 2 and 3:

@@ -277,3 +277,35 @@ def test_derive_seed_streams_diverge():
     a = SplitMix64(derive_seed(5, 0))
     b = SplitMix64(derive_seed(5, 1))
     assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
+
+
+def reference_derive_seed(master: int, *parts: int) -> int:
+    """derive_seed as its docstring defines it, with SplitMix64's stream words:
+    mix(x + k*gamma) is word k-1 of the stream for x, and mix(s) is word 0
+    of the stream for s - gamma."""
+    state = master & MASK
+    for k, part in enumerate(parts, 1):
+        scrambled = SplitMix64(part + (k - 1) * GAMMA).next_u64()
+        state = SplitMix64((state ^ scrambled) - GAMMA).next_u64()
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(master=st.integers(0, MASK), parts=st.lists(st.integers(0, MASK), min_size=1, max_size=3))
+def test_derive_seed_matches_stream_words(master, parts):
+    assert derive_seed(master, *parts) == reference_derive_seed(master, *parts)
+
+
+def test_derive_seed_of_small_and_negative_parts():
+    # The grid's cell seeds fold small integers; the CLI takes a signed seed.
+    for master, parts in [(0, (0,)), (0, (49, 9)), (-1, (3,)), (7, (-5, 2**70))]:
+        assert derive_seed(master, *parts) == reference_derive_seed(master, *parts)
+
+
+def test_derive_seed_takes_numpy_integers_and_refuses_floats():
+    # numpy integers are folded as Python ints: an int64 plus the gamma
+    # would overflow.
+    assert derive_seed(np.uint64(2**64 - 1), np.int64(5), np.int32(-3)) == derive_seed(
+        2**64 - 1, 5, -3)
+    with pytest.raises(TypeError):
+        derive_seed(0, 2.0)
