@@ -13,10 +13,10 @@ the git sha and whether the measured code (src/, benchmarks/, perfbench/)
 differs from it, and ``src_lines``, the line count of src/movingpoints/*.py
 (as ``wc -l`` counts it); that count is not a timed case.
 
-The host's speed drifts between sessions, so the layer cases, which are
-plain wall times, are compared through a reference task: a fixed loop of
-interpreter work and small numpy calls, timed in this process just before
-and just after the layer run. Its median is stored as ``reference_s``, and
+The host's speed drifts between runs of this script, so the layer cases,
+which are plain wall times, are compared through a reference task: a
+fixed loop of interpreter work and small numpy calls, timed in this
+process just before and just after the layer run. Its median is stored as ``reference_s``, and
 a layer case is compared as its median divided by that. The perfbench
 cases are compared as they are, since perfbench scales each operation by
 its own reference task. The newest earlier BENCH_*.json is the baseline:
@@ -44,7 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SLOWER = 0.10  # flag a case whose median got worse than the baseline by this fraction
-REFERENCE_LOOP = 2400  # iterations of the reference task, about 4 ms on a 2-vCPU VM
+REFERENCE_LOOP = 2400  # iterations of the reference task, about 5 ms on a 2-vCPU VM
 REFERENCE_ROUNDS = 15  # timings of the reference task before and after the layer run
 
 
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
                                         json.loads(base.read_text(encoding="utf-8")))
         if record["slower"] is None:
             print(f"{base.name} has no reference_s: its layer times cannot be scaled "
-                  "to this session, so no case is compared")
+                  "to this run, so no case is compared")
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for item in record["slower"] or []:

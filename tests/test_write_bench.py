@@ -1,5 +1,5 @@
-"""benchmarks/write_bench.py compares layer times across sessions only in
-units of each session's reference task."""
+"""benchmarks/write_bench.py compares layer times across runs only in
+units of each run's reference task."""
 
 import sys
 from pathlib import Path
@@ -26,7 +26,7 @@ def test_layer_time_slower_than_its_reference_is_flagged():
 
 
 def test_perfbench_cases_are_compared_as_they_are():
-    # perfbench scales its own times, so the session's reference is not applied.
+    # perfbench scales its own times, so the run's reference is not applied.
     baseline = {"reference_s": 0.004,
                 "cases": {"perfbench/grid-2d/ops_per_s": case(100.0, "higher")}}
     cases = {"perfbench/grid-2d/ops_per_s": case(80.0, "higher")}
