@@ -5,8 +5,11 @@ codes: 0 success, 2 input/data error, 3 runtime/training error. All output
 files are byte-identical across runs with the same flags and inputs.
 
 A failing command raises ``_Failure(code, stage, detail)``, mostly from a
-``with _stage(stage, errors):`` block; ``main`` alone catches it and prints
-``mpa <command>: <stage>: <detail>`` to stderr.
+``with _stage(stage):`` block, which ends the stage on any file error
+(OSError) or library error (ValueError), so an unreadable input or model
+file exits 2 at its loading stage. ``main`` alone catches the _Failure and
+prints ``mpa <command>: <stage>: <detail>`` to stderr; anything else that
+escapes a command is an "unexpected error" (3).
 
 Every default lives in the library (MpaConfig, the bench protocols,
 render_scatter_svg): a command passes on only the options that were set.
@@ -21,64 +24,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import bench, mpa
-from .datasets import (
-    Dataset,
-    DegenerateSplitError,
-    EmptyDatasetError,
-    InvalidKError,
-    InvalidParamsError,
-    MalformedCsvError,
-    MissingColumnError,
-    NonBinaryLabelsError,
-    NoRowsRemainingError,
-    SingleClassError,
-    _read_csv,
-    load_csv,
-)
-from .geometry import DegeneratePointsError, DimensionMismatchError
-from .mpa import (
-    IdenticalMeansError,
-    MeanOnBoundaryError,
-    MpaConfig,
-    SameSideMeansError,
-)
+from .datasets import Dataset, InvalidParamsError, _read_csv, load_csv
+from .mpa import MpaConfig
 
 
 class RefuseNon2DError(ValueError):
     """Plotting is defined for 2-D models and data only."""
-
-
-_DATA_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    MissingColumnError,
-    MalformedCsvError,
-    NoRowsRemainingError,
-    SingleClassError,
-    NonBinaryLabelsError,
-    EmptyDatasetError,
-    InvalidParamsError,
-    InvalidKError,
-    RefuseNon2DError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-)
-
-_TRAIN_ERRORS = (
-    IdenticalMeansError,
-    MeanOnBoundaryError,
-    SameSideMeansError,
-    DegeneratePointsError,
-    DegenerateSplitError,
-    DimensionMismatchError,
-)
 
 
 class _Failure(Exception):
@@ -90,8 +47,11 @@ class _Failure(Exception):
 
 
 @contextlib.contextmanager
-def _stage(stage: str, errors, code: int = 2):
-    """Turns any of `errors` raised in the block into a _Failure at `stage`."""
+def _stage(stage: str, code: int = 2, errors=(OSError, ValueError)):
+    """Turns any of `errors` raised in the block into a _Failure at `stage`.
+
+    The library raises a ValueError for every bad input and failed run.
+    """
     try:
         yield
     except errors as exc:
@@ -130,7 +90,7 @@ def _read_config(args, settings: dict) -> None:
     rejects exits 2 at "checking inputs". A later line wins.
     """
     unset = {key for key in settings if getattr(args, key, False) is None}
-    with _stage("checking inputs", (OSError, ValueError)), \
+    with _stage("checking inputs"), \
             open(args.config, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, 1):
@@ -169,7 +129,7 @@ def _defaults(fn) -> dict:
 
 
 def _mpa_config(args) -> MpaConfig:
-    with _stage("checking inputs", ValueError):
+    with _stage("checking inputs"):
         return MpaConfig(**_given(args, "eta", "epochs", "alpha", "init_spread", "seed",
                                   "early_stop", near_cluster_percentile="near_cluster_pct"))
 
@@ -199,7 +159,7 @@ def _load_labeled(args, columns=None) -> Dataset:
     _require_files(args.input)
     if args.label_col is None or args.positive_label is None:
         raise _Failure(2, "checking inputs", "--label-col and --positive-label are required")
-    with _stage("loading data", _DATA_ERRORS):
+    with _stage("loading data"):
         ds = load_csv(args.input, label_column=args.label_col,
                       positive_label=args.positive_label,
                       feature_columns=_feature_list(args) or columns,
@@ -212,12 +172,12 @@ def _load_labeled(args, columns=None) -> Dataset:
 def _load_model(args) -> mpa.MpaModel:
     """The --model file, once it and the --input file exist."""
     _require_files(args.model, args.input)
-    with _stage("loading model", _DATA_ERRORS + (ValueError, KeyError)):
+    with _stage("loading model"):
         return mpa.load_model(args.model)
 
 
 def _write_output(path, text: str) -> None:
-    with _stage("writing output", OSError), \
+    with _stage("writing output"), \
             open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -227,12 +187,12 @@ def _write_output(path, text: str) -> None:
 def cmd_fit(args) -> int:
     cfg = _mpa_config(args)
     ds = _load_labeled(args)
-    with _stage("training", ValueError, code=3):  # each _TRAIN_ERRORS is one
+    with _stage("training", code=3):
         model, log = mpa.train(ds, cfg)
 
     acc = mpa.training_accuracy(model, ds)
     log_path = args.log_output or (args.output + ".log")
-    with _stage("writing output", OSError):
+    with _stage("writing output"):
         mpa.save_model(model, args.output)
     _write_output(log_path, _training_log(log))
     print(f"train accuracy: {acc}")
@@ -266,7 +226,7 @@ def cmd_predict(args) -> int:
         ds = _load_labeled(args, columns)
         X, labels = ds.features, ds.labels
     else:
-        with _stage("loading data", _DATA_ERRORS):
+        with _stage("loading data"):
             X, _, _, dropped = _read_csv(args.input, columns)
         if dropped:
             print(f"dropped rows with missing values: {dropped}")
@@ -287,10 +247,9 @@ def _run_bench(output, stage: str, run, *data, **params) -> int:
     run checks its parameters before any run (exit 2 at "checking inputs");
     a data or training error during the runs exits 3 at stage.
     """
-    with _stage(stage, _DATA_ERRORS + _TRAIN_ERRORS, code=3), \
-            _stage("checking inputs", InvalidParamsError):
+    with _stage(stage, code=3), _stage("checking inputs", errors=InvalidParamsError):
         report = run(*data, **params)
-    with _stage("writing report", OSError):
+    with _stage("writing report"):
         bench.write_report(report, output)
     sys.stdout.write(bench.render_table(report))
     print(f"report: {output}")
@@ -595,8 +554,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except _Failure as failure:
         code, stage, detail = failure.code, failure.stage, failure.detail
-    except _DATA_ERRORS as exc:
-        code, stage, detail = 2, "unhandled data error", exc
     except Exception as exc:  # anything else is a runtime failure
         code, stage, detail = 3, "unexpected error", exc
     print(f"mpa {command}: {stage}: {detail}", file=sys.stderr)

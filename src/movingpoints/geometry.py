@@ -308,10 +308,12 @@ def signed_displacement(h: Hyperplane, x) -> float:
 
     (weights . x + bias) / ||weights||; the sign says which side of the
     hyperplane x lies on, following the orientation of the coefficients.
+    Both sums are fixed-order (_affine, _normal_norm), so times the pseudo
+    sign this is the lambda that mpa.fit computes at n = 2 and 3, bit for bit.
     """
     x = as_vector(x)
     h._check_dim(x)
-    return float((h.weights @ x + h.bias) / np.linalg.norm(h.weights))
+    return float(_affine(x[None, :], h.weights, h.bias)[0]) / _normal_norm(h.weights, h.bias)
 
 
 def _affine(X: np.ndarray, w: np.ndarray, bias: float) -> np.ndarray:

@@ -101,7 +101,7 @@ class MpaConfig:
             raise ValueError(f"early_stop must be a boolean, got {self.early_stop!r}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if int(self.epochs) != self.epochs or self.epochs < 1:
+        if not (self.epochs >= 1 and self.epochs % 1 == 0):  # inf % 1 is nan
             raise ValueError(f"epochs must be a positive integer, got {self.epochs}")
         self.epochs = int(self.epochs)
         if self.alpha is not None and not self.alpha >= 0:
@@ -112,7 +112,7 @@ class MpaConfig:
             )
         if not self.init_spread > 0:
             raise ValueError(f"init_spread must be positive, got {self.init_spread}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not (self.seed >= 0 and self.seed % 1 == 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         self.seed = int(self.seed)
 
@@ -549,16 +549,14 @@ SKIP_REASONS = (RESAMPLE_EXHAUSTED, GUARD_ZEROED, DEGENERATE_REVERT)
 
 @dataclass
 class TrainingLog:
-    """Per-epoch misclassification counts plus moving-point snapshots.
+    """Per-epoch misclassification counts and the run's move and skip counts.
 
-    trajectory[0] holds the initial positions; trajectory[k] the positions
-    after epoch k. moves counts accepted point displacements; skips counts
-    the misclassified examples that moved no point, by reason, so
+    moves counts accepted point displacements; skips counts the
+    misclassified examples that moved no point, by reason, so
     moves + sum(skips.values()) == sum(misclassified).
     """
 
     misclassified: list[int] = field(default_factory=list)
-    trajectory: np.ndarray | None = None
     epochs_run: int = 0
     stopped_early: bool = False
     moves: int = 0
@@ -623,13 +621,11 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 
     P = model.moving_points
     log = TrainingLog()
-    snapshots = [P.copy()]
     epochs = {2: _line_epochs, 3: _plane3_epochs}.get(model.dim, _plane_epochs)
     try:
         # Each epoch leaves its points in P before it yields its count.
         for miss in epochs(P, X, pseudo, draws, rng, cfg, model.alpha, log):
             log.misclassified.append(miss)
-            snapshots.append(P.copy())
             log.epochs_run += 1
             if cfg.early_stop and miss == 0:
                 model.hyperplane = _plane_of(P)
@@ -639,7 +635,6 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     finally:
         model.hyperplane = _plane_of(P)
 
-    log.trajectory = np.array(snapshots)
     return log
 
 
@@ -986,8 +981,12 @@ def model_document(model: MpaModel) -> str:
 
 def parse_model_document(text: str) -> MpaModel:
     """Rebuild a model; ValueError on a wrong format, version, dim, config key,
-    or a field of the wrong JSON type."""
-    doc = json.loads(text)
+    missing moving_points, a document nested too deeply, or a field of the
+    wrong JSON type."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("model document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != "moving-points-model":
@@ -1001,11 +1000,14 @@ def parse_model_document(text: str) -> MpaModel:
     unknown = sorted(set(doc["config"]) - {f.name for f in fields(MpaConfig)})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    if "moving_points" not in doc:
+        raise ValueError("model document has no moving_points field")
     try:
         pts = np.array(doc["moving_points"], dtype=float)
         pseudo_sign = {int(k): int(v) for k, v in doc["pseudo_sign"].items()}
-    except TypeError as exc:  # an object or a list where a number belongs
-        raise ValueError(f"moving_points and pseudo_sign must hold numbers: {exc}") from None
+    except (TypeError, OverflowError) as exc:  # an object, a list or an infinity
+        raise ValueError(f"moving_points and pseudo_sign must hold finite numbers: "
+                         f"{exc}") from None
     dim = doc.get("dim")
     if pts.shape != (dim, dim):
         raise ValueError(f"dim {dim!r} does not match moving points of shape {pts.shape}")

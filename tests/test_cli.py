@@ -1,13 +1,16 @@
 """End-to-end command checks: exit codes, files, and reproducibility."""
 
+import importlib
 import inspect
 import json
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
-from movingpoints import mpa
+import movingpoints
+from movingpoints import cli, datasets, mpa
 from movingpoints.bench import run_dataset_protocol, run_synthetic_suite
 from movingpoints.cli import main, render_scatter_svg
 from movingpoints.datasets import make_blobs
@@ -137,6 +140,11 @@ class TestPredict:
         pytest.param({"feature_names": ["a"]}, id="feature-names-too-few"),
         pytest.param({"config": {"eta": True}}, id="config-eta-boolean"),
         pytest.param({"config": {"epochs": True}}, id="config-epochs-boolean"),
+        pytest.param({"config": {"epochs": float("inf")}}, id="config-epochs-infinity"),
+        pytest.param({"config": {"seed": float("inf")}}, id="config-seed-infinity"),
+        pytest.param({"pseudo_sign": {"0": float("-inf"), "1": 1}}, id="pseudo-sign-infinity"),
+        pytest.param({"moving_points": [[10 ** 400, 1.0], [1.0, 0.0]]},
+                     id="moving-points-past-float"),
     ])
     def test_bad_model_schema_is_exit_2(self, iris_path, model_path, tmp_path,
                                         capsys, edit):
@@ -166,6 +174,24 @@ class TestPredict:
                 "--output", str(tmp_path / "p.csv")]
         assert main(argv) == 2
         assert "mpa predict: loading model:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text_of, detail", [
+        pytest.param(lambda doc: json.dumps({k: v for k, v in doc.items()
+                                             if k != "moving_points"}),
+                     "model document has no moving_points field", id="no-moving-points"),
+        pytest.param(lambda doc: "[" * 200_000 + "]" * 200_000,
+                     "model document is nested too deeply", id="nested-200000-deep"),
+    ])
+    def test_unreadable_model_names_its_cause(self, iris_path, model_path, tmp_path,
+                                              capsys, text_of, detail):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text_of(json.loads(model_path.read_text(encoding="utf-8"))),
+                       encoding="utf-8")
+        argv = ["predict", "--input", str(iris_path), "--model", str(bad),
+                "--output", str(tmp_path / "p.csv")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"mpa predict: loading model: {detail}\n"
 
     def test_missing_model_is_exit_2(self, iris_path, tmp_path):
         argv = ["predict", "--input", str(iris_path),
@@ -453,6 +479,42 @@ class TestEveryErrorEndsAtItsStage:
         err = capsys.readouterr().err
         assert err.startswith(prefix), err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, module, prefix", [
+        pytest.param(FIT + IRIS_ARGS + ["--output", "{out}"], datasets,
+                     "mpa fit: loading data:", id="fit"),
+        pytest.param(PREDICT + ["--input", "{iris}", "--output", "{out}"], mpa,
+                     "mpa predict: loading model:", id="predict"),
+        pytest.param(DATASET + VIRGINICA + ["--output", "{out}"], datasets,
+                     "mpa bench dataset: loading data:", id="bench-dataset"),
+        pytest.param(PLOT + IRIS_ARGS + ["--output", "{out}"], datasets,
+                     "mpa plot: loading data:", id="plot"),
+    ])
+    def test_unreadable_file_is_exit_2(self, paths, capsys, monkeypatch,
+                                       argv, module, prefix):
+        # The tests may run as root, whom chmod 000 does not stop from
+        # reading, so the module's open raises as an unreadable file would.
+        def refuse(path, *_args, **_kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(module, "open", refuse, raising=False)
+        capsys.readouterr()  # drop the fixture's own output
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "Permission denied" in err, err
+        assert err.count("\n") == 1
+
+
+def test_every_library_error_is_a_value_error():
+    # Each CLI stage ends on OSError and ValueError alone; an error class
+    # outside ValueError would escape its stage as "unexpected error" (3).
+    found = []
+    for info in pkgutil.iter_modules(movingpoints.__path__, "movingpoints."):
+        module = importlib.import_module(info.name)
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+                  and cls is not cli._Failure]
+    assert len(found) >= 19
+    assert [cls for cls in found if not issubclass(cls, ValueError)] == []
 
 
 class TestConfigKeys:

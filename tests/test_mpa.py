@@ -394,8 +394,13 @@ class TestFit:
         model, log = train(ds, cfg)
         assert log.epochs_run == 25
         assert len(log.misclassified) == 25
-        assert log.trajectory.shape == (26, 2, 2)  # initial + per-epoch
-        np.testing.assert_array_equal(log.trajectory[-1], model.moving_points)
+        assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
+        assert model.moving_points.shape == (2, 2)
+        assert np.all(np.isfinite(model.moving_points))
+        # fit leaves the plane of the final points in the model
+        h = line_from_points(*model.moving_points)
+        assert model.hyperplane.weights.tobytes() == h.weights.tobytes()
+        assert model.hyperplane.bias == h.bias
 
     def test_early_stop_halts_after_clean_epoch(self, two_blobs):
         model, log = train(two_blobs, MpaConfig(eta=0.5, epochs=200, seed=7))
@@ -429,12 +434,22 @@ class TestFit:
 
         assert log.misclassified == ref_log["misclassified"]
         assert log.moves == ref_log["moves"]
-        # fit sums lambda in a fixed order, lambda_value reads it off BLAS
-        # dot products; the two can differ in the last bit, so the points
-        # agree to rounding (test_public_step_and_guard_replay_fit_bitwise
-        # and TestFitMatchesFrozenLoop pin bits)
-        np.testing.assert_allclose(model.moving_points, ref.moving_points,
-                                   rtol=1e-12, atol=0)
+        # lambda_value is signed_displacement, which sums lambda in fit's
+        # fixed order (test_signed_displacement_is_fits_lambda), so the
+        # points agree bit for bit
+        assert model.moving_points.tobytes() == ref.moving_points.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_signed_displacement_is_fits_lambda(self, dim):
+        # signed_displacement times the pseudo sign is the lambda of fit's
+        # n = 2 and 3 loops, bit for bit, on every row of trained models
+        for seed in range(10):
+            ds = make_blobs(seed=seed, std=2.5, n_per_class=25, dim=dim,
+                            center_halfwidth=4.0)
+            model, _ = train(ds, MpaConfig(eta=0.01, epochs=3, seed=seed, early_stop=False))
+            for x, label in zip(ds.features, ds.labels.tolist()):
+                assert lambda_value(model, x, label).hex() == \
+                    fixed_order_lambda(model, x, label).hex()
 
     @pytest.mark.parametrize("eta, alpha, dim", [
         (0.01, None, 2), (0.3, 8.0, 2), (6.0, None, 2),
@@ -824,7 +839,6 @@ def frozen_fit(model, ds, cfg):
     X, y, m = ds.features, ds.labels, ds.m
     pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0]).astype(float)
     out = {"misclassified": [], "moves": 0, "projected": 0, "reverted": 0}
-    snapshots = [points.copy()]
     for _ in range(cfg.epochs):
         order = np.array(rng.permutation(m), dtype=int)
         miss = 0
@@ -875,13 +889,12 @@ def frozen_fit(model, ds, cfg):
                 continue
             out["moves"] += 1
         out["misclassified"].append(miss)
-        snapshots.append(points.copy())
         if cfg.early_stop and miss == 0:
             # A row on the plane has lambda = 0 but goes to the pseudo +1 class.
             h = Hyperplane(*frozen_refresh(points))
             if all((region_sign(h, x) or 1) == p for x, p in zip(X, pseudo)):
                 break
-    out["trajectory"] = np.array(snapshots)
+    out["points"] = points
     out["plane"] = frozen_refresh(points)  # fit leaves a fresh plane in the model
     return out
 
@@ -900,7 +913,7 @@ def assert_fit_matches_frozen(dim, eta, seed, blob_seed, std, scale, alpha_facto
         return None  # no usable initial boundary; nothing to train
     ref = frozen_fit(model, ds, cfg)
     log = fit(model, ds)
-    assert log.trajectory.tobytes() == ref["trajectory"].tobytes()
+    assert model.moving_points.tobytes() == ref["points"].tobytes()
     assert log.misclassified == ref["misclassified"]
     assert log.moves == ref["moves"]
     assert log.skips[mpa.DEGENERATE_REVERT] == ref["reverted"]
@@ -1322,6 +1335,14 @@ class TestConfig:
         if field == "alpha" and value is None:
             return  # the documented default
         with pytest.raises(ValueError, match=f"{field} must be a number"):
+            MpaConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", math.inf), ("epochs", math.nan), ("epochs", 2.5),
+        ("seed", math.inf), ("seed", -math.inf), ("seed", math.nan),
+    ])
+    def test_rejects_a_count_that_is_not_a_whole_number(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a"):
             MpaConfig(**{field: value})
 
     def test_alpha_none_is_allowed(self):
