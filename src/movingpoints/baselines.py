@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .datasets import Dataset
-from .geometry import DimensionMismatchError, _affine, _dot
+from .geometry import _affine, _dot, as_rows
 from .rng import SplitMix64
 
 
@@ -127,19 +127,13 @@ def knn_predict_many(model: KnnModel, X) -> np.ndarray:
     nearest are those of a stable sort: every point nearer than the k-th
     distance, then the points at that distance by index. A tied vote goes
     to the single nearest point, the first by index among equals.
-    DimensionMismatchError unless X is (m, n) for the model's n;
-    ValueError if X holds a non-finite value.
+    X is checked by geometry.as_rows: DimensionMismatchError unless it is
+    (m, n) for the model's n, ValueError if it holds a non-finite value.
     """
     P = model.points
     if P.shape[0] == 0:
         raise EmptyModelError("no training points")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != P.shape[1]:
-        raise DimensionMismatchError(
-            f"expected rows of dimension {P.shape[1]}, got shape {X.shape}"
-        )
-    if not np.all(np.isfinite(X)):
-        raise ValueError("query rows contain non-finite values")
+    X = as_rows(X, P.shape[1])
     k = model.k
     is_one = model.labels == 1
     out = np.empty(X.shape[0], dtype=int)
@@ -259,7 +253,8 @@ def _svm_steps(rng: SplitMix64, m: int, reg: float, epochs: int):
 def linear_predict_many(model: PerceptronModel | LinearSvmModel, X) -> np.ndarray:
     """Class 1 where weights . x + bias > 0, else class 0, per row of X.
 
-    weights . x + bias is geometry's fixed-order sum, as in geometry.sides.
+    weights . x + bias is geometry's fixed-order sum, as in geometry.sides,
+    and X is checked as sides checks it (geometry.as_rows).
     """
-    raw = _affine(np.asarray(X, dtype=float), model.weights, model.bias)
+    raw = _affine(as_rows(X, model.weights.size), model.weights, model.bias)
     return (raw > 0).astype(int)

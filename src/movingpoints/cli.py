@@ -316,14 +316,18 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
     Class 0 renders as circles, class 1 as squares; moving points as
     crosses. The boundary is clipped to the data bounding box padded by
     10% per axis. Deterministic text output: fixed 2-decimal pixel
-    coordinates.
+    coordinates, and the axis names escaped as XML text.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     mp = np.asarray(moving_points, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2 or mp.shape != (2, 2):
         raise RefuseNon2DError("plotting requires 2-D data and a 2-D model")
-    names = list(feature_names) if feature_names else ["x0", "x1"]
+    # Imported here: xml.sax.saxutils loads urllib.request, about 45 ms
+    # of start-up that every other command would pay.
+    from xml.sax.saxutils import escape
+
+    names = [escape(str(name)) for name in feature_names] if feature_names else ["x0", "x1"]
 
     lo = X.min(axis=0)
     hi = X.max(axis=0)

@@ -1,9 +1,11 @@
 """Vectors, hyperplanes, and the bordered-determinant construction.
 
-Points are plain 1-D float64 numpy arrays (validated by :func:`as_vector`).
-A hyperplane is stored as the coefficients of its implicit equation
-``weights . x + bias = 0``; no normalization is imposed, so two coefficient
-sets that differ by a nonzero scalar describe the same flat.
+Points are plain 1-D float64 numpy arrays (validated by :func:`as_vector`),
+and a set of points is a C-ordered (m, n) array, one point per row
+(validated by :func:`as_rows`). A hyperplane is stored as the coefficients
+of its implicit equation ``weights . x + bias = 0``; no normalization is
+imposed, so two coefficient sets that differ by a nonzero scalar describe
+the same flat.
 
 Construction from n points in n dimensions expands the bordered
 determinant
@@ -14,20 +16,18 @@ determinant
     | pn_1 ... pn_n 1 |  = 0
 
 along its first row: weight i is the signed cofactor of the variable
-column i, the bias is the signed cofactor of the constant column. All
-n+1 come from one numerical Gaussian elimination (_cofactors).
+column i, the bias is the signed cofactor of the constant column.
+hyperplane_from_points builds this plane for every n: for n = 2 and 3
+from closed forms on Python floats, the line through two 2-D points
+(_line_coeffs) and the cross product of the plane through three 3-D
+points (_plane3_coeffs), which mpa.fit's n = 2 and n = 3 loops also
+call; for other n all n+1 cofactors come from one numerical Gaussian
+elimination (_cofactors). Every plane a model stores comes from here.
 
-Training (mpa.fit) runs this construction only at fresh builds when
+Training (mpa.fit) runs the elimination only at fresh builds when
 n >= 4: between them it carries the same first-row cofactors by rank-one
 updates of the inverse of the bordered matrix (see mpa._Boundary), so a
 plane met during training can differ from this one in the last bits.
-Every plane of n >= 4 points that a model stores comes from here.
-For n = 2 and 3 the same cofactors have closed forms on Python floats:
-the line through two 2-D points (_line_coeffs, shared by line_from_points
-and mpa.fit's n = 2 loop) and the cross product of the plane through
-three 3-D points (_plane3_coeffs, which mpa uses for every n = 3 plane
-a model trains with or stores). The latter can differ from this
-construction in the last bits.
 """
 
 from __future__ import annotations
@@ -61,6 +61,25 @@ def as_vector(coords) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("point has non-finite coordinates")
     return v
+
+
+def as_rows(points, n: int | None = None) -> np.ndarray:
+    """Validate and return points as a C-ordered (m, n) float64 array.
+
+    The row twin of as_vector: every row must be a point with finite
+    coordinates, n wide when n is given. DimensionMismatchError on a bad
+    shape, ValueError on a non-finite coordinate. Zero rows pass. The C
+    order makes a mean over axis 0 add the rows one after another,
+    whatever the layout of the input.
+    """
+    X = np.ascontiguousarray(points, dtype=float)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise DimensionMismatchError(f"expected a 1-D point, got shape {X.shape[1:]}")
+    if n is not None and X.shape[1] != n:
+        raise DimensionMismatchError(f"expected rows of dimension {n}, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("point has non-finite coordinates")
+    return X
 
 
 def coordinate_scale(*arrays) -> float:
@@ -108,12 +127,6 @@ class Hyperplane:
     def dim(self) -> int:
         return self.weights.size
 
-    def _check_dim(self, x: np.ndarray) -> None:
-        if x.size != self.dim:
-            raise DimensionMismatchError(
-                f"point has dimension {x.size}, hyperplane has {self.dim}"
-            )
-
 
 def _norm(v: np.ndarray) -> float:
     """np.linalg.norm of a 1-D float64 array, with its bits and less overhead.
@@ -141,19 +154,20 @@ def _normal_norm(weights: np.ndarray, bias: float) -> float:
     """||weights|| (a fixed-order sum, see _dot) of a plane whose
     coefficients pass the Hyperplane checks.
 
-    Raises ValueError on non-finite coefficients or a norm past the float
-    range, and DegeneratePointsError when the normal is (near-)zero
-    relative to the coefficients.
+    Raises ValueError on a non-finite bias or a norm that is not finite
+    (a non-finite weight or a norm past the float range), and
+    DegeneratePointsError when the normal is (near-)zero relative to the
+    coefficients: ||w|| <= EPS_DEGENERATE * max(|bias|, 1). A computed
+    ||w|| is never below (1 - 2^-52) * max|w_i|, so a max|w_i| term could
+    never decide this test.
     """
-    wl = weights.tolist()
-    if not all(map(math.isfinite, wl)):
-        raise ValueError("point has non-finite coordinates")
     if not math.isfinite(bias):
         raise ValueError("bias is not finite")
+    wl = weights.tolist()
     norm = math.sqrt(_dot(wl, wl))
     if not math.isfinite(norm):
         raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(max(map(abs, wl)), abs(bias), 1.0):
+    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return norm
 
@@ -177,13 +191,11 @@ def _line_coeffs(x1: float, y1: float, x2: float, y2: float) -> tuple[float, flo
     if norm <= EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2)):
         raise DegeneratePointsError("the two points coincide")
     bias = x1 * y2 - x2 * y1
-    if not (math.isfinite(w0) and math.isfinite(w1)):
-        raise ValueError("point has non-finite coordinates")
     if not math.isfinite(bias):
         raise ValueError("bias is not finite")
     if not math.isfinite(norm):
         raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(abs(w0), abs(w1), abs(bias), 1.0):
+    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return w0, w1, bias, norm
 
@@ -193,10 +205,10 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
 
     p1, p2 and p3 are sequences of three floats. The normal is the cross
     product w = (p2 - p1) x (p3 - p1) and the bias is -(w . p1), the
-    first-row cofactors of the bordered determinant, so the orientation
-    is that of hyperplane_from_points; ||w|| is sqrt(w0*w0 + w1*w1 + w2*w2).
-    Raises what hyperplane_from_points raises, in its order, with its
-    threshold EPS_DEGENERATE * max(1, max|p|)^2, then the checks of
+    first-row cofactors of the bordered determinant, with the orientation
+    of _cofactors; ||w|| is sqrt(w0*w0 + w1*w1 + w2*w2). Raises what the
+    elimination path of hyperplane_from_points raises, in its order, with
+    its threshold EPS_DEGENERATE * max(1, max|p|)^2, then the checks of
     :func:`_normal_norm`.
     """
     a0, a1, a2 = p1
@@ -222,25 +234,13 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
             "points are affinely dependent and define no unique hyperplane"
         )
     bias = -(w0 * a0 + w1 * a1 + w2 * a2)
-    if not (math.isfinite(w0) and math.isfinite(w1) and math.isfinite(w2)):
-        raise ValueError("point has non-finite coordinates")
     if not math.isfinite(bias):
         raise ValueError("bias is not finite")
     if not math.isfinite(norm):
         raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(abs(w0), abs(w1), abs(w2), abs(bias), 1.0):
+    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
     return w0, w1, w2, bias, norm
-
-
-def line_from_points(e, f) -> Hyperplane:
-    """Line through two distinct 2-D points, closed form (see _line_coeffs)."""
-    e = as_vector(e)
-    f = as_vector(f)
-    if e.size != 2 or f.size != 2:
-        raise DimensionMismatchError("line_from_points requires 2-D points")
-    w0, w1, bias, _ = _line_coeffs(*e.tolist(), *f.tolist())
-    return Hyperplane(np.array([w0, w1]), bias)
 
 
 def _cofactors(pts: np.ndarray) -> list[float]:
@@ -280,27 +280,42 @@ def _cofactors(pts: np.ndarray) -> list[float]:
 def hyperplane_from_points(points) -> Hyperplane:
     """Hyperplane through n points in n dimensions (bordered determinant).
 
-    Raises DegeneratePointsError when the points are affinely dependent,
-    i.e. lie on a common (n-2)-flat, which drives every cofactor to zero.
+    The cofactors come from _line_coeffs at n = 2, _plane3_coeffs at
+    n = 3 and the elimination (_cofactors) otherwise, so this is the plane
+    that mpa.fit trains with at n = 2 and 3 and the plane every model
+    stores. Raises DegeneratePointsError when the points are affinely
+    dependent, i.e. lie on a common (n-2)-flat, which drives every
+    cofactor to zero.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 1:
-        raise ValueError(f"expected a sequence of 1-D points, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point has non-finite coordinates")
+    pts = as_rows(points)
     n = pts.shape[0]
-    if pts.shape != (n, n):
+    if pts.shape[1] != n:
         raise DimensionMismatchError(
             f"need exactly n points of dimension n, got {pts.shape[0]} points "
             f"of dimension {pts.shape[1]}"
         )
-    *weights, bias = _cofactors(pts)
-    # Cofactors scale like coordinate^(n-1); normalize the test accordingly.
-    if math.sqrt(_dot(weights, weights)) <= _degeneracy_threshold(coordinate_scale(pts), n - 1):
-        raise DegeneratePointsError(
-            "points are affinely dependent and define no unique hyperplane"
-        )
+    if n == 2:
+        *weights, bias, _ = _line_coeffs(*pts.ravel().tolist())
+    elif n == 3:
+        *weights, bias, _ = _plane3_coeffs(*pts.tolist())
+    else:
+        *weights, bias = _cofactors(pts)
+        # Cofactors scale like coordinate^(n-1); normalize the test accordingly.
+        if math.sqrt(_dot(weights, weights)) <= _degeneracy_threshold(
+                coordinate_scale(pts), n - 1):
+            raise DegeneratePointsError(
+                "points are affinely dependent and define no unique hyperplane"
+            )
     return Hyperplane(np.array(weights), bias)
+
+
+def line_from_points(e, f) -> Hyperplane:
+    """Line through two distinct 2-D points: hyperplane_from_points([e, f])."""
+    e = as_vector(e)
+    f = as_vector(f)
+    if e.size != 2 or f.size != 2:
+        raise DimensionMismatchError("line_from_points requires 2-D points")
+    return hyperplane_from_points([e, f])
 
 
 def signed_displacement(h: Hyperplane, x) -> float:
@@ -311,22 +326,18 @@ def signed_displacement(h: Hyperplane, x) -> float:
     Both sums are fixed-order (_affine, _normal_norm), so times the pseudo
     sign this is the lambda that mpa.fit computes at n = 2 and 3, bit for bit.
     """
-    x = as_vector(x)
-    h._check_dim(x)
-    return float(_affine(x[None, :], h.weights, h.bias)[0]) / _normal_norm(h.weights, h.bias)
+    X = as_rows([x], h.dim)
+    return float(_affine(X, h.weights, h.bias)[0]) / _normal_norm(h.weights, h.bias)
 
 
 def _affine(X: np.ndarray, w: np.ndarray, bias: float) -> np.ndarray:
-    """X @ w + bias per row of the (m, n) array X, summed column by column.
+    """X @ w + bias per row of X, an as_rows array of w.size columns,
+    summed column by column.
 
     X[:, 0]*w[0] + X[:, 1]*w[1] + ... + bias, in that order and element-wise,
     not by BLAS, so a row's value does not depend on the CPU kernel or on
     the other rows of X.
     """
-    if X.ndim != 2 or X.shape[1] != w.size:
-        raise DimensionMismatchError(
-            f"expected rows of dimension {w.size}, got shape {X.shape}"
-        )
     raw = X[:, 0] * w[0]
     for j in range(1, w.size):
         raw += X[:, j] * w[j]
@@ -334,14 +345,16 @@ def _affine(X: np.ndarray, w: np.ndarray, bias: float) -> np.ndarray:
     return raw
 
 
-def sides(h: Hyperplane, X: np.ndarray) -> np.ndarray:
+def sides(h: Hyperplane, X) -> np.ndarray:
     """-1, 0 or +1 per row of the (m, n) array X: which region it falls in.
 
     0 is returned only when |weights . x + bias| is within the on-plane
     tolerance EPS_ON_PLANE * max(1, max|weights| * max|x|, |bias|), scaled
     to the magnitudes involved. weights . x + bias is the fixed-order sum
     of _affine, so a row's side does not depend on the other rows of X.
+    X is checked by as_rows.
     """
+    X = as_rows(X, h.dim)
     w = h.weights
     raw = _affine(X, w, h.bias)
     scale = np.abs(X).max(axis=1) * max(map(abs, w.tolist()))
@@ -351,6 +364,4 @@ def sides(h: Hyperplane, X: np.ndarray) -> np.ndarray:
 
 def region_sign(h: Hyperplane, x) -> int:
     """-1, 0, or +1: which of the three regions the point x falls in (see sides)."""
-    x = as_vector(x)
-    h._check_dim(x)
-    return int(sides(h, x[None, :])[0])
+    return int(sides(h, [x])[0])

@@ -45,10 +45,10 @@ from .geometry import (
     _line_coeffs,
     _norm,
     _plane3_coeffs,
-    as_vector,
+    as_rows,
     coordinate_scale,
     hyperplane_from_points,
-    line_from_points,
+    region_sign,
     sides,
 )
 from .rng import SplitMix64
@@ -110,8 +110,8 @@ class MpaConfig:
             raise ValueError(
                 f"near_cluster_percentile must be in (0, 100], got {self.near_cluster_percentile}"
             )
-        if not self.init_spread > 0:
-            raise ValueError(f"init_spread must be positive, got {self.init_spread}")
+        if not (self.init_spread > 0 and math.isfinite(self.init_spread)):
+            raise ValueError(f"init_spread must be positive and finite, got {self.init_spread}")
         if not (self.seed >= 0 and self.seed % 1 == 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         self.seed = int(self.seed)
@@ -142,7 +142,7 @@ class MpaModel:
         self.alpha = float(alpha)
         self.config = config
         self.feature_names = list(feature_names) if feature_names is not None else None
-        self.hyperplane = _plane_of(pts)
+        self.hyperplane = hyperplane_from_points(pts)
 
     @property
     def dim(self) -> int:
@@ -150,19 +150,7 @@ class MpaModel:
 
     def refresh(self) -> None:
         """Recompute the cached hyperplane from the current points."""
-        self.hyperplane = _plane_of(self.moving_points)
-
-
-def _plane_of(points: np.ndarray) -> Hyperplane:
-    """The plane fit trains with: the closed forms of _line_coeffs (n = 2)
-    and _plane3_coeffs (n = 3), hyperplane_from_points for n >= 4."""
-    n = points.shape[0]
-    if n == 2:
-        return line_from_points(points[0], points[1])
-    if n == 3:
-        w0, w1, w2, bias, _ = _plane3_coeffs(*points.tolist())
-        return Hyperplane(np.array([w0, w1, w2]), bias)
-    return hyperplane_from_points(points)
+        self.hyperplane = hyperplane_from_points(self.moving_points)
 
 
 def _complement_basis(direction: np.ndarray) -> np.ndarray:
@@ -206,15 +194,12 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     through M perpendicular to the mean difference, and each class mean
     lands on its own side, fixing the pseudo signs.
     """
-    X0 = _class_rows(class0_points)
-    X1 = _class_rows(class1_points)
-    if X0.size == 0 or X1.size == 0:
+    X0, X1 = (np.ascontiguousarray(c, dtype=float) for c in (class0_points, class1_points))
+    if len(X0) == 0 or len(X1) == 0:
         raise ValueError("both classes must be non-empty")
-    if X0.shape[1] != X1.shape[1]:
-        raise DimensionMismatchError(
-            f"class dimensions differ: {X0.shape[1]} vs {X1.shape[1]}"
-        )
+    X0 = as_rows(X0)
     n = X0.shape[1]
+    X1 = as_rows(X1, n)
     if n < 2:
         raise DimensionMismatchError(f"need dimension >= 2, got {n}")
 
@@ -245,34 +230,10 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     return model
 
 
-def _class_rows(points) -> np.ndarray:
-    """One class's points as an (m, n) array, every row checked as as_vector
-    checks a point; a class with no points passes, for initialize to refuse.
-
-    The array is C-ordered, so its mean over axis 0 adds the rows one
-    after another, as it did over the rows copied one by one.
-    """
-    X = np.ascontiguousarray(points, dtype=float)
-    if len(X) == 0:
-        return X
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise ValueError(f"expected a 1-D point, got shape {X.shape[1:]}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("point has non-finite coordinates")
-    return X
-
-
 def assign_pseudo(h: Hyperplane, mu0, mu1) -> dict:
-    """Read each class's pseudo sign off its mean's side of the boundary.
-
-    Each mean is checked as region_sign checks a point; one sides call then
-    reads both (a row's side does not depend on the other rows).
-    """
-    means = []
-    for mu in (mu0, mu1):
-        means.append(as_vector(mu))
-        h._check_dim(means[-1])
-    s0, s1 = sides(h, np.array(means)).tolist()
+    """Read each class's pseudo sign off its mean's side of the boundary
+    (region_sign)."""
+    s0, s1 = (region_sign(h, mu) for mu in (mu0, mu1))
     if s0 == 0 or s1 == 0:
         raise MeanOnBoundaryError("a class mean lies on the boundary")
     if s0 == s1:
@@ -289,12 +250,8 @@ def movement_vector(model: MpaModel, q, g, lam: float):
     Returns (mover_index, t). For n = 2 and 3 this is the Python-float step
     of fit's loop.
     """
-    q = as_vector(q)
-    g = as_vector(g)
-    if q.size != model.dim or g.size != model.dim:
-        raise DimensionMismatchError(
-            f"expected dimension {model.dim}, got q:{q.size} g:{g.size}"
-        )
+    q = as_rows([q], model.dim)[0]
+    g = as_rows([g], model.dim)[0]
     step = abs(model.config.eta * lam)
     if model.dim <= 3:
         nearest, step_to = ((_nearest_line, _step_line) if model.dim == 2
@@ -585,9 +542,9 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     in a fixed order (x0*w0 + x1*w1 + x2*w2 + b,
     sqrt(d0*d0 + d1*d1 + d2*d2)), so no value depends on a BLAS kernel;
     the steps are those of the public movement_vector and overfit_guard,
-    the plane that of _plane_of (line_from_points, _plane3_coeffs), read
-    from the candidate points before a move is kept, and lambda is
-    evaluated one example at a time. For n >= 4 (_plane_epochs) they are
+    the plane that of hyperplane_from_points (_line_coeffs,
+    _plane3_coeffs), read from the candidate points before a move is
+    kept, and lambda is evaluated one example at a time. For n >= 4 (_plane_epochs) they are
     arrays: the points (model.moving_points, updated in place) and the
     plane, carried from move to move by a rank-one update (see _Boundary),
     so its coefficients can differ from hyperplane_from_points' in the
@@ -597,19 +554,13 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     matrix-vector product and the loop jumps directly to the next
     misclassified example; BLAS rounds that product, so a lambda can
     differ from signed_displacement times the pseudo sign in the last bit.
-    Either way model.hyperplane is set from a fresh _plane_of(points) on
-    every exit, so it always matches the points, bit for bit, as a
-    reloaded model does.
+    Either way model.hyperplane is set from a fresh
+    hyperplane_from_points(points) on every exit, so it always matches
+    the points, bit for bit, as a reloaded model does.
     """
     cfg = model.config
-    if data.n != model.dim:
-        raise DimensionMismatchError(
-            f"data has dimension {data.n}, model has {model.dim}"
-        )
+    X = as_rows(data.features, model.dim)
     data.require_binary()
-    X = data.features
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features contain non-finite values")
 
     clusters = near_clusters(data, cfg.near_cluster_percentile)
     rng = SplitMix64(cfg.seed)
@@ -628,12 +579,12 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
             log.misclassified.append(miss)
             log.epochs_run += 1
             if cfg.early_stop and miss == 0:
-                model.hyperplane = _plane_of(P)
+                model.hyperplane = hyperplane_from_points(P)
                 if np.array_equal(predict_many(model, X), y):
                     log.stopped_early = True
                     break
     finally:
-        model.hyperplane = _plane_of(P)
+        model.hyperplane = hyperplane_from_points(P)
 
     return log
 
@@ -857,8 +808,8 @@ class _Boundary:
         c'    = denom * c - (d . w) * col     (= det(M') * Minv'[:, 0])
 
     The update is kept only when c' passes hyperplane_from_points' checks
-    (finite coefficients and a finite ||w||, ||w|| > EPS_DEGENERATE *
-    coordinate_scale(P)^(n-1), and _normal_norm's ||w|| > EPS_DEGENERATE * max(|w|, |b|, 1)) with
+    (a finite bias and a finite ||w||, ||w|| > EPS_DEGENERATE *
+    coordinate_scale(P)^(n-1), and _normal_norm's ||w|| > EPS_DEGENERATE * max(|b|, 1)) with
     _NEAR_DEGENERATE to spare, and when the plane still passes through
     the points: max_j |p_j . w + b| <= _MAX_RESIDUAL * (max|P| ||w|| + |b|),
     which bounds the rounding that updates pile up. Otherwise, and every
@@ -902,8 +853,7 @@ class _Boundary:
                     terms = scale ** (n - 1)
                 except OverflowError:  # past the float range: a fresh build decides
                     terms = math.inf
-                limit = _NEAR_DEGENERATE * EPS_DEGENERATE * max(
-                    terms, abs(b), *map(abs, w.tolist()))
+                limit = _NEAR_DEGENERATE * EPS_DEGENERATE * max(terms, abs(b))
                 if (limit < norm_w < math.inf and math.isfinite(b)  # False on nan
                         and max(map(abs, (P.dot(w) + b).tolist()))
                         <= _MAX_RESIDUAL * (scale * norm_w + abs(b))):
@@ -931,19 +881,16 @@ def _rank_one(Minv: np.ndarray, coeffs: np.ndarray, row: int, d: np.ndarray):
 
 def predict(model: MpaModel, x) -> int:
     """predict_many for the single point x."""
-    return int(predict_many(model, as_vector(x)[None, :])[0])
+    return int(predict_many(model, [x])[0])
 
 
 def predict_many(model: MpaModel, X) -> np.ndarray:
     """Per row of X, the class whose pseudo sign matches its side of the boundary.
 
     A point sitting on the boundary goes to the class with pseudo sign +1.
+    sides checks X: DimensionMismatchError unless it is (m, n) for the
+    model's n, ValueError on a non-finite value.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"expected shape (m, {model.dim}), got {X.shape}"
-        )
     side = sides(model.hyperplane, X)
     return (np.where(side == 0, 1, side) == model.pseudo_sign[1]).astype(int)
 

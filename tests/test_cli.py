@@ -5,6 +5,7 @@ import inspect
 import json
 import pkgutil
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -256,6 +257,23 @@ class TestPlot:
         preds = mpa.predict_many(model, ds.features)
         assert np.array_equal(preds, ds.labels)
 
+    def test_header_text_is_escaped(self, iris_path, tmp_path):
+        # A feature name holding <, & and > still gives a well-formed SVG.
+        name = "Sepal<Length&cm>"
+        csv_path = tmp_path / "iris.csv"
+        csv_path.write_text(iris_path.read_text(encoding="utf-8").replace(
+            "SepalWidthCm", name), encoding="utf-8")
+        args = IRIS_ARGS[:-1] + [f"SepalLengthCm,{name}"]
+        model_path = tmp_path / "m.json"
+        assert main(["fit", "--input", str(csv_path), "--output", str(model_path)]
+                    + args + FIT_ARGS) == 0
+        svg_path = tmp_path / "plot.svg"
+        assert main(["plot", "--input", str(csv_path), "--model", str(model_path),
+                     "--output", str(svg_path)] + args) == 0
+        root = ElementTree.parse(svg_path).getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-2:] == ["SepalLengthCm", name]
+
     def test_refuses_non_2d_model(self, iris_path, tmp_path, capsys):
         model_path = tmp_path / "m4.json"
         argv = ["fit", "--input", str(iris_path), "--output", str(model_path),
@@ -299,6 +317,8 @@ class TestBadConfigIsExit2:
         pytest.param("fit", ["--eta", "nan"], "eta must be", id="fit-eta-nan"),
         pytest.param("fit", ["--eta", "-1"], "eta must be", id="fit-eta-negative"),
         pytest.param("fit", ["--eta", "inf"], "eta must be", id="fit-eta-inf"),
+        pytest.param("fit", ["--init-spread", "inf"], "init_spread must be",
+                     id="fit-init-spread-inf"),
         pytest.param("bench synthetic", ["--epochs", "0"], "epochs must be",
                      id="synthetic-epochs-0"),
         pytest.param("bench synthetic", ["--eta", "inf"], "eta must be",

@@ -1,5 +1,7 @@
 """Geometry checks: hand-worked values plus numpy oracles."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,15 @@ from movingpoints.geometry import (
     sides,
     signed_displacement,
 )
+from movingpoints.baselines import (
+    knn_fit,
+    knn_predict_many,
+    linear_predict_many,
+    linear_svm_fit,
+    perceptron_fit,
+)
+from movingpoints.datasets import make_blobs
+from movingpoints.mpa import MpaConfig, predict_many, train
 from movingpoints.rng import SplitMix64
 
 
@@ -447,3 +458,28 @@ class TestHyperplaneType:
 
     def test_dim(self):
         assert Hyperplane(np.array([1.0, 2.0, 3.0]), 0.0).dim == 3
+
+
+BLOBS = make_blobs(seed=0, std=1.0, n_per_class=10, center_halfwidth=4.0)
+# Every predictor of 2-D rows, built when its test runs.
+PREDICTORS = {
+    "mpa.predict_many": lambda: partial(predict_many, train(BLOBS, MpaConfig(epochs=2))[0]),
+    "perceptron": lambda: partial(linear_predict_many, perceptron_fit(BLOBS)),
+    "svm": lambda: partial(linear_predict_many, linear_svm_fit(BLOBS)),
+    "knn": lambda: partial(knn_predict_many, knn_fit(BLOBS)),
+    "sides": lambda: partial(sides, Hyperplane(np.array([1.0, -1.0]), 0.5)),
+}
+
+
+@pytest.mark.parametrize("X, error", [
+    pytest.param([[0.0, 1.0], [np.nan, 2.0]], ValueError, id="nan"),
+    pytest.param([[0.0, 1.0], [np.inf, 2.0]], ValueError, id="inf"),
+    pytest.param([[0.0, 1.0], [2.0, -np.inf]], ValueError, id="-inf"),
+    pytest.param(np.zeros((3, 3)), DimensionMismatchError, id="wrong-width"),
+])
+@pytest.mark.parametrize("predictor", sorted(PREDICTORS))
+def test_every_predictor_refuses_a_bad_row(predictor, X, error):
+    # The rows are checked once, by as_rows, whoever predicts them.
+    with pytest.raises(error) as info:
+        PREDICTORS[predictor]()(X)
+    assert type(info.value) is error

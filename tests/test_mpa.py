@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from movingpoints import mpa
+from movingpoints import geometry, mpa
 from movingpoints.datasets import Dataset, NonBinaryLabelsError, make_blobs
 from movingpoints.geometry import (
     EPS_DEGENERATE,
@@ -1105,6 +1105,18 @@ class TestSkipReasons:
 
 
 class TestHyperplaneMatchesPointsOnExit:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           std=st.floats(0.5, 3.0), eta=st.sampled_from([5e-5, 0.01]))
+    def test_stored_plane_is_hyperplane_from_points(self, n, seed, std, eta):
+        # One builder for every n: the plane a trained model holds is the
+        # public one of its points, bit for bit.
+        ds = make_blobs(seed=seed, std=std, n_per_class=25, dim=n, center_halfwidth=4.0)
+        model, _ = train(ds, MpaConfig(eta=eta, epochs=20, seed=seed))
+        want = hyperplane_from_points(model.moving_points)
+        assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
+        assert model.hyperplane.bias == want.bias
+
     def test_after_failure_in_plane_kernel(self, monkeypatch):
         # The failure is injected into the rank-one update, which carries
         # the plane between fresh builds for n >= 4.
@@ -1175,7 +1187,10 @@ class TestHyperplaneMatchesPointsOnExit:
                 raise RuntimeError("plane failure")
             return plane3(*points)
 
+        # The loop calls mpa's binding and fit's exit plane, through
+        # hyperplane_from_points, geometry's: both are counted.
         monkeypatch.setattr(mpa, "_plane3_coeffs", failing)
+        monkeypatch.setattr(geometry, "_plane3_coeffs", failing)
         with pytest.raises(RuntimeError):
             fit(model, ds)
         monkeypatch.undo()
@@ -1323,6 +1338,8 @@ class TestConfig:
             MpaConfig(near_cluster_percentile=0.0)
         with pytest.raises(ValueError):
             MpaConfig(init_spread=-1.0)
+        with pytest.raises(ValueError, match="init_spread must be positive and finite"):
+            MpaConfig(init_spread=math.inf)
         with pytest.raises(ValueError):
             MpaConfig(seed=-1)
         with pytest.raises(ValueError):
