@@ -8,9 +8,9 @@ on it and check that moves plus skips add up to the misclassified visits
 and that the points stay finite; the baseline cases time one classifier
 with the cell's parameters and seed slot. One more training case times
 the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
-plane cases time ``hyperplane_from_points`` on Gaussian points and one
+plane cases time ``hyperplane_from_points`` on Gaussian points, one
 rank-one update of the plane that ``mpa.fit`` carries between fresh
-builds (n >= 4). The cell cases time one whole grid cell and the fixed
+builds (n >= 4), and one whole n >= 4 move (``mpa._move``). The cell cases time one whole grid cell and the fixed
 cost around its training loops: ``derive_seed`` and MPA's
 ``near_clusters`` and ``initialize`` on the cell's split.
 """
@@ -193,6 +193,36 @@ def test_tracked_update_n8(benchmark):
 
     benchmark.pedantic(boundary.moved, setup=setup, rounds=2000)
     assert boundary.updates == 1
+
+
+def test_move_overlap_0_90_dim8(benchmark):
+    # One move of mpa._plane_epochs, guard decision and tracked update
+    # included: that of the first misclassified example of the first epoch
+    # of overlap cell (0, 90). Each round starts from the fit's initial
+    # points, boundary and random stream, so every round makes this move.
+    train_ds, _, cell = cell_split(0, 90, 8)
+    cfg = cell_config(cell)
+    model = mpa.initialize(train_ds.class_points(0), train_ds.class_points(1), cfg)
+    X, y = train_ds.features, train_ds.labels
+    clusters = mpa.near_clusters(train_ds, cfg.near_cluster_percentile)
+    pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0])
+    w, b = model.hyperplane.weights, model.hyperplane.bias
+    first = SplitMix64(cfg.seed).permutation(len(y))
+    j = next(j for j in first if (X[j] @ w + b) * pseudo[j] < 0)
+    lam = float((X[j] @ w + b) / np.linalg.norm(w) * pseudo[j])
+    members = clusters[1 - int(y[j])].members.tolist()
+    row_scale = np.abs(X).max(axis=1).tolist()
+    P0 = model.moving_points.copy()
+
+    def setup():
+        P = P0.copy()
+        rng = SplitMix64(cfg.seed)
+        rng.permutation(len(y))
+        return (mpa._Boundary(P), X[j], lam, members, X, row_scale, rng, cfg.eta,
+                model.alpha), {}
+
+    out = benchmark.pedantic(mpa._move, setup=setup, rounds=2000)
+    assert not isinstance(out, str)  # the point moved
 
 
 def test_epoch_overlap_0_90_dim8(benchmark):

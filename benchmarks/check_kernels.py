@@ -14,13 +14,20 @@ child writes:
 - the Iris `mpa bench dataset` report (virginica vs versicolor,
   `--reps 5 --eta 0.0005`),
 - the report of the 8-D cell `run_synthetic_cell(0, 90, dim=8)`,
-- one digest over the model documents of the 500 grid cells.
+- one digest over the model documents of the 500 grid cells,
+- one digest over the n >= 4 fits of 190 synthetic cells: 100 at dim 8
+  (seeds 0-9 x std_index 90-99) and 30 each at dims 4, 5 and 16 (seeds
+  0-2 x std_index 90-99), run by `run_synthetic_cell`. It covers each
+  MPA model document, its per-epoch misclassified counts, its moves and
+  skips, and every cell's report; the dim-8 seeds 0-2 are the cells of
+  perfbench's overlap-8d workload.
 
-The first four are compared with their golden sha256; the model digest,
-which has no golden, with the unchanged environment's. The script prints
-one line per variant and output and exits 1 when anything differs. It
-takes about a minute per variant. --src measures another checkout's
-src/ (for example that of a parent commit) with this script.
+The first four are compared with their golden sha256; the two digests,
+which have no golden, with the unchanged environment's, whose values are
+printed so that two checkouts can be compared. The script prints one line
+per variant and output and exits 1 when anything differs. It takes about
+a minute per variant. --src measures another checkout's src/ (for
+example that of a parent commit) with this script.
 """
 
 from __future__ import annotations
@@ -44,6 +51,11 @@ GOLDEN = {
     "Iris bench dataset": "9947684ad4673621f1bb978a524f7b141cd8335f3a20c5a821dd0222ecc85853",
     "dim-8 cell": "ef529968bf4ed167fc37f1c0cea64f8652ec07a838837c0931e0887359035a6d",
 }
+# (dim, seed, std_index) of the n >= 4 cells.
+PLANE_CELLS = ([(8, seed, j) for seed in range(10) for j in range(90, 100)]
+               + [(dim, seed, j) for dim in (4, 5, 16) for seed in range(3)
+                  for j in range(90, 100)])
+UNGOLDEN = ("grid models", "n >= 4 fits")
 AVX512 = "X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR"
 VARIANTS = {
     "unchanged": {},
@@ -66,16 +78,25 @@ def child(workdir: Path) -> dict:
     from movingpoints import bench, cli, mpa
 
     models = hashlib.sha256()
+    planes = hashlib.sha256()
     train = mpa.train
 
     def recording_train(*args, **kwargs):
         model, log = train(*args, **kwargs)
-        models.update(mpa.model_document(model).encode("utf-8"))
+        document = mpa.model_document(model).encode("utf-8")
+        if model.dim < 4:
+            models.update(document)
+        else:
+            planes.update(document)
+            planes.update(json.dumps([log.misclassified, log.moves, log.skips]).encode("utf-8"))
         return model, log
 
-    mpa.train = recording_train  # the grid's classifier table looks mpa.train up per cell
+    mpa.train = recording_train  # the classifier table looks mpa.train up per cell
     try:
         grid = bench.report_text(bench.run_synthetic_suite(50, 10, 0))
+        for dim, seed, std_index in PLANE_CELLS:
+            records = bench.run_synthetic_cell(seed, std_index, dim=dim)
+            planes.update(bench.report_text(bench.BenchReport(records=records)).encode("utf-8"))
     finally:
         mpa.train = train
     model, report = workdir / "model.json", workdir / "report.csv"
@@ -104,6 +125,7 @@ def child(workdir: Path) -> dict:
         "Iris bench dataset": sha256(report.read_bytes()),
         "dim-8 cell": sha256(cell.encode("utf-8")),
         "grid models": models.hexdigest(),
+        "n >= 4 fits": planes.hexdigest(),
     }
 
 
@@ -132,7 +154,10 @@ def main(argv=None) -> int:
             return 2
         got = json.loads(proc.stdout.strip().splitlines()[-1])
         results[name] = got
-        want = {**GOLDEN, "grid models": results["unchanged"]["grid models"]}
+        if name == "unchanged":
+            for key in UNGOLDEN:
+                print(f"unchanged {key} digest {got[key]}", flush=True)
+        want = {**GOLDEN, **{key: results["unchanged"][key] for key in UNGOLDEN}}
         for key, digest in want.items():
             same = got[key] == digest
             differs |= not same

@@ -68,11 +68,18 @@ def as_rows(points, n: int | None = None) -> np.ndarray:
 
     The row twin of as_vector: every row must be a point with finite
     coordinates, n wide when n is given. DimensionMismatchError on a bad
-    shape, ValueError on a non-finite coordinate. Zero rows pass. The C
-    order makes a mean over axis 0 add the rows one after another,
-    whatever the layout of the input.
+    shape, ragged rows included, ValueError on a non-finite coordinate or
+    one that is not a number. Zero rows pass. The C order makes a mean over
+    axis 0 add the rows one after another, whatever the layout of the input.
     """
-    X = np.ascontiguousarray(points, dtype=float)
+    try:
+        X = np.ascontiguousarray(points, dtype=float)
+    except ValueError:
+        # numpy's error for rows of unequal length; a sequence where a
+        # number belongs is what tells it from a coordinate like "a".
+        if any(np.ndim(x) for x in np.array(points, dtype=object).flat):
+            raise DimensionMismatchError("rows differ in length") from None
+        raise
     if X.ndim != 2 or X.shape[1] < 1:
         raise DimensionMismatchError(f"expected a 1-D point, got shape {X.shape[1:]}")
     if n is not None and X.shape[1] != n:
@@ -126,16 +133,6 @@ class Hyperplane:
     @property
     def dim(self) -> int:
         return self.weights.size
-
-
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm of a 1-D float64 array, with its bits and less overhead.
-
-    For a vector, numpy takes sqrt(v.dot(v)) of v raveled in memory order;
-    so does this, and math.sqrt rounds like numpy's sqrt.
-    """
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
 
 
 def _dot(u, v) -> float:

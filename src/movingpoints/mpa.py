@@ -43,7 +43,6 @@ from .geometry import (
     Hyperplane,
     _dot,
     _line_coeffs,
-    _norm,
     _plane3_coeffs,
     as_rows,
     coordinate_scale,
@@ -284,10 +283,12 @@ def _displacement(c: np.ndarray, g: np.ndarray, scale: float, step: float) -> np
     relative to it.
     """
     v = g - c
-    nv = _norm(v)
+    nv = math.sqrt(v.dot(v))
     if nv <= EPS_DEGENERATE * scale:
         raise ZeroDisplacementError("sampled target coincides with the mover")
-    return (v / nv) * step
+    v /= nv
+    v *= step
+    return v
 
 
 def overfit_guard(model: MpaModel, mover_index: int, t):
@@ -549,7 +550,9 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     plane, carried from move to move by a rank-one update (see _Boundary),
     so its coefficients can differ from hyperplane_from_points' in the
     last bits; every accept-or-revert decision near a degeneracy threshold
-    still comes from a fresh build. Between moves the plane is frozen, so
+    still comes from a fresh build. The guard is skipped where a lower
+    bound on the gaps between points proves it idle (_guard_is_idle), which
+    changes no bit. Between moves the plane is frozen, so
     lambdas for a whole stretch of examples are evaluated in one
     matrix-vector product and the loop jumps directly to the next
     misclassified example; BLAS rounds that product, so a lambda can
@@ -729,13 +732,16 @@ def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
         miss = 0
         i = 0
         while i < m:
-            lam = (Xo[i:] @ w + b) / norm_w * po[i:]
+            lam = Xo[i:] @ w  # (Xo[i:] @ w + b) / norm_w * po[i:], in place
+            lam += b
+            lam /= norm_w
+            lam *= po[i:]
             wrong = lam < 0.0
             k = int(wrong.argmax())  # the first misclassified example, if any
             if not wrong[k]:
                 break
             miss += 1
-            out = _move(boundary, Xo[i + k], float(lam[k]), draws[order[i + k]],
+            out = _move(boundary, Xo[i + k], lam.item(k), draws[order[i + k]],
                         X, row_scale, rng, cfg.eta, alpha)
             if isinstance(out, str):
                 log.skips[out] += 1
@@ -755,11 +761,13 @@ def _move(boundary: _Boundary, q: np.ndarray, lam: float, members: list[int],
     are updated in place. Returns the new boundary (w, b, ||w||), or the
     skip reason, with the points and the boundary unchanged, when no point
     moved.
+
+    _guard is skipped where the gap floor proves it idle (_guard_is_idle).
     """
     P = boundary.P
     mover = _nearest(P, q)
     c = P[mover]
-    c_scale = max(1.0, *map(abs, c.tolist()))  # coordinate_scale(c)
+    c_scale = max(1.0, boundary.row_max[mover])  # coordinate_scale(c)
     step = abs(eta * lam)
     for _attempt in range(1 + MAX_RESAMPLES):
         target = members[rng.randint(len(members))]
@@ -770,7 +778,8 @@ def _move(boundary: _Boundary, q: np.ndarray, lam: float, members: list[int],
             pass
     else:
         return RESAMPLE_EXHAUSTED
-    t = _guard(P, mover, t, alpha)
+    if not _guard_is_idle(boundary.gap_floor, step, alpha):
+        t = _guard(P, mover, t, alpha)
     if not np.count_nonzero(t):
         return GUARD_ZEROED
     old = c.copy()
@@ -790,6 +799,11 @@ _REBUILD_EVERY = 64
 _MIN_DENOMINATOR = 1e-3
 _NEAR_DEGENERATE = 1e3
 _MAX_RESIDUAL = 1e-12
+# _Boundary's gap floor: its relative margin, and the least computed gap
+# it trusts (below that the floor is 0.0, and _move always guards).
+_GAP_MARGIN = 1e-9
+_GAP_UP = 1.0 + _GAP_MARGIN
+_MIN_GAP = 1e-140
 
 
 class _Boundary:
@@ -816,6 +830,31 @@ class _Boundary:
     _REBUILD_EVERY updates, and when |denom| < _MIN_DENOMINATOR, a fresh
     build through hyperplane_from_points decides: it raises what that
     raises, and the state is replaced only when no check fails.
+
+    Two facts about P ride along, for _move and the checks above, and are
+    replaced only with the rest of the state. row_max lists max|P[i]| per
+    row; max is exact, so max(1, *row_max) is coordinate_scale(P) bit for
+    bit. gap_floor is a lower bound on the distance between any two rows:
+    a fresh build sets it to the least computed gap times 1 - _GAP_MARGIN
+    (_gap_floor), and a kept update lowers it by ||d|| (1 + _GAP_MARGIN),
+    since moving one point by d changes no gap by more than ||d||.
+
+    gap_floor stays below every gap that _guard computes, despite rounding
+    (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3). A gap or ||d|| computed as the root of a sum of n rounded
+    squares of rounded differences has a relative error of at most (n+3)u, in
+    any summation order and with or without fused multiply-add, unless a
+    square overflows or underflows. None overflows: a kept P has
+    max|P|^(n-1) inside the float range, or its fresh build or its update
+    limit would have refused it, so max|P| < 6e102 for n >= 4. Squares
+    that underflow add at most 2^-1075 each, so a norm errs by at most
+    about sqrt(n) 2^-537 < 1e-160 more. (n+3)u, and the rounding of the
+    floor's own products and differences, are far below _GAP_MARGIN for
+    any n that fits in memory; and a fresh floor is trusted only when
+    the least gap is at least _MIN_GAP = 1e-140: its slack of at least
+    _GAP_MARGIN * _MIN_GAP = 1e-149 covers the underflow error of the
+    _REBUILD_EVERY updates' ||d|| with ten orders to spare. So when
+    gap_floor > alpha (1 + _GAP_MARGIN), every gap is above alpha.
     """
 
     def __init__(self, P: np.ndarray):
@@ -828,27 +867,32 @@ class _Boundary:
         h = hyperplane_from_points(P)
         coeffs = np.append(h.weights, h.bias)
         M = np.empty((n + 1, n + 1))
-        M[0] = coeffs / _norm(coeffs)
+        M[0] = coeffs / math.sqrt(coeffs.dot(coeffs))
         M[1:, :n] = P
         M[1:, n] = 1.0
         self.Minv = np.linalg.inv(M)
         self.coeffs = coeffs
         self.updates = 0
-        return h.weights, h.bias, _norm(h.weights)
+        self.row_max = np.abs(P).max(axis=1).tolist()
+        self.gap_floor = _gap_floor(P)
+        w = h.weights
+        return w, h.bias, math.sqrt(w.dot(w))
 
     def moved(self, i: int, old: np.ndarray) -> tuple[np.ndarray, float, float]:
         """(w, b, ||w||) after row i of P moved from old to its current value."""
         if self.updates < _REBUILD_EVERY:
             P = self.P
             n = P.shape[0]
-            update = _rank_one(self.Minv, self.coeffs, i + 1, P[i] - old)
+            d = P[i] - old
+            update = _rank_one(self.Minv, self.coeffs, i + 1, d)
             if update is not None:
                 Minv, coeffs = update
                 w = coeffs[:n]
-                b = float(coeffs[n])
-                norm_w = _norm(w)
-                # coordinate_scale(P)
-                scale = max(1.0, float(np.maximum.reduce(np.abs(P), axis=None)))
+                b = coeffs.item(n)
+                norm_w = math.sqrt(w.dot(w))
+                row_max = self.row_max.copy()
+                row_max[i] = max(map(abs, P[i].tolist()))
+                scale = max(1.0, *row_max)  # coordinate_scale(P)
                 try:
                     terms = scale ** (n - 1)
                 except OverflowError:  # past the float range: a fresh build decides
@@ -860,8 +904,28 @@ class _Boundary:
                     self.Minv = Minv
                     self.coeffs = coeffs
                     self.updates += 1
+                    self.row_max = row_max
+                    self.gap_floor -= math.sqrt(d.dot(d)) * _GAP_UP
                     return w, b, norm_w
         return self._fresh()
+
+
+def _guard_is_idle(gap_floor: float, step: float, alpha: float) -> bool:
+    """True when gap_floor, a lower bound on every gap between two points
+    (_Boundary), exceeds alpha + step by a relative _GAP_MARGIN on each side,
+    so that _guard would return its step itself; False on nan. That needs
+    only gap_floor > alpha; the step term also keeps the moved point clear."""
+    return gap_floor - step * _GAP_UP > alpha * _GAP_UP
+
+
+def _gap_floor(P: np.ndarray) -> float:
+    """_Boundary's fresh gap_floor: the least computed distance between two
+    rows of P times 1 - _GAP_MARGIN, or 0.0 when it is below _MIN_GAP."""
+    n = P.shape[0]
+    gaps = _row_norms((P[:, None, :] - P[None, :, :]).reshape(n * n, -1))
+    gaps[::n + 1] = math.inf  # each row's distance to itself
+    least = float(gaps.min())
+    return least * (1.0 - _GAP_MARGIN) if least >= _MIN_GAP else 0.0
 
 
 def _rank_one(Minv: np.ndarray, coeffs: np.ndarray, row: int, d: np.ndarray):
@@ -873,7 +937,7 @@ def _rank_one(Minv: np.ndarray, coeffs: np.ndarray, row: int, d: np.ndarray):
     n = d.size
     col = Minv[:, row]
     u = d.dot(Minv[:n])
-    denom = 1.0 + float(u[row])
+    denom = 1.0 + u.item(row)
     if not abs(denom) >= _MIN_DENOMINATOR:
         return None
     return Minv - col[:, None] * (u / denom), denom * coeffs - float(d.dot(coeffs[:n])) * col

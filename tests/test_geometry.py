@@ -101,6 +101,10 @@ class TestHyperplaneFromPoints:
         with pytest.raises(DimensionMismatchError):
             hyperplane_from_points([(0, 0, 0), (1, 1, 0)])
 
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            hyperplane_from_points([(0, 0, 0), (1, 1, 0), (1, 0)])
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_defining_points_lie_on_plane(self, n):
         stream = SplitMix64(500 + n)
@@ -476,6 +480,8 @@ PREDICTORS = {
     pytest.param([[0.0, 1.0], [np.inf, 2.0]], ValueError, id="inf"),
     pytest.param([[0.0, 1.0], [2.0, -np.inf]], ValueError, id="-inf"),
     pytest.param(np.zeros((3, 3)), DimensionMismatchError, id="wrong-width"),
+    pytest.param([[0.0, 1.0], [2.0, 3.0, 4.0]], DimensionMismatchError, id="ragged"),
+    pytest.param([[0.0, 1.0], ["a", 2.0]], ValueError, id="not-a-number"),
 ])
 @pytest.mark.parametrize("predictor", sorted(PREDICTORS))
 def test_every_predictor_refuses_a_bad_row(predictor, X, error):

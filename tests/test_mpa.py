@@ -953,6 +953,16 @@ class TestFitMatchesFrozenLoop:
         ref = assert_fit_matches_frozen(dim, 6.0, 3, 11, 3.0, 1.0, None)
         assert ref["reverted"] > 0 and ref["moves"] > 0
 
+    def test_skipped_and_run_guards_match_at_dim8(self, monkeypatch):
+        # With these steps the gap floor lets the first moves skip _guard,
+        # then runs out, and the guard projects: both paths replay the loop.
+        calls = []
+        guard = mpa._guard
+        monkeypatch.setattr(mpa, "_guard", lambda *args: calls.append(1) or guard(*args))
+        ref = assert_fit_matches_frozen(8, 2.0, 1, 7, 2.5, 1.0, 2.0)
+        assert ref["projected"] > 0
+        assert 0 < len(calls) < ref["moves"]
+
 
 def walk_boundary(n, scale, seed, steps):
     """Random moves of n points through mpa._Boundary, each held to a fresh build.
@@ -1074,6 +1084,68 @@ class TestBoundaryTracksFreshPlane:
         P[3, 2] = 1e100
         with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
             boundary.moved(3, old)
+
+
+def least_gaps(P):
+    """Per row of P, its least distance to another row, as _guard computes it."""
+    out = []
+    for k in range(P.shape[0]):
+        gaps = mpa._row_norms(P - P[k])
+        gaps[k] = math.inf
+        out.append(float(gaps.min()))
+    return out
+
+
+class TestGapFloor:
+    # _move skips _guard when _Boundary's gap floor proves it idle. Points
+    # of scale 1e-150..1e150; alpha 0, that of initialize, or wider than
+    # the spread; steps from 1e-18 to 100 times the least gap. A _Boundary
+    # builds only for scales from about 1 (1e-3 at n = 4) to 1e20 (1e100
+    # at n = 4); elsewhere the fresh floor is checked without moves.
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 16),
+           exponent=st.one_of(st.integers(-150, 150), st.integers(-1, 20)),
+           alpha_kind=st.sampled_from(["zero", "initialize", "wide"]),
+           seed=st.integers(0, 2**64 - 1))
+    # Gaps near 1e-160, whose squares are subnormal: the floor must not
+    # allow a skip there, even where the guard is in fact idle.
+    @example(n=4, exponent=-160, alpha_kind="zero", seed=3)
+    @example(n=8, exponent=0, alpha_kind="initialize", seed=1)
+    def test_skip_only_when_guard_is_idle(self, n, exponent, alpha_kind, seed):
+        stream = SplitMix64(seed)
+        P = 10.0 ** exponent * stream.normals(n * n).reshape(n, n)
+        with np.errstate(all="ignore"):
+            try:
+                boundary = mpa._Boundary(P)
+            except ValueError:  # no plane through points of this scale
+                boundary = None
+        floor = mpa._gap_floor(P) if boundary is None else boundary.gap_floor
+        least = min(least_gaps(P))
+        spread = float(np.max(np.abs(P)))
+        alpha = {"zero": 0.0, "initialize": 0.1 * least, "wide": 10.0 * spread}[alpha_kind]
+        assert floor <= least
+        for _ in range(40):
+            mover, = (int(v * n) for v in stream.uniforms(1))
+            direction = stream.normals(n)
+            step = least * 10.0 ** (20 * stream.uniforms(1)[0] - 18)
+            t = direction / np.linalg.norm(direction) * step
+            idle = mpa._guard_is_idle(floor, step, alpha)
+            if idle:
+                assert mpa._guard(P, mover, t, alpha) is t
+            if least < 1e-150:  # squares near the subnormal range: no proof
+                assert not idle
+            if boundary is None:
+                continue
+            old = P[mover].copy()
+            P[mover] += t
+            try:
+                with np.errstate(all="ignore"):
+                    boundary.moved(mover, old)
+            except ValueError:  # refused, as _move reverts it
+                P[mover] = old
+            floor = boundary.gap_floor
+            least = min(least_gaps(P))
+            assert floor <= least
 
 
 def hand_model(alpha, eta):
