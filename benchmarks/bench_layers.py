@@ -10,9 +10,10 @@ with the cell's parameters and seed slot. One more training case times
 the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
 plane cases time ``hyperplane_from_points`` on Gaussian points, one
 rank-one update of the plane that ``mpa.fit`` carries between fresh
-builds (n >= 4), and one whole n >= 4 move (``mpa._move``). The cell cases time one whole grid cell and the fixed
-cost around its training loops: ``derive_seed`` and MPA's
-``near_clusters`` and ``initialize`` on the cell's split.
+builds (n >= 4), and one whole n >= 4 move (``mpa._move``). The cell
+cases time one whole grid cell and the fixed cost around its training
+loops: ``derive_seed`` and MPA's ``near_clusters`` and ``initialize`` on
+the cell's split.
 """
 
 from dataclasses import replace

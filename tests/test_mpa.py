@@ -1125,7 +1125,7 @@ class TestGapFloor:
         alpha = {"zero": 0.0, "initialize": 0.1 * least, "wide": 10.0 * spread}[alpha_kind]
         assert floor <= least
         for _ in range(40):
-            mover, = (int(v * n) for v in stream.uniforms(1))
+            mover = int(stream.uniforms(1)[0] * n)
             direction = stream.normals(n)
             step = least * 10.0 ** (20 * stream.uniforms(1)[0] - 18)
             t = direction / np.linalg.norm(direction) * step
