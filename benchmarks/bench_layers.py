@@ -10,10 +10,12 @@ with the cell's parameters and seed slot. One more training case times
 the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
 plane cases time ``hyperplane_from_points`` on Gaussian points, one
 rank-one update of the plane that ``mpa.fit`` carries between fresh
-builds (n >= 4), and one whole n >= 4 move (``mpa._move``). The cell
-cases time one whole grid cell and the fixed cost around its training
-loops: ``derive_seed`` and MPA's ``near_clusters`` and ``initialize`` on
-the cell's split.
+builds (n >= 4), and one whole n >= 4 move (``mpa._move``). The guard
+cases time ``mpa.overfit_guard`` at n = 2, 3 and 8 on a step that it
+projects, so they put the per-n cost of the one shared guard on record.
+The cell cases time one whole grid cell and the fixed cost around its
+training loops: ``derive_seed`` and MPA's ``near_clusters`` and
+``initialize`` on the cell's split.
 """
 
 from dataclasses import replace
@@ -173,6 +175,18 @@ def test_hyperplane_from_points(benchmark, n):
     points = SplitMix64(n).normals(n * n).reshape(n, n)
     h = benchmark(hyperplane_from_points, points)
     assert np.all(np.isfinite(h.weights))
+
+
+# The mover, point 0, has its nearest neighbour within alpha and steps
+# toward it, so every call projects.
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_overfit_guard(benchmark, n):
+    P = SplitMix64(n).normals(n * n).reshape(n, n)
+    gaps = np.linalg.norm(P[1:] - P[0], axis=1)
+    model = mpa.MpaModel(P, {0: -1, 1: 1}, alpha=1.5 * gaps.min(), config=mpa.MpaConfig())
+    t = 0.1 * (P[1 + gaps.argmin()] - P[0]) + 0.01 * SplitMix64(n + 1).normals(n)
+    out = benchmark(mpa.overfit_guard, model, 0, t)
+    assert out is not t and np.all(np.isfinite(out))
 
 
 def test_tracked_update_n8(benchmark):

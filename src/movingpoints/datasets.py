@@ -267,7 +267,11 @@ def standardize_apply(params: StandardizerParams, ds: Dataset) -> Dataset:
                    dropped_rows=ds.dropped_rows)
 
 
-def _jacobi_eigh(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
+_JACOBI_SWEEPS = 100  # _jacobi_eigh's cap, and its stop: an off-diagonal
+_JACOBI_TOL = 1e-14  # norm at or below _JACOBI_TOL * max(1, max|a|)
+
+
+def _jacobi_eigh(a: np.ndarray):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors-as-columns), unordered. Deterministic:
@@ -279,9 +283,9 @@ def _jacobi_eigh(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
     if n == 1:
         return a.diagonal().copy(), v
     scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= tol * scale:
+        if off <= _JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -23,7 +23,7 @@ For n = 2 and n = 3, initialization and training run on Python floats with
 every sum written in a fixed order and the plane read in closed form, so
 such a model takes no bits from the BLAS kernel that numpy picks for the
 CPU. For n >= 4 training works on arrays and carries the plane by rank-one
-updates (see fit and _Boundary).
+updates (see fit and _Boundary). Every n shares one fixed-order guard (_guard).
 """
 
 from __future__ import annotations
@@ -146,10 +146,6 @@ class MpaModel:
     @property
     def dim(self) -> int:
         return self.moving_points.shape[0]
-
-    def refresh(self) -> None:
-        """Recompute the cached hyperplane from the current points."""
-        self.hyperplane = hyperplane_from_points(self.moving_points)
 
 
 def _complement_basis(direction: np.ndarray) -> np.ndarray:
@@ -299,48 +295,48 @@ def overfit_guard(model: MpaModel, mover_index: int, t):
     t.r > 0 would shrink the gap and is projected out. Projections repeat
     until no near neighbor keeps a component above 1e-12 (projecting for
     one neighbor can re-open another), with a hard pass cap falling back
-    to a zero move. Movements pointing away from every near neighbor pass through
-    untouched: the input object itself is returned. For n = 2 and 3 this
-    is the Python-float guard of fit's loop.
+    to a zero move. Movements pointing away from every near neighbor pass
+    through untouched: the input object itself is returned. This is the
+    guard of fit's loop for every n (_guard). DimensionMismatchError unless
+    t has the model's dimension, ValueError on a non-finite component.
     """
-    alpha = model.alpha
-    P = model.moving_points
-    n = P.shape[0]
-    if n > 3:
-        return _guard(P, mover_index, t, alpha)
-    step = tuple(np.asarray(t, dtype=float).tolist())
-    if n == 2:
-        out = _guard_line(*P[mover_index].tolist(), *P[1 - mover_index].tolist(), step, alpha)
-    else:
-        out = _guard_plane3(P.tolist(), mover_index, step, alpha)
+    step = as_rows([t], model.dim)[0].tolist()
+    out = _guard(model.moving_points.tolist(), mover_index, step, model.alpha)
     return t if out is step else np.array(out)
 
 
-def _guard(P: np.ndarray, mover: int, t, alpha: float):
-    """overfit_guard on raw points: P's rows, the mover's index, its step t."""
-    diffs = P - P[mover]
-    gaps = _row_norms(diffs)
-    near = [i for i, gap in enumerate(gaps.tolist()) if gap <= alpha and i != mover]
-    if not near:
+def _guard(pts: list, mover: int, t, alpha: float):
+    """overfit_guard on Python floats, every sum in a fixed order (see _dot):
+    the points' rows pts, the mover's index and its step t. t itself comes
+    back when nothing is projected out; a zero gap gives no direction."""
+    e = pts[mover]
+    rhats = []
+    for f in pts:
+        if f is e:  # the mover: its gap, 0, would be passed over anyway
+            continue
+        g = 0.0
+        for fk, ek in zip(f, e):
+            d = fk - ek
+            g += d * d  # 0.0 + x is x: the bits of _dot(f - e, f - e)
+        gap = math.sqrt(g)
+        if 0.0 < gap <= alpha:
+            rhats.append([(fk - ek) / gap for fk, ek in zip(f, e)])
+    if not rhats:
         return t
-    rhats = diffs[near] / gaps[near, None]
-
-    t = np.asarray(t, dtype=float)
     out = t
     for _ in range(_MAX_GUARD_PASSES):
-        dots = rhats @ out
-        if not np.any(dots > _GUARD_TOL):
+        # Each neighbour closed in on at the pass's start, projected out in turn.
+        closing = [r for r in rhats if _dot(r, out) > _GUARD_TOL]
+        if not closing:
             return out
-        if out is t:
-            out = t.copy()
-        for i in np.nonzero(dots > _GUARD_TOL)[0]:
-            d = float(rhats[i] @ out)
+        for r in closing:
+            d = _dot(r, out)
             if d > _GUARD_TOL:
-                out = out - rhats[i] * d
-    return np.zeros_like(t)
+                out = [ok - rk * d for ok, rk in zip(out, r)]
+    return [0.0] * len(t)
 
 
-# n = 2 on Python floats: the steps of movement_vector and overfit_guard
+# n = 2 on Python floats: the nearest mover and the step of movement_vector
 # that fit's loop takes, every sum in a fixed order.
 
 def _nearest_line(pts: list, q0: float, q1: float) -> int:
@@ -362,27 +358,6 @@ def _step_line(c0: float, c1: float, g0: float, g1: float, scale: float,
     if nv <= EPS_DEGENERATE * scale:
         raise ZeroDisplacementError("sampled target coincides with the mover")
     return v0 / nv * step, v1 / nv * step
-
-
-def _guard_line(e0: float, e1: float, f0: float, f1: float, t: tuple,
-                alpha: float) -> tuple:
-    """_guard with the mover at (e0, e1), the other point at (f0, f1) and the
-    step t = (t0, t1); t itself comes back when nothing is projected out."""
-    r0 = f0 - e0
-    r1 = f1 - e1
-    gap = math.sqrt(r0 * r0 + r1 * r1)
-    if not 0.0 < gap <= alpha:  # a zero gap gives no direction, as in _guard
-        return t
-    r0 /= gap
-    r1 /= gap
-    out = t
-    for _ in range(_MAX_GUARD_PASSES):
-        t0, t1 = out
-        d = r0 * t0 + r1 * t1
-        if not d > _GUARD_TOL:
-            return out
-        out = (t0 - r0 * d, t1 - r1 * d)
-    return 0.0, 0.0
 
 
 # n = 3 on Python floats, the same steps with three coordinates.
@@ -408,36 +383,6 @@ def _step_plane3(c0: float, c1: float, c2: float, g0: float, g1: float, g2: floa
     if nv <= EPS_DEGENERATE * scale:
         raise ZeroDisplacementError("sampled target coincides with the mover")
     return v0 / nv * step, v1 / nv * step, v2 / nv * step
-
-
-def _guard_plane3(pts: list, mover: int, t: tuple, alpha: float) -> tuple:
-    """_guard for the three points pts = [[x, y, z], ...], the mover's index and
-    the step t = (t0, t1, t2); t itself comes back when nothing is projected out."""
-    e0, e1, e2 = pts[mover]
-    rhats = []
-    for i, (f0, f1, f2) in enumerate(pts):
-        r0 = f0 - e0
-        r1 = f1 - e1
-        r2 = f2 - e2
-        gap = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
-        if i != mover and 0.0 < gap <= alpha:  # a zero gap gives no direction
-            rhats.append((r0 / gap, r1 / gap, r2 / gap))
-    if not rhats:
-        return t
-    out = t
-    for _ in range(_MAX_GUARD_PASSES):
-        t0, t1, t2 = out
-        # As _guard: the neighbours closed in on at the start of the pass,
-        # each projected out in turn if it still is.
-        closing = [r for r in rhats if r[0] * t0 + r[1] * t1 + r[2] * t2 > _GUARD_TOL]
-        if not closing:
-            return out
-        for r0, r1, r2 in closing:
-            t0, t1, t2 = out
-            d = r0 * t0 + r1 * t1 + r2 * t2
-            if d > _GUARD_TOL:
-                out = (t0 - r0 * d, t1 - r1 * d, t2 - r2 * d)
-    return 0.0, 0.0, 0.0
 
 
 @dataclass
@@ -545,19 +490,21 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     the steps are those of the public movement_vector and overfit_guard,
     the plane that of hyperplane_from_points (_line_coeffs,
     _plane3_coeffs), read from the candidate points before a move is
-    kept, and lambda is evaluated one example at a time. For n >= 4 (_plane_epochs) they are
-    arrays: the points (model.moving_points, updated in place) and the
-    plane, carried from move to move by a rank-one update (see _Boundary),
-    so its coefficients can differ from hyperplane_from_points' in the
-    last bits; every accept-or-revert decision near a degeneracy threshold
-    still comes from a fresh build. The guard is skipped where a lower
-    bound on the gaps between points proves it idle (_guard_is_idle), which
-    changes no bit. Between moves the plane is frozen, so
-    lambdas for a whole stretch of examples are evaluated in one
-    matrix-vector product and the loop jumps directly to the next
-    misclassified example; BLAS rounds that product, so a lambda can
-    differ from signed_displacement times the pseudo sign in the last bit.
-    Either way model.hyperplane is set from a fresh
+    kept, and lambda is evaluated one example at a time. At n = 2 the
+    guard runs only when ||w|| <= alpha: ||w|| is the distance between
+    the two points bit for bit (_line_coeffs), so no projection is skipped.
+    For n >= 4 (_plane_epochs) they are arrays: the points
+    (model.moving_points, updated in place) and the plane, carried from
+    move to move by a rank-one update (see _Boundary), so its coefficients
+    can differ from hyperplane_from_points' in the last bits; every
+    accept-or-revert decision near a degeneracy threshold still comes from
+    a fresh build. The guard is skipped where a lower bound on the gaps
+    between points proves it idle (_guard_is_idle), which changes no bit.
+    Between moves the plane is frozen, so lambdas for a whole stretch of
+    examples are evaluated in one matrix-vector product and the loop jumps
+    directly to the next misclassified example; BLAS rounds that product,
+    so a lambda can differ from signed_displacement times the pseudo sign
+    in the last bit. Either way model.hyperplane is set from a fresh
     hyperplane_from_points(points) on every exit, so it always matches
     the points, bit for bit, as a reloaded model does.
     """
@@ -632,7 +579,9 @@ def _line_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
                 else:
                     log.skips[RESAMPLE_EXHAUSTED] += 1
                     continue
-                t0, t1 = _guard_line(c0, c1, f0, f1, t, alpha)
+                if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit
+                    t = _guard(pts, mover, t, alpha)
+                t0, t1 = t
                 if not (t0 or t1):
                     log.skips[GUARD_ZEROED] += 1
                     continue
@@ -693,7 +642,7 @@ def _plane3_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list
                 else:
                     log.skips[RESAMPLE_EXHAUSTED] += 1
                     continue
-                t0, t1, t2 = _guard_plane3(pts, mover, t, alpha)
+                t0, t1, t2 = _guard(pts, mover, t, alpha)
                 if not (t0 or t1 or t2):
                     log.skips[GUARD_ZEROED] += 1
                     continue
@@ -762,7 +711,8 @@ def _move(boundary: _Boundary, q: np.ndarray, lam: float, members: list[int],
     skip reason, with the points and the boundary unchanged, when no point
     moved.
 
-    _guard is skipped where the gap floor proves it idle (_guard_is_idle).
+    _guard, on P's rows as Python floats, is skipped where the gap floor
+    proves it idle (_guard_is_idle).
     """
     P = boundary.P
     mover = _nearest(P, q)
@@ -779,7 +729,7 @@ def _move(boundary: _Boundary, q: np.ndarray, lam: float, members: list[int],
     else:
         return RESAMPLE_EXHAUSTED
     if not _guard_is_idle(boundary.gap_floor, step, alpha):
-        t = _guard(P, mover, t, alpha)
+        t = np.array(_guard(P.tolist(), mover, t.tolist(), alpha))
     if not np.count_nonzero(t):
         return GUARD_ZEROED
     old = c.copy()
@@ -854,7 +804,8 @@ class _Boundary:
     the least gap is at least _MIN_GAP = 1e-140: its slack of at least
     _GAP_MARGIN * _MIN_GAP = 1e-149 covers the underflow error of the
     _REBUILD_EVERY updates' ||d|| with ten orders to spare. So when
-    gap_floor > alpha (1 + _GAP_MARGIN), every gap is above alpha.
+    gap_floor > alpha (1 + _GAP_MARGIN), every gap is above alpha, in
+    _guard's fixed-order sums as in _gap_floor's numpy ones.
     """
 
     def __init__(self, P: np.ndarray):

@@ -18,6 +18,7 @@ from movingpoints.datasets import Dataset, NonBinaryLabelsError, make_blobs
 from movingpoints.geometry import (
     EPS_DEGENERATE,
     DegeneratePointsError,
+    DimensionMismatchError,
     Hyperplane,
     hyperplane_from_points,
     line_from_points,
@@ -227,6 +228,53 @@ class TestOverfitGuard:
                 if nr <= 1e-9:
                     continue
                 assert float(t @ (r / nr)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_step_is_checked_at_the_api_edge(self, n):
+        # The guard pairs the step with each direction coordinate by
+        # coordinate, so a step of the wrong length must be refused here
+        # rather than cut short, and a non-finite one must not pass.
+        model = self.build(np.eye(n), alpha=10.0)  # every neighbour is near
+        for length in (n - 1, n + 1):
+            with pytest.raises(DimensionMismatchError):
+                overfit_guard(model, 0, np.full(length, 0.1))
+        for bad in (math.nan, math.inf, -math.inf):
+            t = np.full(n, 0.1)
+            t[-1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                overfit_guard(model, 0, t)
+
+
+class TestLineGuardSkip:
+    # _line_epochs calls _guard only when the line's ||w|| <= alpha. That
+    # skips no projection if ||w|| from _line_coeffs is the gap that _guard
+    # computes, bit for bit, for either mover. The guard shows its gap
+    # through alpha: given a unit step straight at the neighbour, it
+    # projects when gap <= alpha and returns the step itself when
+    # gap > alpha. So a projection at alpha = ||w|| and none at the float
+    # below it mean gap == ||w||. Where _line_coeffs refuses the points
+    # (no line, so fit never holds their ||w||), the gap is held to
+    # sqrt(w0*w0 + w1*w1) with w = (y1 - y2, x2 - x1), as _line_coeffs
+    # computes it.
+    @settings(max_examples=400, deadline=None)
+    @given(exponent=st.one_of(st.integers(-150, 150), st.integers(-8, 8)),
+           offset=st.sampled_from([0.0, 1e4, 1e12]),
+           coords=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           mover=st.integers(0, 1))
+    def test_line_norm_is_the_guard_gap(self, exponent, offset, coords, mover):
+        scale = 10.0 ** exponent
+        x1, y1, x2, y2 = (scale * (offset + c) for c in coords)
+        try:
+            norm_w = geometry._line_coeffs(x1, y1, x2, y2)[3]
+        except ValueError:
+            w0, w1 = y1 - y2, x2 - x1
+            norm_w = math.sqrt(w0 * w0 + w1 * w1)
+        assume(norm_w > 0.0)  # a zero gap gives the guard no direction
+        pts = [[x1, y1], [x2, y2]]
+        e, f = pts[mover], pts[1 - mover]
+        t = [(fk - ek) / norm_w for fk, ek in zip(f, e)]
+        assert mpa._guard(pts, mover, t, norm_w) is not t
+        assert mpa._guard(pts, mover, t, math.nextafter(norm_w, 0.0)) is t
 
 
 class TestGuardProperties:
@@ -457,7 +505,7 @@ class TestFit:
     ], ids=["plain", "guard", "reverts", "plain-3d", "guard-3d", "reverts-3d"])
     def test_public_step_and_guard_replay_fit_bitwise(self, eta, alpha, dim):
         # At n = 2 and 3 fit takes the steps of movement_vector and
-        # overfit_guard and the plane of MpaModel.refresh. Fed fit's
+        # overfit_guard and the plane of hyperplane_from_points. Fed fit's
         # fixed-order lambda, the plain loop through those public functions
         # lands on the same points bit for bit.
         ds = make_blobs(seed=7, std=2.5, n_per_class=25, dim=dim, center_halfwidth=4.0)
@@ -503,7 +551,7 @@ class TestFit:
                 old = model.moving_points[mover].copy()
                 model.moving_points[mover] = old + t
                 try:
-                    model.refresh()
+                    model.hyperplane = hyperplane_from_points(model.moving_points)
                 except DegeneratePointsError:
                     model.moving_points[mover] = old
                     continue
@@ -548,12 +596,14 @@ class TestEarlyStopMeansAPerfectFit:
 
 # Frozen copy of the per-move code that fit used before it ran on raw
 # arrays: movement_vector, overfit_guard, line_from_points with the
-# Hyperplane checks, and MpaModel.refresh. It must not be rewritten to
-# share code with the library. For n = 2 and n = 3 every dot product and
-# norm is written out as plain scalar arithmetic in a fixed order
-# (x0*w0 + x1*w1 + x2*w2, sqrt(d0*d0 + d1*d1 + d2*d2)), which is what fit
-# computes there on Python floats, so no n <= 3 value takes its bits from
-# BLAS; the n = 3 plane is the closed-form cross product. For n >= 4 the
+# Hyperplane checks, and the model's plane rebuilt through the points. It
+# must not be rewritten to share code with the library. For n = 2 and
+# n = 3 every dot product and norm is written out as plain scalar
+# arithmetic in a fixed order (x0*w0 + x1*w1 + x2*w2,
+# sqrt(d0*d0 + d1*d1 + d2*d2)), which is what fit computes there on Python
+# floats, so no n <= 3 value takes its bits from BLAS; the n = 3 plane is
+# the closed-form cross product. The n >= 4 guard sums in the same fixed
+# order (frozen_dot), as fit's guard does for every n. For n >= 4 the
 # plane is carried from move to move by FrozenRankOne, a plain copy of
 # the rank-one update, whose fresh builds come from hyperplane_from_points
 # (pinned to its own oracle in test_geometry) and whose accuracy
@@ -748,26 +798,41 @@ def frozen_overfit_guard(points, mover, t, alpha, stats):
         return frozen_overfit_guard_2d(points, mover, t, alpha, stats)
     if points.shape[0] == 3:
         return frozen_overfit_guard_3d(points, mover, t, alpha, stats)
-    E = points[mover]
-    others = np.delete(points, mover, axis=0)
-    gaps = np.linalg.norm(others - E, axis=1)
-    near = gaps <= alpha
-    if not np.any(near):
+    e = points[mover].tolist()
+    rhats = []
+    for i, f in enumerate(points.tolist()):
+        if i == mover:
+            continue
+        r = [fk - ek for fk, ek in zip(f, e)]
+        gap = math.sqrt(frozen_dot(r, r))
+        if 0.0 < gap <= alpha:
+            rhats.append([rk / gap for rk in r])
+    if not rhats:
         return t
-    rhats = (others[near] - E) / gaps[near, None]
-    out = t
+    out = t.tolist()
+    projected = False
     for _ in range(64):
-        dots = rhats @ out
-        if not np.any(dots > 1e-12):
-            return out
-        if out is t:
-            out = t.copy()
+        # the neighbours approached at the start of the pass, in order
+        dots = [frozen_dot(r, out) for r in rhats]
+        if not any(d > 1e-12 for d in dots):
+            return np.array(out) if projected else t
+        if not projected:
+            projected = True
             stats["projected"] += 1
-        for i in np.nonzero(dots > 1e-12)[0]:
-            d = float(rhats[i] @ out)
-            if d > 1e-12:
-                out = out - rhats[i] * d
+        for r, first in zip(rhats, dots):
+            if first > 1e-12:
+                d = frozen_dot(r, out)
+                if d > 1e-12:
+                    out = [ok - rk * d for ok, rk in zip(out, r)]
     return np.zeros_like(t)
+
+
+def frozen_dot(u, v):
+    """u[0]*v[0] + u[1]*v[1] + ..., summed left to right."""
+    total = u[0] * v[0]
+    for uk, vk in zip(u[1:], v[1:]):
+        total += uk * vk
+    return total
 
 
 def frozen_overfit_guard_2d(points, mover, t, alpha, stats):
@@ -1087,7 +1152,7 @@ class TestBoundaryTracksFreshPlane:
 
 
 def least_gaps(P):
-    """Per row of P, its least distance to another row, as _guard computes it."""
+    """Per row of P, its least distance to another row, as _gap_floor computes it."""
     out = []
     for k in range(P.shape[0]):
         gaps = mpa._row_norms(P - P[k])
