@@ -120,10 +120,10 @@ def test_train_iris_dataset_rep0(benchmark):
 
 
 # The baselines with the parameters of bench.CLASSIFIERS: the SVM's 30
-# epochs of 80 steps and the perceptron's shuffled sweeps. On grid cell
-# (2, 9) they run the unrolled n = 2 loops on Python floats; on overlap
-# cell (0, 90) the generic loops, also on Python floats. KNN (k = 3)
-# searches a cell's 80 training rows for its 100 rows.
+# epochs of 80 steps and the perceptron's shuffled sweeps, each in the loop
+# on Python floats generated for the cell's n. Grid cell (2, 9) runs them at
+# n = 2; overlap cell (0, 90)'s blobs run them at n = 3, 8 and 16. KNN
+# (k = 3) searches a cell's 80 training rows for its 100 rows.
 def svm_case(benchmark, seed, std_index, dim):
     train_ds, _, cell = cell_split(seed, std_index, dim)
     model = benchmark(baselines.linear_svm_fit, train_ds, reg=0.01, epochs=30,
@@ -146,12 +146,28 @@ def test_linear_svm_fit_overlap_0_90_dim8(benchmark):
     svm_case(benchmark, 0, 90, 8)
 
 
+def test_linear_svm_fit_overlap_0_90_dim3(benchmark):
+    svm_case(benchmark, 0, 90, 3)
+
+
+def test_linear_svm_fit_overlap_0_90_dim16(benchmark):
+    svm_case(benchmark, 0, 90, 16)
+
+
 def test_perceptron_fit_grid_2_9(benchmark):
     perceptron_case(benchmark, 2, 9, 2)
 
 
 def test_perceptron_fit_overlap_0_90_dim8(benchmark):
     perceptron_case(benchmark, 0, 90, 8)
+
+
+def test_perceptron_fit_overlap_0_90_dim3(benchmark):
+    perceptron_case(benchmark, 0, 90, 3)
+
+
+def test_perceptron_fit_overlap_0_90_dim16(benchmark):
+    perceptron_case(benchmark, 0, 90, 16)
 
 
 def knn_case(benchmark, seed, std_index, dim):

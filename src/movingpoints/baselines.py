@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .datasets import Dataset
-from .geometry import _affine, _dot, as_rows
+from .geometry import _affine, as_rows
 from .rng import SplitMix64
 
 
@@ -44,10 +44,10 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
 
     Labels map to y in {-1, +1}; every example with y*(w.x + b) <= 0
     triggers w += eta*y*x, b += eta*y. Stops early on a clean sweep, after
-    which further epochs could not change anything. The loop runs on
-    Python floats with the margin x0*w0 + x1*w1 + ... + b summed in that
-    order, so the model takes no bits from BLAS; n = 2 has its own
-    unrolled copy of the loop. ValueError unless eta is finite and
+    which further epochs could not change anything. The sweeps run on
+    Python floats in a loop generated for the data's n (_perceptron_loop),
+    with the margin x0*w0 + x1*w1 + ... + b summed in that order, so the
+    model takes no bits from BLAS. ValueError unless eta is finite and
     positive and epochs is a positive integer.
     """
     data.require_binary()
@@ -55,46 +55,8 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
         raise ValueError(f"eta must be finite and positive, got {eta}")
     _check_epochs(epochs)
     y = np.where(data.labels == 1, 1.0, -1.0).tolist()
-    rng = SplitMix64(seed)
-    if data.n == 2:
-        w0, w1, b = _perceptron_line(data.features.tolist(), y, eta, epochs, rng)
-        return PerceptronModel(weights=np.array([w0, w1]), bias=b, eta=eta, epochs=epochs,
-                               seed=seed)
-    rows = data.features.tolist()
-    w = [0.0] * data.n
-    b = 0.0
-    for _ in range(epochs):
-        updates = 0
-        for i in rng.permutation(data.m):
-            x, yi = rows[i], y[i]
-            if yi * (_dot(x, w) + b) <= 0.0:
-                s = eta * yi
-                w = [wk + s * xk for wk, xk in zip(w, x)]
-                b += s
-                updates += 1
-        if updates == 0:
-            break
+    w, b = _perceptron_loop(data.n)(data.features.tolist(), y, eta, epochs, SplitMix64(seed))
     return PerceptronModel(weights=np.array(w), bias=b, eta=eta, epochs=epochs, seed=seed)
-
-
-def _perceptron_line(rows: list, y: list, eta: float, epochs: int,
-                     rng: SplitMix64) -> tuple[float, float, float]:
-    """perceptron_fit's sweeps for n = 2 on Python floats: (w0, w1, b)."""
-    w0 = w1 = b = 0.0
-    for _ in range(epochs):
-        updates = 0
-        for i in rng.permutation(len(rows)):
-            x0, x1 = rows[i]
-            yi = y[i]
-            if yi * (x0 * w0 + x1 * w1 + b) <= 0.0:
-                s = eta * yi
-                w0 += s * x0
-                w1 += s * x1
-                b += s
-                updates += 1
-        if updates == 0:
-            break
-    return w0, w1, b
 
 
 @dataclass
@@ -175,59 +137,21 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
     Pegasos-style schedule: at global step t the rate is 1/(reg*t); each
     epoch sweeps a fresh shuffle. The bias rides along as an appended
     constant feature, so it is (lightly) regularized with the rest. The
-    loop runs on Python floats with the margin x0*w0 + x1*w1 + ... + wn
-    summed in that order, and each step rounds the shrink and then the add
-    per coordinate, as w *= shrink; w += s*x does, so the model takes no
-    bits from BLAS; n = 2 has its own unrolled copy of the loop.
-    ValueError unless reg is finite and positive and epochs is a positive
-    integer.
+    steps run on Python floats in a loop generated for the data's n
+    (_svm_loop), with the margin x0*w0 + x1*w1 + ... + wb summed in that
+    order (wb the bias, as 1.0*wb is wb), and each step rounds the shrink
+    and then the add per coordinate, as w *= shrink; w += s*x does, so the
+    model takes no bits from BLAS. ValueError unless reg is finite and
+    positive and epochs is a positive integer.
     """
     data.require_binary()
     if not 0.0 < reg < np.inf:
         raise ValueError(f"reg must be finite and positive, got {reg}")
     _check_epochs(epochs)
     y = np.where(data.labels == 1, 1.0, -1.0).tolist()
-    rng = SplitMix64(seed)
-    if data.n == 2:
-        w0, w1, w2 = _svm_line(data.features.tolist(), y, reg, epochs, rng)
-        return LinearSvmModel(weights=np.array([w0, w1]), bias=w2, reg=reg,
-                              epochs=epochs, seed=seed)
-    rows = [x + [1.0] for x in data.features.tolist()]
-    w = [0.0] * (data.n + 1)
-    for i, step, shrink in _svm_steps(rng, data.m, reg, epochs):
-        x, yi = rows[i], y[i]
-        margin = yi * _dot(x, w)
-        if margin < 1.0:
-            s = step * yi
-            w = [wk * shrink + s * xk for wk, xk in zip(w, x)]
-        else:
-            w = [wk * shrink for wk in w]
-    return LinearSvmModel(weights=np.array(w[:-1]), bias=w[-1], reg=reg,
-                          epochs=epochs, seed=seed)
-
-
-def _svm_line(rows: list, y: list, reg: float, epochs: int,
-              rng: SplitMix64) -> tuple[float, float, float]:
-    """linear_svm_fit's steps for n = 2 on Python floats: (w0, w1, w2), w2 the bias.
-
-    The shrink and then the add are applied per coordinate, as
-    w *= shrink; w += s*x does; the constant feature makes w2's terms
-    1.0*w2 = w2 and s*1.0 = s.
-    """
-    w0 = w1 = w2 = 0.0
-    for i, step, shrink in _svm_steps(rng, len(rows), reg, epochs):
-        x0, x1 = rows[i]
-        yi = y[i]
-        margin = yi * (x0 * w0 + x1 * w1 + w2)
-        w0 *= shrink
-        w1 *= shrink
-        w2 *= shrink
-        if margin < 1.0:
-            s = step * yi
-            w0 += s * x0
-            w1 += s * x1
-            w2 += s
-    return w0, w1, w2
+    rates, shrinks = _svm_schedule(float(reg), epochs * data.m)
+    w, b = _svm_loop(data.n)(data.features.tolist(), y, rates, shrinks, SplitMix64(seed))
+    return LinearSvmModel(weights=np.array(w), bias=b, reg=reg, epochs=epochs, seed=seed)
 
 
 @lru_cache(maxsize=4)
@@ -242,12 +166,84 @@ def _svm_schedule(reg: float, steps: int) -> tuple[tuple, tuple]:
     return rates, tuple(1.0 - step * reg for step in rates)
 
 
-def _svm_steps(rng: SplitMix64, m: int, reg: float, epochs: int):
-    """(example, rate, shrink) per step: each epoch a fresh shuffle of the m
-    examples, zipped with its stretch of the schedule."""
-    rates, shrinks = _svm_schedule(float(reg), epochs * m)
-    for start in range(0, epochs * m, m):
-        yield from zip(rng.permutation(m), rates[start:start + m], shrinks[start:start + m])
+# The two training loops, written out for one n: a row unpacks into the
+# locals x0..x{n-1}, each weight is a local, and each sum is spelled term by
+# term in _dot's order, so no sum() (compensated from Python 3.12), BLAS
+# call or fused multiply-add can change a bit. {w} is "w0 = w1 = ...",
+# {x} the row unpack, {margin} "x0 * w0 + x1 * w1 + ...", and {shrink} and
+# {add} hold one update line per coordinate.
+_PERCEPTRON_SOURCE = """\
+def perceptron_loop(rows, y, eta, epochs, rng):
+    {w} = b = 0.0
+    for _ in range(epochs):
+        updates = 0
+        for i in rng.permutation(len(rows)):
+            {x} = rows[i]
+            yi = y[i]
+            if yi * ({margin} + b) <= 0.0:
+                s = eta * yi
+{add}
+                b += s
+                updates += 1
+        if updates == 0:
+            break
+    return [{ws}], b
+"""
+
+_SVM_SOURCE = """\
+def svm_loop(rows, y, rates, shrinks, rng):
+    {w} = wb = 0.0
+    m = len(rows)
+    for start in range(0, len(rates), m):
+        stop = start + m
+        for i, step, shrink in zip(rng.permutation(m), rates[start:stop], shrinks[start:stop]):
+            {x} = rows[i]
+            yi = y[i]
+            margin = yi * ({margin} + wb)
+{shrink}
+            wb *= shrink
+            if margin < 1.0:
+                s = step * yi
+{add}
+                wb += s
+    return [{ws}], wb
+"""
+
+
+def _loop_source(template: str, n: int) -> str:
+    """template filled in for rows of n coordinates; ValueError if n < 1."""
+    if n < 1:
+        raise ValueError(f"rows need at least one coordinate, got {n}")
+    ks = range(n)
+    return template.format(
+        w=" = ".join(f"w{k}" for k in ks),
+        ws=", ".join(f"w{k}" for k in ks),
+        x=", ".join(f"x{k}" for k in ks) + ("," if n == 1 else ""),
+        margin=" + ".join(f"x{k} * w{k}" for k in ks),
+        shrink="\n".join(f"            w{k} *= shrink" for k in ks),
+        add="\n".join(f"                w{k} += s * x{k}" for k in ks))
+
+
+def _compile_loop(name: str, template: str, n: int):
+    """The function `name` that _loop_source(template, n) defines."""
+    namespace: dict = {}
+    exec(compile(_loop_source(template, n), f"<{name} n={n}>", "exec"), namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=32)
+def _perceptron_loop(n: int):
+    """perceptron_fit's sweeps for rows of n coordinates:
+    loop(rows, y, eta, epochs, rng) -> (weights list, bias)."""
+    return _compile_loop("perceptron_loop", _PERCEPTRON_SOURCE, n)
+
+
+@lru_cache(maxsize=32)
+def _svm_loop(n: int):
+    """linear_svm_fit's steps for rows of n coordinates, one epoch per
+    m-long stretch of the schedule: loop(rows, y, rates, shrinks, rng) ->
+    (weights list, bias)."""
+    return _compile_loop("svm_loop", _SVM_SOURCE, n)
 
 
 def linear_predict_many(model: PerceptronModel | LinearSvmModel, X) -> np.ndarray:

@@ -1,10 +1,18 @@
 """Reference classifier checks."""
 
+import hashlib
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from movingpoints import baselines
 from movingpoints.baselines import (
     knn_fit,
     knn_predict_many,
@@ -12,9 +20,9 @@ from movingpoints.baselines import (
     linear_svm_fit,
     perceptron_fit,
 )
-from movingpoints.datasets import Dataset, make_blobs
+from movingpoints.datasets import Dataset, make_blobs, train_test_split
 from movingpoints.geometry import DimensionMismatchError
-from movingpoints.rng import SplitMix64
+from movingpoints.rng import SplitMix64, derive_seed
 
 
 def toy(features, labels):
@@ -368,6 +376,44 @@ class TestBaselinesMatchFrozenLoops:
         want = frozen_linear_svm_fit(data, reg, epochs, seed)
         assert same_bits(model.weights, model.bias, *want)
 
+    # n = 1, whose generated loop unpacks a row as "x0, = rows[i]", and
+    # n = 9..16, beyond the draws above, with the tie-heavy draws.
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(1, [1e-6, 1.0, 1e6], kinds=("int", "dup", "perm")),
+           eta=st.sampled_from([0.1, 1.0, 3.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_perceptron_1d(self, data, eta, epochs, seed):
+        model = perceptron_fit(data, eta=eta, epochs=epochs, seed=seed)
+        want = frozen_perceptron_fit(data, eta, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(1, [1e-6, 1.0, 1e6], kinds=("int", "dup", "perm")),
+           reg=st.sampled_from([1e-3, 0.01, 1.0, 10.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_linear_svm_1d(self, data, reg, epochs, seed):
+        model = linear_svm_fit(data, reg=reg, epochs=epochs, seed=seed)
+        want = frozen_linear_svm_fit(data, reg, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(16, [1e-6, 1.0, 1e6], min_n=9, kinds=("int", "dup", "perm")),
+           eta=st.sampled_from([0.1, 1.0, 3.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_perceptron_ties_wide(self, data, eta, epochs, seed):
+        model = perceptron_fit(data, eta=eta, epochs=epochs, seed=seed)
+        want = frozen_perceptron_fit(data, eta, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=labeled_sets(16, [1e-6, 1.0, 1e6], min_n=9, kinds=("int", "dup", "perm")),
+           reg=st.sampled_from([1e-3, 0.01, 1.0, 10.0]),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_linear_svm_ties_wide(self, data, reg, epochs, seed):
+        model = linear_svm_fit(data, reg=reg, epochs=epochs, seed=seed)
+        want = frozen_linear_svm_fit(data, reg, epochs, seed)
+        assert same_bits(model.weights, model.bias, *want)
+
     # n up to 16: a row sum of 8 or more squares takes numpy's pairwise path.
     # Scales 1e-170 and 1e155 make squared distances underflow to 0 and
     # overflow to inf, so whole rows of distances tie.
@@ -411,3 +457,82 @@ class TestBaselinesMatchFrozenLoops:
         X = rng.integers(-3, 4, size=(12, n)) / (2.0 if half else 1.0)
         want = [frozen_knn_predict(model.points, model.labels, k, x) for x in X]
         assert knn_predict_many(model, X).tolist() == want
+
+
+# sha256 over the perceptron's and the linear SVM's weights and bias on the
+# training splits of the 30 overlap-8d cells (dataset seeds 0-2 x std
+# indices 90-99) made at dims 3 and 16, trained with the parameters of
+# bench.CLASSIFIERS and the cells' seed slots 2 and 3. The hashes were taken
+# from the loops that ran before the loops were generated per n (the
+# generic lists summed by geometry._dot), so they hold the generated loops
+# to those bits; tests/test_kernels.py pins dims 2 and 8.
+LINEAR_DIGESTS = {
+    3: "9b45ba856459ed964dec20c317e9064bb889f36b8a6b936702e476ef873b15d6",
+    16: "056df10a75d44d948aa7cfbdb612df1bd23f74b5812ba6eed2c56957ede9be84",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(LINEAR_DIGESTS))
+def test_overlap_cells_keep_their_bits(dim):
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for std_index in range(90, 100):
+            ds = make_blobs(seed=seed, std=1.0 + 0.1 * std_index, n_per_class=50, dim=dim)
+            cell = derive_seed(0, seed, std_index)
+            train, _ = train_test_split(ds, 0.2, derive_seed(cell, 0))
+            for linear in (
+                perceptron_fit(train, eta=1.0, epochs=50, seed=derive_seed(cell, 2)),
+                linear_svm_fit(train, reg=0.01, epochs=30, seed=derive_seed(cell, 3)),
+            ):
+                digest.update(linear.weights.tobytes())
+                digest.update(struct.pack("<d", linear.bias))
+    assert digest.hexdigest() == LINEAR_DIGESTS[dim]
+
+
+class TestGeneratedLoops:
+    def sources(self, n):
+        return (baselines._loop_source(baselines._PERCEPTRON_SOURCE, n),
+                baselines._loop_source(baselines._SVM_SOURCE, n))
+
+    def test_margins_are_written_in_dot_order(self):
+        perceptron, svm = self.sources(3)
+        assert "yi * (x0 * w0 + x1 * w1 + x2 * w2 + b) <= 0.0" in perceptron
+        assert "yi * (x0 * w0 + x1 * w1 + x2 * w2 + wb)" in svm
+        assert "x0, x1, x2 = rows[i]" in perceptron
+
+    def test_one_coordinate_unpacks_a_one_tuple(self):
+        for source in self.sources(1):
+            assert "x0, = rows[i]" in source
+
+    # sum() of floats is compensated from Python 3.12, and math.fsum,
+    # math.sumprod, @ and numpy each round in their own order.
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_no_sum_but_the_written_one(self, n):
+        for source in self.sources(n):
+            for name in ("sum", "@", "np."):
+                assert name not in source
+
+    def test_no_coordinates_is_refused(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            baselines._perceptron_loop(0)
+
+    def test_import_builds_no_loop(self):
+        src = str(Path(baselines.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import movingpoints.cli; from movingpoints import baselines as b; "
+                "print(b._perceptron_loop.cache_info().currsize, "
+                "b._svm_loop.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_second_fit_reuses_the_loops(self):
+        ds = make_blobs(seed=3, std=2.0, n_per_class=10, dim=5)
+        for fit, loop in ((perceptron_fit, baselines._perceptron_loop),
+                          (linear_svm_fit, baselines._svm_loop)):
+            fit(ds, seed=1)
+            first = loop.cache_info()
+            fit(ds, seed=2)
+            again = loop.cache_info()
+            assert again.misses == first.misses and again.hits == first.hits + 1
