@@ -111,8 +111,13 @@ class BenchReport:
                 out.append(Aggregate(name, float("nan"), float("nan"),
                                      float("nan"), 0, bad))
                 continue
-            mt = sum(r.train_accuracy for r in ok) / len(ok)
-            me = sum(r.test_accuracy for r in ok) / len(ok)
+            # Added in order: sum() of floats is compensated from Python 3.12.
+            mt = me = 0.0
+            for r in ok:
+                mt += r.train_accuracy
+                me += r.test_accuracy
+            mt /= len(ok)
+            me /= len(ok)
             out.append(Aggregate(name, mt, me, mt - me, len(ok), bad))
         return out
 

@@ -20,9 +20,10 @@ column i, the bias is the signed cofactor of the constant column.
 hyperplane_from_points builds this plane for every n: for n = 2 and 3
 from closed forms on Python floats, the line through two 2-D points
 (_line_coeffs) and the cross product of the plane through three 3-D
-points (_plane3_coeffs), which mpa.fit's n = 2 and n = 3 loops also
-call; for other n all n+1 cofactors come from one numerical Gaussian
-elimination (_cofactors). Every plane a model stores comes from here.
+points (_plane3_coeffs), both called with the points themselves, as the
+loop that mpa.fit generates for n = 2 and 3 also calls them; for other n
+all n+1 cofactors come from one numerical Gaussian elimination
+(_cofactors). Every plane a model stores comes from here.
 
 Training (mpa.fit) runs the elimination only at fresh builds when
 n >= 4: between them it carries the same first-row cofactors by rank-one
@@ -169,16 +170,19 @@ def _normal_norm(weights: np.ndarray, bias: float) -> float:
     return norm
 
 
-def _line_coeffs(x1: float, y1: float, x2: float, y2: float) -> tuple[float, float, float, float]:
-    """(w0, w1, bias, ||w||) of the line through (x1, y1) and (x2, y2), on Python floats.
+def _line_coeffs(p1, p2) -> tuple[float, float, float, float]:
+    """(w0, w1, bias, ||w||) of the line through two 2-D points, on Python floats.
 
-    Coefficients are (y1 - y2, x2 - x1) with constant x1*y2 - x2*y1, read
-    directly off the two-point line equation; ||w|| is
-    sqrt(w0*w0 + w1*w1), which is also the distance between the points.
-    Raises ValueError when a coordinate is not finite, DegeneratePointsError
-    when the points coincide, then the checks of :func:`_normal_norm`, in
-    that order.
+    p1 = (x1, y1) and p2 = (x2, y2) are sequences of two floats, taken as
+    _plane3_coeffs takes its three. Coefficients are (y1 - y2, x2 - x1)
+    with constant x1*y2 - x2*y1, read directly off the two-point line
+    equation; ||w|| is sqrt(w0*w0 + w1*w1), which is also the distance
+    between the points. Raises ValueError when a coordinate is not finite,
+    DegeneratePointsError when the points coincide, then the checks of
+    :func:`_normal_norm`, in that order.
     """
+    x1, y1 = p1
+    x2, y2 = p2
     if not all(map(math.isfinite, (x1, y1, x2, y2))):
         raise ValueError("point has non-finite coordinates")
     w0 = y1 - y2
@@ -292,7 +296,7 @@ def hyperplane_from_points(points) -> Hyperplane:
             f"of dimension {pts.shape[1]}"
         )
     if n == 2:
-        *weights, bias, _ = _line_coeffs(*pts.ravel().tolist())
+        *weights, bias, _ = _line_coeffs(*pts.tolist())
     elif n == 3:
         *weights, bias, _ = _plane3_coeffs(*pts.tolist())
     else:

@@ -22,8 +22,10 @@ each other closer together.
 For n = 2 and n = 3, initialization and training run on Python floats with
 every sum written in a fixed order and the plane read in closed form, so
 such a model takes no bits from the BLAS kernel that numpy picks for the
-CPU. For n >= 4 training works on arrays and carries the plane by rank-one
-updates (see fit and _Boundary). Every n shares one fixed-order guard (_guard).
+CPU; their loop is generated for each of the two n from one source
+(_fixed_order). For n >= 4 training works on arrays and carries the plane
+by rank-one updates (see fit and _Boundary). Every n shares one
+fixed-order guard (_guard).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -189,12 +192,11 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     through M perpendicular to the mean difference, and each class mean
     lands on its own side, fixing the pseudo signs.
     """
-    X0, X1 = (np.ascontiguousarray(c, dtype=float) for c in (class0_points, class1_points))
-    if len(X0) == 0 or len(X1) == 0:
+    if len(class0_points) == 0 or len(class1_points) == 0:
         raise ValueError("both classes must be non-empty")
-    X0 = as_rows(X0)
+    X0 = as_rows(class0_points)
     n = X0.shape[1]
-    X1 = as_rows(X1, n)
+    X1 = as_rows(class1_points, n)
     if n < 2:
         raise DimensionMismatchError(f"need dimension >= 2, got {n}")
 
@@ -243,14 +245,13 @@ def movement_vector(model: MpaModel, q, g, lam: float):
     is t = (v/||v||) * |eta * lambda|, i.e. length |eta*lambda| straight
     toward the sampled opposite-class point g, with eta the model's own.
     Returns (mover_index, t). For n = 2 and 3 this is the Python-float step
-    of fit's loop.
+    of fit's loop, the same generated nearest and step_to (_fixed_order).
     """
     q = as_rows([q], model.dim)[0]
     g = as_rows([g], model.dim)[0]
     step = abs(model.config.eta * lam)
     if model.dim <= 3:
-        nearest, step_to = ((_nearest_line, _step_line) if model.dim == 2
-                            else (_nearest_plane3, _step_plane3))
+        nearest, step_to, _ = _fixed_order(model.dim)
         pts = model.moving_points.tolist()
         mover = nearest(pts, *q.tolist())
         c = pts[mover]
@@ -334,55 +335,6 @@ def _guard(pts: list, mover: int, t, alpha: float):
             if d > _GUARD_TOL:
                 out = [ok - rk * d for ok, rk in zip(out, r)]
     return [0.0] * len(t)
-
-
-# n = 2 on Python floats: the nearest mover and the step of movement_vector
-# that fit's loop takes, every sum in a fixed order.
-
-def _nearest_line(pts: list, q0: float, q1: float) -> int:
-    """_nearest for the two points pts = [[x, y], [x, y]] and q = (q0, q1)."""
-    (a0, a1), (b0, b1) = pts
-    a0 -= q0
-    a1 -= q1
-    b0 -= q0
-    b1 -= q1
-    return 0 if math.sqrt(a0 * a0 + a1 * a1) <= math.sqrt(b0 * b0 + b1 * b1) else 1
-
-
-def _step_line(c0: float, c1: float, g0: float, g1: float, scale: float,
-               step: float) -> tuple[float, float]:
-    """_displacement: the step of length step from (c0, c1) toward (g0, g1)."""
-    v0 = g0 - c0
-    v1 = g1 - c1
-    nv = math.sqrt(v0 * v0 + v1 * v1)
-    if nv <= EPS_DEGENERATE * scale:
-        raise ZeroDisplacementError("sampled target coincides with the mover")
-    return v0 / nv * step, v1 / nv * step
-
-
-# n = 3 on Python floats, the same steps with three coordinates.
-
-def _nearest_plane3(pts: list, q0: float, q1: float, q2: float) -> int:
-    """_nearest for the three points pts = [[x, y, z], ...] and q = (q0, q1, q2)."""
-    dists = []
-    for p0, p1, p2 in pts:
-        d0 = p0 - q0
-        d1 = p1 - q1
-        d2 = p2 - q2
-        dists.append(math.sqrt(d0 * d0 + d1 * d1 + d2 * d2))
-    return dists.index(min(dists))  # the lowest index on ties, as argmin
-
-
-def _step_plane3(c0: float, c1: float, c2: float, g0: float, g1: float, g2: float,
-                 scale: float, step: float) -> tuple[float, float, float]:
-    """_displacement: the step of length step from (c0, c1, c2) toward (g0, g1, g2)."""
-    v0 = g0 - c0
-    v1 = g1 - c1
-    v2 = g2 - c2
-    nv = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-    if nv <= EPS_DEGENERATE * scale:
-        raise ZeroDisplacementError("sampled target coincides with the mover")
-    return v0 / nv * step, v1 / nv * step, v2 / nv * step
 
 
 @dataclass
@@ -483,9 +435,9 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     gives it to the class with pseudo sign +1.
 
     Inputs are validated once, here; the loop then works on raw values.
-    For n = 2 (_line_epochs) and n = 3 (_plane3_epochs) they are Python
-    floats: the points, the plane's w, b and ||w||, with every sum written
-    in a fixed order (x0*w0 + x1*w1 + x2*w2 + b,
+    For n = 2 and n = 3 they are Python floats in one loop generated per
+    n (_fixed_order): the points, the plane's w, b and ||w||, with every
+    sum written in a fixed order (x0*w0 + x1*w1 + x2*w2 + b,
     sqrt(d0*d0 + d1*d1 + d2*d2)), so no value depends on a BLAS kernel;
     the steps are those of the public movement_vector and overfit_guard,
     the plane that of hyperplane_from_points (_line_coeffs,
@@ -522,7 +474,7 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 
     P = model.moving_points
     log = TrainingLog()
-    epochs = {2: _line_epochs, 3: _plane3_epochs}.get(model.dim, _plane_epochs)
+    epochs = _fixed_order(model.dim)[2] if model.dim <= 3 else _plane_epochs
     try:
         # Each epoch leaves its points in P before it yields its count.
         for miss in epochs(P, X, pseudo, draws, rng, cfg, model.alpha, log):
@@ -539,126 +491,127 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     return log
 
 
-def _line_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
-                 rng: SplitMix64, cfg: MpaConfig, alpha: float, log: TrainingLog):
-    """fit's epochs for n = 2 on Python floats; yields each epoch's misclassified count.
+# fit's loop for n = 2 and n = 3, written out for one n on Python floats:
+# the coordinates of a row, a point and the plane are locals (x0.., c0..,
+# w0..), and every dot product and norm is spelled term by term in _dot's
+# order, so no BLAS call, sum() (compensated from Python 3.12) or fused
+# multiply-add can change a bit. The code runs in mpa's globals, so _guard
+# and the closed-form plane (_line_coeffs, _plane3_coeffs) are looked up
+# when they are called.
+# - nearest(pts, x0, ...): the row of pts nearest to x, the lowest index
+#   on ties, as argmin;
+# - step_to(c0, ..., g0, ..., scale, step): _displacement's step from c
+#   toward g;
+# - epochs(P, X, pseudo, draws, rng, cfg, alpha, log): yields each epoch's
+#   misclassified count; draws[j] lists the rows example j may draw. The
+#   points live in the list pts, written back into P before each yield and
+#   on every exit; a moved point enters pts only once its plane is built.
+_FIXED_ORDER_SOURCE = """\
+def nearest(pts, {x}):
+{nearest}
+    return mover
 
-    draws[j] lists the rows that example j may draw. The points live in a
-    list while an epoch runs and are written back into P before each yield
-    and on every exit; moves and skips are counted into log.
-    """
+
+def step_to({c}, {g}, scale, step):
+{v}
+    nv = math.sqrt({vv})
+    if nv <= EPS_DEGENERATE * scale:
+        raise ZeroDisplacementError("sampled target coincides with the mover")
+    return {unit}
+
+
+def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, nearest=nearest, step_to=step_to):
     rows = X.tolist()
-    row_scale = [max(abs(x0), abs(x1)) for x0, x1 in rows]  # max|X[r]|
+    row_scale = [max({abs_x}) for {x} in rows]  # max|X[r]|
     signs = pseudo.tolist()
     eta = cfg.eta
     pts = P.tolist()
-    w0, w1, b, norm_w = _line_coeffs(*pts[0], *pts[1])
+    {w}, b, norm_w = {coeffs}(*pts)
     try:
         for _epoch in range(cfg.epochs):
             miss = 0
             for j in rng.permutation(len(rows)):
-                x0, x1 = rows[j]
-                lam = (x0 * w0 + x1 * w1 + b) / norm_w * signs[j]
+                {x} = rows[j]
+                lam = ({margin} + b) / norm_w * signs[j]
                 if not lam < 0.0:
                     continue
                 miss += 1
-                mover = _nearest_line(pts, x0, x1)
-                c0, c1 = pts[mover]
-                f0, f1 = pts[1 - mover]
-                c_scale = max(1.0, abs(c0), abs(c1))
+                mover = nearest(pts, {x})
+                {c} = pts[mover]
+                c_scale = max(1.0, {abs_c})
                 step = abs(eta * lam)
                 members = draws[j]
                 for _attempt in range(1 + MAX_RESAMPLES):
                     target = members[rng.randint(len(members))]
                     try:
-                        t = _step_line(c0, c1, *rows[target],
-                                       max(c_scale, row_scale[target]), step)
+                        t = step_to({c}, *rows[target], max(c_scale, row_scale[target]), step)
                         break
                     except ZeroDisplacementError:
                         pass
                 else:
                     log.skips[RESAMPLE_EXHAUSTED] += 1
                     continue
-                if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit
-                    t = _guard(pts, mover, t, alpha)
-                t0, t1 = t
-                if not (t0 or t1):
+                {guard}
+                {t} = t
+                if not ({t_or}):
                     log.skips[GUARD_ZEROED] += 1
                     continue
-                e0 = c0 + t0
-                e1 = c1 + t1
+                e = [{e}]
                 try:
-                    if mover == 0:
-                        w0, w1, b, norm_w = _line_coeffs(e0, e1, f0, f1)
-                    else:
-                        w0, w1, b, norm_w = _line_coeffs(f0, f1, e0, e1)
+{planes}
                 except DegeneratePointsError:
                     log.skips[DEGENERATE_REVERT] += 1
                     continue
-                pts[mover] = [e0, e1]
+                pts[mover] = e
                 log.moves += 1
             P[:] = pts
             yield miss
     finally:
         P[:] = pts
+"""
 
 
-def _plane3_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
-                   rng: SplitMix64, cfg: MpaConfig, alpha: float, log: TrainingLog):
-    """fit's epochs for n = 3 on Python floats, as _line_epochs runs n = 2.
+def _fixed_order_source(n: int) -> str:
+    """_FIXED_ORDER_SOURCE filled in for n = 2 (the line) or n = 3 (the plane)."""
+    ks = range(n)
 
-    The plane is re-read from the candidate points by _plane3_coeffs before
-    a move is kept; the points are written back into P before each yield
-    and on every exit.
-    """
-    rows = X.tolist()
-    row_scale = [max(abs(x0), abs(x1), abs(x2)) for x0, x1, x2 in rows]  # max|X[r]|
-    signs = pseudo.tolist()
-    eta = cfg.eta
-    pts = P.tolist()
-    w0, w1, w2, b, norm_w = _plane3_coeffs(*pts)
-    try:
-        for _epoch in range(cfg.epochs):
-            miss = 0
-            for j in rng.permutation(len(rows)):
-                x0, x1, x2 = rows[j]
-                lam = (x0 * w0 + x1 * w1 + x2 * w2 + b) / norm_w * signs[j]
-                if not lam < 0.0:
-                    continue
-                miss += 1
-                mover = _nearest_plane3(pts, x0, x1, x2)
-                c0, c1, c2 = pts[mover]
-                c_scale = max(1.0, abs(c0), abs(c1), abs(c2))
-                step = abs(eta * lam)
-                members = draws[j]
-                for _attempt in range(1 + MAX_RESAMPLES):
-                    target = members[rng.randint(len(members))]
-                    try:
-                        t = _step_plane3(c0, c1, c2, *rows[target],
-                                         max(c_scale, row_scale[target]), step)
-                        break
-                    except ZeroDisplacementError:
-                        pass
-                else:
-                    log.skips[RESAMPLE_EXHAUSTED] += 1
-                    continue
-                t0, t1, t2 = _guard(pts, mover, t, alpha)
-                if not (t0 or t1 or t2):
-                    log.skips[GUARD_ZEROED] += 1
-                    continue
-                moved = pts[:]
-                moved[mover] = [c0 + t0, c1 + t1, c2 + t2]
-                try:
-                    w0, w1, w2, b, norm_w = _plane3_coeffs(*moved)
-                except DegeneratePointsError:
-                    log.skips[DEGENERATE_REVERT] += 1
-                    continue
-                pts = moved
-                log.moves += 1
-            P[:] = pts
-            yield miss
-    finally:
-        P[:] = pts
+    def each(term: str, sep: str = ", ") -> str:
+        return sep.join(term.format(k) for k in ks)
+
+    nearest = ["    mover = 0"]
+    for i in ks:
+        nearest.append(f"    {each('p{0}')} = pts[{i}]")
+        nearest.append(each("    d{0} = p{0} - x{0}", "\n"))
+        root = f"math.sqrt({each('d{0} * d{0}', ' + ')})"
+        nearest += ([f"    least = {root}"] if i == 0 else
+                    [f"    dist = {root}", "    if dist < least:",
+                     f"        mover = {i}", "        least = dist"])
+    coeffs = "_line_coeffs" if n == 2 else "_plane3_coeffs"
+    planes = []
+    for i in ks:
+        head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
+        args = ", ".join("e" if k == i else f"pts[{k}]" for k in ks)
+        planes += [f"                    {head}:",
+                   f"                        {each('w{0}')}, b, norm_w = {coeffs}({args})"]
+    guard = "t = _guard(pts, mover, t, alpha)"
+    if n == 2:
+        guard = ("if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit\n"
+                 f"                    {guard}")
+    return _FIXED_ORDER_SOURCE.format(
+        x=each("x{0}"), c=each("c{0}"), g=each("g{0}"), w=each("w{0}"), t=each("t{0}"),
+        nearest="\n".join(nearest), v=each("    v{0} = g{0} - c{0}", "\n"),
+        vv=each("v{0} * v{0}", " + "), unit=each("v{0} / nv * step"),
+        abs_x=each("abs(x{0})"), abs_c=each("abs(c{0})"), margin=each("x{0} * w{0}", " + "),
+        coeffs=coeffs, guard=guard, t_or=each("t{0}", " or "), e=each("c{0} + t{0}"),
+        planes="\n".join(planes))
+
+
+@lru_cache(maxsize=2)
+def _fixed_order(n: int):
+    """(nearest, step_to, epochs) of _FIXED_ORDER_SOURCE for n = 2 or 3."""
+    namespace: dict = {}
+    exec(compile(_fixed_order_source(n), f"<mpa n={n}>", "exec"), globals(), namespace)
+    return namespace["nearest"], namespace["step_to"], namespace["epochs"]
 
 
 def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from movingpoints import baselines
+from movingpoints import baselines, mpa
 from movingpoints.baselines import (
     knn_fit,
     knn_predict_many,
@@ -499,6 +499,7 @@ class TestGeneratedLoops:
         assert "yi * (x0 * w0 + x1 * w1 + x2 * w2 + b) <= 0.0" in perceptron
         assert "yi * (x0 * w0 + x1 * w1 + x2 * w2 + wb)" in svm
         assert "x0, x1, x2 = rows[i]" in perceptron
+        assert "lam = (x0 * w0 + x1 * w1 + x2 * w2 + b) / norm_w" in mpa._fixed_order_source(3)
 
     def test_one_coordinate_unpacks_a_one_tuple(self):
         for source in self.sources(1):
@@ -508,7 +509,8 @@ class TestGeneratedLoops:
     # math.sumprod, @ and numpy each round in their own order.
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
     def test_no_sum_but_the_written_one(self, n):
-        for source in self.sources(n):
+        mpa_loop = (mpa._fixed_order_source(n),) if n in (2, 3) else ()
+        for source in self.sources(n) + mpa_loop:
             for name in ("sum", "@", "np."):
                 assert name not in source
 
@@ -520,12 +522,12 @@ class TestGeneratedLoops:
         src = str(Path(baselines.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import movingpoints.cli; from movingpoints import baselines as b; "
+        code = ("import movingpoints.cli; from movingpoints import baselines as b, mpa; "
                 "print(b._perceptron_loop.cache_info().currsize, "
-                "b._svm_loop.cache_info().currsize)")
+                "b._svm_loop.cache_info().currsize, mpa._fixed_order.cache_info().currsize)")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == ["0", "0"]
+        assert proc.stdout.split() == ["0", "0", "0"]
 
     def test_second_fit_reuses_the_loops(self):
         ds = make_blobs(seed=3, std=2.0, n_per_class=10, dim=5)

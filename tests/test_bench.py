@@ -76,6 +76,13 @@ class TestReportAggregation:
         b = BenchReport(records=list(reversed(self.records()))).aggregates()
         assert a == b
 
+    def test_means_are_added_in_order(self):
+        # Left to right, ten 0.1s add to 0.9999999999999999; a compensated
+        # sum (sum() from Python 3.12) would give 1.0 and a mean of 0.1.
+        rep = BenchReport(records=[RunRecord(f"d{i}", "mpa", 0.1, 0.1) for i in range(10)])
+        agg = rep.aggregates()[0]
+        assert agg.mean_train == agg.mean_test == 0.09999999999999999
+
     def test_failure_count(self):
         rep = BenchReport(records=self.records())
         assert rep.failure_count == 1

@@ -73,7 +73,7 @@ class TestLineFromPoints:
         # A point moved to infinity fails as non-finite; it is not a
         # coincidence to revert (inf <= EPS_DEGENERATE * inf would say so).
         with pytest.raises(ValueError) as info:
-            _line_coeffs(*e, 0.0, 1.0)
+            _line_coeffs(e, (0.0, 1.0))
         assert type(info.value) is ValueError
 
 
@@ -322,7 +322,7 @@ class TestNormPastFloatRange:
     # as it refuses coefficients that are not finite.
     @pytest.mark.parametrize("build, args", [
         pytest.param(_plane3_coeffs, [(0, 0, 0), (0, 1e155, 0), (0, 0, 1e147)], id="plane3"),
-        pytest.param(_line_coeffs, [0, 0, 1e155, 0], id="line"),
+        pytest.param(_line_coeffs, [(0, 0), (1e155, 0)], id="line"),
         pytest.param(lambda *pts: hyperplane_from_points(pts), [(0, 0), (1e155, 0)],
                      id="hyperplane_from_points"),
         pytest.param(lambda *pts: line_from_points(*pts), [(0, 0), (1e155, 0)],
@@ -338,7 +338,7 @@ class TestNormPastFloatRange:
     @pytest.mark.parametrize("scale", [1e153, 1e100])
     def test_finite_norm_keeps_its_bits(self, scale):
         # ||w|| = 1e306 and 1e200: below the float range, built as before
-        assert _line_coeffs(0.0, 0.0, scale, 0.0) == (0.0, scale, 0.0, scale)
+        assert _line_coeffs((0.0, 0.0), (scale, 0.0)) == (0.0, scale, 0.0, scale)
 
 
 class TestSignedDisplacement:

@@ -4,8 +4,11 @@ a frozen copy of the object-level per-move code to pin the raw-array
 loop bit for bit, and random walks that hold the rank-one plane update
 to a fresh build."""
 
+import hashlib
 import json
 import math
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -90,8 +93,9 @@ class TestInitialize:
         ([[]], r"expected a 1-D point, got shape \(0,\)"),
         ([], "both classes must be non-empty"),
         (np.zeros((0, 2)), "both classes must be non-empty"),
+        ([[0.0, 1.0], [2.0]], "rows differ in length"),
     ], ids=["non-finite", "2-D point", "scalar point", "empty point", "no points",
-            "no rows"])
+            "no rows", "ragged"])
     def test_bad_class_points_are_refused(self, c0, message):
         c1 = np.array([[3.0, 0.0], [5.0, 0.0]])
         with pytest.raises(ValueError, match=message):
@@ -246,7 +250,7 @@ class TestOverfitGuard:
 
 
 class TestLineGuardSkip:
-    # _line_epochs calls _guard only when the line's ||w|| <= alpha. That
+    # fit's n = 2 loop calls _guard only when the line's ||w|| <= alpha. That
     # skips no projection if ||w|| from _line_coeffs is the gap that _guard
     # computes, bit for bit, for either mover. The guard shows its gap
     # through alpha: given a unit step straight at the neighbour, it
@@ -265,7 +269,7 @@ class TestLineGuardSkip:
         scale = 10.0 ** exponent
         x1, y1, x2, y2 = (scale * (offset + c) for c in coords)
         try:
-            norm_w = geometry._line_coeffs(x1, y1, x2, y2)[3]
+            norm_w = geometry._line_coeffs((x1, y1), (x2, y2))[3]
         except ValueError:
             w0, w1 = y1 - y2, x2 - x1
             norm_w = math.sqrt(w0 * w0 + w1 * w1)
@@ -1029,6 +1033,103 @@ class TestFitMatchesFrozenLoop:
         assert 0 < len(calls) < ref["moves"]
 
 
+# sha256 over n = 2 and n = 3 trains: per blob seed 0-3, scale 1e-6, 1 and
+# 1e6 and (eta, alpha / scale) setting below, the model document and the
+# TrainingLog, then 5 movement_vector steps of the trained model, or the
+# name of the error train raised. The digests were taken from the
+# hand-written n = 2 and n = 3 loops that ran before the loop was generated
+# per n, so they hold the generated loop to those bits.
+SMALL_N_SETTINGS = ((0.01, None), (0.3, 8.0), (6.0, None))  # plain, guard-, revert-heavy
+SMALL_N_DIGESTS = {
+    2: "91eb53d730b5e35445327c86dbfeb516b6f34ac20d54779b1657124117b5f75d",
+    3: "7d624c7be93a964ec6be9c73bec21f07475d0869a6fd1c4f2cda716418316c27",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(SMALL_N_DIGESTS))
+def test_small_n_trains_keep_their_bits(dim, monkeypatch):
+    seen = {"projected": 0, "reverted": 0, "trained": 0}
+    guard = mpa._guard
+
+    def counting(pts, mover, t, alpha):
+        out = guard(pts, mover, t, alpha)
+        seen["projected"] += out is not t
+        return out
+
+    monkeypatch.setattr(mpa, "_guard", counting)
+    digest = hashlib.sha256()
+    for scale in (1e-6, 1.0, 1e6):
+        for eta, alpha_factor in SMALL_N_SETTINGS:
+            for seed in range(4):
+                ds = make_blobs(seed=seed, std=2.5, n_per_class=25, dim=dim,
+                                center_halfwidth=4.0)
+                ds = Dataset(ds.features * scale, ds.labels)
+                alpha = None if alpha_factor is None else alpha_factor * scale
+                try:
+                    model, log = train(ds, MpaConfig(eta=eta, epochs=30, alpha=alpha,
+                                                     seed=seed))
+                except ValueError as exc:
+                    digest.update(type(exc).__name__.encode())
+                    continue
+                seen["trained"] += 1
+                seen["reverted"] += log.skips[mpa.DEGENERATE_REVERT]
+                digest.update(mpa.model_document(model).encode())
+                digest.update(json.dumps(asdict(log), sort_keys=True).encode())
+                X = ds.features
+                for k in range(5):
+                    try:
+                        mover, t = movement_vector(model, X[k], X[-1 - k], -0.5)
+                    except ZeroDisplacementError:
+                        digest.update(b"zero")
+                        continue
+                    digest.update(struct.pack("<q", mover) + t.tobytes())
+    assert min(seen.values()) > 0, seen
+    assert digest.hexdigest() == SMALL_N_DIGESTS[dim]
+
+
+class TestMovementVectorMatchesFrozen:
+    # The public step at n = 2 and 3 is fit's generated nearest and
+    # step_to, held here to the frozen per-move code bit for bit. With
+    # mirror set, row j is row i with coordinate k negated and the query
+    # has 0 there, so the two distances tie exactly and the lower index
+    # must win. g is drawn free or as one of the rows: on the mover both
+    # sides must refuse the step. Scales 2^-500 and 2^500 reach squares
+    # that fall below the normal range and others near 2^1000. The model
+    # is built on the identity and then given the points, which need not
+    # define a plane.
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from([2, 3]), exponent=st.sampled_from([-500, 0, 500]),
+           mirror=st.booleans(), eta=st.sampled_from([5e-5, 0.3, 6.0]),
+           lam=st.floats(-4.0, 4.0), data=st.data())
+    def test_bit_identical(self, n, exponent, mirror, eta, lam, data):
+        scale = 2.0 ** exponent
+        unit = st.floats(-1.0, 1.0)
+        P = data.draw(hnp.arrays(float, (n, n), elements=unit)) * scale
+        q = data.draw(hnp.arrays(float, n, elements=unit)) * scale
+        if mirror:
+            i, j = sorted(data.draw(st.permutations(range(n)))[:2])
+            k = data.draw(st.integers(0, n - 1))
+            P[j] = P[i]
+            P[j, k] = -P[i, k]
+            q[k] = 0.0
+        row = data.draw(st.sampled_from([None, *range(n)]))
+        g = data.draw(hnp.arrays(float, n, elements=unit)) * scale if row is None else P[row]
+        model = MpaModel(np.eye(n), {0: -1, 1: 1}, alpha=0.0, config=MpaConfig(eta=eta))
+        model.moving_points = P
+
+        def outcome(step):
+            try:
+                mover, t = step()
+            except ZeroDisplacementError:
+                return "refused"
+            return mover, t.tobytes()
+
+        got = outcome(lambda: movement_vector(model, q, g, lam))
+        assert got == outcome(lambda: frozen_movement_vector(P, q, g, lam, eta))
+        if row is not None and got != "refused":
+            assert got[0] != row
+
+
 def walk_boundary(n, scale, seed, steps):
     """Random moves of n points through mpa._Boundary, each held to a fresh build.
 
@@ -1292,18 +1393,18 @@ class TestHyperplaneMatchesPointsOnExit:
         line = mpa._line_coeffs
         seen = []
 
-        def failing(*coords):
-            seen.append(coords)
+        def failing(*points):
+            seen.append(points)
             if len(seen) == 40:
                 raise RuntimeError("line failure")
-            return line(*coords)
+            return line(*points)
 
         monkeypatch.setattr(mpa, "_line_coeffs", failing)
         with pytest.raises(RuntimeError):
             fit(model, ds)
         monkeypatch.undo()
-        x1, y1, x2, y2 = seen[-2]  # the last line built, with no revert here
-        assert model.moving_points.tolist() == [[x1, y1], [x2, y2]]
+        # The last line built, with no revert here.
+        assert model.moving_points.tolist() == list(map(list, seen[-2]))
         want = line_from_points(model.moving_points[0], model.moving_points[1])
         assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
         assert model.hyperplane.bias == want.bias
