@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from movingpoints import geometry, mpa
+from movingpoints import bench, geometry, mpa
 from movingpoints.datasets import Dataset, NonBinaryLabelsError, make_blobs
 from movingpoints.geometry import (
     EPS_DEGENERATE,
@@ -1085,6 +1085,60 @@ def test_small_n_trains_keep_their_bits(dim, monkeypatch):
                     digest.update(struct.pack("<q", mover) + t.tobytes())
     assert min(seen.values()) > 0, seen
     assert digest.hexdigest() == SMALL_N_DIGESTS[dim]
+
+
+# Two sha256 per n >= 4, over trains at scales 1e-6, 1 and 1e6, each
+# SMALL_N_SETTINGS setting and blob seeds 0-2. The first covers each
+# TrainingLog, or the name of the error train raised, then the reports of
+# run_synthetic_cell(seed, 95, dim) for seeds 0-2. It was taken while the
+# n >= 4 step still came from BLAS, and holds the fixed-order step to the
+# same logs and reports. The second covers the model documents, whose last
+# bits the fixed-order step changed.
+LARGE_N_DIGESTS = {
+    4: ("e795b59bb31c2a948b014f694bc72045411dae447defcabd25a177dc9e6fda5b",
+        "920c419cf9396eccb436c0d3eb1a5f6a8170278ace10d60c5a2059c62c2d8815"),
+    5: ("6f132236e6718d497b3447c10b9ca90fc9a9ce75419a065d8966906a30bf9d3a",
+        "1b1b44da30e930eb4de28979af58b7dabf8dc5eacc93df0320de6f44747736ab"),
+    8: ("3b183dac00b1cbf043bb789baefc472e48a78ad37c9ea4997abb53b82e5ad181",
+        "af874b69bcc0fb3fd666e3184e26e0dd8880191e0d98ba4b1644691d60be64d5"),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(LARGE_N_DIGESTS))
+def test_large_n_trains_keep_their_logs(dim, monkeypatch):
+    seen = {"projected": 0, "reverted": 0, "trained": 0}
+    guard = mpa._guard
+
+    def counting(pts, mover, t, alpha):
+        out = guard(pts, mover, t, alpha)
+        seen["projected"] += out is not t
+        return out
+
+    monkeypatch.setattr(mpa, "_guard", counting)
+    logs, models = hashlib.sha256(), hashlib.sha256()
+    for scale in (1e-6, 1.0, 1e6):
+        for eta, alpha_factor in SMALL_N_SETTINGS:
+            for seed in range(3):
+                ds = make_blobs(seed=seed, std=2.5, n_per_class=25, dim=dim,
+                                center_halfwidth=4.0)
+                ds = Dataset(ds.features * scale, ds.labels)
+                alpha = None if alpha_factor is None else alpha_factor * scale
+                try:
+                    model, log = train(ds, MpaConfig(eta=eta, epochs=30, alpha=alpha,
+                                                     seed=seed))
+                except ValueError as exc:
+                    logs.update(type(exc).__name__.encode())
+                    continue
+                seen["trained"] += 1
+                seen["reverted"] += log.skips[mpa.DEGENERATE_REVERT]
+                logs.update(json.dumps(asdict(log), sort_keys=True).encode())
+                models.update(mpa.model_document(model).encode())
+    for seed in range(3):
+        records = bench.run_synthetic_cell(seed, 95, dim=dim)
+        logs.update(bench.report_text(bench.BenchReport(records=records)).encode())
+    assert seen["trained"] > 0 and seen["projected"] > 0, seen
+    assert seen["reverted"] > 0 or dim == 8, seen  # no setting here reverts at n = 8
+    assert (logs.hexdigest(), models.hexdigest()) == LARGE_N_DIGESTS[dim]
 
 
 class TestMovementVectorMatchesFrozen:
