@@ -10,7 +10,7 @@ with the cell's parameters and seed slot. One more training case times
 the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
 plane cases time ``hyperplane_from_points`` on Gaussian points, one
 rank-one update of the plane that ``mpa.fit`` carries between fresh
-builds (n >= 4), and one whole n >= 4 move (``mpa._move``). The guard
+builds (n >= 4), and one whole n >= 4 move (``mpa._move``) at n = 8 and 16. The guard
 cases time ``mpa.overfit_guard`` at n = 2, 3 and 8 on a step that it
 projects, so they put the per-n cost of the one shared guard on record.
 The cell cases time one whole grid cell and the fixed cost around its
@@ -226,12 +226,13 @@ def test_tracked_update_n8(benchmark):
     assert boundary.updates == 1
 
 
-def test_move_overlap_0_90_dim8(benchmark):
-    # One move of mpa._plane_epochs, guard decision and tracked update
-    # included: that of the first misclassified example of the first epoch
-    # of overlap cell (0, 90). Each round starts from the fit's initial
-    # points, boundary and random stream, so every round makes this move.
-    train_ds, _, cell = cell_split(0, 90, 8)
+def move_setup(seed: int, std_index: int, dim: int):
+    """pedantic setup for one move of mpa._plane_epochs, guard decision and
+    tracked update included: that of the first misclassified example of
+    the first epoch of cell (seed, std_index) at dim. Each round starts
+    from the fit's initial points, boundary and random stream, so every
+    round makes this move."""
+    train_ds, _, cell = cell_split(seed, std_index, dim)
     cfg = cell_config(cell)
     model = mpa.initialize(train_ds.class_points(0), train_ds.class_points(1), cfg)
     X, y = train_ds.features, train_ds.labels
@@ -242,6 +243,7 @@ def test_move_overlap_0_90_dim8(benchmark):
     j = next(j for j in first if (X[j] @ w + b) * pseudo[j] < 0)
     lam = float((X[j] @ w + b) / np.linalg.norm(w) * pseudo[j])
     members = clusters[1 - int(y[j])].members.tolist()
+    rows = X.tolist()
     row_scale = np.abs(X).max(axis=1).tolist()
     P0 = model.moving_points.copy()
 
@@ -249,11 +251,23 @@ def test_move_overlap_0_90_dim8(benchmark):
         P = P0.copy()
         rng = SplitMix64(cfg.seed)
         rng.permutation(len(y))
-        return (mpa._Boundary(P), X[j], lam, members, X, row_scale, rng, cfg.eta,
+        return (mpa._Boundary(P), rows[j], lam, members, rows, row_scale, rng, cfg.eta,
                 model.alpha), {}
 
-    out = benchmark.pedantic(mpa._move, setup=setup, rounds=2000)
+    return setup
+
+
+def test_move_overlap_0_90_dim8(benchmark):
+    out = benchmark.pedantic(mpa._move, setup=move_setup(0, 90, 8), rounds=2000)
     assert not isinstance(out, str)  # the point moved
+
+
+# The nearest-point search is O(n^2) Python float operations per move;
+# cell (2, 99) is the first dim-16 cell with a misclassified example at
+# its initial plane.
+def test_move_cell_2_99_dim16(benchmark):
+    out = benchmark.pedantic(mpa._move, setup=move_setup(2, 99, 16), rounds=2000)
+    assert not isinstance(out, str)
 
 
 def test_epoch_overlap_0_90_dim8(benchmark):

@@ -25,6 +25,7 @@ such a model takes no bits from the BLAS kernel that numpy picks for the
 CPU; their loop is generated for each of the two n from one source
 (_fixed_order). For n >= 4 training works on arrays and carries the plane
 by rank-one updates (see fit and _Boundary). Every n shares one
+fixed-order step, generated per n from the same source, and one
 fixed-order guard (_guard).
 """
 
@@ -214,12 +215,7 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     pts[0] = mid
     pts[1:] = mid + s * _complement_basis(d)
 
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dists = np.linalg.norm(diffs, axis=2).tolist()
-    pairs = [d for i, row in enumerate(dists) for d in row[i + 1:]]
-    # np.min's answer: NaN if any distance is NaN.
-    min_dist = math.nan if any(map(math.isnan, pairs)) else min(pairs)
-    alpha = cfg.alpha if cfg.alpha is not None else 0.1 * min_dist
+    alpha = cfg.alpha if cfg.alpha is not None else 0.1 * _least_gap(pts)
 
     # The model builds the plane; the pseudo signs are then read off it.
     model = MpaModel(pts, {0: -1, 1: 1}, alpha, cfg)
@@ -244,48 +240,17 @@ def movement_vector(model: MpaModel, q, g, lam: float):
     With mover c, u = c - q and w = g - q give v = w - u = g - c; the step
     is t = (v/||v||) * |eta * lambda|, i.e. length |eta*lambda| straight
     toward the sampled opposite-class point g, with eta the model's own.
-    Returns (mover_index, t). For n = 2 and 3 this is the Python-float step
-    of fit's loop, the same generated nearest and step_to (_fixed_order).
+    Returns (mover_index, t). For every n this is the Python-float step of
+    fit's loop, the generated nearest and step_to (_fixed_order).
     """
     q = as_rows([q], model.dim)[0]
-    g = as_rows([g], model.dim)[0]
-    step = abs(model.config.eta * lam)
-    if model.dim <= 3:
-        nearest, step_to, _ = _fixed_order(model.dim)
-        pts = model.moving_points.tolist()
-        mover = nearest(pts, *q.tolist())
-        c = pts[mover]
-        gl = g.tolist()
-        scale = max(1.0, *map(abs, c), *map(abs, gl))  # coordinate_scale(c, g)
-        return mover, np.array(step_to(*c, *gl, scale, step))
-    mover = _nearest(model.moving_points, q)
-    c = model.moving_points[mover]
-    return mover, _displacement(c, g, coordinate_scale(c, g), step)
-
-
-def _row_norms(D: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(D, axis=1) with its bits: sqrt of the row sums of D*D."""
-    return np.sqrt(np.add.reduce(D * D, axis=1))
-
-
-def _nearest(P: np.ndarray, q: np.ndarray) -> int:
-    """Row of P nearest to q; argmin takes the lowest index on ties."""
-    return int(_row_norms(P - q).argmin())
-
-
-def _displacement(c: np.ndarray, g: np.ndarray, scale: float, step: float) -> np.ndarray:
-    """Vector of length step from c toward g.
-
-    scale is coordinate_scale(c, g); ZeroDisplacementError when g sits on c
-    relative to it.
-    """
-    v = g - c
-    nv = math.sqrt(v.dot(v))
-    if nv <= EPS_DEGENERATE * scale:
-        raise ZeroDisplacementError("sampled target coincides with the mover")
-    v /= nv
-    v *= step
-    return v
+    g = as_rows([g], model.dim)[0].tolist()
+    nearest, step_to, _ = _fixed_order(model.dim)
+    pts = model.moving_points.tolist()
+    mover = nearest(pts, *q.tolist())
+    c = pts[mover]
+    scale = max(1.0, *map(abs, c), *map(abs, g))  # coordinate_scale(c, g)
+    return mover, np.array(step_to(*c, *g, scale, abs(model.config.eta * lam)))
 
 
 def overfit_guard(model: MpaModel, mover_index: int, t):
@@ -447,11 +412,14 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     the two points bit for bit (_line_coeffs), so no projection is skipped.
     For n >= 4 (_plane_epochs) they are arrays: the points
     (model.moving_points, updated in place) and the plane, carried from
-    move to move by a rank-one update (see _Boundary), so its coefficients
-    can differ from hyperplane_from_points' in the last bits; every
-    accept-or-revert decision near a degeneracy threshold still comes from
-    a fresh build. The guard is skipped where a lower bound on the gaps
-    between points proves it idle (_guard_is_idle), which changes no bit.
+    move to move by a rank-one update (see _Boundary), so its
+    coefficients can differ from hyperplane_from_points' in the last
+    bits; every accept-or-revert decision near a degeneracy threshold
+    still comes from a fresh build. Each move reads the points as Python
+    floats for the step, the same generated nearest and step_to as at
+    n <= 3 and in movement_vector, and for the guard. The guard is
+    skipped where a lower bound on the gaps between points proves it idle
+    (_guard_is_idle), which changes no bit.
     Between moves the plane is frozen, so lambdas for a whole stretch of
     examples are evaluated in one matrix-vector product and the loop jumps
     directly to the next misclassified example; BLAS rounds that product,
@@ -491,22 +459,23 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     return log
 
 
-# fit's loop for n = 2 and n = 3, written out for one n on Python floats:
-# the coordinates of a row, a point and the plane are locals (x0.., c0..,
-# w0..), and every dot product and norm is spelled term by term in _dot's
-# order, so no BLAS call, sum() (compensated from Python 3.12) or fused
-# multiply-add can change a bit. The code runs in mpa's globals, so _guard
-# and the closed-form plane (_line_coeffs, _plane3_coeffs) are looked up
-# when they are called.
+# fit's step for every n, and its loop for n = 2 and n = 3, written out
+# for one n on Python floats: the coordinates of a row, a point and the
+# plane are locals (x0.., c0.., w0..), and every dot product and norm is
+# spelled term by term in _dot's order, so no BLAS call, sum() (compensated
+# from Python 3.12) or fused multiply-add can change a bit. The code runs
+# in mpa's globals, so _guard and the closed-form plane (_line_coeffs,
+# _plane3_coeffs) are looked up when they are called.
 # - nearest(pts, x0, ...): the row of pts nearest to x, the lowest index
 #   on ties, as argmin;
-# - step_to(c0, ..., g0, ..., scale, step): _displacement's step from c
-#   toward g;
+# - step_to(c0, ..., g0, ..., scale, step): the step of length step from c
+#   toward g; ZeroDisplacementError when g sits on c relative to scale,
+#   coordinate_scale(c, g);
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log): yields each epoch's
 #   misclassified count; draws[j] lists the rows example j may draw. The
 #   points live in the list pts, written back into P before each yield and
 #   on every exit; a moved point enters pts only once its plane is built.
-_FIXED_ORDER_SOURCE = """\
+_STEP_SOURCE = """\
 def nearest(pts, {x}):
 {nearest}
     return mover
@@ -518,7 +487,8 @@ def step_to({c}, {g}, scale, step):
     if nv <= EPS_DEGENERATE * scale:
         raise ZeroDisplacementError("sampled target coincides with the mover")
     return {unit}
-
+"""
+_EPOCHS_SOURCE = """
 
 def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, nearest=nearest, step_to=step_to):
     rows = X.tolist()
@@ -572,7 +542,8 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, nearest=nearest, step_to=s
 
 
 def _fixed_order_source(n: int) -> str:
-    """_FIXED_ORDER_SOURCE filled in for n = 2 (the line) or n = 3 (the plane)."""
+    """_STEP_SOURCE filled in for n, then for n = 2 (the line) and n = 3
+    (the plane) _EPOCHS_SOURCE."""
     ks = range(n)
 
     def each(term: str, sep: str = ", ") -> str:
@@ -586,6 +557,11 @@ def _fixed_order_source(n: int) -> str:
         nearest += ([f"    least = {root}"] if i == 0 else
                     [f"    dist = {root}", "    if dist < least:",
                      f"        mover = {i}", "        least = dist"])
+    fields = dict(x=each("x{0}"), c=each("c{0}"), nearest="\n".join(nearest))
+    source = _STEP_SOURCE.format(**fields, g=each("g{0}"), v=each("    v{0} = g{0} - c{0}", "\n"),
+                                 vv=each("v{0} * v{0}", " + "), unit=each("v{0} / nv * step"))
+    if n > 3:
+        return source
     coeffs = "_line_coeffs" if n == 2 else "_plane3_coeffs"
     planes = []
     for i in ks:
@@ -597,21 +573,20 @@ def _fixed_order_source(n: int) -> str:
     if n == 2:
         guard = ("if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit\n"
                  f"                    {guard}")
-    return _FIXED_ORDER_SOURCE.format(
-        x=each("x{0}"), c=each("c{0}"), g=each("g{0}"), w=each("w{0}"), t=each("t{0}"),
-        nearest="\n".join(nearest), v=each("    v{0} = g{0} - c{0}", "\n"),
-        vv=each("v{0} * v{0}", " + "), unit=each("v{0} / nv * step"),
-        abs_x=each("abs(x{0})"), abs_c=each("abs(c{0})"), margin=each("x{0} * w{0}", " + "),
-        coeffs=coeffs, guard=guard, t_or=each("t{0}", " or "), e=each("c{0} + t{0}"),
+    return source + _EPOCHS_SOURCE.format(
+        **fields, w=each("w{0}"), t=each("t{0}"), abs_x=each("abs(x{0})"),
+        abs_c=each("abs(c{0})"), margin=each("x{0} * w{0}", " + "), coeffs=coeffs,
+        guard=guard, t_or=each("t{0}", " or "), e=each("c{0} + t{0}"),
         planes="\n".join(planes))
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=32)
 def _fixed_order(n: int):
-    """(nearest, step_to, epochs) of _FIXED_ORDER_SOURCE for n = 2 or 3."""
+    """(nearest, step_to, epochs) of _fixed_order_source(n); epochs is None
+    for n >= 4, whose loop is _plane_epochs."""
     namespace: dict = {}
     exec(compile(_fixed_order_source(n), f"<mpa n={n}>", "exec"), globals(), namespace)
-    return namespace["nearest"], namespace["step_to"], namespace["epochs"]
+    return namespace["nearest"], namespace["step_to"], namespace.get("epochs")
 
 
 def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
@@ -621,6 +596,7 @@ def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
     P's rows move in place; the plane is carried by _Boundary.
     """
     m = X.shape[0]
+    rows = X.tolist()
     row_scale = np.abs(X).max(axis=1).tolist()  # coordinate_scale(c, g) = max(that of c, this)
     boundary = _Boundary(P)
     w, b, norm_w = boundary.plane
@@ -643,8 +619,9 @@ def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
             if not wrong[k]:
                 break
             miss += 1
-            out = _move(boundary, Xo[i + k], lam.item(k), draws[order[i + k]],
-                        X, row_scale, rng, cfg.eta, alpha)
+            j = order[i + k]
+            out = _move(boundary, rows[j], lam.item(k), draws[j], rows, row_scale, rng,
+                        cfg.eta, alpha)
             if isinstance(out, str):
                 log.skips[out] += 1
             else:
@@ -654,39 +631,41 @@ def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
         yield miss
 
 
-def _move(boundary: _Boundary, q: np.ndarray, lam: float, members: list[int],
-          X: np.ndarray, row_scale: list[float], rng: SplitMix64,
+def _move(boundary: _Boundary, q: list[float], lam: float, members: list[int],
+          rows: list[list[float]], row_scale: list[float], rng: SplitMix64,
           eta: float, alpha: float):
     """One guarded move of the point of boundary.P nearest q toward a drawn member.
 
-    members are row indices into X, row_scale[r] is max|X[r]|. The points
-    are updated in place. Returns the new boundary (w, b, ||w||), or the
-    skip reason, with the points and the boundary unchanged, when no point
-    moved.
-
-    _guard, on P's rows as Python floats, is skipped where the gap floor
-    proves it idle (_guard_is_idle).
+    members index rows, the training rows as Python floats, and
+    row_scale[r] is max|rows[r]|. The step is fit's for every n, the
+    generated nearest and step_to (_fixed_order), on P's rows as Python
+    floats; _guard is skipped where the gap floor proves it idle
+    (_guard_is_idle). The points are updated in place. Returns the new
+    boundary (w, b, ||w||), or the skip reason, with the points and the
+    boundary unchanged, when no point moved.
     """
     P = boundary.P
-    mover = _nearest(P, q)
-    c = P[mover]
+    pts = P.tolist()
+    nearest, step_to, _ = _fixed_order(len(pts))
+    mover = nearest(pts, *q)
+    c = pts[mover]
     c_scale = max(1.0, boundary.row_max[mover])  # coordinate_scale(c)
     step = abs(eta * lam)
     for _attempt in range(1 + MAX_RESAMPLES):
         target = members[rng.randint(len(members))]
         try:
-            t = _displacement(c, X[target], max(c_scale, row_scale[target]), step)
+            t = step_to(*c, *rows[target], max(c_scale, row_scale[target]), step)
             break
         except ZeroDisplacementError:
             pass
     else:
         return RESAMPLE_EXHAUSTED
     if not _guard_is_idle(boundary.gap_floor, step, alpha):
-        t = np.array(_guard(P.tolist(), mover, t.tolist(), alpha))
-    if not np.count_nonzero(t):
+        t = _guard(pts, mover, t, alpha)
+    if not any(t):
         return GUARD_ZEROED
-    old = c.copy()
-    c += t  # c is P's row, so this moves the point
+    old = P[mover].copy()
+    P[mover] += t
     try:
         return boundary.moved(mover, old)
     except DegeneratePointsError:
@@ -823,13 +802,21 @@ def _guard_is_idle(gap_floor: float, step: float, alpha: float) -> bool:
 
 
 def _gap_floor(P: np.ndarray) -> float:
-    """_Boundary's fresh gap_floor: the least computed distance between two
-    rows of P times 1 - _GAP_MARGIN, or 0.0 when it is below _MIN_GAP."""
-    n = P.shape[0]
-    gaps = _row_norms((P[:, None, :] - P[None, :, :]).reshape(n * n, -1))
-    gaps[::n + 1] = math.inf  # each row's distance to itself
-    least = float(gaps.min())
+    """_Boundary's fresh gap_floor: _least_gap(P) times 1 - _GAP_MARGIN, or
+    0.0 when it is below _MIN_GAP."""
+    least = _least_gap(P)
     return least * (1.0 - _GAP_MARGIN) if least >= _MIN_GAP else 0.0
+
+
+def _least_gap(P: np.ndarray) -> float:
+    """The least distance between two rows of P, NaN if any distance is NaN
+    (np.min's rule); each distance has np.linalg.norm's bits, the sqrt of a
+    row sum of squares."""
+    n = P.shape[0]
+    D = (P[:, None, :] - P[None, :, :]).reshape(n * n, -1)
+    gaps = np.sqrt(np.add.reduce(D * D, axis=1))
+    gaps[::n + 1] = math.inf  # each row's distance to itself
+    return float(gaps.min())
 
 
 def _rank_one(Minv: np.ndarray, coeffs: np.ndarray, row: int, d: np.ndarray):

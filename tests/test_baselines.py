@@ -507,12 +507,19 @@ class TestGeneratedLoops:
 
     # sum() of floats is compensated from Python 3.12, and math.fsum,
     # math.sumprod, @ and numpy each round in their own order.
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
     def test_no_sum_but_the_written_one(self, n):
-        mpa_loop = (mpa._fixed_order_source(n),) if n in (2, 3) else ()
-        for source in self.sources(n) + mpa_loop:
+        mpa_step = (mpa._fixed_order_source(n),) if n >= 2 else ()
+        for source in self.sources(n) + mpa_step:
             for name in ("sum", "@", "np."):
                 assert name not in source
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_large_n_mpa_source_has_no_loop(self, n):
+        # n >= 4 takes only the step; its loop is mpa._plane_epochs.
+        source = mpa._fixed_order_source(n)
+        assert "def nearest(" in source and "def step_to(" in source
+        assert "def epochs(" not in source
 
     def test_no_coordinates_is_refused(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
