@@ -91,7 +91,7 @@ def test_derive_seed_cell(benchmark):
 def test_near_clusters_grid_2_9(benchmark):
     train_ds, _, _ = cell_split(2, 9, 2)
     clusters = benchmark(mpa.near_clusters, train_ds, mpa.MpaConfig().near_cluster_percentile)
-    assert all(clusters[label].members.size > 0 for label in (0, 1))
+    assert all(clusters[label].size > 0 for label in (0, 1))
 
 
 def test_initialize_grid_2_9(benchmark):
@@ -242,7 +242,7 @@ def move_setup(seed: int, std_index: int, dim: int):
     first = SplitMix64(cfg.seed).permutation(len(y))
     j = next(j for j in first if (X[j] @ w + b) * pseudo[j] < 0)
     lam = float((X[j] @ w + b) / np.linalg.norm(w) * pseudo[j])
-    members = clusters[1 - int(y[j])].members.tolist()
+    members = clusters[1 - int(y[j])].tolist()
     rows = X.tolist()
     row_scale = np.abs(X).max(axis=1).tolist()
     P0 = model.moving_points.copy()

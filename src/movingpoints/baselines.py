@@ -25,7 +25,7 @@ class EmptyModelError(ValueError):
 
 
 def _check_epochs(epochs) -> None:
-    if not (isinstance(epochs, Integral) and epochs >= 1):
+    if isinstance(epochs, bool) or not (isinstance(epochs, Integral) and epochs >= 1):
         raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
 
 
@@ -67,10 +67,8 @@ class KnnModel:
 
 
 def knn_fit(data: Dataset, k: int = 3) -> KnnModel:
-    if data.m == 0:
-        raise EmptyModelError("no training points")
-    if not (1 <= k <= data.m):
-        raise ValueError(f"k must be in 1..{data.m}, got {k}")
+    if isinstance(k, bool) or not (isinstance(k, Integral) and 1 <= k <= data.m):
+        raise ValueError(f"k must be an integer in 1..{data.m}, got {k!r}")
     return KnnModel(points=data.features.copy(), labels=data.labels.copy(), k=k)
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import bench, mpa
 from .datasets import Dataset, InvalidParamsError, _read_csv, load_csv
+from .geometry import as_rows
 from .mpa import MpaConfig
 
 
@@ -316,12 +317,13 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
     Class 0 renders as circles, class 1 as squares; moving points as
     crosses. The boundary is clipped to the data bounding box padded by
     10% per axis. Deterministic text output: fixed 2-decimal pixel
-    coordinates, and the axis names escaped as XML text.
+    coordinates, and the axis names escaped as XML text. The features and
+    moving points pass geometry.as_rows; RefuseNon2DError unless both are 2-D.
     """
-    X = np.asarray(features, dtype=float)
+    X = as_rows(features)
     y = np.asarray(labels, dtype=int)
-    mp = np.asarray(moving_points, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 2 or mp.shape != (2, 2):
+    mp = as_rows(moving_points)
+    if X.shape[1] != 2 or mp.shape != (2, 2):
         raise RefuseNon2DError("plotting requires 2-D data and a 2-D model")
     # Imported here: xml.sax.saxutils loads urllib.request, about 45 ms
     # of start-up that every other command would pay.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EPS_DEGENERATE
+from .geometry import EPS_DEGENERATE, as_rows
 from .rng import SplitMix64
 
 
@@ -62,6 +62,7 @@ class DegenerateSplitError(ValueError):
 class Dataset:
     """An m x n feature matrix with binary labels.
 
+    The features are checked by geometry.as_rows and must hold a row.
     feature_names is optional display metadata; dropped_rows records how
     many input rows a loader discarded for missing/unparseable values.
     """
@@ -72,14 +73,10 @@ class Dataset:
     dropped_rows: int = 0
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=float)
+        X = as_rows(self.features)
         y = np.asarray(self.labels, dtype=int)
-        if X.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {X.shape}")
         if X.shape[0] == 0:
             raise EmptyDatasetError("dataset has no rows")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("features contain non-finite values")
         if y.shape != (X.shape[0],):
             raise ValueError(
                 f"labels length {y.shape} does not match {X.shape[0]} rows"
@@ -250,8 +247,6 @@ class StandardizerParams:
 
 
 def standardize_fit(train: Dataset) -> StandardizerParams:
-    if train.m == 0:
-        raise EmptyDatasetError("cannot standardize an empty dataset")
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)  # population (ddof 0)
     return StandardizerParams(mean=mean, std=std)

@@ -1,11 +1,10 @@
 """Vectors, hyperplanes, and the bordered-determinant construction.
 
-Points are plain 1-D float64 numpy arrays (validated by :func:`as_vector`),
-and a set of points is a C-ordered (m, n) array, one point per row
-(validated by :func:`as_rows`). A hyperplane is stored as the coefficients
-of its implicit equation ``weights . x + bias = 0``; no normalization is
-imposed, so two coefficient sets that differ by a nonzero scalar describe
-the same flat.
+A set of points is a C-ordered (m, n) float64 array, one point per row;
+every point set the library takes is validated by :func:`as_rows`. A
+hyperplane is stored as the coefficients of its implicit equation
+``weights . x + bias = 0``; no normalization is imposed, so two
+coefficient sets that differ by a nonzero scalar describe the same flat.
 
 Construction from n points in n dimensions expands the bordered
 determinant
@@ -51,27 +50,15 @@ class DegeneratePointsError(ValueError):
     """The points cannot define a unique hyperplane."""
 
 
-def as_vector(coords) -> np.ndarray:
-    """Validate and return a point as a 1-D float64 array.
-
-    Rejects empty vectors and non-finite coordinates.
-    """
-    v = np.asarray(coords, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-D point, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("point has non-finite coordinates")
-    return v
-
-
 def as_rows(points, n: int | None = None) -> np.ndarray:
     """Validate and return points as a C-ordered (m, n) float64 array.
 
-    The row twin of as_vector: every row must be a point with finite
-    coordinates, n wide when n is given. DimensionMismatchError on a bad
-    shape, ragged rows included, ValueError on a non-finite coordinate or
-    one that is not a number. Zero rows pass. The C order makes a mean over
-    axis 0 add the rows one after another, whatever the layout of the input.
+    Every row must be a point, one or more finite coordinates, n wide when
+    n is given; a single point is checked as the set [point].
+    DimensionMismatchError on a bad shape, ragged rows included, ValueError
+    on a non-finite coordinate or one that is not a number. Zero rows pass.
+    The C order makes a mean over axis 0 add the rows one after another,
+    whatever the layout of the input.
     """
     try:
         X = np.ascontiguousarray(points, dtype=float)
@@ -126,7 +113,7 @@ class Hyperplane:
     bias: float
 
     def __post_init__(self):
-        w = as_vector(self.weights)
+        w = as_rows([self.weights])[0]
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
         _normal_norm(w, self.bias)
@@ -312,11 +299,7 @@ def hyperplane_from_points(points) -> Hyperplane:
 
 def line_from_points(e, f) -> Hyperplane:
     """Line through two distinct 2-D points: hyperplane_from_points([e, f])."""
-    e = as_vector(e)
-    f = as_vector(f)
-    if e.size != 2 or f.size != 2:
-        raise DimensionMismatchError("line_from_points requires 2-D points")
-    return hyperplane_from_points([e, f])
+    return hyperplane_from_points(as_rows([e, f], 2))
 
 
 def signed_displacement(h: Hyperplane, x) -> float:

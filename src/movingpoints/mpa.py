@@ -125,7 +125,7 @@ class MpaModel:
 
     def __init__(self, moving_points, pseudo_sign, alpha: float,
                  config: MpaConfig, feature_names=None):
-        pts = np.asarray(moving_points, dtype=float)
+        pts = as_rows(moving_points)
         n = pts.shape[0]
         if pts.shape != (n, n) or n < 2:
             raise DimensionMismatchError(
@@ -302,20 +302,9 @@ def _guard(pts: list, mover: int, t, alpha: float):
     return [0.0] * len(t)
 
 
-@dataclass
-class NearCluster:
-    """A class's mean and the indices of its inlying training points."""
-
-    mean: np.ndarray
-    members: np.ndarray
-
-    def __post_init__(self):
-        if self.members.size == 0:
-            raise ValueError("near cluster must be non-empty")
-
-
 def near_clusters(data: Dataset, percentile: float) -> dict:
-    """Per class: members within the percentile radius of the class mean.
+    """Per class label: the indices of the class's members within the
+    percentile radius of the class mean.
 
     The radius is the given percentile of that class's distances to its own
     mean, so the cut never empties (the nearest point always qualifies);
@@ -332,7 +321,7 @@ def near_clusters(data: Dataset, percentile: float) -> dict:
         keep = idx[dist <= radius]
         if keep.size == 0:
             keep = idx[[int(np.argmin(dist))]]
-        out[label] = NearCluster(mean=mean, members=keep)
+        out[label] = keep
     return out
 
 
@@ -436,7 +425,7 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     rng = SplitMix64(cfg.seed)
     y = data.labels
     # Per example, the members of the opposite class's near cluster.
-    opposite = [clusters[1].members.tolist(), clusters[0].members.tolist()]
+    opposite = [clusters[1].tolist(), clusters[0].tolist()]
     draws = [opposite[label] for label in y.tolist()]
     pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0]).astype(float)
 
@@ -905,7 +894,7 @@ def parse_model_document(text: str) -> MpaModel:
     if "moving_points" not in doc:
         raise ValueError("model document has no moving_points field")
     try:
-        pts = np.array(doc["moving_points"], dtype=float)
+        pts = as_rows(doc["moving_points"])
         pseudo_sign = {int(k): int(v) for k, v in doc["pseudo_sign"].items()}
     except (TypeError, OverflowError) as exc:  # an object, a list or an infinity
         raise ValueError(f"moving_points and pseudo_sign must hold finite numbers: "

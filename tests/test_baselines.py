@@ -76,7 +76,7 @@ class TestPerceptron:
         with pytest.raises(ValueError, match="eta must be finite and positive"):
             perceptron_fit(two_blobs, eta=eta)
 
-    @pytest.mark.parametrize("epochs", [0, -2, 2.5, float("inf"), None])
+    @pytest.mark.parametrize("epochs", [0, -2, 2.5, float("inf"), None, True])
     def test_epochs_must_be_a_positive_integer(self, two_blobs, epochs):
         with pytest.raises(ValueError, match="epochs must be a positive integer"):
             perceptron_fit(two_blobs, epochs=epochs)
@@ -106,6 +106,10 @@ class TestKnn:
             knn_fit(ds, k=0)
         with pytest.raises(ValueError):
             knn_fit(ds, k=3)
+        # A bool is an Integral, not a count; a float k fails np.partition.
+        for k in (True, np.True_, 2.0, 1.5):
+            with pytest.raises(ValueError, match="k must be an integer in 1..2"):
+                knn_fit(ds, k=k)
 
     def test_separable_blobs(self, two_blobs):
         model = knn_fit(two_blobs, k=3)
@@ -164,7 +168,7 @@ class TestLinearSvm:
         with pytest.raises(ValueError, match="reg must be finite and positive"):
             linear_svm_fit(two_blobs, reg=reg)
 
-    @pytest.mark.parametrize("epochs", [0, -2, 2.5, float("inf"), None])
+    @pytest.mark.parametrize("epochs", [0, -2, 2.5, float("inf"), None, True])
     def test_epochs_must_be_a_positive_integer(self, two_blobs, epochs):
         with pytest.raises(ValueError, match="epochs must be a positive integer"):
             linear_svm_fit(two_blobs, epochs=epochs)

@@ -1,6 +1,9 @@
 """Geometry checks: hand-worked values plus numpy oracles."""
 
+import inspect
+import json
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from movingpoints import geometry
+from movingpoints.cli import RefuseNon2DError, render_scatter_svg
 from movingpoints.geometry import (
     EPS_DEGENERATE,
     EPS_ON_PLANE,
@@ -16,7 +21,7 @@ from movingpoints.geometry import (
     Hyperplane,
     _line_coeffs,
     _plane3_coeffs,
-    as_vector,
+    as_rows,
     coordinate_scale,
     hyperplane_from_points,
     line_from_points,
@@ -31,8 +36,15 @@ from movingpoints.baselines import (
     linear_svm_fit,
     perceptron_fit,
 )
-from movingpoints.datasets import make_blobs
-from movingpoints.mpa import MpaConfig, predict_many, train
+from movingpoints.datasets import Dataset, make_blobs
+from movingpoints.mpa import (
+    MpaConfig,
+    MpaModel,
+    model_document,
+    parse_model_document,
+    predict_many,
+    train,
+)
 from movingpoints.rng import SplitMix64
 
 
@@ -154,7 +166,7 @@ def oracle_determinant(matrix) -> float:
 
 def oracle_plane(points) -> Hyperplane:
     """The bordered-determinant plane with one elimination per minor."""
-    pts = np.asarray([as_vector(p) for p in points], dtype=float)
+    pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     if pts.shape != (n, n):
         raise DimensionMismatchError(f"got shape {pts.shape}")
@@ -409,7 +421,7 @@ class TestRegionSign:
 
 def scalar_region_sign(h: Hyperplane, x) -> int:
     """The side rule for one point, as region_sign computed it on its own."""
-    x = as_vector(x)
+    x = np.asarray(x, dtype=float)
     raw = float(h.weights @ x + h.bias)
     scale = max(1.0, float(np.max(np.abs(h.weights))) * float(np.max(np.abs(x))),
                 abs(h.bias))
@@ -489,3 +501,100 @@ def test_every_predictor_refuses_a_bad_row(predictor, X, error):
     with pytest.raises(error) as info:
         PREDICTORS[predictor]()(X)
     assert type(info.value) is error
+
+
+# Each way a point set can be malformed, and the error as_rows gives it.
+BAD_POINT_SETS = {
+    "nan": ValueError,
+    "inf": ValueError,
+    "ragged": DimensionMismatchError,
+    "wrong-width": DimensionMismatchError,
+    "3-d": DimensionMismatchError,
+    "zero-columns": DimensionMismatchError,
+}
+
+
+def bad_points(case, m, n=2):
+    """m points of n coordinates, malformed as BAD_POINT_SETS' case says."""
+    rows = [[float(n * i + j + 1) for j in range(n)] for i in range(m)]
+    if case in ("nan", "inf"):
+        rows[-1][0] = float(case)
+    elif case == "ragged" and m > 1:
+        rows[-1].pop()
+    elif case == "ragged":  # one point is ragged by a sequence for a coordinate
+        rows[-1].append([1.0])
+    elif case == "wrong-width":
+        for row in rows:
+            row.append(0.0)
+    elif case == "3-d":
+        return np.repeat(np.array(rows)[:, :, None], 2, axis=2)
+    elif case == "zero-columns":
+        return np.zeros((m, 0))
+    return rows
+
+
+PLANE = Hyperplane(np.array([1.0, -1.0]), 0.5)
+MODEL_DOCUMENT = json.loads(model_document(
+    MpaModel([[0.0, 0.5], [1.0, 1.5]], {0: -1, 1: 1}, 0.0, MpaConfig())))
+
+
+def with_points(pts) -> str:
+    """MODEL_DOCUMENT with its moving points replaced by pts."""
+    points = np.asarray(pts, dtype=object).tolist()
+    return json.dumps({**MODEL_DOCUMENT, "moving_points": points})
+
+
+# Entry point: (how many points it takes, the width it asks as_rows for or
+# None when it has none or refuses a wrong width itself, the call).
+ENTRY_POINTS = {
+    "Dataset": (2, None, lambda pts: Dataset(pts, [0, 1])),
+    "Hyperplane": (1, None, lambda pts: Hyperplane(pts[0], 0.5)),
+    "line_from_points": (2, 2, lambda pts: line_from_points(*pts)),
+    "MpaModel": (2, None, lambda pts: MpaModel(pts, {0: -1, 1: 1}, 0.0, MpaConfig())),
+    "parse_model_document": (2, None, lambda pts: parse_model_document(with_points(pts))),
+    "render_scatter_svg-features": (
+        2, None, lambda pts: render_scatter_svg(pts, [0, 1], PLANE, [[0.0, 0.5], [1.0, 1.5]])),
+    "render_scatter_svg-moving_points": (
+        2, None, lambda pts: render_scatter_svg(BLOBS.features, BLOBS.labels, PLANE, pts)),
+    "predict_many": (3, 2, lambda pts: PREDICTORS["mpa.predict_many"]()(pts)),
+    "knn_predict_many": (3, 2, lambda pts: PREDICTORS["knn"]()(pts)),
+}
+
+
+class TestOneRowCheck:
+    """Every point set the library takes passes geometry.as_rows."""
+
+    @pytest.mark.parametrize("entry, case", [
+        (entry, case) for entry, (_, width, _) in ENTRY_POINTS.items()
+        for case in BAD_POINT_SETS if case != "wrong-width" or width is not None])
+    def test_refused_as_as_rows_refuses_it(self, entry, case):
+        m, width, call = ENTRY_POINTS[entry]
+        pts = bad_points(case, m)
+        with pytest.raises(ValueError) as want:
+            as_rows(pts, width)
+        assert type(want.value) is BAD_POINT_SETS[case]
+        with pytest.raises(ValueError) as got:
+            call(pts)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("entry, error", [
+        ("MpaModel", DimensionMismatchError),
+        ("parse_model_document", ValueError),
+        ("render_scatter_svg-features", RefuseNon2DError),
+        ("render_scatter_svg-moving_points", RefuseNon2DError),
+    ])
+    def test_wrong_width_is_refused_by_the_entry_point(self, entry, error):
+        m, _, call = ENTRY_POINTS[entry]
+        with pytest.raises(error) as info:
+            call(bad_points("wrong-width", m))
+        assert type(info.value) is error
+
+    def test_no_finite_check_but_as_rows(self):
+        # math.isfinite on Python floats is another matter: it checks
+        # coordinates that no array holds.
+        assert inspect.getsource(as_rows).count("np.isfinite") == 1
+        src = Path(geometry.__file__).parent
+        hits = {path.name: path.read_text(encoding="utf-8").count("np.isfinite")
+                for path in sorted(src.glob("*.py"))}
+        assert {name: count for name, count in hits.items() if count} == {"geometry.py": 1}

@@ -355,10 +355,8 @@ class TestGuardProperties:
 class TestNearClusters:
     def test_full_percentile_keeps_everyone(self, two_blobs):
         out = near_clusters(two_blobs, 100.0)
-        assert out[0].members.size == 50
-        assert out[1].members.size == 50
-        np.testing.assert_allclose(out[0].mean,
-                                   two_blobs.class_points(0).mean(axis=0))
+        assert out[0].size == 50
+        assert out[1].size == 50
 
     def test_membership_rule(self, two_blobs):
         out = near_clusters(two_blobs, 50.0)
@@ -369,13 +367,13 @@ class TestNearClusters:
             dist = np.linalg.norm(pts - mean, axis=1)
             radius = np.percentile(dist, 50.0)
             want = set(idx[dist <= radius].tolist())
-            assert set(out[label].members.tolist()) == want
+            assert set(out[label].tolist()) == want
             assert 0 < len(want) < idx.size
 
     def test_members_index_into_dataset(self, two_blobs):
         out = near_clusters(two_blobs, 50.0)
-        assert np.all(two_blobs.labels[out[0].members] == 0)
-        assert np.all(two_blobs.labels[out[1].members] == 1)
+        assert np.all(two_blobs.labels[out[0]] == 0)
+        assert np.all(two_blobs.labels[out[1]] == 1)
 
     # The radius comes from mpa._percentile on sorted Python floats; it must
     # give np.percentile's bits. Small integers make exact ties, and large
@@ -537,7 +535,7 @@ class TestFit:
                 if lam >= 0:
                     continue
                 miss += 1
-                members = clusters[1 - int(y[j])].members
+                members = clusters[1 - int(y[j])]
                 pair = None
                 for _attempt in range(1 + mpa.MAX_RESAMPLES):
                     g = X[members[rng.randint(members.size)]]
@@ -940,7 +938,7 @@ def frozen_fit(model, ds, cfg):
             j = rows[k]
             miss += 1
             i += k + 1
-            members = clusters[1 - int(y[j])].members
+            members = clusters[1 - int(y[j])]
             pair = None
             for _attempt in range(1 + mpa.MAX_RESAMPLES):
                 g = X[members[rng.randint(members.size)]]
@@ -1278,6 +1276,19 @@ class TestBoundaryTracksFreshPlane:
     def test_random_walk(self, n, exponent, seed):
         with np.errstate(all="ignore"):
             worst = walk_boundary(n, 10.0 ** exponent, seed, steps=300)
+        assert worst <= self.BOUND
+
+    # Draws on which the tracked plane drifts past BOUND: 2.63e-8, 2.50e-7
+    # and 2.74e-8. Right after a fresh build of an ill-conditioned bordered
+    # matrix, an update with a small residual can still be far from the
+    # exact plane. Pinned so that every run reports the open defect, not
+    # only one where hypothesis happens to draw them.
+    @pytest.mark.xfail(strict=True, reason="the rank-one update drifts past BOUND at n = 3")
+    @pytest.mark.parametrize("n, scale, seed", [
+        (3, 1e4, 82736416941182), (3, 1e3, 19267), (3, 1e3, 7896)])
+    def test_recorded_draw(self, n, scale, seed):
+        with np.errstate(all="ignore"):
+            worst = walk_boundary(n, scale, seed, steps=300)
         assert worst <= self.BOUND
 
     def test_rebuild_every_64_updates(self, monkeypatch):
