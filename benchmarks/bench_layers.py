@@ -2,7 +2,10 @@
 
 Run with ``python -m pytest benchmarks/bench_layers.py``. The file name
 does not match ``test_*.py``, so a plain ``pytest`` run never collects it.
-Most cases rebuild the split of one `bench synthetic` cell exactly as
+The generator cases time ``SplitMix64.permutation(80)`` on a fresh and
+a warm stream and ``randint(40)`` on a warm one; one more case times the
+closed-form line ``_line_coeffs`` that every n = 2 move rebuilds. Most
+cases rebuild the split of one `bench synthetic` cell exactly as
 ``bench.run_synthetic_cell`` does. The training cases time ``mpa.train``
 on it and check that moves plus skips add up to the misclassified visits
 and that the points stay finite; the baseline cases time one classifier
@@ -34,7 +37,7 @@ from movingpoints.datasets import (
     standardize_fit,
     train_test_split,
 )
-from movingpoints.geometry import hyperplane_from_points
+from movingpoints.geometry import _line_coeffs, hyperplane_from_points
 from movingpoints.rng import SplitMix64, derive_seed
 
 
@@ -62,6 +65,18 @@ def test_permutation_80_warm(benchmark):
     stream = SplitMix64(12345)
     perm = benchmark(stream.permutation, 80)
     assert sorted(perm) == list(range(80))
+
+
+# One near-cluster draw of an MPA move, on a warm stream.
+def test_randint_40_warm(benchmark):
+    stream = SplitMix64(12345)
+    assert 0 <= benchmark(stream.randint, 40) < 40
+
+
+# The closed-form line that an n = 2 MPA move rebuilds through its two points.
+def test_line_coeffs(benchmark):
+    w0, w1, bias, norm = benchmark(_line_coeffs, [0.25, -1.5], [2.0, 3.75])
+    assert (w0, w1, norm) == (-5.25, 1.75, (w0 * w0 + w1 * w1) ** 0.5)
 
 
 # Grid cell (0, 9) separates at initialization (0 moves: set-up plus one

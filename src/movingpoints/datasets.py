@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -321,8 +322,8 @@ class PcaParams:
 
 def pca_fit(train: Dataset, k: int) -> PcaParams:
     n = train.n
-    if not (1 <= k <= n):
-        raise InvalidKError(f"k must be in 1..{n}, got {k}")
+    if isinstance(k, bool) or not (isinstance(k, Integral) and 1 <= k <= n):
+        raise InvalidKError(f"k must be an integer in 1..{n}, got {k!r}")
     if train.m < 2:
         raise EmptyDatasetError("PCA needs at least 2 rows")
     mean = train.features.mean(axis=0)

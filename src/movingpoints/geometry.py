@@ -166,15 +166,17 @@ def _line_coeffs(p1, p2) -> tuple[float, float, float, float]:
     equation; ||w|| is sqrt(w0*w0 + w1*w1), which is also the distance
     between the points. Raises ValueError when a coordinate is not finite,
     DegeneratePointsError when the points coincide, then the checks of
-    :func:`_normal_norm`, in that order.
+    :func:`_normal_norm`, in that order. Each coordinate enters one
+    difference, so a non-finite one always makes ||w|| non-finite: the
+    coordinates are tested only when ||w|| is not finite.
     """
     x1, y1 = p1
     x2, y2 = p2
-    if not all(map(math.isfinite, (x1, y1, x2, y2))):
-        raise ValueError("point has non-finite coordinates")
     w0 = y1 - y2
     w1 = x2 - x1
     norm = math.sqrt(w0 * w0 + w1 * w1)
+    if not math.isfinite(norm) and not all(map(math.isfinite, (x1, y1, x2, y2))):
+        raise ValueError("point has non-finite coordinates")
     # coordinate_scale of the two points, on the Python floats.
     if norm <= EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2)):
         raise DegeneratePointsError("the two points coincide")
@@ -197,14 +199,16 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     of _cofactors; ||w|| is sqrt(w0*w0 + w1*w1 + w2*w2). Raises what the
     elimination path of hyperplane_from_points raises, in its order, with
     its threshold EPS_DEGENERATE * max(1, max|p|)^2, then the checks of
-    :func:`_normal_norm`.
+    :func:`_normal_norm`. A non-finite coordinate makes a component of u
+    or v non-finite, and its products with the other vector's two other
+    components (x * inf and x * nan are never finite) make two components
+    of w, and so ||w||, non-finite: the coordinates are tested only when
+    ||w|| is not finite.
     """
     a0, a1, a2 = p1
     b0, b1, b2 = p2
     c0, c1, c2 = p3
     coords = (a0, a1, a2, b0, b1, b2, c0, c1, c2)
-    if not all(map(math.isfinite, coords)):
-        raise ValueError("point has non-finite coordinates")
     u0 = b0 - a0
     u1 = b1 - a1
     u2 = b2 - a2
@@ -215,6 +219,8 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     w1 = u2 * v0 - u0 * v2
     w2 = u0 * v1 - u1 * v0
     norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    if not math.isfinite(norm) and not all(map(math.isfinite, coords)):
+        raise ValueError("point has non-finite coordinates")
     # coordinate_scale of the three points, on the Python floats.
     scale = max(1.0, *map(abs, coords))
     if norm <= _degeneracy_threshold(scale, 2):

@@ -21,10 +21,18 @@ Streaming discipline, fixed for all consumers:
   sqrt(-2 ln((u53 + 1) * 2^-53)) * cos(2 pi * v53 * 2^-53)
   where u53/v53 are the top 53 bits. The sine counterpart is discarded.
 * bounded integer in [0, n): rejection sampling on raw words, accepting
-  w < 2^64 - (2^64 mod n), returning w mod n. Unbiased.
+  w < 2^64 - (2^64 mod n), returning w mod n. Unbiased. For n <= 2^32
+  the bound is above _SAFE = 2^64 - 2^32 (2^64 mod n < n), so every
+  word below _SAFE is accepted and the draw is w mod n with no bound
+  arithmetic. Each refill records the buffer index of its first word
+  >= _SAFE (about one word in 2^32), and a draw from below that index
+  takes this fast path; every other draw (a word at or past it, or
+  n > 2^32) runs the exact test, which gives the same value or rejects.
 * shuffle: Fisher-Yates from the last index down, j = randint(i + 1).
-  The n-1 words are one slice of the buffer, each accepted by randint's
-  test; from the first rejected word on, the draws are scalar randint.
+  The n-1 words are one slice of the buffer. A slice below the first
+  word >= _SAFE is taken as w mod (i + 1) whole; otherwise each word is
+  checked by randint's test, and from the first rejected word on the
+  draws are scalar randint.
 """
 
 from __future__ import annotations
@@ -37,11 +45,14 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _TWO53 = float(1 << 53)
+_SAFE = (1 << 64) - (1 << 32)  # every word below it is accepted by randint(n), n <= 2^32
+_SAFE_N = 1 << 32
 _BLOCK = 1024  # words mixed per refill; faster than 256 on overlap-8d
 _GAMMA_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _U_MIX1, _U_MIX2, _U11, _U27, _U30, _U31 = (
     np.uint64(c) for c in (_MIX1, _MIX2, 11, 27, 30, 31))
+_U_SAFE = np.uint64(_SAFE)
 
 
 def _word_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -75,12 +86,16 @@ class SplitMix64:
         self._base = 0  # stream index of _buf[0]
         self._pos = 0  # buffer index of the next word
         self._buf = _GAMMA_STEPS[:0]
+        self._safe_end = 0  # buffer index of the first word >= _SAFE, or its size
 
     def _take(self, count: int) -> np.ndarray:
         """The next `count` words, as a view of the buffer."""
         if self._pos + count > self._buf.size:
             self._base += self._pos
-            self._buf = _word_block(self._seed, self._base, max(count, _BLOCK))
+            self._buf = buf = _word_block(self._seed, self._base, max(count, _BLOCK))
+            unsafe = buf >= _U_SAFE
+            first = int(unsafe.argmax())  # the first word >= _SAFE, or 0 if none
+            self._safe_end = first if unsafe[first] else buf.size
             self._pos = 0
         self._pos += count
         return self._buf[self._pos - count:self._pos]
@@ -113,6 +128,10 @@ class SplitMix64:
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased."""
+        pos = self._pos
+        if pos < self._safe_end and 0 < n <= _SAFE_N:
+            self._pos = pos + 1
+            return self._buf.item(pos) % n
         if n <= 0:
             raise ValueError("randint bound must be positive")
         bound = _MASK + 1 - ((_MASK + 1) % n)
@@ -123,8 +142,10 @@ class SplitMix64:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
-        for i, j in zip(range(len(items) - 1, 0, -1), self._swap_targets(len(items))):
+        i = len(items) - 1
+        for j in self._swap_targets(len(items)):
             items[i], items[j] = items[j], items[i]
+            i -= 1
 
     def _swap_targets(self, n: int) -> list[int]:
         """randint(i + 1) for i = n-1 down to 1: the same values from the same words."""
@@ -132,6 +153,8 @@ class SplitMix64:
             return []
         words = self._take(n - 1)
         bounds, limits = _swap_tables(n)
+        if self._pos <= self._safe_end and n <= _SAFE_N:  # every word below _SAFE
+            return (words % bounds).tolist()
         accepted = words <= limits
         first = int(accepted.argmin())  # the first rejected word, or 0 if none
         taken = first if not accepted[first] else n - 1

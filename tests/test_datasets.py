@@ -288,10 +288,10 @@ class TestPca:
     def test_invalid_k(self):
         ds = Dataset(np.ones((4, 2)) + np.arange(8).reshape(4, 2),
                      np.array([0, 1, 0, 1]))
-        with pytest.raises(InvalidKError):
-            pca_fit(ds, 3)
-        with pytest.raises(InvalidKError):
-            pca_fit(ds, 0)
+        for k in (3, 0, True, np.True_, 1.5, 2.0):
+            with pytest.raises(InvalidKError, match="k must be an integer in 1..2"):
+                pca_fit(ds, k)
+        assert pca_fit(ds, np.int64(2)).k == 2
 
 
 class TestSplit:

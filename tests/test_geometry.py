@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 from functools import partial
 from pathlib import Path
 
@@ -351,6 +352,138 @@ class TestNormPastFloatRange:
     def test_finite_norm_keeps_its_bits(self, scale):
         # ||w|| = 1e306 and 1e200: below the float range, built as before
         assert _line_coeffs((0.0, 0.0), (scale, 0.0)) == (0.0, scale, 0.0, scale)
+
+
+def frozen_line_coeffs(p1, p2):
+    """_line_coeffs as it was when it tested every coordinate first."""
+    x1, y1 = p1
+    x2, y2 = p2
+    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        raise ValueError("point has non-finite coordinates")
+    w0 = y1 - y2
+    w1 = x2 - x1
+    norm = math.sqrt(w0 * w0 + w1 * w1)
+    if norm <= EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2)):
+        raise DegeneratePointsError("the two points coincide")
+    bias = x1 * y2 - x2 * y1
+    if not math.isfinite(bias):
+        raise ValueError("bias is not finite")
+    if not math.isfinite(norm):
+        raise ValueError("the norm of the hyperplane normal overflows")
+    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
+        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    return w0, w1, bias, norm
+
+
+def frozen_plane3_coeffs(p1, p2, p3):
+    """_plane3_coeffs as it was when it tested every coordinate first."""
+    a0, a1, a2 = p1
+    b0, b1, b2 = p2
+    c0, c1, c2 = p3
+    coords = (a0, a1, a2, b0, b1, b2, c0, c1, c2)
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("point has non-finite coordinates")
+    u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
+    v0, v1, v2 = c0 - a0, c1 - a1, c2 - a2
+    w0 = u1 * v2 - u2 * v1
+    w1 = u2 * v0 - u0 * v2
+    w2 = u0 * v1 - u1 * v0
+    norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    if norm <= geometry._degeneracy_threshold(max(1.0, *map(abs, coords)), 2):
+        raise DegeneratePointsError(
+            "points are affinely dependent and define no unique hyperplane")
+    bias = -(w0 * a0 + w1 * a1 + w2 * a2)
+    if not math.isfinite(bias):
+        raise ValueError("bias is not finite")
+    if not math.isfinite(norm):
+        raise ValueError("the norm of the hyperplane normal overflows")
+    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
+        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    return w0, w1, w2, bias, norm
+
+
+def coeffs_outcome(build, pts):
+    """The coefficients' bits, or the class and message of the error raised."""
+    try:
+        return [c.hex() for c in build(*pts)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+CLOSED_FORMS = {2: (_line_coeffs, frozen_line_coeffs), 3: (_plane3_coeffs, frozen_plane3_coeffs)}
+DISTINCT = {2: [[0.5, -1.0], [2.0, 3.0]], 3: [[0.5, -1.0, 0.0], [2.0, 3.0, 1.0], [-1.0, 0.0, 4.0]]}
+
+
+def deferred_check_cases():
+    """(n, points, id): each non-finite value in each coordinate of distinct
+    and of coincident points, and finite points whose terms overflow."""
+    for n, base in DISTINCT.items():
+        yield n, base, f"n{n}-finite"
+        yield n, [base[0]] * n, f"n{n}-coincident"
+        for bad in (math.inf, -math.inf, math.nan):
+            for shape, pts in (("distinct", base), ("coincident", [base[0]] * n)):
+                for k in range(n * n):
+                    rows = [list(p) for p in pts]
+                    rows[k // n][k % n] = bad
+                    yield n, rows, f"n{n}-{shape}-{bad}-at-{k}"
+    big = 1e308
+    yield 2, [[big, 0.0], [-big, 0.0]], "n2-difference-overflows"
+    yield 2, [[0.0, -big], [1.0, big]], "n2-difference-overflows-both"
+    yield 2, [[1e200, 1e200], [1e200, -1e200]], "n2-bias-overflows"
+    yield 2, [[big, big], [-big, -big]], "n2-everything-overflows"
+    yield 2, [[1e10, 1e10], [1e10, 1e10 + 100.0]], "n2-normal-near-zero"
+    yield 3, [[big, 0.0, 0.0], [-big, 0.0, 0.0], [0.0, 1.0, 0.0]], "n3-difference-overflows"
+    yield 3, [[big, big, 0.0], [-big, 0.0, big], [0.0, -big, -big]], "n3-cross-product-nan"
+    yield 3, [[1e120, 1e120, 1e120], [1e120, -1e120, 0.0], [0.0, 1e120, -1e120]], \
+        "n3-bias-overflows"
+    yield 3, [[0.0, 0.0, 0.0], [0.0, 1e155, 0.0], [0.0, 0.0, 1e147]], "n3-norm-overflows"
+    yield 3, [[big, big, big]] * 3, "n3-coincident-at-float-max"
+    yield 3, [[1e10, 1e10, 1e10], [1e10 + 1e6, 1e10, 1e10], [1e10, 1e10 + 1e6, 1e10]], \
+        "n3-normal-near-zero"
+
+
+SPECIAL_COORDINATES = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e154, 1e200, 1e308, -1e308,
+                       math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def closed_form_points(draw):
+    """n = 2 or 3 points with any float coordinates, often coincident."""
+    n = draw(st.sampled_from([2, 3]))
+    coordinate = st.one_of(st.floats(), st.sampled_from(SPECIAL_COORDINATES))
+    pts = [draw(st.lists(coordinate, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        pts[1] = list(pts[0])
+    return n, pts
+
+
+class TestDeferredFiniteCheck:
+    """The closed forms test the coordinates only when ||w|| is not finite;
+    they raise and return what the frozen test-first versions do."""
+
+    @pytest.mark.parametrize("n, pts", [pytest.param(n, pts, id=name)
+                                        for n, pts, name in deferred_check_cases()])
+    def test_table_matches_test_first_order(self, n, pts):
+        build, frozen = CLOSED_FORMS[n]
+        assert coeffs_outcome(build, pts) == coeffs_outcome(frozen, pts)
+
+    @settings(max_examples=400, deadline=None)
+    @given(closed_form_points())
+    def test_any_floats_match_test_first_order(self, case):
+        n, pts = case
+        build, frozen = CLOSED_FORMS[n]
+        assert coeffs_outcome(build, pts) == coeffs_outcome(frozen, pts)
+
+    def test_table_reaches_every_outcome(self):
+        reached = set()
+        for n, pts, _ in deferred_check_cases():
+            out = coeffs_outcome(CLOSED_FORMS[n][0], pts)
+            reached.add(out[1] if isinstance(out, tuple) else "coefficients")
+        assert reached == {
+            "coefficients", "point has non-finite coordinates", "the two points coincide",
+            "points are affinely dependent and define no unique hyperplane",
+            "bias is not finite", "the norm of the hyperplane normal overflows",
+            "hyperplane normal is (near-)zero"}
 
 
 class TestSignedDisplacement:

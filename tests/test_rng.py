@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingpoints.rng import _BLOCK, SplitMix64, derive_seed
+from movingpoints.rng import _BLOCK, _SAFE, SplitMix64, derive_seed
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -263,6 +263,33 @@ def test_rejected_word_at_block_boundary(at, lead, bulk_lead, n, tail):
         assert [r.next_u64() for _ in range(lead)] == [ref.next_u64() for _ in range(lead)]
     assert r.permutation(n) == ref.permutation(n)
     assert r.randint(tail) == ref.randint(tail)
+    assert r.next_u64() == ref.next_u64()
+
+
+THRESHOLD_DRAWS = [("randint", 7), ("permutation", 10), ("randint", 2**40)]
+
+
+@pytest.mark.parametrize("word", [_SAFE - 1, _SAFE], ids=["last-fast-word", "first-exact-word"])
+@pytest.mark.parametrize("at", [0, _BLOCK - 1, _BLOCK])
+@pytest.mark.parametrize("name, arg", THRESHOLD_DRAWS, ids=["randint7", "perm10", "randint2^40"])
+@pytest.mark.parametrize("back", [0, 4, 8])
+def test_words_either_side_of_the_fast_path_threshold(word, at, name, arg, back):
+    # Word `at` of this stream is _SAFE - 1, the largest word that randint
+    # takes without its bound test, or _SAFE, the smallest that it tests
+    # (and still accepts for these bounds). It sits at the first or the
+    # last index of a buffer; the draw under test starts `back` words
+    # before it (a permutation(10) spans 9 words, a randint one).
+    seed = (unmix(word) - (at + 1) * GAMMA) & MASK
+    assert reference_words(seed, at + 1)[at] == word
+    lead = max(at - (back if name == "permutation" else 0), 0)
+    r = SplitMix64(seed)
+    ref = UnbufferedSplitMix64(seed)
+    assert [r.next_u64() for _ in range(lead)] == [ref.next_u64() for _ in range(lead)]
+    assert same_draw(getattr(r, name)(arg), getattr(ref, name)(arg))
+    # The threshold recorded at the refill that mixed word `at`.
+    assert r._base + r._safe_end == (at if word == _SAFE else r._base + r._buf.size)
+    for draw in THRESHOLD_DRAWS:
+        assert same_draw(getattr(r, draw[0])(draw[1]), getattr(ref, draw[0])(draw[1]))
     assert r.next_u64() == ref.next_u64()
 
 
