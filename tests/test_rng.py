@@ -271,23 +271,25 @@ THRESHOLD_DRAWS = [("randint", 7), ("permutation", 10), ("randint", 2**40)]
 
 @pytest.mark.parametrize("word", [_SAFE - 1, _SAFE], ids=["last-fast-word", "first-exact-word"])
 @pytest.mark.parametrize("at", [0, _BLOCK - 1, _BLOCK])
-@pytest.mark.parametrize("name, arg", THRESHOLD_DRAWS, ids=["randint7", "perm10", "randint2^40"])
-@pytest.mark.parametrize("back", [0, 4, 8])
+@pytest.mark.parametrize("name, arg, back", [
+    ("randint", 7, 0), ("permutation", 10, 0), ("permutation", 10, 4), ("permutation", 10, 8),
+    ("randint", 2**40, 0)], ids=["randint7", "perm10", "perm10-back4", "perm10-back8",
+                                 "randint2^40"])
 def test_words_either_side_of_the_fast_path_threshold(word, at, name, arg, back):
     # Word `at` of this stream is _SAFE - 1, the largest word that randint
     # takes without its bound test, or _SAFE, the smallest that it tests
     # (and still accepts for these bounds). It sits at the first or the
     # last index of a buffer; the draw under test starts `back` words
-    # before it (a permutation(10) spans 9 words, a randint one).
+    # before it (a permutation(10) draws 9 words).
     seed = (unmix(word) - (at + 1) * GAMMA) & MASK
     assert reference_words(seed, at + 1)[at] == word
-    lead = max(at - (back if name == "permutation" else 0), 0)
+    lead = max(at - back, 0)
     r = SplitMix64(seed)
     ref = UnbufferedSplitMix64(seed)
     assert [r.next_u64() for _ in range(lead)] == [ref.next_u64() for _ in range(lead)]
     assert same_draw(getattr(r, name)(arg), getattr(ref, name)(arg))
     # The threshold recorded at the refill that mixed word `at`.
-    assert r._base + r._safe_end == (at if word == _SAFE else r._base + r._buf.size)
+    assert r._safe_end == (at - r._base if word == _SAFE else r._buf.size)
     for draw in THRESHOLD_DRAWS:
         assert same_draw(getattr(r, draw[0])(draw[1]), getattr(ref, draw[0])(draw[1]))
     assert r.next_u64() == ref.next_u64()
