@@ -11,9 +11,10 @@ on it and check that moves plus skips add up to the misclassified visits
 and that the points stay finite; the baseline cases time one classifier
 with the cell's parameters and seed slot. One more training case times
 the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
-plane cases time ``hyperplane_from_points`` on Gaussian points, one
+plane cases time ``hyperplane_from_points`` on Gaussian points and one
 rank-one update of the plane that ``mpa.fit`` carries between fresh
-builds (n >= 4), and one whole n >= 4 move (``mpa._move``) at n = 8 and 16. The guard
+builds (n >= 4, ``mpa._Boundary.moved``) at n = 8 and 16. The epoch
+cases time one epoch of ``mpa.train`` at dims 8 and 16. The guard
 cases time ``mpa.overfit_guard`` at n = 2, 3 and 8 on a step that it
 projects, so they put the per-n cost of the one shared guard on record.
 The cell cases time one whole grid cell and the fixed cost around its
@@ -81,7 +82,7 @@ def test_line_coeffs(benchmark):
 
 # Grid cell (0, 9) separates at initialization (0 moves: set-up plus one
 # clean epoch); grid cell (2, 9) makes 5400 moves, so it times the per-move
-# path at n = 2; overlap cell (0, 90) rebuilds an 8-point plane per move.
+# path at n = 2; overlap cell (0, 90) carries an 8-point plane from move to move.
 @pytest.mark.parametrize("seed, std_index, dim", [(0, 9, 2), (2, 9, 2), (0, 90, 8)],
                          ids=["grid-0-9-dim2", "grid-2-9-dim2", "overlap-0-90-dim8"])
 def test_train_cell(benchmark, seed, std_index, dim):
@@ -220,78 +221,46 @@ def test_overfit_guard(benchmark, n):
     assert out is not t and np.all(np.isfinite(out))
 
 
-def test_tracked_update_n8(benchmark):
-    # One accepted rank-one update at n = 8: each round moves one point a
-    # small step and resets the update count, so no round is a fresh build.
-    stream = SplitMix64(8)
-    P = stream.normals(64).reshape(8, 8)
+# One accepted rank-one update, P's row write and copy included: each round
+# moves one point a small step and resets the update count, so no round is
+# a fresh build. n = 16 puts the per-move cost that no workload runs on
+# record.
+@pytest.mark.parametrize("n", [8, 16], ids=["n8", "n16"])
+def test_tracked_update(benchmark, n):
+    stream = SplitMix64(n)
+    P = stream.normals(n * n).reshape(n, n)
     boundary = mpa._Boundary(P)
-    steps = 0.01 * stream.normals(8 * 64).reshape(64, 8)
+    steps = 0.01 * stream.normals(n * 64).reshape(64, n)
     rounds = iter(range(10**9))
 
     def setup():
         k = next(rounds)
-        i = k % 8
-        old = P[i].copy()
-        P[i] += steps[k % 64]
+        i = k % n
         boundary.updates = 0
-        return (i, old), {}
+        return (i, P[i] + steps[k % 64]), {}
 
     benchmark.pedantic(boundary.moved, setup=setup, rounds=2000)
     assert boundary.updates == 1
 
 
-def move_setup(seed: int, std_index: int, dim: int):
-    """pedantic setup for one move of mpa._plane_epochs, guard decision and
-    tracked update included: that of the first misclassified example of
-    the first epoch of cell (seed, std_index) at dim. Each round starts
-    from the fit's initial points, boundary and random stream, so every
-    round makes this move."""
+# One epoch from a cell's initial points: overlap cell (0, 90) at dim 8,
+# and cell (2, 99), the first dim-16 cell with a misclassified example at
+# its initial plane, where the generated loop's O(n^2) nearest-point
+# search and lambda sums weigh most.
+def epoch_case(benchmark, seed, std_index, dim):
     train_ds, _, cell = cell_split(seed, std_index, dim)
-    cfg = cell_config(cell)
-    model = mpa.initialize(train_ds.class_points(0), train_ds.class_points(1), cfg)
-    X, y = train_ds.features, train_ds.labels
-    clusters = mpa.near_clusters(train_ds, cfg.near_cluster_percentile)
-    pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0])
-    w, b = model.hyperplane.weights, model.hyperplane.bias
-    first = SplitMix64(cfg.seed).permutation(len(y))
-    j = next(j for j in first if (X[j] @ w + b) * pseudo[j] < 0)
-    lam = float((X[j] @ w + b) / np.linalg.norm(w) * pseudo[j])
-    members = clusters[1 - int(y[j])].tolist()
-    rows = X.tolist()
-    row_scale = np.abs(X).max(axis=1).tolist()
-    P0 = model.moving_points.copy()
-
-    def setup():
-        P = P0.copy()
-        rng = SplitMix64(cfg.seed)
-        rng.permutation(len(y))
-        return (mpa._Boundary(P), rows[j], lam, members, rows, row_scale, rng, cfg.eta,
-                model.alpha), {}
-
-    return setup
-
-
-def test_move_overlap_0_90_dim8(benchmark):
-    out = benchmark.pedantic(mpa._move, setup=move_setup(0, 90, 8), rounds=2000)
-    assert not isinstance(out, str)  # the point moved
-
-
-# The nearest-point search is O(n^2) Python float operations per move;
-# cell (2, 99) is the first dim-16 cell with a misclassified example at
-# its initial plane.
-def test_move_cell_2_99_dim16(benchmark):
-    out = benchmark.pedantic(mpa._move, setup=move_setup(2, 99, 16), rounds=2000)
-    assert not isinstance(out, str)
-
-
-def test_epoch_overlap_0_90_dim8(benchmark):
-    # One epoch of overlap cell (0, 90) from its initial points.
-    train_ds, _, cell = cell_split(0, 90, 8)
     cfg = replace(cell_config(cell), epochs=1)
     model, log = benchmark(mpa.train, train_ds, cfg)
     benchmark.extra_info["moves"] = log.moves
     assert log.epochs_run == 1 and log.moves > 0
+
+
+def test_epoch_overlap_0_90_dim8(benchmark):
+    epoch_case(benchmark, 0, 90, 8)
+
+
+def test_epoch_cell_2_99_dim16(benchmark):
+    epoch_case(benchmark, 2, 99, 16)
 
 
 def test_predict_many_overlap_0_90_dim8(benchmark):

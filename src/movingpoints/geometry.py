@@ -20,12 +20,12 @@ hyperplane_from_points builds this plane for every n: for n = 2 and 3
 from closed forms on Python floats, the line through two 2-D points
 (_line_coeffs) and the cross product of the plane through three 3-D
 points (_plane3_coeffs), both called with the points themselves, as the
-loop that mpa.fit generates for n = 2 and 3 also calls them; for other n
+loop that mpa.fit generates also calls them at n = 2 and 3; for other n
 all n+1 cofactors come from one numerical Gaussian elimination
 (_cofactors). Every plane a model stores comes from here.
 
-Training (mpa.fit) runs the elimination only at fresh builds when
-n >= 4: between them it carries the same first-row cofactors by rank-one
+At n >= 4 the same generated loop runs the elimination only at fresh
+builds: between them it carries the same first-row cofactors by rank-one
 updates of the inverse of the bordered matrix (see mpa._Boundary), so a
 plane met during training can differ from this one in the last bits.
 """

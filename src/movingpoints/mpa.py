@@ -19,14 +19,12 @@ class mean, sampled to damp outlier influence). A proximity guard removes
 any movement component that would push two moving points within alpha of
 each other closer together.
 
-For n = 2 and n = 3, initialization and training run on Python floats with
-every sum written in a fixed order and the plane read in closed form, so
-such a model takes no bits from the BLAS kernel that numpy picks for the
-CPU; their loop is generated for each of the two n from one source
-(_fixed_order). For n >= 4 training works on arrays and carries the plane
-by rank-one updates (see fit and _Boundary). Every n shares one
-fixed-order step, generated per n from the same source, and one
-fixed-order guard (_guard).
+Training is one loop for every n, generated per n from one source
+(_fixed_order) on Python floats, with every lambda and step summed in a
+fixed order, and one fixed-order guard (_guard). For n = 2 and n = 3 the
+loop reads the plane in closed form, so such a model takes no bits from
+the BLAS kernel that numpy picks for the CPU; for n >= 4 it carries the
+plane by numpy rank-one updates (see fit and _Boundary).
 """
 
 from __future__ import annotations
@@ -388,32 +386,25 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     plane has lambda = 0, which is no misclassification, but predict_many
     gives it to the class with pseudo sign +1.
 
-    Inputs are validated once, here; the loop then works on raw values.
-    For n = 2 and n = 3 they are Python floats in one loop generated per
-    n (_fixed_order): the points, the plane's w, b and ||w||, with every
-    sum written in a fixed order (x0*w0 + x1*w1 + x2*w2 + b,
-    sqrt(d0*d0 + d1*d1 + d2*d2)), so no value depends on a BLAS kernel;
-    the steps are those of the public movement_vector and overfit_guard,
-    the plane that of hyperplane_from_points (_line_coeffs,
-    _plane3_coeffs), read from the candidate points before a move is
-    kept, and lambda is evaluated one example at a time. At n = 2 the
-    guard runs only when ||w|| <= alpha: ||w|| is the distance between
-    the two points bit for bit (_line_coeffs), so no projection is skipped.
-    For n >= 4 (_plane_epochs) they are arrays: the points
-    (model.moving_points, updated in place) and the plane, carried from
-    move to move by a rank-one update (see _Boundary), so its
-    coefficients can differ from hyperplane_from_points' in the last
-    bits; every accept-or-revert decision near a degeneracy threshold
-    still comes from a fresh build. Each move reads the points as Python
-    floats for the step, the same generated nearest and step_to as at
-    n <= 3 and in movement_vector, and for the guard. The guard is
-    skipped where a lower bound on the gaps between points proves it idle
-    (_guard_is_idle), which changes no bit.
-    Between moves the plane is frozen, so lambdas for a whole stretch of
-    examples are evaluated in one matrix-vector product and the loop jumps
-    directly to the next misclassified example; BLAS rounds that product,
-    so a lambda can differ from signed_displacement times the pseudo sign
-    in the last bit. Either way model.hyperplane is set from a fresh
+    Inputs are validated once, here. The loop, one for every n and
+    generated per n (_fixed_order), then works on raw Python floats: the
+    points, the rows and the plane's w, b and ||w||. lambda is evaluated
+    one example at a time with its sum written in a fixed order
+    ((x0*w0 + x1*w1 + ... + b) / ||w|| * sign), as are the norms of the
+    step (sqrt(d0*d0 + d1*d1 + ...)). The steps are those of the public
+    movement_vector and overfit_guard, and a moved point is kept only
+    once the plane through the candidate points is built. For n = 2 and
+    n = 3 that plane is hyperplane_from_points' closed form
+    (_line_coeffs, _plane3_coeffs), so no value depends on a BLAS kernel.
+    At n = 2 the guard runs only when ||w|| <= alpha: ||w|| is the
+    distance between the two points bit for bit (_line_coeffs), so no
+    projection is skipped. For n >= 4 a _Boundary carries the plane from
+    move to move by a rank-one update, so its coefficients can differ
+    from hyperplane_from_points' in the last bits; every accept-or-revert
+    decision near a degeneracy threshold still comes from a fresh build.
+    The guard is skipped where the _Boundary's lower bound on the gaps
+    between points proves it idle (_guard_is_idle), which changes no bit.
+    Either way model.hyperplane is set from a fresh
     hyperplane_from_points(points) on every exit, so it always matches
     the points, bit for bit, as a reloaded model does.
     """
@@ -431,7 +422,7 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 
     P = model.moving_points
     log = TrainingLog()
-    epochs = _fixed_order(model.dim)[2] if model.dim <= 3 else _plane_epochs
+    epochs = _fixed_order(model.dim)[2]
     try:
         # Each epoch leaves its points in P before it yields its count.
         for miss in epochs(P, X, pseudo, draws, rng, cfg, model.alpha, log):
@@ -448,13 +439,13 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     return log
 
 
-# fit's step for every n, and its loop for n = 2 and n = 3, written out
-# for one n on Python floats: the coordinates of a row, a point and the
-# plane are locals (x0.., c0.., w0..), and every dot product and norm is
-# spelled term by term in _dot's order, so no BLAS call, sum() (compensated
-# from Python 3.12) or fused multiply-add can change a bit. The code runs
-# in mpa's globals, so _guard and the closed-form plane (_line_coeffs,
-# _plane3_coeffs) are looked up when they are called.
+# fit's step and loop, written out for one n on Python floats: the
+# coordinates of a row, a point and the plane are locals (x0.., c0..,
+# w0..), and every dot product and norm is spelled term by term in _dot's
+# order, so no BLAS call, sum() (compensated from Python 3.12) or fused
+# multiply-add can change a bit. The code runs in mpa's globals, so _guard,
+# the closed-form plane (_line_coeffs, _plane3_coeffs) and _Boundary are
+# looked up when they are called.
 # - nearest(pts, x0, ...): the row of pts nearest to x, the lowest index
 #   on ties, as argmin;
 # - step_to(c0, ..., g0, ..., scale, step): the step of length step from c
@@ -463,7 +454,9 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log): yields each epoch's
 #   misclassified count; draws[j] lists the rows example j may draw. The
 #   points live in the list pts, written back into P before each yield and
-#   on every exit; a moved point enters pts only once its plane is built.
+#   on every exit; a moved point enters pts only once its plane is built
+#   (for n >= 4, _Boundary.moved writes it into P first and puts the old
+#   row back if the plane is refused).
 _STEP_SOURCE = """\
 def nearest(pts, {x}):
 {nearest}
@@ -485,7 +478,7 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, nearest=nearest, step_to=s
     signs = pseudo.tolist()
     eta = cfg.eta
     pts = P.tolist()
-    {w}, b, norm_w = {coeffs}(*pts)
+    {start}
     try:
         for _epoch in range(cfg.epochs):
             miss = 0
@@ -531,8 +524,10 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, nearest=nearest, step_to=s
 
 
 def _fixed_order_source(n: int) -> str:
-    """_STEP_SOURCE filled in for n, then for n = 2 (the line) and n = 3
-    (the plane) _EPOCHS_SOURCE."""
+    """_STEP_SOURCE and then _EPOCHS_SOURCE filled in for n. Three slots
+    differ by n: the first plane (start), the guard and the plane re-read
+    after a move (planes). n = 2 (the line) and n = 3 (the plane) read it
+    in closed form from the points; n >= 4 carries it in a _Boundary."""
     ks = range(n)
 
     def each(term: str, sep: str = ", ") -> str:
@@ -549,120 +544,37 @@ def _fixed_order_source(n: int) -> str:
     fields = dict(x=each("x{0}"), c=each("c{0}"), nearest="\n".join(nearest))
     source = _STEP_SOURCE.format(**fields, g=each("g{0}"), v=each("    v{0} = g{0} - c{0}", "\n"),
                                  vv=each("v{0} * v{0}", " + "), unit=each("v{0} / nv * step"))
-    if n > 3:
-        return source
-    coeffs = "_line_coeffs" if n == 2 else "_plane3_coeffs"
-    planes = []
-    for i in ks:
-        head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
-        args = ", ".join("e" if k == i else f"pts[{k}]" for k in ks)
-        planes += [f"                    {head}:",
-                   f"                        {each('w{0}')}, b, norm_w = {coeffs}({args})"]
+    plane = f"{each('w{0}')}, b, norm_w"
     guard = "t = _guard(pts, mover, t, alpha)"
-    if n == 2:
-        guard = ("if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit\n"
+    if n > 3:
+        start = f"boundary = _Boundary(P)\n    {plane} = boundary.plane"
+        guard = (f"if not _guard_is_idle(boundary.gap_floor, step, alpha):\n"
                  f"                    {guard}")
+        planes = [f"                    {plane} = boundary.moved(mover, e)"]
+    else:
+        coeffs = "_line_coeffs" if n == 2 else "_plane3_coeffs"
+        start = f"{plane} = {coeffs}(*pts)"
+        if n == 2:
+            guard = ("if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit\n"
+                     f"                    {guard}")
+        planes = []
+        for i in ks:
+            head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
+            args = ", ".join("e" if k == i else f"pts[{k}]" for k in ks)
+            planes += [f"                    {head}:",
+                       f"                        {plane} = {coeffs}({args})"]
     return source + _EPOCHS_SOURCE.format(
-        **fields, w=each("w{0}"), t=each("t{0}"), abs_x=each("abs(x{0})"),
-        abs_c=each("abs(c{0})"), margin=each("x{0} * w{0}", " + "), coeffs=coeffs,
-        guard=guard, t_or=each("t{0}", " or "), e=each("c{0} + t{0}"),
-        planes="\n".join(planes))
+        **fields, start=start, t=each("t{0}"), abs_x=each("abs(x{0})"),
+        abs_c=each("abs(c{0})"), margin=each("x{0} * w{0}", " + "), guard=guard,
+        t_or=each("t{0}", " or "), e=each("c{0} + t{0}"), planes="\n".join(planes))
 
 
 @lru_cache(maxsize=32)
 def _fixed_order(n: int):
-    """(nearest, step_to, epochs) of _fixed_order_source(n); epochs is None
-    for n >= 4, whose loop is _plane_epochs."""
+    """(nearest, step_to, epochs) of _fixed_order_source(n)."""
     namespace: dict = {}
     exec(compile(_fixed_order_source(n), f"<mpa n={n}>", "exec"), globals(), namespace)
-    return namespace["nearest"], namespace["step_to"], namespace.get("epochs")
-
-
-def _plane_epochs(P: np.ndarray, X: np.ndarray, pseudo: np.ndarray, draws: list,
-                  rng: SplitMix64, cfg: MpaConfig, alpha: float, log: TrainingLog):
-    """fit's epochs for n >= 4 on arrays; yields each epoch's misclassified count.
-
-    P's rows move in place; the plane is carried by _Boundary.
-    """
-    m = X.shape[0]
-    rows = X.tolist()
-    row_scale = np.abs(X).max(axis=1).tolist()  # coordinate_scale(c, g) = max(that of c, this)
-    boundary = _Boundary(P)
-    w, b, norm_w = boundary.plane
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(m)
-        # Rows in visiting order: Xo[i:] holds the values and shape of
-        # X[order[i:]], so the product below has the same bits.
-        idx = np.array(order)
-        Xo = X[idx]
-        po = pseudo[idx]
-        miss = 0
-        i = 0
-        while i < m:
-            lam = Xo[i:] @ w  # (Xo[i:] @ w + b) / norm_w * po[i:], in place
-            lam += b
-            lam /= norm_w
-            lam *= po[i:]
-            wrong = lam < 0.0
-            k = int(wrong.argmax())  # the first misclassified example, if any
-            if not wrong[k]:
-                break
-            miss += 1
-            j = order[i + k]
-            out = _move(boundary, rows[j], lam.item(k), draws[j], rows, row_scale, rng,
-                        cfg.eta, alpha)
-            if isinstance(out, str):
-                log.skips[out] += 1
-            else:
-                w, b, norm_w = out
-                log.moves += 1
-            i += k + 1
-        yield miss
-
-
-def _move(boundary: _Boundary, q: list[float], lam: float, members: list[int],
-          rows: list[list[float]], row_scale: list[float], rng: SplitMix64,
-          eta: float, alpha: float):
-    """One guarded move of the point of boundary.P nearest q toward a drawn member.
-
-    members index rows, the training rows as Python floats, and
-    row_scale[r] is max|rows[r]|. The step is fit's for every n, the
-    generated nearest and step_to (_fixed_order), on P's rows as Python
-    floats; _guard is skipped where the gap floor proves it idle
-    (_guard_is_idle). The points are updated in place. Returns the new
-    boundary (w, b, ||w||), or the skip reason, with the points and the
-    boundary unchanged, when no point moved.
-    """
-    P = boundary.P
-    pts = P.tolist()
-    nearest, step_to, _ = _fixed_order(len(pts))
-    mover = nearest(pts, *q)
-    c = pts[mover]
-    c_scale = max(1.0, boundary.row_max[mover])  # coordinate_scale(c)
-    step = abs(eta * lam)
-    for _attempt in range(1 + MAX_RESAMPLES):
-        target = members[rng.randint(len(members))]
-        try:
-            t = step_to(*c, *rows[target], max(c_scale, row_scale[target]), step)
-            break
-        except ZeroDisplacementError:
-            pass
-    else:
-        return RESAMPLE_EXHAUSTED
-    if not _guard_is_idle(boundary.gap_floor, step, alpha):
-        t = _guard(pts, mover, t, alpha)
-    if not any(t):
-        return GUARD_ZEROED
-    old = P[mover].copy()
-    P[mover] += t
-    try:
-        return boundary.moved(mover, old)
-    except DegeneratePointsError:
-        P[mover] = old
-        return DEGENERATE_REVERT
-    except BaseException:
-        P[mover] = old
-        raise
+    return namespace["nearest"], namespace["step_to"], namespace["epochs"]
 
 
 # When _Boundary trades its rank-one update for a fresh build; see there.
@@ -671,14 +583,20 @@ _MIN_DENOMINATOR = 1e-3
 _NEAR_DEGENERATE = 1e3
 _MAX_RESIDUAL = 1e-12
 # _Boundary's gap floor: its relative margin, and the least computed gap
-# it trusts (below that the floor is 0.0, and _move always guards).
+# it trusts (below that the floor is 0.0, and fit always guards).
 _GAP_MARGIN = 1e-9
 _GAP_UP = 1.0 + _GAP_MARGIN
 _MIN_GAP = 1e-140
 
 
 class _Boundary:
-    """The plane through the n >= 4 rows of P while fit moves them, as (w, b, ||w||).
+    """The plane through the n >= 4 rows of P while fit moves them.
+
+    plane, and then each moved(i, e), gives (w0, ..., w_{n-1}, b, ||w||)
+    as Python floats for the loop that fit generates (_fixed_order).
+    moved(i, e) writes the candidate row e into P and returns the plane
+    through the new points; if it raises, row i gets its old value back
+    and nothing else changes.
 
     It keeps the inverse Minv of the bordered (n+1)x(n+1) matrix M
     whose row 0 is the unit coefficient vector of the last fresh plane and
@@ -702,10 +620,11 @@ class _Boundary:
     build through hyperplane_from_points decides: it raises what that
     raises, and the state is replaced only when no check fails.
 
-    Two facts about P ride along, for _move and the checks above, and are
-    replaced only with the rest of the state. row_max lists max|P[i]| per
-    row; max is exact, so max(1, *row_max) is coordinate_scale(P) bit for
-    bit. gap_floor is a lower bound on the distance between any two rows:
+    Two facts about P ride along, for the checks above and fit's guard,
+    and are replaced only with the rest of the state. row_max lists
+    max|P[i]| per row; max is exact, so max(1, *row_max) is
+    coordinate_scale(P) bit for bit. gap_floor is a lower bound on the
+    distance between any two rows:
     a fresh build sets it to the least computed gap times 1 - _GAP_MARGIN
     (_gap_floor), and a kept update lowers it by ||d|| (1 + _GAP_MARGIN),
     since moving one point by d changes no gap by more than ||d||.
@@ -733,7 +652,7 @@ class _Boundary:
         self.P = P
         self.plane = self._fresh()  # moved returns the later ones
 
-    def _fresh(self) -> tuple[np.ndarray, float, float]:
+    def _fresh(self) -> tuple[float, ...]:
         P = self.P
         n = P.shape[0]
         h = hyperplane_from_points(P)
@@ -748,14 +667,25 @@ class _Boundary:
         self.row_max = np.abs(P).max(axis=1).tolist()
         self.gap_floor = _gap_floor(P)
         w = h.weights
-        return w, h.bias, math.sqrt(w.dot(w))
+        return (*w.tolist(), h.bias, math.sqrt(w.dot(w)))
 
-    def moved(self, i: int, old: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """(w, b, ||w||) after row i of P moved from old to its current value."""
+    def moved(self, i: int, e) -> tuple[float, ...]:
+        """(w0, ..., w_{n-1}, b, ||w||) once row i of P is e; row i gets
+        its old value back if this raises."""
+        P = self.P
+        old = P[i].copy()
+        P[i] = e
+        try:
+            return self._update(i, P[i] - old)
+        except BaseException:
+            P[i] = old
+            raise
+
+    def _update(self, i: int, d: np.ndarray) -> tuple[float, ...]:
+        """The plane once row i of P has moved by d."""
         if self.updates < _REBUILD_EVERY:
             P = self.P
             n = P.shape[0]
-            d = P[i] - old
             update = _rank_one(self.Minv, self.coeffs, i + 1, d)
             if update is not None:
                 Minv, coeffs = update
@@ -778,15 +708,17 @@ class _Boundary:
                     self.updates += 1
                     self.row_max = row_max
                     self.gap_floor -= math.sqrt(d.dot(d)) * _GAP_UP
-                    return w, b, norm_w
+                    return (*w.tolist(), b, norm_w)
         return self._fresh()
 
 
 def _guard_is_idle(gap_floor: float, step: float, alpha: float) -> bool:
     """True when gap_floor, a lower bound on every gap between two points
     (_Boundary), exceeds alpha + step by a relative _GAP_MARGIN on each side,
-    so that _guard would return its step itself; False on nan. That needs
-    only gap_floor > alpha; the step term also keeps the moved point clear."""
+    so that _guard would return its step itself; False on nan. The loop
+    that fit generates for n >= 4 runs _guard only when this is False.
+    That needs only gap_floor > alpha; the step term also keeps the moved
+    point clear."""
     return gap_floor - step * _GAP_UP > alpha * _GAP_UP
 
 

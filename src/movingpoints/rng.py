@@ -118,14 +118,6 @@ class SplitMix64:
         v = (words[1::2] >> _U11).astype(np.float64) / _TWO53
         return np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v)
 
-    def random(self) -> float:
-        """Uniform double in [0, 1)."""
-        return float(self.uniforms(1)[0])
-
-    def normal(self) -> float:
-        """One standard normal draw (consumes two words, see module doc)."""
-        return float(self.normals(1)[0])
-
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased."""
         pos = self._pos

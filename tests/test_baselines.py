@@ -519,11 +519,13 @@ class TestGeneratedLoops:
                 assert name not in source
 
     @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_large_n_mpa_source_has_no_loop(self, n):
-        # n >= 4 takes only the step; its loop is mpa._plane_epochs.
+    def test_large_n_mpa_source_has_the_loop(self, n):
+        # One generated loop for every n, lambda summed in dot order.
         source = mpa._fixed_order_source(n)
         assert "def nearest(" in source and "def step_to(" in source
-        assert "def epochs(" not in source
+        assert "def epochs(" in source
+        margin = " + ".join(f"x{k} * w{k}" for k in range(n))
+        assert f"lam = ({margin} + b) / norm_w" in source
 
     def test_no_coordinates_is_refused(self):
         with pytest.raises(ValueError, match="at least one coordinate"):

@@ -42,12 +42,12 @@ def test_random_uses_top_53_bits():
     words = reference_words(9, 50)
     r = SplitMix64(9)
     for w in words:
-        assert r.random() == (w >> 11) / float(1 << 53)
+        assert r.uniforms(1)[0] == (w >> 11) / float(1 << 53)
 
 
 def test_random_in_unit_interval():
     r = SplitMix64(123)
-    vals = [r.random() for _ in range(2000)]
+    vals = [r.uniforms(1)[0] for _ in range(2000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     # crude uniformity check, generous bounds
     assert 0.45 < sum(vals) / len(vals) < 0.55
@@ -59,12 +59,12 @@ def test_normal_is_box_muller_on_two_words():
     u2 = (words[1] >> 11) / float(1 << 53)
     expect = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     r = SplitMix64(5)
-    assert r.normal() == expect
+    assert r.normals(1)[0] == expect
 
 
 def test_normal_moments():
     r = SplitMix64(77)
-    z = np.array([r.normal() for _ in range(20000)])
+    z = np.array([r.normals(1)[0] for _ in range(20000)])
     assert abs(z.mean()) < 0.03
     assert abs(z.std() - 1.0) < 0.03
 
@@ -153,7 +153,7 @@ def test_block_uniforms_match_scalar():
     a = block.uniforms(977)
     b = block.uniforms(23)
     r = SplitMix64(21)
-    scalar = np.array([r.random() for _ in range(1000)])
+    scalar = np.array([r.uniforms(1)[0] for _ in range(1000)])
     assert np.array_equal(np.concatenate([a, b]), scalar)
 
 
@@ -162,7 +162,7 @@ def test_block_normals_match_scalar():
     a = block.normals(501)
     b = block.normals(499)
     r = SplitMix64(34)
-    scalar = np.array([r.normal() for _ in range(1000)])
+    scalar = np.array([r.normals(1)[0] for _ in range(1000)])
     assert np.array_equal(np.concatenate([a, b]), scalar)
 
 
@@ -182,15 +182,6 @@ class UnbufferedSplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
         return z ^ (z >> 31)
-
-    def random(self):
-        return (self.next_u64() >> 11) / float(1 << 53)
-
-    def normal(self):
-        u = (self.next_u64() >> 11) + 1
-        v = self.next_u64() >> 11
-        two53 = float(1 << 53)
-        return float(np.sqrt(-2.0 * np.log(u / two53)) * np.cos(2.0 * np.pi * (v / two53)))
 
     def randint(self, n):
         if n <= 0:
@@ -227,7 +218,8 @@ def same_draw(a, b):
 # few of them in a row straddle one or more refills; randint bounds reach
 # 2^64 - 1, where rejections are common.
 DRAWS = st.one_of(
-    st.tuples(st.sampled_from(["next_u64", "random", "normal"])),
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.sampled_from(["uniforms", "normals"]), st.just(1)),  # single draws
     st.tuples(st.just("randint"), st.one_of(st.integers(1, 100), st.integers(1, MASK))),
     st.tuples(st.just("permutation"), st.integers(0, _BLOCK + 40)),
     st.tuples(st.just("uniforms"), st.integers(0, _BLOCK + 40)),
