@@ -11,9 +11,9 @@ on it and check that moves plus skips add up to the misclassified visits
 and that the points stay finite; the baseline cases time one classifier
 with the cell's parameters and seed slot. One more training case times
 the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
-plane cases time ``hyperplane_from_points`` on Gaussian points and one
-rank-one update of the plane that ``mpa.fit`` carries between fresh
-builds (n >= 4, ``mpa._Boundary.moved``) at n = 8 and 16. The epoch
+plane cases time ``hyperplane_from_points`` on Gaussian points and the
+plane that ``mpa.fit`` re-reads after one move at n >= 4
+(``geometry._plane_coeffs``) at n = 8, 16 and 32. The epoch
 cases time one epoch of ``mpa.train`` at dims 8 and 16. The guard
 cases time ``mpa.overfit_guard`` at n = 2, 3 and 8 on a step that it
 projects, so they put the per-n cost of the one shared guard on record.
@@ -38,7 +38,7 @@ from movingpoints.datasets import (
     standardize_fit,
     train_test_split,
 )
-from movingpoints.geometry import _line_coeffs, hyperplane_from_points
+from movingpoints.geometry import _line_coeffs, _plane_coeffs, hyperplane_from_points
 from movingpoints.rng import SplitMix64, derive_seed
 
 
@@ -221,26 +221,26 @@ def test_overfit_guard(benchmark, n):
     assert out is not t and np.all(np.isfinite(out))
 
 
-# One accepted rank-one update, P's row write and copy included: each round
-# moves one point a small step and resets the update count, so no round is
-# a fresh build. n = 16 puts the per-move cost that no workload runs on
-# record.
-@pytest.mark.parametrize("n", [8, 16], ids=["n8", "n16"])
-def test_tracked_update(benchmark, n):
+# The plane of one move at n >= 4, as fit's loop re-reads it: each round
+# moves one point a small step in a copy of the point list, untimed, and
+# builds the plane through the new points. n = 16 and 32 put on record the
+# per-move cost that no workload runs; n = 32 is past the unrolled
+# elimination and takes the numpy one.
+@pytest.mark.parametrize("n", [8, 16, 32], ids=["n8", "n16", "n32"])
+def test_plane_coeffs(benchmark, n):
     stream = SplitMix64(n)
-    P = stream.normals(n * n).reshape(n, n)
-    boundary = mpa._Boundary(P)
-    steps = 0.01 * stream.normals(n * 64).reshape(64, n)
+    pts = stream.normals(n * n).reshape(n, n).tolist()
+    steps = (0.01 * stream.normals(n * 64).reshape(64, n)).tolist()
     rounds = iter(range(10**9))
 
     def setup():
         k = next(rounds)
-        i = k % n
-        boundary.updates = 0
-        return (i, P[i] + steps[k % 64]), {}
+        trial = pts[:]
+        trial[k % n] = [p + d for p, d in zip(pts[k % n], steps[k % 64])]
+        return (trial,), {}
 
-    benchmark.pedantic(boundary.moved, setup=setup, rounds=2000)
-    assert boundary.updates == 1
+    plane = benchmark.pedantic(_plane_coeffs, setup=setup, rounds=2000)
+    assert len(plane) == n + 2 and np.all(np.isfinite(plane))
 
 
 # One epoch from a cell's initial points: overlap cell (0, 90) at dim 8,

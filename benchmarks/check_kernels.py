@@ -24,10 +24,13 @@ child writes:
 
 The first four are compared with their golden sha256; the two digests,
 which have no golden, with the unchanged environment's, whose values are
-printed so that two checkouts can be compared. The script prints one line
-per variant and output and exits 1 when anything differs. It takes about
-a minute per variant. --src measures another checkout's src/ (for
-example that of a parent commit) with this script.
+printed so that two checkouts can be compared. Training takes no bit from
+BLAS at any n, so both digests are the same under every OpenBLAS core;
+with numpy's AVX-512 loops off, np.log in SplitMix64.normals rounds
+differently, which changes the blobs and so both digests. The script
+prints one line per variant and output and exits 1 when anything
+differs. It takes about a minute per variant. --src measures another
+checkout's src/ (for example that of a parent commit) with this script.
 """
 
 from __future__ import annotations

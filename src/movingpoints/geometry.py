@@ -19,15 +19,11 @@ column i, the bias is the signed cofactor of the constant column.
 hyperplane_from_points builds this plane for every n: for n = 2 and 3
 from closed forms on Python floats, the line through two 2-D points
 (_line_coeffs) and the cross product of the plane through three 3-D
-points (_plane3_coeffs), both called with the points themselves, as the
-loop that mpa.fit generates also calls them at n = 2 and 3; for other n
-all n+1 cofactors come from one numerical Gaussian elimination
-(_cofactors). Every plane a model stores comes from here.
-
-At n >= 4 the same generated loop runs the elimination only at fresh
-builds: between them it carries the same first-row cofactors by rank-one
-updates of the inverse of the bordered matrix (see mpa._Boundary), so a
-plane met during training can differ from this one in the last bits.
+points (_plane3_coeffs); for other n all n+1 cofactors come from one
+Gaussian elimination (_cofactors) and _plane_coeffs checks them. Each
+of the three takes the points themselves, as the loop that mpa.fit
+generates calls it after every move, so every plane met in training is
+the plane a model stores, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,11 +31,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 EPS_DEGENERATE = 1e-9
 EPS_ON_PLANE = 1e-12
+_MAX_UNROLLED = 16  # _unrolled_source grows as n^3, to 15,000 lines at n = 32
 
 
 class DimensionMismatchError(ValueError):
@@ -237,7 +236,7 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     return w0, w1, w2, bias, norm
 
 
-def _cofactors(pts: np.ndarray) -> list[float]:
+def _eliminate(pts: np.ndarray) -> list[float]:
     """First-row cofactors (w, b) of the bordered matrix of the n x n pts.
 
     They are the left null vector c of B = [pts | 1]^T, (n+1) x n, scaled
@@ -271,13 +270,96 @@ def _cofactors(pts: np.ndarray) -> list[float]:
     return [ck for _, ck in sorted(zip(order, c))]  # c[k] belongs to row order[k]
 
 
+def _unrolled_source(n: int) -> str:
+    """_eliminate written out for one n on Python floats, as eliminate(r0, ...).
+
+    a{r}_{k} is entry (r, k) of [pts | 1]^T and o{r} the input row now in
+    row r; every product, quotient and sum is _eliminate's, in its order.
+    A pivot search keeps the first largest |entry|, as argmax does, and a
+    row swap is one tuple assignment. argmax would take a NaN candidate
+    first, which this search passes over; but a NaN candidate always ends
+    in a zero pivot or a non-finite cofactor, and in either case eliminate
+    returns None, so every list it does return has _eliminate's bits.
+    """
+    ks, rs, a = range(n), range(n + 1), "a{}_{}".format
+    lines = [f"def eliminate({', '.join(f'r{i}' for i in ks)}):",
+             *(f"    {''.join(a(k, i) + ', ' for k in ks)}= r{i}" for i in ks),
+             f"    {' = '.join(a(n, k) for k in ks)} = 1.0",
+             f"    {', '.join(f'o{r}' for r in rs)} = {', '.join(map(str, rs))}",
+             f"    det = {(-1.0) ** n}"]
+    for col in ks:
+        below = range(col + 1, n + 1)
+        lines.append(f"    m = {col}\n    best = abs({a(col, col)})")
+        lines += [f"    v = abs({a(r, col)})\n    if v > best:\n        m = {r}\n        best = v"
+                  for r in below]
+        for r in below:
+            top, other = ([*(a(i, k) for k in ks), f"o{i}"] for i in (col, r))
+            lines.append(f"    {'if' if r == col + 1 else 'elif'} m == {r}:\n"
+                         f"        {', '.join(top + other)} = {', '.join(other + top)}\n"
+                         "        det = -det")
+        lines.append(f"    p = {a(col, col)}\n    if p == 0.0:\n        return None\n    det *= p")
+        for r in below:
+            lines.append(f"    l = {a(r, col)} / p")
+            lines += [f"    {a(r, k)} -= l * {a(col, k)}" for k in range(col + 1, n)]
+    lines.append(f"    c{n} = det")
+    for k in reversed(ks):
+        terms = " + ".join(f"{a(r, k)} * c{r}" for r in range(k + 1, n + 1))
+        lines.append(f"    c{k} = -({terms}) / {a(k, k)}")
+    lines += [f"    if not math.isfinite({' + '.join(f'c{r}' for r in rs)}):",
+              "        return None", f"    out = [0.0] * {n + 1}",
+              *(f"    out[o{r}] = c{r}" for r in rs), "    return out"]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=_MAX_UNROLLED)
+def _unrolled(n: int):
+    """The eliminate function of _unrolled_source(n)."""
+    namespace: dict = {}
+    exec(compile(_unrolled_source(n), f"<elimination n={n}>", "exec"), globals(), namespace)
+    return namespace["eliminate"]
+
+
+def _cofactors(rows: list) -> list[float]:
+    """_eliminate's cofactors of the n points rows, n lists of n Python
+    floats, bit for bit: from the unrolled elimination for n <= _MAX_UNROLLED,
+    and from _eliminate itself where that returns None or n is larger."""
+    c = _unrolled(len(rows))(*rows) if len(rows) <= _MAX_UNROLLED else None
+    return _eliminate(np.array(rows)) if c is None else c
+
+
+def _plane_coeffs(rows: list) -> tuple[float, ...]:
+    """(w0, ..., w_{n-1}, bias, ||w||) of the plane through the n points
+    rows, n lists of n Python floats: _cofactors, and ||w|| in _dot's order.
+
+    Raises what hyperplane_from_points raises, in its order: ValueError when
+    a coordinate is not finite, DegeneratePointsError when ||w|| <=
+    EPS_DEGENERATE * coordinate_scale(rows)^(n-1) (cofactors scale like
+    coordinate^(n-1)), then the checks of Hyperplane. A non-finite
+    coordinate fails one of them, so the coordinates are tested only then:
+    an infinite one makes the threshold infinite, and a NaN one makes every
+    cofactor NaN, or 0.0 when a zero pivot comes first.
+    """
+    n = len(rows)
+    *w, b = _cofactors(rows)
+    norm = math.sqrt(_dot(w, w))
+    threshold = _degeneracy_threshold(max(1.0, *map(abs, chain.from_iterable(rows))), n - 1)
+    if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(b), 1.0) < norm):
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
+            raise ValueError("point has non-finite coordinates")
+        if norm <= threshold:
+            raise DegeneratePointsError("points are affinely dependent and define no "
+                                        "unique hyperplane")
+        Hyperplane(np.array(w), b)  # raises the first of its checks that fails
+    return (*w, b, norm)
+
+
 def hyperplane_from_points(points) -> Hyperplane:
     """Hyperplane through n points in n dimensions (bordered determinant).
 
     The cofactors come from _line_coeffs at n = 2, _plane3_coeffs at
-    n = 3 and the elimination (_cofactors) otherwise, so this is the plane
-    that mpa.fit trains with at n = 2 and 3 and the plane every model
-    stores. Raises DegeneratePointsError when the points are affinely
+    n = 3 and _plane_coeffs otherwise, the builders that mpa.fit trains
+    with, so this is every plane a model meets in training and the plane
+    it stores. Raises DegeneratePointsError when the points are affinely
     dependent, i.e. lie on a common (n-2)-flat, which drives every
     cofactor to zero.
     """
@@ -293,13 +375,7 @@ def hyperplane_from_points(points) -> Hyperplane:
     elif n == 3:
         *weights, bias, _ = _plane3_coeffs(*pts.tolist())
     else:
-        *weights, bias = _cofactors(pts)
-        # Cofactors scale like coordinate^(n-1); normalize the test accordingly.
-        if math.sqrt(_dot(weights, weights)) <= _degeneracy_threshold(
-                coordinate_scale(pts), n - 1):
-            raise DegeneratePointsError(
-                "points are affinely dependent and define no unique hyperplane"
-            )
+        *weights, bias, _ = _plane_coeffs(pts.tolist())
     return Hyperplane(np.array(weights), bias)
 
 

@@ -21,10 +21,10 @@ each other closer together.
 
 Training is one loop for every n, generated per n from one source
 (_fixed_order) on Python floats, with every lambda and step summed in a
-fixed order, and one fixed-order guard (_guard). For n = 2 and n = 3 the
-loop reads the plane in closed form, so such a model takes no bits from
-the BLAS kernel that numpy picks for the CPU; for n >= 4 it carries the
-plane by numpy rank-one updates (see fit and _Boundary).
+fixed order, and one fixed-order guard (_guard). After every move it
+re-reads the plane through the points with the builder that
+hyperplane_from_points uses for that n, so a model takes no bits from
+the BLAS kernel that numpy picks for the CPU (see fit).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .geometry import (
     _dot,
     _line_coeffs,
     _plane3_coeffs,
+    _plane_coeffs,
     as_rows,
     coordinate_scale,
     hyperplane_from_points,
@@ -388,25 +389,17 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 
     Inputs are validated once, here. The loop, one for every n and
     generated per n (_fixed_order), then works on raw Python floats: the
-    points, the rows and the plane's w, b and ||w||. lambda is evaluated
-    one example at a time with its sum written in a fixed order
-    ((x0*w0 + x1*w1 + ... + b) / ||w|| * sign), as are the norms of the
-    step (sqrt(d0*d0 + d1*d1 + ...)). The steps are those of the public
-    movement_vector and overfit_guard, and a moved point is kept only
-    once the plane through the candidate points is built. For n = 2 and
-    n = 3 that plane is hyperplane_from_points' closed form
-    (_line_coeffs, _plane3_coeffs), so no value depends on a BLAS kernel.
-    At n = 2 the guard runs only when ||w|| <= alpha: ||w|| is the
-    distance between the two points bit for bit (_line_coeffs), so no
-    projection is skipped. For n >= 4 a _Boundary carries the plane from
-    move to move by a rank-one update, so its coefficients can differ
-    from hyperplane_from_points' in the last bits; every accept-or-revert
-    decision near a degeneracy threshold still comes from a fresh build.
-    The guard is skipped where the _Boundary's lower bound on the gaps
-    between points proves it idle (_guard_is_idle), which changes no bit.
-    Either way model.hyperplane is set from a fresh
-    hyperplane_from_points(points) on every exit, so it always matches
-    the points, bit for bit, as a reloaded model does.
+    points, the rows and the plane's w, b and ||w||, with lambda
+    ((x0*w0 + ... + b) / ||w|| * sign) and the step's norms summed in a
+    fixed order. The steps are those of the public movement_vector and
+    overfit_guard. After each move the plane is re-read through the
+    candidate points by hyperplane_from_points' own builder (_line_coeffs,
+    _plane3_coeffs, _plane_coeffs), so no value depends on a BLAS kernel;
+    a move that makes the points degenerate is undone. The guard is
+    skipped only when no point lies within alpha of the mover by _guard's
+    own distance (at n = 2 that is ||w||, bit for bit), so no projection
+    is skipped. model.hyperplane is set from hyperplane_from_points(points)
+    on every exit, as a reloaded model's is.
     """
     cfg = model.config
     X = as_rows(data.features, model.dim)
@@ -443,8 +436,8 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # coordinates of a row, a point and the plane are locals (x0.., c0..,
 # w0..), and every dot product and norm is spelled term by term in _dot's
 # order, so no BLAS call, sum() (compensated from Python 3.12) or fused
-# multiply-add can change a bit. The code runs in mpa's globals, so _guard,
-# the closed-form plane (_line_coeffs, _plane3_coeffs) and _Boundary are
+# multiply-add can change a bit. The code runs in mpa's globals, so _guard
+# and the plane builders (_line_coeffs, _plane3_coeffs, _plane_coeffs) are
 # looked up when they are called.
 # - nearest(pts, x0, ...): the row of pts nearest to x, the lowest index
 #   on ties, as argmin;
@@ -454,9 +447,7 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log): yields each epoch's
 #   misclassified count; draws[j] lists the rows example j may draw. The
 #   points live in the list pts, written back into P before each yield and
-#   on every exit; a moved point enters pts only once its plane is built
-#   (for n >= 4, _Boundary.moved writes it into P first and puts the old
-#   row back if the plane is refused).
+#   on every exit; a moved point enters pts only once its plane is built.
 _STEP_SOURCE = """\
 def nearest(pts, {x}):
 {nearest}
@@ -526,8 +517,9 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, nearest=nearest, step_to=s
 def _fixed_order_source(n: int) -> str:
     """_STEP_SOURCE and then _EPOCHS_SOURCE filled in for n. Three slots
     differ by n: the first plane (start), the guard and the plane re-read
-    after a move (planes). n = 2 (the line) and n = 3 (the plane) read it
-    in closed form from the points; n >= 4 carries it in a _Boundary."""
+    after a move (planes), which n = 2 (the line) and n = 3 (the plane)
+    read in closed form and n >= 4 from _plane_coeffs' elimination. n = 2
+    and n >= 4 run the guard only when a point is within alpha of the mover."""
     ks = range(n)
 
     def each(term: str, sep: str = ", ") -> str:
@@ -545,24 +537,23 @@ def _fixed_order_source(n: int) -> str:
     source = _STEP_SOURCE.format(**fields, g=each("g{0}"), v=each("    v{0} = g{0} - c{0}", "\n"),
                                  vv=each("v{0} * v{0}", " + "), unit=each("v{0} / nv * step"))
     plane = f"{each('w{0}')}, b, norm_w"
+    build = {2: "_line_coeffs({})", 3: "_plane3_coeffs({})"}.get(n, "_plane_coeffs([{}])")
     guard = "t = _guard(pts, mover, t, alpha)"
-    if n > 3:
-        start = f"boundary = _Boundary(P)\n    {plane} = boundary.plane"
-        guard = (f"if not _guard_is_idle(boundary.gap_floor, step, alpha):\n"
+    if n == 2:
+        guard = ("if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit\n"
                  f"                    {guard}")
-        planes = [f"                    {plane} = boundary.moved(mover, e)"]
-    else:
-        coeffs = "_line_coeffs" if n == 2 else "_plane3_coeffs"
-        start = f"{plane} = {coeffs}(*pts)"
-        if n == 2:
-            guard = ("if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit\n"
-                     f"                    {guard}")
-        planes = []
-        for i in ks:
-            head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
-            args = ", ".join("e" if k == i else f"pts[{k}]" for k in ks)
-            planes += [f"                    {head}:",
-                       f"                        {plane} = {coeffs}({args})"]
+    elif n > 3:  # _guard's own gap from each point to the mover, 0.0 to itself
+        gap = each("(f{0} - c{0}) * (f{0} - c{0})", " + ")
+        guard = (f"for {each('f{0}')} in pts:\n"
+                 f"                    if 0.0 < math.sqrt({gap}) <= alpha:\n"
+                 f"                        {guard}\n                        break")
+    planes = []
+    for i in ks:
+        head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
+        args = ", ".join("e" if k == i else f"pts[{k}]" for k in ks)
+        planes += [f"                    {head}:",
+                   f"                        {plane} = {build.format(args)}"]
+    start = f"{plane} = {build.format('*pts')}"
     return source + _EPOCHS_SOURCE.format(
         **fields, start=start, t=each("t{0}"), abs_x=each("abs(x{0})"),
         abs_c=each("abs(c{0})"), margin=each("x{0} * w{0}", " + "), guard=guard,
@@ -577,182 +568,15 @@ def _fixed_order(n: int):
     return namespace["nearest"], namespace["step_to"], namespace["epochs"]
 
 
-# When _Boundary trades its rank-one update for a fresh build; see there.
-_REBUILD_EVERY = 64
-_MIN_DENOMINATOR = 1e-3
-_NEAR_DEGENERATE = 1e3
-_MAX_RESIDUAL = 1e-12
-# _Boundary's gap floor: its relative margin, and the least computed gap
-# it trusts (below that the floor is 0.0, and fit always guards).
-_GAP_MARGIN = 1e-9
-_GAP_UP = 1.0 + _GAP_MARGIN
-_MIN_GAP = 1e-140
-
-
-class _Boundary:
-    """The plane through the n >= 4 rows of P while fit moves them.
-
-    plane, and then each moved(i, e), gives (w0, ..., w_{n-1}, b, ||w||)
-    as Python floats for the loop that fit generates (_fixed_order).
-    moved(i, e) writes the candidate row e into P and returns the plane
-    through the new points; if it raises, row i gets its old value back
-    and nothing else changes.
-
-    It keeps the inverse Minv of the bordered (n+1)x(n+1) matrix M
-    whose row 0 is the unit coefficient vector of the last fresh plane and
-    whose rows 1..n are [p_i, 1]. The plane's coefficients c = (w, b) are
-    the cofactors of M's first row, det(M) * Minv[:, 0], whatever that row
-    holds. Moving point i by d adds [d, 0] to row i+1 of M, so with
-    u = d @ Minv[:n] and col = Minv[:, i+1], Sherman-Morrison gives, in
-    O(n^2) instead of the O(n^3) fresh build,
-
-        denom = 1 + u[i+1]                    (det(M') = det(M) * denom)
-        Minv' = Minv - outer(col, u / denom)
-        c'    = denom * c - (d . w) * col     (= det(M') * Minv'[:, 0])
-
-    The update is kept only when c' passes hyperplane_from_points' checks
-    (a finite bias and a finite ||w||, ||w|| > EPS_DEGENERATE *
-    coordinate_scale(P)^(n-1), and _normal_norm's ||w|| > EPS_DEGENERATE * max(|b|, 1)) with
-    _NEAR_DEGENERATE to spare, and when the plane still passes through
-    the points: max_j |p_j . w + b| <= _MAX_RESIDUAL * (max|P| ||w|| + |b|),
-    which bounds the rounding that updates pile up. Otherwise, and every
-    _REBUILD_EVERY updates, and when |denom| < _MIN_DENOMINATOR, a fresh
-    build through hyperplane_from_points decides: it raises what that
-    raises, and the state is replaced only when no check fails.
-
-    Two facts about P ride along, for the checks above and fit's guard,
-    and are replaced only with the rest of the state. row_max lists
-    max|P[i]| per row; max is exact, so max(1, *row_max) is
-    coordinate_scale(P) bit for bit. gap_floor is a lower bound on the
-    distance between any two rows:
-    a fresh build sets it to the least computed gap times 1 - _GAP_MARGIN
-    (_gap_floor), and a kept update lowers it by ||d|| (1 + _GAP_MARGIN),
-    since moving one point by d changes no gap by more than ||d||.
-
-    gap_floor stays below every gap that _guard computes, despite rounding
-    (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3). A gap or ||d|| computed as the root of a sum of n rounded
-    squares of rounded differences has a relative error of at most (n+3)u, in
-    any summation order and with or without fused multiply-add, unless a
-    square overflows or underflows. None overflows: a kept P has
-    max|P|^(n-1) inside the float range, or its fresh build or its update
-    limit would have refused it, so max|P| < 6e102 for n >= 4. Squares
-    that underflow add at most 2^-1075 each, so a norm errs by at most
-    about sqrt(n) 2^-537 < 1e-160 more. (n+3)u, and the rounding of the
-    floor's own products and differences, are far below _GAP_MARGIN for
-    any n that fits in memory; and a fresh floor is trusted only when
-    the least gap is at least _MIN_GAP = 1e-140: its slack of at least
-    _GAP_MARGIN * _MIN_GAP = 1e-149 covers the underflow error of the
-    _REBUILD_EVERY updates' ||d|| with ten orders to spare. So when
-    gap_floor > alpha (1 + _GAP_MARGIN), every gap is above alpha, in
-    _guard's fixed-order sums as in _gap_floor's numpy ones.
-    """
-
-    def __init__(self, P: np.ndarray):
-        self.P = P
-        self.plane = self._fresh()  # moved returns the later ones
-
-    def _fresh(self) -> tuple[float, ...]:
-        P = self.P
-        n = P.shape[0]
-        h = hyperplane_from_points(P)
-        coeffs = np.append(h.weights, h.bias)
-        M = np.empty((n + 1, n + 1))
-        M[0] = coeffs / math.sqrt(coeffs.dot(coeffs))
-        M[1:, :n] = P
-        M[1:, n] = 1.0
-        self.Minv = np.linalg.inv(M)
-        self.coeffs = coeffs
-        self.updates = 0
-        self.row_max = np.abs(P).max(axis=1).tolist()
-        self.gap_floor = _gap_floor(P)
-        w = h.weights
-        return (*w.tolist(), h.bias, math.sqrt(w.dot(w)))
-
-    def moved(self, i: int, e) -> tuple[float, ...]:
-        """(w0, ..., w_{n-1}, b, ||w||) once row i of P is e; row i gets
-        its old value back if this raises."""
-        P = self.P
-        old = P[i].copy()
-        P[i] = e
-        try:
-            return self._update(i, P[i] - old)
-        except BaseException:
-            P[i] = old
-            raise
-
-    def _update(self, i: int, d: np.ndarray) -> tuple[float, ...]:
-        """The plane once row i of P has moved by d."""
-        if self.updates < _REBUILD_EVERY:
-            P = self.P
-            n = P.shape[0]
-            update = _rank_one(self.Minv, self.coeffs, i + 1, d)
-            if update is not None:
-                Minv, coeffs = update
-                w = coeffs[:n]
-                b = coeffs.item(n)
-                norm_w = math.sqrt(w.dot(w))
-                row_max = self.row_max.copy()
-                row_max[i] = max(map(abs, P[i].tolist()))
-                scale = max(1.0, *row_max)  # coordinate_scale(P)
-                try:
-                    terms = scale ** (n - 1)
-                except OverflowError:  # past the float range: a fresh build decides
-                    terms = math.inf
-                limit = _NEAR_DEGENERATE * EPS_DEGENERATE * max(terms, abs(b))
-                if (limit < norm_w < math.inf and math.isfinite(b)  # False on nan
-                        and max(map(abs, (P.dot(w) + b).tolist()))
-                        <= _MAX_RESIDUAL * (scale * norm_w + abs(b))):
-                    self.Minv = Minv
-                    self.coeffs = coeffs
-                    self.updates += 1
-                    self.row_max = row_max
-                    self.gap_floor -= math.sqrt(d.dot(d)) * _GAP_UP
-                    return (*w.tolist(), b, norm_w)
-        return self._fresh()
-
-
-def _guard_is_idle(gap_floor: float, step: float, alpha: float) -> bool:
-    """True when gap_floor, a lower bound on every gap between two points
-    (_Boundary), exceeds alpha + step by a relative _GAP_MARGIN on each side,
-    so that _guard would return its step itself; False on nan. The loop
-    that fit generates for n >= 4 runs _guard only when this is False.
-    That needs only gap_floor > alpha; the step term also keeps the moved
-    point clear."""
-    return gap_floor - step * _GAP_UP > alpha * _GAP_UP
-
-
-def _gap_floor(P: np.ndarray) -> float:
-    """_Boundary's fresh gap_floor: _least_gap(P) times 1 - _GAP_MARGIN, or
-    0.0 when it is below _MIN_GAP."""
-    least = _least_gap(P)
-    return least * (1.0 - _GAP_MARGIN) if least >= _MIN_GAP else 0.0
-
-
 def _least_gap(P: np.ndarray) -> float:
     """The least distance between two rows of P, NaN if any distance is NaN
     (np.min's rule); each distance has np.linalg.norm's bits, the sqrt of a
-    row sum of squares."""
+    row sum of squares. initialize's default alpha is 0.1 times it."""
     n = P.shape[0]
     D = (P[:, None, :] - P[None, :, :]).reshape(n * n, -1)
     gaps = np.sqrt(np.add.reduce(D * D, axis=1))
     gaps[::n + 1] = math.inf  # each row's distance to itself
     return float(gaps.min())
-
-
-def _rank_one(Minv: np.ndarray, coeffs: np.ndarray, row: int, d: np.ndarray):
-    """(Minv', coeffs') after row `row` of the bordered matrix gains [d, 0].
-
-    The Sherman-Morrison step of _Boundary; None when the denominator is
-    below _MIN_DENOMINATOR in magnitude, or not a number.
-    """
-    n = d.size
-    col = Minv[:, row]
-    u = d.dot(Minv[:n])
-    denom = 1.0 + u.item(row)
-    if not abs(denom) >= _MIN_DENOMINATOR:
-        return None
-    return Minv - col[:, None] * (u / denom), denom * coeffs - float(d.dot(coeffs[:n])) * col
 
 
 def predict(model: MpaModel, x) -> int:

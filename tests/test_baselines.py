@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from movingpoints import baselines, mpa
+from movingpoints import baselines, geometry, mpa
 from movingpoints.baselines import (
     knn_fit,
     knn_predict_many,
@@ -514,7 +514,7 @@ class TestGeneratedLoops:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
     def test_no_sum_but_the_written_one(self, n):
         mpa_step = (mpa._fixed_order_source(n),) if n >= 2 else ()
-        for source in self.sources(n) + mpa_step:
+        for source in self.sources(n) + mpa_step + (geometry._unrolled_source(n),):
             for name in ("sum", "@", "np."):
                 assert name not in source
 
@@ -535,12 +535,13 @@ class TestGeneratedLoops:
         src = str(Path(baselines.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import movingpoints.cli; from movingpoints import baselines as b, mpa; "
+        code = ("import movingpoints.cli; from movingpoints import baselines as b, geometry, mpa; "
                 "print(b._perceptron_loop.cache_info().currsize, "
-                "b._svm_loop.cache_info().currsize, mpa._fixed_order.cache_info().currsize)")
+                "b._svm_loop.cache_info().currsize, mpa._fixed_order.cache_info().currsize, "
+                "geometry._unrolled.cache_info().currsize)")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == ["0", "0", "0"]
+        assert proc.stdout.split() == ["0", "0", "0", "0"]
 
     def test_second_fit_reuses_the_loops(self):
         ds = make_blobs(seed=3, std=2.0, n_per_class=10, dim=5)

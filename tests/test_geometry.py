@@ -277,6 +277,76 @@ class TestEliminationMatchesPerMinorOracle:
         assert h.weights.tolist() == [1.0] and h.bias == -p
 
 
+def left_sum(values) -> float:
+    """values[0] + values[1] + ..., left to right, with no compensation."""
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    return total
+
+
+class TestUnrolledEliminationMatchesNumpy:
+    """The elimination written out per n (geometry._unrolled) gives the
+    cofactors of the numpy one (geometry._eliminate) bit for bit."""
+
+    # Scales 2^-1000..2^1000 reach subnormal products and products, pivot
+    # products included, that overflow to inf and then NaN. A zero
+    # coordinate makes a row of [P | 1]^T that stays 0.0, small integers
+    # and a duplicated point make exact zero pivots, and an infinite or NaN
+    # coordinate exercises argmax's rule that the first NaN is the largest.
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.integers(4, 16), exponent=st.integers(-1000, 1000),
+           shape=st.sampled_from(["plain", "zero_coordinate", "duplicate", "small_int",
+                                  "non_finite"]), data=st.data())
+    @example(n=4, exponent=0, shape="zero_coordinate", data=None)
+    @example(n=16, exponent=1000, shape="plain", data=None)
+    def test_bit_identical(self, n, exponent, shape, data):
+        if data is None:  # the examples: a fixed draw of each shape
+            pts = SplitMix64(n).normals(n * n).reshape(n, n)
+        else:
+            pts = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+        pts = pts * 2.0 ** exponent
+        if shape == "zero_coordinate":
+            pts[:, n // 2] = 0.0
+        elif shape == "duplicate":
+            pts[-1] = pts[0]
+        elif shape == "small_int":
+            pts = np.round(pts / 2.0 ** exponent * 2.0)
+        elif shape == "non_finite":
+            pts[n // 3, n // 2] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        rows = pts.tolist()
+        with np.errstate(all="ignore"):
+            want = geometry._eliminate(pts)
+            unrolled = geometry._unrolled(n)(*rows)
+            got = geometry._cofactors(rows)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        if unrolled is None:  # left to _eliminate only on a zero pivot or a non-finite cofactor
+            assert all(c == 0.0 for c in want) or not math.isfinite(left_sum(want))
+        else:
+            assert np.array(unrolled).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_gaussian_points_take_the_unrolled_path(self, n):
+        pts = SplitMix64(n).normals(n * n).reshape(n, n)
+        got = geometry._unrolled(n)(*pts.tolist())
+        assert got is not None and got == geometry._eliminate(pts)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_non_finite_point_is_not_degenerate(self, n, bad):
+        # Two equal points give an exact zero pivot at the second step,
+        # before the elimination reaches the last point's bad coordinate:
+        # every cofactor is 0.0, and the coordinate is still what is refused.
+        pts = SplitMix64(n).normals(n * n).reshape(n, n)
+        pts[:2] = 2.0
+        pts[n - 1, n - 1] = bad
+        assert geometry._eliminate(pts) == [0.0] * (n + 1)
+        with pytest.raises(ValueError) as info, np.errstate(all="ignore"):
+            geometry._plane_coeffs(pts.tolist())
+        assert type(info.value) is ValueError
+        assert str(info.value) == "point has non-finite coordinates"
+
+
 class TestPlane3ClosedForm:
     """The cross-product plane of three 3-D points against the per-minor oracle."""
 
@@ -312,6 +382,7 @@ class TestPlane3ClosedForm:
     @pytest.mark.parametrize("pts, error", [
         pytest.param(1e200 * np.eye(3), ValueError, id="n3-1e200-not-finite"),
         pytest.param(1e50 * np.eye(8), ValueError, id="n8-1e50-not-finite"),
+        pytest.param(np.diag([1e45] + [1.0] * 7), DegeneratePointsError, id="n8-1e45-finite"),
         pytest.param([(1e200, 0, 0), (1e200, 1, 0), (1e200, 0, 1)], DegeneratePointsError,
                      id="n3-1e200-finite"),
         pytest.param([(1e155, 0, 0), (1e155, 1, 0), (1e155, 0, 1)], DegeneratePointsError,
@@ -320,8 +391,8 @@ class TestPlane3ClosedForm:
     def test_scale_power_past_float_range(self, pts, error):
         # coordinate_scale(P) ** (n - 1) overflows, where ** raised
         # OverflowError. Coefficients that overflow too are not finite; a
-        # finite normal is below the threshold, 1e391 at s = 1e200 and 1e301
-        # at s = 1e155.
+        # finite normal is below the threshold, 1e391 at s = 1e200, 1e301
+        # at s = 1e155 and 1e306 at s = 1e45 for n = 8.
         pts = np.asarray(pts, dtype=float)
         for build in [hyperplane_from_points] + [closed_form_plane3] * (len(pts) == 3):
             with pytest.raises(ValueError) as info:
@@ -336,6 +407,11 @@ class TestNormPastFloatRange:
     @pytest.mark.parametrize("build, args", [
         pytest.param(_plane3_coeffs, [(0, 0, 0), (0, 1e155, 0), (0, 0, 1e147)], id="plane3"),
         pytest.param(_line_coeffs, [(0, 0), (1e155, 0)], id="line"),
+        # The plane x3 = 0 through points of scale 1e40, one of them moved
+        # out to 1e100: w = (0, 0, 0, 3e180).
+        pytest.param(lambda *pts: geometry._plane_coeffs([list(p) for p in pts]),
+                     [(1e40, 0, 0, 0), (0, 1e40, 0, 0), (-1e40, -1e40, 0, 0), (0, 0, 1e100, 0)],
+                     id="plane_coeffs"),
         pytest.param(lambda *pts: hyperplane_from_points(pts), [(0, 0), (1e155, 0)],
                      id="hyperplane_from_points"),
         pytest.param(lambda *pts: line_from_points(*pts), [(0, 0), (1e155, 0)],

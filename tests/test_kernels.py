@@ -1,16 +1,19 @@
-"""n <= 3 training, the linear baselines and the fresh plane take no bits
-from the BLAS kernel.
+"""MPA training at every n, the linear baselines and the plane builder take
+no bits from the BLAS kernel.
 
 Grid models (MPA, the perceptron and the linear SVM) trained in child
 processes that force another OpenBLAS core must hash the same as the ones
-trained here, and so must n = 3 MPA models, the dim-8 perceptrons and
-linear SVMs, and the planes hyperplane_from_points builds. The grid cells
+trained here, and so must n = 3 MPA models, the dim-8 MPA models,
+perceptrons and linear SVMs, and the planes hyperplane_from_points builds.
+The grid cells
 are the first 20, in (seed, std index) order, whose MPA models took other
 bits under the Haswell and Prescott cores while the n = 2 loop still used
 BLAS dot and matrix-vector products. The n = 3 cells overlap (std 7.0 to
 10.0), so training makes about 36,000 moves; their models took other bits
 under the Haswell core while the n = 3 loop still worked on arrays. The
-dim-8 cells are those of the benchmark's overlap-8d workload.
+dim-8 cells are those of the benchmark's overlap-8d workload; their MPA
+models took other bits under the Haswell and Prescott cores while the
+n >= 4 loop carried its plane by rank-one updates in BLAS and LAPACK.
 `benchmarks/check_kernels.py` runs the full check over all 500 grid cells
 and every golden output.
 """
@@ -45,11 +48,12 @@ CELLS_3D = [(seed, std_index) for seed in range(10) for std_index in (60, 75, 90
 CELLS_8D = [(seed, std_index) for seed in range(3) for std_index in range(90, 100)]
 
 # Prints [openblas_core(), grid_model_digest(), plane_digest(), model3_digest(),
-# linear8_digest()] of a fresh interpreter.
+# linear8_digest(), model8_digest()] of a fresh interpreter.
 CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
          "from test_kernels import grid_model_digest, linear8_digest, model3_digest, "
-         "openblas_core, plane_digest; print(json.dumps([openblas_core(), "
-         "grid_model_digest(), plane_digest(), model3_digest(), linear8_digest()]))")
+         "model8_digest, openblas_core, plane_digest; print(json.dumps([openblas_core(), "
+         "grid_model_digest(), plane_digest(), model3_digest(), linear8_digest(), "
+         "model8_digest()]))")
 
 
 def cell_split(seed: int, std_index: int, dim: int):
@@ -112,6 +116,16 @@ def model3_digest() -> str:
     return digest.hexdigest()
 
 
+@functools.lru_cache(maxsize=1)
+def model8_digest() -> str:
+    """sha256 over the MPA model documents of CELLS_8D."""
+    digest = hashlib.sha256()
+    for seed, std_index in CELLS_8D:
+        _, _, model = cell_model(seed, std_index, 8)
+        digest.update(mpa.model_document(model).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def plane_digest() -> str:
     """sha256 over the coefficients of hyperplane_from_points on 20 Gaussian
     point sets (SplitMix64(n).normals) at each n in 3, 4, 8 and 16."""
@@ -136,10 +150,11 @@ def test_grid_models_do_not_depend_on_openblas_core(core):
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent)],
                           env=env, capture_output=True, text=True, check=True)
-    child_core, digest, planes, models3, linear8 = json.loads(
+    child_core, digest, planes, models3, linear8, models8 = json.loads(
         proc.stdout.strip().splitlines()[-1])
     ran = f"OPENBLAS_CORETYPE={core} ran core {child_core}"
     assert digest == grid_model_digest(), ran
     assert planes == plane_digest(), ran
     assert models3 == model3_digest(), ran
     assert linear8 == linear8_digest(), ran
+    assert models8 == model8_digest(), ran
