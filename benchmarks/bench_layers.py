@@ -3,17 +3,15 @@
 Run with ``python -m pytest benchmarks/bench_layers.py``. The file name
 does not match ``test_*.py``, so a plain ``pytest`` run never collects it.
 The generator cases time ``SplitMix64.permutation(80)`` on a fresh and
-a warm stream and ``randint(40)`` on a warm one; one more case times the
-closed-form line ``_line_coeffs`` that every n = 2 move rebuilds. Most
-cases rebuild the split of one `bench synthetic` cell exactly as
+a warm stream and ``randint(40)`` on a warm one. Most cases rebuild the split of one `bench synthetic` cell exactly as
 ``bench.run_synthetic_cell`` does. The training cases time ``mpa.train``
 on it and check that moves plus skips add up to the misclassified visits
 and that the points stay finite; the baseline cases time one classifier
 with the cell's parameters and seed slot. One more training case times
 the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
 plane cases time ``hyperplane_from_points`` on Gaussian points and the
-plane that ``mpa.fit`` re-reads after one move at n >= 4
-(``geometry._plane_coeffs``) at n = 8, 16 and 32. The epoch
+plane that ``mpa.fit`` re-reads after one move, through the builder of
+``geometry._plane_builder(n)``, at n = 2, 3, 4, 8, 16 and 32. The epoch
 cases time one epoch of ``mpa.train`` at dims 8 and 16. The guard
 cases time ``mpa.overfit_guard`` at n = 2, 3 and 8 on a step that it
 projects, so they put the per-n cost of the one shared guard on record.
@@ -38,7 +36,7 @@ from movingpoints.datasets import (
     standardize_fit,
     train_test_split,
 )
-from movingpoints.geometry import _line_coeffs, _plane_coeffs, hyperplane_from_points
+from movingpoints.geometry import _plane_builder, hyperplane_from_points
 from movingpoints.rng import SplitMix64, derive_seed
 
 
@@ -72,12 +70,6 @@ def test_permutation_80_warm(benchmark):
 def test_randint_40_warm(benchmark):
     stream = SplitMix64(12345)
     assert 0 <= benchmark(stream.randint, 40) < 40
-
-
-# The closed-form line that an n = 2 MPA move rebuilds through its two points.
-def test_line_coeffs(benchmark):
-    w0, w1, bias, norm = benchmark(_line_coeffs, [0.25, -1.5], [2.0, 3.75])
-    assert (w0, w1, norm) == (-5.25, 1.75, (w0 * w0 + w1 * w1) ** 0.5)
 
 
 # Grid cell (0, 9) separates at initialization (0 moves: set-up plus one
@@ -221,13 +213,14 @@ def test_overfit_guard(benchmark, n):
     assert out is not t and np.all(np.isfinite(out))
 
 
-# The plane of one move at n >= 4, as fit's loop re-reads it: each round
-# moves one point a small step in a copy of the point list, untimed, and
-# builds the plane through the new points. n = 16 and 32 put on record the
-# per-move cost that no workload runs; n = 32 is past the unrolled
-# elimination and takes the numpy one.
-@pytest.mark.parametrize("n", [8, 16, 32], ids=["n8", "n16", "n32"])
-def test_plane_coeffs(benchmark, n):
+# The plane of one move, as fit's loop re-reads it: each round moves one
+# point a small step in a copy of the point list, untimed, and builds the
+# plane through the new points with the builder of _plane_builder(n):
+# the line at n = 2, the cross product at n = 3 and the elimination above.
+# n = 16 and 32 put on record the per-move cost that no workload runs;
+# n = 32 is past the unrolled elimination and takes the numpy one.
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32], ids=lambda n: f"n{n}")
+def test_plane_builder(benchmark, n):
     stream = SplitMix64(n)
     pts = stream.normals(n * n).reshape(n, n).tolist()
     steps = (0.01 * stream.normals(n * 64).reshape(64, n)).tolist()
@@ -237,9 +230,9 @@ def test_plane_coeffs(benchmark, n):
         k = next(rounds)
         trial = pts[:]
         trial[k % n] = [p + d for p, d in zip(pts[k % n], steps[k % 64])]
-        return (trial,), {}
+        return trial, {}
 
-    plane = benchmark.pedantic(_plane_coeffs, setup=setup, rounds=2000)
+    plane = benchmark.pedantic(_plane_builder(n), setup=setup, rounds=2000)
     assert len(plane) == n + 2 and np.all(np.isfinite(plane))
 
 

@@ -16,14 +16,13 @@ determinant
 
 along its first row: weight i is the signed cofactor of the variable
 column i, the bias is the signed cofactor of the constant column.
-hyperplane_from_points builds this plane for every n: for n = 2 and 3
-from closed forms on Python floats, the line through two 2-D points
-(_line_coeffs) and the cross product of the plane through three 3-D
-points (_plane3_coeffs); for other n all n+1 cofactors come from one
-Gaussian elimination (_cofactors) and _plane_coeffs checks them. Each
-of the three takes the points themselves, as the loop that mpa.fit
-generates calls it after every move, so every plane met in training is
-the plane a model stores, bit for bit.
+hyperplane_from_points builds this plane for every n with the builder
+that _plane_builder(n) picks: closed forms on Python floats for n = 2
+(_line_coeffs) and n = 3 (_plane3_coeffs, a cross product), and one
+Gaussian elimination (_cofactors) for other n (_plane_coeffs). All three
+take the points as rows, refuse a plane through one _refuse, and are what
+the loop mpa.fit generates calls after every move, so every plane met in
+training is the plane a model stores, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import numpy as np
 EPS_DEGENERATE = 1e-9
 EPS_ON_PLANE = 1e-12
 _MAX_UNROLLED = 16  # _unrolled_source grows as n^3, to 15,000 lines at n = 32
+_DEPENDENT = "points are affinely dependent and define no unique hyperplane"
 
 
 class DimensionMismatchError(ValueError):
@@ -134,58 +134,70 @@ def _dot(u, v) -> float:
     return total
 
 
-def _normal_norm(weights: np.ndarray, bias: float) -> float:
-    """||weights|| (a fixed-order sum, see _dot) of a plane whose
-    coefficients pass the Hyperplane checks.
-
-    Raises ValueError on a non-finite bias or a norm that is not finite
-    (a non-finite weight or a norm past the float range), and
-    DegeneratePointsError when the normal is (near-)zero relative to the
-    coefficients: ||w|| <= EPS_DEGENERATE * max(|bias|, 1). A computed
-    ||w|| is never below (1 - 2^-52) * max|w_i|, so a max|w_i| term could
-    never decide this test.
+def _check_normal(b: float, norm: float) -> None:
+    """The checks of a plane's normal, in order: ValueError when the bias
+    is not finite, ValueError when ||w|| is not finite (a non-finite weight
+    or a norm past the float range), and DegeneratePointsError when the
+    normal is (near-)zero relative to the coefficients: ||w|| <=
+    EPS_DEGENERATE * max(|bias|, 1). A computed ||w|| is never below
+    (1 - 2^-52) * max|w_i|, so a max|w_i| term could never decide the last.
     """
-    if not math.isfinite(bias):
+    if not math.isfinite(b):
         raise ValueError("bias is not finite")
-    wl = weights.tolist()
-    norm = math.sqrt(_dot(wl, wl))
     if not math.isfinite(norm):
         raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
+    if norm <= EPS_DEGENERATE * max(abs(b), 1.0):
         raise DegeneratePointsError("hyperplane normal is (near-)zero")
+
+
+def _normal_norm(weights: np.ndarray, bias: float) -> float:
+    """||weights|| (a fixed-order sum, see _dot) of a plane that passes
+    :func:`_check_normal`, which raises otherwise."""
+    wl = weights.tolist()
+    norm = math.sqrt(_dot(wl, wl))
+    _check_normal(bias, norm)
     return norm
+
+
+def _refuse(coords, b: float, norm: float, threshold: float, message: str) -> None:
+    """Raise why a builder's plane (w, b) through the points coords is
+    refused, in the order every builder documents: ValueError when a
+    coordinate is not finite, DegeneratePointsError(message) when ||w|| <=
+    threshold, then :func:`_check_normal`.
+
+    A builder calls it only when its one test, threshold < ||w|| < inf and
+    EPS_DEGENERATE * max(|b|, 1) < ||w||, fails, and one of these checks
+    then fails too. A non-finite coordinate always fails that test (a
+    builder's docstring says how), so the coordinates are read only here.
+    """
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("point has non-finite coordinates")
+    if norm <= threshold:
+        raise DegeneratePointsError(message)
+    _check_normal(b, norm)
 
 
 def _line_coeffs(p1, p2) -> tuple[float, float, float, float]:
     """(w0, w1, bias, ||w||) of the line through two 2-D points, on Python floats.
 
-    p1 = (x1, y1) and p2 = (x2, y2) are sequences of two floats, taken as
-    _plane3_coeffs takes its three. Coefficients are (y1 - y2, x2 - x1)
-    with constant x1*y2 - x2*y1, read directly off the two-point line
-    equation; ||w|| is sqrt(w0*w0 + w1*w1), which is also the distance
-    between the points. Raises ValueError when a coordinate is not finite,
-    DegeneratePointsError when the points coincide, then the checks of
-    :func:`_normal_norm`, in that order. Each coordinate enters one
-    difference, so a non-finite one always makes ||w|| non-finite: the
-    coordinates are tested only when ||w|| is not finite.
+    p1 = (x1, y1) and p2 = (x2, y2) are sequences of two floats. Coefficients
+    are (y1 - y2, x2 - x1) with constant x1*y2 - x2*y1, read directly off
+    the two-point line equation; ||w|| is sqrt(w0*w0 + w1*w1), which is
+    also the distance between the points. The threshold is EPS_DEGENERATE *
+    max(1, max|p|), and a refused line raises through :func:`_refuse`
+    ("the two points coincide"). Each coordinate enters one difference, so
+    a non-finite one makes ||w|| non-finite.
     """
     x1, y1 = p1
     x2, y2 = p2
     w0 = y1 - y2
     w1 = x2 - x1
-    norm = math.sqrt(w0 * w0 + w1 * w1)
-    if not math.isfinite(norm) and not all(map(math.isfinite, (x1, y1, x2, y2))):
-        raise ValueError("point has non-finite coordinates")
-    # coordinate_scale of the two points, on the Python floats.
-    if norm <= EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2)):
-        raise DegeneratePointsError("the two points coincide")
     bias = x1 * y2 - x2 * y1
-    if not math.isfinite(bias):
-        raise ValueError("bias is not finite")
-    if not math.isfinite(norm):
-        raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
-        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    norm = math.sqrt(w0 * w0 + w1 * w1)
+    # coordinate_scale of the two points, on the Python floats.
+    threshold = EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2))
+    if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(bias), 1.0) < norm):
+        _refuse((x1, y1, x2, y2), bias, norm, threshold, "the two points coincide")
     return w0, w1, bias, norm
 
 
@@ -195,14 +207,12 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     p1, p2 and p3 are sequences of three floats. The normal is the cross
     product w = (p2 - p1) x (p3 - p1) and the bias is -(w . p1), the
     first-row cofactors of the bordered determinant, with the orientation
-    of _cofactors; ||w|| is sqrt(w0*w0 + w1*w1 + w2*w2). Raises what the
-    elimination path of hyperplane_from_points raises, in its order, with
-    its threshold EPS_DEGENERATE * max(1, max|p|)^2, then the checks of
-    :func:`_normal_norm`. A non-finite coordinate makes a component of u
-    or v non-finite, and its products with the other vector's two other
-    components (x * inf and x * nan are never finite) make two components
-    of w, and so ||w||, non-finite: the coordinates are tested only when
-    ||w|| is not finite.
+    of _cofactors; ||w|| is sqrt(w0*w0 + w1*w1 + w2*w2). The threshold is
+    _plane_coeffs' EPS_DEGENERATE * max(1, max|p|)^2, and a refused plane
+    raises through :func:`_refuse`. A non-finite coordinate makes a
+    component of u or v non-finite, and its products with the other
+    vector's two other components (x * inf and x * nan are never finite)
+    make two components of w, and so ||w||, non-finite.
     """
     a0, a1, a2 = p1
     b0, b1, b2 = p2
@@ -217,22 +227,12 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     w0 = u1 * v2 - u2 * v1
     w1 = u2 * v0 - u0 * v2
     w2 = u0 * v1 - u1 * v0
-    norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    if not math.isfinite(norm) and not all(map(math.isfinite, coords)):
-        raise ValueError("point has non-finite coordinates")
-    # coordinate_scale of the three points, on the Python floats.
-    scale = max(1.0, *map(abs, coords))
-    if norm <= _degeneracy_threshold(scale, 2):
-        raise DegeneratePointsError(
-            "points are affinely dependent and define no unique hyperplane"
-        )
     bias = -(w0 * a0 + w1 * a1 + w2 * a2)
-    if not math.isfinite(bias):
-        raise ValueError("bias is not finite")
-    if not math.isfinite(norm):
-        raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
-        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    # coordinate_scale of the three points, on the Python floats.
+    threshold = _degeneracy_threshold(max(1.0, *map(abs, coords)), 2)
+    if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(bias), 1.0) < norm):
+        _refuse(coords, bias, norm, threshold, _DEPENDENT)
     return w0, w1, w2, bias, norm
 
 
@@ -319,7 +319,7 @@ def _unrolled(n: int):
     return namespace["eliminate"]
 
 
-def _cofactors(rows: list) -> list[float]:
+def _cofactors(rows) -> list[float]:
     """_eliminate's cofactors of the n points rows, n lists of n Python
     floats, bit for bit: from the unrolled elimination for n <= _MAX_UNROLLED,
     and from _eliminate itself where that returns None or n is larger."""
@@ -327,40 +327,40 @@ def _cofactors(rows: list) -> list[float]:
     return _eliminate(np.array(rows)) if c is None else c
 
 
-def _plane_coeffs(rows: list) -> tuple[float, ...]:
+def _plane_coeffs(*rows) -> tuple[float, ...]:
     """(w0, ..., w_{n-1}, bias, ||w||) of the plane through the n points
-    rows, n lists of n Python floats: _cofactors, and ||w|| in _dot's order.
+    rows, each a list of n Python floats: _cofactors, and ||w|| in _dot's order.
 
-    Raises what hyperplane_from_points raises, in its order: ValueError when
-    a coordinate is not finite, DegeneratePointsError when ||w|| <=
-    EPS_DEGENERATE * coordinate_scale(rows)^(n-1) (cofactors scale like
-    coordinate^(n-1)), then the checks of Hyperplane. A non-finite
-    coordinate fails one of them, so the coordinates are tested only then:
-    an infinite one makes the threshold infinite, and a NaN one makes every
-    cofactor NaN, or 0.0 when a zero pivot comes first.
+    The threshold is EPS_DEGENERATE * coordinate_scale(rows)^(n-1)
+    (cofactors scale like coordinate^(n-1)), and a refused plane raises
+    through :func:`_refuse`. A non-finite coordinate fails the builders'
+    one test: an infinite one makes the threshold infinite, and a NaN one
+    makes every cofactor NaN, or 0.0 when a zero pivot comes first.
     """
-    n = len(rows)
     *w, b = _cofactors(rows)
     norm = math.sqrt(_dot(w, w))
-    threshold = _degeneracy_threshold(max(1.0, *map(abs, chain.from_iterable(rows))), n - 1)
+    threshold = _degeneracy_threshold(max(1.0, *map(abs, chain.from_iterable(rows))),
+                                      len(rows) - 1)
     if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(b), 1.0) < norm):
-        if not all(map(math.isfinite, chain.from_iterable(rows))):
-            raise ValueError("point has non-finite coordinates")
-        if norm <= threshold:
-            raise DegeneratePointsError("points are affinely dependent and define no "
-                                        "unique hyperplane")
-        Hyperplane(np.array(w), b)  # raises the first of its checks that fails
+        _refuse(chain.from_iterable(rows), b, norm, threshold, _DEPENDENT)
     return (*w, b, norm)
+
+
+def _plane_builder(n: int):
+    """The builder of the plane through n points in n dimensions:
+    _line_coeffs at n = 2, _plane3_coeffs at n = 3, _plane_coeffs
+    otherwise. Each takes the points as rows, (*rows) -> (w0, ...,
+    w_{n-1}, bias, ||w||), and refuses a plane through _refuse."""
+    return {2: _line_coeffs, 3: _plane3_coeffs}.get(n, _plane_coeffs)
 
 
 def hyperplane_from_points(points) -> Hyperplane:
     """Hyperplane through n points in n dimensions (bordered determinant).
 
-    The cofactors come from _line_coeffs at n = 2, _plane3_coeffs at
-    n = 3 and _plane_coeffs otherwise, the builders that mpa.fit trains
-    with, so this is every plane a model meets in training and the plane
-    it stores. Raises DegeneratePointsError when the points are affinely
-    dependent, i.e. lie on a common (n-2)-flat, which drives every
+    The cofactors come from _plane_builder(n), the builder that mpa.fit
+    trains with, so this is every plane a model meets in training and the
+    plane it stores. Raises DegeneratePointsError when the points are
+    affinely dependent, i.e. lie on a common (n-2)-flat, which drives every
     cofactor to zero.
     """
     pts = as_rows(points)
@@ -370,12 +370,7 @@ def hyperplane_from_points(points) -> Hyperplane:
             f"need exactly n points of dimension n, got {pts.shape[0]} points "
             f"of dimension {pts.shape[1]}"
         )
-    if n == 2:
-        *weights, bias, _ = _line_coeffs(*pts.tolist())
-    elif n == 3:
-        *weights, bias, _ = _plane3_coeffs(*pts.tolist())
-    else:
-        *weights, bias, _ = _plane_coeffs(pts.tolist())
+    *weights, bias, _ = _plane_builder(n)(*pts.tolist())
     return Hyperplane(np.array(weights), bias)
 
 

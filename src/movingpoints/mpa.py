@@ -44,9 +44,7 @@ from .geometry import (
     DimensionMismatchError,
     Hyperplane,
     _dot,
-    _line_coeffs,
-    _plane3_coeffs,
-    _plane_coeffs,
+    _plane_builder,
     as_rows,
     coordinate_scale,
     hyperplane_from_points,
@@ -106,8 +104,8 @@ class MpaConfig:
         if not (self.epochs >= 1 and self.epochs % 1 == 0):  # inf % 1 is nan
             raise ValueError(f"epochs must be a positive integer, got {self.epochs}")
         self.epochs = int(self.epochs)
-        if self.alpha is not None and not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if self.alpha is not None and not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0 < self.near_cluster_percentile <= 100:
             raise ValueError(
                 f"near_cluster_percentile must be in (0, 100], got {self.near_cluster_percentile}"
@@ -132,8 +130,9 @@ class MpaModel:
             )
         if set(pseudo_sign) != {0, 1} or set(pseudo_sign.values()) != {-1, 1}:
             raise ValueError(f"pseudo_sign must map {{0,1}} onto {{-1,+1}}, got {pseudo_sign}")
-        if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and alpha >= 0):
-            raise ValueError(f"alpha must be a number >= 0, got {alpha!r}")
+        if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real)
+                                           and 0 <= alpha < math.inf):
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
         if feature_names is not None and not (
                 isinstance(feature_names, list) and len(feature_names) == n
                 and all(isinstance(name, str) for name in feature_names)):
@@ -393,8 +392,8 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     ((x0*w0 + ... + b) / ||w|| * sign) and the step's norms summed in a
     fixed order. The steps are those of the public movement_vector and
     overfit_guard. After each move the plane is re-read through the
-    candidate points by hyperplane_from_points' own builder (_line_coeffs,
-    _plane3_coeffs, _plane_coeffs), so no value depends on a BLAS kernel;
+    candidate points by hyperplane_from_points' own builder, which fit
+    passes in as _plane_builder(n), so no value depends on a BLAS kernel;
     a move that makes the points degenerate is undone. The guard is
     skipped only when no point lies within alpha of the mover by _guard's
     own distance (at n = 2 that is ||w||, bit for bit), so no projection
@@ -416,9 +415,10 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     P = model.moving_points
     log = TrainingLog()
     epochs = _fixed_order(model.dim)[2]
+    build = _plane_builder(model.dim)
     try:
         # Each epoch leaves its points in P before it yields its count.
-        for miss in epochs(P, X, pseudo, draws, rng, cfg, model.alpha, log):
+        for miss in epochs(P, X, pseudo, draws, rng, cfg, model.alpha, log, build):
             log.misclassified.append(miss)
             log.epochs_run += 1
             if cfg.early_stop and miss == 0:
@@ -437,17 +437,19 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # w0..), and every dot product and norm is spelled term by term in _dot's
 # order, so no BLAS call, sum() (compensated from Python 3.12) or fused
 # multiply-add can change a bit. The code runs in mpa's globals, so _guard
-# and the plane builders (_line_coeffs, _plane3_coeffs, _plane_coeffs) are
-# looked up when they are called.
+# is looked up when it is called; the plane builder comes in per call.
 # - nearest(pts, x0, ...): the row of pts nearest to x, the lowest index
 #   on ties, as argmin;
 # - step_to(c0, ..., g0, ..., scale, step): the step of length step from c
 #   toward g; ZeroDisplacementError when g sits on c relative to scale,
 #   coordinate_scale(c, g);
-# - epochs(P, X, pseudo, draws, rng, cfg, alpha, log): yields each epoch's
-#   misclassified count; draws[j] lists the rows example j may draw. The
-#   points live in the list pts, written back into P before each yield and
-#   on every exit; a moved point enters pts only once its plane is built.
+# - epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build): yields each
+#   epoch's misclassified count; draws[j] lists the rows example j may
+#   draw, and build(*rows) is geometry._plane_builder(n). The points live
+#   in the list pts, written back into P before each yield and on every
+#   exit; a moved point enters pts only once its plane is built. The guard
+#   runs only when a point is within alpha of the mover (n = 2 reads that
+#   off ||w||; n >= 3 checks each point's gap, as _guard does).
 _STEP_SOURCE = """\
 def nearest(pts, {x}):
 {nearest}
@@ -463,7 +465,8 @@ def step_to({c}, {g}, scale, step):
 """
 _EPOCHS_SOURCE = """
 
-def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, nearest=nearest, step_to=step_to):
+def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
+           nearest=nearest, step_to=step_to):
     rows = X.tolist()
     row_scale = [max({abs_x}) for {x} in rows]  # max|X[r]|
     signs = pseudo.tolist()
@@ -515,11 +518,9 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, nearest=nearest, step_to=s
 
 
 def _fixed_order_source(n: int) -> str:
-    """_STEP_SOURCE and then _EPOCHS_SOURCE filled in for n. Three slots
-    differ by n: the first plane (start), the guard and the plane re-read
-    after a move (planes), which n = 2 (the line) and n = 3 (the plane)
-    read in closed form and n >= 4 from _plane_coeffs' elimination. n = 2
-    and n >= 4 run the guard only when a point is within alpha of the mover."""
+    """_STEP_SOURCE and then _EPOCHS_SOURCE filled in for n. One slot
+    differs by n: the guard's pre-check, which n = 2 reads off the line's
+    ||w|| and n >= 3 takes from each point's gap to the mover."""
     ks = range(n)
 
     def each(term: str, sep: str = ", ") -> str:
@@ -537,12 +538,11 @@ def _fixed_order_source(n: int) -> str:
     source = _STEP_SOURCE.format(**fields, g=each("g{0}"), v=each("    v{0} = g{0} - c{0}", "\n"),
                                  vv=each("v{0} * v{0}", " + "), unit=each("v{0} / nv * step"))
     plane = f"{each('w{0}')}, b, norm_w"
-    build = {2: "_line_coeffs({})", 3: "_plane3_coeffs({})"}.get(n, "_plane_coeffs([{}])")
     guard = "t = _guard(pts, mover, t, alpha)"
     if n == 2:
         guard = ("if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit\n"
                  f"                    {guard}")
-    elif n > 3:  # _guard's own gap from each point to the mover, 0.0 to itself
+    else:  # _guard's own gap from each point to the mover, 0.0 to itself
         gap = each("(f{0} - c{0}) * (f{0} - c{0})", " + ")
         guard = (f"for {each('f{0}')} in pts:\n"
                  f"                    if 0.0 < math.sqrt({gap}) <= alpha:\n"
@@ -551,11 +551,9 @@ def _fixed_order_source(n: int) -> str:
     for i in ks:
         head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
         args = ", ".join("e" if k == i else f"pts[{k}]" for k in ks)
-        planes += [f"                    {head}:",
-                   f"                        {plane} = {build.format(args)}"]
-    start = f"{plane} = {build.format('*pts')}"
+        planes += [f"                    {head}:", f"                        {plane} = build({args})"]
     return source + _EPOCHS_SOURCE.format(
-        **fields, start=start, t=each("t{0}"), abs_x=each("abs(x{0})"),
+        **fields, start=f"{plane} = build(*pts)", t=each("t{0}"), abs_x=each("abs(x{0})"),
         abs_c=each("abs(c{0})"), margin=each("x{0} * w{0}", " + "), guard=guard,
         t_or=each("t{0}", " or "), e=each("c{0} + t{0}"), planes="\n".join(planes))
 

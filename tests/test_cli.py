@@ -137,6 +137,7 @@ class TestPredict:
         pytest.param({"pseudo_sign": {"0": [1], "1": 1}}, id="pseudo-sign-value-list"),
         pytest.param({"moving_points": {"a": 1}}, id="moving-points-object"),
         pytest.param({"alpha": True}, id="alpha-boolean"),
+        pytest.param({"alpha": float("inf")}, id="alpha-infinity"),
         pytest.param({"feature_names": [1, 2]}, id="feature-names-numbers"),
         pytest.param({"feature_names": ["a"]}, id="feature-names-too-few"),
         pytest.param({"config": {"eta": True}}, id="config-eta-boolean"),
@@ -319,6 +320,8 @@ class TestBadConfigIsExit2:
         pytest.param("fit", ["--eta", "inf"], "eta must be", id="fit-eta-inf"),
         pytest.param("fit", ["--init-spread", "inf"], "init_spread must be",
                      id="fit-init-spread-inf"),
+        pytest.param("fit", ["--alpha", "inf"], "alpha must be finite and >= 0",
+                     id="fit-alpha-inf"),
         pytest.param("bench synthetic", ["--epochs", "0"], "epochs must be",
                      id="synthetic-epochs-0"),
         pytest.param("bench synthetic", ["--eta", "inf"], "eta must be",

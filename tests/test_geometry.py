@@ -342,7 +342,7 @@ class TestUnrolledEliminationMatchesNumpy:
         pts[n - 1, n - 1] = bad
         assert geometry._eliminate(pts) == [0.0] * (n + 1)
         with pytest.raises(ValueError) as info, np.errstate(all="ignore"):
-            geometry._plane_coeffs(pts.tolist())
+            geometry._plane_coeffs(*pts.tolist())
         assert type(info.value) is ValueError
         assert str(info.value) == "point has non-finite coordinates"
 
@@ -409,7 +409,7 @@ class TestNormPastFloatRange:
         pytest.param(_line_coeffs, [(0, 0), (1e155, 0)], id="line"),
         # The plane x3 = 0 through points of scale 1e40, one of them moved
         # out to 1e100: w = (0, 0, 0, 3e180).
-        pytest.param(lambda *pts: geometry._plane_coeffs([list(p) for p in pts]),
+        pytest.param(lambda *pts: geometry._plane_coeffs(*[list(p) for p in pts]),
                      [(1e40, 0, 0, 0), (0, 1e40, 0, 0), (-1e40, -1e40, 0, 0), (0, 0, 1e100, 0)],
                      id="plane_coeffs"),
         pytest.param(lambda *pts: hyperplane_from_points(pts), [(0, 0), (1e155, 0)],
@@ -478,16 +478,49 @@ def frozen_plane3_coeffs(p1, p2, p3):
     return w0, w1, w2, bias, norm
 
 
+def frozen_plane_coeffs(*rows):
+    """_plane_coeffs with its checks in the documented order, the
+    coordinates tested first: then _eliminate's cofactors and the
+    threshold, then bias, norm and near-zero."""
+    coords = [c for row in rows for c in row]
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("point has non-finite coordinates")
+    with np.errstate(all="ignore"):
+        *w, b = geometry._eliminate(np.array(rows))
+    norm = math.sqrt(left_sum([wk * wk for wk in w]))
+    if norm <= geometry._degeneracy_threshold(max(1.0, *map(abs, coords)), len(rows) - 1):
+        raise DegeneratePointsError(
+            "points are affinely dependent and define no unique hyperplane")
+    if not math.isfinite(b):
+        raise ValueError("bias is not finite")
+    if not math.isfinite(norm):
+        raise ValueError("the norm of the hyperplane normal overflows")
+    if norm <= EPS_DEGENERATE * max(abs(b), 1.0):
+        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    return (*w, b, norm)
+
+
 def coeffs_outcome(build, pts):
     """The coefficients' bits, or the class and message of the error raised."""
     try:
-        return [c.hex() for c in build(*pts)]
+        with np.errstate(all="ignore"):
+            return [c.hex() for c in build(*pts)]
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-CLOSED_FORMS = {2: (_line_coeffs, frozen_line_coeffs), 3: (_plane3_coeffs, frozen_plane3_coeffs)}
-DISTINCT = {2: [[0.5, -1.0], [2.0, 3.0]], 3: [[0.5, -1.0, 0.0], [2.0, 3.0, 1.0], [-1.0, 0.0, 4.0]]}
+BUILDERS = {2: (_line_coeffs, frozen_line_coeffs), 3: (_plane3_coeffs, frozen_plane3_coeffs),
+            4: (geometry._plane_coeffs, frozen_plane_coeffs),
+            8: (geometry._plane_coeffs, frozen_plane_coeffs)}
+DISTINCT = {2: [[0.5, -1.0], [2.0, 3.0]], 3: [[0.5, -1.0, 0.0], [2.0, 3.0, 1.0], [-1.0, 0.0, 4.0]],
+            4: SplitMix64(4).normals(16).reshape(4, 4).tolist(),
+            8: SplitMix64(8).normals(64).reshape(8, 8).tolist()}
+
+
+def corner_simplex(n, offset, step):
+    """A corner at offset in every coordinate, and the corner moved by step
+    along each of the first n - 1 axes."""
+    return [[offset + step * (k == i) for k in range(n)] for i in range(-1, n - 1)]
 
 
 def deferred_check_cases():
@@ -516,6 +549,14 @@ def deferred_check_cases():
     yield 3, [[big, big, big]] * 3, "n3-coincident-at-float-max"
     yield 3, [[1e10, 1e10, 1e10], [1e10 + 1e6, 1e10, 1e10], [1e10, 1e10 + 1e6, 1e10]], \
         "n3-normal-near-zero"
+    for n in (4, 8):
+        # The cofactors of finite points overflow: inf, or NaN from inf - inf.
+        yield n, (SplitMix64(n).normals(n * n) * 1e100).reshape(n, n).tolist(), \
+            f"n{n}-cofactors-overflow"
+        # ||w|| = step^(n-1): far above the threshold, below EPS_DEGENERATE
+        # times the bias; then finite, 1e200, so that only its square overflows.
+        yield n, corner_simplex(n, 1e10, 1e9), f"n{n}-normal-near-zero"
+        yield n, corner_simplex(n, 0.0, 10.0 ** (200 / (n - 1))), f"n{n}-norm-overflows"
 
 
 SPECIAL_COORDINATES = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e154, 1e200, 1e308, -1e308,
@@ -523,9 +564,9 @@ SPECIAL_COORDINATES = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e154, 1e200, 1e308, -1e308
 
 
 @st.composite
-def closed_form_points(draw):
-    """n = 2 or 3 points with any float coordinates, often coincident."""
-    n = draw(st.sampled_from([2, 3]))
+def builder_points(draw):
+    """n = 2, 3, 4 or 8 points with any float coordinates, often coincident."""
+    n = draw(st.sampled_from(sorted(BUILDERS)))
     coordinate = st.one_of(st.floats(), st.sampled_from(SPECIAL_COORDINATES))
     pts = [draw(st.lists(coordinate, min_size=n, max_size=n)) for _ in range(n)]
     if draw(st.booleans()):
@@ -534,32 +575,44 @@ def closed_form_points(draw):
 
 
 class TestDeferredFiniteCheck:
-    """The closed forms test the coordinates only when ||w|| is not finite;
-    they raise and return what the frozen test-first versions do."""
+    """Every builder tests the coordinates only when its one test fails; it
+    raises and returns what the frozen test-first versions do."""
 
     @pytest.mark.parametrize("n, pts", [pytest.param(n, pts, id=name)
                                         for n, pts, name in deferred_check_cases()])
     def test_table_matches_test_first_order(self, n, pts):
-        build, frozen = CLOSED_FORMS[n]
+        build, frozen = BUILDERS[n]
         assert coeffs_outcome(build, pts) == coeffs_outcome(frozen, pts)
 
     @settings(max_examples=400, deadline=None)
-    @given(closed_form_points())
+    @given(builder_points())
     def test_any_floats_match_test_first_order(self, case):
         n, pts = case
-        build, frozen = CLOSED_FORMS[n]
+        build, frozen = BUILDERS[n]
         assert coeffs_outcome(build, pts) == coeffs_outcome(frozen, pts)
 
-    def test_table_reaches_every_outcome(self):
+    @pytest.mark.parametrize("n", sorted(BUILDERS))
+    def test_table_reaches_every_outcome(self, n):
         reached = set()
-        for n, pts, _ in deferred_check_cases():
-            out = coeffs_outcome(CLOSED_FORMS[n][0], pts)
-            reached.add(out[1] if isinstance(out, tuple) else "coefficients")
+        for m, pts, _ in deferred_check_cases():
+            if m == n:
+                out = coeffs_outcome(BUILDERS[n][0], pts)
+                reached.add(out[1] if isinstance(out, tuple) else "coefficients")
         assert reached == {
-            "coefficients", "point has non-finite coordinates", "the two points coincide",
+            "coefficients", "point has non-finite coordinates",
+            "the two points coincide" if n == 2 else
             "points are affinely dependent and define no unique hyperplane",
             "bias is not finite", "the norm of the hyperplane normal overflows",
             "hyperplane normal is (near-)zero"}
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_train_names_an_overflowing_normal(self, dim):
+        # Finite data whose initial plane's cofactors overflow: every
+        # coordinate is finite, and the error names the check that failed.
+        ds = make_blobs(1, 3.0, 20, dim, 4.0)
+        with pytest.raises(ValueError, match="^bias is not finite$") as info:
+            train(Dataset(ds.features * 1e100, ds.labels))
+        assert type(info.value) is ValueError
 
 
 class TestSignedDisplacement:

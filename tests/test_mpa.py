@@ -979,16 +979,25 @@ class TestFitMatchesFrozenLoop:
         ref = assert_fit_matches_frozen(dim, 6.0, 3, 11, 3.0, 1.0, None)
         assert ref["reverted"] > 0 and ref["moves"] > 0
 
-    def test_skipped_and_run_guards_match_at_dim8(self, monkeypatch):
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_skipped_and_run_guards_match(self, dim, monkeypatch):
         # With alpha = 2.0 the pre-check finds no point within alpha of the
         # mover on some moves and skips _guard; on others the guard runs and
         # projects. Both paths replay the frozen loop.
         calls = []
         guard = mpa._guard
         monkeypatch.setattr(mpa, "_guard", lambda *args: calls.append(1) or guard(*args))
-        ref = assert_fit_matches_frozen(8, 2.0, 1, 7, 2.5, 1.0, 2.0)
+        ref = assert_fit_matches_frozen(dim, 2.0, 1, 7, 2.5, 1.0, 2.0)
         assert ref["projected"] > 0
         assert 0 < len(calls) < ref["moves"]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_loop_builds_every_plane_through_build(self, n):
+        # One builder lookup: the loop names no builder of its own.
+        source = mpa._fixed_order_source(n)
+        assert "build(" in source
+        for name in ("_line_coeffs", "_plane3_coeffs", "_plane_coeffs"):
+            assert name not in source
 
 
 # sha256 over n = 2 and n = 3 trains: per blob seed 0-3, scale 1e-6, 1 and
@@ -1199,18 +1208,17 @@ class TestHyperplaneMatchesPointsOnExit:
         ds = make_blobs(seed=4, std=1.9, dim=4, center_halfwidth=4.0)
         cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
-        plane = mpa._plane_coeffs
+        plane = geometry._plane_coeffs
         seen = []
 
-        def failing(rows):
+        def failing(*rows):
             seen.append(rows)
             if len(seen) == 25:
                 raise RuntimeError("plane failure")
-            return plane(rows)
+            return plane(*rows)
 
-        # The loop calls mpa's binding and fit's exit plane, through
-        # hyperplane_from_points, geometry's: both are counted.
-        monkeypatch.setattr(mpa, "_plane_coeffs", failing)
+        # fit passes geometry's builder to the loop, and its exit plane
+        # goes through hyperplane_from_points: both are counted.
         monkeypatch.setattr(geometry, "_plane_coeffs", failing)
         with pytest.raises(RuntimeError):
             fit(model, ds)
@@ -1218,7 +1226,7 @@ class TestHyperplaneMatchesPointsOnExit:
         # Call 26 is fit's exit plane, built from the points of call 24,
         # the last move kept.
         assert len(seen) == 26
-        assert seen[25] == seen[23] == model.moving_points.tolist()
+        assert list(seen[25]) == list(seen[23]) == model.moving_points.tolist()
         want = hyperplane_from_points(model.moving_points)
         assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
         assert model.hyperplane.bias == want.bias
@@ -1229,7 +1237,7 @@ class TestHyperplaneMatchesPointsOnExit:
         ds = make_blobs(seed=4, std=1.9, center_halfwidth=4.0)
         cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
-        line = mpa._line_coeffs
+        line = geometry._line_coeffs
         seen = []
 
         def failing(*points):
@@ -1238,12 +1246,13 @@ class TestHyperplaneMatchesPointsOnExit:
                 raise RuntimeError("line failure")
             return line(*points)
 
-        monkeypatch.setattr(mpa, "_line_coeffs", failing)
+        monkeypatch.setattr(geometry, "_line_coeffs", failing)
         with pytest.raises(RuntimeError):
             fit(model, ds)
         monkeypatch.undo()
-        # The last line built, with no revert here.
-        assert model.moving_points.tolist() == list(map(list, seen[-2]))
+        # The last line built before the failing one, with no revert here;
+        # the last call is fit's exit plane.
+        assert model.moving_points.tolist() == list(map(list, seen[-3]))
         want = line_from_points(model.moving_points[0], model.moving_points[1])
         assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
         assert model.hyperplane.bias == want.bias
@@ -1255,7 +1264,7 @@ class TestHyperplaneMatchesPointsOnExit:
         ds = make_blobs(seed=4, std=1.9, dim=3, center_halfwidth=4.0)
         cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
-        plane3 = mpa._plane3_coeffs
+        plane3 = geometry._plane3_coeffs
         seen = []
 
         def failing(*points):
@@ -1264,9 +1273,8 @@ class TestHyperplaneMatchesPointsOnExit:
                 raise RuntimeError("plane failure")
             return plane3(*points)
 
-        # The loop calls mpa's binding and fit's exit plane, through
-        # hyperplane_from_points, geometry's: both are counted.
-        monkeypatch.setattr(mpa, "_plane3_coeffs", failing)
+        # fit passes geometry's builder to the loop, and its exit plane
+        # goes through hyperplane_from_points: both are counted.
         monkeypatch.setattr(geometry, "_plane3_coeffs", failing)
         with pytest.raises(RuntimeError):
             fit(model, ds)
@@ -1421,6 +1429,8 @@ class TestConfig:
             MpaConfig(seed=-1)
         with pytest.raises(ValueError):
             MpaConfig(alpha=-0.5)
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            MpaConfig(alpha=math.inf)
 
     @pytest.mark.parametrize("field", ["eta", "epochs", "alpha", "near_cluster_percentile",
                                        "init_spread", "seed"])
