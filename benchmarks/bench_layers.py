@@ -3,7 +3,8 @@
 Run with ``python -m pytest benchmarks/bench_layers.py``. The file name
 does not match ``test_*.py``, so a plain ``pytest`` run never collects it.
 The generator cases time ``SplitMix64.permutation(80)`` on a fresh and
-a warm stream and ``randint(40)`` on a warm one. Most cases rebuild the split of one `bench synthetic` cell exactly as
+a warm stream and on a warm slice that holds a word >= 2^64 - 2^32 (the
+rare exact path), and ``randint(40)`` on a warm stream. Most cases rebuild the split of one `bench synthetic` cell exactly as
 ``bench.run_synthetic_cell`` does. The training cases time ``mpa.train``
 on it and check that moves plus skips add up to the misclassified visits
 and that the points stay finite; the baseline cases time one classifier
@@ -37,7 +38,7 @@ from movingpoints.datasets import (
     train_test_split,
 )
 from movingpoints.geometry import _plane_builder, hyperplane_from_points
-from movingpoints.rng import SplitMix64, derive_seed
+from movingpoints.rng import _GAMMA, _MASK, _MIX1, _MIX2, SplitMix64, derive_seed
 
 
 def cell_split(seed: int, std_index: int, dim: int):
@@ -64,6 +65,36 @@ def test_permutation_80_warm(benchmark):
     stream = SplitMix64(12345)
     perm = benchmark(stream.permutation, 80)
     assert sorted(perm) == list(range(80))
+
+
+def unmix(z: int) -> int:
+    """The seed whose first SplitMix64 word is z: the output mix inverted."""
+    def unxorshift(x, shift):
+        y = x
+        for _ in range(64 // shift + 1):
+            y = x ^ (y >> shift)
+        return y
+
+    z = (unxorshift(z, 31) * pow(_MIX2, -1, 1 << 64)) & _MASK
+    z = (unxorshift(z, 27) * pow(_MIX1, -1, 1 << 64)) & _MASK
+    return (unxorshift(z, 30) - _GAMMA) & _MASK
+
+
+# Word k of permutation(80)'s slice is 2^64 - 1, so the slice is drawn by
+# randint, whose exact test takes word k and every later word of the buffer.
+# Word 4 is the early case of tests/test_rng.py, word 78 the last of the
+# slice. The stream rewinds to the slice each call.
+@pytest.mark.parametrize("k", [4, 78], ids=["word4", "word78"])
+def test_permutation_80_exact_path(benchmark, k):
+    stream = SplitMix64((unmix(_MASK) - k * _GAMMA) & _MASK)
+    first = stream.permutation(80)
+
+    def draw():
+        stream._pos = 0
+        return stream.permutation(80)
+
+    assert benchmark(draw) == first
+    assert stream._safe_end == k
 
 
 # One near-cluster draw of an MPA move, on a warm stream.

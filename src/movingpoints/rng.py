@@ -30,9 +30,8 @@ Streaming discipline, fixed for all consumers:
   n > 2^32) runs the exact test, which gives the same value or rejects.
 * shuffle: Fisher-Yates from the last index down, j = randint(i + 1).
   The n-1 words are one slice of the buffer. A slice below the first
-  word >= _SAFE is taken as w mod (i + 1) whole; otherwise each word is
-  checked by randint's test, and from the first rejected word on the
-  draws are scalar randint.
+  word >= _SAFE is taken as w mod (i + 1) whole; a slice at or past it
+  is drawn by randint one word at a time.
 """
 
 from __future__ import annotations
@@ -69,13 +68,11 @@ def _word_block(seed: int, start: int, count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _swap_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds i+1 for i = n-1 down to 1, and randint's largest accepted word."""
+def _swap_bounds(n: int) -> np.ndarray:
+    """Bounds i+1 for i = n-1 down to 1 (read-only, shared)."""
     bounds = np.arange(n, 1, -1, dtype=np.uint64)
-    limits = np.uint64(_MASK) - (-bounds) % bounds
-    for shared in (bounds, limits):
-        shared.setflags(write=False)
-    return bounds, limits
+    bounds.setflags(write=False)
+    return bounds
 
 
 class SplitMix64:
@@ -101,11 +98,7 @@ class SplitMix64:
         return self._buf[self._pos - count:self._pos]
 
     def next_u64(self) -> int:
-        pos = self._pos
-        if pos == self._buf.size:
-            return self._take(1).item()
-        self._pos = pos + 1
-        return self._buf.item(pos)
+        return self._take(1).item()
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` uniform doubles in [0, 1), one word each."""
@@ -144,16 +137,10 @@ class SplitMix64:
         if n < 2:
             return []
         words = self._take(n - 1)
-        bounds, limits = _swap_tables(n)
         if self._pos <= self._safe_end and n <= _SAFE_N:  # every word below _SAFE
-            return (words % bounds).tolist()
-        accepted = words <= limits
-        first = int(accepted.argmin())  # the first rejected word, or 0 if none
-        taken = first if not accepted[first] else n - 1
-        self._pos -= n - 1 - taken  # give back the rejected word and the rest
-        targets = (words[:taken] % bounds[:taken]).tolist()
-        targets.extend(self.randint(i + 1) for i in range(n - 1 - taken, 0, -1))
-        return targets
+            return (words % _swap_bounds(n)).tolist()
+        self._pos -= n - 1  # give the slice back; randint draws it word by word
+        return [self.randint(i + 1) for i in range(n - 1, 0, -1)]
 
     def permutation(self, n: int) -> list[int]:
         idx = list(range(n))

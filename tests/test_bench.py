@@ -23,7 +23,7 @@ from movingpoints.bench import (
     run_synthetic_suite,
     write_report,
 )
-from movingpoints.datasets import InvalidParamsError
+from movingpoints.datasets import Dataset, InvalidParamsError
 from movingpoints.rng import SplitMix64
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -203,6 +203,48 @@ class TestSyntheticSuite:
         assert suite.metadata["protocol"] == "synthetic-suite"
         assert suite.metadata["seeds"] == "1"
         assert len(suite.records) == 4
+
+
+class TestFailuresAreRecorded:
+    """A failed run is recorded with its error, never silently dropped."""
+
+    LOST = "DegenerateSplitError: training split lost a class; try another seed"
+
+    def test_cell_whose_split_fails_records_every_classifier(self):
+        # One point per class: the single training row keeps one class.
+        records = run_synthetic_cell(0, 0, n_per_class=1)
+        assert sorted(r.classifier for r in records) == ["knn", "mpa", "perceptron", "svm"]
+        assert all(r.error == self.LOST and r.train_accuracy is None
+                   and r.test_accuracy is None for r in records)
+
+    def test_classifier_that_raises_fails_alone(self, monkeypatch):
+        clean = {r.classifier: r for r in run_synthetic_cell(3, 2, n_per_class=20)}
+
+        def broken(train, seed, params):
+            raise ValueError("svm broke")
+
+        monkeypatch.setitem(bench.CLASSIFIERS, "svm", (3, broken))
+        records = {r.classifier: r for r in run_synthetic_cell(3, 2, n_per_class=20)}
+        assert records["svm"] == RunRecord("seed03-std1.2", "svm", None, None,
+                                           error="ValueError: svm broke")
+        for name in ("knn", "mpa", "perceptron"):
+            assert records[name] == clean[name] and records[name].error is None
+
+        report = BenchReport(records=list(records.values()))
+        svm = {a.classifier: a for a in report.aggregates()}["svm"]
+        assert (svm.runs, svm.failures) == (0, 1)
+        assert all(np.isnan(v) for v in (svm.mean_train, svm.mean_test, svm.gap))
+        *_, svm_row, excluded = render_table(report).splitlines()
+        assert svm_row.split() == ["svm", "nan", "nan", "nan", "0"]
+        assert excluded == "excluded failed runs: 1"
+
+    def test_repetition_whose_split_loses_a_class(self):
+        # One training row of ten keeps one class, whatever the seed.
+        ds = Dataset(np.arange(20.0).reshape(10, 2), [1, 1] + [0] * 8)
+        report = run_dataset_protocol(ds, repetitions=2, test_fraction=0.9)
+        assert [(r.dataset_id, r.classifier) for r in report.records] == [
+            ("rep000", "mpa"), ("rep000", "svm"), ("rep001", "mpa"), ("rep001", "svm")]
+        assert all(r.error == self.LOST for r in report.records)
 
 
 class TestDatasetProtocol:

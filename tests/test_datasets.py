@@ -82,6 +82,13 @@ class TestLoadCsv:
         assert ds.m == 2
         assert ds.dropped_rows == 2
 
+    def test_non_finite_cells_dropped(self, tmp_path):
+        p = write_csv(tmp_path, "a,b,cls\n1,2,yes\ninf,2,yes\n3,-inf,no\n"
+                                "nan,4,no\n5,1e999,yes\n6,7,no\n")
+        ds = load_csv(p, "cls", "yes")
+        assert ds.features.tolist() == [[1.0, 2.0], [6.0, 7.0]]
+        assert ds.dropped_rows == 4
+
     def test_short_row_dropped(self, tmp_path):
         p = write_csv(tmp_path, "a,b,cls\n1,2,yes\n3\n4,5,no\n")
         ds = load_csv(p, "cls", "yes")
@@ -307,6 +314,11 @@ class TestSplit:
     def test_sizes_5_uses_ceiling(self):
         train, test = train_test_split(self.make(5), 0.2, seed=1)
         assert train.m == 4 and test.m == 1
+
+    def test_sizes_7_rounds_up(self):
+        # 7 * 0.2 is 1.4000000000000001, far from an integer: ceil gives 2.
+        train, test = train_test_split(self.make(7), 0.2, seed=1)
+        assert train.m == 5 and test.m == 2
 
     def test_deterministic_partition(self):
         ds = self.make(30)

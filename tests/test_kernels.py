@@ -37,6 +37,14 @@ from movingpoints.rng import SplitMix64, derive_seed
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 from write_bench import openblas_core  # noqa: E402
+from check_kernels import (  # noqa: E402
+    GOLDEN,
+    NP_LOG_VARIANT,
+    UNGOLDEN,
+    VARIANTS,
+    compare,
+    exit_status,
+)
 
 CELLS = [(0, 3), (0, 9), (1, 0), (1, 5), (1, 9), (3, 6), (3, 8), (4, 2), (5, 2), (6, 0),
          (6, 3), (6, 4), (6, 5), (6, 8), (6, 9), (7, 7), (7, 9), (8, 7), (9, 1), (9, 5)]
@@ -158,3 +166,30 @@ def test_grid_models_do_not_depend_on_openblas_core(core):
     assert models3 == model3_digest(), ran
     assert linear8 == linear8_digest(), ran
     assert models8 == model8_digest(), ran
+
+
+def kernel_results(changed: dict) -> dict:
+    """check_kernels results with every output as expected, then `changed`
+    (variant name -> {output: digest}) applied."""
+    base = {**GOLDEN, **{key: key.replace(" ", "-") for key in UNGOLDEN},
+            "openblas_core": "SkylakeX"}
+    return {name: {**base, **changed.get(name, {})} for name in VARIANTS}
+
+
+@pytest.mark.parametrize("changed, status", [
+    ({}, 0),
+    ({NP_LOG_VARIANT: {"C1 model": "0" * 64}}, 1),
+    ({"OPENBLAS_CORETYPE=Haswell": {"grid models": "other"}}, 1),
+    ({NP_LOG_VARIANT: {"grid models": "other", "n >= 4 fits": "other"}}, 0),
+], ids=["all-same", "golden-differs-avx512-off", "ungolden-differs-haswell",
+        "ungolden-differs-avx512-off-only"])
+def test_check_kernels_exit_status(changed, status):
+    assert exit_status(kernel_results(changed)) == status
+
+
+def test_check_kernels_does_not_compare_np_log_digests():
+    results = kernel_results({NP_LOG_VARIANT: {"grid models": "other"}})
+    lines = [line for line, _ in compare(NP_LOG_VARIANT, results[NP_LOG_VARIANT],
+                                         results["unchanged"])]
+    assert [line.endswith("not compared (np.log)") for line in lines] == [
+        key in UNGOLDEN for key in (*GOLDEN, *UNGOLDEN)]
