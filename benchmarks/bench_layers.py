@@ -2,6 +2,9 @@
 
 Run with ``python -m pytest benchmarks/bench_layers.py``. The file name
 does not match ``test_*.py``, so a plain ``pytest`` run never collects it.
+A run times the checkout it runs from: pyproject.toml puts its ``src``
+ahead of PYTHONPATH, so when PYTHONPATH names another ``movingpoints``,
+collection stops with a message that names both.
 The generator cases time ``SplitMix64.permutation(80)`` on a fresh and
 a warm stream and on a warm slice that holds a word >= 2^64 - 2^32 (the
 rare exact path), and ``randint(40)`` on a warm stream. Most cases rebuild the split of one `bench synthetic` cell exactly as
@@ -21,12 +24,14 @@ training loops: ``derive_seed`` and MPA's ``near_clusters`` and
 ``initialize`` on the cell's split.
 """
 
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import movingpoints
 from movingpoints import baselines, bench, mpa
 from movingpoints.datasets import (
     load_csv,
@@ -37,8 +42,23 @@ from movingpoints.datasets import (
     standardize_fit,
     train_test_split,
 )
-from movingpoints.geometry import _plane_builder, hyperplane_from_points
+from movingpoints.geometry import _plane_builder, coordinate_scale, hyperplane_from_points
 from movingpoints.rng import _GAMMA, _MASK, _MIX1, _MIX2, SplitMix64, derive_seed
+
+
+def named_package() -> Path | None:
+    """The movingpoints package of the first PYTHONPATH entry that holds one."""
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        package = Path(entry) / "movingpoints"
+        if (package / "__init__.py").is_file():
+            return package.resolve()
+    return None
+
+
+NAMED, TIMED = named_package(), Path(movingpoints.__file__).resolve().parent
+if NAMED not in (None, TIMED):
+    pytest.exit(f"PYTHONPATH names {NAMED}, but this run would time {TIMED}; "
+                "run bench_layers.py from the checkout to be timed")
 
 
 def cell_split(seed: int, std_index: int, dim: int):
@@ -245,8 +265,9 @@ def test_overfit_guard(benchmark, n):
 
 
 # The plane of one move, as fit's loop re-reads it: each round moves one
-# point a small step in a copy of the point list, untimed, and builds the
-# plane through the new points with the builder of _plane_builder(n):
+# point a small step in a copy of the point list and takes its
+# coordinate_scale, untimed, as the loop carries it per point, and builds
+# the plane through the new points with the builder of _plane_builder(n):
 # the line at n = 2, the cross product at n = 3 and the elimination above.
 # n = 16 and 32 put on record the per-move cost that no workload runs;
 # n = 32 is past the unrolled elimination and takes the numpy one.
@@ -261,7 +282,7 @@ def test_plane_builder(benchmark, n):
         k = next(rounds)
         trial = pts[:]
         trial[k % n] = [p + d for p, d in zip(pts[k % n], steps[k % 64])]
-        return trial, {}
+        return (coordinate_scale(trial), *trial), {}
 
     plane = benchmark.pedantic(_plane_builder(n), setup=setup, rounds=2000)
     assert len(plane) == n + 2 and np.all(np.isfinite(plane))

@@ -18,11 +18,13 @@ along its first row: weight i is the signed cofactor of the variable
 column i, the bias is the signed cofactor of the constant column.
 hyperplane_from_points builds this plane for every n with the builder
 that _plane_builder(n) picks: closed forms on Python floats for n = 2
-(_line_coeffs) and n = 3 (_plane3_coeffs, a cross product), and one
-Gaussian elimination (_cofactors) for other n (_plane_coeffs). All three
-take the points as rows, refuse a plane through one _refuse, and are what
-the loop mpa.fit generates calls after every move, so every plane met in
-training is the plane a model stores, bit for bit.
+(_line_coeffs) and n = 3 (_plane3_coeffs, a cross product), one
+Gaussian elimination written out per n for 4 <= n <= 16 (_unrolled),
+and numpy's element-wise elimination past that (_plane_coeffs). All
+take the coordinate scale and then the points as rows, refuse a plane
+through one _refuse, and are what the loop mpa.fit generates calls
+after every move, so every plane met in training is the plane a model
+stores, bit for bit.
 """
 
 from __future__ import annotations
@@ -177,16 +179,17 @@ def _refuse(coords, b: float, norm: float, threshold: float, message: str) -> No
     _check_normal(b, norm)
 
 
-def _line_coeffs(p1, p2) -> tuple[float, float, float, float]:
+def _line_coeffs(scale: float, p1, p2) -> tuple[float, float, float, float]:
     """(w0, w1, bias, ||w||) of the line through two 2-D points, on Python floats.
 
-    p1 = (x1, y1) and p2 = (x2, y2) are sequences of two floats. Coefficients
-    are (y1 - y2, x2 - x1) with constant x1*y2 - x2*y1, read directly off
-    the two-point line equation; ||w|| is sqrt(w0*w0 + w1*w1), which is
-    also the distance between the points. The threshold is EPS_DEGENERATE *
-    max(1, max|p|), and a refused line raises through :func:`_refuse`
-    ("the two points coincide"). Each coordinate enters one difference, so
-    a non-finite one makes ||w|| non-finite.
+    scale is coordinate_scale(p1, p2); p1 = (x1, y1) and p2 = (x2, y2) are
+    sequences of two floats. Coefficients are (y1 - y2, x2 - x1) with
+    constant x1*y2 - x2*y1, read directly off the two-point line equation;
+    ||w|| is sqrt(w0*w0 + w1*w1), which is also the distance between the
+    points. The threshold is EPS_DEGENERATE * scale, and a refused line
+    raises through :func:`_refuse` ("the two points coincide"). Each
+    coordinate enters one difference, so a non-finite one makes ||w||
+    non-finite.
     """
     x1, y1 = p1
     x2, y2 = p2
@@ -194,22 +197,22 @@ def _line_coeffs(p1, p2) -> tuple[float, float, float, float]:
     w1 = x2 - x1
     bias = x1 * y2 - x2 * y1
     norm = math.sqrt(w0 * w0 + w1 * w1)
-    # coordinate_scale of the two points, on the Python floats.
-    threshold = EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2))
+    threshold = EPS_DEGENERATE * scale
     if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(bias), 1.0) < norm):
         _refuse((x1, y1, x2, y2), bias, norm, threshold, "the two points coincide")
     return w0, w1, bias, norm
 
 
-def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
+def _plane3_coeffs(scale: float, p1, p2, p3) -> tuple[float, float, float, float, float]:
     """(w0, w1, w2, bias, ||w||) of the plane through three 3-D points, on Python floats.
 
-    p1, p2 and p3 are sequences of three floats. The normal is the cross
-    product w = (p2 - p1) x (p3 - p1) and the bias is -(w . p1), the
-    first-row cofactors of the bordered determinant, with the orientation
-    of _cofactors; ||w|| is sqrt(w0*w0 + w1*w1 + w2*w2). The threshold is
-    _plane_coeffs' EPS_DEGENERATE * max(1, max|p|)^2, and a refused plane
-    raises through :func:`_refuse`. A non-finite coordinate makes a
+    scale is coordinate_scale(p1, p2, p3); p1, p2 and p3 are sequences of
+    three floats. The normal is the cross product w = (p2 - p1) x (p3 - p1)
+    and the bias is -(w . p1), the first-row cofactors of the bordered
+    determinant, with the orientation of _eliminate; ||w|| is
+    sqrt(w0*w0 + w1*w1 + w2*w2). The threshold is _plane_coeffs'
+    EPS_DEGENERATE * scale^2, and a refused plane raises through
+    :func:`_refuse`. A non-finite coordinate makes a
     component of u or v non-finite, and its products with the other
     vector's two other components (x * inf and x * nan are never finite)
     make two components of w, and so ||w||, non-finite.
@@ -217,7 +220,6 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     a0, a1, a2 = p1
     b0, b1, b2 = p2
     c0, c1, c2 = p3
-    coords = (a0, a1, a2, b0, b1, b2, c0, c1, c2)
     u0 = b0 - a0
     u1 = b1 - a1
     u2 = b2 - a2
@@ -229,10 +231,9 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     w2 = u0 * v1 - u1 * v0
     bias = -(w0 * a0 + w1 * a1 + w2 * a2)
     norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    # coordinate_scale of the three points, on the Python floats.
-    threshold = _degeneracy_threshold(max(1.0, *map(abs, coords)), 2)
+    threshold = _degeneracy_threshold(scale, 2)
     if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(bias), 1.0) < norm):
-        _refuse(coords, bias, norm, threshold, _DEPENDENT)
+        _refuse((a0, a1, a2, b0, b1, b2, c0, c1, c2), bias, norm, threshold, _DEPENDENT)
     return w0, w1, w2, bias, norm
 
 
@@ -271,18 +272,23 @@ def _eliminate(pts: np.ndarray) -> list[float]:
 
 
 def _unrolled_source(n: int) -> str:
-    """_eliminate written out for one n on Python floats, as eliminate(r0, ...).
+    """plane(scale, r0, ...), the plane builder for one n on Python floats:
+    _eliminate written out, ||w|| in _dot's order, and the builders' one
+    test against _degeneracy_threshold(scale, n - 1), refusing via _refuse.
 
     a{r}_{k} is entry (r, k) of [pts | 1]^T and o{r} the input row now in
     row r; every product, quotient and sum is _eliminate's, in its order.
     A pivot search keeps the first largest |entry|, as argmax does, and a
     row swap is one tuple assignment. argmax would take a NaN candidate
     first, which this search passes over; but a NaN candidate always ends
-    in a zero pivot or a non-finite cofactor, and in either case eliminate
-    returns None, so every list it does return has _eliminate's bits.
+    in a zero pivot or a non-finite cofactor, and either hands the call to
+    _plane_coeffs, so every plane returned has _eliminate's bits. A
+    non-finite cofactor always fails the test, so only then are they read.
     """
     ks, rs, a = range(n), range(n + 1), "a{}_{}".format
-    lines = [f"def eliminate({', '.join(f'r{i}' for i in ks)}):",
+    args, w = (", ".join(f"{v}{k}" for k in ks) for v in "rw")
+    numpy_path = f"return _plane_coeffs(scale, {args})"
+    lines = [f"def plane(scale, {args}):",
              *(f"    {''.join(a(k, i) + ', ' for k in ks)}= r{i}" for i in ks),
              f"    {' = '.join(a(n, k) for k in ks)} = 1.0",
              f"    {', '.join(f'o{r}' for r in rs)} = {', '.join(map(str, rs))}",
@@ -297,7 +303,8 @@ def _unrolled_source(n: int) -> str:
             lines.append(f"    {'if' if r == col + 1 else 'elif'} m == {r}:\n"
                          f"        {', '.join(top + other)} = {', '.join(other + top)}\n"
                          "        det = -det")
-        lines.append(f"    p = {a(col, col)}\n    if p == 0.0:\n        return None\n    det *= p")
+        lines.append(f"    p = {a(col, col)}\n    if p == 0.0:\n        {numpy_path}\n"
+                     "    det *= p")
         for r in below:
             lines.append(f"    l = {a(r, col)} / p")
             lines += [f"    {a(r, k)} -= l * {a(col, k)}" for k in range(col + 1, n)]
@@ -305,42 +312,43 @@ def _unrolled_source(n: int) -> str:
     for k in reversed(ks):
         terms = " + ".join(f"{a(r, k)} * c{r}" for r in range(k + 1, n + 1))
         lines.append(f"    c{k} = -({terms}) / {a(k, k)}")
-    lines += [f"    if not math.isfinite({' + '.join(f'c{r}' for r in rs)}):",
-              "        return None", f"    out = [0.0] * {n + 1}",
-              *(f"    out[o{r}] = c{r}" for r in rs), "    return out"]
+    lines += [f"    out = [0.0] * {n + 1}", *(f"    out[o{r}] = c{r}" for r in rs),
+              f"    {w}, b = out",
+              f"    norm = math.sqrt({' + '.join(f'w{k} * w{k}' for k in ks)})",
+              f"    threshold = _degeneracy_threshold(scale, {n - 1})",
+              "    if not (threshold < norm < math.inf"
+              " and EPS_DEGENERATE * max(abs(b), 1.0) < norm):",
+              f"        if not math.isfinite({' + '.join(f'c{r}' for r in rs)}):",
+              f"            {numpy_path}",
+              f"        _refuse(chain({args}), b, norm, threshold, _DEPENDENT)",
+              f"    return {w}, b, norm"]
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=_MAX_UNROLLED)
 def _unrolled(n: int):
-    """The eliminate function of _unrolled_source(n)."""
+    """The plane function of _unrolled_source(n), compiled on first use."""
     namespace: dict = {}
-    exec(compile(_unrolled_source(n), f"<elimination n={n}>", "exec"), globals(), namespace)
-    return namespace["eliminate"]
+    exec(compile(_unrolled_source(n), f"<plane n={n}>", "exec"), globals(), namespace)
+    return namespace["plane"]
 
 
-def _cofactors(rows) -> list[float]:
-    """_eliminate's cofactors of the n points rows, n lists of n Python
-    floats, bit for bit: from the unrolled elimination for n <= _MAX_UNROLLED,
-    and from _eliminate itself where that returns None or n is larger."""
-    c = _unrolled(len(rows))(*rows) if len(rows) <= _MAX_UNROLLED else None
-    return _eliminate(np.array(rows)) if c is None else c
-
-
-def _plane_coeffs(*rows) -> tuple[float, ...]:
+def _plane_coeffs(scale: float, *rows) -> tuple[float, ...]:
     """(w0, ..., w_{n-1}, bias, ||w||) of the plane through the n points
-    rows, each a list of n Python floats: _cofactors, and ||w|| in _dot's order.
+    rows, lists of n Python floats, with scale = coordinate_scale(rows):
+    _eliminate's cofactors and ||w|| in _dot's order. The builder past
+    _MAX_UNROLLED, and of the points the unrolled one hands on.
 
-    The threshold is EPS_DEGENERATE * coordinate_scale(rows)^(n-1)
-    (cofactors scale like coordinate^(n-1)), and a refused plane raises
-    through :func:`_refuse`. A non-finite coordinate fails the builders'
-    one test: an infinite one makes the threshold infinite, and a NaN one
-    makes every cofactor NaN, or 0.0 when a zero pivot comes first.
+    The threshold is EPS_DEGENERATE * scale^(n-1) (cofactors scale like
+    coordinate^(n-1)), and a refused plane raises through :func:`_refuse`.
+    A non-finite coordinate fails the builders' one test: a NaN one makes
+    every cofactor NaN, or 0.0 when a zero pivot comes first, and an
+    infinite one with no NaN beside it makes the scale, and so the
+    threshold, infinite.
     """
-    *w, b = _cofactors(rows)
+    *w, b = _eliminate(np.array(rows))
     norm = math.sqrt(_dot(w, w))
-    threshold = _degeneracy_threshold(max(1.0, *map(abs, chain.from_iterable(rows))),
-                                      len(rows) - 1)
+    threshold = _degeneracy_threshold(scale, len(rows) - 1)
     if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(b), 1.0) < norm):
         _refuse(chain.from_iterable(rows), b, norm, threshold, _DEPENDENT)
     return (*w, b, norm)
@@ -348,10 +356,13 @@ def _plane_coeffs(*rows) -> tuple[float, ...]:
 
 def _plane_builder(n: int):
     """The builder of the plane through n points in n dimensions:
-    _line_coeffs at n = 2, _plane3_coeffs at n = 3, _plane_coeffs
-    otherwise. Each takes the points as rows, (*rows) -> (w0, ...,
-    w_{n-1}, bias, ||w||), and refuses a plane through _refuse."""
-    return {2: _line_coeffs, 3: _plane3_coeffs}.get(n, _plane_coeffs)
+    _line_coeffs at n = 2, _plane3_coeffs at n = 3, _unrolled(n) up to
+    _MAX_UNROLLED and _plane_coeffs past it. Each maps (scale, *rows) to
+    (w0, ..., w_{n-1}, bias, ||w||), with scale = coordinate_scale(rows),
+    which a loop that moves one point at a time keeps per point (mpa.fit),
+    and refuses a plane through _refuse."""
+    return ({2: _line_coeffs, 3: _plane3_coeffs}.get(n)
+            or (_unrolled(n) if n <= _MAX_UNROLLED else _plane_coeffs))
 
 
 def hyperplane_from_points(points) -> Hyperplane:
@@ -370,7 +381,7 @@ def hyperplane_from_points(points) -> Hyperplane:
             f"need exactly n points of dimension n, got {pts.shape[0]} points "
             f"of dimension {pts.shape[1]}"
         )
-    *weights, bias, _ = _plane_builder(n)(*pts.tolist())
+    *weights, bias, _ = _plane_builder(n)(coordinate_scale(pts), *pts.tolist())
     return Hyperplane(np.array(weights), bias)
 
 

@@ -393,7 +393,9 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     fixed order. The steps are those of the public movement_vector and
     overfit_guard. After each move the plane is re-read through the
     candidate points by hyperplane_from_points' own builder, which fit
-    passes in as _plane_builder(n), so no value depends on a BLAS kernel;
+    passes in as build = _plane_builder(n), so no value depends on a BLAS
+    kernel. The loop calls build(scale, *rows) with scale =
+    coordinate_scale(rows), kept per point, so the scale costs a move O(n);
     a move that makes the points degenerate is undone. The guard is
     skipped only when no point lies within alpha of the mover by _guard's
     own distance (at n = 2 that is ||w||, bit for bit), so no projection
@@ -445,11 +447,16 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 #   coordinate_scale(c, g);
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build): yields each
 #   epoch's misclassified count; draws[j] lists the rows example j may
-#   draw, and build(*rows) is geometry._plane_builder(n). The points live
-#   in the list pts, written back into P before each yield and on every
-#   exit; a moved point enters pts only once its plane is built. The guard
-#   runs only when a point is within alpha of the mover (n = 2 reads that
-#   off ||w||; n >= 3 checks each point's gap, as _guard does).
+#   draw, and build(scale, *rows) is geometry._plane_builder(n). The points
+#   live in the list pts, written back into P before each yield and on
+#   every exit; a moved point enters pts only once its plane is built.
+#   pt_scale[i] is max(1.0, |p_i0|, ...), and a build's scale is the max
+#   of the n entries with the mover's replaced by its candidate's e_scale,
+#   which enters pt_scale with e. max is exact, so on finite rows that is
+#   coordinate_scale(rows); a NaN never wins against the leading 1.0, and
+#   a row that holds one is refused whatever the scale.
+#   The guard runs only when a point is within alpha of the mover (n = 2
+#   reads that off ||w||; n >= 3 checks each point's gap, as _guard does).
 _STEP_SOURCE = """\
 def nearest(pts, {x}):
 {nearest}
@@ -472,7 +479,8 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
     signs = pseudo.tolist()
     eta = cfg.eta
     pts = P.tolist()
-    {start}
+    pt_scale = [max(1.0, {abs_x}) for {x} in pts]
+    {plane} = build(max(pt_scale), *pts)
     try:
         for _epoch in range(cfg.epochs):
             miss = 0
@@ -484,7 +492,7 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
                 miss += 1
                 mover = nearest(pts, {x})
                 {c} = pts[mover]
-                c_scale = max(1.0, {abs_c})
+                c_scale = pt_scale[mover]
                 step = abs(eta * lam)
                 members = draws[j]
                 for _attempt in range(1 + MAX_RESAMPLES):
@@ -502,13 +510,16 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
                 if not ({t_or}):
                     log.skips[GUARD_ZEROED] += 1
                     continue
+                {e} = {e_sums}
                 e = [{e}]
+                e_scale = max(1.0, {abs_e})
                 try:
 {planes}
                 except DegeneratePointsError:
                     log.skips[DEGENERATE_REVERT] += 1
                     continue
                 pts[mover] = e
+                pt_scale[mover] = e_scale
                 log.moves += 1
             P[:] = pts
             yield miss
@@ -551,11 +562,14 @@ def _fixed_order_source(n: int) -> str:
     for i in ks:
         head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
         args = ", ".join("e" if k == i else f"pts[{k}]" for k in ks)
-        planes += [f"                    {head}:", f"                        {plane} = build({args})"]
+        scale = ", ".join(["e_scale"] + [f"pt_scale[{k}]" for k in ks if k != i])
+        planes += [f"                    {head}:",
+                   f"                        {plane} = build(max({scale}), {args})"]
     return source + _EPOCHS_SOURCE.format(
-        **fields, start=f"{plane} = build(*pts)", t=each("t{0}"), abs_x=each("abs(x{0})"),
-        abs_c=each("abs(c{0})"), margin=each("x{0} * w{0}", " + "), guard=guard,
-        t_or=each("t{0}", " or "), e=each("c{0} + t{0}"), planes="\n".join(planes))
+        **fields, plane=plane, t=each("t{0}"), abs_x=each("abs(x{0})"),
+        margin=each("x{0} * w{0}", " + "), guard=guard, t_or=each("t{0}", " or "),
+        e=each("e{0}"), e_sums=each("c{0} + t{0}"), abs_e=each("abs(e{0})"),
+        planes="\n".join(planes))
 
 
 @lru_cache(maxsize=32)

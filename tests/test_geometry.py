@@ -86,7 +86,7 @@ class TestLineFromPoints:
         # A point moved to infinity fails as non-finite; it is not a
         # coincidence to revert (inf <= EPS_DEGENERATE * inf would say so).
         with pytest.raises(ValueError) as info:
-            _line_coeffs(e, (0.0, 1.0))
+            _line_coeffs(coordinate_scale([e, (0.0, 1.0)]), e, (0.0, 1.0))
         assert type(info.value) is ValueError
 
 
@@ -214,7 +214,8 @@ def plane_outcome(build, pts):
 
 
 def closed_form_plane3(pts) -> Hyperplane:
-    w0, w1, w2, b, norm = _plane3_coeffs(*np.asarray(pts, dtype=float).tolist())
+    rows = np.asarray(pts, dtype=float).tolist()
+    w0, w1, w2, b, norm = _plane3_coeffs(coordinate_scale(rows), *rows)
     assert norm == np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     return Hyperplane(np.array([w0, w1, w2]), b)
 
@@ -286,8 +287,9 @@ def left_sum(values) -> float:
 
 
 class TestUnrolledEliminationMatchesNumpy:
-    """The elimination written out per n (geometry._unrolled) gives the
-    cofactors of the numpy one (geometry._eliminate) bit for bit."""
+    """The builder written out per n (geometry._unrolled, which
+    _plane_builder returns) gives the plane of the numpy one
+    (geometry._plane_coeffs) bit for bit, or raises its error."""
 
     # Scales 2^-1000..2^1000 reach subnormal products and products, pivot
     # products included, that overflow to inf and then NaN. A zero
@@ -315,21 +317,21 @@ class TestUnrolledEliminationMatchesNumpy:
         elif shape == "non_finite":
             pts[n // 3, n // 2] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
         rows = pts.tolist()
-        with np.errstate(all="ignore"):
-            want = geometry._eliminate(pts)
-            unrolled = geometry._unrolled(n)(*rows)
-            got = geometry._cofactors(rows)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        if unrolled is None:  # left to _eliminate only on a zero pivot or a non-finite cofactor
-            assert all(c == 0.0 for c in want) or not math.isfinite(left_sum(want))
-        else:
-            assert np.array(unrolled).tobytes() == np.array(want).tobytes()
+        assert geometry._plane_builder(n) is geometry._unrolled(n)
+        want = coeffs_outcome(geometry._plane_coeffs, rows)
+        assert coeffs_outcome(geometry._plane_builder(n), rows) == want
 
     @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_gaussian_points_take_the_unrolled_path(self, n):
+    def test_gaussian_points_take_the_unrolled_path(self, n, monkeypatch):
         pts = SplitMix64(n).normals(n * n).reshape(n, n)
-        got = geometry._unrolled(n)(*pts.tolist())
-        assert got is not None and got == geometry._eliminate(pts)
+        want = geometry._plane_coeffs(coordinate_scale(pts), *pts.tolist())
+
+        def numpy_path(*args):
+            raise AssertionError("the unrolled builder handed the points on")
+
+        monkeypatch.setattr(geometry, "_plane_coeffs", numpy_path)
+        got = geometry._unrolled(n)(coordinate_scale(pts), *pts.tolist())
+        assert got == want and list(got[:-1]) == geometry._eliminate(pts)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("n", [4, 8])
@@ -342,7 +344,7 @@ class TestUnrolledEliminationMatchesNumpy:
         pts[n - 1, n - 1] = bad
         assert geometry._eliminate(pts) == [0.0] * (n + 1)
         with pytest.raises(ValueError) as info, np.errstate(all="ignore"):
-            geometry._plane_coeffs(*pts.tolist())
+            geometry._plane_coeffs(coordinate_scale(pts), *pts.tolist())
         assert type(info.value) is ValueError
         assert str(info.value) == "point has non-finite coordinates"
 
@@ -357,7 +359,7 @@ class TestPlane3ClosedForm:
 
     def test_unit_simplex_orientation(self):
         pts = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-        assert _plane3_coeffs(*pts) == (1.0, 1.0, 1.0, -1.0, np.sqrt(3.0))
+        assert _plane3_coeffs(coordinate_scale(pts), *pts) == (1.0, 1.0, 1.0, -1.0, np.sqrt(3.0))
         h = hyperplane_from_points(pts)
         assert np.append(h.weights, h.bias).tolist() == [1.0, 1.0, 1.0, -1.0]
 
@@ -367,7 +369,7 @@ class TestPlane3ClosedForm:
         coords = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
         coords[where] = bad
         with pytest.raises(ValueError) as info:
-            _plane3_coeffs(coords[:3], coords[3:6], coords[6:])
+            _plane3_coeffs(coordinate_scale(coords), coords[:3], coords[3:6], coords[6:])
         assert type(info.value) is ValueError
 
     def test_overflowing_bias_is_not_finite(self):
@@ -405,11 +407,14 @@ class TestNormPastFloatRange:
     # would read 0. Each builder refuses the plane with a plain ValueError,
     # as it refuses coefficients that are not finite.
     @pytest.mark.parametrize("build, args", [
-        pytest.param(_plane3_coeffs, [(0, 0, 0), (0, 1e155, 0), (0, 0, 1e147)], id="plane3"),
-        pytest.param(_line_coeffs, [(0, 0), (1e155, 0)], id="line"),
+        pytest.param(lambda *pts: _plane3_coeffs(coordinate_scale(pts), *pts),
+                     [(0, 0, 0), (0, 1e155, 0), (0, 0, 1e147)], id="plane3"),
+        pytest.param(lambda *pts: _line_coeffs(coordinate_scale(pts), *pts),
+                     [(0, 0), (1e155, 0)], id="line"),
         # The plane x3 = 0 through points of scale 1e40, one of them moved
         # out to 1e100: w = (0, 0, 0, 3e180).
-        pytest.param(lambda *pts: geometry._plane_coeffs(*[list(p) for p in pts]),
+        pytest.param(lambda *pts: geometry._plane_coeffs(coordinate_scale(pts),
+                                                         *[list(p) for p in pts]),
                      [(1e40, 0, 0, 0), (0, 1e40, 0, 0), (-1e40, -1e40, 0, 0), (0, 0, 1e100, 0)],
                      id="plane_coeffs"),
         pytest.param(lambda *pts: hyperplane_from_points(pts), [(0, 0), (1e155, 0)],
@@ -427,11 +432,13 @@ class TestNormPastFloatRange:
     @pytest.mark.parametrize("scale", [1e153, 1e100])
     def test_finite_norm_keeps_its_bits(self, scale):
         # ||w|| = 1e306 and 1e200: below the float range, built as before
-        assert _line_coeffs((0.0, 0.0), (scale, 0.0)) == (0.0, scale, 0.0, scale)
+        pts = [(0.0, 0.0), (scale, 0.0)]
+        assert _line_coeffs(coordinate_scale(pts), *pts) == (0.0, scale, 0.0, scale)
 
 
-def frozen_line_coeffs(p1, p2):
-    """_line_coeffs as it was when it tested every coordinate first."""
+def frozen_line_coeffs(scale, p1, p2):
+    """_line_coeffs as it was when it tested every coordinate first; the
+    threshold comes from the coordinates, not from scale."""
     x1, y1 = p1
     x2, y2 = p2
     if not all(map(math.isfinite, (x1, y1, x2, y2))):
@@ -451,8 +458,9 @@ def frozen_line_coeffs(p1, p2):
     return w0, w1, bias, norm
 
 
-def frozen_plane3_coeffs(p1, p2, p3):
-    """_plane3_coeffs as it was when it tested every coordinate first."""
+def frozen_plane3_coeffs(scale, p1, p2, p3):
+    """_plane3_coeffs as it was when it tested every coordinate first; the
+    threshold comes from the coordinates, not from scale."""
     a0, a1, a2 = p1
     b0, b1, b2 = p2
     c0, c1, c2 = p3
@@ -478,10 +486,11 @@ def frozen_plane3_coeffs(p1, p2, p3):
     return w0, w1, w2, bias, norm
 
 
-def frozen_plane_coeffs(*rows):
+def frozen_plane_coeffs(scale, *rows):
     """_plane_coeffs with its checks in the documented order, the
     coordinates tested first: then _eliminate's cofactors and the
-    threshold, then bias, norm and near-zero."""
+    threshold, taken from the coordinates and not from scale, then bias,
+    norm and near-zero."""
     coords = [c for row in rows for c in row]
     if not all(map(math.isfinite, coords)):
         raise ValueError("point has non-finite coordinates")
@@ -501,17 +510,18 @@ def frozen_plane_coeffs(*rows):
 
 
 def coeffs_outcome(build, pts):
-    """The coefficients' bits, or the class and message of the error raised."""
+    """The coefficients' bits, or the class and message of the error raised,
+    of build(coordinate_scale(pts), *pts)."""
     try:
         with np.errstate(all="ignore"):
-            return [c.hex() for c in build(*pts)]
+            return [c.hex() for c in build(coordinate_scale(pts), *pts)]
     except ValueError as exc:
         return type(exc), str(exc)
 
 
 BUILDERS = {2: (_line_coeffs, frozen_line_coeffs), 3: (_plane3_coeffs, frozen_plane3_coeffs),
-            4: (geometry._plane_coeffs, frozen_plane_coeffs),
-            8: (geometry._plane_coeffs, frozen_plane_coeffs)}
+            4: (geometry._plane_builder(4), frozen_plane_coeffs),
+            8: (geometry._plane_builder(8), frozen_plane_coeffs)}
 DISTINCT = {2: [[0.5, -1.0], [2.0, 3.0]], 3: [[0.5, -1.0, 0.0], [2.0, 3.0, 1.0], [-1.0, 0.0, 4.0]],
             4: SplitMix64(4).normals(16).reshape(4, 4).tolist(),
             8: SplitMix64(8).normals(64).reshape(8, 8).tolist()}

@@ -6,8 +6,10 @@ loop bit for bit."""
 import hashlib
 import json
 import math
+import re
 import struct
 from dataclasses import asdict
+from itertools import count
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from movingpoints.geometry import (
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
+    coordinate_scale,
     hyperplane_from_points,
     line_from_points,
     region_sign,
@@ -268,7 +271,8 @@ class TestLineGuardSkip:
         scale = 10.0 ** exponent
         x1, y1, x2, y2 = (scale * (offset + c) for c in coords)
         try:
-            norm_w = geometry._line_coeffs((x1, y1), (x2, y2))[3]
+            norm_w = geometry._line_coeffs(coordinate_scale([x1, y1, x2, y2]),
+                                           (x1, y1), (x2, y2))[3]
         except ValueError:
             w0, w1 = y1 - y2, x2 - x1
             norm_w = math.sqrt(w0 * w0 + w1 * w1)
@@ -1117,6 +1121,75 @@ def test_large_n_trains_keep_their_bits(dim, monkeypatch):
     assert (held.hexdigest(), changed.hexdigest()) == LARGE_N_DIGESTS[dim]
 
 
+def patch_builder(monkeypatch, build):
+    """Make build the builder that _plane_builder returns, both to fit,
+    which imports the lookup into mpa, and to hyperplane_from_points."""
+    monkeypatch.setattr(geometry, "_plane_builder", lambda n: build)
+    monkeypatch.setattr(mpa, "_plane_builder", lambda n: build)
+
+
+# fit keeps max(1.0, |p_i0|, ...) per point and passes each build the max
+# of the n entries with the mover's replaced by its candidate's. Every call
+# is checked against coordinate_scale of the rows it gets: on guard- and
+# revert-heavy trains, on test_train_names_an_overflowing_normal's x1e100
+# train, whose initial plane is refused with the error below, and on a
+# train whose every third move the loop's builder refuses as degenerate. A
+# train that reverts on its own keeps moving the same point and reverting,
+# so only the refused moves put kept moves of other points after a revert,
+# whose candidate must leave no trace in the mover's entry.
+SCALE_SETTINGS = ((0.3, 8.0, None), (30.0, None, None), (0.3, None, 3))  # eta, alpha, refusals
+OVERFLOWING_TRAIN_ERRORS = {
+    2: (DegeneratePointsError, "hyperplane normal is (near-)zero"),
+    3: (ValueError, "the norm of the hyperplane normal overflows"),
+    4: (ValueError, "bias is not finite"),
+    8: (ValueError, "bias is not finite"),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(OVERFLOWING_TRAIN_ERRORS))
+def test_loop_passes_coordinate_scale(dim, monkeypatch):
+    seen = {"calls": 0, "reverted": 0, "projected": 0}
+    build, guard = geometry._plane_builder(dim), mpa._guard
+
+    def check(scale, rows):
+        seen["calls"] += 1
+        assert scale == coordinate_scale(rows), (scale, rows)
+
+    def checked(scale, *rows):
+        check(scale, rows)
+        return build(scale, *rows)
+
+    def loop_builder(refuse_every):
+        calls = count(1)  # call 1, the loop's initial plane, is never refused
+
+        def refusing(scale, *rows):
+            check(scale, rows)
+            if refuse_every and next(calls) % refuse_every == 0:
+                raise DegeneratePointsError("refused")
+            return build(scale, *rows)
+        return refusing
+
+    def counting(pts, mover, t, alpha):
+        out = guard(pts, mover, t, alpha)
+        seen["projected"] += out is not t
+        return out
+
+    monkeypatch.setattr(geometry, "_plane_builder", lambda n: checked)
+    monkeypatch.setattr(mpa, "_guard", counting)
+    for eta, alpha, refuse_every in SCALE_SETTINGS:
+        monkeypatch.setattr(mpa, "_plane_builder", lambda n, k=refuse_every: loop_builder(k))
+        for seed in range(3):
+            ds = make_blobs(seed=seed, std=2.5, n_per_class=25, dim=dim,
+                            center_halfwidth=4.0)
+            _, log = train(ds, MpaConfig(eta=eta, epochs=30, alpha=alpha, seed=seed))
+            seen["reverted"] += log.skips[mpa.DEGENERATE_REVERT]
+    assert min(seen.values()) > 0, seen
+    ds = make_blobs(1, 3.0, 20, dim, 4.0)
+    error, message = OVERFLOWING_TRAIN_ERRORS[dim]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        train(Dataset(ds.features * 1e100, ds.labels))
+    assert type(info.value) is error
+
 class TestMovementVectorMatchesFrozen:
     # The public step is fit's generated nearest and step_to at every n,
     # held here to the frozen per-move code bit for bit. With
@@ -1208,18 +1281,18 @@ class TestHyperplaneMatchesPointsOnExit:
         ds = make_blobs(seed=4, std=1.9, dim=4, center_halfwidth=4.0)
         cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
-        plane = geometry._plane_coeffs
+        plane = geometry._plane_builder(4)
         seen = []
 
-        def failing(*rows):
+        def failing(scale, *rows):
             seen.append(rows)
             if len(seen) == 25:
                 raise RuntimeError("plane failure")
-            return plane(*rows)
+            return plane(scale, *rows)
 
         # fit passes geometry's builder to the loop, and its exit plane
         # goes through hyperplane_from_points: both are counted.
-        monkeypatch.setattr(geometry, "_plane_coeffs", failing)
+        patch_builder(monkeypatch, failing)
         with pytest.raises(RuntimeError):
             fit(model, ds)
         monkeypatch.undo()
@@ -1237,16 +1310,16 @@ class TestHyperplaneMatchesPointsOnExit:
         ds = make_blobs(seed=4, std=1.9, center_halfwidth=4.0)
         cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
-        line = geometry._line_coeffs
+        line = geometry._plane_builder(2)
         seen = []
 
-        def failing(*points):
+        def failing(scale, *points):
             seen.append(points)
             if len(seen) == 40:
                 raise RuntimeError("line failure")
-            return line(*points)
+            return line(scale, *points)
 
-        monkeypatch.setattr(geometry, "_line_coeffs", failing)
+        patch_builder(monkeypatch, failing)
         with pytest.raises(RuntimeError):
             fit(model, ds)
         monkeypatch.undo()
@@ -1264,18 +1337,18 @@ class TestHyperplaneMatchesPointsOnExit:
         ds = make_blobs(seed=4, std=1.9, dim=3, center_halfwidth=4.0)
         cfg = MpaConfig(eta=0.01, epochs=30, seed=5, early_stop=False)
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
-        plane3 = geometry._plane3_coeffs
+        plane3 = geometry._plane_builder(3)
         seen = []
 
-        def failing(*points):
+        def failing(scale, *points):
             seen.append(points)
             if len(seen) == 20:
                 raise RuntimeError("plane failure")
-            return plane3(*points)
+            return plane3(scale, *points)
 
         # fit passes geometry's builder to the loop, and its exit plane
         # goes through hyperplane_from_points: both are counted.
-        monkeypatch.setattr(geometry, "_plane3_coeffs", failing)
+        patch_builder(monkeypatch, failing)
         with pytest.raises(RuntimeError):
             fit(model, ds)
         monkeypatch.undo()
