@@ -16,7 +16,9 @@ the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
 plane cases time ``hyperplane_from_points`` on Gaussian points and the
 plane that ``mpa.fit`` re-reads after one move, through the builder of
 ``geometry._plane_builder(n)``, at n = 2, 3, 4, 8, 16 and 32. The epoch
-cases time one epoch of ``mpa.train`` at dims 8 and 16. The guard
+cases time one epoch of ``mpa.train`` at dims 8 and 16. Two more
+training cases time a dim-8 train whose alpha makes the guard's
+pre-check run on nearly every move, its worst case. The guard
 cases time ``mpa.overfit_guard`` at n = 2, 3 and 8 on a step that it
 projects, so they put the per-n cost of the one shared guard on record.
 The cell cases time one whole grid cell and the fixed cost around its
@@ -121,6 +123,22 @@ def test_permutation_80_exact_path(benchmark, k):
 def test_randint_40_warm(benchmark):
     stream = SplitMix64(12345)
     assert 0 <= benchmark(stream.randint, 40) < 40
+
+
+# The guard's pre-check at its busiest: overlap cell (0, 90) at dim 8, with
+# alpha 1 or 2 times the least gap between the initial moving points. At 1x
+# the pre-check runs on 142 of the 150 moves and finds no point within
+# alpha on 61, each of which refreshes the mover's gap floor, so the floor
+# saves almost nothing and costs its upkeep; at 2x every move runs _guard.
+@pytest.mark.parametrize("factor", [1.0, 2.0], ids=["alpha-1x-gap", "alpha-2x-gap"])
+def test_train_overlap_0_90_dim8_guard_heavy(benchmark, factor):
+    train_ds, _, cell = cell_split(0, 90, 8)
+    cfg = cell_config(cell)
+    pts = mpa.initialize(train_ds.class_points(0), train_ds.class_points(1), cfg).moving_points
+    cfg = replace(cfg, alpha=factor * mpa._least_gap(pts))
+    model, log = benchmark(mpa.train, train_ds, cfg)
+    benchmark.extra_info["moves"] = log.moves
+    assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
 
 
 # Grid cell (0, 9) separates at initialization (0 moves: set-up plus one

@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .datasets import Dataset
-from .geometry import _affine, as_rows
+from .geometry import _affine, _generated, as_rows
 from .rng import SplitMix64
 
 
@@ -222,26 +222,19 @@ def _loop_source(template: str, n: int) -> str:
         add="\n".join(f"                w{k} += s * x{k}" for k in ks))
 
 
-def _compile_loop(name: str, template: str, n: int):
-    """The function `name` that _loop_source(template, n) defines."""
-    namespace: dict = {}
-    exec(compile(_loop_source(template, n), f"<{name} n={n}>", "exec"), namespace)
-    return namespace[name]
-
-
-@lru_cache(maxsize=32)
+@_generated("perceptron_loop")
 def _perceptron_loop(n: int):
     """perceptron_fit's sweeps for rows of n coordinates:
     loop(rows, y, eta, epochs, rng) -> (weights list, bias)."""
-    return _compile_loop("perceptron_loop", _PERCEPTRON_SOURCE, n)
+    return _loop_source(_PERCEPTRON_SOURCE, n)
 
 
-@lru_cache(maxsize=32)
+@_generated("svm_loop")
 def _svm_loop(n: int):
     """linear_svm_fit's steps for rows of n coordinates, one epoch per
     m-long stretch of the schedule: loop(rows, y, rates, shrinks, rng) ->
     (weights list, bias)."""
-    return _compile_loop("svm_loop", _SVM_SOURCE, n)
+    return _loop_source(_SVM_SOURCE, n)
 
 
 def linear_predict_many(model: PerceptronModel | LinearSvmModel, X) -> np.ndarray:

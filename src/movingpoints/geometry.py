@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain
 
 import numpy as np
@@ -305,9 +305,10 @@ def _unrolled_source(n: int) -> str:
                          "        det = -det")
         lines.append(f"    p = {a(col, col)}\n    if p == 0.0:\n        {numpy_path}\n"
                      "    det *= p")
-        for r in below:
+        right = range(col + 1, n)  # empty for the last column: nothing is left to reduce
+        for r in below if right else ():
             lines.append(f"    l = {a(r, col)} / p")
-            lines += [f"    {a(r, k)} -= l * {a(col, k)}" for k in range(col + 1, n)]
+            lines += [f"    {a(r, k)} -= l * {a(col, k)}" for k in right]
     lines.append(f"    c{n} = det")
     for k in reversed(ks):
         terms = " + ".join(f"{a(r, k)} * c{r}" for r in range(k + 1, n + 1))
@@ -325,12 +326,28 @@ def _unrolled_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=_MAX_UNROLLED)
+def _generated(*names: str, maxsize: int = 32):
+    """Decorator for source(n), a function that writes Python text for one
+    n: the decorated function returns what that text defines under names,
+    one object or a tuple of them. It compiles the text in source's module
+    globals on the first call for each n, so importing builds nothing, and
+    lru_cache keeps the last maxsize n. Every loop generated per n is built
+    here: the plane (_unrolled), mpa's training loop and the baselines'."""
+    def decorate(source):
+        def compiled(n: int):
+            namespace: dict = {}
+            exec(compile(source(n), f"<{source.__name__} n={n}>", "exec"),
+                 source.__globals__, namespace)
+            found = tuple(namespace[name] for name in names)
+            return found if len(found) > 1 else found[0]
+        return lru_cache(maxsize=maxsize)(wraps(source)(compiled))
+    return decorate
+
+
+@_generated("plane", maxsize=_MAX_UNROLLED)
 def _unrolled(n: int):
-    """The plane function of _unrolled_source(n), compiled on first use."""
-    namespace: dict = {}
-    exec(compile(_unrolled_source(n), f"<plane n={n}>", "exec"), globals(), namespace)
-    return namespace["plane"]
+    """The plane function of _unrolled_source(n)."""
+    return _unrolled_source(n)
 
 
 def _plane_coeffs(scale: float, *rows) -> tuple[float, ...]:

@@ -33,7 +33,6 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .geometry import (
     DimensionMismatchError,
     Hyperplane,
     _dot,
+    _generated,
     _plane_builder,
     as_rows,
     coordinate_scale,
@@ -57,6 +57,15 @@ MODEL_VERSION = 1
 MAX_RESAMPLES = 8  # extra draws of g when it lands on the mover
 _GUARD_TOL = 1e-12
 _MAX_GUARD_PASSES = 64
+# fit's gap floor (see _EPOCHS_SOURCE): its relative margin, the least and
+# the largest computed gap it keeps, and its rounding terms.
+_GAP_MARGIN = 1e-9
+_GAP_UP = 1.0 + _GAP_MARGIN
+_GAP_DOWN = 1.0 - _GAP_MARGIN
+_MIN_GAP = 1e-140
+_MAX_GAP = 1e150
+_ROUNDING = 2.0 ** -52  # twice the unit roundoff 2^-53
+_SUM_UP = 1.0 + 2.0 ** -50
 
 
 class IdenticalMeansError(ValueError):
@@ -398,9 +407,13 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     coordinate_scale(rows), kept per point, so the scale costs a move O(n);
     a move that makes the points degenerate is undone. The guard is
     skipped only when no point lies within alpha of the mover by _guard's
-    own distance (at n = 2 that is ||w||, bit for bit), so no projection
-    is skipped. model.hyperplane is set from hyperplane_from_points(points)
-    on every exit, as a reloaded model's is.
+    own distance, so no projection is skipped. The same rule serves every
+    n: a pre-check computes those distances only when a per-point gap
+    floor, kept through the moves, cannot prove them all above alpha.
+    The loop writes its points into model.moving_points only before it
+    yields an epoch with no misclassified example, which is when this
+    function reads them, and on every exit. model.hyperplane is set from
+    hyperplane_from_points(points) on every exit, as a reloaded model's is.
     """
     cfg = model.config
     X = as_rows(data.features, model.dim)
@@ -419,7 +432,7 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     epochs = _fixed_order(model.dim)[2]
     build = _plane_builder(model.dim)
     try:
-        # Each epoch leaves its points in P before it yields its count.
+        # An epoch with no miss leaves its points in P before it yields.
         for miss in epochs(P, X, pseudo, draws, rng, cfg, model.alpha, log, build):
             log.misclassified.append(miss)
             log.epochs_run += 1
@@ -448,15 +461,66 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build): yields each
 #   epoch's misclassified count; draws[j] lists the rows example j may
 #   draw, and build(scale, *rows) is geometry._plane_builder(n). The points
-#   live in the list pts, written back into P before each yield and on
-#   every exit; a moved point enters pts only once its plane is built.
-#   pt_scale[i] is max(1.0, |p_i0|, ...), and a build's scale is the max
-#   of the n entries with the mover's replaced by its candidate's e_scale,
-#   which enters pt_scale with e. max is exact, so on finite rows that is
-#   coordinate_scale(rows); a NaN never wins against the leading 1.0, and
-#   a row that holds one is refused whatever the scale.
-#   The guard runs only when a point is within alpha of the mover (n = 2
-#   reads that off ||w||; n >= 3 checks each point's gap, as _guard does).
+#   live in the list pts, written back into P before an epoch with no
+#   misclassified example yields its count and on every exit, so P is
+#   current whenever fit reads it; a moved point enters pts only once its
+#   plane is built. pt_scale[i] is max(1.0, |p_i0|, ...), and a build's
+#   scale is the max of the n entries with the mover's replaced by its
+#   candidate's e_scale, which enters pt_scale with e. max is exact, so on
+#   finite rows that is coordinate_scale(rows); a NaN never wins against
+#   the leading 1.0, and a row that holds one is refused whatever the
+#   scale. lambda is (x0*w0 + ... + b) * sign, divided by ||w|| only when
+#   it is negative: sign is +-1, so that product is exact and the quotient
+#   has the bits of (x0*w0 + ... + b) / ||w|| * sign. The quotient is
+#   tested again, as it may underflow to 0.0, which is no misclassification.
+#
+# The gap floor. _guard projects out only an approach to a point within
+# alpha of the mover by its own fixed-order gap, and the loop calls it only
+# when the pre-check, which computes that same gap from the mover to every
+# other point (passing over the mover by identity, as _guard does), finds
+# such a point. So no projection is skipped. The pre-check itself runs only
+# when a floor cannot prove that no point is that close. moved is an upper
+# bound on the total distance that the kept moves have carried the points;
+# when the pre-check finds no point within alpha, it sets keys[mover] =
+# (least + moved) * _GAP_DOWN from the least gap it computed. Moving one
+# point shrinks no gap by more than the distance it moves, so while
+# keys[mover] - moved > alpha * _GAP_UP, every gap to the mover is still
+# above alpha. keys start
+# at -inf, so every point's first move runs the pre-check; that is the one
+# guard rule for every n.
+#
+# The floor stays below every gap that _guard computes, despite rounding
+# (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms, ch.
+# 3). A gap, or a step's length, computed as the root of a sum of n rounded
+# squares of rounded differences has a relative error of at most (n+3)u,
+# unless a square overflows or underflows. When one overflows the gap
+# reads inf and the true gap is past 1.3e154; least starts at _MAX_GAP =
+# 1e150, so it never exceeds a true gap on that account. Squares that
+# underflow add at most 2^-1075 each, so a gap errs by at most about
+# sqrt(n) 2^-537 < 1e-158 more. A key is set only from least >= _MIN_GAP =
+# 1e-140: its margin _GAP_MARGIN * least >= 1e-149 covers those errors with
+# nine orders to spare.
+# A kept move carries the mover from c to e = c + t, rounded. step_to's t
+# is at most step (1 + (n+5)u) long, plus 2^-1074 per coordinate that
+# rounds in the subnormal range; after _guard, step is recomputed as the
+# guarded t's own length, which errs as a gap does. Rounding c + t moves
+# each coordinate by at most u |e_k|, or 2^-1075 in the subnormal range:
+# at most u sqrt(n) e_scale in all, since e_scale >= max(1, |e_k|). So the
+# move is shorter than step * _GAP_UP + e_scale * e_round, with e_round =
+# 2u sqrt(n): the factor 2 covers every absolute term, as e_scale >= 1.
+# The two sums into moved round down by at most u of their value each, and
+# _SUM_UP = 1 + 8u, with its own rounding, more than restores that, so
+# moved never grows by less than the move's length.
+# keys[mover] rounds (least + moved) and its product by at most u each,
+# which _GAP_DOWN's margin on moved covers; keys[mover] - moved and
+# alpha * _GAP_UP round by at most u, and the product by at most 2^-1075
+# in the subnormal range. With (n+7)u < _GAP_MARGIN / 2, which holds for n
+# up to four million, far past any n whose n x n points fit in memory, a
+# passing test leaves every true gap to the mover above
+# alpha (1 + _GAP_MARGIN / 2) + least * _GAP_MARGIN / 2, and so every gap
+# that _guard computes above alpha. Should moved overflow, keys[mover] -
+# moved reads -inf or nan, and the test, written as not > far, runs the
+# pre-check.
 _STEP_SOURCE = """\
 def nearest(pts, {x}):
 {nearest}
@@ -481,17 +545,24 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
     pts = P.tolist()
     pt_scale = [max(1.0, {abs_x}) for {x} in pts]
     {plane} = build(max(pt_scale), *pts)
+    keys = [-math.inf] * len(pts)
+    moved = 0.0
+    far = alpha * _GAP_UP
+    e_round = math.sqrt(len(pts)) * _ROUNDING
     try:
         for _epoch in range(cfg.epochs):
             miss = 0
             for j in rng.permutation(len(rows)):
                 {x} = rows[j]
-                lam = ({margin} + b) / norm_w * signs[j]
+                lam = ({margin} + b) * signs[j]
+                if not lam < 0.0:
+                    continue
+                lam = lam / norm_w
                 if not lam < 0.0:
                     continue
                 miss += 1
                 mover = nearest(pts, {x})
-                {c} = pts[mover]
+                {c} = row = pts[mover]
                 c_scale = pt_scale[mover]
                 step = abs(eta * lam)
                 members = draws[j]
@@ -505,7 +576,22 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
                 else:
                     log.skips[RESAMPLE_EXHAUSTED] += 1
                     continue
-                {guard}
+                if not keys[mover] - moved > far:
+                    least = _MAX_GAP
+                    for f in pts:
+                        if f is row:
+                            continue
+                        {f} = f
+                        gap = math.sqrt({gap})
+                        if 0.0 < gap <= alpha:
+                            t = _guard(pts, mover, t, alpha)
+                            step = math.sqrt(_dot(t, t))
+                            break
+                        if gap < least:
+                            least = gap
+                    else:
+                        if least >= _MIN_GAP:
+                            keys[mover] = (least + moved) * _GAP_DOWN
                 {t} = t
                 if not ({t_or}):
                     log.skips[GUARD_ZEROED] += 1
@@ -520,8 +606,10 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
                     continue
                 pts[mover] = e
                 pt_scale[mover] = e_scale
+                moved = (moved + step * _GAP_UP + e_scale * e_round) * _SUM_UP
                 log.moves += 1
-            P[:] = pts
+            if not miss:
+                P[:] = pts
             yield miss
     finally:
         P[:] = pts
@@ -529,9 +617,8 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
 
 
 def _fixed_order_source(n: int) -> str:
-    """_STEP_SOURCE and then _EPOCHS_SOURCE filled in for n. One slot
-    differs by n: the guard's pre-check, which n = 2 reads off the line's
-    ||w|| and n >= 3 takes from each point's gap to the mover."""
+    """_STEP_SOURCE and then _EPOCHS_SOURCE filled in for n; every slot
+    spells out the same lines term by term for each coordinate."""
     ks = range(n)
 
     def each(term: str, sep: str = ", ") -> str:
@@ -549,15 +636,6 @@ def _fixed_order_source(n: int) -> str:
     source = _STEP_SOURCE.format(**fields, g=each("g{0}"), v=each("    v{0} = g{0} - c{0}", "\n"),
                                  vv=each("v{0} * v{0}", " + "), unit=each("v{0} / nv * step"))
     plane = f"{each('w{0}')}, b, norm_w"
-    guard = "t = _guard(pts, mover, t, alpha)"
-    if n == 2:
-        guard = ("if norm_w <= alpha:  # ||w|| is the gap _guard reads, bit for bit\n"
-                 f"                    {guard}")
-    else:  # _guard's own gap from each point to the mover, 0.0 to itself
-        gap = each("(f{0} - c{0}) * (f{0} - c{0})", " + ")
-        guard = (f"for {each('f{0}')} in pts:\n"
-                 f"                    if 0.0 < math.sqrt({gap}) <= alpha:\n"
-                 f"                        {guard}\n                        break")
     planes = []
     for i in ks:
         head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
@@ -567,17 +645,16 @@ def _fixed_order_source(n: int) -> str:
                    f"                        {plane} = build(max({scale}), {args})"]
     return source + _EPOCHS_SOURCE.format(
         **fields, plane=plane, t=each("t{0}"), abs_x=each("abs(x{0})"),
-        margin=each("x{0} * w{0}", " + "), guard=guard, t_or=each("t{0}", " or "),
+        margin=each("x{0} * w{0}", " + "), f=each("f{0}"),
+        gap=each("(f{0} - c{0}) * (f{0} - c{0})", " + "), t_or=each("t{0}", " or "),
         e=each("e{0}"), e_sums=each("c{0} + t{0}"), abs_e=each("abs(e{0})"),
         planes="\n".join(planes))
 
 
-@lru_cache(maxsize=32)
+@_generated("nearest", "step_to", "epochs")
 def _fixed_order(n: int):
     """(nearest, step_to, epochs) of _fixed_order_source(n)."""
-    namespace: dict = {}
-    exec(compile(_fixed_order_source(n), f"<mpa n={n}>", "exec"), globals(), namespace)
-    return namespace["nearest"], namespace["step_to"], namespace["epochs"]
+    return _fixed_order_source(n)
 
 
 def _least_gap(P: np.ndarray) -> float:

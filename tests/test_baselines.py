@@ -503,7 +503,7 @@ class TestGeneratedLoops:
         assert "yi * (x0 * w0 + x1 * w1 + x2 * w2 + b) <= 0.0" in perceptron
         assert "yi * (x0 * w0 + x1 * w1 + x2 * w2 + wb)" in svm
         assert "x0, x1, x2 = rows[i]" in perceptron
-        assert "lam = (x0 * w0 + x1 * w1 + x2 * w2 + b) / norm_w" in mpa._fixed_order_source(3)
+        assert "lam = (x0 * w0 + x1 * w1 + x2 * w2 + b) * signs[j]" in mpa._fixed_order_source(3)
 
     def test_one_coordinate_unpacks_a_one_tuple(self):
         for source in self.sources(1):
@@ -525,7 +525,7 @@ class TestGeneratedLoops:
         assert "def nearest(" in source and "def step_to(" in source
         assert "def epochs(" in source
         margin = " + ".join(f"x{k} * w{k}" for k in range(n))
-        assert f"lam = ({margin} + b) / norm_w" in source
+        assert f"lam = ({margin} + b) * signs[j]" in source
 
     def test_no_coordinates_is_refused(self):
         with pytest.raises(ValueError, match="at least one coordinate"):

@@ -10,6 +10,7 @@ import re
 import struct
 from dataclasses import asdict
 from itertools import count
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,9 +253,10 @@ class TestOverfitGuard:
 
 
 class TestLineGuardSkip:
-    # fit's n = 2 loop calls _guard only when the line's ||w|| <= alpha. That
-    # skips no projection if ||w|| from _line_coeffs is the gap that _guard
-    # computes, bit for bit, for either mover. The guard shows its gap
+    # _line_coeffs documents its ||w|| as the distance between the two
+    # points; here it is the gap that _guard computes, bit for bit, for
+    # either mover. fit's loop reads no ||w|| for the guard: its pre-check
+    # computes _guard's own gap at every n. The guard shows its gap
     # through alpha: given a unit step straight at the neighbour, it
     # projects when gap <= alpha and returns the step itself when
     # gap > alpha. So a projection at alpha = ||w|| and none at the float
@@ -1002,6 +1004,147 @@ class TestFitMatchesFrozenLoop:
         assert "build(" in source
         for name in ("_line_coeffs", "_plane3_coeffs", "_plane_coeffs"):
             assert name not in source
+
+
+def guard_sees_a_near_point(points, mover, alpha):
+    """Whether a point lies within alpha of the mover by _guard's own gap,
+    the root of (f0 - e0)^2 + (f1 - e1)^2 + ... summed left to right; the
+    mover, and a gap of 0.0, are passed over as _guard passes them."""
+    e = points[mover]
+    for i, f in enumerate(points):
+        r = [fk - ek for fk, ek in zip(f, e)]
+        if i != mover and 0.0 < math.sqrt(frozen_dot(r, r)) <= alpha:
+            return True
+    return False
+
+
+def largest_gap(P):
+    return max(math.dist(p, q) for p in P.tolist() for q in P.tolist())
+
+
+def recording_guard(calls):
+    """_guard, appending (mover, the points' bytes) to calls at each call."""
+    guard = mpa._guard
+
+    def recording(pts, mover, t, alpha):
+        calls.append((mover, np.array(pts).tobytes()))
+        return guard(pts, mover, t, alpha)
+    return recording
+
+
+class TestGapFloor:
+    # fit runs _guard's pre-check only where a gap floor cannot prove that
+    # no point lies within alpha of the mover (mpa._EPOCHS_SOURCE). So fit
+    # must keep the frozen loop's bits, and call _guard on exactly the moves
+    # where a point lies within alpha, here found at every move of the
+    # frozen loop by an exact pre-check of its own. n 2..8, scales
+    # 2^-500..2^500, alpha from 0 to 10 times the largest gap between the
+    # moving points, eta up to 6. fit trains only from about 2^-28 (its
+    # absolute thresholds) to about 2^(1000/n) (its cofactors overflow);
+    # elsewhere both loops must fail alike.
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8),
+           exponent=st.one_of(st.integers(-500, 500), st.integers(-20, 20)),
+           alpha_factor=st.floats(0.0, 10.0),
+           eta=st.sampled_from([1e-4, 0.01, 0.3, 2.0, 6.0]),
+           seed=st.integers(0, 2**64 - 1), blob_seed=st.integers(0, 10_000),
+           std=st.floats(1.0, 4.0))
+    @example(n=8, exponent=0, alpha_factor=0.3, eta=2.0, seed=1, blob_seed=7, std=2.5)
+    @example(n=3, exponent=-18, alpha_factor=0.05, eta=0.3, seed=5, blob_seed=3, std=3.0)
+    def test_fit_guards_exactly_the_near_moves(self, n, exponent, alpha_factor, eta, seed,
+                                               blob_seed, std):
+        scale = 2.0 ** exponent
+        ds = make_blobs(seed=blob_seed, std=std, n_per_class=25, dim=n, center_halfwidth=4.0)
+        ds = Dataset(ds.features * scale, ds.labels)
+        cfg = MpaConfig(eta=eta, epochs=12, seed=seed, early_stop=False)
+        try:
+            model = initialize(ds.class_points(0), ds.class_points(1), cfg)
+        except ValueError:
+            return  # no usable initial boundary; nothing to train
+        model.alpha = alpha_factor * largest_gap(model.moving_points)
+        want, got = [], []
+        frozen_guard = frozen_overfit_guard
+
+        def frozen_recording(points, mover, t, alpha, stats):
+            if guard_sees_a_near_point(points.tolist(), mover, alpha):
+                want.append((mover, points.tobytes()))
+            return frozen_guard(points, mover, t, alpha, stats)
+
+        with mock.patch.dict(globals(), frozen_overfit_guard=frozen_recording):
+            try:
+                ref = frozen_fit(model, ds, cfg)
+            except ValueError as exc:
+                ref = exc
+        with mock.patch.object(mpa, "_guard", recording_guard(got)):
+            try:
+                log = fit(model, ds)
+            except ValueError as exc:
+                log = exc
+        assert got == want
+        if isinstance(ref, ValueError):
+            assert isinstance(log, ValueError)
+            return
+        assert model.moving_points.tobytes() == ref["points"].tobytes()
+        assert log.misclassified == ref["misclassified"]
+        assert log.moves == ref["moves"]
+        w, b = ref["plane"]
+        assert model.hyperplane.weights.tobytes() == w.tobytes()
+        assert np.float64(model.hyperplane.bias).tobytes() == np.float64(b).tobytes()
+
+    # The generated loop itself, on points at 2^k times the unit scale of
+    # make_blobs, with the plane builder and step_to run on the points
+    # scaled back by 2^-k, so that no absolute threshold of theirs refuses
+    # a scale (2^k scales a normal float exactly). At k = -530 every gap's
+    # squares are subnormal, so the pre-check's least gap is below _MIN_GAP
+    # and sets no key. Each move that reaches the guard is seen in step_to,
+    # whose mover is the row of the last plane built that holds c.
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 8), k=st.integers(-540, 500), alpha_factor=st.floats(0.0, 10.0),
+           eta=st.sampled_from([0.01, 0.3, 2.0, 6.0]), seed=st.integers(0, 2**32 - 1))
+    @example(n=4, k=-530, alpha_factor=0.3, eta=2.0, seed=3)
+    def test_loop_guards_exactly_the_near_moves_at_any_scale(self, n, k, alpha_factor, eta,
+                                                             seed):
+        up, down = 2.0 ** k, 2.0 ** -k
+        unit = make_blobs(seed=seed, std=2.5, n_per_class=25, dim=n, center_halfwidth=4.0)
+        cfg = MpaConfig(eta=eta, epochs=8, seed=seed)
+        try:
+            model = initialize(unit.class_points(0), unit.class_points(1), cfg)
+        except ValueError:
+            return
+        ds = Dataset(unit.features * up, unit.labels)
+        alpha = alpha_factor * largest_gap(model.moving_points) * up
+        build = geometry._plane_builder(n)
+        nearest, step_to, epochs = mpa._fixed_order(n)
+        state, want, got = [], [], []
+
+        def scaled_build(scale, *rows):
+            rows_unit = [[x * down for x in row] for row in rows]
+            *w, b, norm_w = build(coordinate_scale(rows_unit), *rows_unit)
+            state[:] = rows  # the loop's points once this plane is kept
+            return (*w, b * up, norm_w)
+
+        def scaled_step_to(*args):
+            c_unit, g_unit = ([x * down for x in args[i:i + n]] for i in (0, n))
+            t = step_to(*c_unit, *g_unit, coordinate_scale(c_unit, g_unit), args[-1] * down)
+            movers = [i for i, row in enumerate(state) if list(row) == list(args[:n])]
+            assert len(movers) == 1
+            if guard_sees_a_near_point(state, movers[0], alpha):
+                want.append((movers[0], np.array(state).tobytes()))
+            return [x * up for x in t]
+
+        clusters = near_clusters(ds, cfg.near_cluster_percentile)
+        draws = [clusters[1 - label].tolist() for label in ds.labels.tolist()]
+        pseudo = np.where(ds.labels == 1, model.pseudo_sign[1], model.pseudo_sign[0])
+        loop = epochs(model.moving_points * up, ds.features, pseudo.astype(float), draws,
+                      SplitMix64(seed), cfg, alpha, mpa.TrainingLog(), scaled_build,
+                      step_to=scaled_step_to)
+        with mock.patch.object(mpa, "_guard", recording_guard(got)):
+            try:
+                misclassified = list(loop)
+            except ValueError:  # a plane past the float range, at large eta
+                misclassified = None
+        assert got == want
+        assume(misclassified and sum(misclassified) > 0)
 
 
 # sha256 over n = 2 and n = 3 trains: per blob seed 0-3, scale 1e-6, 1 and
