@@ -254,9 +254,10 @@ def standardize_fit(train: Dataset) -> StandardizerParams:
 
 
 def standardize_apply(params: StandardizerParams, ds: Dataset) -> Dataset:
-    """Shift/scale by training statistics; (near-)constant columns map to 0."""
+    """Shift/scale by training statistics; a (near-)constant column, whose
+    std is at most EPS_DEGENERATE * |mean| in any unit, maps to 0."""
     out = ds.features - params.mean
-    dead = params.std <= EPS_DEGENERATE * np.maximum(1.0, np.abs(params.mean))
+    dead = params.std <= EPS_DEGENERATE * np.abs(params.mean)
     out[:, dead] = 0.0
     out[:, ~dead] /= params.std[~dead]
     return Dataset(out, ds.labels.copy(), feature_names=ds.feature_names,

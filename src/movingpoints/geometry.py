@@ -38,7 +38,6 @@ from itertools import chain
 import numpy as np
 
 EPS_DEGENERATE = 1e-9
-EPS_ON_PLANE = 1e-12
 _MAX_UNROLLED = 16  # _unrolled_source grows as n^3, to 15,000 lines at n = 32
 _DEPENDENT = "points are affinely dependent and define no unique hyperplane"
 
@@ -81,8 +80,8 @@ def as_rows(points, n: int | None = None) -> np.ndarray:
 def coordinate_scale(*arrays) -> float:
     """Largest absolute coordinate among the inputs, floored at 1.0.
 
-    Used to scale the degeneracy and on-plane tolerances so they behave
-    relatively on unstandardized data while staying absolute near zero.
+    Used to scale the degeneracy tolerances so they behave relatively on
+    unstandardized data while staying absolute near zero.
     """
     m = 1.0
     for a in arrays:
@@ -435,22 +434,15 @@ def _affine(X: np.ndarray, w: np.ndarray, bias: float) -> np.ndarray:
 
 
 def sides(h: Hyperplane, X) -> np.ndarray:
-    """-1, 0 or +1 per row of the (m, n) array X: which region it falls in.
-
-    0 is returned only when |weights . x + bias| is within the on-plane
-    tolerance EPS_ON_PLANE * max(1, max|weights| * max|x|, |bias|), scaled
-    to the magnitudes involved. weights . x + bias is the fixed-order sum
-    of _affine, so a row's side does not depend on the other rows of X.
-    X is checked by as_rows.
+    """-1, 0 or +1 per row of the (m, n) array X: the sign of weights . x +
+    bias, the fixed-order sum of _affine, so a row's side does not depend
+    on the other rows of X. 0 means exactly on the plane, or a sum that is
+    not a number (products past the float range). X is checked by as_rows.
     """
-    X = as_rows(X, h.dim)
-    w = h.weights
-    raw = _affine(X, w, h.bias)
-    scale = np.abs(X).max(axis=1) * max(map(abs, w.tolist()))
-    np.maximum(scale, max(1.0, abs(h.bias)), out=scale)
-    return np.where(np.abs(raw) <= EPS_ON_PLANE * scale, 0, np.where(raw > 0, 1, -1))
+    raw = _affine(as_rows(X, h.dim), h.weights, h.bias)
+    return (raw > 0).astype(int) - (raw < 0)
 
 
 def region_sign(h: Hyperplane, x) -> int:
-    """-1, 0, or +1: which of the three regions the point x falls in (see sides)."""
+    """-1, 0, or +1: the sign of weights . x + bias at the point x (see sides)."""
     return int(sides(h, [x])[0])

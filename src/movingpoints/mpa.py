@@ -11,7 +11,9 @@ the side of the boundary its mean falls on. For an example x with label y,
 
     lambda = signed_displacement(boundary, x) * pseudo_sign(y)
 
-so lambda < 0 flags a misclassification and |lambda| measures its depth.
+An example is misclassified when its side of the boundary, +1 where
+w.x + b >= 0, is not its class's pseudo sign, the rule of predict_many;
+its lambda is then <= 0, and |lambda| measures the depth of the error.
 A misclassified example q pulls the nearest moving point c a step of length
 |eta * lambda| in the direction of (g - c), where g is a random member of
 the opposite class's near-cluster (points within a percentile radius of the
@@ -360,16 +362,18 @@ def _percentile(values: list, percentile: float) -> float:
 RESAMPLE_EXHAUSTED = "resample_exhausted"  # every draw of g landed on the mover
 GUARD_ZEROED = "guard_zeroed"  # the guarded step came out zero
 DEGENERATE_REVERT = "degenerate_revert"  # the step made the points degenerate; undone
-SKIP_REASONS = (RESAMPLE_EXHAUSTED, GUARD_ZEROED, DEGENERATE_REVERT)
+ZERO_STEP = "zero_step"  # |eta * lambda| is 0.0: the row is on the plane, or it underflows
+SKIP_REASONS = (RESAMPLE_EXHAUSTED, GUARD_ZEROED, DEGENERATE_REVERT, ZERO_STEP)
 
 
 @dataclass
 class TrainingLog:
     """Per-epoch misclassification counts and the run's move and skip counts.
 
-    moves counts accepted point displacements; skips counts the
-    misclassified examples that moved no point, by reason, so
-    moves + sum(skips.values()) == sum(misclassified).
+    An example counts as misclassified when predict_many, under the plane
+    of that moment, gets it wrong. moves counts accepted point
+    displacements; skips counts the misclassified examples that moved no
+    point, by reason, so moves + sum(skips.values()) == sum(misclassified).
     """
 
     misclassified: list[int] = field(default_factory=list)
@@ -384,22 +388,22 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 
     The settings are the model's own: eta, epochs, seed, the near-cluster
     percentile and early_stop from model.config, alpha from model.alpha.
-    Every epoch visits the examples in a seeded shuffled order. For each
-    example with lambda < 0 the nearest moving point takes a guarded step
-    toward a uniformly drawn member of the opposite class's near-cluster
-    (redrawn up to 8 times if the draw lands on the mover; the example is
-    skipped if all draws fail, and also if its step would make the moving
-    points affinely degenerate, which is undone). With early_stop set,
-    training halts after the first epoch with zero misclassifications
-    whose plane also predicts every training row right: an example on the
-    plane has lambda = 0, which is no misclassification, but predict_many
-    gives it to the class with pseudo sign +1.
+    Every epoch visits the examples in a seeded shuffled order. An example
+    is misclassified when predict_many would get it wrong: its side, +1
+    where w.x + b >= 0, is not its class's pseudo sign. Its nearest moving
+    point then takes a guarded step of length |eta * lambda| toward a
+    uniformly drawn member of the opposite class's near-cluster (redrawn
+    up to 8 times if the draw lands on the mover). It moves no point if
+    the step is 0.0 (a row on the plane), if all draws fail, or if the
+    step would make the points affinely degenerate, which is undone. With
+    early_stop set, training halts after the first epoch with no
+    misclassified example.
 
     Inputs are validated once, here. The loop, one for every n and
     generated per n (_fixed_order), then works on raw Python floats: the
-    points, the rows and the plane's w, b and ||w||, with lambda
-    ((x0*w0 + ... + b) / ||w|| * sign) and the step's norms summed in a
-    fixed order. The steps are those of the public movement_vector and
+    points, the rows and the plane's w, b and ||w||, with w.x + b
+    (x0*w0 + ... + b) and the step's norms summed in a fixed order. The
+    steps are those of the public movement_vector and
     overfit_guard. After each move the plane is re-read through the
     candidate points by hyperplane_from_points' own builder, which fit
     passes in as build = _plane_builder(n), so no value depends on a BLAS
@@ -410,10 +414,9 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     own distance, so no projection is skipped. The same rule serves every
     n: a pre-check computes those distances only when a per-point gap
     floor, kept through the moves, cannot prove them all above alpha.
-    The loop writes its points into model.moving_points only before it
-    yields an epoch with no misclassified example, which is when this
-    function reads them, and on every exit. model.hyperplane is set from
-    hyperplane_from_points(points) on every exit, as a reloaded model's is.
+    The loop writes its points into model.moving_points when it exits,
+    and model.hyperplane is then set from hyperplane_from_points(points),
+    as a reloaded model's is.
     """
     cfg = model.config
     X = as_rows(data.features, model.dim)
@@ -429,19 +432,17 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 
     P = model.moving_points
     log = TrainingLog()
-    epochs = _fixed_order(model.dim)[2]
-    build = _plane_builder(model.dim)
+    loop = _fixed_order(model.dim)[2](P, X, pseudo, draws, rng, cfg, model.alpha, log,
+                                      _plane_builder(model.dim))
     try:
-        # An epoch with no miss leaves its points in P before it yields.
-        for miss in epochs(P, X, pseudo, draws, rng, cfg, model.alpha, log, build):
+        for miss in loop:
             log.misclassified.append(miss)
             log.epochs_run += 1
             if cfg.early_stop and miss == 0:
-                model.hyperplane = hyperplane_from_points(P)
-                if np.array_equal(predict_many(model, X), y):
-                    log.stopped_early = True
-                    break
+                log.stopped_early = True
+                break
     finally:
+        loop.close()  # the loop writes its points into P as it exits
         model.hyperplane = hyperplane_from_points(P)
 
     return log
@@ -461,18 +462,20 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build): yields each
 #   epoch's misclassified count; draws[j] lists the rows example j may
 #   draw, and build(scale, *rows) is geometry._plane_builder(n). The points
-#   live in the list pts, written back into P before an epoch with no
-#   misclassified example yields its count and on every exit, so P is
-#   current whenever fit reads it; a moved point enters pts only once its
-#   plane is built. pt_scale[i] is max(1.0, |p_i0|, ...), and a build's
-#   scale is the max of the n entries with the mover's replaced by its
-#   candidate's e_scale, which enters pt_scale with e. max is exact, so on
-#   finite rows that is coordinate_scale(rows); a NaN never wins against
-#   the leading 1.0, and a row that holds one is refused whatever the
-#   scale. lambda is (x0*w0 + ... + b) * sign, divided by ||w|| only when
-#   it is negative: sign is +-1, so that product is exact and the quotient
-#   has the bits of (x0*w0 + ... + b) / ||w|| * sign. The quotient is
-#   tested again, as it may underflow to 0.0, which is no misclassification.
+#   live in the list pts, written back into P when the loop exits; a moved
+#   point enters pts only once its plane is built. pt_scale[i] is
+#   max(1.0, |p_i0|, ...), and a build's scale is the max of the n
+#   entries with the mover's replaced by its candidate's e_scale, which
+#   enters pt_scale with e. max is exact, so on finite rows that is
+#   coordinate_scale(rows); a NaN never wins against the leading 1.0, and
+#   a row that holds one is refused whatever the scale. A row's side is
+#   -1 where raw = x0*w0 + ... + b < 0 and +1 otherwise, geometry.sides'
+#   sum and predict_many's rule; below[j] says that row j's class has
+#   pseudo sign -1, so a row whose side differs from it is a miss. Its
+#   step |eta * (raw / ||w||)| has the bits of |eta * lambda|, as the
+#   pseudo sign only flips a sign. A step of 0.0, from a row on the plane
+#   or a quotient that underflows, moves no point and is skipped before
+#   any draw.
 #
 # The gap floor. _guard projects out only an approach to a point within
 # alpha of the mover by its own fixed-order gap, and the loop calls it only
@@ -540,7 +543,7 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
            nearest=nearest, step_to=step_to):
     rows = X.tolist()
     row_scale = [max({abs_x}) for {x} in rows]  # max|X[r]|
-    signs = pseudo.tolist()
+    below = [sign < 0.0 for sign in pseudo.tolist()]
     eta = cfg.eta
     pts = P.tolist()
     pt_scale = [max(1.0, {abs_x}) for {x} in pts]
@@ -554,17 +557,17 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
             miss = 0
             for j in rng.permutation(len(rows)):
                 {x} = rows[j]
-                lam = ({margin} + b) * signs[j]
-                if not lam < 0.0:
-                    continue
-                lam = lam / norm_w
-                if not lam < 0.0:
+                raw = {margin} + b
+                if (raw < 0.0) == below[j]:
                     continue
                 miss += 1
+                step = abs(eta * (raw / norm_w))
+                if not step:
+                    log.skips[ZERO_STEP] += 1
+                    continue
                 mover = nearest(pts, {x})
                 {c} = row = pts[mover]
                 c_scale = pt_scale[mover]
-                step = abs(eta * lam)
                 members = draws[j]
                 for _attempt in range(1 + MAX_RESAMPLES):
                     target = members[rng.randint(len(members))]
@@ -608,8 +611,6 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
                 pt_scale[mover] = e_scale
                 moved = (moved + step * _GAP_UP + e_scale * e_round) * _SUM_UP
                 log.moves += 1
-            if not miss:
-                P[:] = pts
             yield miss
     finally:
         P[:] = pts
@@ -676,7 +677,8 @@ def predict(model: MpaModel, x) -> int:
 def predict_many(model: MpaModel, X) -> np.ndarray:
     """Per row of X, the class whose pseudo sign matches its side of the boundary.
 
-    A point sitting on the boundary goes to the class with pseudo sign +1.
+    The side is +1 where w.x + b >= 0 (sides, its 0 on the boundary taken
+    as +1) and -1 below: fit counts a misclassified example by this rule.
     sides checks X: DimensionMismatchError unless it is (m, n) for the
     model's n, ValueError on a non-finite value.
     """
@@ -738,17 +740,18 @@ def parse_model_document(text: str) -> MpaModel:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     if "moving_points" not in doc:
         raise ValueError("model document has no moving_points field")
+    pseudo_sign = doc["pseudo_sign"]
+    if not all(type(v) is int and v in (-1, 1) for v in pseudo_sign.values()):
+        raise ValueError(f"pseudo_sign values must be the integers -1 and 1, got {pseudo_sign}")
     try:
         pts = as_rows(doc["moving_points"])
-        pseudo_sign = {int(k): int(v) for k, v in doc["pseudo_sign"].items()}
-    except (TypeError, OverflowError) as exc:  # an object, a list or an infinity
-        raise ValueError(f"moving_points and pseudo_sign must hold finite numbers: "
-                         f"{exc}") from None
+    except (TypeError, OverflowError) as exc:  # an object, a list or an integer past 1e308
+        raise ValueError(f"moving_points must hold finite numbers: {exc}") from None
     dim = doc.get("dim")
     if pts.shape != (dim, dim):
         raise ValueError(f"dim {dim!r} does not match moving points of shape {pts.shape}")
     cfg = MpaConfig(**doc["config"])
-    return MpaModel(pts, pseudo_sign, doc.get("alpha"), cfg,
+    return MpaModel(pts, {int(k): v for k, v in pseudo_sign.items()}, doc.get("alpha"), cfg,
                     feature_names=doc.get("feature_names"))
 
 

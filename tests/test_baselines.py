@@ -503,7 +503,7 @@ class TestGeneratedLoops:
         assert "yi * (x0 * w0 + x1 * w1 + x2 * w2 + b) <= 0.0" in perceptron
         assert "yi * (x0 * w0 + x1 * w1 + x2 * w2 + wb)" in svm
         assert "x0, x1, x2 = rows[i]" in perceptron
-        assert "lam = (x0 * w0 + x1 * w1 + x2 * w2 + b) * signs[j]" in mpa._fixed_order_source(3)
+        assert "raw = x0 * w0 + x1 * w1 + x2 * w2 + b" in mpa._fixed_order_source(3)
 
     def test_one_coordinate_unpacks_a_one_tuple(self):
         for source in self.sources(1):
@@ -520,12 +520,12 @@ class TestGeneratedLoops:
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_large_n_mpa_source_has_the_loop(self, n):
-        # One generated loop for every n, lambda summed in dot order.
+        # One generated loop for every n, w.x + b summed in dot order.
         source = mpa._fixed_order_source(n)
         assert "def nearest(" in source and "def step_to(" in source
         assert "def epochs(" in source
         margin = " + ".join(f"x{k} * w{k}" for k in range(n))
-        assert f"lam = ({margin} + b) * signs[j]" in source
+        assert f"raw = {margin} + b" in source
 
     def test_no_coordinates_is_refused(self):
         with pytest.raises(ValueError, match="at least one coordinate"):

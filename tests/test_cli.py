@@ -1,5 +1,6 @@
 """End-to-end command checks: exit codes, files, and reproducibility."""
 
+import hashlib
 import importlib
 import inspect
 import json
@@ -16,6 +17,7 @@ from movingpoints.bench import run_dataset_protocol, run_synthetic_suite
 from movingpoints.cli import main, render_scatter_svg
 from movingpoints.datasets import make_blobs
 from movingpoints.mpa import MpaConfig
+from test_acceptance import GOLDEN_C3_IRIS_REPORT
 
 IRIS_ARGS = [
     "--label-col", "Species",
@@ -145,6 +147,9 @@ class TestPredict:
         pytest.param({"config": {"epochs": float("inf")}}, id="config-epochs-infinity"),
         pytest.param({"config": {"seed": float("inf")}}, id="config-seed-infinity"),
         pytest.param({"pseudo_sign": {"0": float("-inf"), "1": 1}}, id="pseudo-sign-infinity"),
+        pytest.param({"pseudo_sign": {"0": -1.9, "1": 1.4}}, id="pseudo-sign-floats"),
+        pytest.param({"pseudo_sign": {"0": True, "1": -1}}, id="pseudo-sign-boolean"),
+        pytest.param({"pseudo_sign": {"0": "-1", "1": "1"}}, id="pseudo-sign-strings"),
         pytest.param({"moving_points": [[10 ** 400, 1.0], [1.0, 0.0]]},
                      id="moving-points-past-float"),
     ])
@@ -232,6 +237,24 @@ class TestBench:
         assert main(argv) == 0
         text = out.read_text(encoding="utf-8")
         assert "rep000,mpa," in text and "rep001,svm," in text
+
+    # Every feature of the Iris CSV scaled by 2^k standardizes to the same
+    # numbers, so the C3 protocol writes the golden report's bytes.
+    @pytest.mark.parametrize("exponent", [-30, 30])
+    def test_dataset_protocol_does_not_depend_on_units(self, iris_path, tmp_path, exponent):
+        header, *rows = iris_path.read_text(encoding="utf-8").splitlines()
+        scaled = tmp_path / "iris.csv"
+        scaled.write_text("".join(
+            [header + "\n"] + [",".join([*(repr(float(v) * 2.0 ** exponent) for v in values),
+                                         label]) + "\n"
+                                for *values, label in (row.split(",") for row in rows)]),
+            encoding="utf-8")
+        out = tmp_path / "ds.csv"
+        argv = ["bench", "dataset", "--input", str(scaled), "--label-col", "Species",
+                "--positive-label", "Iris-virginica", "--negative-label", "Iris-versicolor",
+                "--reps", "5", "--eta", "0.0005", "--output", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_C3_IRIS_REPORT
 
 
 class TestPlot:

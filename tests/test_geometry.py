@@ -16,7 +16,6 @@ from movingpoints import geometry
 from movingpoints.cli import RefuseNon2DError, render_scatter_svg
 from movingpoints.geometry import (
     EPS_DEGENERATE,
-    EPS_ON_PLANE,
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
@@ -669,11 +668,12 @@ class TestRegionSign:
         h = Hyperplane(np.array([1.0, 0.0]), -2.0)
         assert region_sign(h, (5, -1)) == 1
 
-    def test_tolerance_scales_with_bias(self):
-        # |bias| exceeds max|weights| * max|x| here, so it sets the scale
+    def test_only_an_exact_zero_is_on_the_plane(self):
+        # One last bit off the plane x + y = 1e6 is off it, on either side.
         h = Hyperplane(np.array([1.0, 1.0]), -1e6)
-        assert region_sign(h, (5e5 + 7e-7, 5e5)) == 0
-        assert region_sign(h, (5e5 + 2e-6, 5e5)) == 1
+        assert region_sign(h, (5e5, 5e5)) == 0
+        assert region_sign(h, (math.nextafter(1e6, math.inf), 0.0)) == 1
+        assert region_sign(h, (math.nextafter(1e6, -math.inf), 0.0)) == -1
 
     def test_partitions_samples(self):
         stream = SplitMix64(55)
@@ -692,14 +692,14 @@ class TestRegionSign:
 
 
 def scalar_region_sign(h: Hyperplane, x) -> int:
-    """The side rule for one point, as region_sign computed it on its own."""
-    x = np.asarray(x, dtype=float)
-    raw = float(h.weights @ x + h.bias)
-    scale = max(1.0, float(np.max(np.abs(h.weights))) * float(np.max(np.abs(x))),
-                abs(h.bias))
-    if abs(raw) <= EPS_ON_PLANE * scale:
-        return 0
-    return 1 if raw > 0 else -1
+    """The side rule for one point on Python floats: the sign of
+    x0*w0 + x1*w1 + ... + b, summed left to right."""
+    x, w = np.asarray(x, dtype=float).tolist(), h.weights.tolist()
+    raw = x[0] * w[0]
+    for xk, wk in zip(x[1:], w[1:]):
+        raw += xk * wk
+    raw += h.bias
+    return (raw > 0) - (raw < 0)
 
 
 class TestSideRuleMatchesScalar:
@@ -713,8 +713,8 @@ class TestSideRuleMatchesScalar:
         try:
             h = hyperplane_from_points(pts)  # its defining points lie on it
         except DegeneratePointsError:
-            # tiny coordinates have no representable plane through them;
-            # a unit-scale plane still exercises the floored tolerance
+            # tiny coordinates have no plane through them that passes the
+            # degeneracy test; a unit-scale plane still sorts the rows
             h = Hyperplane(data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.5, 2.0))),
                            data.draw(st.floats(-1.0, 1.0)))
         off = scale * data.draw(hnp.arrays(np.float64, (8, n), elements=st.floats(-1.0, 1.0)))
@@ -726,9 +726,9 @@ class TestSideRuleMatchesScalar:
 
 class TestSides:
     def test_row_side_does_not_depend_on_other_rows(self):
-        # w . x + b for the third row lands within a last bit of the on-plane
-        # tolerance; a BLAS product over the three rows once called it on the
-        # plane while region_sign on the row alone called it -1
+        # w . x + b for the third row lands within a last bit of 0; a BLAS
+        # product over the three rows once put it on the plane while
+        # region_sign on the row alone put it at -1
         h = line_from_points(np.array([0.0, 1.0]) * 1e-6, np.array([2.0, 2.0]) * 1e-6)
         X = np.array([[0.0, 1.0], [2.0, 2.0], [1.0, 1.0]]) * 1e-6
         assert sides(h, X).tolist() == [region_sign(h, x) for x in X]
