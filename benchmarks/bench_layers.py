@@ -44,7 +44,7 @@ from movingpoints.datasets import (
     standardize_fit,
     train_test_split,
 )
-from movingpoints.geometry import _plane_builder, coordinate_scale, hyperplane_from_points
+from movingpoints.geometry import _plane_builder, hyperplane_from_points
 from movingpoints.rng import _GAMMA, _MASK, _MIX1, _MIX2, SplitMix64, derive_seed
 
 
@@ -263,9 +263,21 @@ def test_knn_predict_many_overlap_0_90_dim8(benchmark):
     knn_case(benchmark, 0, 90, 8)
 
 
+def plane_points(normals: np.ndarray) -> np.ndarray:
+    """The n x n Gaussian draw as points, but at n = 32 the corner simplex
+    0, e_1, ..., e_31 moved by 0.1 times it. The Gaussian draw of
+    SplitMix64(32) has a Hadamard ratio ||w|| / prod ||p_i - p_0|| of
+    about 5e-10, below EPS_DEGENERATE, so the builders refuse its plane;
+    the moved corner's ratio is about 1e-3."""
+    n = normals.shape[0]
+    if n < 32:
+        return normals
+    return np.vstack([np.zeros(n), np.eye(n)[1:]]) + 0.1 * normals
+
+
 @pytest.mark.parametrize("n", [3, 8, 16, 32])
 def test_hyperplane_from_points(benchmark, n):
-    points = SplitMix64(n).normals(n * n).reshape(n, n)
+    points = plane_points(SplitMix64(n).normals(n * n).reshape(n, n))
     h = benchmark(hyperplane_from_points, points)
     assert np.all(np.isfinite(h.weights))
 
@@ -283,8 +295,7 @@ def test_overfit_guard(benchmark, n):
 
 
 # The plane of one move, as fit's loop re-reads it: each round moves one
-# point a small step in a copy of the point list and takes its
-# coordinate_scale, untimed, as the loop carries it per point, and builds
+# point a small step in a copy of the point list, untimed, and builds
 # the plane through the new points with the builder of _plane_builder(n):
 # the line at n = 2, the cross product at n = 3 and the elimination above.
 # n = 16 and 32 put on record the per-move cost that no workload runs;
@@ -292,7 +303,7 @@ def test_overfit_guard(benchmark, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32], ids=lambda n: f"n{n}")
 def test_plane_builder(benchmark, n):
     stream = SplitMix64(n)
-    pts = stream.normals(n * n).reshape(n, n).tolist()
+    pts = plane_points(stream.normals(n * n).reshape(n, n)).tolist()
     steps = (0.01 * stream.normals(n * 64).reshape(64, n)).tolist()
     rounds = iter(range(10**9))
 
@@ -300,7 +311,7 @@ def test_plane_builder(benchmark, n):
         k = next(rounds)
         trial = pts[:]
         trial[k % n] = [p + d for p, d in zip(pts[k % n], steps[k % 64])]
-        return (coordinate_scale(trial), *trial), {}
+        return tuple(trial), {}
 
     plane = benchmark.pedantic(_plane_builder(n), setup=setup, rounds=2000)
     assert len(plane) == n + 2 and np.all(np.isfinite(plane))

@@ -1,4 +1,4 @@
-"""Vectors, hyperplanes, and the bordered-determinant construction.
+"""Vectors, hyperplanes, and the plane through n points.
 
 A set of points is a C-ordered (m, n) float64 array, one point per row;
 every point set the library takes is validated by :func:`as_rows`. A
@@ -6,31 +6,26 @@ hyperplane is stored as the coefficients of its implicit equation
 ``weights . x + bias = 0``; no normalization is imposed, so two
 coefficient sets that differ by a nonzero scalar describe the same flat.
 
-Construction from n points in n dimensions expands the bordered
-determinant
-
-    | x_1  ... x_n  1 |
-    | p1_1 ... p1_n 1 |
-    | ...           . |
-    | pn_1 ... pn_n 1 |  = 0
-
-along its first row: weight i is the signed cofactor of the variable
-column i, the bias is the signed cofactor of the constant column.
-hyperplane_from_points builds this plane for every n with the builder
-that _plane_builder(n) picks: closed forms on Python floats for n = 2
-(_line_coeffs) and n = 3 (_plane3_coeffs, a cross product), one
-Gaussian elimination written out per n for 4 <= n <= 16 (_unrolled),
-and numpy's element-wise elimination past that (_plane_coeffs). All
-take the coordinate scale and then the points as rows, refuse a plane
-through one _refuse, and are what the loop mpa.fit generates calls
-after every move, so every plane met in training is the plane a model
-stores, bit for bit.
+The plane through n points p_0, ..., p_{n-1} in n dimensions is read off
+the edges p_i - p_0: w . y = det([p_1 - p_0 | ... | p_{n-1} - p_0 | y])
+and bias = -(w . p_0), the first-row cofactors of the bordered
+determinant |x 1; p_0 1; ...; p_{n-1} 1| with p_0 moved to the origin.
+The points are refused when ||w|| <= EPS_DEGENERATE * prod ||p_i - p_0||,
+a ratio that Hadamard's inequality keeps in [0, 1] and that no scaling or
+translation changes. hyperplane_from_points builds this plane for every n
+with the builder that _plane_builder(n) picks: closed forms on Python
+floats for n = 2 (_line_coeffs) and n = 3 (_plane3_coeffs, a cross
+product), one Gaussian elimination written out per n for n <= 16
+(_unrolled), and numpy's element-wise elimination past that
+(_plane_coeffs). All take the points as rows, check a plane that fails
+their fast test through one _recheck, and are what the loop mpa.fit
+generates calls after every move, so every plane met in training is the
+plane a model stores, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain
@@ -77,34 +72,6 @@ def as_rows(points, n: int | None = None) -> np.ndarray:
     return X
 
 
-def coordinate_scale(*arrays) -> float:
-    """Largest absolute coordinate among the inputs, floored at 1.0.
-
-    Used to scale the degeneracy tolerances so they behave relatively on
-    unstandardized data while staying absolute near zero.
-    """
-    m = 1.0
-    for a in arrays:
-        a = np.asarray(a, dtype=float)
-        if a.size:
-            m = max(m, float(np.abs(a).max()))
-    return m
-
-
-def _degeneracy_threshold(scale: float, power: int) -> float:
-    """EPS_DEGENERATE * scale ** power, or the largest float where ** overflows.
-
-    A norm taken as the square root of a sum of squares is finite only below
-    the square root of the largest float, far below a threshold past 1e-9
-    times the largest float. So every finite norm is below the largest float
-    as it is below the true threshold, and a non-finite norm is not.
-    """
-    try:
-        return EPS_DEGENERATE * scale ** power
-    except OverflowError:
-        return sys.float_info.max
-
-
 @dataclass(frozen=True)
 class Hyperplane:
     """Coefficients of ``weights . x + bias = 0``."""
@@ -138,17 +105,15 @@ def _dot(u, v) -> float:
 def _check_normal(b: float, norm: float) -> None:
     """The checks of a plane's normal, in order: ValueError when the bias
     is not finite, ValueError when ||w|| is not finite (a non-finite weight
-    or a norm past the float range), and DegeneratePointsError when the
-    normal is (near-)zero relative to the coefficients: ||w|| <=
-    EPS_DEGENERATE * max(|bias|, 1). A computed ||w|| is never below
-    (1 - 2^-52) * max|w_i|, so a max|w_i| term could never decide the last.
+    or a norm past the float range), and DegeneratePointsError when ||w||
+    is 0, so that no signed distance divides by it.
     """
     if not math.isfinite(b):
         raise ValueError("bias is not finite")
     if not math.isfinite(norm):
         raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(abs(b), 1.0):
-        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    if not norm:
+        raise DegeneratePointsError("hyperplane normal is zero")
 
 
 def _normal_norm(weights: np.ndarray, bias: float) -> float:
@@ -160,35 +125,58 @@ def _normal_norm(weights: np.ndarray, bias: float) -> float:
     return norm
 
 
-def _refuse(coords, b: float, norm: float, threshold: float, message: str) -> None:
-    """Raise why a builder's plane (w, b) through the points coords is
-    refused, in the order every builder documents: ValueError when a
-    coordinate is not finite, DegeneratePointsError(message) when ||w|| <=
-    threshold, then :func:`_check_normal`.
+def _hadamard_ratio(norm: float, rows) -> float:
+    """norm / (||p_1 - p_0|| * ... * ||p_{n-1} - p_0||) for the points
+    rows, in [0, 1] when norm is the exact ||w|| (Hadamard's inequality).
 
-    A builder calls it only when its one test, threshold < ||w|| < inf and
-    EPS_DEGENERATE * max(|b|, 1) < ||w||, fails, and one of these checks
-    then fails too. A non-finite coordinate always fails that test (a
-    builder's docstring says how), so the coordinates are read only here.
+    Each edge is scaled by a power of two for math.hypot, and the quotient
+    kept as a mantissa and an exponent, so that nothing on the way leaves
+    the float range. 0.0 when an edge is 0; 4 or more reads as [2, 4).
     """
-    if not all(map(math.isfinite, coords)):
+    ratio, exp = math.frexp(norm)
+    p0 = rows[0]
+    for p in rows[1:]:
+        edge = [x - z for x, z in zip(p, p0)]
+        top = max(map(abs, edge))
+        if not top:
+            return 0.0
+        k = math.frexp(top)[1]
+        ratio, e = math.frexp(ratio / math.hypot(*[math.ldexp(d, -k) for d in edge]))
+        exp += e - k
+    return math.ldexp(ratio, min(exp, 2))
+
+
+def _recheck(rows, b: float, norm: float, message: str) -> None:
+    """Check a builder's plane (w, b) through the points rows, in the order
+    every builder documents: ValueError when a coordinate is not finite,
+    DegeneratePointsError(message) when ||w|| is finite and its
+    :func:`_hadamard_ratio` is at most EPS_DEGENERATE, then
+    :func:`_check_normal`. Returns when the plane passes all three.
+
+    A builder calls it only when its fast test, a finite bias and
+    0 < EPS_DEGENERATE * h < ||w|| < inf with h the float product of the
+    edge norms, fails; h past the float range fails it too. A non-finite
+    coordinate always fails it (a builder's docstring says how), so the
+    coordinates are read only here.
+    """
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise ValueError("point has non-finite coordinates")
-    if norm <= threshold:
+    if norm < math.inf and _hadamard_ratio(norm, rows) <= EPS_DEGENERATE:
         raise DegeneratePointsError(message)
     _check_normal(b, norm)
 
 
-def _line_coeffs(scale: float, p1, p2) -> tuple[float, float, float, float]:
+def _line_coeffs(p1, p2) -> tuple[float, float, float, float]:
     """(w0, w1, bias, ||w||) of the line through two 2-D points, on Python floats.
 
-    scale is coordinate_scale(p1, p2); p1 = (x1, y1) and p2 = (x2, y2) are
-    sequences of two floats. Coefficients are (y1 - y2, x2 - x1) with
-    constant x1*y2 - x2*y1, read directly off the two-point line equation;
-    ||w|| is sqrt(w0*w0 + w1*w1), which is also the distance between the
-    points. The threshold is EPS_DEGENERATE * scale, and a refused line
-    raises through :func:`_refuse` ("the two points coincide"). Each
-    coordinate enters one difference, so a non-finite one makes ||w||
-    non-finite.
+    p1 = (x1, y1) and p2 = (x2, y2) are sequences of two floats.
+    Coefficients are (y1 - y2, x2 - x1) with constant x1*y2 - x2*y1, read
+    directly off the two-point line equation; ||w|| is sqrt(w0*w0 + w1*w1),
+    which is also the distance between the points. At n = 2 the one edge
+    is w turned a quarter, so the Hadamard ratio is 1 and the fast test is
+    0 < ||w|| < inf with a finite bias; a line that fails it goes through
+    :func:`_recheck` ("the two points coincide"). Each coordinate enters
+    one difference, so a non-finite one makes ||w|| non-finite.
     """
     x1, y1 = p1
     x2, y2 = p2
@@ -196,25 +184,22 @@ def _line_coeffs(scale: float, p1, p2) -> tuple[float, float, float, float]:
     w1 = x2 - x1
     bias = x1 * y2 - x2 * y1
     norm = math.sqrt(w0 * w0 + w1 * w1)
-    threshold = EPS_DEGENERATE * scale
-    if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(bias), 1.0) < norm):
-        _refuse((x1, y1, x2, y2), bias, norm, threshold, "the two points coincide")
+    if not (0.0 < norm < math.inf and math.isfinite(bias)):
+        _recheck((p1, p2), bias, norm, "the two points coincide")
     return w0, w1, bias, norm
 
 
-def _plane3_coeffs(scale: float, p1, p2, p3) -> tuple[float, float, float, float, float]:
+def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     """(w0, w1, w2, bias, ||w||) of the plane through three 3-D points, on Python floats.
 
-    scale is coordinate_scale(p1, p2, p3); p1, p2 and p3 are sequences of
-    three floats. The normal is the cross product w = (p2 - p1) x (p3 - p1)
-    and the bias is -(w . p1), the first-row cofactors of the bordered
-    determinant, with the orientation of _eliminate; ||w|| is
-    sqrt(w0*w0 + w1*w1 + w2*w2). The threshold is _plane_coeffs'
-    EPS_DEGENERATE * scale^2, and a refused plane raises through
-    :func:`_refuse`. A non-finite coordinate makes a
-    component of u or v non-finite, and its products with the other
-    vector's two other components (x * inf and x * nan are never finite)
-    make two components of w, and so ||w||, non-finite.
+    p1, p2 and p3 are sequences of three floats. The normal is the cross
+    product w = (p2 - p1) x (p3 - p1) of the edges u and v and the bias is
+    -(w . p1), with the orientation of _eliminate; ||w|| is
+    sqrt(w0*w0 + w1*w1 + w2*w2). The fast test takes h = ||u|| ||v||, and
+    a plane that fails it goes through :func:`_recheck`. A non-finite
+    coordinate makes a component of u or v non-finite, and its products
+    with the other vector's two other components (x * inf and x * nan are
+    never finite) make two components of w, and so ||w||, non-finite.
     """
     a0, a1, a2 = p1
     b0, b1, b2 = p2
@@ -230,29 +215,28 @@ def _plane3_coeffs(scale: float, p1, p2, p3) -> tuple[float, float, float, float
     w2 = u0 * v1 - u1 * v0
     bias = -(w0 * a0 + w1 * a1 + w2 * a2)
     norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    threshold = _degeneracy_threshold(scale, 2)
-    if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(bias), 1.0) < norm):
-        _refuse((a0, a1, a2, b0, b1, b2, c0, c1, c2), bias, norm, threshold, _DEPENDENT)
+    h = math.hypot(u0, u1, u2) * math.hypot(v0, v1, v2)
+    if not (0.0 < EPS_DEGENERATE * h < norm < math.inf and math.isfinite(bias)):
+        _recheck((p1, p2, p3), bias, norm, _DEPENDENT)
     return w0, w1, w2, bias, norm
 
 
-def _eliminate(pts: np.ndarray) -> list[float]:
-    """First-row cofactors (w, b) of the bordered matrix of the n x n pts.
+def _eliminate(edges: np.ndarray) -> list[float]:
+    """The normal w of the plane through p_0 and p_0 + each row of the
+    (n - 1, n) array edges: the left null vector c of A = edges^T, n x
+    (n - 1), scaled so that c . y = det([A | y]).
 
-    They are the left null vector c of B = [pts | 1]^T, (n+1) x n, scaled
-    so that c . x = det([x | B]). Gaussian elimination with partial
-    pivoting gives Pi B = L U; c is Pi^T of d * (last row of L^-1), where d
-    is the sign of Pi times (-1)^n times the product of the pivots, and
-    is read by back substitution with _dot. Element-wise numpy and _dot
-    only, so no bit comes from BLAS. A pivot of exactly 0.0 means B has
-    rank below n, and every cofactor is 0.0.
+    Gaussian elimination with partial pivoting gives Pi A = L U; c is
+    Pi^T of d * (last row of L^-1), where d is the sign of Pi times the
+    product of the pivots, and is read by back substitution with _dot.
+    Element-wise numpy and _dot only, so no bit comes from BLAS. A pivot
+    of exactly 0.0 means A has rank below n - 1, and every entry is 0.0.
     """
-    n = pts.shape[0]
-    a = np.ones((n + 1, n))
-    a[:n] = pts.T
-    order = list(range(n + 1))
-    det = (-1.0) ** n
-    for col in range(n):
+    a = edges.T.copy()
+    n = a.shape[0]
+    order = list(range(n))
+    det = 1.0
+    for col in range(n - 1):
         row = col + int(np.abs(a[col:, col]).argmax())
         if row != col:
             a[[col, row]] = a[[row, col]]
@@ -260,67 +244,71 @@ def _eliminate(pts: np.ndarray) -> list[float]:
             det = -det
         p = float(a[col, col])
         if p == 0.0:
-            return [0.0] * (n + 1)
+            return [0.0] * n
         det *= p
         a[col + 1:, col + 1:] -= (a[col + 1:, col] / p)[:, None] * a[col, col + 1:]
     # a[k+1:, k] is column k of L times pivot k: divide once per entry of c.
     c = [det]
-    for k in range(n - 1, -1, -1):
+    for k in range(n - 2, -1, -1):
         c.insert(0, -_dot(a[k + 1:, k].tolist(), c) / float(a[k, k]))
     return [ck for _, ck in sorted(zip(order, c))]  # c[k] belongs to row order[k]
 
 
 def _unrolled_source(n: int) -> str:
-    """plane(scale, r0, ...), the plane builder for one n on Python floats:
-    _eliminate written out, ||w|| in _dot's order, and the builders' one
-    test against _degeneracy_threshold(scale, n - 1), refusing via _refuse.
+    """plane(r0, ...), the plane builder for one n on Python floats: the
+    edges r_i - r0, their norms' product h, _eliminate written out, b =
+    -(w . r0) and ||w|| in _dot's order, and the builders' one fast test,
+    checking a plane that fails it via _recheck.
 
-    a{r}_{k} is entry (r, k) of [pts | 1]^T and o{r} the input row now in
-    row r; every product, quotient and sum is _eliminate's, in its order.
-    A pivot search keeps the first largest |entry|, as argmax does, and a
-    row swap is one tuple assignment. argmax would take a NaN candidate
-    first, which this search passes over; but a NaN candidate always ends
-    in a zero pivot or a non-finite cofactor, and either hands the call to
-    _plane_coeffs, so every plane returned has _eliminate's bits. A
-    non-finite cofactor always fails the test, so only then are they read.
+    a{r}_{k} is entry (r, k) of the edge matrix A (coordinate r of edge
+    k + 1) and o{r} the coordinate row now in row r; every product,
+    quotient and sum is _eliminate's, in its order. A pivot search keeps
+    the first largest |entry|, as argmax does, and a row swap is one tuple
+    assignment. argmax would take a NaN candidate first, which this search
+    passes over; but a NaN candidate always ends in a zero pivot or a
+    non-finite cofactor, and either hands the call to _plane_coeffs, so
+    every plane returned has _eliminate's bits. A non-finite cofactor
+    always fails the test, so only then are they read.
     """
-    ks, rs, a = range(n), range(n + 1), "a{}_{}".format
+    ks, cols, a = range(n), range(n - 1), "a{}_{}".format
     args, w = (", ".join(f"{v}{k}" for k in ks) for v in "rw")
-    numpy_path = f"return _plane_coeffs(scale, {args})"
-    lines = [f"def plane(scale, {args}):",
-             *(f"    {''.join(a(k, i) + ', ' for k in ks)}= r{i}" for i in ks),
-             f"    {' = '.join(a(n, k) for k in ks)} = 1.0",
-             f"    {', '.join(f'o{r}' for r in rs)} = {', '.join(map(str, rs))}",
-             f"    det = {(-1.0) ** n}"]
-    for col in ks:
-        below = range(col + 1, n + 1)
+    numpy_path = f"return _plane_coeffs({args})"
+    lines = [f"def plane({args}):", f"    {''.join(f'z{i}, ' for i in ks)}= r0"]
+    for k in cols:
+        lines.append(f"    {''.join(f'q{i}, ' for i in ks)}= r{k + 1}")
+        lines += [f"    {a(i, k)} = q{i} - z{i}" for i in ks]
+    norms = (f"math.hypot({', '.join(a(i, k) for i in ks)})" for k in cols)
+    lines += [f"    h = {' * '.join(norms) or '1.0'}",
+              f"    {''.join(f'o{r}, ' for r in ks)}= {', '.join(map(str, ks))},",
+              "    det = 1.0"]
+    for col in cols:
+        below = range(col + 1, n)
         lines.append(f"    m = {col}\n    best = abs({a(col, col)})")
         lines += [f"    v = abs({a(r, col)})\n    if v > best:\n        m = {r}\n        best = v"
                   for r in below]
         for r in below:
-            top, other = ([*(a(i, k) for k in ks), f"o{i}"] for i in (col, r))
+            top, other = ([*(a(i, k) for k in cols), f"o{i}"] for i in (col, r))
             lines.append(f"    {'if' if r == col + 1 else 'elif'} m == {r}:\n"
                          f"        {', '.join(top + other)} = {', '.join(other + top)}\n"
                          "        det = -det")
         lines.append(f"    p = {a(col, col)}\n    if p == 0.0:\n        {numpy_path}\n"
                      "    det *= p")
-        right = range(col + 1, n)  # empty for the last column: nothing is left to reduce
+        right = range(col + 1, n - 1)  # empty for the last column: nothing is left to reduce
         for r in below if right else ():
             lines.append(f"    l = {a(r, col)} / p")
             lines += [f"    {a(r, k)} -= l * {a(col, k)}" for k in right]
-    lines.append(f"    c{n} = det")
-    for k in reversed(ks):
-        terms = " + ".join(f"{a(r, k)} * c{r}" for r in range(k + 1, n + 1))
+    lines.append(f"    c{n - 1} = det")
+    for k in reversed(cols):
+        terms = " + ".join(f"{a(r, k)} * c{r}" for r in range(k + 1, n))
         lines.append(f"    c{k} = -({terms}) / {a(k, k)}")
-    lines += [f"    out = [0.0] * {n + 1}", *(f"    out[o{r}] = c{r}" for r in rs),
-              f"    {w}, b = out",
+    lines += [f"    out = [0.0] * {n}", *(f"    out[o{r}] = c{r}" for r in ks),
+              f"    {w}, = out",
+              f"    b = -({' + '.join(f'w{k} * z{k}' for k in ks)})",
               f"    norm = math.sqrt({' + '.join(f'w{k} * w{k}' for k in ks)})",
-              f"    threshold = _degeneracy_threshold(scale, {n - 1})",
-              "    if not (threshold < norm < math.inf"
-              " and EPS_DEGENERATE * max(abs(b), 1.0) < norm):",
-              f"        if not math.isfinite({' + '.join(f'c{r}' for r in rs)}):",
+              "    if not (0.0 < EPS_DEGENERATE * h < norm < math.inf and math.isfinite(b)):",
+              f"        if not math.isfinite({' + '.join(f'c{r}' for r in ks)}):",
               f"            {numpy_path}",
-              f"        _refuse(chain({args}), b, norm, threshold, _DEPENDENT)",
+              f"        _recheck(({args},), b, norm, _DEPENDENT)",
               f"    return {w}, b, norm"]
     return "\n".join(lines) + "\n"
 
@@ -349,46 +337,48 @@ def _unrolled(n: int):
     return _unrolled_source(n)
 
 
-def _plane_coeffs(scale: float, *rows) -> tuple[float, ...]:
+def _plane_coeffs(*rows) -> tuple[float, ...]:
     """(w0, ..., w_{n-1}, bias, ||w||) of the plane through the n points
-    rows, lists of n Python floats, with scale = coordinate_scale(rows):
-    _eliminate's cofactors and ||w|| in _dot's order. The builder past
+    rows, lists of n Python floats: _eliminate's normal of the edges
+    r_i - r_0, b = -(w . r_0) and ||w|| in _dot's order. The builder past
     _MAX_UNROLLED, and of the points the unrolled one hands on.
 
-    The threshold is EPS_DEGENERATE * scale^(n-1) (cofactors scale like
-    coordinate^(n-1)), and a refused plane raises through :func:`_refuse`.
-    A non-finite coordinate fails the builders' one test: a NaN one makes
-    every cofactor NaN, or 0.0 when a zero pivot comes first, and an
-    infinite one with no NaN beside it makes the scale, and so the
-    threshold, infinite.
+    The fast test takes h, the product of the edge norms (math.hypot) from
+    the first, and a plane that fails it goes through :func:`_recheck`. A
+    non-finite coordinate fails that test: a NaN one makes h NaN, and an
+    infinite one makes it infinite or NaN. Floating-point warnings are
+    off while numpy works, as the Python-float builders raise none.
     """
-    *w, b = _eliminate(np.array(rows))
+    pts = np.array(rows)
+    with np.errstate(all="ignore"):  # the test below refuses what does not stay finite
+        edges = pts[1:] - pts[0]
+        w = _eliminate(edges)
+    b = -_dot(w, rows[0])
     norm = math.sqrt(_dot(w, w))
-    threshold = _degeneracy_threshold(scale, len(rows) - 1)
-    if not (threshold < norm < math.inf and EPS_DEGENERATE * max(abs(b), 1.0) < norm):
-        _refuse(chain.from_iterable(rows), b, norm, threshold, _DEPENDENT)
+    h = math.prod(math.hypot(*edge) for edge in edges.tolist())
+    if not (0.0 < EPS_DEGENERATE * h < norm < math.inf and math.isfinite(b)):
+        _recheck(rows, b, norm, _DEPENDENT)
     return (*w, b, norm)
 
 
 def _plane_builder(n: int):
     """The builder of the plane through n points in n dimensions:
     _line_coeffs at n = 2, _plane3_coeffs at n = 3, _unrolled(n) up to
-    _MAX_UNROLLED and _plane_coeffs past it. Each maps (scale, *rows) to
-    (w0, ..., w_{n-1}, bias, ||w||), with scale = coordinate_scale(rows),
-    which a loop that moves one point at a time keeps per point (mpa.fit),
-    and refuses a plane through _refuse."""
+    _MAX_UNROLLED and _plane_coeffs past it. Each maps the points, given
+    as rows, to (w0, ..., w_{n-1}, bias, ||w||), and checks a plane that
+    fails its fast test through _recheck."""
     return ({2: _line_coeffs, 3: _plane3_coeffs}.get(n)
             or (_unrolled(n) if n <= _MAX_UNROLLED else _plane_coeffs))
 
 
 def hyperplane_from_points(points) -> Hyperplane:
-    """Hyperplane through n points in n dimensions (bordered determinant).
+    """Hyperplane through n points in n dimensions (the edges p_i - p_0).
 
-    The cofactors come from _plane_builder(n), the builder that mpa.fit
+    The coefficients come from _plane_builder(n), the builder that mpa.fit
     trains with, so this is every plane a model meets in training and the
     plane it stores. Raises DegeneratePointsError when the points are
-    affinely dependent, i.e. lie on a common (n-2)-flat, which drives every
-    cofactor to zero.
+    affinely dependent, i.e. lie on a common (n-2)-flat, or so nearly that
+    ||w|| <= EPS_DEGENERATE * prod ||p_i - p_0||.
     """
     pts = as_rows(points)
     n = pts.shape[0]
@@ -397,7 +387,7 @@ def hyperplane_from_points(points) -> Hyperplane:
             f"need exactly n points of dimension n, got {pts.shape[0]} points "
             f"of dimension {pts.shape[1]}"
         )
-    *weights, bias, _ = _plane_builder(n)(coordinate_scale(pts), *pts.tolist())
+    *weights, bias, _ = _plane_builder(n)(*pts.tolist())
     return Hyperplane(np.array(weights), bias)
 
 

@@ -48,7 +48,6 @@ from .geometry import (
     _generated,
     _plane_builder,
     as_rows,
-    coordinate_scale,
     hyperplane_from_points,
     region_sign,
     sides,
@@ -57,7 +56,6 @@ from .rng import SplitMix64
 
 MODEL_VERSION = 1
 MAX_RESAMPLES = 8  # extra draws of g when it lands on the mover
-_GUARD_TOL = 1e-12
 _MAX_GUARD_PASSES = 64
 # fit's gap floor (see _EPOCHS_SOURCE): its relative margin, the least and
 # the largest computed gap it keeps, and its rounding terms.
@@ -67,6 +65,7 @@ _GAP_DOWN = 1.0 - _GAP_MARGIN
 _MIN_GAP = 1e-140
 _MAX_GAP = 1e150
 _ROUNDING = 2.0 ** -52  # twice the unit roundoff 2^-53
+_UNDERFLOW = 2.0 ** -536  # covers the rounding of squares below the normal range
 _SUM_UP = 1.0 + 2.0 ** -50
 
 
@@ -215,7 +214,7 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     d = mu1 - mu0
     dl = d.tolist()
     gap = math.sqrt(_dot(dl, dl))
-    if gap <= EPS_DEGENERATE * coordinate_scale(mu0, mu1):
+    if gap <= EPS_DEGENERATE * float(np.abs([mu0, mu1]).max()):
         raise IdenticalMeansError("class means coincide")
 
     mid = 0.5 * (mu0 + mu1)
@@ -258,7 +257,7 @@ def movement_vector(model: MpaModel, q, g, lam: float):
     pts = model.moving_points.tolist()
     mover = nearest(pts, *q.tolist())
     c = pts[mover]
-    scale = max(1.0, *map(abs, c), *map(abs, g))  # coordinate_scale(c, g)
+    scale = max(*map(abs, c), *map(abs, g))
     return mover, np.array(step_to(*c, *g, scale, abs(model.config.eta * lam)))
 
 
@@ -268,7 +267,7 @@ def overfit_guard(model: MpaModel, mover_index: int, t):
     For every other moving point F with ||E - F|| <= alpha, the model's
     own, the approach direction is r = (F - E)/||F - E||; a component
     t.r > 0 would shrink the gap and is projected out. Projections repeat
-    until no near neighbor keeps a component above 1e-12 (projecting for
+    until no near neighbor keeps a component above 2^-46 ||t|| (projecting for
     one neighbor can re-open another), with a hard pass cap falling back
     to a zero move. Movements pointing away from every near neighbor pass
     through untouched: the input object itself is returned. This is the
@@ -298,15 +297,16 @@ def _guard(pts: list, mover: int, t, alpha: float):
             rhats.append([(fk - ek) / gap for fk, ek in zip(f, e)])
     if not rhats:
         return t
+    tol = 2.0 ** -46 * math.sqrt(_dot(t, t))
     out = t
     for _ in range(_MAX_GUARD_PASSES):
         # Each neighbour closed in on at the pass's start, projected out in turn.
-        closing = [r for r in rhats if _dot(r, out) > _GUARD_TOL]
+        closing = [r for r in rhats if _dot(r, out) > tol]
         if not closing:
             return out
         for r in closing:
             d = _dot(r, out)
-            if d > _GUARD_TOL:
+            if d > tol:
                 out = [ok - rk * d for ok, rk in zip(out, r)]
     return [0.0] * len(t)
 
@@ -363,7 +363,8 @@ RESAMPLE_EXHAUSTED = "resample_exhausted"  # every draw of g landed on the mover
 GUARD_ZEROED = "guard_zeroed"  # the guarded step came out zero
 DEGENERATE_REVERT = "degenerate_revert"  # the step made the points degenerate; undone
 ZERO_STEP = "zero_step"  # |eta * lambda| is 0.0: the row is on the plane, or it underflows
-SKIP_REASONS = (RESAMPLE_EXHAUSTED, GUARD_ZEROED, DEGENERATE_REVERT, ZERO_STEP)
+OVERFLOW_REVERT = "overflow_revert"  # the moved point or its plane is not finite; undone
+SKIP_REASONS = (RESAMPLE_EXHAUSTED, GUARD_ZEROED, DEGENERATE_REVERT, ZERO_STEP, OVERFLOW_REVERT)
 
 
 @dataclass
@@ -395,7 +396,9 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     uniformly drawn member of the opposite class's near-cluster (redrawn
     up to 8 times if the draw lands on the mover). It moves no point if
     the step is 0.0 (a row on the plane), if all draws fail, or if the
-    step would make the points affinely degenerate, which is undone. With
+    step would make the points affinely degenerate or leave the moved
+    point or its plane outside the float range, which is undone. So fit
+    raises nothing on finite data, whatever the eta. With
     early_stop set, training halts after the first epoch with no
     misclassified example.
 
@@ -407,9 +410,7 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     overfit_guard. After each move the plane is re-read through the
     candidate points by hyperplane_from_points' own builder, which fit
     passes in as build = _plane_builder(n), so no value depends on a BLAS
-    kernel. The loop calls build(scale, *rows) with scale =
-    coordinate_scale(rows), kept per point, so the scale costs a move O(n);
-    a move that makes the points degenerate is undone. The guard is
+    kernel and no tolerance on a unit. The guard is
     skipped only when no point lies within alpha of the mover by _guard's
     own distance, so no projection is skipped. The same rule serves every
     n: a pre-check computes those distances only when a per-point gap
@@ -458,24 +459,23 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 #   on ties, as argmin;
 # - step_to(c0, ..., g0, ..., scale, step): the step of length step from c
 #   toward g; ZeroDisplacementError when g sits on c relative to scale,
-#   coordinate_scale(c, g);
+#   the largest |c_k| or |g_k|;
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build): yields each
 #   epoch's misclassified count; draws[j] lists the rows example j may
-#   draw, and build(scale, *rows) is geometry._plane_builder(n). The points
+#   draw, and build(*rows) is geometry._plane_builder(n). The points
 #   live in the list pts, written back into P when the loop exits; a moved
 #   point enters pts only once its plane is built. pt_scale[i] is
-#   max(1.0, |p_i0|, ...), and a build's scale is the max of the n
-#   entries with the mover's replaced by its candidate's e_scale, which
-#   enters pt_scale with e. max is exact, so on finite rows that is
-#   coordinate_scale(rows); a NaN never wins against the leading 1.0, and
-#   a row that holds one is refused whatever the scale. A row's side is
+#   max(|p_i0|, ...), the mover's half of step_to's scale, and e_scale
+#   enters it with e. A row's side is
 #   -1 where raw = x0*w0 + ... + b < 0 and +1 otherwise, geometry.sides'
 #   sum and predict_many's rule; below[j] says that row j's class has
 #   pseudo sign -1, so a row whose side differs from it is a miss. Its
 #   step |eta * (raw / ||w||)| has the bits of |eta * lambda|, as the
 #   pseudo sign only flips a sign. A step of 0.0, from a row on the plane
 #   or a quotient that underflows, moves no point and is skipped before
-#   any draw.
+#   any draw. A candidate that build refuses is undone: as degenerate on
+#   DegeneratePointsError, as an overflow on any other ValueError (the
+#   point or its plane is not finite), so fit raises nothing on finite data.
 #
 # The gap floor. _guard projects out only an approach to a point within
 # alpha of the mover by its own fixed-order gap, and the loop calls it only
@@ -506,13 +506,16 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # A kept move carries the mover from c to e = c + t, rounded. step_to's t
 # is at most step (1 + (n+5)u) long, plus 2^-1074 per coordinate that
 # rounds in the subnormal range; after _guard, step is recomputed as the
-# guarded t's own length, which errs as a gap does. Rounding c + t moves
-# each coordinate by at most u |e_k|, or 2^-1075 in the subnormal range:
-# at most u sqrt(n) e_scale in all, since e_scale >= max(1, |e_k|). So the
-# move is shorter than step * _GAP_UP + e_scale * e_round, with e_round =
-# 2u sqrt(n): the factor 2 covers every absolute term, as e_scale >= 1.
-# The two sums into moved round down by at most u of their value each, and
-# _SUM_UP = 1 + 8u, with its own rounding, more than restores that, so
+# guarded t's own length, which errs as a gap does, by (n+3)u of itself
+# and at most sqrt(n) 2^-537 more. Rounding c + t moves each coordinate by
+# at most u |e_k|, or 2^-1075 in the subnormal range: at most
+# u sqrt(n) e_scale + sqrt(n) 2^-1075 in all, with e_scale = max|e_k|. So
+# the move is shorter than step * _GAP_UP + e_scale * e_round + e_tiny,
+# with e_round = 2u sqrt(n) and e_tiny = sqrt(n) _UNDERFLOW: the absolute
+# terms add to at most sqrt(n) (2^-537 + 2^-1074 + 2^-1075), below
+# e_tiny = sqrt(n) 2^-536 with room for the rounding of both products.
+# The three sums into moved round down by at most u of their value each,
+# and _SUM_UP = 1 + 8u, with its own rounding, more than restores that, so
 # moved never grows by less than the move's length.
 # keys[mover] rounds (least + moved) and its product by at most u each,
 # which _GAP_DOWN's margin on moved covers; keys[mover] - moved and
@@ -546,12 +549,13 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
     below = [sign < 0.0 for sign in pseudo.tolist()]
     eta = cfg.eta
     pts = P.tolist()
-    pt_scale = [max(1.0, {abs_x}) for {x} in pts]
-    {plane} = build(max(pt_scale), *pts)
+    pt_scale = [max({abs_x}) for {x} in pts]
+    {plane} = build(*pts)
     keys = [-math.inf] * len(pts)
     moved = 0.0
     far = alpha * _GAP_UP
     e_round = math.sqrt(len(pts)) * _ROUNDING
+    e_tiny = math.sqrt(len(pts)) * _UNDERFLOW
     try:
         for _epoch in range(cfg.epochs):
             miss = 0
@@ -601,15 +605,18 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
                     continue
                 {e} = {e_sums}
                 e = [{e}]
-                e_scale = max(1.0, {abs_e})
+                e_scale = max({abs_e})
                 try:
 {planes}
                 except DegeneratePointsError:
                     log.skips[DEGENERATE_REVERT] += 1
                     continue
+                except ValueError:
+                    log.skips[OVERFLOW_REVERT] += 1
+                    continue
                 pts[mover] = e
                 pt_scale[mover] = e_scale
-                moved = (moved + step * _GAP_UP + e_scale * e_round) * _SUM_UP
+                moved = (moved + step * _GAP_UP + e_scale * e_round + e_tiny) * _SUM_UP
                 log.moves += 1
             yield miss
     finally:
@@ -641,9 +648,8 @@ def _fixed_order_source(n: int) -> str:
     for i in ks:
         head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
         args = ", ".join("e" if k == i else f"pts[{k}]" for k in ks)
-        scale = ", ".join(["e_scale"] + [f"pt_scale[{k}]" for k in ks if k != i])
         planes += [f"                    {head}:",
-                   f"                        {plane} = build(max({scale}), {args})"]
+                   f"                        {plane} = build({args})"]
     return source + _EPOCHS_SOURCE.format(
         **fields, plane=plane, t=each("t{0}"), abs_x=each("abs(x{0})"),
         margin=each("x{0} * w{0}", " + "), f=each("f{0}"),

@@ -167,7 +167,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("doc", [
         pytest.param([1, 2], id="json-list"),
-        # coordinate_scale(P) ** (n - 1) overflows a float
+        # the plane's coefficients overflow a float
         pytest.param({"format": "moving-points-model", "version": 1, "dim": 3,
                       "moving_points": (1e200 * np.eye(3)).tolist(),
                       "pseudo_sign": {"0": -1, "1": 1}, "alpha": 0.1, "config": {},

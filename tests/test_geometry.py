@@ -3,15 +3,18 @@
 import inspect
 import json
 import math
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from exact_planes import below_hadamard_bound, exact_plane, hadamard_ratio
 from movingpoints import geometry
 from movingpoints.cli import RefuseNon2DError, render_scatter_svg
 from movingpoints.geometry import (
@@ -22,7 +25,6 @@ from movingpoints.geometry import (
     _line_coeffs,
     _plane3_coeffs,
     as_rows,
-    coordinate_scale,
     hyperplane_from_points,
     line_from_points,
     region_sign,
@@ -83,9 +85,9 @@ class TestLineFromPoints:
     @pytest.mark.parametrize("e", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 1.0)])
     def test_non_finite_point_is_not_degenerate(self, e):
         # A point moved to infinity fails as non-finite; it is not a
-        # coincidence to revert (inf <= EPS_DEGENERATE * inf would say so).
+        # coincidence to revert.
         with pytest.raises(ValueError) as info:
-            _line_coeffs(coordinate_scale([e, (0.0, 1.0)]), e, (0.0, 1.0))
+            _line_coeffs(e, (0.0, 1.0))
         assert type(info.value) is ValueError
 
 
@@ -126,7 +128,7 @@ class TestHyperplaneFromPoints:
                 h = hyperplane_from_points(pts)
             except DegeneratePointsError:
                 continue  # vanishingly rare for gaussian draws
-            scale = coordinate_scale(pts)
+            scale = float(np.abs(pts).max())
             for p in pts:
                 assert abs(signed_displacement(h, p)) <= 1e-9 * scale
 
@@ -164,21 +166,25 @@ def oracle_determinant(matrix) -> float:
     return det
 
 
-def oracle_plane(points) -> Hyperplane:
-    """The bordered-determinant plane with one elimination per minor."""
+def oracle_plane(points) -> SimpleNamespace:
+    """The bordered-determinant plane with one elimination per minor, as
+    weights and bias, refused by the builders' rule decided on the exact
+    plane: a Hadamard ratio ||w|| / prod ||p_i - p_0|| of at most
+    EPS_DEGENERATE. The untranslated minors lose a plane whose edges are
+    small against the coordinates (one of 1e-38 beside coordinates of 1
+    came out 0.0), so their own norm cannot decide."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     if pts.shape != (n, n):
         raise DimensionMismatchError(f"got shape {pts.shape}")
+    if hadamard_ratio(pts.tolist()) <= EPS_DEGENERATE:
+        raise DegeneratePointsError("affinely dependent")
     bordered = np.hstack([pts, np.ones((n, 1))])
     coeffs = np.empty(n + 1)
     for col in range(n + 1):
         minor = np.delete(bordered, col, axis=1)
         coeffs[col] = (-1.0) ** col * oracle_determinant(minor)
-    weights, bias = coeffs[:n], coeffs[n]
-    if float(np.linalg.norm(weights)) <= EPS_DEGENERATE * coordinate_scale(pts) ** (n - 1):
-        raise DegeneratePointsError("affinely dependent")
-    return Hyperplane(weights, bias)
+    return SimpleNamespace(weights=coeffs[:n], bias=coeffs[n])
 
 
 @st.composite
@@ -214,7 +220,7 @@ def plane_outcome(build, pts):
 
 def closed_form_plane3(pts) -> Hyperplane:
     rows = np.asarray(pts, dtype=float).tolist()
-    w0, w1, w2, b, norm = _plane3_coeffs(coordinate_scale(rows), *rows)
+    w0, w1, w2, b, norm = _plane3_coeffs(*rows)
     assert norm == np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     return Hyperplane(np.array([w0, w1, w2]), b)
 
@@ -224,7 +230,12 @@ def assert_matches_oracle(pts, build=hyperplane_from_points):
     n * eps times the size of the products each is summed from: s^(n-1) for
     a weight and s^n for the bias, s = max|p|. The second term is the
     rounding of cancelling sums, and scales with the points as the
-    coefficients do."""
+    coefficients do. A builder's ||w|| is the root of a sum of squares,
+    which reads 0 for a normal below about 2^-537, and such a plane is
+    refused; so point sets whose exact normal is that small are left out.
+    """
+    w_exact, _ = exact_plane(np.asarray(pts, dtype=float).tolist())
+    assume(not 0 < max(map(abs, w_exact)) < 2.0 ** -500)
     got, want = plane_outcome(build, pts), plane_outcome(oracle_plane, pts)
     if isinstance(want, type):
         assert got is want
@@ -247,7 +258,7 @@ CANCELLING_SET = np.array([
 
 
 class TestEliminationMatchesPerMinorOracle:
-    """One elimination of [P | 1]^T gives the cofactors of the per-minor loop."""
+    """One elimination of the edges gives the cofactors of the per-minor loop."""
 
     @settings(max_examples=300, deadline=None)
     @given(point_sets())
@@ -277,6 +288,51 @@ class TestEliminationMatchesPerMinorOracle:
         assert h.weights.tolist() == [1.0] and h.bias == -p
 
 
+class TestBuildersMatchExactPlane:
+    """Every builder against the exact plane (exact_planes). With H the
+    product of the exact edge norms ||p_i - p_0||, the normal is within
+    2n eps H of the exact one: a relative error of at most 2n eps over the
+    Hadamard ratio ||w*|| / H, however far the points lie from the origin.
+    The bias -(w . p_0) of n != 2 is within 3n eps H ||p_0||, that of
+    n = 2, x1*y2 - x2*y1, within 2 eps of its two products. A builder
+    refuses only points whose exact ratio is at most 2 EPS_DEGENERATE, and
+    builds the plane of every ratio above EPS_DEGENERATE / 2."""
+
+    # Gaussian points, translated by up to 1e6 and scaled by 2^k, and sets
+    # whose last point lies within 10^-flat of the line through the first
+    # two, which makes ratios from about 1 down to 1e-12.
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 16]), k=st.integers(-40, 40),
+           offset=st.sampled_from([0.0, 1e3, 1e6]), flat=st.sampled_from([None, 3, 6, 9, 12]),
+           seed=st.integers(0, 2**64 - 1))
+    @example(n=16, k=40, offset=1e6, flat=None, seed=0)
+    @example(n=8, k=0, offset=1e6, flat=9, seed=1)
+    def test_within_eps_over_the_hadamard_ratio(self, n, k, offset, flat, seed):
+        stream = SplitMix64(seed)
+        pts = stream.normals(n * n).reshape(n, n) + offset * stream.normals(n)
+        if flat is not None and n >= 3:
+            pts[-1] = pts[0] + 0.37 * (pts[1] - pts[0]) + 10.0 ** -flat * stream.normals(n)
+        rows = (pts * 2.0 ** (k if n <= 8 else k // 2)).tolist()  # no ||w||^2 past the range
+        ratio = hadamard_ratio(rows)
+        try:
+            *w, b, _ = geometry._plane_builder(n)(*rows)
+        except DegeneratePointsError:
+            assert ratio <= 2 * EPS_DEGENERATE
+            return
+        assert ratio > EPS_DEGENERATE / 2
+        w_exact, b_exact = exact_plane(rows)
+        eps = np.finfo(float).eps
+        h = math.prod(math.dist(p, rows[0]) for p in rows[1:])
+        dw = math.sqrt(float(sum((Fraction(x) - y) ** 2 for x, y in zip(w, w_exact))))
+        assert dw <= 2 * n * eps * h
+        db = abs(float(Fraction(b) - b_exact))
+        if n == 2:
+            (x1, y1), (x2, y2) = rows
+            assert db <= 2 * eps * (abs(x1 * y2) + abs(x2 * y1))
+        else:
+            assert db <= 3 * n * eps * h * math.hypot(*rows[0])
+
+
 def left_sum(values) -> float:
     """values[0] + values[1] + ..., left to right, with no compensation."""
     total = values[0]
@@ -292,7 +348,7 @@ class TestUnrolledEliminationMatchesNumpy:
 
     # Scales 2^-1000..2^1000 reach subnormal products and products, pivot
     # products included, that overflow to inf and then NaN. A zero
-    # coordinate makes a row of [P | 1]^T that stays 0.0, small integers
+    # coordinate makes a row of the edge matrix that stays 0.0, small integers
     # and a duplicated point make exact zero pivots, and an infinite or NaN
     # coordinate exercises argmax's rule that the first NaN is the largest.
     @settings(max_examples=400, deadline=None)
@@ -323,27 +379,29 @@ class TestUnrolledEliminationMatchesNumpy:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_gaussian_points_take_the_unrolled_path(self, n, monkeypatch):
         pts = SplitMix64(n).normals(n * n).reshape(n, n)
-        want = geometry._plane_coeffs(coordinate_scale(pts), *pts.tolist())
+        want = geometry._plane_coeffs(*pts.tolist())
 
         def numpy_path(*args):
             raise AssertionError("the unrolled builder handed the points on")
 
         monkeypatch.setattr(geometry, "_plane_coeffs", numpy_path)
-        got = geometry._unrolled(n)(coordinate_scale(pts), *pts.tolist())
-        assert got == want and list(got[:-1]) == geometry._eliminate(pts)
+        got = geometry._unrolled(n)(*pts.tolist())
+        assert got == want and list(got[:-2]) == geometry._eliminate(pts[1:] - pts[0])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("n", [4, 8])
     def test_non_finite_point_is_not_degenerate(self, n, bad):
-        # Two equal points give an exact zero pivot at the second step,
-        # before the elimination reaches the last point's bad coordinate:
-        # every cofactor is 0.0, and the coordinate is still what is refused.
+        # Two equal points give a zero edge, so an exact zero pivot at the
+        # first step, before the elimination reaches the last point's bad
+        # coordinate: every cofactor is 0.0, and the coordinate is still
+        # what is refused.
         pts = SplitMix64(n).normals(n * n).reshape(n, n)
         pts[:2] = 2.0
         pts[n - 1, n - 1] = bad
-        assert geometry._eliminate(pts) == [0.0] * (n + 1)
-        with pytest.raises(ValueError) as info, np.errstate(all="ignore"):
-            geometry._plane_coeffs(coordinate_scale(pts), *pts.tolist())
+        with np.errstate(all="ignore"):
+            assert geometry._eliminate(pts[1:] - pts[0]) == [0.0] * n
+        with pytest.raises(ValueError) as info:
+            geometry._plane_coeffs(*pts.tolist())
         assert type(info.value) is ValueError
         assert str(info.value) == "point has non-finite coordinates"
 
@@ -358,7 +416,7 @@ class TestPlane3ClosedForm:
 
     def test_unit_simplex_orientation(self):
         pts = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-        assert _plane3_coeffs(coordinate_scale(pts), *pts) == (1.0, 1.0, 1.0, -1.0, np.sqrt(3.0))
+        assert _plane3_coeffs(*pts) == (1.0, 1.0, 1.0, -1.0, np.sqrt(3.0))
         h = hyperplane_from_points(pts)
         assert np.append(h.weights, h.bias).tolist() == [1.0, 1.0, 1.0, -1.0]
 
@@ -368,7 +426,7 @@ class TestPlane3ClosedForm:
         coords = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
         coords[where] = bad
         with pytest.raises(ValueError) as info:
-            _plane3_coeffs(coordinate_scale(coords), coords[:3], coords[3:6], coords[6:])
+            _plane3_coeffs(coords[:3], coords[3:6], coords[6:])
         assert type(info.value) is ValueError
 
     def test_overflowing_bias_is_not_finite(self):
@@ -383,22 +441,30 @@ class TestPlane3ClosedForm:
     @pytest.mark.parametrize("pts, error", [
         pytest.param(1e200 * np.eye(3), ValueError, id="n3-1e200-not-finite"),
         pytest.param(1e50 * np.eye(8), ValueError, id="n8-1e50-not-finite"),
-        pytest.param(np.diag([1e45] + [1.0] * 7), DegeneratePointsError, id="n8-1e45-finite"),
-        pytest.param([(1e200, 0, 0), (1e200, 1, 0), (1e200, 0, 1)], DegeneratePointsError,
-                     id="n3-1e200-finite"),
-        pytest.param([(1e155, 0, 0), (1e155, 1, 0), (1e155, 0, 1)], DegeneratePointsError,
-                     id="n3-1e155-finite"),
+        pytest.param(np.diag([1e45] + [1.0] * 7), DegeneratePointsError, id="n8-1e45-nearly-flat"),
     ])
-    def test_scale_power_past_float_range(self, pts, error):
-        # coordinate_scale(P) ** (n - 1) overflows, where ** raised
-        # OverflowError. Coefficients that overflow too are not finite; a
-        # finite normal is below the threshold, 1e391 at s = 1e200, 1e301
-        # at s = 1e155 and 1e306 at s = 1e45 for n = 8.
+    def test_large_coordinates_refused(self, pts, error):
+        # Coefficients that overflow are not finite. The points of
+        # n8-1e45 are finite, but all seven edges point within 1e-45 of
+        # the first axis: the Hadamard ratio is about 1e-270.
         pts = np.asarray(pts, dtype=float)
         for build in [hyperplane_from_points] + [closed_form_plane3] * (len(pts) == 3):
             with pytest.raises(ValueError) as info:
                 build(pts)
             assert type(info.value) is error
+
+    @pytest.mark.parametrize("offset", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_plane_far_from_the_origin(self, n, offset):
+        # The plane x0 = offset through unit edges: its Hadamard ratio is 1
+        # however far out it lies, so it is built, with bias -w0 * offset.
+        pts = np.zeros((n, n))
+        pts[:, 0] = offset
+        pts[1:, 1:] = np.eye(n - 1)
+        for build in [hyperplane_from_points] + [closed_form_plane3] * (n == 3):
+            h = build(pts)
+            assert np.abs(h.weights).tolist() == [1.0] + [0.0] * (n - 1)
+            assert h.bias == -h.weights[0] * offset
 
 
 class TestNormPastFloatRange:
@@ -406,14 +472,11 @@ class TestNormPastFloatRange:
     # would read 0. Each builder refuses the plane with a plain ValueError,
     # as it refuses coefficients that are not finite.
     @pytest.mark.parametrize("build, args", [
-        pytest.param(lambda *pts: _plane3_coeffs(coordinate_scale(pts), *pts),
-                     [(0, 0, 0), (0, 1e155, 0), (0, 0, 1e147)], id="plane3"),
-        pytest.param(lambda *pts: _line_coeffs(coordinate_scale(pts), *pts),
-                     [(0, 0), (1e155, 0)], id="line"),
+        pytest.param(_plane3_coeffs, [(0, 0, 0), (0, 1e155, 0), (0, 0, 1e147)], id="plane3"),
+        pytest.param(_line_coeffs, [(0, 0), (1e155, 0)], id="line"),
         # The plane x3 = 0 through points of scale 1e40, one of them moved
         # out to 1e100: w = (0, 0, 0, 3e180).
-        pytest.param(lambda *pts: geometry._plane_coeffs(coordinate_scale(pts),
-                                                         *[list(p) for p in pts]),
+        pytest.param(lambda *pts: geometry._plane_coeffs(*[list(p) for p in pts]),
                      [(1e40, 0, 0, 0), (0, 1e40, 0, 0), (-1e40, -1e40, 0, 0), (0, 0, 1e100, 0)],
                      id="plane_coeffs"),
         pytest.param(lambda *pts: hyperplane_from_points(pts), [(0, 0), (1e155, 0)],
@@ -432,88 +495,96 @@ class TestNormPastFloatRange:
     def test_finite_norm_keeps_its_bits(self, scale):
         # ||w|| = 1e306 and 1e200: below the float range, built as before
         pts = [(0.0, 0.0), (scale, 0.0)]
-        assert _line_coeffs(coordinate_scale(pts), *pts) == (0.0, scale, 0.0, scale)
+        assert _line_coeffs(*pts) == (0.0, scale, 0.0, scale)
+
+    # Finite points whose first edge has a norm past the float range
+    # (2e308), as has the product of the edge norms in floats, while
+    # ||w|| = 0.55: the ratio is taken without overflow, and with
+    # orthogonal edges (ratio 1) the plane is built, w = 1.4e308 * 2^-1025
+    # times (1, -1, 0, ...) up to sign.
+    @pytest.mark.parametrize("n", [3, 4, 8, 20])
+    def test_edge_norm_past_float_range(self, n):
+        pts = np.zeros((n, n))
+        pts[1, :2] = 1.4e308
+        pts[2, 2] = 2.0 ** -1025
+        pts[3:, 3:] = np.eye(n - 3)
+        h = hyperplane_from_points(pts)
+        assert np.abs(h.weights).tolist() == [1.4e308 * 2.0 ** -1025] * 2 + [0.0] * (n - 2)
+        assert h.bias == 0.0
 
 
-def frozen_line_coeffs(scale, p1, p2):
-    """_line_coeffs as it was when it tested every coordinate first; the
-    threshold comes from the coordinates, not from scale."""
-    x1, y1 = p1
-    x2, y2 = p2
-    if not all(map(math.isfinite, (x1, y1, x2, y2))):
-        raise ValueError("point has non-finite coordinates")
-    w0 = y1 - y2
-    w1 = x2 - x1
-    norm = math.sqrt(w0 * w0 + w1 * w1)
-    if norm <= EPS_DEGENERATE * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2)):
-        raise DegeneratePointsError("the two points coincide")
-    bias = x1 * y2 - x2 * y1
+def frozen_checks(rows, bias, norm, message):
+    """The builders' checks after the coordinates', in their documented
+    order: DegeneratePointsError(message) when ||w|| is finite and at most
+    EPS_DEGENERATE times the product of the edge norms, decided on the
+    exact edges; then a bias that is not finite, a norm that is not
+    finite, and a zero norm."""
+    if norm < math.inf and below_hadamard_bound(norm, rows, EPS_DEGENERATE):
+        raise DegeneratePointsError(message)
     if not math.isfinite(bias):
         raise ValueError("bias is not finite")
     if not math.isfinite(norm):
         raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
-        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    if norm == 0.0:
+        raise DegeneratePointsError("hyperplane normal is zero")
+
+
+def frozen_coordinates(rows):
+    if not all(math.isfinite(c) for row in rows for c in row):
+        raise ValueError("point has non-finite coordinates")
+
+
+def frozen_line_coeffs(p1, p2):
+    """_line_coeffs as it would be if it tested every coordinate first."""
+    frozen_coordinates([p1, p2])
+    x1, y1 = p1
+    x2, y2 = p2
+    w0 = y1 - y2
+    w1 = x2 - x1
+    norm = math.sqrt(w0 * w0 + w1 * w1)
+    bias = x1 * y2 - x2 * y1
+    frozen_checks([p1, p2], bias, norm, "the two points coincide")
     return w0, w1, bias, norm
 
 
-def frozen_plane3_coeffs(scale, p1, p2, p3):
-    """_plane3_coeffs as it was when it tested every coordinate first; the
-    threshold comes from the coordinates, not from scale."""
+def frozen_plane3_coeffs(p1, p2, p3):
+    """_plane3_coeffs as it would be if it tested every coordinate first."""
+    frozen_coordinates([p1, p2, p3])
     a0, a1, a2 = p1
     b0, b1, b2 = p2
     c0, c1, c2 = p3
-    coords = (a0, a1, a2, b0, b1, b2, c0, c1, c2)
-    if not all(map(math.isfinite, coords)):
-        raise ValueError("point has non-finite coordinates")
     u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
     v0, v1, v2 = c0 - a0, c1 - a1, c2 - a2
     w0 = u1 * v2 - u2 * v1
     w1 = u2 * v0 - u0 * v2
     w2 = u0 * v1 - u1 * v0
     norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    if norm <= geometry._degeneracy_threshold(max(1.0, *map(abs, coords)), 2):
-        raise DegeneratePointsError(
-            "points are affinely dependent and define no unique hyperplane")
     bias = -(w0 * a0 + w1 * a1 + w2 * a2)
-    if not math.isfinite(bias):
-        raise ValueError("bias is not finite")
-    if not math.isfinite(norm):
-        raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(abs(bias), 1.0):
-        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    frozen_checks([p1, p2, p3], bias, norm,
+                  "points are affinely dependent and define no unique hyperplane")
     return w0, w1, w2, bias, norm
 
 
-def frozen_plane_coeffs(scale, *rows):
+def frozen_plane_coeffs(*rows):
     """_plane_coeffs with its checks in the documented order, the
-    coordinates tested first: then _eliminate's cofactors and the
-    threshold, taken from the coordinates and not from scale, then bias,
-    norm and near-zero."""
-    coords = [c for row in rows for c in row]
-    if not all(map(math.isfinite, coords)):
-        raise ValueError("point has non-finite coordinates")
+    coordinates tested first: then _eliminate's normal of the edges,
+    b = -(w . p_0), and the checks of frozen_checks."""
+    frozen_coordinates(rows)
+    pts = np.array(rows)
     with np.errstate(all="ignore"):
-        *w, b = geometry._eliminate(np.array(rows))
+        w = geometry._eliminate(pts[1:] - pts[0])
     norm = math.sqrt(left_sum([wk * wk for wk in w]))
-    if norm <= geometry._degeneracy_threshold(max(1.0, *map(abs, coords)), len(rows) - 1):
-        raise DegeneratePointsError(
-            "points are affinely dependent and define no unique hyperplane")
-    if not math.isfinite(b):
-        raise ValueError("bias is not finite")
-    if not math.isfinite(norm):
-        raise ValueError("the norm of the hyperplane normal overflows")
-    if norm <= EPS_DEGENERATE * max(abs(b), 1.0):
-        raise DegeneratePointsError("hyperplane normal is (near-)zero")
+    b = -left_sum([wk * zk for wk, zk in zip(w, rows[0])])
+    frozen_checks(rows, b, norm, "points are affinely dependent and define no unique hyperplane")
     return (*w, b, norm)
 
 
 def coeffs_outcome(build, pts):
     """The coefficients' bits, or the class and message of the error raised,
-    of build(coordinate_scale(pts), *pts)."""
+    of build(*pts)."""
     try:
         with np.errstate(all="ignore"):
-            return [c.hex() for c in build(coordinate_scale(pts), *pts)]
+            return [c.hex() for c in build(*pts)]
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -534,7 +605,8 @@ def corner_simplex(n, offset, step):
 
 def deferred_check_cases():
     """(n, points, id): each non-finite value in each coordinate of distinct
-    and of coincident points, and finite points whose terms overflow."""
+    and of coincident points, finite points whose terms overflow, and
+    planes far from the origin, which no rule without a unit refuses."""
     for n, base in DISTINCT.items():
         yield n, base, f"n{n}-finite"
         yield n, [base[0]] * n, f"n{n}-coincident"
@@ -549,7 +621,7 @@ def deferred_check_cases():
     yield 2, [[0.0, -big], [1.0, big]], "n2-difference-overflows-both"
     yield 2, [[1e200, 1e200], [1e200, -1e200]], "n2-bias-overflows"
     yield 2, [[big, big], [-big, -big]], "n2-everything-overflows"
-    yield 2, [[1e10, 1e10], [1e10, 1e10 + 100.0]], "n2-normal-near-zero"
+    yield 2, [[1e10, 1e10], [1e10, 1e10 + 100.0]], "n2-far-from-the-origin"
     yield 3, [[big, 0.0, 0.0], [-big, 0.0, 0.0], [0.0, 1.0, 0.0]], "n3-difference-overflows"
     yield 3, [[big, big, 0.0], [-big, 0.0, big], [0.0, -big, -big]], "n3-cross-product-nan"
     yield 3, [[1e120, 1e120, 1e120], [1e120, -1e120, 0.0], [0.0, 1e120, -1e120]], \
@@ -557,15 +629,29 @@ def deferred_check_cases():
     yield 3, [[0.0, 0.0, 0.0], [0.0, 1e155, 0.0], [0.0, 0.0, 1e147]], "n3-norm-overflows"
     yield 3, [[big, big, big]] * 3, "n3-coincident-at-float-max"
     yield 3, [[1e10, 1e10, 1e10], [1e10 + 1e6, 1e10, 1e10], [1e10, 1e10 + 1e6, 1e10]], \
-        "n3-normal-near-zero"
+        "n3-far-from-the-origin"
     for n in (4, 8):
         # The cofactors of finite points overflow: inf, or NaN from inf - inf.
         yield n, (SplitMix64(n).normals(n * n) * 1e100).reshape(n, n).tolist(), \
             f"n{n}-cofactors-overflow"
-        # ||w|| = step^(n-1): far above the threshold, below EPS_DEGENERATE
-        # times the bias; then finite, 1e200, so that only its square overflows.
-        yield n, corner_simplex(n, 1e10, 1e9), f"n{n}-normal-near-zero"
+        # ||w|| = step^(n-1), far below the bias; then finite, 1e200, so
+        # that only its square overflows.
+        yield n, corner_simplex(n, 1e10, 1e9), f"n{n}-far-from-the-origin"
         yield n, corner_simplex(n, 0.0, 10.0 ** (200 / (n - 1))), f"n{n}-norm-overflows"
+    for n in (3, 4, 8):
+        # One edge norm past the float range, and a finite ||w|| with
+        # orthogonal edges: built. Then a product of the edge norms past
+        # the float range with ||w|| = 1e100: a ratio of 1e-220, refused.
+        pts = np.zeros((n, n))
+        pts[1, :2] = 1.4e308
+        pts[2, 2] = 2.0 ** -1025
+        pts[3:, 3:] = np.eye(n - 3)
+        yield n, pts.tolist(), f"n{n}-edge-norm-overflows"
+        pts = np.eye(n)
+        pts[0, 0] = 0.0
+        pts[1, :2] = 1e200, 0.0
+        pts[2, :3] = 1e120, 1e-100, 0.0
+        yield n, pts.tolist(), f"n{n}-edge-product-overflows"
 
 
 SPECIAL_COORDINATES = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e154, 1e200, 1e308, -1e308,
@@ -611,8 +697,7 @@ class TestDeferredFiniteCheck:
             "coefficients", "point has non-finite coordinates",
             "the two points coincide" if n == 2 else
             "points are affinely dependent and define no unique hyperplane",
-            "bias is not finite", "the norm of the hyperplane normal overflows",
-            "hyperplane normal is (near-)zero"}
+            "bias is not finite", "the norm of the hyperplane normal overflows"}
 
     @pytest.mark.parametrize("dim", [4, 8])
     def test_train_names_an_overflowing_normal(self, dim):
@@ -713,8 +798,8 @@ class TestSideRuleMatchesScalar:
         try:
             h = hyperplane_from_points(pts)  # its defining points lie on it
         except DegeneratePointsError:
-            # tiny coordinates have no plane through them that passes the
-            # degeneracy test; a unit-scale plane still sorts the rows
+            # dependent points (a duplicate, small integers) have no
+            # plane through them; a unit-scale plane still sorts the rows
             h = Hyperplane(data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.5, 2.0))),
                            data.draw(st.floats(-1.0, 1.0)))
         off = scale * data.draw(hnp.arrays(np.float64, (8, n), elements=st.floats(-1.0, 1.0)))
