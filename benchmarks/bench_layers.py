@@ -263,21 +263,9 @@ def test_knn_predict_many_overlap_0_90_dim8(benchmark):
     knn_case(benchmark, 0, 90, 8)
 
 
-def plane_points(normals: np.ndarray) -> np.ndarray:
-    """The n x n Gaussian draw as points, but at n = 32 the corner simplex
-    0, e_1, ..., e_31 moved by 0.1 times it. The Gaussian draw of
-    SplitMix64(32) has a Hadamard ratio ||w|| / prod ||p_i - p_0|| of
-    about 5e-10, below EPS_DEGENERATE, so the builders refuse its plane;
-    the moved corner's ratio is about 1e-3."""
-    n = normals.shape[0]
-    if n < 32:
-        return normals
-    return np.vstack([np.zeros(n), np.eye(n)[1:]]) + 0.1 * normals
-
-
 @pytest.mark.parametrize("n", [3, 8, 16, 32])
 def test_hyperplane_from_points(benchmark, n):
-    points = plane_points(SplitMix64(n).normals(n * n).reshape(n, n))
+    points = SplitMix64(n).normals(n * n).reshape(n, n)
     h = benchmark(hyperplane_from_points, points)
     assert np.all(np.isfinite(h.weights))
 
@@ -303,7 +291,7 @@ def test_overfit_guard(benchmark, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32], ids=lambda n: f"n{n}")
 def test_plane_builder(benchmark, n):
     stream = SplitMix64(n)
-    pts = plane_points(stream.normals(n * n).reshape(n, n)).tolist()
+    pts = stream.normals(n * n).reshape(n, n).tolist()
     steps = (0.01 * stream.normals(n * 64).reshape(64, n)).tolist()
     rounds = iter(range(10**9))
 

@@ -44,6 +44,7 @@ from .geometry import (
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
+    NonFinitePlaneError,
     _dot,
     _generated,
     _plane_builder,
@@ -393,31 +394,29 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     is misclassified when predict_many would get it wrong: its side, +1
     where w.x + b >= 0, is not its class's pseudo sign. Its nearest moving
     point then takes a guarded step of length |eta * lambda| toward a
-    uniformly drawn member of the opposite class's near-cluster (redrawn
-    up to 8 times if the draw lands on the mover). It moves no point if
-    the step is 0.0 (a row on the plane), if all draws fail, or if the
-    step would make the points affinely degenerate or leave the moved
-    point or its plane outside the float range, which is undone. So fit
-    raises nothing on finite data, whatever the eta. With
-    early_stop set, training halts after the first epoch with no
-    misclassified example.
+    uniformly drawn member of the opposite class's near-cluster (redrawn up
+    to 8 times if the draw lands on the mover). It moves no point if the
+    step is 0.0 (a row on the plane), if all draws fail, or if the step
+    would make the points affinely degenerate or leave the moved point or
+    its plane outside the float range, which is undone. So fit raises
+    nothing on finite data, whatever the eta. With early_stop set, training
+    halts after the first epoch with no misclassified example.
 
-    Inputs are validated once, here. The loop, one for every n and
-    generated per n (_fixed_order), then works on raw Python floats: the
-    points, the rows and the plane's w, b and ||w||, with w.x + b
-    (x0*w0 + ... + b) and the step's norms summed in a fixed order. The
-    steps are those of the public movement_vector and
-    overfit_guard. After each move the plane is re-read through the
-    candidate points by hyperplane_from_points' own builder, which fit
-    passes in as build = _plane_builder(n), so no value depends on a BLAS
-    kernel and no tolerance on a unit. The guard is
+    Inputs are validated once, here. The loop, one for every n and generated
+    per n (_fixed_order), then works on raw Python floats: the points, the
+    rows and the plane's w, b and ||w||, with w.x + b (x0*w0 + ... + b) and
+    the step's norms summed in a fixed order. The steps are those of the
+    public movement_vector and overfit_guard. After each move the plane is
+    re-read through the candidate points by hyperplane_from_points' own
+    builder, which fit passes in as build = _plane_builder(n), so no value
+    depends on a BLAS kernel and no tolerance on a unit. The guard is
     skipped only when no point lies within alpha of the mover by _guard's
-    own distance, so no projection is skipped. The same rule serves every
-    n: a pre-check computes those distances only when a per-point gap
-    floor, kept through the moves, cannot prove them all above alpha.
-    The loop writes its points into model.moving_points when it exits,
-    and model.hyperplane is then set from hyperplane_from_points(points),
-    as a reloaded model's is.
+    own distance, so no projection is skipped. The same rule serves every n:
+    a pre-check computes those distances only when a per-point gap floor,
+    kept through the moves, cannot prove them all above alpha. The loop
+    writes its points into model.moving_points when it exits, and
+    model.hyperplane is then set from hyperplane_from_points(points), as a
+    reloaded model's is.
     """
     cfg = model.config
     X = as_rows(data.features, model.dim)
@@ -461,21 +460,20 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 #   toward g; ZeroDisplacementError when g sits on c relative to scale,
 #   the largest |c_k| or |g_k|;
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build): yields each
-#   epoch's misclassified count; draws[j] lists the rows example j may
-#   draw, and build(*rows) is geometry._plane_builder(n). The points
-#   live in the list pts, written back into P when the loop exits; a moved
-#   point enters pts only once its plane is built. pt_scale[i] is
-#   max(|p_i0|, ...), the mover's half of step_to's scale, and e_scale
-#   enters it with e. A row's side is
-#   -1 where raw = x0*w0 + ... + b < 0 and +1 otherwise, geometry.sides'
-#   sum and predict_many's rule; below[j] says that row j's class has
-#   pseudo sign -1, so a row whose side differs from it is a miss. Its
-#   step |eta * (raw / ||w||)| has the bits of |eta * lambda|, as the
-#   pseudo sign only flips a sign. A step of 0.0, from a row on the plane
-#   or a quotient that underflows, moves no point and is skipped before
-#   any draw. A candidate that build refuses is undone: as degenerate on
-#   DegeneratePointsError, as an overflow on any other ValueError (the
-#   point or its plane is not finite), so fit raises nothing on finite data.
+#   epoch's misclassified count; draws[j] lists the rows example j may draw,
+#   and build(*rows) is geometry._plane_builder(n). The points live in the
+#   list pts, written back into P when the loop exits; a moved point enters
+#   pts only once its plane is built. pt_scale[i] is max(|p_i0|, ...), the
+#   mover's half of step_to's scale, and e_scale enters it with e. A row's
+#   side is -1 where raw = x0*w0 + ... + b < 0 and +1 otherwise,
+#   geometry.sides' sum and predict_many's rule; below[j] says that row j's
+#   class has pseudo sign -1, so a row whose side differs from it is a miss.
+#   Its step |eta * (raw / ||w||)| has the bits of |eta * lambda|, as the
+#   pseudo sign only flips a sign. A step of 0.0, from a row on the plane or
+#   a quotient that underflows, moves no point and is skipped before any
+#   draw. A candidate that build refuses is undone: as degenerate on
+#   DegeneratePointsError, as an overflow on NonFinitePlaneError (the point
+#   or its plane is not finite), so fit raises nothing on finite data.
 #
 # The gap floor. _guard projects out only an approach to a point within
 # alpha of the mover by its own fixed-order gap, and the loop calls it only
@@ -488,45 +486,42 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # (least + moved) * _GAP_DOWN from the least gap it computed. Moving one
 # point shrinks no gap by more than the distance it moves, so while
 # keys[mover] - moved > alpha * _GAP_UP, every gap to the mover is still
-# above alpha. keys start
-# at -inf, so every point's first move runs the pre-check; that is the one
-# guard rule for every n.
+# above alpha. keys start at -inf, so every point's first move runs the
+# pre-check; that is the one guard rule for every n.
 #
 # The floor stays below every gap that _guard computes, despite rounding
-# (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms, ch.
-# 3). A gap, or a step's length, computed as the root of a sum of n rounded
-# squares of rounded differences has a relative error of at most (n+3)u,
-# unless a square overflows or underflows. When one overflows the gap
-# reads inf and the true gap is past 1.3e154; least starts at _MAX_GAP =
+# (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
+# ch. 3). A gap, or a step's length, computed as the root of a sum of n
+# rounded squares of rounded differences has a relative error of at most
+# (n+3)u, unless a square overflows or underflows. When one overflows the
+# gap reads inf and the true gap is past 1.3e154; least starts at _MAX_GAP =
 # 1e150, so it never exceeds a true gap on that account. Squares that
 # underflow add at most 2^-1075 each, so a gap errs by at most about
 # sqrt(n) 2^-537 < 1e-158 more. A key is set only from least >= _MIN_GAP =
 # 1e-140: its margin _GAP_MARGIN * least >= 1e-149 covers those errors with
-# nine orders to spare.
-# A kept move carries the mover from c to e = c + t, rounded. step_to's t
-# is at most step (1 + (n+5)u) long, plus 2^-1074 per coordinate that
-# rounds in the subnormal range; after _guard, step is recomputed as the
-# guarded t's own length, which errs as a gap does, by (n+3)u of itself
-# and at most sqrt(n) 2^-537 more. Rounding c + t moves each coordinate by
-# at most u |e_k|, or 2^-1075 in the subnormal range: at most
-# u sqrt(n) e_scale + sqrt(n) 2^-1075 in all, with e_scale = max|e_k|. So
-# the move is shorter than step * _GAP_UP + e_scale * e_round + e_tiny,
+# nine orders to spare. A kept move carries the mover from c to e = c + t,
+# rounded. step_to's t is at most step (1 + (n+5)u) long, plus 2^-1074 per
+# coordinate that rounds in the subnormal range; after _guard, step is
+# recomputed as the guarded t's own length, which errs as a gap does, by
+# (n+3)u of itself and at most sqrt(n) 2^-537 more. Rounding c + t moves
+# each coordinate by at most u |e_k|, or 2^-1075 in the subnormal range: at
+# most u sqrt(n) e_scale + sqrt(n) 2^-1075 in all, with e_scale = max|e_k|.
+# So the move is shorter than step * _GAP_UP + e_scale * e_round + e_tiny,
 # with e_round = 2u sqrt(n) and e_tiny = sqrt(n) _UNDERFLOW: the absolute
-# terms add to at most sqrt(n) (2^-537 + 2^-1074 + 2^-1075), below
-# e_tiny = sqrt(n) 2^-536 with room for the rounding of both products.
-# The three sums into moved round down by at most u of their value each,
-# and _SUM_UP = 1 + 8u, with its own rounding, more than restores that, so
-# moved never grows by less than the move's length.
-# keys[mover] rounds (least + moved) and its product by at most u each,
-# which _GAP_DOWN's margin on moved covers; keys[mover] - moved and
-# alpha * _GAP_UP round by at most u, and the product by at most 2^-1075
-# in the subnormal range. With (n+7)u < _GAP_MARGIN / 2, which holds for n
-# up to four million, far past any n whose n x n points fit in memory, a
-# passing test leaves every true gap to the mover above
-# alpha (1 + _GAP_MARGIN / 2) + least * _GAP_MARGIN / 2, and so every gap
-# that _guard computes above alpha. Should moved overflow, keys[mover] -
-# moved reads -inf or nan, and the test, written as not > far, runs the
-# pre-check.
+# terms add to at most sqrt(n) (2^-537 + 2^-1074 + 2^-1075), below e_tiny =
+# sqrt(n) 2^-536 with room for the rounding of both products. The three sums
+# into moved round down by at most u of their value each, and _SUM_UP =
+# 1 + 8u, with its own rounding, more than restores that, so moved never
+# grows by less than the move's length. keys[mover] rounds (least + moved)
+# and its product by at most u each, which _GAP_DOWN's margin on moved
+# covers; keys[mover] - moved and alpha * _GAP_UP round by at most u, and
+# the product by at most 2^-1075 in the subnormal range. With (n+7)u <
+# _GAP_MARGIN / 2, which holds for n up to four million, far past any n
+# whose n x n points fit in memory, a passing test leaves every true gap to
+# the mover above alpha (1 + _GAP_MARGIN / 2) + least * _GAP_MARGIN / 2, and
+# so every gap that _guard computes above alpha. Should moved overflow,
+# keys[mover] - moved reads -inf or nan, and the test, written as not > far,
+# runs the pre-check.
 _STEP_SOURCE = """\
 def nearest(pts, {x}):
 {nearest}
@@ -611,7 +606,7 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
                 except DegeneratePointsError:
                     log.skips[DEGENERATE_REVERT] += 1
                     continue
-                except ValueError:
+                except NonFinitePlaneError:
                     log.skips[OVERFLOW_REVERT] += 1
                     continue
                 pts[mover] = e

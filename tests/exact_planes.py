@@ -60,10 +60,18 @@ def edge_norms_squared(points) -> Fraction:
     return out
 
 
-def below_hadamard_bound(norm: float, points, eps: float) -> bool:
-    """Whether norm <= eps * prod_i ||p_i - p_0|| for the exact edges of
-    the points, compared squared, so exactly."""
-    return Fraction(norm) ** 2 <= Fraction(eps) ** 2 * edge_norms_squared(points)
+def refusal_ratio(n: int) -> float:
+    """The Hadamard ratio at or below which the builders refuse the plane
+    through n points: n * 2^-42, 2^10 times the n eps by which their
+    normal errs relative to prod_i ||p_i - p_0||."""
+    return n * 2.0 ** -42
+
+
+def below_hadamard_bound(norm: float, points) -> bool:
+    """Whether norm <= refusal_ratio(n) * prod_i ||p_i - p_0|| for the
+    exact edges of the n points, compared squared, so exactly."""
+    eps = Fraction(refusal_ratio(len(points)))
+    return Fraction(norm) ** 2 <= eps ** 2 * edge_norms_squared(points)
 
 
 def hadamard_ratio(points) -> float:

@@ -14,14 +14,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from exact_planes import below_hadamard_bound, exact_plane, hadamard_ratio
+from exact_planes import below_hadamard_bound, exact_plane, hadamard_ratio, refusal_ratio
 from movingpoints import geometry
 from movingpoints.cli import RefuseNon2DError, render_scatter_svg
 from movingpoints.geometry import (
-    EPS_DEGENERATE,
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
+    NonFinitePlaneError,
     _line_coeffs,
     _plane3_coeffs,
     as_rows,
@@ -88,7 +88,7 @@ class TestLineFromPoints:
         # coincidence to revert.
         with pytest.raises(ValueError) as info:
             _line_coeffs(e, (0.0, 1.0))
-        assert type(info.value) is ValueError
+        assert type(info.value) is NonFinitePlaneError
 
 
 class TestHyperplaneFromPoints:
@@ -170,14 +170,14 @@ def oracle_plane(points) -> SimpleNamespace:
     """The bordered-determinant plane with one elimination per minor, as
     weights and bias, refused by the builders' rule decided on the exact
     plane: a Hadamard ratio ||w|| / prod ||p_i - p_0|| of at most
-    EPS_DEGENERATE. The untranslated minors lose a plane whose edges are
+    refusal_ratio(n). The untranslated minors lose a plane whose edges are
     small against the coordinates (one of 1e-38 beside coordinates of 1
     came out 0.0), so their own norm cannot decide."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     if pts.shape != (n, n):
         raise DimensionMismatchError(f"got shape {pts.shape}")
-    if hadamard_ratio(pts.tolist()) <= EPS_DEGENERATE:
+    if hadamard_ratio(pts.tolist()) <= refusal_ratio(n):
         raise DegeneratePointsError("affinely dependent")
     bordered = np.hstack([pts, np.ones((n, 1))])
     coeffs = np.empty(n + 1)
@@ -282,6 +282,14 @@ class TestEliminationMatchesPerMinorOracle:
         residual = np.abs(pts @ w + b).max()
         assert residual <= 1e-12 * (np.abs(pts).max() * np.linalg.norm(w) + abs(b))
 
+    # A Gaussian draw at n = 32 has a Hadamard ratio of about 5e-10, above
+    # the refusal ratio 32 * 2^-42 = 7.3e-12, so its plane is built.
+    def test_gaussian_points_at_n32_build(self):
+        pts = SplitMix64(32).normals(32 * 32).reshape(32, 32)
+        assert 1e-10 < hadamard_ratio(pts.tolist()) < 1e-9
+        h = hyperplane_from_points(pts)
+        assert np.all(np.isfinite(h.weights)) and math.isfinite(h.bias)
+
     @pytest.mark.parametrize("p", [49.0, -7.0, 0.3, 0.0])  # 49 * (1/49) != 1
     def test_one_point_plane_is_x_minus_p(self, p):
         h = hyperplane_from_points([[p]])
@@ -295,15 +303,16 @@ class TestBuildersMatchExactPlane:
     Hadamard ratio ||w*|| / H, however far the points lie from the origin.
     The bias -(w . p_0) of n != 2 is within 3n eps H ||p_0||, that of
     n = 2, x1*y2 - x2*y1, within 2 eps of its two products. A builder
-    refuses only points whose exact ratio is at most 2 EPS_DEGENERATE, and
-    builds the plane of every ratio above EPS_DEGENERATE / 2."""
+    refuses only points whose exact ratio is at most twice its refusal
+    ratio n 2^-42 (refusal_ratio), and builds the plane of every ratio
+    above half of it."""
 
     # Gaussian points, translated by up to 1e6 and scaled by 2^k, and sets
     # whose last point lies within 10^-flat of the line through the first
-    # two, which makes ratios from about 1 down to 1e-12.
+    # two, which makes ratios from about 1 down to 1e-15.
     @settings(max_examples=300, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 16]), k=st.integers(-40, 40),
-           offset=st.sampled_from([0.0, 1e3, 1e6]), flat=st.sampled_from([None, 3, 6, 9, 12]),
+           offset=st.sampled_from([0.0, 1e3, 1e6]), flat=st.sampled_from([None, 3, 6, 9, 12, 15]),
            seed=st.integers(0, 2**64 - 1))
     @example(n=16, k=40, offset=1e6, flat=None, seed=0)
     @example(n=8, k=0, offset=1e6, flat=9, seed=1)
@@ -317,9 +326,9 @@ class TestBuildersMatchExactPlane:
         try:
             *w, b, _ = geometry._plane_builder(n)(*rows)
         except DegeneratePointsError:
-            assert ratio <= 2 * EPS_DEGENERATE
+            assert ratio <= 2 * refusal_ratio(n)
             return
-        assert ratio > EPS_DEGENERATE / 2
+        assert ratio > refusal_ratio(n) / 2
         w_exact, b_exact = exact_plane(rows)
         eps = np.finfo(float).eps
         h = math.prod(math.dist(p, rows[0]) for p in rows[1:])
@@ -402,7 +411,7 @@ class TestUnrolledEliminationMatchesNumpy:
             assert geometry._eliminate(pts[1:] - pts[0]) == [0.0] * n
         with pytest.raises(ValueError) as info:
             geometry._plane_coeffs(*pts.tolist())
-        assert type(info.value) is ValueError
+        assert type(info.value) is NonFinitePlaneError
         assert str(info.value) == "point has non-finite coordinates"
 
 
@@ -427,20 +436,20 @@ class TestPlane3ClosedForm:
         coords[where] = bad
         with pytest.raises(ValueError) as info:
             _plane3_coeffs(coords[:3], coords[3:6], coords[6:])
-        assert type(info.value) is ValueError
+        assert type(info.value) is NonFinitePlaneError
 
     def test_overflowing_bias_is_not_finite(self):
         # Finite points whose coefficients overflow: both constructions
-        # raise a plain ValueError, not DegeneratePointsError.
+        # raise NonFinitePlaneError, not DegeneratePointsError.
         pts = [(1e120, 1e120, 1e120), (1e120, -1e120, 0.0), (0.0, 1e120, -1e120)]
         for build in (closed_form_plane3, hyperplane_from_points):
             with pytest.raises(ValueError) as info:
                 build(pts)
-            assert type(info.value) is ValueError
+            assert type(info.value) is NonFinitePlaneError
 
     @pytest.mark.parametrize("pts, error", [
-        pytest.param(1e200 * np.eye(3), ValueError, id="n3-1e200-not-finite"),
-        pytest.param(1e50 * np.eye(8), ValueError, id="n8-1e50-not-finite"),
+        pytest.param(1e200 * np.eye(3), NonFinitePlaneError, id="n3-1e200-not-finite"),
+        pytest.param(1e50 * np.eye(8), NonFinitePlaneError, id="n8-1e50-not-finite"),
         pytest.param(np.diag([1e45] + [1.0] * 7), DegeneratePointsError, id="n8-1e45-nearly-flat"),
     ])
     def test_large_coordinates_refused(self, pts, error):
@@ -489,7 +498,7 @@ class TestNormPastFloatRange:
         with pytest.raises(ValueError, match="the norm of the hyperplane normal overflows") \
                 as info:
             build(*args)
-        assert type(info.value) is ValueError
+        assert type(info.value) is NonFinitePlaneError
 
     @pytest.mark.parametrize("scale", [1e153, 1e100])
     def test_finite_norm_keeps_its_bits(self, scale):
@@ -516,22 +525,22 @@ class TestNormPastFloatRange:
 def frozen_checks(rows, bias, norm, message):
     """The builders' checks after the coordinates', in their documented
     order: DegeneratePointsError(message) when ||w|| is finite and at most
-    EPS_DEGENERATE times the product of the edge norms, decided on the
-    exact edges; then a bias that is not finite, a norm that is not
-    finite, and a zero norm."""
-    if norm < math.inf and below_hadamard_bound(norm, rows, EPS_DEGENERATE):
+    n 2^-42 times the product of the edge norms, decided on the
+    exact edges; then a bias that is not finite and a norm that is not
+    finite (NonFinitePlaneError), and a zero norm."""
+    if norm < math.inf and below_hadamard_bound(norm, rows):
         raise DegeneratePointsError(message)
     if not math.isfinite(bias):
-        raise ValueError("bias is not finite")
+        raise NonFinitePlaneError("bias is not finite")
     if not math.isfinite(norm):
-        raise ValueError("the norm of the hyperplane normal overflows")
+        raise NonFinitePlaneError("the norm of the hyperplane normal overflows")
     if norm == 0.0:
         raise DegeneratePointsError("hyperplane normal is zero")
 
 
 def frozen_coordinates(rows):
     if not all(math.isfinite(c) for row in rows for c in row):
-        raise ValueError("point has non-finite coordinates")
+        raise NonFinitePlaneError("point has non-finite coordinates")
 
 
 def frozen_line_coeffs(p1, p2):
@@ -706,7 +715,7 @@ class TestDeferredFiniteCheck:
         ds = make_blobs(1, 3.0, 20, dim, 4.0)
         with pytest.raises(ValueError, match="^bias is not finite$") as info:
             train(Dataset(ds.features * 1e100, ds.labels))
-        assert type(info.value) is ValueError
+        assert type(info.value) is NonFinitePlaneError
 
 
 class TestSignedDisplacement:

@@ -663,7 +663,7 @@ class TestEarlyStopMeansAPerfectFit:
 # cofactors come from the numpy elimination geometry._eliminate, which
 # test_geometry pins to the unrolled one that fit runs and to a per-minor
 # oracle. A plane is refused by the rule without a unit, ||w|| at most
-# EPS_DEGENERATE times the product of the edge norms, decided on the exact
+# n 2^-42 times the product of the edge norms, decided on the exact
 # edges (below_hadamard_bound), and a move whose plane is refused as
 # degenerate, or whose point or plane is not finite, is undone.
 
@@ -693,10 +693,10 @@ def frozen_hyperplane(weights, bias):
 
 def frozen_degenerate(w, points):
     """Whether the plane of normal w through the points is refused as
-    degenerate: a finite ||w|| of at most EPS_DEGENERATE times the
+    degenerate: a finite ||w|| of at most n 2^-42 times the
     product of the exact edge norms."""
     norm = math.sqrt(frozen_dot(w, w))
-    return norm < math.inf and below_hadamard_bound(norm, points, EPS_DEGENERATE)
+    return norm < math.inf and below_hadamard_bound(norm, points)
 
 
 def frozen_line_from_points(e, f):
@@ -1002,7 +1002,13 @@ def assert_fit_matches_frozen(dim, eta, seed, blob_seed, std, scale, alpha_facto
         model = initialize(ds.class_points(0), ds.class_points(1), cfg)
     except ValueError:
         return None  # no usable initial boundary; nothing to train
-    ref = frozen_fit(model, ds, cfg)
+    return assert_loop_matches_frozen(model, ds)
+
+
+def assert_loop_matches_frozen(model, ds):
+    """fit the model on ds and check it against frozen_fit, bit for bit;
+    returns frozen_fit's record."""
+    ref = frozen_fit(model, ds, model.config)
     log = fit(model, ds)
     assert model.moving_points.tobytes() == ref["points"].tobytes()
     assert log.misclassified == ref["misclassified"]
@@ -1046,6 +1052,25 @@ class TestFitMatchesFrozenLoop:
     def test_overflow_reverts_match(self, dim):
         ref = assert_fit_matches_frozen(dim, 30.0, 3, 11, 3.0, 1.0, None)
         assert ref["overflowed"] > 0 and ref["moves"] > 0
+
+    # A class-1 row at depth 5 (x_{n-1} = -5 under the plane x_{n-1} = 0)
+    # pulls point 0 five units toward the class-0 row g, which lands it on
+    # point 1 at n = 2 and on the line through points 1 and 2 at n = 3
+    # (6/10 * 5 and 8/10 * 5 round to 3.0 and 4.0). The plane is refused,
+    # the move undone, and the same happens every epoch; g itself lies on
+    # the plane and is skipped as a zero step.
+    @pytest.mark.parametrize("points, row, g", [
+        pytest.param([[0.0, 0.0], [5.0, 0.0]], [0.2, -5.0], [3.0, 0.0], id="n2-coincident"),
+        pytest.param([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [3.0, 8.0, 0.0]],
+                     [0.1, 0.1, -5.0], [6.0, 8.0, 0.0], id="n3-collinear"),
+    ])
+    def test_degenerate_reverts_match(self, points, row, g):
+        ds = Dataset(np.array([g, row]), np.array([0, 1]))
+        model = MpaModel(np.array(points), {0: -1, 1: 1}, alpha=0.5,
+                         config=MpaConfig(eta=1.0, epochs=3, seed=5))
+        ref = assert_loop_matches_frozen(model, ds)
+        assert ref["reverted"] == 3 and ref["moves"] == 0
+        assert model.moving_points.tolist() == points
 
     @pytest.mark.parametrize("dim", [3, 8])
     def test_skipped_and_run_guards_match(self, dim, monkeypatch):
@@ -1414,6 +1439,24 @@ class TestSkipReasons:
         assert log.moves == 0
         assert log.skips == {r: 3 if r == reason else 0 for r in mpa.SKIP_REASONS}
         np.testing.assert_array_equal(model.moving_points, before)
+
+    # Only the builder's refusals undo a move: any other ValueError from
+    # the build, as a fault in it would raise, leaves fit.
+    def test_other_build_errors_are_not_skips(self, monkeypatch):
+        model, cfg = hand_model(0.0, 0.1)
+        ds = Dataset(np.array([(0.5, -0.2), (0.0, 5.0)]), np.array([0, 1]))
+        builds = []
+
+        def build(*rows):
+            builds.append(rows)
+            if len(builds) > 1:
+                raise ValueError("not enough values to unpack")
+            return geometry._line_coeffs(*rows)
+
+        monkeypatch.setattr(mpa, "_plane_builder", lambda n: build)
+        with pytest.raises(ValueError, match="^not enough values to unpack$"):
+            fit(model, ds)
+        assert len(builds) == 2
 
 
 # initialize's documented errors: the class means coincide, a mean lies on
