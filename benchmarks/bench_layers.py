@@ -7,12 +7,16 @@ ahead of PYTHONPATH, so when PYTHONPATH names another ``movingpoints``,
 collection stops with a message that names both.
 The generator cases time ``SplitMix64.permutation(80)`` on a fresh and
 a warm stream and on a warm slice that holds a word >= 2^64 - 2^32 (the
-rare exact path), and ``randint(40)`` on a warm stream. Most cases rebuild the split of one `bench synthetic` cell exactly as
+rare exact path), ``permutations(80, 30)`` (the SVM's per-fit draw) on a
+warm stream and on fresh streams whose first block holds 2^64 - 1, and
+``randint(40)`` on a warm stream. Most cases rebuild the split of one `bench synthetic` cell exactly as
 ``bench.run_synthetic_cell`` does. The training cases time ``mpa.train``
 on it and check that moves plus skips add up to the misclassified visits
 and that the points stay finite; the baseline cases time one classifier
 with the cell's parameters and seed slot. One more training case times
-the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. The
+the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. One
+KNN case puts its rows on an integer grid, so that most rows tie at the
+k-th distance. The
 plane cases time ``hyperplane_from_points`` on Gaussian points and the
 plane that ``mpa.fit`` re-reads after one move, through the builder of
 ``geometry._plane_builder(n)``, at n = 2, 3, 4, 8, 16 and 32. The epoch
@@ -36,6 +40,7 @@ import pytest
 import movingpoints
 from movingpoints import baselines, bench, mpa
 from movingpoints.datasets import (
+    Dataset,
     load_csv,
     make_blobs,
     pca_apply,
@@ -117,6 +122,26 @@ def test_permutation_80_exact_path(benchmark, k):
 
     assert benchmark(draw) == first
     assert stream._safe_end == k
+
+
+# The SVM's per-fit draw: 30 epoch orders of its 80 training rows, taken in
+# blocks of 12 orders (948 words), on a warm stream.
+def test_permutations_80x30_warm(benchmark):
+    stream = SplitMix64(12345)
+    orders = benchmark(stream.permutations, 80, 30)
+    assert len(orders) == 30 and all(sorted(order) == list(range(80)) for order in orders)
+
+
+# Its exact-path twin: word 4 of the first block is 2^64 - 1, so that block
+# is given back and drawn by randint word by word. Each round starts a
+# fresh stream (untimed), so the round pays the block's refills, as a fit's
+# fresh stream does.
+def test_permutations_80x30_exact_path(benchmark):
+    seed = (unmix(_MASK) - 4 * _GAMMA) & _MASK
+    first = SplitMix64(seed).permutations(80, 30)
+    orders = benchmark.pedantic(lambda stream: stream.permutations(80, 30),
+                                setup=lambda: ((SplitMix64(seed),), {}), rounds=2000)
+    assert orders == first
 
 
 # One near-cluster draw of an MPA move, on a warm stream.
@@ -261,6 +286,20 @@ def test_knn_predict_many_grid_2_9(benchmark):
 
 def test_knn_predict_many_overlap_0_90_dim8(benchmark):
     knn_case(benchmark, 0, 90, 8)
+
+
+# Ties at the k-th distance in 82 of the 100 rows: 80 training points and
+# the rows on a small integer grid, so the k nearest are cut from the tied
+# points by index, KNN's slow branch.
+def test_knn_predict_many_integer_grid_ties(benchmark):
+    stream = SplitMix64(3)
+    points = np.array([[stream.randint(5), stream.randint(5)] for _ in range(80)], dtype=float)
+    labels = np.array([stream.randint(2) for _ in range(80)])
+    labels[:2] = (0, 1)
+    X = np.array([[stream.randint(7) - 1, stream.randint(7) - 1] for _ in range(100)], dtype=float)
+    model = baselines.knn_fit(Dataset(points, labels), k=3)
+    preds = benchmark(baselines.knn_predict_many, model, X)
+    assert preds.shape == (100,) and set(preds.tolist()) <= {0, 1}
 
 
 @pytest.mark.parametrize("n", [3, 8, 16, 32])

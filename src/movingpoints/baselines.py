@@ -109,10 +109,12 @@ def knn_predict_many(model: KnnModel, X) -> np.ndarray:
             sq += D
         dist = np.sqrt(sq)
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
-        chosen = dist < kth
-        at_kth = dist == kth
-        at_kth &= np.cumsum(at_kth, axis=1) <= k - np.count_nonzero(chosen, axis=1)[:, None]
-        chosen |= at_kth
+        chosen = dist <= kth  # at least k per row, and exactly k unless a row ties at kth
+        if np.count_nonzero(chosen) != k * dist.shape[0]:
+            chosen = dist < kth
+            at_kth = dist == kth
+            at_kth &= np.cumsum(at_kth, axis=1) <= k - np.count_nonzero(chosen, axis=1)[:, None]
+            chosen |= at_kth
         ones = np.count_nonzero(chosen & is_one, axis=1)
         nearest = model.labels[dist.argmin(axis=1)]
         out[start:start + block] = np.where(2 * ones == k, nearest, 2 * ones > k)
@@ -192,9 +194,9 @@ _SVM_SOURCE = """\
 def svm_loop(rows, y, rates, shrinks, rng):
     {w} = wb = 0.0
     m = len(rows)
-    for start in range(0, len(rates), m):
+    for start, order in zip(range(0, len(rates), m), rng.permutations(m, len(rates) // m)):
         stop = start + m
-        for i, step, shrink in zip(rng.permutation(m), rates[start:stop], shrinks[start:stop]):
+        for i, step, shrink in zip(order, rates[start:stop], shrinks[start:stop]):
             {x} = rows[i]
             yi = y[i]
             margin = yi * ({margin} + wb)
@@ -233,7 +235,8 @@ def _perceptron_loop(n: int):
 def _svm_loop(n: int):
     """linear_svm_fit's steps for rows of n coordinates, one epoch per
     m-long stretch of the schedule: loop(rows, y, rates, shrinks, rng) ->
-    (weights list, bias)."""
+    (weights list, bias). The epochs' orders come from one
+    rng.permutations call, the orders of one permutation per epoch."""
     return _loop_source(_SVM_SOURCE, n)
 
 

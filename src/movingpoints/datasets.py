@@ -105,7 +105,7 @@ class Dataset:
 
     def require_binary(self) -> None:
         """Raise unless both classes are present."""
-        present = set(np.unique(self.labels).tolist())
+        present = set(self.labels.tolist())
         if present != {0, 1}:
             raise NonBinaryLabelsError(
                 f"need both classes 0 and 1, found {sorted(present)}"
@@ -388,6 +388,6 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int):
                        feature_names=ds.feature_names)
 
     train, test = take(train_idx), take(test_idx)
-    if np.unique(train.labels).size < 2:
+    if len(set(train.labels.tolist())) < 2:
         raise DegenerateSplitError("training split lost a class; try another seed")
     return train, test

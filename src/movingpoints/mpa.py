@@ -455,10 +455,12 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # multiply-add can change a bit. The code runs in mpa's globals, so _guard
 # is looked up when it is called; the plane builder comes in per call.
 # - nearest(pts, x0, ...): the row of pts nearest to x, the lowest index
-#   on ties, as argmin;
+#   on ties, as argmin. Its lines are spliced into epochs as well, which
+#   finds each mover with them and so pays no call;
 # - step_to(c0, ..., g0, ..., scale, step): the step of length step from c
 #   toward g; ZeroDisplacementError when g sits on c relative to scale,
-#   the largest |c_k| or |g_k|;
+#   the largest |c_k| or |g_k|. epochs calls it through its step_to
+#   parameter, so a caller may pass its own;
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build): yields each
 #   epoch's misclassified count; draws[j] lists the rows example j may draw,
 #   and build(*rows) is geometry._plane_builder(n). The points live in the
@@ -537,8 +539,7 @@ def step_to({c}, {g}, scale, step):
 """
 _EPOCHS_SOURCE = """
 
-def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
-           nearest=nearest, step_to=step_to):
+def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build, step_to=step_to):
     rows = X.tolist()
     row_scale = [max({abs_x}) for {x} in rows]  # max|X[r]|
     below = [sign < 0.0 for sign in pseudo.tolist()]
@@ -564,14 +565,15 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build,
                 if not step:
                     log.skips[ZERO_STEP] += 1
                     continue
-                mover = nearest(pts, {x})
+{nearest}
                 {c} = row = pts[mover]
                 c_scale = pt_scale[mover]
                 members = draws[j]
                 for _attempt in range(1 + MAX_RESAMPLES):
                     target = members[rng.randint(len(members))]
+                    {g} = rows[target]
                     try:
-                        t = step_to({c}, *rows[target], max(c_scale, row_scale[target]), step)
+                        t = step_to({c}, {g}, max(c_scale, row_scale[target]), step)
                         break
                     except ZeroDisplacementError:
                         pass
@@ -627,16 +629,20 @@ def _fixed_order_source(n: int) -> str:
     def each(term: str, sep: str = ", ") -> str:
         return sep.join(term.format(k) for k in ks)
 
-    nearest = ["    mover = 0"]
+    nearest = ["mover = 0"]
     for i in ks:
-        nearest.append(f"    {each('p{0}')} = pts[{i}]")
-        nearest.append(each("    d{0} = p{0} - x{0}", "\n"))
+        nearest.append(f"{each('p{0}')} = pts[{i}]")
+        nearest += [f"d{k} = p{k} - x{k}" for k in ks]
         root = f"math.sqrt({each('d{0} * d{0}', ' + ')})"
-        nearest += ([f"    least = {root}"] if i == 0 else
-                    [f"    dist = {root}", "    if dist < least:",
-                     f"        mover = {i}", "        least = dist"])
-    fields = dict(x=each("x{0}"), c=each("c{0}"), nearest="\n".join(nearest))
-    source = _STEP_SOURCE.format(**fields, g=each("g{0}"), v=each("    v{0} = g{0} - c{0}", "\n"),
+        nearest += ([f"least = {root}"] if i == 0 else
+                    [f"dist = {root}", "if dist < least:", f"    mover = {i}", "    least = dist"])
+
+    def indent(lines: list[str], depth: int) -> str:
+        return "\n".join(" " * depth + line for line in lines)
+
+    fields = dict(x=each("x{0}"), c=each("c{0}"), g=each("g{0}"))
+    source = _STEP_SOURCE.format(**fields, nearest=indent(nearest, 4),
+                                 v=each("    v{0} = g{0} - c{0}", "\n"),
                                  vv=each("v{0} * v{0}", " + "), unit=each("v{0} / nv * step"))
     plane = f"{each('w{0}')}, b, norm_w"
     planes = []
@@ -646,7 +652,7 @@ def _fixed_order_source(n: int) -> str:
         planes += [f"                    {head}:",
                    f"                        {plane} = build({args})"]
     return source + _EPOCHS_SOURCE.format(
-        **fields, plane=plane, t=each("t{0}"), abs_x=each("abs(x{0})"),
+        **fields, nearest=indent(nearest, 16), plane=plane, t=each("t{0}"), abs_x=each("abs(x{0})"),
         margin=each("x{0} * w{0}", " + "), f=each("f{0}"),
         gap=each("(f{0} - c{0}) * (f{0} - c{0})", " + "), t_or=each("t{0}", " or "),
         e=each("e{0}"), e_sums=each("c{0} + t{0}"), abs_e=each("abs(e{0})"),

@@ -29,9 +29,13 @@ Streaming discipline, fixed for all consumers:
   takes this fast path; every other draw (a word at or past it, or
   n > 2^32) runs the exact test, which gives the same value or rejects.
 * shuffle: Fisher-Yates from the last index down, j = randint(i + 1).
-  The n-1 words are one slice of the buffer. A slice below the first
-  word >= _SAFE is taken as w mod (i + 1) whole; a slice at or past it
-  is drawn by randint one word at a time.
+  permutations(n, count) draws count orders one after another, as count
+  permutation(n) calls do, and takes their words in blocks: each block is
+  one slice of the buffer holding the (n-1) words of as many whole orders
+  as fit in _BLOCK words (at least one). A slice below the first word >=
+  _SAFE is taken as w mod (i + 1) whole; a slice at or past it is given
+  back and drawn by randint one word at a time. permutation(n) is the
+  one-order case, so both draw the same words with the same fallback.
 """
 
 from __future__ import annotations
@@ -69,8 +73,10 @@ def _word_block(seed: int, start: int, count: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _swap_bounds(n: int) -> np.ndarray:
-    """Bounds i+1 for i = n-1 down to 1 (read-only, shared)."""
-    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    """Bounds i+1 for i = n-1 down to 1, as one (1, n-1) row (read-only,
+    shared): numpy divides a one-order block by a row of its own shape
+    faster than by a broadcast 1-D array."""
+    bounds = np.arange(n, 1, -1, dtype=np.uint64).reshape(1, n - 1)
     bounds.setflags(write=False)
     return bounds
 
@@ -126,26 +132,41 @@ class SplitMix64:
                 return w % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        i = len(items) - 1
-        for j in self._swap_targets(len(items)):
-            items[i], items[j] = items[j], items[i]
-            i -= 1
-
-    def _swap_targets(self, n: int) -> list[int]:
-        """randint(i + 1) for i = n-1 down to 1: the same values from the same words."""
-        if n < 2:
-            return []
-        words = self._take(n - 1)
-        if self._pos <= self._safe_end and n <= _SAFE_N:  # every word below _SAFE
-            return (words % _swap_bounds(n)).tolist()
-        self._pos -= n - 1  # give the slice back; randint draws it word by word
-        return [self.randint(i + 1) for i in range(n - 1, 0, -1)]
+        """In-place Fisher-Yates shuffle: items in the order permutation(len(items))."""
+        items[:] = [items[k] for k in self.permutation(len(items))]
 
     def permutation(self, n: int) -> list[int]:
-        idx = list(range(n))
-        self.shuffle(idx)
-        return idx
+        return _order(n, self._swap_targets(n, 1)[0])
+
+    def permutations(self, n: int, count: int) -> list[list[int]]:
+        """count successive permutation(n) orders. Their words are taken in
+        blocks of at most _BLOCK, or one order's n - 1 when that is more."""
+        per_block = max(1, _BLOCK // max(n - 1, 1))
+        return [_order(n, targets) for start in range(0, count, per_block)
+                for targets in self._swap_targets(n, min(per_block, count - start))]
+
+    def _swap_targets(self, n: int, count: int) -> list[list[int]]:
+        """count rows of randint(i + 1) for i = n-1 down to 1: the same
+        values from the same words, row after row."""
+        if n < 2:
+            return [[] for _ in range(count)]
+        size = count * (n - 1)
+        words = self._take(size)
+        if self._pos <= self._safe_end and n <= _SAFE_N:  # every word below _SAFE
+            return (words.reshape(count, n - 1) % _swap_bounds(n)).tolist()
+        self._pos -= size  # give the slice back; randint draws it word by word
+        return [[self.randint(i + 1) for i in range(n - 1, 0, -1)] for _ in range(count)]
+
+
+def _order(n: int, targets: list[int]) -> list[int]:
+    """range(n) shuffled by Fisher-Yates: items i and targets[n-1-i] swap
+    for i = n-1 down to 1."""
+    idx = list(range(n))
+    i = n - 1
+    for j in targets:
+        idx[i], idx[j] = idx[j], idx[i]
+        i -= 1
+    return idx
 
 
 def _mix(z: int) -> int:

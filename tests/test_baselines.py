@@ -100,6 +100,21 @@ class TestKnn:
         assert knn_predict_many(model, [(0.2, 0.0)])[0] == 1
         assert knn_predict_many(model, [(0.8, 0.0)])[0] == 0
 
+    # The query (0, 0) has point 0 at 0.5 and points 1-4 all at 1.0, so the
+    # k = 3 nearest take two of the four tied points: the first two by
+    # index. Here they vote 1 and 1; listed in the other order they vote 0
+    # and 0. The second query has no tie, so one block holds both kinds of
+    # row.
+    def test_tie_at_kth_distance_keeps_the_lowest_indices(self):
+        points = [[0.5, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        labels = [0, 1, 1, 0, 0]
+        X = [[0.0, 0.0], [10.0, 0.3]]
+        model = knn_fit(toy(points, labels), k=3)
+        assert knn_predict_many(model, X).tolist() == [1, 1]
+        order = [0, 3, 4, 1, 2]
+        model = knn_fit(toy([points[i] for i in order], [labels[i] for i in order]), k=3)
+        assert knn_predict_many(model, X).tolist() == [0, 1]
+
     def test_k_bounds(self):
         ds = toy([[0.0, 0.0], [1.0, 1.0]], [0, 1])
         with pytest.raises(ValueError):

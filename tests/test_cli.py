@@ -4,8 +4,12 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -548,6 +552,30 @@ class TestEveryErrorEndsAtItsStage:
         err = capsys.readouterr().err
         assert err.startswith(prefix) and "Permission denied" in err, err
         assert err.count("\n") == 1
+
+
+# numpy imports numpy.ma lazily, and np.unique is one caller that pulls it
+# in; importing it adds about a tenth to an `mpa` process's start-up. The
+# three commands of one fit -> predict -> bench dataset cycle run in one
+# fresh interpreter, which must end without it.
+def test_cli_commands_do_not_import_numpy_ma(iris_path, tmp_path):
+    src = str(Path(movingpoints.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fit = ["fit", "--input", str(iris_path), "--output", str(tmp_path / "m.json"),
+           *IRIS_ARGS, *FIT_ARGS]
+    predict = ["predict", "--model", str(tmp_path / "m.json"), "--input", str(iris_path),
+               "--output", str(tmp_path / "p.csv")]
+    bench = ["bench", "dataset", "--input", str(iris_path), "--label-col", "Species",
+             "--positive-label", "Iris-virginica", "--negative-label", "Iris-versicolor",
+             "--reps", "1", "--eta", "0.0005", "--output", str(tmp_path / "b.csv")]
+    code = ("import sys; from movingpoints.cli import main\n"
+            f"for argv in {[fit, predict, bench]!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_every_library_error_is_a_value_error():

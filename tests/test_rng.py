@@ -139,6 +139,30 @@ def test_permutation_falls_back_on_rejected_word():
     assert r.next_u64() == ref.next_u64()
 
 
+def test_permutations_fall_back_on_rejected_word():
+    # Word 13 of this stream is 2^64 - 1: word 4 of the second order of
+    # permutations(10, 3), drawn for i = 5 and rejected. The whole block is
+    # drawn again by randint, as three permutation(10) calls draw it.
+    seed = (unmix(MASK) - 14 * GAMMA) & MASK
+    assert reference_words(seed, 14)[13] == MASK
+    r = SplitMix64(seed)
+    ref = SplitMix64(seed)
+    assert r.permutations(10, 3) == [scalar_fisher_yates(ref, 10) for _ in range(3)]
+    assert r.next_u64() == ref.next_u64()
+
+
+def test_permutations_take_one_block_per_many_orders():
+    # 80-point orders take 79 words each, so 12 fit a block of _BLOCK words.
+    r = SplitMix64(5)
+    ref = SplitMix64(5)
+    takes = []
+    take = r._take
+    r._take = lambda count: takes.append(count) or take(count)
+    assert r.permutations(80, 30) == [ref.permutation(80) for _ in range(30)]
+    assert takes == [12 * 79, 12 * 79, 6 * 79]
+    assert r.permutations(80, 0) == [] and r.permutations(1, 2) == [[0], [0]]
+
+
 def test_shuffle_matches_permutation():
     r1 = SplitMix64(4)
     r2 = SplitMix64(4)
@@ -195,6 +219,9 @@ class UnbufferedSplitMix64:
     def permutation(self, n):
         return scalar_fisher_yates(self, n)
 
+    def permutations(self, n, count):
+        return [self.permutation(n) for _ in range(count)]
+
     def _words(self, count):
         return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
 
@@ -222,6 +249,7 @@ DRAWS = st.one_of(
     st.tuples(st.sampled_from(["uniforms", "normals"]), st.just(1)),  # single draws
     st.tuples(st.just("randint"), st.one_of(st.integers(1, 100), st.integers(1, MASK))),
     st.tuples(st.just("permutation"), st.integers(0, _BLOCK + 40)),
+    st.tuples(st.just("permutations"), st.integers(0, _BLOCK + 40), st.integers(0, 40)),
     st.tuples(st.just("uniforms"), st.integers(0, _BLOCK + 40)),
     st.tuples(st.just("normals"), st.integers(0, _BLOCK // 2 + 20)),
 )
@@ -265,21 +293,25 @@ THRESHOLD_DRAWS = [("randint", 7), ("permutation", 10), ("randint", 2**40)]
 @pytest.mark.parametrize("at", [0, _BLOCK - 1, _BLOCK])
 @pytest.mark.parametrize("name, arg, back", [
     ("randint", 7, 0), ("permutation", 10, 0), ("permutation", 10, 4), ("permutation", 10, 8),
-    ("randint", 2**40, 0)], ids=["randint7", "perm10", "perm10-back4", "perm10-back8",
-                                 "randint2^40"])
+    ("permutations", (10, 3), 12), ("randint", 2**40, 0)],
+    ids=["randint7", "perm10", "perm10-back4", "perm10-back8", "perms10x3-back12",
+         "randint2^40"])
 def test_words_either_side_of_the_fast_path_threshold(word, at, name, arg, back):
     # Word `at` of this stream is _SAFE - 1, the largest word that randint
     # takes without its bound test, or _SAFE, the smallest that it tests
     # (and still accepts for these bounds). It sits at the first or the
     # last index of a buffer; the draw under test starts `back` words
-    # before it (a permutation(10) draws 9 words).
+    # before it (a permutation(10) draws 9 words, so permutations(10, 3)
+    # draws it as word 3 of its second order, unless the stream starts
+    # nearer).
     seed = (unmix(word) - (at + 1) * GAMMA) & MASK
     assert reference_words(seed, at + 1)[at] == word
     lead = max(at - back, 0)
     r = SplitMix64(seed)
     ref = UnbufferedSplitMix64(seed)
     assert [r.next_u64() for _ in range(lead)] == [ref.next_u64() for _ in range(lead)]
-    assert same_draw(getattr(r, name)(arg), getattr(ref, name)(arg))
+    args = arg if isinstance(arg, tuple) else (arg,)
+    assert same_draw(getattr(r, name)(*args), getattr(ref, name)(*args))
     # The threshold recorded at the refill that mixed word `at`.
     assert r._safe_end == (at - r._base if word == _SAFE else r._buf.size)
     for draw in THRESHOLD_DRAWS:
