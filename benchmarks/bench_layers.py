@@ -17,9 +17,10 @@ with the cell's parameters and seed slot. One more training case times
 the n = 3 MPA fit of rep 0 of the Iris ``bench dataset`` protocol. One
 KNN case puts its rows on an integer grid, so that most rows tie at the
 k-th distance. The
-plane cases time ``hyperplane_from_points`` on Gaussian points and the
-plane that ``mpa.fit`` re-reads after one move, through the builder of
-``geometry._plane_builder(n)``, at n = 2, 3, 4, 8, 16 and 32. The epoch
+plane cases time ``hyperplane_from_points`` on Gaussian points and, 64
+to a round, the planes that ``mpa.fit`` re-reads after one move, through
+the builder of ``geometry._plane_builder(n)``, at n = 2, 3, 4, 8, 16 and
+32. The epoch
 cases time one epoch of ``mpa.train`` at dims 8 and 16. Two more
 training cases time a dim-8 train whose alpha makes the guard's
 pre-check run on nearly every move, its worst case. The guard
@@ -321,27 +322,32 @@ def test_overfit_guard(benchmark, n):
     assert out is not t and np.all(np.isfinite(out))
 
 
-# The plane of one move, as fit's loop re-reads it: each round moves one
-# point a small step in a copy of the point list, untimed, and builds
-# the plane through the new points with the builder of _plane_builder(n):
-# the line at n = 2, the cross product at n = 3 and the elimination above.
-# n = 16 and 32 put on record the per-move cost that no workload runs;
-# n = 32 is past the unrolled elimination and takes the numpy one.
+# The planes of 64 one-move point lists, as fit's loop re-reads them:
+# move k carries point k % n a small step, and the lists are made once,
+# untimed. Each round builds all 64 planes with the builder of
+# _plane_builder(n): the line at n = 2, the cross product at n = 3 and the
+# elimination above. A round's time is 64 builds, so that a per-round
+# setup does not weigh on the cheap builders of n = 2 to 4; divide by 64
+# for one build. n = 16 and 32 put on record the per-move cost that no
+# workload runs; n = 32 is past the unrolled elimination and takes the
+# numpy one.
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32], ids=lambda n: f"n{n}")
 def test_plane_builder(benchmark, n):
     stream = SplitMix64(n)
     pts = stream.normals(n * n).reshape(n, n).tolist()
     steps = (0.01 * stream.normals(n * 64).reshape(64, n)).tolist()
-    rounds = iter(range(10**9))
-
-    def setup():
-        k = next(rounds)
+    trials = []
+    for k, step in enumerate(steps):
         trial = pts[:]
-        trial[k % n] = [p + d for p, d in zip(pts[k % n], steps[k % 64])]
-        return tuple(trial), {}
+        trial[k % n] = [p + d for p, d in zip(pts[k % n], step)]
+        trials.append(trial)
+    build = _plane_builder(n)
 
-    plane = benchmark.pedantic(_plane_builder(n), setup=setup, rounds=2000)
-    assert len(plane) == n + 2 and np.all(np.isfinite(plane))
+    def all_moves():
+        return [build(*trial) for trial in trials]
+
+    planes = benchmark(all_moves)
+    assert all(len(plane) == n + 2 for plane in planes) and np.all(np.isfinite(planes))
 
 
 # One epoch from a cell's initial points: overlap cell (0, 90) at dim 8,

@@ -280,28 +280,29 @@ _SVG_MARGINS = (56.0, 16.0, 16.0, 44.0)  # left, right, top, bottom, in pixels
 def _clip_line_to_box(weights, bias, x0, x1, y0, y1):
     """Intersection segment of w.(x,y)+b=0 with an axis-aligned box.
 
-    Returns two (x, y) points or None when the line misses the box.
+    Returns two (x, y) points or None when the line misses the box. Its
+    tolerances are 1e-9 of the box's width and height, so no unit enters.
     """
     a, b2 = float(weights[0]), float(weights[1])
     c = float(bias)
     pts = []
+    tx, ty = 1e-9 * abs(x1 - x0), 1e-9 * abs(y1 - y0)
 
     def add(x, y):
         for px, py in pts:
-            if abs(px - x) <= 1e-9 * max(1.0, abs(x)) and abs(py - y) <= 1e-9 * max(1.0, abs(y)):
+            if abs(px - x) <= tx and abs(py - y) <= ty:
                 return
         pts.append((x, y))
 
-    tol = 1e-9
     if abs(b2) > 0:
         for xe in (x0, x1):
             y = -(a * xe + c) / b2
-            if y0 - tol * max(1.0, abs(y1 - y0)) <= y <= y1 + tol * max(1.0, abs(y1 - y0)):
+            if y0 - ty <= y <= y1 + ty:
                 add(xe, y)
     if abs(a) > 0:
         for ye in (y0, y1):
             x = -(b2 * ye + c) / a
-            if x0 - tol * max(1.0, abs(x1 - x0)) <= x <= x1 + tol * max(1.0, abs(x1 - x0)):
+            if x0 - tx <= x <= x1 + tx:
                 add(x, ye)
     if len(pts) < 2:
         return None

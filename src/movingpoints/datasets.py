@@ -265,7 +265,7 @@ def standardize_apply(params: StandardizerParams, ds: Dataset) -> Dataset:
 
 
 _JACOBI_SWEEPS = 100  # _jacobi_eigh's cap, and its stop: an off-diagonal
-_JACOBI_TOL = 1e-14  # norm at or below _JACOBI_TOL * max(1, max|a|)
+_JACOBI_TOL = 1e-14  # norm at or below _JACOBI_TOL * max|a|: 2^k a takes a's rotations
 
 
 def _jacobi_eigh(a: np.ndarray):
@@ -279,7 +279,7 @@ def _jacobi_eigh(a: np.ndarray):
     v = np.eye(n)
     if n == 1:
         return a.diagonal().copy(), v
-    scale = max(1.0, float(np.max(np.abs(a))))
+    scale = float(np.max(np.abs(a)))
     for _ in range(_JACOBI_SWEEPS):
         off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
         if off <= _JACOBI_TOL * scale:
@@ -287,7 +287,7 @@ def _jacobi_eigh(a: np.ndarray):
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
-                if abs(apq) <= 1e-300:
+                if apq == 0.0:
                     continue
                 # Rutishauser's stable rotation parameters.
                 theta = (a[q, q] - a[p, p]) / (2.0 * apq)

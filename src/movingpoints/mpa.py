@@ -40,7 +40,6 @@ import numpy as np
 
 from .datasets import Dataset
 from .geometry import (
-    EPS_DEGENERATE,
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
@@ -68,6 +67,7 @@ _MAX_GAP = 1e150
 _ROUNDING = 2.0 ** -52  # twice the unit roundoff 2^-53
 _UNDERFLOW = 2.0 ** -536  # covers the rounding of squares below the normal range
 _SUM_UP = 1.0 + 2.0 ** -50
+_SHORT, _SHORT_UP = 2.0 ** -400, 2.0 ** 600  # step_to scales a v below _SHORT by _SHORT_UP
 
 
 class IdenticalMeansError(ValueError):
@@ -215,7 +215,7 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     d = mu1 - mu0
     dl = d.tolist()
     gap = math.sqrt(_dot(dl, dl))
-    if gap <= EPS_DEGENERATE * float(np.abs([mu0, mu1]).max()):
+    if not gap:
         raise IdenticalMeansError("class means coincide")
 
     mid = 0.5 * (mu0 + mu1)
@@ -249,7 +249,8 @@ def movement_vector(model: MpaModel, q, g, lam: float):
     With mover c, u = c - q and w = g - q give v = w - u = g - c; the step
     is t = (v/||v||) * |eta * lambda|, i.e. length |eta*lambda| straight
     toward the sampled opposite-class point g, with eta the model's own.
-    Returns (mover_index, t). For every n this is the Python-float step of
+    Returns (mover_index, t); ZeroDisplacementError when g == c, the one
+    case with no direction. For every n this is the Python-float step of
     fit's loop, the generated nearest and step_to (_fixed_order).
     """
     q = as_rows([q], model.dim)[0]
@@ -257,9 +258,7 @@ def movement_vector(model: MpaModel, q, g, lam: float):
     nearest, step_to, _ = _fixed_order(model.dim)
     pts = model.moving_points.tolist()
     mover = nearest(pts, *q.tolist())
-    c = pts[mover]
-    scale = max(*map(abs, c), *map(abs, g))
-    return mover, np.array(step_to(*c, *g, scale, abs(model.config.eta * lam)))
+    return mover, np.array(step_to(*pts[mover], *g, abs(model.config.eta * lam)))
 
 
 def overfit_guard(model: MpaModel, mover_index: int, t):
@@ -395,7 +394,7 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     where w.x + b >= 0, is not its class's pseudo sign. Its nearest moving
     point then takes a guarded step of length |eta * lambda| toward a
     uniformly drawn member of the opposite class's near-cluster (redrawn up
-    to 8 times if the draw lands on the mover). It moves no point if the
+    to 8 times if the draw equals the mover). It moves no point if the
     step is 0.0 (a row on the plane), if all draws fail, or if the step
     would make the points affinely degenerate or leave the moved point or
     its plane outside the float range, which is undone. So fit raises
@@ -457,19 +456,21 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 # - nearest(pts, x0, ...): the row of pts nearest to x, the lowest index
 #   on ties, as argmin. Its lines are spliced into epochs as well, which
 #   finds each mover with them and so pays no call;
-# - step_to(c0, ..., g0, ..., scale, step): the step of length step from c
-#   toward g; ZeroDisplacementError when g sits on c relative to scale,
-#   the largest |c_k| or |g_k|. epochs calls it through its step_to
+# - step_to(c0, ..., g0, ..., step): the step of length step from c toward
+#   g along v = g - c, exact to a rounding of itself. When ||v|| < _SHORT,
+#   it is taken again from v scaled by _SHORT_UP, exactly, where no nonzero
+#   square underflows; so ||v|| reads 0.0, which alone raises
+#   ZeroDisplacementError, only when g == c, and underflow adds at most
+#   n 2^-1075 to a ||v||^2 >= 2^-800. epochs calls it through its step_to
 #   parameter, so a caller may pass its own;
 # - epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build): yields each
 #   epoch's misclassified count; draws[j] lists the rows example j may draw,
 #   and build(*rows) is geometry._plane_builder(n). The points live in the
 #   list pts, written back into P when the loop exits; a moved point enters
-#   pts only once its plane is built. pt_scale[i] is max(|p_i0|, ...), the
-#   mover's half of step_to's scale, and e_scale enters it with e. A row's
-#   side is -1 where raw = x0*w0 + ... + b < 0 and +1 otherwise,
-#   geometry.sides' sum and predict_many's rule; below[j] says that row j's
-#   class has pseudo sign -1, so a row whose side differs from it is a miss.
+#   pts only once its plane is built. A row's side is -1 where
+#   raw = x0*w0 + ... + b < 0 and +1 otherwise, geometry.sides' sum and
+#   predict_many's rule; below[j] says that row j's class has pseudo sign
+#   -1, so a row whose side differs from it is a miss.
 #   Its step |eta * (raw / ||w||)| has the bits of |eta * lambda|, as the
 #   pseudo sign only flips a sign. A step of 0.0, from a row on the plane or
 #   a quotient that underflows, moves no point and is skipped before any
@@ -530,22 +531,23 @@ def nearest(pts, {x}):
     return mover
 
 
-def step_to({c}, {g}, scale, step):
+def step_to({c}, {g}, step):
 {v}
     nv = math.sqrt({vv})
-    if nv <= EPS_DEGENERATE * scale:
-        raise ZeroDisplacementError("sampled target coincides with the mover")
+    if nv < _SHORT:
+{v_up}
+        nv = math.sqrt({vv})
+        if not nv:
+            raise ZeroDisplacementError("sampled target coincides with the mover")
     return {unit}
 """
 _EPOCHS_SOURCE = """
 
 def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build, step_to=step_to):
     rows = X.tolist()
-    row_scale = [max({abs_x}) for {x} in rows]  # max|X[r]|
     below = [sign < 0.0 for sign in pseudo.tolist()]
     eta = cfg.eta
     pts = P.tolist()
-    pt_scale = [max({abs_x}) for {x} in pts]
     {plane} = build(*pts)
     keys = [-math.inf] * len(pts)
     moved = 0.0
@@ -567,13 +569,12 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build, step_to=step_to):
                     continue
 {nearest}
                 {c} = row = pts[mover]
-                c_scale = pt_scale[mover]
                 members = draws[j]
                 for _attempt in range(1 + MAX_RESAMPLES):
                     target = members[rng.randint(len(members))]
                     {g} = rows[target]
                     try:
-                        t = step_to({c}, {g}, max(c_scale, row_scale[target]), step)
+                        t = step_to({c}, {g}, step)
                         break
                     except ZeroDisplacementError:
                         pass
@@ -612,7 +613,6 @@ def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build, step_to=step_to):
                     log.skips[OVERFLOW_REVERT] += 1
                     continue
                 pts[mover] = e
-                pt_scale[mover] = e_scale
                 moved = (moved + step * _GAP_UP + e_scale * e_round + e_tiny) * _SUM_UP
                 log.moves += 1
             yield miss
@@ -643,6 +643,7 @@ def _fixed_order_source(n: int) -> str:
     fields = dict(x=each("x{0}"), c=each("c{0}"), g=each("g{0}"))
     source = _STEP_SOURCE.format(**fields, nearest=indent(nearest, 4),
                                  v=each("    v{0} = g{0} - c{0}", "\n"),
+                                 v_up=each("        v{0} *= _SHORT_UP", "\n"),
                                  vv=each("v{0} * v{0}", " + "), unit=each("v{0} / nv * step"))
     plane = f"{each('w{0}')}, b, norm_w"
     planes = []
@@ -652,7 +653,7 @@ def _fixed_order_source(n: int) -> str:
         planes += [f"                    {head}:",
                    f"                        {plane} = build({args})"]
     return source + _EPOCHS_SOURCE.format(
-        **fields, nearest=indent(nearest, 16), plane=plane, t=each("t{0}"), abs_x=each("abs(x{0})"),
+        **fields, nearest=indent(nearest, 16), plane=plane, t=each("t{0}"),
         margin=each("x{0} * w{0}", " + "), f=each("f{0}"),
         gap=each("(f{0} - c{0}) * (f{0} - c{0})", " + "), t_or=each("t{0}", " or "),
         e=each("e{0}"), e_sums=each("c{0} + t{0}"), abs_e=each("abs(e{0})"),

@@ -28,7 +28,8 @@ Streaming discipline, fixed for all consumers:
   >= _SAFE (about one word in 2^32), and a draw from below that index
   takes this fast path; every other draw (a word at or past it, or
   n > 2^32) runs the exact test, which gives the same value or rejects.
-* shuffle: Fisher-Yates from the last index down, j = randint(i + 1).
+* permutation(n): range(n) shuffled by Fisher-Yates from the last index
+  down, item i swapping with j = randint(i + 1).
   permutations(n, count) draws count orders one after another, as count
   permutation(n) calls do, and takes their words in blocks: each block is
   one slice of the buffer holding the (n-1) words of as many whole orders
@@ -130,10 +131,6 @@ class SplitMix64:
             w = self.next_u64()
             if w < bound:
                 return w % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle: items in the order permutation(len(items))."""
-        items[:] = [items[k] for k in self.permutation(len(items))]
 
     def permutation(self, n: int) -> list[int]:
         return _order(n, self._swap_targets(n, 1)[0])

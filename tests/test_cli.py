@@ -20,6 +20,7 @@ from movingpoints import cli, datasets, mpa
 from movingpoints.bench import run_dataset_protocol, run_synthetic_suite
 from movingpoints.cli import main, render_scatter_svg
 from movingpoints.datasets import make_blobs
+from movingpoints.geometry import hyperplane_from_points
 from movingpoints.mpa import MpaConfig
 from test_acceptance import GOLDEN_C3_IRIS_REPORT
 
@@ -284,6 +285,23 @@ class TestPlot:
         model = mpa.load_model(model_path)
         preds = mpa.predict_many(model, ds.features)
         assert np.array_equal(preds, ds.labels)
+
+    def test_boundary_has_no_unit(self):
+        # The plot of X 2^k, with the model's points scaled alike, draws the
+        # boundary of X's plot: the clip's tolerances are the box's own.
+        ds = make_blobs(0, 3.0, 40, 2)
+        model, _ = mpa.train(ds)
+
+        def boundary(k):
+            P = model.moving_points * 2.0 ** k
+            svg = render_scatter_svg(ds.features * 2.0 ** k, ds.labels,
+                                     hyperplane_from_points(P), P)
+            return [line for line in svg.split("\n") if 'id="boundary"' in line]
+
+        want = boundary(0)
+        assert len(want) == 1
+        for k in range(-40, 41):
+            assert boundary(k) == want, k
 
     def test_header_text_is_escaped(self, iris_path, tmp_path):
         # A feature name holding <, & and > still gives a well-formed SVG.

@@ -277,6 +277,18 @@ class TestPca:
         p_ref = ref @ ref.T
         np.testing.assert_allclose(p_got, p_ref, atol=1e-8)
 
+    def test_power_of_two_scaling_keeps_components(self):
+        # No tolerance of the eigensolver has a unit: X 2^k has X's
+        # components bit for bit and its eigenvalues times 4^k.
+        stream = SplitMix64(20)
+        X = stream.normals(200).reshape(40, 5) * [5.0, 3.0, 1.0, 0.5, 0.1]
+        labels = np.tile([0, 1], 20)
+        want = pca_fit(Dataset(X, labels), 5)
+        for k in range(-40, 41):
+            got = pca_fit(Dataset(X * 2.0 ** k, labels), 5)
+            assert got.components.tobytes() == want.components.tobytes(), k
+            assert got.eigenvalues.tobytes() == (want.eigenvalues * 4.0 ** k).tobytes(), k
+
     def test_sign_convention(self):
         stream = SplitMix64(18)
         X = stream.normals(120).reshape(30, 4)

@@ -20,7 +20,6 @@ from exact_planes import below_hadamard_bound
 from movingpoints import bench, geometry, mpa
 from movingpoints.datasets import Dataset, NonBinaryLabelsError, make_blobs
 from movingpoints.geometry import (
-    EPS_DEGENERATE,
     DegeneratePointsError,
     DimensionMismatchError,
     Hyperplane,
@@ -197,6 +196,22 @@ class TestMovementVector:
         # nearest moving point to q=(2, 0) is (0, 0), index 1
         with pytest.raises(ZeroDisplacementError):
             movement_vector(model, (2, 0), model.moving_points[1], -1.0)
+
+    @pytest.mark.parametrize("offset", [1e-12, 2.5e-162, 5e-324],
+                             ids=["1e-12 |c|", "square rounds", "square underflows"])
+    def test_near_target_takes_a_full_step(self, offset):
+        # g is offset from the mover c = (1, 0), as near as 1e-12 |c|, or so
+        # near that the offset's square rounds to the least subnormal or to
+        # 0.0: it is not c, so c steps toward it at full length, not 1.125
+        # times that or not at all. Only g == c has no direction and is
+        # refused.
+        model = MpaModel(np.array([[1.0, 0.0], [0.0, 5.0]]), {0: -1, 1: 1}, alpha=0.1,
+                         config=MpaConfig(eta=0.1))
+        mover, t = movement_vector(model, (1.0, -1.0), (1.0, offset), -0.5)
+        assert mover == 0
+        assert t.tolist() == [0.0, 0.05]
+        with pytest.raises(ZeroDisplacementError):
+            movement_vector(model, (1.0, -1.0), (1.0, 0.0), -0.5)
 
     def test_magnitude_scales_with_eta_times_lambda(self):
         for eta, lam in [(0.1, -0.5), (0.01, -2.0), (1.0, -0.125)]:
@@ -665,15 +680,10 @@ class TestEarlyStopMeansAPerfectFit:
 # oracle. A plane is refused by the rule without a unit, ||w|| at most
 # n 2^-42 times the product of the edge norms, decided on the exact
 # edges (below_hadamard_bound), and a move whose plane is refused as
-# degenerate, or whose point or plane is not finite, is undone.
-
-def frozen_coordinate_scale(*arrays):
-    m = 0.0
-    for a in arrays:
-        a = np.asarray(a, dtype=float)
-        if a.size:
-            m = max(m, float(np.max(np.abs(a))))
-    return m
+# degenerate, or whose point or plane is not finite, is undone. A step is
+# refused only when g == c: a v = g - c shorter than SHORT is scaled by
+# SHORT_UP, exactly, before its norm, so no nonzero square underflows.
+SHORT, SHORT_UP = 2.0 ** -400, 2.0 ** 600
 
 
 def frozen_hyperplane(weights, bias):
@@ -761,7 +771,10 @@ def frozen_movement_vector(points, q, g, lam, eta):
     c = points[mover].tolist()
     v = [gk - ck for gk, ck in zip(g, c)]
     nv = math.sqrt(frozen_dot(v, v))
-    if nv <= EPS_DEGENERATE * frozen_coordinate_scale(c, g):
+    if nv < SHORT:
+        v = [vk * SHORT_UP for vk in v]
+        nv = math.sqrt(frozen_dot(v, v))
+    if not nv:
         raise ZeroDisplacementError("sampled target coincides with the mover")
     step = abs(eta * lam)
     return mover, np.array([vk / nv * step for vk in v])
@@ -780,7 +793,10 @@ def frozen_movement_vector_2d(points, q, g, lam, eta):
     v0 = g0 - c0
     v1 = g1 - c1
     nv = math.sqrt(v0 * v0 + v1 * v1)
-    if nv <= EPS_DEGENERATE * max(abs(c0), abs(c1), abs(g0), abs(g1)):
+    if nv < SHORT:
+        v0, v1 = v0 * SHORT_UP, v1 * SHORT_UP
+        nv = math.sqrt(v0 * v0 + v1 * v1)
+    if not nv:
         raise ZeroDisplacementError("sampled target coincides with the mover")
     step = abs(eta * lam)
     return mover, np.array([v0 / nv * step, v1 / nv * step])
@@ -804,7 +820,10 @@ def frozen_movement_vector_3d(points, q, g, lam, eta):
     v1 = g1 - c1
     v2 = g2 - c2
     nv = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-    if nv <= EPS_DEGENERATE * max(abs(c0), abs(c1), abs(c2), abs(g0), abs(g1), abs(g2)):
+    if nv < SHORT:
+        v0, v1, v2 = v0 * SHORT_UP, v1 * SHORT_UP, v2 * SHORT_UP
+        nv = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    if not nv:
         raise ZeroDisplacementError("sampled target coincides with the mover")
     step = abs(eta * lam)
     return mover, np.array([v0 / nv * step, v1 / nv * step, v2 / nv * step])
@@ -1205,7 +1224,7 @@ class TestGapFloor:
 
         def scaled_step_to(*args):
             c_unit, g_unit = ([x * down for x in args[i:i + n]] for i in (0, n))
-            t = step_to(*c_unit, *g_unit, max(map(abs, c_unit + g_unit)), args[-1] * down)
+            t = step_to(*c_unit, *g_unit, args[-1] * down)
             movers = [i for i, row in enumerate(state) if list(row) == list(args[:n])]
             assert len(movers) == 1
             if guard_sees_a_near_point(state, movers[0], alpha):
@@ -1522,12 +1541,20 @@ class TestUnits:
         assert model_k.moving_points.tobytes() == (model.moving_points * 2.0 ** k).tobytes()
         assert asdict(log_k) == asdict(log)
 
+    # At n = 2 the shifts stop at 1e4: the line's bias x1*y2 - x2*y1
+    # cancels to noise far from the origin (README "How it works").
     @settings(max_examples=40, deadline=None)
-    @given(dim=st.integers(2, 8), shift=st.sampled_from([1e3, -1e3, 1e4, -1e4]),
+    @given(dim_shift=st.integers(2, 8).flatmap(lambda dim: st.tuples(
+               st.just(dim), st.sampled_from([1e3, -1e3, 1e4, -1e4]
+                                             + [1e8, -1e8, 1e12, -1e12] * (dim > 2)))),
            seed=st.integers(0, 10_000), std=st.floats(1.0, 20.0))
-    @example(dim=8, shift=1e3, seed=0, std=3.0)
-    @example(dim=4, shift=1e4, seed=0, std=3.0)
-    def test_shifted_data_trains(self, dim, shift, seed, std):
+    @example(dim_shift=(8, 1e3), seed=0, std=3.0)
+    @example(dim_shift=(4, 1e4), seed=0, std=3.0)
+    @example(dim_shift=(3, 1e12), seed=0, std=1.0)
+    @example(dim_shift=(8, -1e12), seed=5, std=20.0)
+    @example(dim_shift=(5, 1e8), seed=2, std=10.0)
+    def test_shifted_data_trains(self, dim_shift, seed, std):
+        dim, shift = dim_shift
         ds = make_blobs(seed, std, 40, dim)
         try:
             train(ds)

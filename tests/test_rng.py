@@ -163,15 +163,6 @@ def test_permutations_take_one_block_per_many_orders():
     assert r.permutations(80, 0) == [] and r.permutations(1, 2) == [[0], [0]]
 
 
-def test_shuffle_matches_permutation():
-    r1 = SplitMix64(4)
-    r2 = SplitMix64(4)
-    items = list("abcdefgh")
-    r1.shuffle(items)
-    perm = r2.permutation(8)
-    assert items == ["abcdefgh"[i] for i in perm]
-
-
 def test_block_uniforms_match_scalar():
     block = SplitMix64(21)
     a = block.uniforms(977)
