@@ -28,10 +28,16 @@ cases time ``mpa.overfit_guard`` at n = 2, 3 and 8 on a step that it
 projects, so they put the per-n cost of the one shared guard on record.
 The cell cases time one whole grid cell and the fixed cost around its
 training loops: ``derive_seed`` and MPA's ``near_clusters`` and
-``initialize`` on the cell's split.
+``initialize`` on the cell's split. The start-up cases time fresh
+processes, as a user starts them: ``python -c pass``, and ``mpa fit`` and
+``mpa predict`` with the C1 Iris flags of perfbench's iris-cli workload,
+run through the entry point of the installed ``mpa`` script on this
+checkout's package; predict reads a model that fit wrote once, untimed.
 """
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +73,16 @@ NAMED, TIMED = named_package(), Path(movingpoints.__file__).resolve().parent
 if NAMED not in (None, TIMED):
     pytest.exit(f"PYTHONPATH names {NAMED}, but this run would time {TIMED}; "
                 "run bench_layers.py from the checkout to be timed")
+
+
+IRIS = Path(__file__).resolve().parents[1] / "tests" / "data" / "iris.csv"
+# The entry point of the installed `mpa` script, and the C1 Iris fit.
+CLI_ENTRY = "import sys; from movingpoints.cli import main; sys.exit(main())"
+FIT_ARGV = ["fit", "--input", str(IRIS), "--label-col", "Species",
+            "--positive-label", "Iris-setosa", "--negative-label", "Iris-versicolor",
+            "--features", "SepalLengthCm,SepalWidthCm", "--eta", "0.5", "--epochs", "200",
+            "--seed", "0"]
+START_ROUNDS = 15  # fresh processes per start-up case
 
 
 def cell_split(seed: int, std_index: int, dim: int):
@@ -208,8 +224,7 @@ def test_initialize_grid_2_9(benchmark):
 # as bench.run_dataset_protocol builds it: split, standardize, PCA to k = 3,
 # then the MPA fit with the rep's seed slot. It times the n = 3 loop.
 def test_train_iris_dataset_rep0(benchmark):
-    iris = load_csv(Path(__file__).resolve().parents[1] / "tests" / "data" / "iris.csv",
-                    label_column="Species", positive_label="Iris-virginica",
+    iris = load_csv(IRIS, label_column="Species", positive_label="Iris-virginica",
                     negative_label="Iris-versicolor")
     rep = derive_seed(0, 0)
     train_raw, _ = train_test_split(iris, 0.2, derive_seed(rep, 0))
@@ -278,7 +293,7 @@ def knn_case(benchmark, seed, std_index, dim):
     model = baselines.knn_fit(train_ds, k=3)
     X = np.vstack([train_ds.features, test_ds.features])
     preds = benchmark(baselines.knn_predict_many, model, X)
-    assert preds.shape == (100,) and set(preds.tolist()) <= {0, 1}
+    assert len(preds) == 100 and set(preds) <= {0, 1}
 
 
 def test_knn_predict_many_grid_2_9(benchmark):
@@ -300,7 +315,7 @@ def test_knn_predict_many_integer_grid_ties(benchmark):
     X = np.array([[stream.randint(7) - 1, stream.randint(7) - 1] for _ in range(100)], dtype=float)
     model = baselines.knn_fit(Dataset(points, labels), k=3)
     preds = benchmark(baselines.knn_predict_many, model, X)
-    assert preds.shape == (100,) and set(preds.tolist()) <= {0, 1}
+    assert len(preds) == 100 and set(preds) <= {0, 1}
 
 
 @pytest.mark.parametrize("n", [3, 8, 16, 32])
@@ -375,4 +390,33 @@ def test_predict_many_overlap_0_90_dim8(benchmark):
     model, _ = mpa.train(train_ds, cell_config(cell))
     X = np.vstack([train_ds.features, test_ds.features])
     preds = benchmark(mpa.predict_many, model, X)
-    assert preds.shape == (100,) and set(preds.tolist()) <= {0, 1}
+    assert len(preds) == 100 and set(preds) <= {0, 1}
+
+
+# Fresh processes, each timed from its start to its exit: the interpreter
+# alone, then the two Iris commands of the iris-cli workload. Each command
+# writes into a temporary directory; predict's model comes from one untimed
+# fit there.
+def run_process(*args: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(TIMED.parent)}
+    subprocess.run([sys.executable, *args], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_start_python_pass(benchmark):
+    benchmark.pedantic(run_process, args=("-c", "pass"), rounds=START_ROUNDS)
+
+
+def test_start_mpa_fit_iris(benchmark, tmp_path):
+    argv = [*FIT_ARGV, "--output", str(tmp_path / "model.json")]
+    benchmark.pedantic(run_process, args=("-c", CLI_ENTRY, *argv), rounds=START_ROUNDS)
+    assert (tmp_path / "model.json").is_file()
+
+
+def test_start_mpa_predict_iris(benchmark, tmp_path):
+    model = tmp_path / "model.json"
+    run_process("-c", CLI_ENTRY, *FIT_ARGV, "--output", str(model))
+    argv = ["predict", "--model", str(model), "--input", str(IRIS),
+            "--output", str(tmp_path / "pred.csv")]
+    benchmark.pedantic(run_process, args=("-c", CLI_ENTRY, *argv), rounds=START_ROUNDS)
+    assert (tmp_path / "pred.csv").is_file()

@@ -4,20 +4,23 @@ These are minimal self-contained stand-ins for the usual library
 implementations, kept in-repo so benchmark runs are auditable end to end.
 Published accuracy tables for the equivalent library models are
 reproduction targets with tolerance, not bit-exact references: the
-training heuristics (learning-rate schedules, solvers) differ.
+training heuristics (learning-rate schedules, solvers) differ. Every
+predictor returns a list of 0/1 ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 
-import numpy as np
-
 from .datasets import Dataset
-from .geometry import _affine, _generated, as_rows
+from .geometry import _generated, _margins, as_rows, float_rows
 from .rng import SplitMix64
+
+# np.ndarray in an annotation names numpy's array type; numpy itself is
+# imported only by the functions that compute on arrays, when they run.
 
 
 class EmptyModelError(ValueError):
@@ -50,8 +53,10 @@ def perceptron_fit(data: Dataset, eta: float = 1.0, epochs: int = 50,
     model takes no bits from BLAS. ValueError unless eta is finite and
     positive and epochs is a positive integer.
     """
+    import numpy as np
+
     data.require_binary()
-    if not 0.0 < eta < np.inf:
+    if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be finite and positive, got {eta}")
     _check_epochs(epochs)
     y = np.where(data.labels == 1, 1.0, -1.0).tolist()
@@ -77,12 +82,12 @@ def knn_fit(data: Dataset, k: int = 3) -> KnnModel:
 _KNN_BLOCK_ELEMENTS = 1 << 16
 
 
-def knn_predict_many(model: KnnModel, X) -> np.ndarray:
+def knn_predict_many(model: KnnModel, X) -> list[int]:
     """Per row of X, the majority label of its k nearest points.
 
     Distances are Euclidean, the square root of the squared coordinate
     differences summed column by column, (p0-x0)^2 + (p1-x1)^2 + ..., in
-    that order and element-wise, as geometry._affine sums: neither numpy's
+    that order and element-wise, as geometry._margins sums: neither numpy's
     reduction order nor the memory layout of X can move a near tie. The k
     nearest are those of a stable sort: every point nearer than the k-th
     distance, then the points at that distance by index. A tied vote goes
@@ -90,6 +95,8 @@ def knn_predict_many(model: KnnModel, X) -> np.ndarray:
     X is checked by geometry.as_rows: DimensionMismatchError unless it is
     (m, n) for the model's n, ValueError if it holds a non-finite value.
     """
+    import numpy as np
+
     P = model.points
     if P.shape[0] == 0:
         raise EmptyModelError("no training points")
@@ -118,7 +125,7 @@ def knn_predict_many(model: KnnModel, X) -> np.ndarray:
         ones = np.count_nonzero(chosen & is_one, axis=1)
         nearest = model.labels[dist.argmin(axis=1)]
         out[start:start + block] = np.where(2 * ones == k, nearest, 2 * ones > k)
-    return out
+    return out.tolist()
 
 
 @dataclass
@@ -144,8 +151,10 @@ def linear_svm_fit(data: Dataset, reg: float = 0.01, epochs: int = 30,
     model takes no bits from BLAS. ValueError unless reg is finite and
     positive and epochs is a positive integer.
     """
+    import numpy as np
+
     data.require_binary()
-    if not 0.0 < reg < np.inf:
+    if not 0.0 < reg < math.inf:
         raise ValueError(f"reg must be finite and positive, got {reg}")
     _check_epochs(epochs)
     y = np.where(data.labels == 1, 1.0, -1.0).tolist()
@@ -240,11 +249,13 @@ def _svm_loop(n: int):
     return _loop_source(_SVM_SOURCE, n)
 
 
-def linear_predict_many(model: PerceptronModel | LinearSvmModel, X) -> np.ndarray:
+def linear_predict_many(model: PerceptronModel | LinearSvmModel, X) -> list[int]:
     """Class 1 where weights . x + bias > 0, else class 0, per row of X.
 
-    weights . x + bias is geometry's fixed-order sum, as in geometry.sides,
-    and X is checked as sides checks it (geometry.as_rows).
+    weights . x + bias is geometry's fixed-order sum (_margins), as in
+    geometry.sides, and X is checked as sides checks it (geometry.float_rows).
     """
-    raw = _affine(as_rows(X, model.weights.size), model.weights, model.bias)
-    return (raw > 0).astype(int)
+    w = model.weights.tolist()
+    n = len(w)
+    return [1 if raw > 0.0 else 0
+            for raw in _margins(n)(float_rows(X, n), *w, float(model.bias))]

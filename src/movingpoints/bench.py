@@ -19,10 +19,10 @@ from one master seed, cell by cell.
 from __future__ import annotations
 
 import io
+import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import partial
-
-import numpy as np
 
 from . import baselines, mpa
 from .datasets import (
@@ -59,14 +59,14 @@ class EmptyError(ValueError):
 
 
 def accuracy(predictions, labels) -> float:
-    """Fraction of exact matches."""
-    p = np.asarray(predictions)
-    t = np.asarray(labels)
-    if p.shape != t.shape:
-        raise LengthMismatchError(f"shapes differ: {p.shape} vs {t.shape}")
-    if p.size == 0:
+    """Fraction of exact matches of two equal-length sequences or 1-D arrays."""
+    p = predictions.tolist() if hasattr(predictions, "tolist") else list(predictions)
+    t = labels.tolist() if hasattr(labels, "tolist") else list(labels)
+    if len(p) != len(t):
+        raise LengthMismatchError(f"lengths differ: {len(p)} vs {len(t)}")
+    if not p:
         raise EmptyError("no items to score")
-    return int(np.count_nonzero(p == t)) / p.size
+    return sum(map(operator.eq, p, t)) / len(p)
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def run_dataset_protocol(ds: Dataset, repetitions: int = 5,
     _check_test_fraction(test_fraction)
     _check_at_least(repetitions=(repetitions, 1), pca_k=(pca_k, 1),
                     svm_epochs=(svm_epochs, 1))
-    if not 0.0 < svm_reg < np.inf:
+    if not 0.0 < svm_reg < math.inf:
         raise InvalidParamsError(f"svm_reg must be finite and positive, got {svm_reg}")
     mpa_cfg = mpa_cfg or mpa.MpaConfig()
     report = BenchReport(metadata={

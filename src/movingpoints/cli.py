@@ -27,8 +27,6 @@ import inspect
 import os
 import sys
 
-import numpy as np
-
 from . import bench, mpa
 from .datasets import Dataset, InvalidParamsError, _read_csv, load_csv
 from .geometry import as_rows
@@ -233,7 +231,7 @@ def cmd_predict(args) -> int:
             print(f"dropped rows with missing values: {dropped}")
 
     preds = mpa.predict_many(model, X)
-    _write_output(args.output, "prediction\n" + "".join(f"{int(p)}\n" for p in preds))
+    _write_output(args.output, "prediction\n" + "".join(f"{p}\n" for p in preds))
     if labels is not None:
         print(f"accuracy: {bench.accuracy(preds, labels)}")
     print(f"predictions: {args.output}")
@@ -317,10 +315,16 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
 
     Class 0 renders as circles, class 1 as squares; moving points as
     crosses. The boundary is clipped to the data bounding box padded by
-    10% per axis. Deterministic text output: fixed 2-decimal pixel
-    coordinates, and the axis names escaped as XML text. The features and
-    moving points pass geometry.as_rows; RefuseNon2DError unless both are 2-D.
+    10% of its span per axis; an axis whose data do not spread is padded
+    by 10% of the other axis's span, or, when no axis spreads, of the
+    largest |coordinate| (1.0 for data all at the origin). So no unit
+    enters: data and points scaled by 2^k draw the same pixels.
+    Deterministic text output: fixed 2-decimal pixel coordinates, and the
+    axis names escaped as XML text. The features and moving points pass
+    geometry.as_rows; RefuseNon2DError unless both are 2-D.
     """
+    import numpy as np
+
     X = as_rows(features)
     y = np.asarray(labels, dtype=int)
     mp = as_rows(moving_points)
@@ -335,7 +339,8 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     span = hi - lo
-    pad = np.where(span > 0, 0.1 * span, 1.0)
+    fallback = 0.1 * (span.max() or np.abs(X).max() or 1.0)
+    pad = np.where(span > 0, 0.1 * span, fallback)
     lo = lo - pad
     hi = hi + pad
 

@@ -8,19 +8,25 @@ of dropped rows is kept on the returned dataset.
 All randomness (blob sampling, split membership) goes through the portable
 generator in :mod:`movingpoints.rng`, so every artifact is reproducible
 bit-for-bit from its seed on any platform.
+
+The CSV reader returns rows of Python floats; a Dataset holds numpy
+arrays, and each function that computes on them imports numpy when it
+runs, so reading a CSV for `mpa predict` loads no numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
-import numpy as np
-
-from .geometry import EPS_DEGENERATE, as_rows
+from .geometry import as_rows
 from .rng import SplitMix64
+
+# np.ndarray in an annotation names numpy's array type; numpy itself is
+# imported only by the functions that compute on arrays, when they run.
+EPS_DEGENERATE = 1e-9  # standardize_apply's relative floor on a column's std
 
 
 class NonBinaryLabelsError(ValueError):
@@ -74,6 +80,8 @@ class Dataset:
     dropped_rows: int = 0
 
     def __post_init__(self):
+        import numpy as np
+
         X = as_rows(self.features)
         y = np.asarray(self.labels, dtype=int)
         if X.shape[0] == 0:
@@ -129,6 +137,7 @@ def _read_csv(path, feature_columns=None, label_column: str | None = None,
               keep_labels=None):
     """Parse a CSV into (features, labels, feature column names, dropped rows).
 
+    features are the kept rows, lists of finite Python floats.
     feature_columns=None selects every column except the label column.
     labels holds the stripped label cells, or None without a label column;
     with keep_labels given, rows whose label is not in it are filtered out
@@ -180,7 +189,7 @@ def _read_csv(path, feature_columns=None, label_column: str | None = None,
 
     if not feats:
         raise NoRowsRemainingError(f"{path}: no usable rows remain")
-    return np.array(feats, dtype=float), labels, list(feature_columns), dropped
+    return feats, labels, list(feature_columns), dropped
 
 
 def load_csv(path, label_column: str, positive_label: str,
@@ -201,8 +210,7 @@ def load_csv(path, label_column: str, positive_label: str,
             f"{path}: only one class present after filtering "
             f"(positive {positive_label!r})"
         )
-    return Dataset(X, np.array(labels, dtype=int), feature_names=names,
-                   dropped_rows=dropped)
+    return Dataset(X, labels, feature_names=names, dropped_rows=dropped)
 
 
 def make_blobs(seed: int, std: float, n_per_class: int = 50, dim: int = 2,
@@ -220,6 +228,8 @@ def make_blobs(seed: int, std: float, n_per_class: int = 50, dim: int = 2,
     scatter scale multiplies the same normal draws, so two calls differing
     only in std share their centers and per-point directions exactly.
     """
+    import numpy as np
+
     if not (std > 0) or n_per_class < 1 or dim < 2 or not (center_halfwidth > 0):
         raise InvalidParamsError(
             f"need std > 0, n_per_class >= 1, dim >= 2, center_halfwidth > 0; "
@@ -256,6 +266,8 @@ def standardize_fit(train: Dataset) -> StandardizerParams:
 def standardize_apply(params: StandardizerParams, ds: Dataset) -> Dataset:
     """Shift/scale by training statistics; a (near-)constant column, whose
     std is at most EPS_DEGENERATE * |mean| in any unit, maps to 0."""
+    import numpy as np
+
     out = ds.features - params.mean
     dead = params.std <= EPS_DEGENERATE * np.abs(params.mean)
     out[:, dead] = 0.0
@@ -274,6 +286,8 @@ def _jacobi_eigh(a: np.ndarray):
     Returns (eigenvalues, eigenvectors-as-columns), unordered. Deterministic:
     fixed pivot order (p < q row-major), no randomized starts.
     """
+    import numpy as np
+
     a = np.array(a, dtype=float)
     n = a.shape[0]
     v = np.eye(n)
@@ -318,10 +332,12 @@ class PcaParams:
     mean: np.ndarray
     components: np.ndarray
     k: int
-    eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
+    eigenvalues: np.ndarray
 
 
 def pca_fit(train: Dataset, k: int) -> PcaParams:
+    import numpy as np
+
     n = train.n
     if isinstance(k, bool) or not (isinstance(k, Integral) and 1 <= k <= n):
         raise InvalidKError(f"k must be an integer in 1..{n}, got {k!r}")
@@ -380,8 +396,8 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int):
             f"split {n_train}/{n_test} of {m} rows leaves an empty side"
         )
     perm = SplitMix64(seed).permutation(m)
-    test_idx = np.sort(np.array(perm[:n_test], dtype=int))
-    train_idx = np.sort(np.array(perm[n_test:], dtype=int))
+    test_idx = sorted(perm[:n_test])
+    train_idx = sorted(perm[n_test:])
 
     def take(idx):
         return Dataset(ds.features[idx].copy(), ds.labels[idx].copy(),

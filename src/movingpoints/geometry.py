@@ -1,10 +1,16 @@
 """Vectors, hyperplanes, and the plane through n points.
 
-A set of points is a C-ordered (m, n) float64 array, one point per row;
-every point set the library takes is validated by :func:`as_rows`. A
-hyperplane is stored as the coefficients of its implicit equation
-``weights . x + bias = 0``; no normalization is imposed, so two
-coefficient sets that differ by a nonzero scalar describe the same flat.
+A set of points is a list of rows, one point per row, with two checks
+of one rule: :func:`as_rows` makes a data matrix a C-ordered (m, n)
+float64 array, and :func:`float_rows` makes a model's points, a plane's
+weights and the rows that :func:`sides` places lists of Python floats.
+A hyperplane is stored as the coefficients of its implicit equation
+``weights . x + bias = 0``, the weights a tuple of floats; no
+normalization is imposed, so two coefficient sets that differ by a
+nonzero scalar describe the same flat. A side is the sign of the
+fixed-order sum x0*w0 + x1*w1 + ... + b (_margins), the one rule of fit,
+predict and the linear baselines. Only as_rows and the elimination past
+n = 16 import numpy, each when it runs.
 
 The plane through n points p_0, ..., p_{n-1} in n dimensions is read off
 the edges p_i - p_0: w . y = det([p_1 - p_0 | ... | p_{n-1} - p_0 | y])
@@ -32,9 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain
 
-import numpy as np
-
-EPS_DEGENERATE = 1e-9
+# np.ndarray in an annotation names numpy's array type; numpy itself is
+# imported only by the functions that compute on arrays, when they run.
 _RATIO_EPS = 2.0 ** -42  # 2^10 eps: the refusal ratio per point (see above)
 _MAX_UNROLLED = 16  # _unrolled_source grows as n^3, to 15,000 lines at n = 32
 _DEPENDENT = "points are affinely dependent and define no unique hyperplane"
@@ -62,6 +67,8 @@ def as_rows(points, n: int | None = None) -> np.ndarray:
     The C order makes a mean over axis 0 add the rows one after another,
     whatever the layout of the input.
     """
+    import numpy as np
+
     try:
         X = np.ascontiguousarray(points, dtype=float)
     except ValueError:
@@ -74,27 +81,58 @@ def as_rows(points, n: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 1-D point, got shape {X.shape[1:]}")
     if n is not None and X.shape[1] != n:
         raise DimensionMismatchError(f"expected rows of dimension {n}, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("point has non-finite coordinates")
     return X
 
 
+def float_rows(points, n: int | None = None) -> list[list[float]]:
+    """Validate and return points as a list of rows of Python floats.
+
+    The rule of :func:`as_rows`: every row one or more finite coordinates,
+    n wide when n is given; zero rows pass. Sequences are checked on Python
+    floats, without numpy. An array, which numpy made, and a set that fails
+    the check go to as_rows, which raises its own error for a malformed set
+    (DimensionMismatchError on a bad shape, ValueError on a non-finite
+    coordinate or one that is not a number), so both checks refuse alike.
+    """
+    rows = points
+    if not hasattr(points, "tolist"):
+        try:
+            rows = list(points)
+            out = None if str in map(type, rows) else [list(map(float, row)) for row in rows]
+        except (TypeError, ValueError):
+            out = None
+        if out is not None and _well_formed(out, n):
+            return out
+    return as_rows(rows, n).tolist()
+
+
+def _well_formed(rows: list, n: int | None) -> bool:
+    """Whether rows, lists of floats, are one width of one or more (n when
+    given) and every coordinate is finite."""
+    widths = set(map(len, rows))
+    return (not widths or len(widths) == 1 and 0 not in widths
+            and (n is None or widths == {n})
+            and all(map(math.isfinite, chain.from_iterable(rows))))
+
+
 @dataclass(frozen=True)
 class Hyperplane:
-    """Coefficients of ``weights . x + bias = 0``."""
+    """Coefficients of ``weights . x + bias = 0``: a tuple of floats and a float."""
 
-    weights: np.ndarray
+    weights: tuple[float, ...]
     bias: float
 
     def __post_init__(self):
-        w = as_rows([self.weights])[0]
+        w = tuple(float_rows([self.weights])[0])
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
         _normal_norm(w, self.bias)
 
     @property
     def dim(self) -> int:
-        return self.weights.size
+        return len(self.weights)
 
 
 def _dot(u, v) -> float:
@@ -123,11 +161,10 @@ def _check_normal(b: float, norm: float) -> None:
         raise DegeneratePointsError("hyperplane normal is zero")
 
 
-def _normal_norm(weights: np.ndarray, bias: float) -> float:
+def _normal_norm(weights, bias: float) -> float:
     """||weights|| (a fixed-order sum, see _dot) of a plane that passes
     :func:`_check_normal`, which raises otherwise."""
-    wl = weights.tolist()
-    norm = math.sqrt(_dot(wl, wl))
+    norm = math.sqrt(_dot(weights, weights))
     _check_normal(bias, norm)
     return norm
 
@@ -226,9 +263,9 @@ def _plane3_coeffs(p1, p2, p3) -> tuple[float, float, float, float, float]:
     return w0, w1, w2, bias, norm
 
 
-def _eliminate(edges: np.ndarray) -> list[float]:
-    """The normal w of the plane through p_0 and p_0 + each row of the
-    (n - 1, n) array edges: the left null vector c of A = edges^T, n x
+def _eliminate(edges) -> list[float]:
+    """The normal w of the plane through p_0 and p_0 + each of the n - 1
+    edges, rows of n floats: the left null vector c of A = edges^T, n x
     (n - 1), scaled so that c . y = det([A | y]).
 
     Gaussian elimination with partial pivoting gives Pi A = L U; c is
@@ -236,22 +273,27 @@ def _eliminate(edges: np.ndarray) -> list[float]:
     product of the pivots, and is read by back substitution with _dot.
     Element-wise numpy and _dot only, so no bit comes from BLAS. A pivot
     of exactly 0.0 means A has rank below n - 1, and every entry is 0.0.
+    Floating-point warnings are off, as the Python-float builders raise
+    none; the builders' test refuses what does not stay finite.
     """
-    a = edges.T.copy()
+    import numpy as np
+
+    a = np.array(edges, dtype=float).T.copy()
     n = a.shape[0]
     order = list(range(n))
     det = 1.0
-    for col in range(n - 1):
-        row = col + int(np.abs(a[col:, col]).argmax())
-        if row != col:
-            a[[col, row]] = a[[row, col]]
-            order[col], order[row] = order[row], order[col]
-            det = -det
-        p = float(a[col, col])
-        if p == 0.0:
-            return [0.0] * n
-        det *= p
-        a[col + 1:, col + 1:] -= (a[col + 1:, col] / p)[:, None] * a[col, col + 1:]
+    with np.errstate(all="ignore"):
+        for col in range(n - 1):
+            row = col + int(np.abs(a[col:, col]).argmax())
+            if row != col:
+                a[[col, row]] = a[[row, col]]
+                order[col], order[row] = order[row], order[col]
+                det = -det
+            p = float(a[col, col])
+            if p == 0.0:
+                return [0.0] * n
+            det *= p
+            a[col + 1:, col + 1:] -= (a[col + 1:, col] / p)[:, None] * a[col, col + 1:]
     # a[k+1:, k] is column k of L times pivot k: divide once per entry of c.
     c = [det]
     for k in range(n - 2, -1, -1):
@@ -324,7 +366,8 @@ def _generated(*names: str, maxsize: int = 32):
     one object or a tuple of them. It compiles the text in source's module
     globals on the first call for each n, so importing builds nothing, and
     lru_cache keeps the last maxsize n. Every loop generated per n is built
-    here: the plane (_unrolled), mpa's training loop and the baselines'."""
+    here: the plane (_unrolled), the side rule's sum (_margins), mpa's
+    training loop and the baselines'."""
     def decorate(source):
         def compiled(n: int):
             namespace: dict = {}
@@ -351,16 +394,14 @@ def _plane_coeffs(*rows) -> tuple[float, ...]:
     The fast test takes h, the product of the edge norms (math.hypot) from
     the first, and a plane that fails it goes through :func:`_recheck`. A
     non-finite coordinate fails that test: a NaN one makes h NaN, and an
-    infinite one makes it infinite or NaN. Floating-point warnings are
-    off while numpy works, as the Python-float builders raise none.
+    infinite one makes it infinite or NaN.
     """
-    pts = np.array(rows)
-    with np.errstate(all="ignore"):  # the test below refuses what does not stay finite
-        edges = pts[1:] - pts[0]
-        w = _eliminate(edges)
-    b = -_dot(w, rows[0])
+    p0 = rows[0]
+    edges = [[x - z for x, z in zip(p, p0)] for p in rows[1:]]
+    w = _eliminate(edges)
+    b = -_dot(w, p0)
     norm = math.sqrt(_dot(w, w))
-    h = math.prod(math.hypot(*edge) for edge in edges.tolist())
+    h = math.prod(math.hypot(*edge) for edge in edges)
     if not (0.0 < len(rows) * _RATIO_EPS * h < norm < math.inf and math.isfinite(b)):
         _recheck(rows, b, norm, _DEPENDENT)
     return (*w, b, norm)
@@ -387,20 +428,33 @@ def hyperplane_from_points(points) -> Hyperplane:
     are, 14 at n = 36 and all at n = 40), and NonFinitePlaneError when a
     coefficient or ||w|| is not finite.
     """
-    pts = as_rows(points)
-    n = pts.shape[0]
-    if pts.shape[1] != n:
+    pts = float_rows(points)
+    n = len(pts)
+    if not pts or len(pts[0]) != n:
         raise DimensionMismatchError(
-            f"need exactly n points of dimension n, got {pts.shape[0]} points "
-            f"of dimension {pts.shape[1]}"
+            f"need exactly n points of dimension n, got {n} points "
+            f"of dimension {len(pts[0]) if pts else 0}"
         )
-    *weights, bias, _ = _plane_builder(n)(*pts.tolist())
-    return Hyperplane(np.array(weights), bias)
+    *weights, bias, _ = _plane_builder(n)(*pts)
+    return Hyperplane(tuple(weights), bias)
 
 
 def line_from_points(e, f) -> Hyperplane:
     """Line through two distinct 2-D points: hyperplane_from_points([e, f])."""
-    return hyperplane_from_points(as_rows([e, f], 2))
+    return hyperplane_from_points(float_rows([e, f], 2))
+
+
+@_generated("margins")
+def _margins(n: int):
+    """margins(rows, w0, ..., w{n-1}, b): the list of x0*w0 + x1*w1 + ...
+    + b for the rows of n Python floats, summed in that order (_dot's,
+    then + b): no BLAS kernel and no fused multiply-add, so a row's value
+    does not depend on the CPU or on the other rows. The margin of fit's
+    loop is spelled the same."""
+    xs, ws = (", ".join(f"{v}{k}" for k in range(n)) for v in "xw")
+    terms = " + ".join(f"x{k} * w{k}" for k in range(n))
+    return (f"def margins(rows, {ws}, b):\n"
+            f"    return [{terms} + b for {xs}{',' if n == 1 else ''} in rows]\n")
 
 
 def signed_displacement(h: Hyperplane, x) -> float:
@@ -408,38 +462,23 @@ def signed_displacement(h: Hyperplane, x) -> float:
 
     (weights . x + bias) / ||weights||; the sign says which side of the
     hyperplane x lies on, following the orientation of the coefficients.
-    Both sums are fixed-order (_affine, _normal_norm), so times the pseudo
-    sign this is the lambda that mpa.fit computes at n = 2 and 3, bit for bit.
+    Both sums are fixed-order (_margins, _normal_norm), so times the pseudo
+    sign this is the lambda that mpa.fit computes at every n, bit for bit.
     """
-    X = as_rows([x], h.dim)
-    return float(_affine(X, h.weights, h.bias)[0]) / _normal_norm(h.weights, h.bias)
+    raw, = _margins(h.dim)(float_rows([x], h.dim), *h.weights, h.bias)
+    return raw / _normal_norm(h.weights, h.bias)
 
 
-def _affine(X: np.ndarray, w: np.ndarray, bias: float) -> np.ndarray:
-    """X @ w + bias per row of X, an as_rows array of w.size columns,
-    summed column by column.
-
-    X[:, 0]*w[0] + X[:, 1]*w[1] + ... + bias, in that order and element-wise,
-    not by BLAS, so a row's value does not depend on the CPU kernel or on
-    the other rows of X.
+def sides(h: Hyperplane, X) -> list[int]:
+    """-1, 0 or +1 per row of X: the sign of weights . x + bias, the
+    fixed-order sum of _margins, so a row's side does not depend on the
+    other rows of X. 0 means exactly on the plane, or a sum that is not a
+    number (products past the float range). X is checked by float_rows.
     """
-    raw = X[:, 0] * w[0]
-    for j in range(1, w.size):
-        raw += X[:, j] * w[j]
-    raw += bias
-    return raw
-
-
-def sides(h: Hyperplane, X) -> np.ndarray:
-    """-1, 0 or +1 per row of the (m, n) array X: the sign of weights . x +
-    bias, the fixed-order sum of _affine, so a row's side does not depend
-    on the other rows of X. 0 means exactly on the plane, or a sum that is
-    not a number (products past the float range). X is checked by as_rows.
-    """
-    raw = _affine(as_rows(X, h.dim), h.weights, h.bias)
-    return (raw > 0).astype(int) - (raw < 0)
+    return [(raw > 0.0) - (raw < 0.0)
+            for raw in _margins(h.dim)(float_rows(X, h.dim), *h.weights, h.bias)]
 
 
 def region_sign(h: Hyperplane, x) -> int:
     """-1, 0, or +1: the sign of weights . x + bias at the point x (see sides)."""
-    return int(sides(h, [x])[0])
+    return sides(h, [x])[0]

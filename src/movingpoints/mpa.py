@@ -27,6 +27,11 @@ fixed order, and one fixed-order guard (_guard). After every move it
 re-reads the plane through the points with the builder that
 hyperplane_from_points uses for that n, so a model takes no bits from
 the BLAS kernel that numpy picks for the CPU (see fit).
+
+A model is Python floats: its points are n lists of n floats and its
+plane a tuple of weights and a bias, so loading one and predicting with
+it import no numpy. Training does: the class means, the near clusters and
+the default alpha are computed on the data's arrays.
 """
 
 from __future__ import annotations
@@ -34,9 +39,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
-
-import numpy as np
 
 from .datasets import Dataset
 from .geometry import (
@@ -46,11 +50,12 @@ from .geometry import (
     NonFinitePlaneError,
     _dot,
     _generated,
+    _margins,
     _plane_builder,
     as_rows,
+    float_rows,
     hyperplane_from_points,
     region_sign,
-    sides,
 )
 from .rng import SplitMix64
 
@@ -108,7 +113,8 @@ class MpaConfig:
             if isinstance(value, bool) or not (
                     isinstance(value, numbers.Real) or name == "alpha" and value is None):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.early_stop, (bool, np.bool_)):
+        numpy = sys.modules.get("numpy")  # no numpy bool exists while numpy is unloaded
+        if not isinstance(self.early_stop, bool if numpy is None else (bool, numpy.bool_)):
             raise ValueError(f"early_stop must be a boolean, got {self.early_stop!r}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
@@ -129,15 +135,20 @@ class MpaConfig:
 
 
 class MpaModel:
-    """n moving points, their pseudo-sign map, and the cached boundary."""
+    """n moving points, their pseudo-sign map, and the cached boundary.
+
+    moving_points are n lists of n Python floats, checked by
+    geometry.float_rows; hyperplane is the plane through them.
+    """
 
     def __init__(self, moving_points, pseudo_sign, alpha: float,
                  config: MpaConfig, feature_names=None):
-        pts = as_rows(moving_points)
-        n = pts.shape[0]
-        if pts.shape != (n, n) or n < 2:
+        pts = float_rows(moving_points)
+        n = len(pts)
+        if n < 2 or len(pts[0]) != n:
             raise DimensionMismatchError(
-                f"need n >= 2 moving points of dimension n, got shape {pts.shape}"
+                f"need n >= 2 moving points of dimension n, "
+                f"got shape ({n}, {len(pts[0]) if pts else 0})"
             )
         if set(pseudo_sign) != {0, 1} or set(pseudo_sign.values()) != {-1, 1}:
             raise ValueError(f"pseudo_sign must map {{0,1}} onto {{-1,+1}}, got {pseudo_sign}")
@@ -158,10 +169,10 @@ class MpaModel:
 
     @property
     def dim(self) -> int:
-        return self.moving_points.shape[0]
+        return len(self.moving_points)
 
 
-def _complement_basis(direction: np.ndarray) -> np.ndarray:
+def _complement_basis(direction: list) -> list:
     """Orthonormal basis of the orthogonal complement of one direction.
 
     Gram-Schmidt over the standard basis, skipping vectors that are nearly
@@ -169,7 +180,7 @@ def _complement_basis(direction: np.ndarray) -> np.ndarray:
     orthonormal to machine precision. Python floats throughout, every dot
     product and norm a fixed-order sum (see _dot).
     """
-    d = direction.tolist()
+    d = direction
     n = len(d)
     nd = math.sqrt(_dot(d, d))
     basis = [[x / nd for x in d]]
@@ -190,7 +201,7 @@ def _complement_basis(direction: np.ndarray) -> np.ndarray:
             out.append(v)
     if len(out) != n - 1:
         raise DegeneratePointsError("could not complete the complement basis")
-    return np.array(out)
+    return out
 
 
 def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
@@ -210,19 +221,16 @@ def initialize(class0_points, class1_points, cfg: MpaConfig) -> MpaModel:
     if n < 2:
         raise DimensionMismatchError(f"need dimension >= 2, got {n}")
 
-    mu0 = X0.mean(axis=0)
-    mu1 = X1.mean(axis=0)
-    d = mu1 - mu0
-    dl = d.tolist()
-    gap = math.sqrt(_dot(dl, dl))
+    mu0 = X0.mean(axis=0).tolist()
+    mu1 = X1.mean(axis=0).tolist()
+    d = [b - a for a, b in zip(mu0, mu1)]
+    gap = math.sqrt(_dot(d, d))
     if not gap:
         raise IdenticalMeansError("class means coincide")
 
-    mid = 0.5 * (mu0 + mu1)
+    mid = [0.5 * (a + b) for a, b in zip(mu0, mu1)]
     s = cfg.init_spread * gap
-    pts = np.empty((n, n))
-    pts[0] = mid
-    pts[1:] = mid + s * _complement_basis(d)
+    pts = [mid] + [[m + s * v for m, v in zip(mid, b)] for b in _complement_basis(d)]
 
     alpha = cfg.alpha if cfg.alpha is not None else 0.1 * _least_gap(pts)
 
@@ -249,16 +257,16 @@ def movement_vector(model: MpaModel, q, g, lam: float):
     With mover c, u = c - q and w = g - q give v = w - u = g - c; the step
     is t = (v/||v||) * |eta * lambda|, i.e. length |eta*lambda| straight
     toward the sampled opposite-class point g, with eta the model's own.
-    Returns (mover_index, t); ZeroDisplacementError when g == c, the one
-    case with no direction. For every n this is the Python-float step of
-    fit's loop, the generated nearest and step_to (_fixed_order).
+    Returns (mover_index, t), t a list of floats; ZeroDisplacementError
+    when g == c, the one case with no direction. For every n this is the
+    Python-float step of fit's loop, the generated nearest and step_to
+    (_fixed_order). q and g pass geometry.float_rows.
     """
-    q = as_rows([q], model.dim)[0]
-    g = as_rows([g], model.dim)[0].tolist()
+    (q,), (g,) = (float_rows([v], model.dim) for v in (q, g))
     nearest, step_to, _ = _fixed_order(model.dim)
-    pts = model.moving_points.tolist()
-    mover = nearest(pts, *q.tolist())
-    return mover, np.array(step_to(*pts[mover], *g, abs(model.config.eta * lam)))
+    pts = model.moving_points
+    mover = nearest(pts, *q)
+    return mover, list(step_to(*pts[mover], *g, abs(model.config.eta * lam)))
 
 
 def overfit_guard(model: MpaModel, mover_index: int, t):
@@ -270,13 +278,14 @@ def overfit_guard(model: MpaModel, mover_index: int, t):
     until no near neighbor keeps a component above 2^-46 ||t|| (projecting for
     one neighbor can re-open another), with a hard pass cap falling back
     to a zero move. Movements pointing away from every near neighbor pass
-    through untouched: the input object itself is returned. This is the
-    guard of fit's loop for every n (_guard). DimensionMismatchError unless
-    t has the model's dimension, ValueError on a non-finite component.
+    through untouched: the input object itself is returned; a projected
+    step is a list of floats. This is the guard of fit's loop for every n
+    (_guard). t passes geometry.float_rows: DimensionMismatchError unless
+    it has the model's dimension, ValueError on a non-finite component.
     """
-    step = as_rows([t], model.dim)[0].tolist()
-    out = _guard(model.moving_points.tolist(), mover_index, step, model.alpha)
-    return t if out is step else np.array(out)
+    step, = float_rows([t], model.dim)
+    out = _guard(model.moving_points, mover_index, step, model.alpha)
+    return t if out is step else out
 
 
 def _guard(pts: list, mover: int, t, alpha: float):
@@ -320,6 +329,8 @@ def near_clusters(data: Dataset, percentile: float) -> dict:
     the single-nearest fallback stays as a belt for degenerate percentile
     arithmetic.
     """
+    import numpy as np
+
     out = {}
     for label in (0, 1):
         idx = np.nonzero(data.labels == label)[0]
@@ -413,9 +424,8 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     own distance, so no projection is skipped. The same rule serves every n:
     a pre-check computes those distances only when a per-point gap floor,
     kept through the moves, cannot prove them all above alpha. The loop
-    writes its points into model.moving_points when it exits, and
-    model.hyperplane is then set from hyperplane_from_points(points), as a
-    reloaded model's is.
+    moves the rows of model.moving_points in place, and model.hyperplane is
+    then set from hyperplane_from_points(points), as a reloaded model's is.
     """
     cfg = model.config
     X = as_rows(data.features, model.dim)
@@ -423,26 +433,23 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 
     clusters = near_clusters(data, cfg.near_cluster_percentile)
     rng = SplitMix64(cfg.seed)
-    y = data.labels
+    labels = data.labels.tolist()
     # Per example, the members of the opposite class's near cluster.
     opposite = [clusters[1].tolist(), clusters[0].tolist()]
-    draws = [opposite[label] for label in y.tolist()]
-    pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0]).astype(float)
+    draws = [opposite[label] for label in labels]
+    below = [model.pseudo_sign[label] < 0 for label in labels]
 
-    P = model.moving_points
     log = TrainingLog()
-    loop = _fixed_order(model.dim)[2](P, X, pseudo, draws, rng, cfg, model.alpha, log,
-                                      _plane_builder(model.dim))
     try:
-        for miss in loop:
+        for miss in _fixed_order(model.dim)[2](model.moving_points, X, below, draws, rng, cfg,
+                                               model.alpha, log, _plane_builder(model.dim)):
             log.misclassified.append(miss)
             log.epochs_run += 1
             if cfg.early_stop and miss == 0:
                 log.stopped_early = True
                 break
     finally:
-        loop.close()  # the loop writes its points into P as it exits
-        model.hyperplane = hyperplane_from_points(P)
+        model.hyperplane = hyperplane_from_points(model.moving_points)
 
     return log
 
@@ -463,11 +470,11 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
 #   ZeroDisplacementError, only when g == c, and underflow adds at most
 #   n 2^-1075 to a ||v||^2 >= 2^-800. epochs calls it through its step_to
 #   parameter, so a caller may pass its own;
-# - epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build): yields each
+# - epochs(pts, X, below, draws, rng, cfg, alpha, log, build): yields each
 #   epoch's misclassified count; draws[j] lists the rows example j may draw,
-#   and build(*rows) is geometry._plane_builder(n). The points live in the
-#   list pts, written back into P when the loop exits; a moved point enters
-#   pts only once its plane is built. A row's side is -1 where
+#   and build(*rows) is geometry._plane_builder(n). The points are the
+#   list pts of lists of floats, the model's own; a moved point replaces
+#   its row only once its plane is built. A row's side is -1 where
 #   raw = x0*w0 + ... + b < 0 and +1 otherwise, geometry.sides' sum and
 #   predict_many's rule; below[j] says that row j's class has pseudo sign
 #   -1, so a row whose side differs from it is a miss.
@@ -543,81 +550,76 @@ def step_to({c}, {g}, step):
 """
 _EPOCHS_SOURCE = """
 
-def epochs(P, X, pseudo, draws, rng, cfg, alpha, log, build, step_to=step_to):
+def epochs(pts, X, below, draws, rng, cfg, alpha, log, build, step_to=step_to):
     rows = X.tolist()
-    below = [sign < 0.0 for sign in pseudo.tolist()]
     eta = cfg.eta
-    pts = P.tolist()
     {plane} = build(*pts)
     keys = [-math.inf] * len(pts)
     moved = 0.0
     far = alpha * _GAP_UP
     e_round = math.sqrt(len(pts)) * _ROUNDING
     e_tiny = math.sqrt(len(pts)) * _UNDERFLOW
-    try:
-        for _epoch in range(cfg.epochs):
-            miss = 0
-            for j in rng.permutation(len(rows)):
-                {x} = rows[j]
-                raw = {margin} + b
-                if (raw < 0.0) == below[j]:
-                    continue
-                miss += 1
-                step = abs(eta * (raw / norm_w))
-                if not step:
-                    log.skips[ZERO_STEP] += 1
-                    continue
+    for _epoch in range(cfg.epochs):
+        miss = 0
+        for j in rng.permutation(len(rows)):
+            {x} = rows[j]
+            raw = {margin} + b
+            if (raw < 0.0) == below[j]:
+                continue
+            miss += 1
+            step = abs(eta * (raw / norm_w))
+            if not step:
+                log.skips[ZERO_STEP] += 1
+                continue
 {nearest}
-                {c} = row = pts[mover]
-                members = draws[j]
-                for _attempt in range(1 + MAX_RESAMPLES):
-                    target = members[rng.randint(len(members))]
-                    {g} = rows[target]
-                    try:
-                        t = step_to({c}, {g}, step)
-                        break
-                    except ZeroDisplacementError:
-                        pass
-                else:
-                    log.skips[RESAMPLE_EXHAUSTED] += 1
-                    continue
-                if not keys[mover] - moved > far:
-                    least = _MAX_GAP
-                    for f in pts:
-                        if f is row:
-                            continue
-                        {f} = f
-                        gap = math.sqrt({gap})
-                        if 0.0 < gap <= alpha:
-                            t = _guard(pts, mover, t, alpha)
-                            step = math.sqrt(_dot(t, t))
-                            break
-                        if gap < least:
-                            least = gap
-                    else:
-                        if least >= _MIN_GAP:
-                            keys[mover] = (least + moved) * _GAP_DOWN
-                {t} = t
-                if not ({t_or}):
-                    log.skips[GUARD_ZEROED] += 1
-                    continue
-                {e} = {e_sums}
-                e = [{e}]
-                e_scale = max({abs_e})
+            {c} = row = pts[mover]
+            members = draws[j]
+            for _attempt in range(1 + MAX_RESAMPLES):
+                target = members[rng.randint(len(members))]
+                {g} = rows[target]
                 try:
+                    t = step_to({c}, {g}, step)
+                    break
+                except ZeroDisplacementError:
+                    pass
+            else:
+                log.skips[RESAMPLE_EXHAUSTED] += 1
+                continue
+            if not keys[mover] - moved > far:
+                least = _MAX_GAP
+                for f in pts:
+                    if f is row:
+                        continue
+                    {f} = f
+                    gap = math.sqrt({gap})
+                    if 0.0 < gap <= alpha:
+                        t = _guard(pts, mover, t, alpha)
+                        step = math.sqrt(_dot(t, t))
+                        break
+                    if gap < least:
+                        least = gap
+                else:
+                    if least >= _MIN_GAP:
+                        keys[mover] = (least + moved) * _GAP_DOWN
+            {t} = t
+            if not ({t_or}):
+                log.skips[GUARD_ZEROED] += 1
+                continue
+            {e} = {e_sums}
+            e = [{e}]
+            e_scale = max({abs_e})
+            try:
 {planes}
-                except DegeneratePointsError:
-                    log.skips[DEGENERATE_REVERT] += 1
-                    continue
-                except NonFinitePlaneError:
-                    log.skips[OVERFLOW_REVERT] += 1
-                    continue
-                pts[mover] = e
-                moved = (moved + step * _GAP_UP + e_scale * e_round + e_tiny) * _SUM_UP
-                log.moves += 1
-            yield miss
-    finally:
-        P[:] = pts
+            except DegeneratePointsError:
+                log.skips[DEGENERATE_REVERT] += 1
+                continue
+            except NonFinitePlaneError:
+                log.skips[OVERFLOW_REVERT] += 1
+                continue
+            pts[mover] = e
+            moved = (moved + step * _GAP_UP + e_scale * e_round + e_tiny) * _SUM_UP
+            log.moves += 1
+        yield miss
 """
 
 
@@ -650,10 +652,10 @@ def _fixed_order_source(n: int) -> str:
     for i in ks:
         head = "if mover == 0" if i == 0 else "else" if i == n - 1 else f"elif mover == {i}"
         args = ", ".join("e" if k == i else f"pts[{k}]" for k in ks)
-        planes += [f"                    {head}:",
-                   f"                        {plane} = build({args})"]
+        planes += [f"                {head}:",
+                   f"                    {plane} = build({args})"]
     return source + _EPOCHS_SOURCE.format(
-        **fields, nearest=indent(nearest, 16), plane=plane, t=each("t{0}"),
+        **fields, nearest=indent(nearest, 12), plane=plane, t=each("t{0}"),
         margin=each("x{0} * w{0}", " + "), f=each("f{0}"),
         gap=each("(f{0} - c{0}) * (f{0} - c{0})", " + "), t_or=each("t{0}", " or "),
         e=each("e{0}"), e_sums=each("c{0} + t{0}"), abs_e=each("abs(e{0})"),
@@ -666,10 +668,14 @@ def _fixed_order(n: int):
     return _fixed_order_source(n)
 
 
-def _least_gap(P: np.ndarray) -> float:
-    """The least distance between two rows of P, NaN if any distance is NaN
-    (np.min's rule); each distance has np.linalg.norm's bits, the sqrt of a
-    row sum of squares. initialize's default alpha is 0.1 times it."""
+def _least_gap(points) -> float:
+    """The least distance between two of the points, NaN if any distance is
+    NaN (np.min's rule); each distance has np.linalg.norm's bits, the sqrt
+    of a row sum of squares, whose order numpy picks from n = 8 on.
+    initialize's default alpha is 0.1 times it."""
+    import numpy as np
+
+    P = np.array(points, dtype=float)
     n = P.shape[0]
     D = (P[:, None, :] - P[None, :, :]).reshape(n * n, -1)
     gaps = np.sqrt(np.add.reduce(D * D, axis=1))
@@ -679,19 +685,23 @@ def _least_gap(P: np.ndarray) -> float:
 
 def predict(model: MpaModel, x) -> int:
     """predict_many for the single point x."""
-    return int(predict_many(model, [x])[0])
+    return predict_many(model, [x])[0]
 
 
-def predict_many(model: MpaModel, X) -> np.ndarray:
-    """Per row of X, the class whose pseudo sign matches its side of the boundary.
+def predict_many(model: MpaModel, X) -> list[int]:
+    """Per row of X, the class (0 or 1) whose pseudo sign matches its side
+    of the boundary.
 
-    The side is +1 where w.x + b >= 0 (sides, its 0 on the boundary taken
-    as +1) and -1 below: fit counts a misclassified example by this rule.
-    sides checks X: DimensionMismatchError unless it is (m, n) for the
-    model's n, ValueError on a non-finite value.
+    The side is -1 where raw = w.x + b < 0 and +1 otherwise (sides' sign,
+    its 0 on the boundary taken as +1), raw being geometry's fixed-order
+    sum: fit counts a misclassified example by this comparison. X passes
+    geometry.float_rows: DimensionMismatchError unless it is (m, n) for
+    the model's n, ValueError on a non-finite value.
     """
-    side = sides(model.hyperplane, X)
-    return (np.where(side == 0, 1, side) == model.pseudo_sign[1]).astype(int)
+    h = model.hyperplane
+    below = model.pseudo_sign[1] < 0  # class 1 lies where raw < 0
+    return [1 if (raw < 0.0) == below else 0
+            for raw in _margins(h.dim)(float_rows(X, h.dim), *h.weights, h.bias)]
 
 
 def train(data: Dataset, cfg: MpaConfig | None = None):
@@ -707,7 +717,7 @@ def train(data: Dataset, cfg: MpaConfig | None = None):
 
 def training_accuracy(model: MpaModel, data: Dataset) -> float:
     preds = predict_many(model, data.features)
-    return float(np.mean(preds == data.labels))
+    return sum(p == y for p, y in zip(preds, data.labels.tolist())) / len(preds)
 
 
 def model_document(model: MpaModel) -> str:
@@ -752,12 +762,13 @@ def parse_model_document(text: str) -> MpaModel:
     if not all(type(v) is int and v in (-1, 1) for v in pseudo_sign.values()):
         raise ValueError(f"pseudo_sign values must be the integers -1 and 1, got {pseudo_sign}")
     try:
-        pts = as_rows(doc["moving_points"])
-    except (TypeError, OverflowError) as exc:  # an object, a list or an integer past 1e308
+        pts = float_rows(doc["moving_points"])
+    except (TypeError, OverflowError) as exc:  # an object or an integer past 1e308
         raise ValueError(f"moving_points must hold finite numbers: {exc}") from None
     dim = doc.get("dim")
-    if pts.shape != (dim, dim):
-        raise ValueError(f"dim {dim!r} does not match moving points of shape {pts.shape}")
+    shape = (len(pts), len(pts[0])) if pts else (0,)
+    if shape != (dim, dim):
+        raise ValueError(f"dim {dim!r} does not match moving points of shape {shape}")
     cfg = MpaConfig(**doc["config"])
     return MpaModel(pts, {int(k): v for k, v in pseudo_sign.items()}, doc.get("alpha"), cfg,
                     feature_names=doc.get("feature_names"))

@@ -37,14 +37,20 @@ Streaming discipline, fixed for all consumers:
   _SAFE is taken as w mod (i + 1) whole; a slice at or past it is given
   back and drawn by randint one word at a time. permutation(n) is the
   one-order case, so both draw the same words with the same fallback.
+
+The words are mixed in numpy, which is imported, with the uint64
+constants below, at the first refill of the process (_uint64): a stream
+that draws nothing loads no numpy.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from types import SimpleNamespace
 
-import numpy as np
+# np.ndarray in an annotation names numpy's array type; numpy itself is
+# imported at the first refill (_uint64).
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -52,23 +58,35 @@ _TWO53 = float(1 << 53)
 _SAFE = (1 << 64) - (1 << 32)  # every word below it is accepted by randint(n), n <= 2^32
 _SAFE_N = 1 << 32
 _BLOCK = 1024  # words mixed per refill; faster than 256 on overlap-8d
-_GAMMA_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_U_MIX1, _U_MIX2, _U11, _U27, _U30, _U31 = (
-    np.uint64(c) for c in (_MIX1, _MIX2, 11, 27, 30, 31))
-_U_SAFE = np.uint64(_SAFE)
+
+
+@lru_cache(maxsize=1)
+def _uint64() -> SimpleNamespace:
+    """numpy (np) and the uint64 constants of the mix, built once, at the
+    first refill: gamma_steps (k * gamma for k = 1.._BLOCK), mix1, mix2,
+    the shifts s11, s27, s30 and s31, and safe (_SAFE)."""
+    import numpy as np
+
+    u = np.uint64
+    return SimpleNamespace(
+        np=np, gamma_steps=np.arange(1, _BLOCK + 1, dtype=u) * u(_GAMMA),
+        mix1=u(_MIX1), mix2=u(_MIX2), s11=u(11), s27=u(27), s30=u(30), s31=u(31),
+        safe=u(_SAFE))
 
 
 def _word_block(seed: int, start: int, count: int) -> np.ndarray:
     """Words start..start+count-1 of the stream for `seed` (uint64 wraps)."""
-    steps = (_GAMMA_STEPS[:count] if count <= _BLOCK
+    u = _uint64()
+    np = u.np
+    steps = (u.gamma_steps[:count] if count <= _BLOCK
              else np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
     z = steps + np.uint64((seed + start * _GAMMA) & _MASK)
-    z ^= z >> _U30
-    z *= _U_MIX1
-    z ^= z >> _U27
-    z *= _U_MIX2
-    z ^= z >> _U31
+    z ^= z >> u.s30
+    z *= u.mix1
+    z ^= z >> u.s27
+    z *= u.mix2
+    z ^= z >> u.s31
     return z
 
 
@@ -77,6 +95,7 @@ def _swap_bounds(n: int) -> np.ndarray:
     """Bounds i+1 for i = n-1 down to 1, as one (1, n-1) row (read-only,
     shared): numpy divides a one-order block by a row of its own shape
     faster than by a broadcast 1-D array."""
+    np = _uint64().np
     bounds = np.arange(n, 1, -1, dtype=np.uint64).reshape(1, n - 1)
     bounds.setflags(write=False)
     return bounds
@@ -89,15 +108,17 @@ class SplitMix64:
         self._seed = seed & _MASK
         self._base = 0  # stream index of _buf[0]
         self._pos = 0  # buffer index of the next word
-        self._buf = _GAMMA_STEPS[:0]
+        self._buf = ()  # the words of the last refill
+        self._size = -1  # their count; -1 before the first refill, so that any draw refills
         self._safe_end = 0  # buffer index of the first word >= _SAFE, or its size
 
     def _take(self, count: int) -> np.ndarray:
         """The next `count` words, as a view of the buffer."""
-        if self._pos + count > self._buf.size:
+        if self._pos + count > self._size:
             self._base += self._pos
             self._buf = buf = _word_block(self._seed, self._base, max(count, _BLOCK))
-            unsafe = buf >= _U_SAFE
+            self._size = buf.size
+            unsafe = buf >= _uint64().safe
             first = int(unsafe.argmax())  # the first word >= _SAFE, or 0 if none
             self._safe_end = first if unsafe[first] else buf.size
             self._pos = 0
@@ -109,13 +130,14 @@ class SplitMix64:
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` uniform doubles in [0, 1), one word each."""
-        return (self._take(count) >> _U11).astype(np.float64) / _TWO53
+        return (self._take(count) >> _uint64().s11).astype(float) / _TWO53
 
     def normals(self, count: int) -> np.ndarray:
         """`count` standard normals, two words each (see module doc)."""
         words = self._take(2 * count)
-        u = ((words[0::2] >> _U11).astype(np.float64) + 1.0) / _TWO53  # (0, 1]
-        v = (words[1::2] >> _U11).astype(np.float64) / _TWO53
+        s11, np = _uint64().s11, _uint64().np
+        u = ((words[0::2] >> s11).astype(np.float64) + 1.0) / _TWO53  # (0, 1]
+        v = (words[1::2] >> s11).astype(np.float64) / _TWO53
         return np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v)
 
     def randint(self, n: int) -> int:

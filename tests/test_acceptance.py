@@ -40,6 +40,8 @@ PENGUIN_COLUMNS = ("species plus the four numeric columns bill_length_mm, "
 GOLDEN_C1_MODEL = "b0008f890c6d8fd175c1056da493c73547e859027981ef34c5ff73cf03cd40dd"
 GOLDEN_C2_REPORT = "b3bad4861458a960888e803e52f53804766ed8fb1df8b712f6ac4a0f2eb6475e"
 GOLDEN_C3_IRIS_REPORT = "9947684ad4673621f1bb978a524f7b141cd8335f3a20c5a821dd0222ecc85853"
+# `mpa predict` with the C1 model on the whole Iris file (every row, no label flags).
+GOLDEN_C1_PREDICTIONS = "baa82c728b6ad02a536d9bf13900f815d90f8968c1a3d02e53f90ec8274483ee"
 
 
 def sha256(text: str) -> str:

@@ -22,7 +22,7 @@ from movingpoints.cli import main, render_scatter_svg
 from movingpoints.datasets import make_blobs
 from movingpoints.geometry import hyperplane_from_points
 from movingpoints.mpa import MpaConfig
-from test_acceptance import GOLDEN_C3_IRIS_REPORT
+from test_acceptance import GOLDEN_C1_PREDICTIONS, GOLDEN_C3_IRIS_REPORT
 
 IRIS_ARGS = [
     "--label-col", "Species",
@@ -113,6 +113,13 @@ class TestPredict:
         assert len(lines) == 101
         assert set(lines[1:]) <= {"0", "1"}
         assert "accuracy: 1.0" in capsys.readouterr().out
+
+    def test_writes_the_golden_predictions(self, iris_path, model_path, tmp_path):
+        # Every Iris row, virginica included, as the iris-cli benchmark runs it.
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model_path), "--input", str(iris_path),
+                     "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_C1_PREDICTIONS
 
     def test_unlabeled_input_uses_model_features(self, iris_path, model_path,
                                                  tmp_path):
@@ -293,7 +300,7 @@ class TestPlot:
         model, _ = mpa.train(ds)
 
         def boundary(k):
-            P = model.moving_points * 2.0 ** k
+            P = np.array(model.moving_points) * 2.0 ** k
             svg = render_scatter_svg(ds.features * 2.0 ** k, ds.labels,
                                      hyperplane_from_points(P), P)
             return [line for line in svg.split("\n") if 'id="boundary"' in line]
@@ -302,6 +309,26 @@ class TestPlot:
         assert len(want) == 1
         for k in range(-40, 41):
             assert boundary(k) == want, k
+
+    def test_constant_feature_has_no_unit(self):
+        # An axis whose data do not spread is padded by a length of the
+        # data, so the plot of X 2^k and the points 2^k puts every mark on
+        # the pixel of X's plot; only the tick labels, data values, change.
+        ds = make_blobs(0, 3.0, 40, 2)
+        model, _ = mpa.train(ds)
+        X = ds.features.copy()
+        X[:, 1] = 1.5
+        P = np.array(model.moving_points)
+
+        def marks(k):
+            svg = render_scatter_svg(X * 2.0 ** k, ds.labels,
+                                     hyperplane_from_points(P * 2.0 ** k), P * 2.0 ** k)
+            return re.sub(r">[^<]*</text>", "></text>", svg)
+
+        want = marks(0)
+        assert 'id="mp0"' in want
+        assert marks(20) == want
+        assert marks(-20) == want
 
     def test_header_text_is_escaped(self, iris_path, tmp_path):
         # A feature name holding <, & and > still gives a well-formed SVG.
@@ -572,14 +599,22 @@ class TestEveryErrorEndsAtItsStage:
         assert err.count("\n") == 1
 
 
-# numpy imports numpy.ma lazily, and np.unique is one caller that pulls it
-# in; importing it adds about a tenth to an `mpa` process's start-up. The
-# three commands of one fit -> predict -> bench dataset cycle run in one
-# fresh interpreter, which must end without it.
-def test_cli_commands_do_not_import_numpy_ma(iris_path, tmp_path):
+def fresh_interpreter(code: str) -> list[str]:
+    """The output lines of code run by a fresh interpreter on this checkout."""
     src = str(Path(movingpoints.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.splitlines()
+
+
+# numpy imports numpy.ma lazily, and np.unique is one caller that pulls it
+# in; importing it adds about a tenth to an `mpa` process's start-up. The
+# three commands of one fit -> predict -> bench dataset cycle run in one
+# fresh interpreter, which must end without it. numpy itself is more than a
+# third of a process's start-up, and `mpa predict` needs none of it: see
+# test_import_and_predict_load_no_numpy below.
+def test_cli_commands_do_not_import_numpy_ma(iris_path, tmp_path):
     fit = ["fit", "--input", str(iris_path), "--output", str(tmp_path / "m.json"),
            *IRIS_ARGS, *FIT_ARGS]
     predict = ["predict", "--model", str(tmp_path / "m.json"), "--input", str(iris_path),
@@ -591,9 +626,26 @@ def test_cli_commands_do_not_import_numpy_ma(iris_path, tmp_path):
             f"for argv in {[fit, predict, bench]!r}:\n"
             "    assert main(argv) == 0, argv\n"
             "print('numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert fresh_interpreter(code)[-1] == "False"
+
+
+# A model is n points and the side of the plane through them: importing
+# the package and the CLI, and predicting with the C1 model, load no numpy.
+def test_import_and_predict_load_no_numpy(iris_path, tmp_path):
+    assert fit_iris(iris_path, tmp_path / "m.json") == 0
+    predict = ["predict", "--model", str(tmp_path / "m.json"), "--input", str(iris_path),
+               "--output", str(tmp_path / "p.csv")]
+    code = ("import sys\n"
+            "import movingpoints\n"
+            "print('numpy' in sys.modules)\n"
+            "from movingpoints.cli import main\n"
+            "print('numpy' in sys.modules)\n"
+            f"assert main({predict!r}) == 0\n"
+            "print('numpy' in sys.modules)")
+    found = [line for line in fresh_interpreter(code) if line in ("True", "False")]
+    assert found == ["False", "False", "False"]
+    assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == \
+        GOLDEN_C1_PREDICTIONS
 
 
 def test_every_library_error_is_a_value_error():

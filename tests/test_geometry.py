@@ -25,6 +25,7 @@ from movingpoints.geometry import (
     _line_coeffs,
     _plane3_coeffs,
     as_rows,
+    float_rows,
     hyperplane_from_points,
     line_from_points,
     region_sign,
@@ -32,6 +33,7 @@ from movingpoints.geometry import (
     signed_displacement,
 )
 from movingpoints.baselines import (
+    PerceptronModel,
     knn_fit,
     knn_predict_many,
     linear_predict_many,
@@ -53,7 +55,7 @@ from movingpoints.rng import SplitMix64
 def projection_distance(h: Hyperplane, x) -> float:
     """Independent route: project x onto the plane, return signed length."""
     x = np.asarray(x, dtype=float)
-    w = h.weights
+    w = np.array(h.weights)
     raw = float(w @ x + h.bias)
     foot = x - (raw / float(w @ w)) * w
     return np.sign(raw) * float(np.linalg.norm(x - foot))
@@ -293,7 +295,7 @@ class TestEliminationMatchesPerMinorOracle:
     @pytest.mark.parametrize("p", [49.0, -7.0, 0.3, 0.0])  # 49 * (1/49) != 1
     def test_one_point_plane_is_x_minus_p(self, p):
         h = hyperplane_from_points([[p]])
-        assert h.weights.tolist() == [1.0] and h.bias == -p
+        assert h.weights == (1.0,) and h.bias == -p
 
 
 class TestBuildersMatchExactPlane:
@@ -788,7 +790,7 @@ class TestRegionSign:
 def scalar_region_sign(h: Hyperplane, x) -> int:
     """The side rule for one point on Python floats: the sign of
     x0*w0 + x1*w1 + ... + b, summed left to right."""
-    x, w = np.asarray(x, dtype=float).tolist(), h.weights.tolist()
+    x, w = np.asarray(x, dtype=float).tolist(), list(h.weights)
     raw = x[0] * w[0]
     for xk, wk in zip(x[1:], w[1:]):
         raw += xk * wk
@@ -815,7 +817,7 @@ class TestSideRuleMatchesScalar:
         X = np.vstack([pts, off])
         want = [scalar_region_sign(h, x) for x in X]
         assert [region_sign(h, x) for x in X] == want
-        assert sides(h, X).tolist() == want
+        assert sides(h, X) == want
 
 
 class TestSides:
@@ -825,12 +827,90 @@ class TestSides:
         # region_sign on the row alone put it at -1
         h = line_from_points(np.array([0.0, 1.0]) * 1e-6, np.array([2.0, 2.0]) * 1e-6)
         X = np.array([[0.0, 1.0], [2.0, 2.0], [1.0, 1.0]]) * 1e-6
-        assert sides(h, X).tolist() == [region_sign(h, x) for x in X]
+        assert sides(h, X) == [region_sign(h, x) for x in X]
 
     def test_wrong_width_is_refused(self):
         h = Hyperplane(np.array([1.0, 0.0]), 0.0)
         with pytest.raises(DimensionMismatchError):
             sides(h, np.zeros((4, 3)))
+
+
+def frozen_affine(X, w, bias) -> np.ndarray:
+    """The side rule's sum as numpy computed it before it moved to Python
+    floats (geometry._affine): X @ w + bias per row of X, summed column by
+    column and element-wise, X[:, 0]*w[0] + X[:, 1]*w[1] + ... + bias."""
+    X = np.asarray(X, dtype=float)
+    w = np.asarray(w, dtype=float)
+    with np.errstate(all="ignore"):  # products past the float range are the point
+        raw = X[:, 0] * w[0]
+        for j in range(1, w.size):
+            raw += X[:, j] * w[j]
+        raw += bias
+    return raw
+
+
+def nudged(x: float, ulps: int) -> float:
+    """x moved ulps units in the last place, up for ulps > 0."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def planes_and_rows(draw):
+    """(w, b, rows): a plane in 1..8 dimensions and rows around it. Rows of
+    any finite floats make products past the float range (inf, and inf -
+    inf = NaN), and the rows whose last coordinate solves w . x + b = 0,
+    then moves a few ulps, lie within a few roundings of the plane."""
+    n = draw(st.integers(1, 8))
+    weight = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e150, 1e150))
+    w = draw(st.lists(weight, min_size=n, max_size=n))
+    b = draw(st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False)))
+    wide = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(st.one_of(st.floats(-4.0, 4.0), wide), min_size=n,
+                                  max_size=n), max_size=6))
+    for x in draw(st.lists(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n),
+                           max_size=6)):
+        if w[-1]:
+            x[-1] = -(float(frozen_affine([x[:-1] + [0.0]], w, b)[0])) / w[-1]
+            x[-1] = nudged(x[-1], draw(st.integers(-3, 3)))
+            if math.isfinite(x[-1]):
+                rows.append(x)
+    return w, b, rows
+
+
+class TestSideRuleMatchesFrozenAffine:
+    """fit, sides, region_sign, signed_displacement, predict_many and
+    linear_predict_many all read a row's side off one per-row sum, x0*w0 +
+    x1*w1 + ... + b on Python floats; it must keep the bits of the numpy
+    column-by-column sum it replaced, NaN (side 0) included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(planes_and_rows())
+    @example(([1e150, 1e150], 0.0, [[1e300, -1e300], [1e300, 1e300], [-1e300, 1.0]]))
+    @example(([1.0, 1.0], -1e6, [[5e5, 5e5], [nudged(1e6, 1), 0.0], [nudged(1e6, -1), 0.0]]))
+    def test_bit_for_bit(self, problem):
+        w, b, rows = problem
+        try:
+            h = Hyperplane(w, b)
+        except ValueError:  # a zero or overflowing normal has no plane
+            assume(False)
+        want = frozen_affine(np.array(rows, dtype=float).reshape(len(rows), len(w)), w, b)
+        got = geometry._margins(len(w))(float_rows(rows, len(w)), *w, b)
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+        signs = [0 if math.isnan(v) else (v > 0) - (v < 0) for v in want.tolist()]
+        assert sides(h, rows) == signs
+        assert [region_sign(h, x) for x in rows] == signs
+        norm = math.sqrt(geometry._dot(w, w))
+        assert [signed_displacement(h, x).hex() for x in rows] == \
+            [(float(v) / norm).hex() for v in want]
+        linear = PerceptronModel(weights=np.array(w), bias=b, eta=1.0, epochs=1, seed=0)
+        assert linear_predict_many(linear, rows) == [int(v > 0) for v in want.tolist()]
+
+    def test_products_past_the_float_range_are_on_the_plane(self):
+        # inf + -inf is NaN, which neither side claims.
+        h = Hyperplane([1e150, 1e150], 0.0)
+        assert sides(h, [[1e300, -1e300], [1e300, 1e300], [-1e300, 1.0]]) == [0, 1, -1]
 
 
 class TestHyperplaneType:
@@ -873,8 +953,11 @@ def test_every_predictor_refuses_a_bad_row(predictor, X, error):
 BAD_POINT_SETS = {
     "nan": ValueError,
     "inf": ValueError,
+    "-inf": ValueError,
+    "string": ValueError,
     "ragged": DimensionMismatchError,
     "wrong-width": DimensionMismatchError,
+    "1-d": DimensionMismatchError,
     "3-d": DimensionMismatchError,
     "zero-columns": DimensionMismatchError,
 }
@@ -883,8 +966,12 @@ BAD_POINT_SETS = {
 def bad_points(case, m, n=2):
     """m points of n coordinates, malformed as BAD_POINT_SETS' case says."""
     rows = [[float(n * i + j + 1) for j in range(n)] for i in range(m)]
-    if case in ("nan", "inf"):
+    if case in ("nan", "inf", "-inf"):
         rows[-1][0] = float(case)
+    elif case == "string":
+        rows[-1][0] = "a"
+    elif case == "1-d":  # numbers where the rows belong
+        return [row[0] for row in rows]
     elif case == "ragged" and m > 1:
         rows[-1].pop()
     elif case == "ragged":  # one point is ragged by a sequence for a coordinate
@@ -927,8 +1014,28 @@ ENTRY_POINTS = {
 }
 
 
+# The two row checks are one rule: float_rows, the check of a model's
+# points, a plane's weights and the rows that sides places, refuses each
+# malformed set as as_rows does, with its error, and returns as_rows' rows
+# for every set it takes, at any width asked.
+@pytest.mark.parametrize("width", [None, 2, 3])
+@pytest.mark.parametrize("case", sorted(BAD_POINT_SETS))
+def test_float_rows_refuses_as_as_rows_does(case, width):
+    pts = bad_points(case, 3)
+    try:
+        want = as_rows(pts, width).tolist()
+    except ValueError as exc:
+        assert width != 2 or type(exc) is BAD_POINT_SETS[case]
+        with pytest.raises(ValueError) as got:
+            float_rows(pts, width)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert float_rows(pts, width) == want
+
+
 class TestOneRowCheck:
-    """Every point set the library takes passes geometry.as_rows."""
+    """Every point set the library takes passes geometry.as_rows or
+    geometry.float_rows, which refuses it as as_rows does."""
 
     @pytest.mark.parametrize("entry, case", [
         (entry, case) for entry, (_, width, _) in ENTRY_POINTS.items()

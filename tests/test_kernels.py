@@ -142,7 +142,7 @@ def plane_digest() -> str:
         stream = SplitMix64(n)
         for _ in range(20):
             h = hyperplane_from_points(stream.normals(n * n).reshape(n, n))
-            digest.update(h.weights.tobytes())
+            digest.update(struct.pack(f"<{h.dim}d", *h.weights))
             digest.update(struct.pack("<d", h.bias))
     return digest.hexdigest()
 

@@ -48,6 +48,12 @@ from movingpoints.mpa import (
 from movingpoints.rng import SplitMix64
 
 
+def bits(values) -> bytes:
+    """The float64 bytes of values, floats or rows of floats (a model's
+    points, a plane's weights), as ndarray.tobytes() gives them."""
+    return np.array(values, dtype=float).tobytes()
+
+
 def lambda_value(model: MpaModel, x, label: int) -> float:
     """Signed displacement times the label's pseudo sign; negative = wrong."""
     return signed_displacement(model.hyperplane, x) * model.pseudo_sign[label]
@@ -76,7 +82,8 @@ class TestInitialize:
         c0 = np.zeros((2, 3))
         c1 = np.full((2, 3), [4.0, 0.0, 0.0])
         model = initialize(c0, c1, MpaConfig(init_spread=0.5))
-        got = model.moving_points[np.lexsort(model.moving_points.T)]
+        pts = np.array(model.moving_points)
+        got = pts[np.lexsort(pts.T)]
         want = np.array([[2.0, 0.0, 0.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
         want = want[np.lexsort(want.T)]
         np.testing.assert_allclose(got, want)
@@ -209,7 +216,7 @@ class TestMovementVector:
                          config=MpaConfig(eta=0.1))
         mover, t = movement_vector(model, (1.0, -1.0), (1.0, offset), -0.5)
         assert mover == 0
-        assert t.tolist() == [0.0, 0.05]
+        assert t == [0.0, 0.05]
         with pytest.raises(ZeroDisplacementError):
             movement_vector(model, (1.0, -1.0), (1.0, 0.0), -0.5)
 
@@ -343,7 +350,7 @@ class TestGuardProperties:
         k = min(k, n - 1)
         alpha = 0.5 * (edges[k] + edges[k + 1])
         model = MpaModel(np.eye(n), {0: -1, 1: 1}, alpha=alpha, config=MpaConfig())
-        model.moving_points = pts
+        model.moving_points = pts.tolist()
         t = scale * 10.0 ** step_exponent * stream.normals(n)
         units = [(pts[i] - pts[mover]) / gap for i, gap in
                  zip((i for i in range(n) if i != mover), gaps) if gap <= alpha]
@@ -379,7 +386,7 @@ class TestGuardProperties:
         k = min(k, n - 1)
         alpha = 0.5 * (edges[k] + edges[k + 1])
         model = MpaModel(np.eye(n), {0: -1, 1: 1}, alpha=alpha, config=MpaConfig())
-        model.moving_points = pts
+        model.moving_points = pts.tolist()
         t = scale * 10.0 ** step_exponent * stream.normals(n)
         moved = pts[mover] + overfit_guard(model, mover, t)
         slack = 4 * np.finfo(float).eps * max(float(np.abs(pts).max()),
@@ -404,7 +411,7 @@ class TestGuardProperties:
         alpha = 2.0 * gaps[0] if n == 2 else 0.5 * (gaps[0] + gaps[1])
         near = min(range(1, n), key=lambda i: math.dist(pts[0], pts[i]))
         model = MpaModel(np.eye(n), {0: -1, 1: 1}, alpha=alpha, config=MpaConfig())
-        model.moving_points = pts
+        model.moving_points = pts.tolist()
         t = scale * stream.normals(n)
         if np.dot(t, pts[near] - pts[0]) < 0.0:
             t = -t
@@ -472,7 +479,7 @@ class TestNearClusters:
 def fixed_order_lambda(model, x, label):
     """lambda as fit computes it at n = 2 and 3:
     (x0*w0 + x1*w1 [+ x2*w2] + b) / ||w|| * sign, summed left to right."""
-    w = model.hyperplane.weights.tolist()
+    w = model.hyperplane.weights
     raw = float(x[0]) * w[0]
     sq = w[0] * w[0]
     for xi, wi in zip(x[1:], w[1:]):
@@ -514,11 +521,11 @@ class TestFit:
         assert log.epochs_run == 25
         assert len(log.misclassified) == 25
         assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
-        assert model.moving_points.shape == (2, 2)
+        assert np.shape(model.moving_points) == (2, 2)
         assert np.all(np.isfinite(model.moving_points))
         # fit leaves the plane of the final points in the model
         h = line_from_points(*model.moving_points)
-        assert model.hyperplane.weights.tobytes() == h.weights.tobytes()
+        assert bits(model.hyperplane.weights) == bits(h.weights)
         assert model.hyperplane.bias == h.bias
 
     def test_early_stop_halts_after_clean_epoch(self, two_blobs):
@@ -555,7 +562,7 @@ class TestFit:
         # lambda_value is signed_displacement, which sums lambda in fit's
         # fixed order (test_signed_displacement_is_fits_lambda), so the
         # points agree bit for bit
-        assert model.moving_points.tobytes() == ref.moving_points.tobytes()
+        assert bits(model.moving_points) == bits(ref.moving_points)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_signed_displacement_is_fits_lambda(self, dim):
@@ -587,7 +594,7 @@ class TestFit:
         assert log.moves > 0
         assert log.misclassified == ref_log["misclassified"]
         assert log.moves == ref_log["moves"]
-        assert model.moving_points.tobytes() == ref.moving_points.tobytes()
+        assert bits(model.moving_points) == bits(ref.moving_points)
 
     @staticmethod
     def plain_fit(model, ds, cfg, lam_of=lambda_value):
@@ -618,8 +625,8 @@ class TestFit:
                 t = overfit_guard(model, mover, t)
                 if not np.any(t):
                     continue
-                old = model.moving_points[mover].copy()
-                model.moving_points[mover] = old + t
+                old = model.moving_points[mover]
+                model.moving_points[mover] = (np.array(old) + t).tolist()
                 try:
                     model.hyperplane = hyperplane_from_points(model.moving_points)
                 except DegeneratePointsError:
@@ -934,7 +941,7 @@ def frozen_overfit_guard_3d(points, mover, t, alpha, stats):
 
 def frozen_fit(model, ds, cfg):
     """The object-level loop on copies of the model's state."""
-    points = model.moving_points.copy()
+    points = np.array(model.moving_points)
     w, b = frozen_refresh(points)
     alpha = model.alpha if cfg.alpha is None else cfg.alpha
     clusters = near_clusters(ds, cfg.near_cluster_percentile)
@@ -1029,14 +1036,14 @@ def assert_loop_matches_frozen(model, ds):
     returns frozen_fit's record."""
     ref = frozen_fit(model, ds, model.config)
     log = fit(model, ds)
-    assert model.moving_points.tobytes() == ref["points"].tobytes()
+    assert bits(model.moving_points) == ref["points"].tobytes()
     assert log.misclassified == ref["misclassified"]
     assert log.moves == ref["moves"]
     assert log.skips[mpa.DEGENERATE_REVERT] == ref["reverted"]
     assert log.skips[mpa.OVERFLOW_REVERT] == ref["overflowed"]
     assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
     w, b = ref["plane"]
-    assert model.hyperplane.weights.tobytes() == w.tobytes()
+    assert bits(model.hyperplane.weights) == w.tobytes()
     assert np.float64(model.hyperplane.bias).tobytes() == np.float64(b).tobytes()
     return ref
 
@@ -1089,7 +1096,7 @@ class TestFitMatchesFrozenLoop:
                          config=MpaConfig(eta=1.0, epochs=3, seed=5))
         ref = assert_loop_matches_frozen(model, ds)
         assert ref["reverted"] == 3 and ref["moves"] == 0
-        assert model.moving_points.tolist() == points
+        assert model.moving_points == points
 
     @pytest.mark.parametrize("dim", [3, 8])
     def test_skipped_and_run_guards_match(self, dim, monkeypatch):
@@ -1125,7 +1132,7 @@ def guard_sees_a_near_point(points, mover, alpha):
 
 
 def largest_gap(P):
-    return max(math.dist(p, q) for p in P.tolist() for q in P.tolist())
+    return max(math.dist(p, q) for p in P for q in P)
 
 
 def recording_guard(calls):
@@ -1181,11 +1188,11 @@ class TestGapFloor:
         with mock.patch.object(mpa, "_guard", recording_guard(got)):
             log = fit(model, ds)
         assert got == want
-        assert model.moving_points.tobytes() == ref["points"].tobytes()
+        assert bits(model.moving_points) == ref["points"].tobytes()
         assert log.misclassified == ref["misclassified"]
         assert log.moves == ref["moves"]
         w, b = ref["plane"]
-        assert model.hyperplane.weights.tobytes() == w.tobytes()
+        assert bits(model.hyperplane.weights) == w.tobytes()
         assert np.float64(model.hyperplane.bias).tobytes() == np.float64(b).tobytes()
 
     # The generated loop itself, on points at 2^k times the unit scale of
@@ -1233,8 +1240,9 @@ class TestGapFloor:
 
         clusters = near_clusters(ds, cfg.near_cluster_percentile)
         draws = [clusters[1 - label].tolist() for label in ds.labels.tolist()]
-        pseudo = np.where(ds.labels == 1, model.pseudo_sign[1], model.pseudo_sign[0])
-        loop = epochs(model.moving_points * up, ds.features, pseudo.astype(float), draws,
+        below = [model.pseudo_sign[label] < 0 for label in ds.labels.tolist()]
+        loop = epochs([[x * up for x in row] for row in model.moving_points], ds.features,
+                      below, draws,
                       SplitMix64(seed), cfg, alpha, mpa.TrainingLog(), scaled_build,
                       step_to=scaled_step_to)
         with mock.patch.object(mpa, "_guard", recording_guard(got)):
@@ -1304,7 +1312,7 @@ def test_small_n_trains_keep_their_bits(dim, monkeypatch):
                     except ZeroDisplacementError:
                         digest.update(b"zero")
                         continue
-                    digest.update(struct.pack("<q", mover) + t.tobytes())
+                    digest.update(struct.pack(f"<q{len(t)}d", mover, *t))
     assert min(seen.values()) > 0, seen
     assert digest.hexdigest() == SMALL_N_DIGESTS[dim]
 
@@ -1414,14 +1422,14 @@ class TestMovementVectorMatchesFrozen:
         row = data.draw(st.sampled_from([None, *range(n)]))
         g = data.draw(hnp.arrays(float, n, elements=unit)) * scale if row is None else P[row]
         model = MpaModel(np.eye(n), {0: -1, 1: 1}, alpha=0.0, config=MpaConfig(eta=eta))
-        model.moving_points = P
+        model.moving_points = P.tolist()
 
         def outcome(step):
             try:
                 mover, t = step()
             except ZeroDisplacementError:
                 return "refused"
-            return mover, t.tobytes()
+            return mover, bits(t)
 
         got = outcome(lambda: movement_vector(model, q, g, lam))
         assert got == outcome(lambda: frozen_movement_vector(P, q, g, lam, eta))
@@ -1503,7 +1511,7 @@ class TestDivergence:
             return
         assert log.moves + sum(log.skips.values()) == sum(log.misclassified)
         want = hyperplane_from_points(model.moving_points)
-        assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
+        assert bits(model.hyperplane.weights) == bits(want.weights)
         assert model.hyperplane.bias == want.bias
 
     def test_runaway_train_counts_its_overflows(self):
@@ -1538,7 +1546,7 @@ class TestUnits:
                 train(scaled)
             return
         model_k, log_k = train(scaled)
-        assert model_k.moving_points.tobytes() == (model.moving_points * 2.0 ** k).tobytes()
+        assert bits(model_k.moving_points) == (np.array(model.moving_points) * 2.0 ** k).tobytes()
         assert asdict(log_k) == asdict(log)
 
     # At n = 2 the shifts stop at 1e4: the line's bias x1*y2 - x2*y1
@@ -1607,9 +1615,9 @@ class TestOneSideRule:
         wrong = int(np.count_nonzero(predict_many(model, X) != y))
         clusters = near_clusters(Dataset(X, y), cfg.near_cluster_percentile)
         draws = [clusters[1 - label].tolist() for label in y.tolist()]
-        pseudo = np.where(y == 1, model.pseudo_sign[1], model.pseudo_sign[0]).astype(float)
+        below = [model.pseudo_sign[label] < 0 for label in y.tolist()]
         log = mpa.TrainingLog()
-        loop = mpa._fixed_order(n)[2](model.moving_points.copy(), X, pseudo, draws,
+        loop = mpa._fixed_order(n)[2](model.moving_points.copy(), X, below, draws,
                                       SplitMix64(seed), cfg, 0.0, log,
                                       lambda *rows: (*w, b, norm_w))
         assert list(loop) == [wrong] * 3
@@ -1626,7 +1634,7 @@ class TestHyperplaneMatchesPointsOnExit:
         ds = make_blobs(seed=seed, std=std, n_per_class=25, dim=n, center_halfwidth=4.0)
         model, _ = train(ds, MpaConfig(eta=eta, epochs=20, seed=seed))
         want = hyperplane_from_points(model.moving_points)
-        assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
+        assert bits(model.hyperplane.weights) == bits(want.weights)
         assert model.hyperplane.bias == want.bias
 
     def test_after_failure_in_plane_kernel(self, monkeypatch):
@@ -1654,9 +1662,9 @@ class TestHyperplaneMatchesPointsOnExit:
         # Call 26 is fit's exit plane, built from the points of call 24,
         # the last move kept.
         assert len(seen) == 26
-        assert list(seen[25]) == list(seen[23]) == model.moving_points.tolist()
+        assert list(seen[25]) == list(seen[23]) == model.moving_points
         want = hyperplane_from_points(model.moving_points)
-        assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
+        assert bits(model.hyperplane.weights) == bits(want.weights)
         assert model.hyperplane.bias == want.bias
 
     def test_after_failure_in_line_mid_epoch(self, monkeypatch):
@@ -1680,9 +1688,9 @@ class TestHyperplaneMatchesPointsOnExit:
         monkeypatch.undo()
         # The last line built before the failing one, with no revert here;
         # the last call is fit's exit plane.
-        assert model.moving_points.tolist() == list(map(list, seen[-3]))
+        assert model.moving_points == list(map(list, seen[-3]))
         want = line_from_points(model.moving_points[0], model.moving_points[1])
-        assert model.hyperplane.weights.tobytes() == want.weights.tobytes()
+        assert bits(model.hyperplane.weights) == bits(want.weights)
         assert model.hyperplane.bias == want.bias
 
     def test_after_failure_in_plane3_mid_epoch(self, monkeypatch):
@@ -1710,9 +1718,9 @@ class TestHyperplaneMatchesPointsOnExit:
         # Call 21 is fit's exit plane, built from the points of call 19,
         # the last move kept.
         assert len(seen) == 21
-        assert list(seen[20]) == list(seen[18]) == model.moving_points.tolist()
+        assert list(seen[20]) == list(seen[18]) == model.moving_points
         reloaded = mpa.parse_model_document(mpa.model_document(model))
-        assert model.hyperplane.weights.tobytes() == reloaded.hyperplane.weights.tobytes()
+        assert bits(model.hyperplane.weights) == bits(reloaded.hyperplane.weights)
         assert model.hyperplane.bias == reloaded.hyperplane.bias
         np.testing.assert_allclose(model.hyperplane.weights,
                                    hyperplane_from_points(model.moving_points).weights,
@@ -1784,7 +1792,7 @@ class TestPredictMatchesScalarRule:
             except DegeneratePointsError:
                 assume(False)
             want = [scalar_predict(model, x) for x in X]
-            assert predict_many(model, X).tolist() == want
+            assert predict_many(model, X) == want
             assert [predict(model, x) for x in X] == want
 
 
@@ -1823,8 +1831,8 @@ class TestSerialization:
         except ValueError:
             assume(False)
         clone = mpa.parse_model_document(mpa.model_document(model))
-        assert clone.moving_points.tobytes() == model.moving_points.tobytes()
-        assert clone.hyperplane.weights.tobytes() == model.hyperplane.weights.tobytes()
+        assert bits(clone.moving_points) == bits(model.moving_points)
+        assert bits(clone.hyperplane.weights) == bits(model.hyperplane.weights)
         assert np.float64(clone.hyperplane.bias).tobytes() == \
             np.float64(model.hyperplane.bias).tobytes()
         np.testing.assert_array_equal(predict_many(clone, ds.features),
