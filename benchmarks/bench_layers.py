@@ -29,10 +29,12 @@ projects, so they put the per-n cost of the one shared guard on record.
 The cell cases time one whole grid cell and the fixed cost around its
 training loops: ``derive_seed`` and MPA's ``near_clusters`` and
 ``initialize`` on the cell's split. The start-up cases time fresh
-processes, as a user starts them: ``python -c pass``, and ``mpa fit`` and
-``mpa predict`` with the C1 Iris flags of perfbench's iris-cli workload,
-run through the entry point of the installed ``mpa`` script on this
-checkout's package; predict reads a model that fit wrote once, untimed.
+processes, as a user starts them: ``python -c pass``; ``import
+movingpoints`` and its CLI, as the set-up child of perfbench's iris-cli
+workload does; and ``mpa fit``, ``mpa predict`` and ``mpa bench dataset``
+with the Iris flags of that workload, run through the entry point of the
+installed ``mpa`` script on this checkout's package; predict reads a model
+that fit wrote once, untimed.
 """
 
 import os
@@ -82,6 +84,9 @@ FIT_ARGV = ["fit", "--input", str(IRIS), "--label-col", "Species",
             "--positive-label", "Iris-setosa", "--negative-label", "Iris-versicolor",
             "--features", "SepalLengthCm,SepalWidthCm", "--eta", "0.5", "--epochs", "200",
             "--seed", "0"]
+BENCH_DATASET_ARGV = ["bench", "dataset", "--input", str(IRIS), "--label-col", "Species",
+                      "--positive-label", "Iris-virginica", "--negative-label",
+                      "Iris-versicolor", "--reps", "5", "--eta", "0.0005"]
 START_ROUNDS = 15  # fresh processes per start-up case
 
 
@@ -394,9 +399,9 @@ def test_predict_many_overlap_0_90_dim8(benchmark):
 
 
 # Fresh processes, each timed from its start to its exit: the interpreter
-# alone, then the two Iris commands of the iris-cli workload. Each command
-# writes into a temporary directory; predict's model comes from one untimed
-# fit there.
+# alone, the import of the package and its CLI, then the three Iris
+# commands of the iris-cli workload. Each command writes into a temporary
+# directory; predict's model comes from one untimed fit there.
 def run_process(*args: str) -> None:
     env = {**os.environ, "PYTHONPATH": str(TIMED.parent)}
     subprocess.run([sys.executable, *args], env=env, check=True,
@@ -405,6 +410,11 @@ def run_process(*args: str) -> None:
 
 def test_start_python_pass(benchmark):
     benchmark.pedantic(run_process, args=("-c", "pass"), rounds=START_ROUNDS)
+
+
+def test_start_import_cli(benchmark):
+    code = "import movingpoints; from movingpoints import cli"
+    benchmark.pedantic(run_process, args=("-c", code), rounds=START_ROUNDS)
 
 
 def test_start_mpa_fit_iris(benchmark, tmp_path):
@@ -420,3 +430,9 @@ def test_start_mpa_predict_iris(benchmark, tmp_path):
             "--output", str(tmp_path / "pred.csv")]
     benchmark.pedantic(run_process, args=("-c", CLI_ENTRY, *argv), rounds=START_ROUNDS)
     assert (tmp_path / "pred.csv").is_file()
+
+
+def test_start_mpa_bench_dataset_iris(benchmark, tmp_path):
+    argv = [*BENCH_DATASET_ARGV, "--output", str(tmp_path / "report.csv")]
+    benchmark.pedantic(run_process, args=("-c", CLI_ENTRY, *argv), rounds=START_ROUNDS)
+    assert (tmp_path / "report.csv").is_file()

@@ -7,27 +7,35 @@ belong in. The package bundles the classifier, small reference baselines
 protocols, and a CLI (``mpa``). The names below are the documented API;
 everything else is reached through its module (``movingpoints.geometry``,
 ``movingpoints.baselines``, ...).
-"""
 
-from .bench import report_text, run_dataset_protocol, run_synthetic_suite
-from .datasets import Dataset, load_csv, make_blobs
-from .mpa import (
-    MpaConfig,
-    MpaModel,
-    TrainingLog,
-    load_model,
-    predict_many,
-    save_model,
-    train,
-    training_accuracy,
-)
+Importing the package loads no submodule: a documented name imports its
+module when it is first read (PEP 562), so each ``mpa`` process compiles
+only the modules its command runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Dataset", "load_csv", "make_blobs",
-    "MpaConfig", "MpaModel", "TrainingLog", "train", "predict_many",
-    "training_accuracy", "save_model", "load_model",
-    "run_synthetic_suite", "run_dataset_protocol", "report_text",
-]
+# Each documented name and the module that defines it.
+_MODULE_OF = {
+    "Dataset": "datasets", "load_csv": "datasets", "make_blobs": "datasets",
+    "MpaConfig": "mpa", "MpaModel": "mpa", "TrainingLog": "mpa", "train": "mpa",
+    "predict_many": "mpa", "training_accuracy": "mpa", "save_model": "mpa",
+    "load_model": "mpa",
+    "run_synthetic_suite": "bench", "run_dataset_protocol": "bench", "report_text": "bench",
+}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

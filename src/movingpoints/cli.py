@@ -13,6 +13,9 @@ escapes a command is an "unexpected error" (3).
 
 Every default lives in the library (MpaConfig, the bench protocols,
 render_scatter_svg): a command passes on only the options that were set.
+The module imports no library module: each command imports what it runs,
+and each library option reads its default when it parses a value or
+prints --help (_LibraryDefault), so building the parser loads none.
 An optional ``--config FILE`` of key=value lines sets the options of each
 command's settings group that the command line left unset (_read_config).
 A config file or value that cannot be read, parsed or trained with exits 2
@@ -23,14 +26,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import os
 import sys
-
-from . import bench, mpa
-from .datasets import Dataset, InvalidParamsError, _read_csv, load_csv
-from .geometry import as_rows
-from .mpa import MpaConfig
 
 
 class RefuseNon2DError(ValueError):
@@ -124,10 +121,14 @@ def _given(args, *names, **params) -> dict:
 
 def _defaults(fn) -> dict:
     """{parameter: default} of fn, a function or a dataclass."""
+    import inspect
+
     return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
 
 
-def _mpa_config(args) -> MpaConfig:
+def _mpa_config(args):
+    from .mpa import MpaConfig
+
     with _stage("checking inputs"):
         return MpaConfig(**_given(args, "eta", "epochs", "alpha", "init_spread", "seed",
                                   "early_stop", near_cluster_percentile="near_cluster_pct"))
@@ -148,13 +149,15 @@ def _require_files(*paths) -> None:
             raise _Failure(2, "checking inputs", f"no such file: {path}")
 
 
-def _load_labeled(args, columns=None) -> Dataset:
+def _load_labeled(args, columns=None):
     """The labeled --input CSV as a Dataset; prints how many rows were dropped.
 
     columns are the feature columns when neither --features nor the config
     names any (None: every column but the label). A missing file, missing
     label flags or data that does not load stop the command with exit 2.
     """
+    from .datasets import load_csv
+
     _require_files(args.input)
     if args.label_col is None or args.positive_label is None:
         raise _Failure(2, "checking inputs", "--label-col and --positive-label are required")
@@ -168,11 +171,13 @@ def _load_labeled(args, columns=None) -> Dataset:
     return ds
 
 
-def _load_model(args) -> mpa.MpaModel:
-    """The --model file, once it and the --input file exist."""
+def _load_model(args):
+    """The --model file as an MpaModel, once it and the --input file exist."""
+    from .mpa import load_model
+
     _require_files(args.model, args.input)
     with _stage("loading model"):
-        return mpa.load_model(args.model)
+        return load_model(args.model)
 
 
 def _write_output(path, text: str) -> None:
@@ -184,6 +189,8 @@ def _write_output(path, text: str) -> None:
 # ---------------------------------------------------------------- fit
 
 def cmd_fit(args) -> int:
+    from . import mpa
+
     cfg = _mpa_config(args)
     ds = _load_labeled(args)
     with _stage("training", code=3):
@@ -211,6 +218,9 @@ def _training_log(log) -> str:
 # ---------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
+    from .datasets import _read_csv
+    from .mpa import predict_many
+
     model = _load_model(args)
     columns = _feature_list(args) or model.feature_names
     if columns is None:
@@ -230,10 +240,12 @@ def cmd_predict(args) -> int:
         if dropped:
             print(f"dropped rows with missing values: {dropped}")
 
-    preds = mpa.predict_many(model, X)
+    preds = predict_many(model, X)
     _write_output(args.output, "prediction\n" + "".join(f"{p}\n" for p in preds))
     if labels is not None:
-        print(f"accuracy: {bench.accuracy(preds, labels)}")
+        from .bench import accuracy
+
+        print(f"accuracy: {accuracy(preds, labels)}")
     print(f"predictions: {args.output}")
     return 0
 
@@ -246,26 +258,33 @@ def _run_bench(output, stage: str, run, *data, **params) -> int:
     run checks its parameters before any run (exit 2 at "checking inputs");
     a data or training error during the runs exits 3 at stage.
     """
+    from .bench import render_table, write_report
+    from .datasets import InvalidParamsError
+
     with _stage(stage, code=3), _stage("checking inputs", errors=InvalidParamsError):
         report = run(*data, **params)
     with _stage("writing report"):
-        bench.write_report(report, output)
-    sys.stdout.write(bench.render_table(report))
+        write_report(report, output)
+    sys.stdout.write(render_table(report))
     print(f"report: {output}")
     return 0
 
 
 def cmd_bench_synthetic(args) -> int:
+    from .bench import run_synthetic_suite
+
     return _run_bench(
-        args.output, "running suite", bench.run_synthetic_suite, mpa_cfg=_mpa_config(args),
+        args.output, "running suite", run_synthetic_suite, mpa_cfg=_mpa_config(args),
         **_given(args, "n_per_class", "dim", "test_fraction",
                  n_seeds="seeds", n_stds="stds", master_seed="seed"))
 
 
 def cmd_bench_dataset(args) -> int:
+    from .bench import run_dataset_protocol
+
     cfg = _mpa_config(args)
     return _run_bench(
-        args.output, "running protocol", bench.run_dataset_protocol, _load_labeled(args),
+        args.output, "running protocol", run_dataset_protocol, _load_labeled(args),
         mpa_cfg=cfg, **_given(args, "test_fraction", "pca_k", "svm_reg", "svm_epochs",
                               repetitions="reps", master_seed="seed"))
 
@@ -324,6 +343,8 @@ def render_scatter_svg(features, labels, hyperplane, moving_points,
     geometry.as_rows; RefuseNon2DError unless both are 2-D.
     """
     import numpy as np
+
+    from .geometry import as_rows
 
     X = as_rows(features)
     y = np.asarray(labels, dtype=int)
@@ -462,17 +483,44 @@ def _add_settings(p):
     return p.add_argument_group(_SETTINGS)
 
 
-def _add_library_options(s, fn, *options) -> None:
-    """Adds each (flag, parameter, help) to s, typed and helped by fn's default of parameter."""
-    defaults = _defaults(fn)
+class _LibraryDefault:
+    """An option's type: the default of parameter param of the library's where ("module.name").
+
+    The library is read on first use, so building the parser imports none
+    of it. Called, it converts a value to the default's type; str() is the
+    default, which the option's help prints through %(type)s; repr() is the
+    type's name, which argparse's "invalid int value" message names.
+    """
+
+    def __init__(self, where: str, param: str):
+        self.where, self.param = where, param
+
+    def default(self):
+        from importlib import import_module
+
+        module, name = self.where.split(".")
+        return _defaults(getattr(import_module(f"{__package__}.{module}"), name))[self.param]
+
+    def __call__(self, text: str):
+        return type(self.default())(text)
+
+    def __str__(self) -> str:
+        return str(self.default())
+
+    def __repr__(self) -> str:
+        return type(self.default()).__name__
+
+
+def _add_library_options(s, where: str, *options) -> None:
+    """Adds each (flag, parameter, help) to s, typed and helped by where's default of parameter."""
     for flag, param, text in options:
-        s.add_argument(flag, type=type(defaults[param]),
-                       help=f"{text} (default {defaults[param]})")
+        s.add_argument(flag, type=_LibraryDefault(where, param), help=f"{text} (default %(type)s)")
 
 
 def _add_mpa_flags(s):
     _add_library_options(
-        s, MpaConfig, ("--eta", "eta", "learning rate"), ("--epochs", "epochs", "training epochs"),
+        s, "mpa.MpaConfig", ("--eta", "eta", "learning rate"),
+        ("--epochs", "epochs", "training epochs"),
         ("--near-cluster-pct", "near_cluster_percentile", "near-cluster percentile radius"),
         ("--init-spread", "init_spread",
          "initial point spacing as a fraction of the inter-mean distance"),
@@ -521,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--output", required=True, help="report file to write")
     s_syn = _add_settings(p_syn)
     _add_library_options(
-        s_syn, bench.run_synthetic_suite,
+        s_syn, "bench.run_synthetic_suite",
         ("--seeds", "n_seeds", "number of dataset seeds, 0..N-1"),
         ("--stds", "n_stds", "number of scatter widths 1.0, 1.1, ..."),
         ("--n-per-class", "n_per_class", "samples per class"), ("--dim", "dim", "dimensions"),
@@ -534,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dsb.add_argument("--output", required=True, help="report file to write")
     s_dsb = _add_settings(p_dsb)
     _add_library_options(
-        s_dsb, bench.run_dataset_protocol, ("--reps", "repetitions", "seeded repetitions"),
+        s_dsb, "bench.run_dataset_protocol", ("--reps", "repetitions", "seeded repetitions"),
         ("--pca-k", "pca_k", "PCA components"),
         ("--test-fraction", "test_fraction", "test split fraction"),
         ("--svm-reg", "svm_reg", "SVM regularization strength"),
@@ -548,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--input", required=True)
     p_plot.add_argument("--output", required=True, help="SVG file to write")
     s_plot = _add_settings(p_plot)
-    _add_library_options(s_plot, render_scatter_svg, ("--width", "width", "pixels"),
+    _add_library_options(s_plot, "cli.render_scatter_svg", ("--width", "width", "pixels"),
                          ("--height", "height", "pixels"))
     _add_data_flags(s_plot)
     p_plot.set_defaults(func=cmd_plot)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .geometry import as_rows
-from .rng import SplitMix64
 
 # np.ndarray in an annotation names numpy's array type; numpy itself is
 # imported only by the functions that compute on arrays, when they run.
@@ -230,6 +229,8 @@ def make_blobs(seed: int, std: float, n_per_class: int = 50, dim: int = 2,
     """
     import numpy as np
 
+    from .rng import SplitMix64
+
     if not (std > 0) or n_per_class < 1 or dim < 2 or not (center_halfwidth > 0):
         raise InvalidParamsError(
             f"need std > 0, n_per_class >= 1, dim >= 2, center_halfwidth > 0; "
@@ -387,6 +388,8 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int):
     The training side must keep both classes (the test side may be
     single-class when it is very small); violations raise DegenerateSplit.
     """
+    from .rng import SplitMix64
+
     _check_test_fraction(test_fraction)
     m = ds.m
     n_test = _ceil_count(m, test_fraction)

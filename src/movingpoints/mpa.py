@@ -57,7 +57,6 @@ from .geometry import (
     hyperplane_from_points,
     region_sign,
 )
-from .rng import SplitMix64
 
 MODEL_VERSION = 1
 MAX_RESAMPLES = 8  # extra draws of g when it lands on the mover
@@ -427,6 +426,8 @@ def fit(model: MpaModel, data: Dataset) -> TrainingLog:
     moves the rows of model.moving_points in place, and model.hyperplane is
     then set from hyperplane_from_points(points), as a reloaded model's is.
     """
+    from .rng import SplitMix64
+
     cfg = model.config
     X = as_rows(data.features, model.dim)
     data.require_binary()

@@ -613,7 +613,7 @@ def fresh_interpreter(code: str) -> list[str]:
 # three commands of one fit -> predict -> bench dataset cycle run in one
 # fresh interpreter, which must end without it. numpy itself is more than a
 # third of a process's start-up, and `mpa predict` needs none of it: see
-# test_import_and_predict_load_no_numpy below.
+# test_each_entry_point_loads_only_what_it_runs below.
 def test_cli_commands_do_not_import_numpy_ma(iris_path, tmp_path):
     fit = ["fit", "--input", str(iris_path), "--output", str(tmp_path / "m.json"),
            *IRIS_ARGS, *FIT_ARGS]
@@ -629,23 +629,48 @@ def test_cli_commands_do_not_import_numpy_ma(iris_path, tmp_path):
     assert fresh_interpreter(code)[-1] == "False"
 
 
-# A model is n points and the side of the plane through them: importing
-# the package and the CLI, and predicting with the C1 model, load no numpy.
-def test_import_and_predict_load_no_numpy(iris_path, tmp_path):
+# Each module is imported by the code that first uses it. Importing the
+# package loads no submodule and the CLI loads itself alone (no inspect);
+# predicting with the C1 model adds the model, its plane and the CSV
+# reader and no numpy (a model is n points and the side of the plane
+# through them); fit adds the generator and numpy; only the bench
+# commands load the bench and the baselines.
+def test_each_entry_point_loads_only_what_it_runs(iris_path, tmp_path):
     assert fit_iris(iris_path, tmp_path / "m.json") == 0
     predict = ["predict", "--model", str(tmp_path / "m.json"), "--input", str(iris_path),
                "--output", str(tmp_path / "p.csv")]
+    fit = ["fit", "--input", str(iris_path), "--output", str(tmp_path / "m2.json"),
+           *IRIS_ARGS, *FIT_ARGS]
+    bench = ["bench", "dataset", "--input", str(iris_path), "--output", str(tmp_path / "r.csv"),
+             "--label-col", "Species", "--positive-label", "Iris-virginica",
+             "--negative-label", "Iris-versicolor", "--reps", "1"]
     code = ("import sys\n"
+            "def loaded():\n"
+            "    names = [m for m in sys.modules if m.startswith('movingpoints') or\n"
+            "             m in ('numpy', 'inspect')]\n"
+            "    print('loaded:', *sorted(names))\n"
             "import movingpoints\n"
-            "print('numpy' in sys.modules)\n"
+            "loaded()\n"
             "from movingpoints.cli import main\n"
-            "print('numpy' in sys.modules)\n"
+            "loaded()\n"
             f"assert main({predict!r}) == 0\n"
-            "print('numpy' in sys.modules)")
-    found = [line for line in fresh_interpreter(code) if line in ("True", "False")]
-    assert found == ["False", "False", "False"]
+            "loaded()\n"
+            f"assert main({fit!r}) == 0\n"
+            "loaded()\n"
+            f"assert main({bench!r}) == 0\n"
+            "loaded()")
+    found = [set(line.split()[1:]) for line in fresh_interpreter(code)
+             if line.startswith("loaded:")]
+    package = {"movingpoints"}
+    cli_only = package | {"movingpoints.cli"}
+    predicted = cli_only | {"movingpoints.mpa", "movingpoints.geometry", "movingpoints.datasets",
+                            "inspect"}  # which dataclasses imports
+    fitted = predicted | {"movingpoints.rng", "numpy"}
+    benched = fitted | {"movingpoints.bench", "movingpoints.baselines"}
+    assert found == [package, cli_only, predicted, fitted, benched]
     assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == \
         GOLDEN_C1_PREDICTIONS
+    assert (tmp_path / "m2.json").read_bytes() == (tmp_path / "m.json").read_bytes()
 
 
 def test_every_library_error_is_a_value_error():
@@ -751,3 +776,59 @@ class TestHelpShowsLibraryDefaults:
             want = inspect.signature(fn).parameters[param].default
             assert printed[flag] == str(want), flag
             assert float(printed[flag]) == want
+
+
+MPA_OPTIONS = {"--eta": (MpaConfig, "eta"), "--epochs": (MpaConfig, "epochs"),
+               "--near-cluster-pct": (MpaConfig, "near_cluster_percentile"),
+               "--init-spread": (MpaConfig, "init_spread"), "--seed": (MpaConfig, "seed")}
+# Every option whose type and default are the library's, per command.
+LIBRARY_OPTIONS = {
+    "fit": MPA_OPTIONS,
+    "bench synthetic": {
+        "--seeds": (run_synthetic_suite, "n_seeds"), "--stds": (run_synthetic_suite, "n_stds"),
+        "--n-per-class": (run_synthetic_suite, "n_per_class"),
+        "--dim": (run_synthetic_suite, "dim"),
+        "--test-fraction": (run_synthetic_suite, "test_fraction"), **MPA_OPTIONS},
+    "bench dataset": {
+        "--reps": (run_dataset_protocol, "repetitions"),
+        "--pca-k": (run_dataset_protocol, "pca_k"),
+        "--test-fraction": (run_dataset_protocol, "test_fraction"),
+        "--svm-reg": (run_dataset_protocol, "svm_reg"),
+        "--svm-epochs": (run_dataset_protocol, "svm_epochs"), **MPA_OPTIONS},
+    "plot": {"--width": (render_scatter_svg, "width"),
+             "--height": (render_scatter_svg, "height")},
+}
+
+
+class TestLibraryOptionTypes:
+    """A library option parses to its default's type, and argparse names
+    that type when a value is not one."""
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in LIBRARY_OPTIONS.items() for flag in flags])
+    def test_typed_by_the_library_default(self, iris_path, tmp_path, capsys, command, flag):
+        fn, param = LIBRARY_OPTIONS[command][flag]
+        kind = type(inspect.signature(fn).parameters[param].default)
+        argv = TestBadConfigIsExit2.argv(command, iris_path, tmp_path)
+        args = cli.build_parser().parse_args(argv + [flag, "7"])
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert type(value) is kind and value == 7
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "x"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid {kind.__name__} value: 'x'" in capsys.readouterr().err
+
+    def test_config_value_of_the_wrong_type(self, iris_path, tmp_path, capsys):
+        # reps=x stops bench dataset, which reads reps as an int; fit skips
+        # it as another command's key.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reps=x\n", encoding="utf-8")
+        argv = ["bench", "dataset", "--input", str(iris_path), "--label-col", "Species",
+                "--positive-label", "Iris-virginica", "--negative-label", "Iris-versicolor",
+                "--output", str(tmp_path / "out"), "--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"mpa bench dataset: checking inputs: {cfg}:1: config reps: "
+            "invalid literal for int() with base 10: 'x'\n")
+        assert not (tmp_path / "out").exists()
+        assert fit_iris(iris_path, tmp_path / "m.json", ["--config", str(cfg)]) == 0
